@@ -23,12 +23,14 @@ import numpy as np
 
 from .errors import (DegenerateInputError, InvalidCandidateError,
                      UnsupportedError)
-from .fields import ConstantField, flux_total, local_primitive
+from .fields import (ClosedFormPrimitive, ConstantField, flux_total,
+                     local_primitive, stokes_residual)
 from .flow import trajectory_speeds
 from .regions import region_flux, taimanov_value
-from .surfaces import FlatTorus, HyperbolicPlane, RoundSphere
 
 _CONSISTENCY_SAMPLES = 32
+# sampled in place of the unmodelled fundamental domain of a quotient
+_HALF_PLANE_PATCH = ((-1.0, 1.0), (0.5, 2.0))
 
 
 def coframe_coefficients(surface, chart, u, v, phi):
@@ -125,12 +127,12 @@ def structural_relations_check(surface, h=1e-3, n_samples=20, seed=0,
     """
     rng = np.random.default_rng(seed)
     if base_box is None:
-        if isinstance(surface, HyperbolicPlane):
-            base_box = ((-1.0, 1.0), (0.5, 2.0))
-        elif isinstance(surface, RoundSphere):
-            base_box = ((-0.8, 0.8), (-0.8, 0.8))
+        if surface.lattice is not None:
+            base_box = ((0.0, surface.lattice[0]), (0.0, surface.lattice[1]))
+        elif surface.constant_curvature == -1:
+            base_box = _HALF_PLANE_PATCH
         else:
-            base_box = ((0.0, surface.lx), (0.0, surface.ly))
+            base_box = ((-0.8, 0.8), (-0.8, 0.8))
     axes = np.eye(3)
     out = {}
     for name in ("alpha", "psi", "beta"):
@@ -171,33 +173,11 @@ class RotatedCandidate:
                 f"d tau != omega_s: max |cK - sf| = {err:.3e}")
 
 
-class ExactPrimitiveCandidate:
-    """tau = alpha - s pi* zeta with d zeta = sigma (exact systems)."""
-
-    def __init__(self, zeta):
-        self.zeta = zeta   # callable (chart, u, v) -> components
-
-    def _zeta_of_v(self, system, chart, u, v, phi):
-        z1, z2 = self.zeta(chart, u, v)
-        rho = np.asarray(system.surface.conformal(chart, u, v)[0], float)
-        return np.exp(-rho) * (np.asarray(z1, float) * np.cos(phi)
-                               + np.asarray(z2, float) * np.sin(phi))
-
-    def pairing(self, system, s, chart, u, v, phi):
-        a, _, _ = xs_coefficients(system, s, chart, u, v, phi)
-        return a - s * self._zeta_of_v(system, chart, u, v, phi)
-
-    def check(self, system, s, samples):
-        _check_zeta_derivative(
-            system, self.zeta,
-            lambda c, u, v: np.asarray(system.form_density(c, u, v), float),
-            samples)
-
-
 class CorrectedPrimitiveCandidate:
-    """tau = alpha - s pi* zeta + s ratio psi on surfaces with chi != 0,
+    """tau = alpha - s pi* zeta + s ratio psi with d zeta = sigma - ratio K mu.
 
-    where ratio = [sigma] / (2 pi chi) and d zeta = sigma - ratio * K mu.
+    On surfaces with chi != 0, ratio = [sigma] / (2 pi chi); ratio = 0 is
+    the exact-primitive candidate d zeta = sigma of exact systems.
     """
 
     def __init__(self, zeta, ratio):
@@ -216,44 +196,32 @@ class CorrectedPrimitiveCandidate:
             + s * self.ratio * p
 
     def check(self, system, s, samples):
+        # K mu has the chart density K e^(2 rho) = -laplacian(rho)
         def dens(c, u, v):
             sig = np.asarray(system.form_density(c, u, v), float)
-            k = np.asarray(system.surface.gauss_curvature(c, u, v), float)
-            rho = np.asarray(system.surface.conformal(c, u, v)[0], float)
-            return sig - self.ratio * k * np.exp(2.0 * rho)
-        _check_zeta_derivative(system, self.zeta, dens, samples)
+            lap = np.asarray(system.surface.laplacian_rho(c, u, v), float)
+            return sig + self.ratio * lap
+        _check_zeta_derivative(self.zeta, dens, samples)
 
 
 class FiberCandidate:
     """Closed form with tau(V) = 1 on a flat torus: tau = d phi."""
 
     def pairing(self, system, s, chart, u, v, phi):
-        if not isinstance(system.surface, FlatTorus):
+        if system.surface.constant_curvature != 0:
             raise UnsupportedError("the fiber form is closed on flat tori")
         f = np.asarray(system.field.eval(chart, u, v), float)
         return s * f * np.ones_like(np.asarray(phi, float))
 
     def check(self, system, s, samples):
-        if not isinstance(system.surface, FlatTorus):
+        if system.surface.constant_curvature != 0:
             raise InvalidCandidateError("d phi is closed on flat tori only")
 
 
-def _check_zeta_derivative(system, zeta, density, samples, h=1e-4):
+def _check_zeta_derivative(zeta, density, samples, h=1e-4):
     """Midpoint Stokes check that d zeta equals the target density."""
-    charts, us, vs = samples
-    worst = 0.0
-    for c, u, v in zip(np.atleast_1d(charts), np.atleast_1d(us),
-                       np.atleast_1d(vs)):
-        c = int(c)
-        corners = np.array([[u - h / 2, v - h / 2], [u + h / 2, v - h / 2],
-                            [u + h / 2, v + h / 2], [u - h / 2, v + h / 2]])
-        circ = 0.0
-        for a, b in zip(corners, np.roll(corners, -1, axis=0)):
-            mid = 0.5 * (a + b)
-            z1, z2 = zeta(c, mid[0], mid[1])
-            circ += float(z1) * (b[0] - a[0]) + float(z2) * (b[1] - a[1])
-        flux = float(density(c, u, v)) * h * h
-        worst = max(worst, abs(circ - flux) / (h * h))
+    worst = max(stokes_residual(zeta, density, int(c), (u, v), h)
+                for c, u, v in zip(*map(np.atleast_1d, samples)))
     if worst > 1e-3:
         raise InvalidCandidateError(
             f"candidate potential fails d zeta check: residual {worst:.2e}")
@@ -270,9 +238,9 @@ class ContactCertificate:
 
 def sm_sample_grid(surface, n_base=128, n_fiber=64):
     """Sample points of the unit tangent bundle used for certificates."""
-    if isinstance(surface, HyperbolicPlane):
-        xs = np.linspace(-1.0, 1.0, n_base)
-        ys = np.linspace(0.5, 2.0, n_base)
+    if surface.constant_curvature == -1:
+        xs = np.linspace(*_HALF_PLANE_PATCH[0], n_base)
+        ys = np.linspace(*_HALF_PLANE_PATCH[1], n_base)
         xx, yy = np.meshgrid(xs, ys, indexing="ij")
         charts = np.zeros(xx.size, dtype=int)
         us, vs = xx.ravel(), yy.ravel()
@@ -316,23 +284,19 @@ def homogeneous_candidate(system, s):
     systems: alpha + (s f / K) psi on the sphere and hyperbolic plane, the
     fiber form on the flat torus.
     """
-    surf = system.surface
+    curvature = system.surface.constant_curvature
     if not isinstance(system.field, ConstantField):
         raise UnsupportedError("homogeneous candidates need a constant field")
-    f = system.field.value
-    if isinstance(surf, RoundSphere):
-        return RotatedCandidate(s * f)
-    if isinstance(surf, HyperbolicPlane):
-        return RotatedCandidate(-s * f)
-    if isinstance(surf, FlatTorus):
+    if curvature is None:
+        raise UnsupportedError("no closed-form candidate for this surface")
+    if curvature == 0:
         return FiberCandidate()
-    raise UnsupportedError("no closed-form candidate for this surface")
+    return RotatedCandidate(s * system.field.value / curvature)
 
 
 def torus_exact_candidate(system):
     """Exact-primitive candidate from the spectral torus primitive."""
-    prim = local_primitive(system)
-    return ExactPrimitiveCandidate(lambda c, u, v: prim.theta(c, u, v))
+    return CorrectedPrimitiveCandidate(local_primitive(system).theta, 0.0)
 
 
 def corrected_candidate(system):
@@ -346,11 +310,10 @@ def corrected_candidate(system):
     if chi == 0:
         raise UnsupportedError("needs a surface with nonzero characteristic")
     ratio = flux_total(system) / (2.0 * math.pi * chi)
-    if isinstance(system.field, ConstantField) and not isinstance(
-            surf, FlatTorus):
-        zero = lambda c, u, v: (np.zeros_like(np.asarray(u, float)),
-                                np.zeros_like(np.asarray(u, float)))
-        return CorrectedPrimitiveCandidate(zero, ratio)
+    if isinstance(system.field, ConstantField) and \
+            surf.constant_curvature is not None:
+        zero = ClosedFormPrimitive(np.zeros_like, np.zeros_like)
+        return CorrectedPrimitiveCandidate(zero.theta, ratio)
     raise UnsupportedError("general corrected potentials are not modelled")
 
 
@@ -368,14 +331,13 @@ class LiouvilleAction:
 
 def _candidate_for_action(system):
     surf = system.surface
-    if isinstance(surf, FlatTorus):
-        flux = flux_total(system)
+    flux = flux_total(system)
+    if surf.constant_curvature == 0:
         if abs(flux) > 1e-9:
             raise UnsupportedError(
                 "torus actions need an exact field (zero flux)")
         return torus_exact_candidate(system), 0.0
     chi = surf.euler_characteristic()
-    flux = flux_total(system)
     return corrected_candidate(system), flux ** 2 / chi
 
 
@@ -390,7 +352,7 @@ def liouville_action(system, s, n_base=128, n_fiber=64):
     candidate, corr = _candidate_for_action(system)
     area = surf.area()
     volume = 2.0 * math.pi * area
-    if isinstance(surf, HyperbolicPlane):
+    if surf.constant_curvature == -1:
         charts, us, vs, phis = sm_sample_grid(surf, 64, n_fiber)
         w = np.full(len(us), area / len(us))
     else:
@@ -403,9 +365,8 @@ def liouville_action(system, s, n_base=128, n_fiber=64):
         ph = np.full(len(us), phi)
         vals = candidate.pairing(system, s, charts, us, vs, ph)
         total += float(np.sum(vals * w)) * dphi
-        if hasattr(candidate, "_zeta_of_v"):
-            zv = candidate._zeta_of_v(system, charts, us, vs, ph)
-            flip += float(np.sum(zv * w)) * dphi
+        zv = candidate._zeta_of_v(system, charts, us, vs, ph)
+        flip += float(np.sum(zv * w)) * dphi
     closed = volume + s * s * corr
     return LiouvilleAction(volume=volume, quadrature_action=total,
                            closed_form=closed, flip_integral=flip)
@@ -420,11 +381,11 @@ def rotation_vector(system, s, orbit=None, n_base=256, n_fiber=64):
     velocity-lifted curve (divided by the period measure normalization is
     left to the caller).
     """
-    surf = system.surface
+    lattice = system.surface.lattice
     if orbit is None:
-        if isinstance(surf, FlatTorus):
+        if lattice is not None:
             # fiber pairing: integral of d phi (X_s) = s f over the measure
-            charts, us, vs, w = surf.quadrature_nodes(n_base)
+            charts, us, vs, w = system.surface.quadrature_nodes(n_base)
             f = np.asarray(system.field.eval(charts, us, vs), float)
             fiber = s * float(np.sum(f * w))
             return (0.0, 0.0, fiber)
@@ -432,9 +393,9 @@ def rotation_vector(system, s, orbit=None, n_base=256, n_fiber=64):
     traj = orbit.trajectory
     ang = np.unwrap(np.arctan2(traj.dq[:, 1], traj.dq[:, 0]))
     fiber = (ang[-1] - ang[0]) / (2.0 * math.pi)
-    if isinstance(surf, FlatTorus):
+    if lattice is not None:
         d = traj.q[-1] - traj.q[0]
-        return (d[0] / surf.lx, d[1] / surf.ly, fiber)
+        return (d[0] / lattice[0], d[1] / lattice[1], fiber)
     return (0.0, 0.0, fiber)
 
 
@@ -474,11 +435,13 @@ def gauss_bonnet_action_check(system, s, orbit, region):
     of the disc bounded by the orbit.
     """
     surf = system.surface
+    if surf.constant_curvature not in (0, -1):
+        raise UnsupportedError("disc identities are checked on these cases")
     k = 0.5 / (s * s)
     candidate, _ = _candidate_for_action(system)
     lhs = orbit_action(system, s, orbit, candidate) / s
     value = taimanov_value(system, k, region)
-    if isinstance(surf, FlatTorus):
+    if surf.constant_curvature == 0:
         correction = 0.0
     else:
         chi_disc = 1
@@ -492,14 +455,10 @@ def gauss_bonnet_action_check(system, s, orbit, region):
                   for c, uu, vv in zip(traj.chart, traj.q[:, 0],
                                        traj.q[:, 1])])
     turn = region.orientation * float(np.trapezoid(s * f * speeds, traj.t))
-    if isinstance(surf, FlatTorus):
-        k_int = 0.0
-    elif isinstance(surf, HyperbolicPlane):
-        # K = -1, so the curvature integral is minus the disc area
-        area_sys = type(system)(surf, ConstantField(1.0))
-        k_int = -region_flux(area_sys, region)
-    else:
-        raise UnsupportedError("disc identities are checked on these cases")
+    k_int = 0.0
+    if surf.constant_curvature == -1:
+        # the curvature integral is minus the disc area
+        k_int = -region_flux(type(system)(surf, ConstantField(1.0)), region)
     gb = abs(k_int + turn - 2.0 * math.pi)
     return BoundaryActionCheck(lhs=lhs, rhs=rhs, residual=abs(lhs - rhs),
                                gauss_bonnet_residual=gb)

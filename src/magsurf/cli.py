@@ -4,7 +4,9 @@ Usage:  magsurf <command> <config.ini> [--out DIR]
 
 Commands: simulate, orbit-shoot, orbit-descend, oracle, taimanov, critical,
 contact-check, sweep.  The INI file describes the surface, the field and the
-run parameters; unknown sections or keys are rejected.  Results are written
+run parameters; unknown sections or keys are rejected.  The [run] key
+``workers`` is accepted for compatibility and ignored: sweep runs its
+values one after another.  Results are written
 as CSV/JSON files plus a gnuplot script, and a one-line JSON summary goes to
 stdout.  Exit codes: 0 success, 1 negative outcome (no convergence, collapse,
 halt), 2 configuration or usage error.
@@ -23,13 +25,14 @@ import numpy as np
 from . import bundle, critical, regions
 from .errors import ConfigError, MagsurfError
 from .fields import (ConstantField, MagneticSystem, TorusField, energy_of_s,
-                     flux_total, s_of_energy)
-from .flow import (Section, TangentState, integrate, state_at_energy,
+                     s_of_energy)
+from .flow import (TangentState, integrate, state_at_energy,
                    trajectory_curvature, trajectory_energies)
 from .orbits import (DescentParams, circle_loop, descend_to_critical,
                      homogeneous_oracle, loop_mean_energy, orbit_radius,
-                     shoot_periodic, state_from_loop)
-from .surfaces import ConformalTorus, FlatTorus, HyperbolicPlane, RoundSphere
+                     shoot_periodic)
+from .surfaces import (ConformalTorus, FlatTorus, HyperbolicPlane, RoundSphere,
+                       periodic_spline)
 
 _ALLOWED = {
     "surface": {"kind", "lx", "ly", "genus", "factor_csv"},
@@ -108,11 +111,12 @@ def _build_field(cfg, surface):
     ftype = sec.get("type", "constant")
     if ftype == "constant":
         return ConstantField(sec.getfloat("value", 1.0))
+    # periodic field types take their periods from the torus lattice
+    lx, ly = surface.lattice or (1.0, 1.0)
     if ftype == "cosine":
         amp = sec.getfloat("amplitude", 2.0 * math.pi)
-        lx = getattr(surface, "lx", 1.0)
         return TorusField(lambda x, y: amp * np.cos(2.0 * np.pi * x / lx),
-                          lx=lx, ly=getattr(surface, "ly", 1.0))
+                          lx=lx, ly=ly)
     if ftype == "bump":
         base = sec.getfloat("base", 1.0)
         amp = sec.getfloat("amplitude", 2.0)
@@ -122,20 +126,11 @@ def _build_field(cfg, surface):
         return TorusField(
             lambda x, y: base - amp * np.exp(
                 -(((x - cx) ** 2 + (y - cy) ** 2)) / wid ** 2),
-            lx=getattr(surface, "lx", 1.0), ly=getattr(surface, "ly", 1.0))
+            lx=lx, ly=ly)
     if ftype == "csv":
-        from scipy.interpolate import RectBivariateSpline
-        grid = _load_grid_csv(sec.get("csv", ""))
-        lx = getattr(surface, "lx", 1.0)
-        ly = getattr(surface, "ly", 1.0)
-        nx, ny = grid.shape
-        pad = 4
-        padded = np.pad(grid, pad, mode="wrap")
-        xs = np.arange(-pad, nx + pad) * lx / nx
-        ys = np.arange(-pad, ny + pad) * ly / ny
-        spl = RectBivariateSpline(xs, ys, padded, kx=3, ky=3)
-        return TorusField(lambda x, y: spl(x % lx, y % ly, grid=False),
-                          lx=lx, ly=ly)
+        spl = periodic_spline(_load_grid_csv(sec.get("csv", "")), lx, ly)
+        # TorusField.eval wraps the coordinates into the period cell
+        return TorusField(lambda x, y: spl(x, y, grid=False), lx=lx, ly=ly)
     raise ConfigError(f"unknown field type {ftype!r}")
 
 
@@ -263,19 +258,25 @@ def cmd_orbit_descend(cfg, system, outdir):
     return 0 if result.outcome == "converged" else 1
 
 
+def _constant_value(system):
+    if not isinstance(system.field, ConstantField):
+        raise ConfigError("closed-form orbits need a constant field")
+    return system.field.value
+
+
 def cmd_oracle(cfg, system, outdir):
     _, s = _energy(cfg)
-    data = homogeneous_oracle(system.surface.kind, s)
+    data = homogeneous_oracle(system.surface.kind, s, _constant_value(system))
     if not data.exists_contractible:
         _emit({"exists_contractible": False, "curve_type": data.curve_type,
                "boundary_angle": data.boundary_angle}, outdir, "result.json")
         return 1
-    print(json.dumps({"radius": round(data.radius, 8),
-                      "period": round(data.period, 8)}))
+    summary = {"radius": round(data.radius, 8),
+               "period": round(data.period, 8)}
+    print(json.dumps(summary))
     if outdir is not None:
         with open(os.path.join(outdir, "result.json"), "w") as fh:
-            json.dump({"radius": round(data.radius, 8),
-                       "period": round(data.period, 8)}, fh)
+            json.dump(summary, fh)
     return 0
 
 
@@ -344,36 +345,32 @@ def cmd_contact_check(cfg, system, outdir):
 
 
 def cmd_sweep(cfg, system, outdir):
-    import concurrent.futures
-
     sec = cfg["run"]
     raw = sec.get("s_values")
     if not raw:
         raise ConfigError("sweep needs s_values in [run]")
     svals = [float(x) for x in raw.split(",")]
-    workers = sec.getint("workers", 4)
+    f = _constant_value(system)
+    kind = system.surface.kind
+    # with f < 0 the circles turn the other way round their centres
+    vel = 1.0 if f >= 0.0 else -1.0
 
     def one(s):
-        data = homogeneous_oracle(system.surface.kind, s)
+        data = homogeneous_oracle(kind, s, f)
         if not data.exists_contractible:
             return {"s": s, "exists_contractible": False}
-        k = energy_of_s(s)
-        oracle_radius = data.radius
-        if system.surface.kind == "sphere":
-            rc = math.tan(oracle_radius / 2.0)
-            seed = TangentState(0, rc, 0.0, 0.0, 1.0)
-        elif system.surface.kind == "flat_torus":
-            seed = TangentState(0, 0.0, 0.0, 0.0, 1.0)
+        r = data.radius
+        if kind == "sphere":
+            seed = TangentState(0, math.tan(r / 2.0), 0.0, 0.0, vel)
+        elif kind == "flat_torus":
+            seed = TangentState(0, 0.0, 0.0, 0.0, vel)
         else:
-            r = oracle_radius
-            seed = TangentState(0, math.sinh(r), math.cosh(r), 0.0, 1.0)
-        orbit = shoot_periodic(system, k, seed)
+            seed = TangentState(0, math.sinh(r), math.cosh(r), 0.0, vel)
+        orbit = shoot_periodic(system, energy_of_s(s), seed)
         return {"s": s, "exists_contractible": True, "period": orbit.period,
                 "oracle_period": data.period, "residual": orbit.residual}
 
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(one, svals))
-    _emit({"runs": results}, outdir, "result.json")
+    _emit({"runs": [one(s) for s in svals]}, outdir, "result.json")
     return 0
 
 

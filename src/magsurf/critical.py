@@ -10,9 +10,9 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateInputError, UnsupportedError
-from .fields import flux_total
-from .surfaces import FlatTorus, HyperbolicPlane
+from .errors import UnsupportedError
+from .fields import FourierOneForm, flux_total, periodic_poisson
+from .surfaces import HyperbolicPlane
 
 
 def c_h_value(system):
@@ -57,52 +57,6 @@ class C0Result:
     history: list           # best sup after each smoothing stage
 
 
-class C0Witness:
-    """Primitive 1-form on the flat torus stored as a Fourier mode table."""
-
-    def __init__(self, kx, ky, pcoef, qcoef, c1, c2):
-        self._kx = kx
-        self._ky = ky
-        self._p = pcoef
-        self._q = qcoef
-        self.c1 = float(c1)
-        self.c2 = float(c2)
-
-    def theta(self, chart, u, v):
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        v = np.atleast_1d(np.asarray(v, dtype=float))
-        phase = np.exp(1j * (np.outer(u, self._kx) + np.outer(v, self._ky)))
-        p = np.real(phase @ self._p) + self.c1
-        q = np.real(phase @ self._q) + self.c2
-        return p, q
-
-    def sup_norm(self, n=256, lx=1.0, ly=1.0):
-        xs = np.arange(n) * lx / n
-        ys = np.arange(n) * ly / n
-        xx, yy = np.meshgrid(xs, ys, indexing="ij")
-        p, q = self.theta(0, xx.ravel(), yy.ravel())
-        return float(np.max(np.hypot(p, q)))
-
-
-def _spectral_setup(system, n):
-    surf = system.surface
-    xs = np.arange(n) * surf.lx / n
-    ys = np.arange(n) * surf.ly / n
-    xx, yy = np.meshgrid(xs, ys, indexing="ij")
-    dens = np.asarray(system.form_density(0, xx, yy), dtype=float)
-    fhat = np.fft.fft2(dens) / (n * n)
-    if abs(fhat[0, 0]) > 1e-9 * max(1.0, float(np.abs(dens).max())):
-        raise UnsupportedError("the field is not exact (nonzero flux)")
-    kx = 2.0 * math.pi * np.fft.fftfreq(n, d=surf.lx / n)
-    ky = 2.0 * math.pi * np.fft.fftfreq(n, d=surf.ly / n)
-    kxx, kyy = np.meshgrid(kx, ky, indexing="ij")
-    k2 = kxx ** 2 + kyy ** 2
-    k2[0, 0] = 1.0
-    ghat = -fhat / k2
-    ghat[0, 0] = 0.0
-    return kxx, kyy, ghat
-
-
 def _grid_field(coef_hat):
     return np.real(np.fft.ifft2(coef_hat * coef_hat.shape[0]
                                 * coef_hat.shape[1]))
@@ -118,12 +72,12 @@ def c0_upper_bound(system, params=None):
     reported value is the best true grid sup ever seen, so more budget can
     only improve it.
     """
-    if not isinstance(system.surface, FlatTorus):
+    if system.surface.constant_curvature != 0:
         raise UnsupportedError("the bound is computed on flat tori only")
     if params is None:
         params = C0Params()
     n = params.grid
-    kxx, kyy, ghat = _spectral_setup(system, n)
+    kxx, kyy, ghat = periodic_poisson(system, n)
     pstar = _grid_field(-1j * kyy * ghat)   # theta*_x = -G_y
     qstar = _grid_field(1j * kxx * ghat)    # theta*_y = +G_x
     eps2 = params.smooth_eps ** 2
@@ -180,9 +134,7 @@ def c0_upper_bound(system, params=None):
     phihat = np.fft.fft2(phi) / (n * n)
     keep = np.abs(ghat) + np.abs(phihat) > 1e-13
     keep[0, 0] = False
-    witness = C0Witness(kxx[keep], kyy[keep],
-                        (-1j * kyy * ghat + 1j * kxx * phihat)[keep],
-                        (1j * kxx * ghat + 1j * kyy * phihat)[keep],
-                        c1, c2)
+    witness = FourierOneForm(kxx[keep], kyy[keep], ghat[keep], phihat[keep],
+                             c1, c2)
     return C0Result(value=best_val, energy_value=0.5 * best_val ** 2,
                     witness=witness, history=history)

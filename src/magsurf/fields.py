@@ -12,9 +12,7 @@ import numpy as np
 
 from .errors import (DegenerateInputError, DomainError, NoGlobalPrimitiveError,
                      UnsupportedError)
-from .surfaces import ChartPoint, FlatTorus, HyperbolicPlane
-
-EXACTNESS_TOL = 1e-10
+from .surfaces import FlatTorus, HyperbolicPlane
 
 
 class MagneticField:
@@ -65,9 +63,6 @@ class MagneticSystem:
     surface: object
     field: MagneticField
 
-    def field_at(self, chart, u, v):
-        return self.field.eval(chart, u, v)
-
     def form_density(self, chart, u, v):
         """Chart density of sigma, i.e. f * e^(2 rho)."""
         rho = self.surface.conformal(chart, u, v)[0]
@@ -107,6 +102,33 @@ def flux_total(system, n=512):
 # chart-local and global primitives
 # ---------------------------------------------------------------------------
 
+def periodic_poisson(system, n):
+    """Solve Laplace G = chart density of sigma on the torus lift from an
+    n x n sample grid; returns (kx, ky, ghat) in np.fft.fft2 layout.
+
+    Raises NoGlobalPrimitiveError for a density of nonzero mean.
+    """
+    if system.surface.lattice is None:
+        raise UnsupportedError("periodic Poisson solves require a torus")
+    lx, ly = system.surface.lattice
+    xs = np.arange(n) * lx / n
+    ys = np.arange(n) * ly / n
+    xx, yy = np.meshgrid(xs, ys, indexing="ij")
+    dens = np.asarray(system.form_density(0, xx, yy), dtype=float)
+    fhat = np.fft.fft2(dens) / (n * n)
+    if abs(fhat[0, 0]) > 1e-9 * max(1.0, float(np.abs(dens).max())):
+        raise NoGlobalPrimitiveError(
+            "nonzero total flux: no global primitive on the torus")
+    kx = 2.0 * math.pi * np.fft.fftfreq(n, d=lx / n)
+    ky = 2.0 * math.pi * np.fft.fftfreq(n, d=ly / n)
+    kxx, kyy = np.meshgrid(kx, ky, indexing="ij")
+    k2 = kxx ** 2 + kyy ** 2
+    k2[0, 0] = 1.0
+    ghat = -fhat / k2
+    ghat[0, 0] = 0.0
+    return kxx, kyy, ghat
+
+
 class LocalPrimitive:
     """A 1-form theta with d theta = sigma on its region of validity."""
 
@@ -114,9 +136,14 @@ class LocalPrimitive:
         """Components (theta_u, theta_v) at a chart point (vectorized)."""
         raise NotImplementedError
 
+    def jacobian_many(self, chart, u, v):
+        """(n, 2, 2) array J[i, a, b] = d theta_a / d x_b at n points."""
+        raise NotImplementedError
+
     def jacobian(self, chart, u, v):
         """2x2 array J[a, b] = d theta_a / d x_b at a scalar chart point."""
-        raise NotImplementedError
+        return self.jacobian_many(chart, np.array([u], float),
+                                  np.array([v], float))[0]
 
     def line_integral(self, chart, pts):
         """Integral of theta along a polyline (midpoint rule per segment)."""
@@ -127,57 +154,53 @@ class LocalPrimitive:
         return float(np.sum(t1 * dx[:, 0] + t2 * dx[:, 1]))
 
     def stokes_residual(self, system, chart, center, h, n=1):
-        """|circulation - flux| / area on the square of side h at center.
-
-        Midpoint rules are used on both sides so the residual scales like
-        h^2 for a genuine primitive.
-        """
-        cx, cy = center
-        x0, x1 = cx - h / 2, cx + h / 2
-        y0, y1 = cy - h / 2, cy + h / 2
-        corners = np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1], [x0, y0]])
-        circ = 0.0
-        for a, b in zip(corners[:-1], corners[1:]):
-            ts = (np.arange(n) + 0.5) / n
-            mids = a[None, :] + ts[:, None] * (b - a)[None, :]
-            t1, t2 = self.theta(chart, mids[:, 0], mids[:, 1])
-            seg = (b - a) / n
-            circ += float(np.sum(t1 * seg[0] + t2 * seg[1]))
-        xs = x0 + (np.arange(n) + 0.5) * h / n
-        ys = y0 + (np.arange(n) + 0.5) * h / n
-        xx, yy = np.meshgrid(xs, ys, indexing="ij")
-        dens = np.asarray(system.form_density(chart, xx.ravel(), yy.ravel()))
-        flux = float(np.sum(dens)) * (h / n) ** 2
-        return abs(circ - flux) / (h * h)
+        """Stokes residual of theta against sigma; see stokes_residual."""
+        return stokes_residual(self.theta, system.form_density, chart, center,
+                               h, n)
 
 
-class ZeroPrimitive(LocalPrimitive):
-    def theta(self, chart, u, v):
-        u = np.asarray(u, dtype=float)
-        return np.zeros_like(u), np.zeros_like(u)
+def stokes_residual(theta, density, chart, center, h, n=1):
+    """|circulation of theta - integral of density| / area on the square of
+    side h at center.
 
-    def jacobian(self, chart, u, v):
-        return np.zeros((2, 2))
-
-    def jacobian_many(self, chart, u, v):
-        return np.zeros((np.asarray(u).size, 2, 2))
+    Midpoint rules are used on both sides so the residual scales like
+    h^2 when d theta = density du ^ dv.
+    """
+    cx, cy = center
+    x0, x1 = cx - h / 2, cx + h / 2
+    y0, y1 = cy - h / 2, cy + h / 2
+    corners = np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1], [x0, y0]])
+    circ = 0.0
+    for a, b in zip(corners[:-1], corners[1:]):
+        ts = (np.arange(n) + 0.5) / n
+        mids = a[None, :] + ts[:, None] * (b - a)[None, :]
+        t1, t2 = theta(chart, mids[:, 0], mids[:, 1])
+        seg = (b - a) / n
+        circ += float(np.sum(t1 * seg[0] + t2 * seg[1]))
+    xs = x0 + (np.arange(n) + 0.5) * h / n
+    ys = y0 + (np.arange(n) + 0.5) * h / n
+    xx, yy = np.meshgrid(xs, ys, indexing="ij")
+    dens = np.asarray(density(chart, xx.ravel(), yy.ravel()))
+    flux = float(np.sum(dens)) * (h / n) ** 2
+    return abs(circ - flux) / (h * h)
 
 
 class ClosedFormPrimitive(LocalPrimitive):
-    def __init__(self, theta_fn, jac_fn):
-        self._theta = theta_fn
-        self._jac = jac_fn
+    """theta = a(v) du with closed-form a and its derivative da."""
+
+    def __init__(self, a, da):
+        self._a = a
+        self._da = da
 
     def theta(self, chart, u, v):
-        return self._theta(chart, np.asarray(u, float), np.asarray(v, float))
-
-    def jacobian(self, chart, u, v):
-        return self._jac(chart, u, v)
+        return self._a(np.asarray(v, float)), np.zeros_like(
+            np.asarray(u, float))
 
     def jacobian_many(self, chart, u, v):
-        u = np.asarray(u, float)
         v = np.asarray(v, float)
-        return np.array([self._jac(chart, uu, vv) for uu, vv in zip(u, v)])
+        out = np.zeros((v.size, 2, 2))
+        out[:, 0, 1] = self._da(v)
+        return out
 
 
 class LineIntegralPrimitive(LocalPrimitive):
@@ -218,14 +241,6 @@ class LineIntegralPrimitive(LocalPrimitive):
             return -float(res[0]), 0.0
         return -res, np.zeros_like(res)
 
-    def jacobian(self, chart, u, v):
-        if chart != self.chart:
-            raise DomainError("primitive evaluated outside its chart")
-        eps = 1e-6
-        dfx = (self._fint(u + eps, v) - self._fint(u - eps, v)) / (2 * eps)
-        return np.array([[-float(dfx[0]), -float(self._density(u, v))],
-                         [0.0, 0.0]])
-
     def jacobian_many(self, chart, u, v):
         if chart != self.chart:
             raise DomainError("primitive evaluated outside its chart")
@@ -239,77 +254,68 @@ class LineIntegralPrimitive(LocalPrimitive):
         return out
 
 
-class TorusSpectralPrimitive(LocalPrimitive):
-    """Global primitive of an exact form on a flat torus.
+class FourierOneForm(LocalPrimitive):
+    """1-form c1 du + c2 dv + d phi + *dG on a torus lift, i.e.
 
-    Solves the periodic Poisson problem for the chart density and keeps a
-    truncated Fourier mode list, so values and derivatives are smooth and
-    dtheta = sigma holds to spectral accuracy.  An optional harmonic part
-    (c1 dx + c2 dy) can be added without changing dtheta.
+        theta = (c1 + phi_u - G_v, c2 + phi_v + G_u),
+
+    with the potentials G and phi stored as Fourier mode tables over the
+    wavenumbers (kx, ky).  Its exterior derivative is Laplace G du ^ dv.
     """
 
-    def __init__(self, system, n=256, harmonic=(0.0, 0.0), keep_tol=1e-13):
-        surf = system.surface
-        if not hasattr(surf, "lx"):
-            raise UnsupportedError("spectral primitives require a torus")
-        self.lx, self.ly = surf.lx, surf.ly
-        self.harmonic = (float(harmonic[0]), float(harmonic[1]))
-        xs = np.arange(n) * self.lx / n
-        ys = np.arange(n) * self.ly / n
-        xx, yy = np.meshgrid(xs, ys, indexing="ij")
-        dens = np.asarray(system.form_density(0, xx, yy), dtype=float)
-        fhat = np.fft.fft2(dens) / (n * n)
-        mean = abs(fhat[0, 0])
-        if mean > 1e-9 * max(1.0, float(np.abs(dens).max())):
-            raise NoGlobalPrimitiveError(
-                "nonzero total flux: no global primitive on the torus")
-        kx = 2.0 * math.pi * np.fft.fftfreq(n, d=self.lx / n)
-        ky = 2.0 * math.pi * np.fft.fftfreq(n, d=self.ly / n)
-        kxx, kyy = np.meshgrid(kx, ky, indexing="ij")
-        k2 = kxx ** 2 + kyy ** 2
-        k2[0, 0] = 1.0
-        ghat = -fhat / k2
-        ghat[0, 0] = 0.0
-        keep = np.abs(ghat) > keep_tol * max(1.0, np.abs(ghat).max())
-        self._kx = kxx[keep]
-        self._ky = kyy[keep]
-        self._coef = ghat[keep]
+    def __init__(self, kx, ky, ghat, phihat, c1=0.0, c2=0.0):
+        ikx, iky = 1j * kx, 1j * ky
+        self._kx = kx
+        self._ky = ky
+        self._theta_modes = (-1j * ky * ghat + 1j * kx * phihat,
+                             1j * kx * ghat + 1j * ky * phihat)
+        # J[a, b] = d theta_a / d x_b
+        self._jac_modes = (-(ghat * ikx * iky) + phihat * ikx ** 2,
+                           -(ghat * iky ** 2) + phihat * ikx * iky,
+                           ghat * ikx ** 2 + phihat * ikx * iky,
+                           ghat * ikx * iky + phihat * iky ** 2)
+        self.c1 = float(c1)
+        self.c2 = float(c2)
 
-    def _gsum(self, u, v, mx=0, my=0):
-        """Real part of sum coef * (i kx)^mx (i ky)^my exp(i(kx u + ky v))."""
+    def _phase(self, u, v):
         u = np.atleast_1d(np.asarray(u, dtype=float))
         v = np.atleast_1d(np.asarray(v, dtype=float))
-        phase = np.exp(1j * (np.outer(u, self._kx) + np.outer(v, self._ky)))
-        fac = self._coef * (1j * self._kx) ** mx * (1j * self._ky) ** my
-        return np.real(phase @ fac)
+        return np.exp(1j * (np.outer(u, self._kx) + np.outer(v, self._ky)))
 
     def theta(self, chart, u, v):
-        scalar = np.asarray(u).ndim == 0
-        t1 = -self._gsum(u, v, my=1) + self.harmonic[0]
-        t2 = self._gsum(u, v, mx=1) + self.harmonic[1]
-        if scalar:
-            return float(t1[0]), float(t2[0])
-        return t1, t2
-
-    def jacobian(self, chart, u, v):
-        return np.array([
-            [-self._gsum(u, v, mx=1, my=1)[0], -self._gsum(u, v, my=2)[0]],
-            [self._gsum(u, v, mx=2)[0], self._gsum(u, v, mx=1, my=1)[0]],
-        ])
+        phase = self._phase(u, v)
+        p = np.real(phase @ self._theta_modes[0]) + self.c1
+        q = np.real(phase @ self._theta_modes[1]) + self.c2
+        if np.asarray(u).ndim == 0:
+            return float(p[0]), float(q[0])
+        return p, q
 
     def jacobian_many(self, chart, u, v):
-        u = np.asarray(u, float)
-        v = np.asarray(v, float)
-        out = np.empty((u.size, 2, 2))
-        gxy = self._gsum(u, v, mx=1, my=1)
-        out[:, 0, 0] = -gxy
-        out[:, 0, 1] = -self._gsum(u, v, my=2)
-        out[:, 1, 0] = self._gsum(u, v, mx=2)
-        out[:, 1, 1] = gxy
-        return out
+        phase = self._phase(u, v)
+        return np.stack([np.real(phase @ m) for m in self._jac_modes],
+                        axis=-1).reshape(-1, 2, 2)
+
+    def sup_norm(self, n=256, lx=1.0, ly=1.0):
+        """Maximum of |theta| over an n x n grid of the period cell."""
+        xs = np.arange(n) * lx / n
+        ys = np.arange(n) * ly / n
+        xx, yy = np.meshgrid(xs, ys, indexing="ij")
+        p, q = self.theta(0, xx.ravel(), yy.ravel())
+        return float(np.max(np.hypot(p, q)))
 
 
-def local_primitive(system, chart=0, ref_v=None, prefer_global=True):
+class TorusSpectralPrimitive(FourierOneForm):
+    """Global primitive *dG of an exact form on a torus, G the periodic
+    Poisson solution; modes below 1e-13 of the largest are dropped."""
+
+    def __init__(self, system, n=256):
+        kxx, kyy, ghat = periodic_poisson(system, n)
+        keep = np.abs(ghat) > 1e-13 * max(1.0, np.abs(ghat).max())
+        super().__init__(kxx[keep], kyy[keep], ghat[keep],
+                         np.zeros(np.count_nonzero(keep), complex))
+
+
+def local_primitive(system, chart=0, ref_v=None):
     """Build a primitive of sigma usable on the given chart.
 
     On a torus with (numerically) zero total flux a global spectral
@@ -318,34 +324,20 @@ def local_primitive(system, chart=0, ref_v=None, prefer_global=True):
     """
     surf = system.surface
     fld = system.field
-    if isinstance(fld, ConstantField) and fld.value == 0.0:
-        return ZeroPrimitive()
-    if isinstance(surf, HyperbolicPlane) and isinstance(fld, ConstantField):
+    if isinstance(fld, ConstantField):
         c = fld.value
-
-        def theta_fn(chart, u, v):
-            return c / v, np.zeros_like(np.asarray(u, float))
-
-        def jac_fn(chart, u, v):
-            return np.array([[0.0, -c / (v * v)], [0.0, 0.0]])
-
-        return ClosedFormPrimitive(theta_fn, jac_fn)
-    if isinstance(surf, FlatTorus) and isinstance(fld, ConstantField):
-        c = fld.value
-
-        def theta_fn(chart, u, v):
-            u = np.asarray(u, float)
-            return -c * np.asarray(v, float), np.zeros_like(u)
-
-        def jac_fn(chart, u, v):
-            return np.array([[0.0, -c], [0.0, 0.0]])
-
-        return ClosedFormPrimitive(theta_fn, jac_fn)
-    if hasattr(surf, "lx") and prefer_global:
+        if c == 0.0:
+            return ClosedFormPrimitive(np.zeros_like, np.zeros_like)
+        if isinstance(surf, HyperbolicPlane):
+            return ClosedFormPrimitive(lambda v: c / v, lambda v: -c / (v * v))
+        if isinstance(surf, FlatTorus):
+            return ClosedFormPrimitive(lambda v: -c * v, lambda v: -c)
+    if surf.lattice is not None:
         try:
             return TorusSpectralPrimitive(system)
         except NoGlobalPrimitiveError:
             pass
     if ref_v is None:
-        ref_v = 1.0 if isinstance(surf, HyperbolicPlane) else 0.0
+        # the reference height must lie inside the chart domain
+        ref_v = 0.0 if surf.floor == -math.inf else 1.0
     return LineIntegralPrimitive(system, chart, ref_v=ref_v)

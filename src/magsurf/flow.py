@@ -6,8 +6,9 @@ The equation of motion in a conformal chart reads
 
 where i is the 90 degree rotation; its solutions have constant kinetic
 energy and geodesic curvature f / |q'|_g.  Integration uses a fixed-step
-classical fourth-order Runge-Kutta scheme; chart switches happen at step
-boundaries and section crossings are located by bisection inside a step.
+classical fourth-order Runge-Kutta scheme; the surface's post_step rule
+runs at step boundaries and section crossings are located by bisection
+inside a step.
 """
 from __future__ import annotations
 
@@ -16,9 +17,8 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateInputError, DomainError, NoReturnError
-from .surfaces import (HYPERBOLIC_FLOOR, ChartPoint, HyperbolicPlane,
-                       RoundSphere, geodesic_curvature_of, metric_at)
+from .errors import DegenerateInputError, NoReturnError
+from .surfaces import ChartPoint, geodesic_curvature_of
 
 DEFAULT_DT = 1e-3
 SECTION_TOL = 1e-12
@@ -48,9 +48,6 @@ class Trajectory:
     def state(self, i):
         return TangentState(int(self.chart[i]), *self.q[i], *self.dq[i])
 
-    def final_state(self):
-        return self.state(len(self.t) - 1)
-
 
 def make_rhs(system):
     """Scalar fast path for the second-order right-hand side."""
@@ -68,23 +65,37 @@ def make_rhs(system):
     return rhs
 
 
-def _rk4_step(rhs, chart, u, v, du, dv, h):
-    a1u, a1v = rhs(chart, u, v, du, dv)
-    k1 = (du, dv, a1u, a1v)
-    a2u, a2v = rhs(chart, u + 0.5 * h * k1[0], v + 0.5 * h * k1[1],
-                   du + 0.5 * h * k1[2], dv + 0.5 * h * k1[3])
-    k2 = (du + 0.5 * h * k1[2], dv + 0.5 * h * k1[3], a2u, a2v)
-    a3u, a3v = rhs(chart, u + 0.5 * h * k2[0], v + 0.5 * h * k2[1],
-                   du + 0.5 * h * k2[2], dv + 0.5 * h * k2[3])
-    k3 = (du + 0.5 * h * k2[2], dv + 0.5 * h * k2[3], a3u, a3v)
-    a4u, a4v = rhs(chart, u + h * k3[0], v + h * k3[1],
-                   du + h * k3[2], dv + h * k3[3])
-    k4 = (du + h * k3[2], dv + h * k3[3], a4u, a4v)
-    s = h / 6.0
-    return (u + s * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]),
-            v + s * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]),
-            du + s * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2]),
-            dv + s * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3]))
+def _make_step(system):
+    """One RK4 step on plain floats (chart, u, v, du, dv, h), followed by
+    the surface's post_step chart rule; returns the new 5-tuple."""
+    rhs = make_rhs(system)
+    post_step = system.surface.post_step
+
+    def step(chart, u, v, du, dv, h):
+        a1u, a1v = rhs(chart, u, v, du, dv)
+        k1 = (du, dv, a1u, a1v)
+        a2u, a2v = rhs(chart, u + 0.5 * h * k1[0], v + 0.5 * h * k1[1],
+                       du + 0.5 * h * k1[2], dv + 0.5 * h * k1[3])
+        k2 = (du + 0.5 * h * k1[2], dv + 0.5 * h * k1[3], a2u, a2v)
+        a3u, a3v = rhs(chart, u + 0.5 * h * k2[0], v + 0.5 * h * k2[1],
+                       du + 0.5 * h * k2[2], dv + 0.5 * h * k2[3])
+        k3 = (du + 0.5 * h * k2[2], dv + 0.5 * h * k2[3], a3u, a3v)
+        a4u, a4v = rhs(chart, u + h * k3[0], v + h * k3[1],
+                       du + h * k3[2], dv + h * k3[3])
+        k4 = (du + h * k3[2], dv + h * k3[3], a4u, a4v)
+        s = h / 6.0
+        return post_step(chart,
+                         u + s * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]),
+                         v + s * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]),
+                         du + s * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2]),
+                         dv + s * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3]))
+
+    return step
+
+
+def _require_finite(state):
+    if not all(map(math.isfinite, (state.u, state.v, state.du, state.dv))):
+        raise DegenerateInputError(f"non-finite state {state}")
 
 
 def energy_of(system, state):
@@ -95,6 +106,7 @@ def energy_of(system, state):
 
 def state_at_energy(system, state, k):
     """Rescale the velocity so the state sits on the energy level k."""
+    _require_finite(state)
     e = energy_of(system, state)
     if e <= 0.0:
         raise DegenerateInputError("cannot rescale a zero velocity")
@@ -106,33 +118,28 @@ def state_at_energy(system, state, k):
 def integrate(system, state0, t_end, dt=DEFAULT_DT, record_every=1):
     """Integrate for t in [0, t_end]; returns a Trajectory.
 
-    On the sphere the state is moved to the other stereographic chart when
-    it leaves the preferred disc; on the hyperbolic plane the run is
-    truncated (flagged) if the state falls to the domain floor.
+    The surface's post_step applies after every step (the sphere changes
+    stereographic chart there); the run is truncated (flagged) if the state
+    falls below the surface's floor.
     """
-    surf = system.surface
-    rhs = make_rhs(system)
+    step = _make_step(system)
+    floor = system.surface.floor
     n_steps = max(1, int(round(t_end / dt)))
-    is_sphere = isinstance(surf, RoundSphere)
-    is_hyp = isinstance(surf, HyperbolicPlane)
+    _require_finite(state0)
     chart, u, v, du, dv = (state0.chart, state0.u, state0.v,
                            state0.du, state0.dv)
-    surf.check_domain(chart, u, v)
+    system.surface.check_domain(chart, u, v)
     n_rec = n_steps // record_every + 1
     ts = np.empty(n_rec + 1)
     charts = np.empty(n_rec + 1, dtype=int)
     qs = np.empty((n_rec + 1, 2))
     dqs = np.empty((n_rec + 1, 2))
-    m = 0
     ts[0], charts[0], qs[0], dqs[0] = 0.0, chart, (u, v), (du, dv)
     m = 1
     truncated = False
     for i in range(1, n_steps + 1):
-        u, v, du, dv = _rk4_step(rhs, chart, u, v, du, dv, dt)
-        if is_sphere and surf.needs_chart_switch(chart, u, v):
-            chart, u, v, du, dv = surf.switch_chart(chart, u, v, du, dv)
-        if is_hyp and v < HYPERBOLIC_FLOOR:
-            truncated = True
+        chart, u, v, du, dv = step(chart, u, v, du, dv, dt)
+        truncated = v < floor
         if i % record_every == 0 or truncated:
             ts[m], charts[m], qs[m], dqs[m] = i * dt, chart, (u, v), (du, dv)
             m += 1
@@ -208,31 +215,26 @@ def poincare_return(system, section, state0, max_time=200.0, dt=DEFAULT_DT,
     the sub-step length of a single Runge-Kutta step, so the final residual
     is below tol.
     """
-    surf = system.surface
-    rhs = make_rhs(system)
-    is_sphere = isinstance(surf, RoundSphere)
-    is_hyp = isinstance(surf, HyperbolicPlane)
+    step = _make_step(system)
+    floor = system.surface.floor
+
     def signed_res(state):
         return section.direction * section.residual(state)
 
-    def one_step(state, h):
-        nu, nv, ndu, ndv = _rk4_step(rhs, state.chart, state.u, state.v,
-                                     state.du, state.dv, h)
-        nchart = state.chart
-        if is_sphere and surf.needs_chart_switch(nchart, nu, nv):
-            nchart, nu, nv, ndu, ndv = surf.switch_chart(nchart, nu, nv,
-                                                         ndu, ndv)
-        return TangentState(nchart, nu, nv, ndu, ndv)
+    def advance(state, h):
+        return TangentState(*step(state.chart, state.u, state.v, state.du,
+                                  state.dv, h))
 
+    _require_finite(state0)
     st = state0
     prev = signed_res(st)
     armed = abs(prev) > 1e-9
     guard = 0.25 * (section.wrap if section.wrap else math.inf)
     n_steps = int(math.ceil(max_time / dt))
     for i in range(1, n_steps + 1):
-        nst = one_step(st, dt)
-        if is_hyp and nst.v < HYPERBOLIC_FLOOR:
-            raise NoReturnError("trajectory reached the half-plane floor")
+        nst = advance(st, dt)
+        if nst.v < floor:
+            raise NoReturnError("trajectory fell below the chart floor")
         on_chart = nst.chart == section.chart and st.chart == section.chart
         cur = signed_res(nst) if nst.chart == section.chart else prev
         if not armed:
@@ -244,7 +246,7 @@ def poincare_return(system, section, state0, max_time=200.0, dt=DEFAULT_DT,
             hit, tau = nst, dt
             for _ in range(100):
                 tau = 0.5 * (lo + hi)
-                cand = one_step(st, tau)
+                cand = advance(st, tau)
                 r = signed_res(cand)
                 if abs(r) < tol:
                     hit = cand

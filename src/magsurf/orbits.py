@@ -16,7 +16,7 @@ from .errors import (DegenerateInputError, NoConvergenceError,
 from .fields import local_primitive, s_of_energy
 from .flow import (DEFAULT_DT, Section, TangentState, integrate,
                    poincare_return, state_at_energy, trajectory_curvature)
-from .surfaces import ChartPoint, FlatTorus, HyperbolicPlane, RoundSphere
+from .surfaces import ClosedPolyline, HyperbolicPlane, RoundSphere
 
 FD_STEP = 1e-7
 SHOOT_TOL = 1e-10
@@ -24,7 +24,7 @@ SHOOT_TOL = 1e-10
 
 @dataclasses.dataclass(frozen=True)
 class OracleData:
-    """Closed-form data for the unit-curvature homogeneous systems."""
+    """Closed-form data for the constant-field homogeneous systems."""
 
     exists_contractible: bool
     radius: float | None
@@ -34,25 +34,31 @@ class OracleData:
     boundary_angle: float | None = None
 
 
-def homogeneous_oracle(kind, s):
-    """Contractible orbit data at speed parameter s for f = 1, |K| in {0,1}."""
+def homogeneous_oracle(kind, s, value=1.0):
+    """Contractible orbit data at speed parameter s for the constant field
+    f = value, |K| in {0, 1}; orbits have curvature kappa = s |f|."""
     if s <= 0:
         raise DegenerateInputError("s must be positive")
+    kappa = s * abs(value)
     if kind == "sphere":
-        return OracleData(True, math.atan2(1.0, s),
-                          2.0 * math.pi * s / math.sqrt(s * s + 1.0),
-                          s, "circle")
+        return OracleData(True, math.atan2(1.0, kappa),
+                          2.0 * math.pi * s / math.sqrt(1.0 + kappa * kappa),
+                          kappa, "circle")
     if kind == "flat_torus":
-        return OracleData(True, 1.0 / s, 2.0 * math.pi, s, "circle")
+        if kappa == 0.0:
+            return OracleData(False, None, None, 0.0, "geodesic")
+        return OracleData(True, 1.0 / kappa, 2.0 * math.pi / abs(value),
+                          kappa, "circle")
     if kind == "hyperbolic":
-        if s > 1.0:
-            return OracleData(True, math.atanh(1.0 / s),
-                              2.0 * math.pi * s / math.sqrt(s * s - 1.0),
-                              s, "circle")
-        if s == 1.0:
+        if kappa > 1.0:
+            return OracleData(True, math.atanh(1.0 / kappa),
+                              2.0 * math.pi * s
+                              / math.sqrt(kappa * kappa - 1.0),
+                              kappa, "circle")
+        if kappa == 1.0:
             return OracleData(False, None, None, 1.0, "horocycle")
-        return OracleData(False, None, None, s, "boundary_arc",
-                          boundary_angle=math.acos(s))
+        return OracleData(False, None, None, kappa, "boundary_arc",
+                          boundary_angle=math.acos(kappa))
     raise UnsupportedError(f"no homogeneous oracle for kind {kind!r}")
 
 
@@ -159,10 +165,11 @@ def shoot_periodic(system, k, seed, section=None, tol=SHOOT_TOL,
     state = _section_state(system, section, k, x[0], x[1])
     traj = integrate(system, state, rt, dt=dt)
     winding = (0, 0)
-    surf = system.surface
-    if isinstance(surf, FlatTorus) or hasattr(surf, "lx"):
+    lattice = system.surface.lattice
+    if lattice is not None:
         d = traj.q[-1] - traj.q[0]
-        winding = (int(round(d[0] / surf.lx)), int(round(d[1] / surf.ly)))
+        winding = (int(round(d[0] / lattice[0])),
+                   int(round(d[1] / lattice[1])))
     return Orbit(trajectory=traj, period=rt, energy=k,
                  residual=float(np.linalg.norm(res)), winding=winding,
                  section=section, seed=state)
@@ -221,7 +228,7 @@ def orbit_radius(system, orbit):
 # ---------------------------------------------------------------------------
 
 @dataclasses.dataclass
-class DiscreteLoop:
+class DiscreteLoop(ClosedPolyline):
     """Closed polygonal loop in a single chart with a free period T.
 
     For torus loops the vertices live in the planar lift and the lattice
@@ -234,36 +241,9 @@ class DiscreteLoop:
     winding: tuple = (0, 0)
 
     def __post_init__(self):
-        self.vertices = np.asarray(self.vertices, dtype=float)
-        if self.vertices.ndim != 2 or len(self.vertices) < 3:
-            raise DegenerateInputError("a loop needs at least three vertices")
+        super().__post_init__()
         if self.period <= 0:
             raise DegenerateInputError("loop period must be positive")
-
-    @property
-    def n(self):
-        return len(self.vertices)
-
-    def closure_shift(self, system):
-        surf = system.surface
-        if self.winding != (0, 0):
-            return np.array([self.winding[0] * surf.lx,
-                             self.winding[1] * surf.ly])
-        return np.zeros(2)
-
-    def deltas(self, system):
-        x = self.vertices
-        d = np.empty_like(x)
-        d[:-1] = x[1:] - x[:-1]
-        d[-1] = x[0] + self.closure_shift(system) - x[-1]
-        return d
-
-    def midpoints(self, system):
-        x = self.vertices
-        m = np.empty_like(x)
-        m[:-1] = 0.5 * (x[:-1] + x[1:])
-        m[-1] = 0.5 * (x[-1] + x[0] + self.closure_shift(system))
-        return m
 
 
 def circle_loop(center, radius, n, period, chart=0, ccw=True, phase=0.0):
@@ -273,20 +253,22 @@ def circle_loop(center, radius, n, period, chart=0, ccw=True, phase=0.0):
     return DiscreteLoop(vertices=verts, period=period, chart=chart)
 
 
+def _midpoint_data(system, loop):
+    """Edge midpoints, edge vectors and (rho, rho_u, rho_v) there."""
+    x, nxt = loop.edges(system.surface)
+    m = 0.5 * (x + nxt)
+    rho, ru, rv = system.surface.conformal(loop.chart, m[:, 0], m[:, 1])
+    return m, nxt - x, np.asarray(rho, float), ru, rv
+
+
 def loop_length(system, loop):
-    m = loop.midpoints(system)
-    d = loop.deltas(system)
-    rho = np.asarray(system.surface.conformal(loop.chart, m[:, 0],
-                                              m[:, 1])[0], float)
+    _, d, rho, _, _ = _midpoint_data(system, loop)
     return float(np.sum(np.exp(rho) * np.linalg.norm(d, axis=1)))
 
 
 def loop_l2_energy(system, loop):
     """Discrete Dirichlet energy, integral of |x'|_g^2 in loop parameter."""
-    m = loop.midpoints(system)
-    d = loop.deltas(system)
-    rho = np.asarray(system.surface.conformal(loop.chart, m[:, 0],
-                                              m[:, 1])[0], float)
+    _, d, rho, _, _ = _midpoint_data(system, loop)
     h = 1.0 / loop.n
     return float(np.sum(np.exp(2.0 * rho) * np.sum(d * d, axis=1)) / h)
 
@@ -298,13 +280,13 @@ def loop_mean_energy(system, loop):
 def loop_primitive(system, loop):
     """Primitive of sigma appropriate for the loop's flux term."""
     surf = system.surface
-    if hasattr(surf, "lx") and loop.winding != (0, 0):
+    if surf.lattice is not None and loop.winding != (0, 0):
         try:
             return local_primitive(system, chart=loop.chart)
         except NoGlobalPrimitiveError as exc:
             raise UndefinedActionError(str(exc))
     ref = float(np.min(loop.vertices[:, 1])) - 0.5
-    if isinstance(surf, HyperbolicPlane):
+    if surf.floor > -math.inf:
         ref = max(ref, 0.05)
     return local_primitive(system, chart=loop.chart, ref_v=ref)
 
@@ -327,10 +309,7 @@ def discrete_action(system, k, loop, primitive=None):
     """
     if primitive is None:
         primitive = loop_primitive(system, loop)
-    m = loop.midpoints(system)
-    d = loop.deltas(system)
-    rho = np.asarray(system.surface.conformal(loop.chart, m[:, 0],
-                                              m[:, 1])[0], float)
+    m, d, rho, _, _ = _midpoint_data(system, loop)
     h = 1.0 / loop.n
     kin = float(np.sum(np.exp(2.0 * rho) * np.sum(d * d, axis=1))
                 / (2.0 * h * loop.period))
@@ -343,13 +322,9 @@ def discrete_action_gradient(system, k, loop, primitive=None):
     """Analytic gradient of discrete_action: (d/d vertices, d/dT)."""
     if primitive is None:
         primitive = loop_primitive(system, loop)
-    surf = system.surface
-    x = loop.vertices
-    n, h, t = loop.n, 1.0 / loop.n, loop.period
-    m = loop.midpoints(system)
-    d = loop.deltas(system)
-    rho, ru, rv = surf.conformal(loop.chart, m[:, 0], m[:, 1])
-    lam2 = np.exp(2.0 * np.asarray(rho, float))
+    h, t = 1.0 / loop.n, loop.period
+    m, d, rho, ru, rv = _midpoint_data(system, loop)
+    lam2 = np.exp(2.0 * rho)
     grad_lam2 = 2.0 * lam2[:, None] * np.column_stack(
         [np.asarray(ru, float), np.asarray(rv, float)])
     d2 = np.sum(d * d, axis=1)
@@ -361,11 +336,7 @@ def discrete_action_gradient(system, k, loop, primitive=None):
     grad = (gk + np.roll(gk_prev, 1, axis=0)) / (2.0 * h * t)
     # flux part: - sum theta(m_i) . d_i
     th = _primitive_arrays(primitive, loop.chart, m)
-    if hasattr(primitive, "jacobian_many"):
-        jac = primitive.jacobian_many(loop.chart, m[:, 0], m[:, 1])
-    else:
-        jac = np.array([primitive.jacobian(loop.chart, mu, mv)
-                        for mu, mv in m])
+    jac = primitive.jacobian_many(loop.chart, m[:, 0], m[:, 1])
     jtd = np.einsum("iab,ia->ib", jac, d)
     gf = -(0.5 * jtd - th)
     gf_prev = -(0.5 * jtd + th)
@@ -502,20 +473,10 @@ def _refine_stationary(value, grad, z0, params):
     return res.x, gn, True
 
 
-def loop_from_orbit(orbit, n):
-    """Resample an integrated orbit into a discrete loop (same chart only)."""
-    traj = orbit.trajectory
-    if len(set(traj.chart.tolist())) > 1:
-        raise UnsupportedError("orbit crosses charts; cannot build a loop")
-    idx = np.linspace(0, len(traj.t) - 1, n, endpoint=False).astype(int)
-    return DiscreteLoop(vertices=traj.q[idx], period=orbit.period,
-                        chart=int(traj.chart[0]))
-
-
 def state_from_loop(system, loop, k):
     """Tangent seed at vertex zero with the discrete loop velocity."""
     x = loop.vertices
-    shift = loop.closure_shift(system)
+    shift = loop.closure_shift(system.surface)
     vel = (x[1] - (x[-1] - shift)) / (2.0 / loop.n * loop.period)
     st = TangentState(loop.chart, x[0, 0], x[0, 1], vel[0], vel[1])
     return state_at_energy(system, st, k)
@@ -523,10 +484,7 @@ def state_from_loop(system, loop, k):
 
 def refine_loop(system, loop):
     """Double the vertex count by edge midpoint insertion."""
-    x = loop.vertices
-    nxt = np.roll(x, -1, axis=0)
-    # the closing edge midpoint must use the lifted endpoint
-    nxt[-1] = x[0] + loop.closure_shift(system)
+    x, nxt = loop.edges(system.surface)
     mids = 0.5 * (x + nxt)
     out = np.empty((2 * len(x), 2))
     out[0::2] = x

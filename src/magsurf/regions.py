@@ -22,10 +22,11 @@ import numpy as np
 
 from .errors import (DegenerateInputError, InvalidRegionError, NoBracketError)
 from .fields import local_primitive, s_of_energy
+from .surfaces import ClosedPolyline
 
 
 @dataclasses.dataclass
-class RegionCurve:
+class RegionCurve(ClosedPolyline):
     """Closed polyline in a chart lift, region on the left.
 
     A nonzero winding means the curve closes only up to a lattice
@@ -36,16 +37,7 @@ class RegionCurve:
     chart: int = 0
     winding: tuple = (0, 0)
 
-    def __post_init__(self):
-        self.vertices = np.asarray(self.vertices, dtype=float)
-        if self.vertices.ndim != 2 or len(self.vertices) < 4:
-            raise DegenerateInputError("a curve needs at least four vertices")
-
-    def closure_shift(self, surface):
-        if self.winding == (0, 0):
-            return np.zeros(2)
-        return np.array([self.winding[0] * surface.lx,
-                         self.winding[1] * surface.ly])
+    min_vertices = 4
 
 
 @dataclasses.dataclass
@@ -65,15 +57,8 @@ class Region:
         return cls(curves=[], orientation=orientation, whole_surface=True)
 
 
-def _edges(curve, surface):
-    x = curve.vertices
-    nxt = np.roll(x, -1, axis=0).copy()
-    nxt[-1] = x[0] + curve.closure_shift(surface)
-    return x, nxt
-
-
 def curve_length(system, curve):
-    x, nxt = _edges(curve, system.surface)
+    x, nxt = curve.edges(system.surface)
     mids = 0.5 * (x + nxt)
     rho = np.asarray(system.surface.conformal(curve.chart, mids[:, 0],
                                               mids[:, 1])[0], float)
@@ -90,7 +75,7 @@ def curve_enclosed_flux(system, curve, subdivide=8):
     """
     if curve.winding != (0, 0):
         raise InvalidRegionError("curve is not contractible")
-    x, nxt = _edges(curve, system.surface)
+    x, nxt = curve.edges(system.surface)
     b = x.mean(axis=0)
     a1 = x - b
     a2 = nxt - b
@@ -128,7 +113,7 @@ def region_flux(system, region, primitive=None):
     if len(region.curves) == 1 and region.curves[0].winding == (0, 0):
         c = region.curves[0]
         fan = curve_enclosed_flux(system, c)
-        x, nxt = _edges(c, system.surface)
+        x, nxt = c.edges(system.surface)
         signed_area = 0.5 * float(np.sum(x[:, 0] * nxt[:, 1]
                                          - x[:, 1] * nxt[:, 0]))
         if signed_area >= 0.0:      # counterclockwise: region is the disc
@@ -138,14 +123,9 @@ def region_flux(system, region, primitive=None):
     if primitive is None:
         primitive = local_primitive(system)
     total = 0.0
-    surf = system.surface
     for c in region.curves:
-        x, nxt = _edges(c, surf)
-        mids = 0.5 * (x + nxt)
-        d = nxt - x
-        t1, t2 = primitive.theta(c.chart, mids[:, 0], mids[:, 1])
-        total += float(np.sum(np.asarray(t1) * d[:, 0]
-                              + np.asarray(t2) * d[:, 1]))
+        x, nxt = c.edges(system.surface)
+        total += primitive.line_integral(c.chart, np.vstack([x, nxt[-1]]))
     return total
 
 
@@ -177,12 +157,9 @@ def region_complement(region):
 def curve_geometry(system, curve):
     """Per-vertex geodesic curvature and Euclidean outward unit normal."""
     surf = system.surface
-    x = curve.vertices
-    shift = curve.closure_shift(surf)
-    prv = np.roll(x, 1, axis=0).copy()
-    prv[0] = x[-1] - shift
-    nxt = np.roll(x, -1, axis=0).copy()
-    nxt[-1] = x[0] + shift
+    x, nxt = curve.edges(surf)
+    prv = np.roll(x, 1, axis=0)
+    prv[0] -= curve.closure_shift(surf)
     e1 = x - prv
     e2 = nxt - x
     l1 = np.linalg.norm(e1, axis=1)
@@ -205,13 +182,13 @@ def curve_geometry(system, curve):
 
 def resample_curve(curve, spacing, surface):
     """Redistribute vertices uniformly in chart arclength."""
-    x, nxt = _edges(curve, surface)
+    x, nxt = curve.edges(surface)
     seg = np.linalg.norm(nxt - x, axis=1)
     cum = np.concatenate([[0.0], np.cumsum(seg)])
     total = cum[-1]
     n = max(int(round(total / spacing)), 8)
     targets = np.arange(n) * total / n
-    pts_ext = np.vstack([x, x[0] + curve.closure_shift(surface)])
+    pts_ext = np.vstack([x, nxt[-1]])
     us = np.interp(targets, cum, pts_ext[:, 0])
     vs = np.interp(targets, cum, pts_ext[:, 1])
     return RegionCurve(vertices=np.column_stack([us, vs]), chart=curve.chart,
@@ -237,7 +214,7 @@ def _segments_intersect(p, q):
 
 
 def curve_is_simple(curve, surface):
-    x, nxt = _edges(curve, surface)
+    x, nxt = curve.edges(surface)
     hit = _segments_intersect((x, nxt), (x, nxt))
     np.fill_diagonal(hit, False)
     n = len(x)
@@ -371,7 +348,7 @@ def state_from_curve(system, k, curve, orientation=1):
     """
     from .flow import TangentState, state_at_energy
 
-    x, nxt = _edges(curve, system.surface)
+    x, nxt = curve.edges(system.surface)
     tang = nxt[0] - x[0]
     if orientation < 0:
         tang = x[0] - nxt[0]

@@ -48,6 +48,9 @@ class Surface:
 
     kind = "abstract"
     n_charts = 1
+    lattice = None               # periods (lx, ly) of a torus lift
+    constant_curvature = None    # K = 1, 0 or -1 on the homogeneous models
+    floor = -math.inf            # lowest admissible v in the chart
 
     # -- conformal data ----------------------------------------------------
     def conformal(self, chart, u, v):
@@ -63,11 +66,9 @@ class Surface:
             raise DomainError(f"chart {chart} not in 0..{self.n_charts - 1}")
 
     # -- chart bookkeeping -------------------------------------------------
-    def needs_chart_switch(self, chart, u, v):
-        return False
-
-    def switch_chart(self, chart, u, v, du, dv):
-        raise UnsupportedError(f"{self.kind} has a single chart")
+    def post_step(self, chart, u, v, du, dv):
+        """Chart bookkeeping after an integration step; identity here."""
+        return chart, u, v, du, dv
 
     # -- global data ---------------------------------------------------------
     def area(self):
@@ -93,12 +94,14 @@ class FlatTorus(Surface):
     """Flat torus R^2 / (lx Z x ly Z) with the Euclidean metric."""
 
     kind = "flat_torus"
+    constant_curvature = 0
 
     def __init__(self, lx=1.0, ly=1.0):
         if lx <= 0 or ly <= 0:
             raise DegenerateInputError("torus periods must be positive")
         self.lx = float(lx)
         self.ly = float(ly)
+        self.lattice = (self.lx, self.ly)
 
     def conformal(self, chart, u, v):
         z = np.zeros_like(np.asarray(u, dtype=float))
@@ -106,9 +109,6 @@ class FlatTorus(Surface):
 
     def laplacian_rho(self, chart, u, v):
         return np.zeros_like(np.asarray(u, dtype=float))
-
-    def wrap(self, u, v):
-        return u % self.lx, v % self.ly
 
     def area(self):
         return self.lx * self.ly
@@ -129,6 +129,7 @@ class RoundSphere(Surface):
 
     kind = "sphere"
     n_charts = 2
+    constant_curvature = 1
 
     def conformal(self, chart, u, v):
         u = np.asarray(u, dtype=float)
@@ -142,8 +143,11 @@ class RoundSphere(Surface):
         d = 1.0 + u * u + v * v
         return -4.0 / (d * d)
 
-    def needs_chart_switch(self, chart, u, v):
-        return u * u + v * v > SPHERE_SWITCH_RADIUS ** 2
+    def post_step(self, chart, u, v, du, dv):
+        """Move to the other chart once the state leaves the preferred disc."""
+        if u * u + v * v > SPHERE_SWITCH_RADIUS ** 2:
+            return self.switch_chart(chart, u, v, du, dv)
+        return chart, u, v, du, dv
 
     def switch_chart(self, chart, u, v, du, dv):
         # w = 1/z is holomorphic, velocities transform by dw = -dz / z^2.
@@ -202,6 +206,8 @@ class HyperbolicPlane(Surface):
     """
 
     kind = "hyperbolic"
+    constant_curvature = -1
+    floor = HYPERBOLIC_FLOOR
 
     def __init__(self, genus=None):
         if genus is not None and genus < 2:
@@ -210,7 +216,7 @@ class HyperbolicPlane(Surface):
 
     def check_domain(self, chart, u, v):
         super().check_domain(chart, u, v)
-        if np.any(np.asarray(v) < HYPERBOLIC_FLOOR):
+        if np.any(np.asarray(v) < self.floor):
             raise DomainError("point below the upper half-plane floor")
 
     def conformal(self, chart, u, v):
@@ -250,30 +256,16 @@ class ConformalTorus(Surface):
     """
 
     kind = "conformal_torus"
-    _PAD = 4
 
     def __init__(self, rho_grid, lx=1.0, ly=1.0):
-        from scipy.interpolate import RectBivariateSpline
-
         grid = np.asarray(rho_grid, dtype=float)
         if grid.ndim != 2 or min(grid.shape) < 8:
             raise DegenerateInputError("need a 2-d factor grid, >= 8 per axis")
         self.lx = float(lx)
         self.ly = float(ly)
+        self.lattice = (self.lx, self.ly)
         self.grid = grid
-        nx, ny = grid.shape
-        p = self._PAD
-        padded = np.pad(grid, p, mode="wrap")
-        xs = (np.arange(-p, nx + p)) * self.lx / nx
-        ys = (np.arange(-p, ny + p)) * self.ly / ny
-        self._spline = RectBivariateSpline(xs, ys, padded, kx=3, ky=3)
-
-    @classmethod
-    def from_function(cls, fn, lx=1.0, ly=1.0, n=256):
-        xs = np.arange(n) * lx / n
-        ys = np.arange(n) * ly / n
-        uu, vv = np.meshgrid(xs, ys, indexing="ij")
-        return cls(fn(uu, vv), lx=lx, ly=ly)
+        self._spline = periodic_spline(grid, self.lx, self.ly)
 
     def _wrapped(self, u, v):
         return np.asarray(u, float) % self.lx, np.asarray(v, float) % self.ly
@@ -304,6 +296,20 @@ class ConformalTorus(Surface):
         rho = self.conformal(0, uu.ravel(), vv.ravel())[0]
         w = np.exp(2.0 * rho) * (self.lx * self.ly / (n * n))
         return np.zeros(uu.size, dtype=int), uu.ravel(), vv.ravel(), w
+
+
+def periodic_spline(grid, lx, ly):
+    """Bicubic spline through grid[i, j] at (i lx / nx, j ly / ny), padded
+    periodically so it is C^2 across the period cell; evaluate it at
+    wrapped coordinates."""
+    from scipy.interpolate import RectBivariateSpline
+
+    pad = 4
+    nx, ny = grid.shape
+    padded = np.pad(grid, pad, mode="wrap")
+    xs = np.arange(-pad, nx + pad) * lx / nx
+    ys = np.arange(-pad, ny + pad) * ly / ny
+    return RectBivariateSpline(xs, ys, padded, kx=3, ky=3)
 
 
 def metric_at(surface, p):
@@ -352,7 +358,8 @@ def surface_invariants(surface):
     """Area, Euler characteristic and the total-curvature quadrature."""
     chi = surface.euler_characteristic()
     area = surface.area()
-    if surface.kind == "hyperbolic":
+    if surface.constant_curvature == -1:
+        # no fundamental domain to integrate over; K = -1 throughout
         total = -area
     else:
         charts, us, vs, w = surface.quadrature_nodes(256)
@@ -360,3 +367,38 @@ def surface_invariants(surface):
         total = float(np.sum(np.asarray(kvals) * w))
     return SurfaceInvariants(area=float(area), euler_characteristic=int(chi),
                              total_curvature=total)
+
+
+class ClosedPolyline:
+    """Closed polygon in one chart lift: subclasses are dataclasses with
+    fields ``vertices`` (N, 2), ``chart`` and ``winding``, and a nonzero
+    winding closes the last edge up to that lattice translation."""
+
+    min_vertices = 3
+
+    def __post_init__(self):
+        self.vertices = np.asarray(self.vertices, dtype=float)
+        if self.vertices.ndim != 2 or len(self.vertices) < self.min_vertices:
+            raise DegenerateInputError(
+                f"a closed polyline needs at least {self.min_vertices} "
+                "vertices")
+
+    @property
+    def n(self):
+        return len(self.vertices)
+
+    def closure_shift(self, surface):
+        """Lattice translation closing the last edge."""
+        if self.winding == (0, 0):
+            return np.zeros(2)
+        if surface.lattice is None:
+            raise DegenerateInputError("a winding polyline needs a lattice")
+        return np.multiply(self.winding, surface.lattice)
+
+    def edges(self, surface):
+        """Start and end points of the N edges; the last edge ends on the
+        lifted first vertex."""
+        x = self.vertices
+        nxt = np.roll(x, -1, axis=0)
+        nxt[-1] += self.closure_shift(surface)
+        return x, nxt

@@ -55,6 +55,35 @@ def test_oracle_output_deterministic(capsys, tmp_path):
     assert data["period"] == round(2.0 * math.pi / math.sqrt(2.0), 8)
 
 
+def test_oracle_uses_field_strength(capsys, tmp_path):
+    """The closed forms depend on kappa = s f: with f = 3 at s = 2 the
+    sphere circle has radius atan(1 / 6) and period 2 pi s / sqrt(37)."""
+    text = SPHERE_ORACLE.replace("value = 1.0", "value = 3.0") \
+        .replace("s = 1.0", "s = 2.0")
+    code, out_text, _ = _run(capsys, tmp_path, text, "oracle")
+    assert code == 0
+    data = json.loads(out_text)
+    assert data["radius"] == round(math.atan2(1.0, 6.0), 8)
+    assert data["period"] == round(4.0 * math.pi / math.sqrt(37.0), 8)
+
+
+def test_oracle_rejects_nonconstant_field(capsys, tmp_path):
+    text = SPHERE_ORACLE.replace("kind = sphere", "kind = flat_torus") \
+        .replace("type = constant", "type = cosine")
+    code, _, _ = _run(capsys, tmp_path, text, "oracle")
+    assert code == 2
+
+
+def test_sweep_negative_field(capsys, tmp_path):
+    """With f < 0 the seeds turn the other way and still close up."""
+    text = SPHERE_ORACLE.replace("value = 1.0", "value = -1.3") \
+        .replace("s = 1.0", "s_values = 0.7, 1.5")
+    code, out_text, _ = _run(capsys, tmp_path, text, "sweep")
+    assert code == 0
+    for r in json.loads(out_text)["runs"]:
+        assert abs(r["period"] - r["oracle_period"]) < PERIOD_TOL
+
+
 def test_oracle_subcritical_exit_code(capsys, tmp_path):
     text = """\
 [surface]

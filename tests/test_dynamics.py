@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from magsurf.errors import NoReturnError
+from magsurf.errors import DegenerateInputError, NoReturnError
 from magsurf.fields import ConstantField, MagneticSystem, energy_of_s
 from magsurf.flow import (Section, TangentState, energy_of, integrate,
                           poincare_return, state_at_energy,
@@ -142,3 +142,58 @@ def test_hyperbolic_truncation_flag():
     traj = integrate(system, st, 10.0, dt=1e-3)
     assert traj.truncated
     assert traj.t[-1] < 10.0
+
+
+class _ChartLog(RoundSphere):
+    """Round sphere that records the chart after every step."""
+
+    def __init__(self):
+        self.charts = set()
+
+    def post_step(self, chart, u, v, du, dv):
+        out = super().post_step(chart, u, v, du, dv)
+        self.charts.add(out[0])
+        return out
+
+
+def test_poincare_return_through_second_chart():
+    """A great circle (f = 0) leaves chart 0, crosses chart 1 and returns
+    to its chart-0 section after exactly one period 2 pi."""
+    surface = _ChartLog()
+    system = MagneticSystem(surface, ConstantField(0.0))
+    st = state_at_energy(system, TangentState(0, 0.0, 0.0, 1.0, 0.0), 0.5)
+    section = Section(coord=0, value=0.0, direction=1, chart=0)
+    hit, rt = poincare_return(system, section, st)
+    assert surface.charts == {0, 1}
+    assert hit.chart == 0
+    assert abs(rt - 2.0 * math.pi) < 1e-9
+    assert abs(hit.u) < 1e-9 and abs(hit.v) < 1e-9
+
+
+def test_poincare_return_stops_at_hyperbolic_floor():
+    """A geodesic plunging straight down the half-plane reaches the floor
+    long before max_time and raises instead of running on."""
+    system = MagneticSystem(HyperbolicPlane(genus=2), ConstantField(0.0))
+    st = state_at_energy(system, TangentState(0, 0.0, 1.0, 0.0, -1.0),
+                         energy_of_s(0.05))
+    section = Section(coord=1, value=2.0, direction=1, chart=0)
+    with pytest.raises(NoReturnError, match="floor"):
+        poincare_return(system, section, st, max_time=200.0)
+
+
+@pytest.mark.parametrize("entry", ["integrate", "poincare_return",
+                                   "state_at_energy"])
+def test_non_finite_state_rejected(entry):
+    """A NaN or infinite component is refused where a state enters."""
+    system = MagneticSystem(FlatTorus(), ConstantField(1.0))
+    section = Section(coord=1, value=0.5, direction=1, chart=0)
+    calls = {
+        "integrate": lambda st: integrate(system, st, 1.0),
+        "poincare_return": lambda st: poincare_return(system, section, st,
+                                                      max_time=1.0),
+        "state_at_energy": lambda st: state_at_energy(system, st, 0.5),
+    }
+    for bad in (TangentState(0, 0.1, 0.2, math.nan, 0.3),
+                TangentState(0, math.inf, 0.2, 1.0, 0.3)):
+        with pytest.raises(DegenerateInputError):
+            calls[entry](bad)

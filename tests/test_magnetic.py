@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from magsurf.critical import C0Params, c0_upper_bound
 from magsurf.errors import (DegenerateInputError, NoGlobalPrimitiveError,
                             UnsupportedError)
 from magsurf.fields import (CallableField, ConstantField, MagneticSystem,
@@ -59,7 +60,8 @@ def test_flux_mean_zero_torus_field():
 
 
 def test_primitive_jacobian_consistency():
-    """jacobian matches finite differences of theta."""
+    """jacobian matches finite differences of theta, for the primitives
+    local_primitive builds and for the c0 minimax witness."""
     systems = [
         MagneticSystem(FlatTorus(), ConstantField(2.0)),
         MagneticSystem(HyperbolicPlane(genus=2), ConstantField(1.5)),
@@ -67,10 +69,15 @@ def test_primitive_jacobian_consistency():
         MagneticSystem(FlatTorus(), TorusField(
             lambda x, y: np.cos(2 * np.pi * x) * np.sin(2 * np.pi * y))),
     ]
-    for system in systems:
-        prim = local_primitive(system)
+    cases = [(s.surface.kind, local_primitive(s)) for s in systems]
+    witness_system = MagneticSystem(FlatTorus(), TorusField(
+        lambda x, y: 2 * np.pi * np.cos(2 * np.pi * x)
+        + 4 * np.pi * np.sin(2 * np.pi * y)))
+    cases.append(("flat_torus", c0_upper_bound(
+        witness_system, C0Params(betas=(10.0,), max_iter=30)).witness))
+    for kind, prim in cases:
         for _ in range(10):
-            if system.surface.kind == "hyperbolic":
+            if kind == "hyperbolic":
                 u, v = RNG.uniform(-1, 1), RNG.uniform(0.5, 2.0)
             else:
                 u, v = RNG.uniform(0.05, 0.95, size=2)

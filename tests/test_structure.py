@@ -1,0 +1,89 @@
+"""Structure guard: callers ask surfaces what they are instead of testing
+their class.
+
+Outside ``surfaces.py`` and ``cli._build_surface`` no code may call
+``isinstance`` against a surface class or probe a surface for ``lx`` /
+``ly`` with ``hasattr`` / ``getattr``; surfaces expose ``lattice``,
+``constant_curvature``, ``floor`` and ``post_step`` instead.  The sites
+below keep per-model closed forms and are allowed, with these counts.
+"""
+import ast
+import collections
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "magsurf"
+SURFACE_CLASSES = {"Surface", "FlatTorus", "RoundSphere", "HyperbolicPlane",
+                   "ConformalTorus"}
+ALLOWED = {
+    ("orbits.py", "orbit_radius"): 2,
+    ("fields.py", "local_primitive"): 2,
+    ("fields.py", "flux_total"): 1,
+    ("critical.py", "homogeneous_mane_value"): 1,
+    ("cli.py", "_build_surface"): None,     # any number
+}
+
+
+def _names(node):
+    """Class names mentioned by an isinstance second argument."""
+    elts = node.elts if isinstance(node, ast.Tuple) else [node]
+    for e in elts:
+        if isinstance(e, ast.Name):
+            yield e.id
+        elif isinstance(e, ast.Attribute):
+            yield e.attr
+
+
+def _is_probe(call):
+    func = call.func
+    if not isinstance(func, ast.Name) or len(call.args) < 2:
+        return False
+    if func.id == "isinstance":
+        return bool(SURFACE_CLASSES.intersection(_names(call.args[1])))
+    if func.id in ("hasattr", "getattr"):
+        arg = call.args[1]
+        return isinstance(arg, ast.Constant) and arg.value in ("lx", "ly")
+    return False
+
+
+def _probe_sites(path):
+    """(enclosing function, line) of every surface-type probe in a file."""
+    sites = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name if func is None else func
+        if isinstance(node, ast.Call) and _is_probe(node):
+            sites.append((func, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(path.read_text()), None)
+    return sites
+
+
+def test_guard_detects_probes(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "def f(surf, x):\n"
+        "    if isinstance(surf, (int, FlatTorus)):\n"
+        "        return getattr(surf, 'lx', 1.0)\n"
+        "    return hasattr(surf, 'ly') or isinstance(x, float)\n")
+    assert [line for _, line in _probe_sites(bad)] == [2, 3, 4]
+
+
+def test_no_surface_type_probes_outside_surfaces():
+    counts = collections.Counter()
+    stray = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "surfaces.py":
+            continue
+        for func, line in _probe_sites(path):
+            key = (path.name, func)
+            if key not in ALLOWED:
+                stray.append(f"{path.name}:{line} in {func}")
+            counts[key] += 1
+    assert not stray, "surface-type probes outside the allow-list: " \
+        + ", ".join(stray)
+    for key, limit in ALLOWED.items():
+        if limit is not None:
+            assert counts[key] <= limit, f"{key} has {counts[key]} probes"
