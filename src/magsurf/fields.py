@@ -21,6 +21,10 @@ class MagneticField:
     def eval(self, chart, u, v):
         raise NotImplementedError
 
+    def scalar(self, chart, u, v):
+        """f at a scalar chart point as a Python float."""
+        return float(self.eval(chart, u, v))
+
 
 class ConstantField(MagneticField):
     def __init__(self, value):
@@ -31,6 +35,9 @@ class ConstantField(MagneticField):
         if u.ndim == 0:
             return self.value
         return np.full(u.shape, self.value)
+
+    def scalar(self, chart, u, v):
+        return self.value
 
 
 class CallableField(MagneticField):
@@ -54,6 +61,9 @@ class TorusField(MagneticField):
     def eval(self, chart, u, v):
         return self.fn(np.asarray(u, float) % self.lx,
                        np.asarray(v, float) % self.ly)
+
+    def scalar(self, chart, u, v):
+        return float(self.fn(u % self.lx, v % self.ly))
 
 
 @dataclasses.dataclass

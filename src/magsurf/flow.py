@@ -6,19 +6,24 @@ The equation of motion in a conformal chart reads
 
 where i is the 90 degree rotation; its solutions have constant kinetic
 energy and geodesic curvature f / |q'|_g.  Integration uses a fixed-step
-classical fourth-order Runge-Kutta scheme; the surface's post_step rule
-runs at step boundaries and section crossings are located by bisection
-inside a step.
+classical fourth-order Runge-Kutta scheme on plain floats, fed by the
+surface's rho_grad and the field's scalar value; the surface's post_step
+rule runs at step boundaries and section crossings are located by
+bisection inside a step.  integrate and poincare_return share that one
+step, so a return that keeps its steps in a StepRecord yields the
+trajectory integrate would: a shot orbit's trajectory is the accepted
+return's steps.
 """
 from __future__ import annotations
 
 import dataclasses
 import math
+from array import array
 
 import numpy as np
 
 from .errors import DegenerateInputError, NoReturnError
-from .surfaces import ChartPoint, geodesic_curvature_of
+from .surfaces import ChartPoint
 
 DEFAULT_DT = 1e-3
 SECTION_TOL = 1e-12
@@ -31,6 +36,13 @@ class TangentState:
     v: float
     du: float
     dv: float
+
+    def __post_init__(self):
+        # plain Python numbers: with a numpy scalar here every RK4 step
+        # started from this state would run on numpy scalar arithmetic
+        object.__setattr__(self, "chart", int(self.chart))
+        for name in ("u", "v", "du", "dv"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
     def point(self):
         return ChartPoint(self.chart, self.u, self.v)
@@ -46,18 +58,18 @@ class Trajectory:
     truncated: bool = False
 
     def state(self, i):
-        return TangentState(int(self.chart[i]), *self.q[i], *self.dq[i])
+        return TangentState(self.chart[i], *self.q[i], *self.dq[i])
 
 
 def make_rhs(system):
-    """Scalar fast path for the second-order right-hand side."""
-    conformal = system.surface.conformal
-    feval = system.field.eval
+    """Scalar right-hand side on plain floats: it asks the surface for
+    rho_grad and the field for its scalar value, nothing else."""
+    rho_grad = system.surface.rho_grad
+    fscalar = system.field.scalar
 
     def rhs(chart, u, v, du, dv):
-        _, ru, rv = conformal(chart, u, v)
-        ru, rv = float(ru), float(rv)
-        f = float(feval(chart, u, v))
+        ru, rv = rho_grad(chart, u, v)
+        f = fscalar(chart, u, v)
         ddu = -(ru * du * du + 2.0 * rv * du * dv - ru * dv * dv) - f * dv
         ddv = -(-rv * du * du + 2.0 * ru * du * dv + rv * dv * dv) + f * du
         return ddu, ddv
@@ -72,23 +84,20 @@ def _make_step(system):
     post_step = system.surface.post_step
 
     def step(chart, u, v, du, dv, h):
+        hh = 0.5 * h
         a1u, a1v = rhs(chart, u, v, du, dv)
-        k1 = (du, dv, a1u, a1v)
-        a2u, a2v = rhs(chart, u + 0.5 * h * k1[0], v + 0.5 * h * k1[1],
-                       du + 0.5 * h * k1[2], dv + 0.5 * h * k1[3])
-        k2 = (du + 0.5 * h * k1[2], dv + 0.5 * h * k1[3], a2u, a2v)
-        a3u, a3v = rhs(chart, u + 0.5 * h * k2[0], v + 0.5 * h * k2[1],
-                       du + 0.5 * h * k2[2], dv + 0.5 * h * k2[3])
-        k3 = (du + 0.5 * h * k2[2], dv + 0.5 * h * k2[3], a3u, a3v)
-        a4u, a4v = rhs(chart, u + h * k3[0], v + h * k3[1],
-                       du + h * k3[2], dv + h * k3[3])
-        k4 = (du + h * k3[2], dv + h * k3[3], a4u, a4v)
+        du2, dv2 = du + hh * a1u, dv + hh * a1v
+        a2u, a2v = rhs(chart, u + hh * du, v + hh * dv, du2, dv2)
+        du3, dv3 = du + hh * a2u, dv + hh * a2v
+        a3u, a3v = rhs(chart, u + hh * du2, v + hh * dv2, du3, dv3)
+        du4, dv4 = du + h * a3u, dv + h * a3v
+        a4u, a4v = rhs(chart, u + h * du3, v + h * dv3, du4, dv4)
         s = h / 6.0
         return post_step(chart,
-                         u + s * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]),
-                         v + s * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]),
-                         du + s * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2]),
-                         dv + s * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3]))
+                         u + s * (du + 2 * du2 + 2 * du3 + du4),
+                         v + s * (dv + 2 * dv2 + 2 * dv3 + dv4),
+                         du + s * (a1u + 2 * a2u + 2 * a3u + a4u),
+                         dv + s * (a1v + 2 * a2v + 2 * a3v + a4v))
 
     return step
 
@@ -115,6 +124,10 @@ def state_at_energy(system, state, k):
                         state.du * fac, state.dv * fac)
 
 
+def _step_count(t_end, dt):
+    return max(1, int(round(t_end / dt)))
+
+
 def integrate(system, state0, t_end, dt=DEFAULT_DT, record_every=1):
     """Integrate for t in [0, t_end]; returns a Trajectory.
 
@@ -124,7 +137,7 @@ def integrate(system, state0, t_end, dt=DEFAULT_DT, record_every=1):
     """
     step = _make_step(system)
     floor = system.surface.floor
-    n_steps = max(1, int(round(t_end / dt)))
+    n_steps = _step_count(t_end, dt)
     _require_finite(state0)
     chart, u, v, du, dv = (state0.chart, state0.u, state0.v,
                            state0.du, state0.dv)
@@ -163,32 +176,54 @@ def trajectory_speeds(system, traj):
 def trajectory_curvature(system, traj):
     """Geodesic curvature along the samples by high-order differencing.
 
-    Second derivatives come from a five-point stencil on the recorded
+    Second derivatives a come from a five-point stencil on the recorded
     velocities; samples whose stencil crosses a chart switch or the ends are
-    masked out (returned as NaN).
+    masked out (returned as NaN).  With lam2 = e^(2 rho) the rest is one
+    array expression over all samples,
+
+        kappa = lam2 (a + Gamma(q', q')) . (i q') / (lam2 |q'|^2)^(3/2),
+
+    with one conformal call per chart.
     """
+    surface = system.surface
     n = len(traj.t)
     if n < 5:
         raise DegenerateInputError("need at least five samples")
     h = float(traj.t[1] - traj.t[0])
-    kappa = np.full(n, np.nan)
-    dq = traj.dq
-    acc = np.full((n, 2), np.nan)
-    acc[2:-2] = (-dq[4:] + 8 * dq[3:-1] - 8 * dq[1:-3] + dq[:-4]) / (12 * h)
+    charts = traj.chart
     same_chart = np.zeros(n, dtype=bool)
-    same_chart[2:-2] = ((traj.chart[4:] == traj.chart[:-4])
-                        & (traj.chart[3:-1] == traj.chart[:-4])
-                        & (traj.chart[2:-2] == traj.chart[:-4])
-                        & (traj.chart[1:-3] == traj.chart[:-4]))
-    for i in np.nonzero(same_chart)[0]:
-        p = ChartPoint(int(traj.chart[i]), traj.q[i, 0], traj.q[i, 1])
-        kappa[i] = geodesic_curvature_of(system.surface, p, dq[i], acc[i])
+    same_chart[2:-2] = ((charts[4:] == charts[:-4])
+                        & (charts[3:-1] == charts[:-4])
+                        & (charts[2:-2] == charts[:-4])
+                        & (charts[1:-3] == charts[:-4]))
+    idx = np.nonzero(same_chart)[0]
+    dq = traj.dq
+    acc = (-dq[idx + 2] + 8 * dq[idx + 1] - 8 * dq[idx - 1]
+           + dq[idx - 2]) / (12 * h)
+    du, dv = dq[idx, 0], dq[idx, 1]
+    rho, ru, rv = (np.empty(len(idx)) for _ in range(3))
+    for c in np.unique(charts[idx]):
+        sel = charts[idx] == c
+        u, v = traj.q[idx[sel], 0], traj.q[idx[sel], 1]
+        surface.check_domain(int(c), u, v)
+        rho[sel], ru[sel], rv[sel] = surface.conformal(int(c), u, v)
+    lam2 = np.exp(2.0 * rho)
+    speed2 = lam2 * (du * du + dv * dv)
+    if np.any(speed2 <= 0.0):
+        raise DegenerateInputError("geodesic curvature needs nonzero velocity")
+    au = acc[:, 0] + ru * du * du + 2.0 * rv * du * dv - ru * dv * dv
+    av = acc[:, 1] - rv * du * du + 2.0 * ru * du * dv + rv * dv * dv
+    kappa = np.full(n, np.nan)
+    kappa[idx] = lam2 * (av * du - au * dv) / speed2 ** 1.5
     return kappa
 
 
 @dataclasses.dataclass(frozen=True)
 class Section:
-    """Directed coordinate hyperplane {coord = value, sign(d coord) = dir}."""
+    """Directed coordinate hyperplane {coord = value, sign(d coord) = dir}.
+
+    Its methods take a state as the plain tuple (chart, u, v, du, dv).
+    """
 
     coord: int            # 0 for u, 1 for v
     value: float
@@ -196,68 +231,91 @@ class Section:
     wrap: float | None = None  # lattice period for a torus coordinate
     chart: int = 0
 
-    def residual(self, state):
-        x = (state.u, state.v)[self.coord]
-        d = x - self.value
+    def signed_residual(self, state):
+        """direction * (coordinate - value), wrapped into half a period."""
+        d = state[1 + self.coord] - self.value
         if self.wrap is not None:
             d = (d + 0.5 * self.wrap) % self.wrap - 0.5 * self.wrap
-        return d
+        return self.direction * d
 
-    def velocity(self, state):
-        return (state.du, state.dv)[self.coord]
+    def crossing_velocity(self, state):
+        """Coordinate velocity along the section's direction."""
+        return state[3 + self.coord] * self.direction
+
+
+class StepRecord:
+    """The dt-grid states of one run, kept compactly: one int and four
+    doubles per step."""
+
+    def __init__(self):
+        self.charts = array("i")
+        self.values = array("d")
+
+    def add(self, chart, u, v, du, dv):
+        self.charts.append(chart)
+        self.values.extend((u, v, du, dv))
+
+    def trajectory(self, t_end, dt):
+        """The samples integrate(system, state0, t_end, dt) records, taken
+        from a run that stepped from state0 with the same dt at least that
+        far: the same RK4 steps, so the same numbers."""
+        n = _step_count(t_end, dt) + 1
+        vals = np.array(self.values, dtype=float).reshape(-1, 4)[:n]
+        return Trajectory(t=np.arange(n) * dt,
+                          chart=np.array(self.charts[:n], dtype=int),
+                          q=vals[:, :2].copy(), dq=vals[:, 2:].copy(), dt=dt)
 
 
 def poincare_return(system, section, state0, max_time=200.0, dt=DEFAULT_DT,
-                    tol=SECTION_TOL):
+                    tol=SECTION_TOL, record=None):
     """First directed return to the section.
 
     Returns (state, return_time).  The crossing time is refined by bisecting
-    the sub-step length of a single Runge-Kutta step, so the final residual
-    is below tol.
+    the sub-step length of a single Runge-Kutta step until the residual is
+    below tol; NoReturnError says why when there is no return within
+    max_time, the state falls below the surface's floor, or 100 bisections
+    do not refine the crossing.  A StepRecord passed as record receives
+    state0 and every full dt step taken, the step over the crossing too.
     """
     step = _make_step(system)
     floor = system.surface.floor
-
-    def signed_res(state):
-        return section.direction * section.residual(state)
-
-    def advance(state, h):
-        return TangentState(*step(state.chart, state.u, state.v, state.du,
-                                  state.dv, h))
-
     _require_finite(state0)
-    st = state0
-    prev = signed_res(st)
+    st = (state0.chart, state0.u, state0.v, state0.du, state0.dv)
+    if record is not None:
+        record.add(*st)
+    prev = section.signed_residual(st)
     armed = abs(prev) > 1e-9
     guard = 0.25 * (section.wrap if section.wrap else math.inf)
     n_steps = int(math.ceil(max_time / dt))
     for i in range(1, n_steps + 1):
-        nst = advance(st, dt)
-        if nst.v < floor:
+        nst = step(*st, dt)
+        if record is not None:
+            record.add(*nst)
+        if nst[2] < floor:
             raise NoReturnError("trajectory fell below the chart floor")
-        on_chart = nst.chart == section.chart and st.chart == section.chart
-        cur = signed_res(nst) if nst.chart == section.chart else prev
+        on_section_chart = nst[0] == section.chart
+        cur = section.signed_residual(nst) if on_section_chart else prev
         if not armed:
             armed = abs(cur) > 1e-9
-        elif (on_chart and prev < 0.0 <= cur and abs(cur - prev) < guard
-              and section.velocity(nst) * section.direction > 0.0):
+        elif (on_section_chart and st[0] == section.chart
+              and prev < 0.0 <= cur and abs(cur - prev) < guard
+              and section.crossing_velocity(nst) > 0.0):
             # refine the crossing by bisecting the sub-step length
             lo, hi = 0.0, dt
-            hit, tau = nst, dt
             for _ in range(100):
                 tau = 0.5 * (lo + hi)
-                cand = advance(st, tau)
-                r = signed_res(cand)
+                cand = step(*st, tau)
+                r = section.signed_residual(cand)
                 if abs(r) < tol:
-                    hit = cand
-                    break
+                    return TangentState(*cand), (i - 1) * dt + tau
                 if r < 0.0:
                     lo = tau
                 else:
                     hi = tau
-                    hit = cand
-            return hit, (i - 1) * dt + tau
-        if nst.chart == section.chart:
+            raise NoReturnError(
+                f"the section crossing near t = {i * dt} did not refine: "
+                f"residual {abs(r):.3e} >= tol {tol} after 100 bisections")
+        if on_section_chart:
             prev = cur
         st = nst
     raise NoReturnError(f"no directed return within time {max_time}")

@@ -14,7 +14,7 @@ from .errors import (DegenerateInputError, NoConvergenceError,
                      NoGlobalPrimitiveError, UndefinedActionError,
                      UnsupportedError)
 from .fields import local_primitive, s_of_energy
-from .flow import (DEFAULT_DT, Section, TangentState, integrate,
+from .flow import (DEFAULT_DT, Section, StepRecord, TangentState,
                    poincare_return, state_at_energy, trajectory_curvature)
 from .surfaces import ClosedPolyline, HyperbolicPlane, RoundSphere
 
@@ -121,21 +121,26 @@ def shoot_periodic(system, k, seed, section=None, tol=SHOOT_TOL,
 
     The seed is rescaled onto the energy level; the reduced state is the
     free section coordinate together with the velocity angle.  Raises
-    NoConvergenceError if the displacement does not fall under tol.
+    NoConvergenceError if the displacement does not fall under tol.  The
+    orbit's trajectory is made of the dt steps the accepted return (the
+    first one or a line-search candidate) took, so it equals
+    integrate(system, orbit.seed, orbit.period, dt) and is not computed
+    twice; the finite-difference returns record nothing.
     """
     seed = state_at_energy(system, seed, k)
     if section is None:
         section = default_section(system, seed)
     x = _reduced(section, seed)
 
-    def ret(xv):
+    def ret(xv, record=None):
         st = _section_state(system, section, k, xv[0], xv[1])
         hit, rt = poincare_return(system, section, st, max_time=max_time,
-                                  dt=dt)
+                                  dt=dt, record=record)
         out = _reduced(section, hit)
         return np.array([out[0] - xv[0], _wrap_angle(out[1] - xv[1])]), rt
 
-    res, rt = ret(x)
+    steps = StepRecord()
+    res, rt = ret(x, steps)
     it = 0
     while np.linalg.norm(res) > tol and it < max_iter:
         jac = np.empty((2, 2))
@@ -151,9 +156,10 @@ def shoot_periodic(system, k, seed, section=None, tol=SHOOT_TOL,
         lam = 1.0
         for _ in range(20):
             cand = x + lam * step
-            cres, crt = ret(cand)
+            cand_steps = StepRecord()
+            cres, crt = ret(cand, cand_steps)
             if np.linalg.norm(cres) < np.linalg.norm(res):
-                x, res, rt = cand, cres, crt
+                x, res, rt, steps = cand, cres, crt, cand_steps
                 break
             lam *= 0.5
         else:
@@ -163,7 +169,7 @@ def shoot_periodic(system, k, seed, section=None, tol=SHOOT_TOL,
         raise NoConvergenceError(
             f"shooting residual {np.linalg.norm(res):.3e} after {it} steps")
     state = _section_state(system, section, k, x[0], x[1])
-    traj = integrate(system, state, rt, dt=dt)
+    traj = steps.trajectory(rt, dt)
     winding = (0, 0)
     lattice = system.surface.lattice
     if lattice is not None:
@@ -181,12 +187,11 @@ def orbit_curvature_residual(system, orbit):
     traj = orbit.trajectory
     kappa = trajectory_curvature(system, traj)
     mask = ~np.isnan(kappa)
-    fvals = np.array([
-        float(system.field.eval(int(c), uu, vv))
-        for c, uu, vv in zip(traj.chart[mask], traj.q[mask, 0],
-                             traj.q[mask, 1])
-    ])
-    return float(np.max(np.abs(kappa[mask] - s * fvals)))
+    fvals = np.empty(len(kappa))
+    for c in np.unique(traj.chart[mask]):
+        sel = mask & (traj.chart == c)
+        fvals[sel] = system.field.eval(int(c), traj.q[sel, 0], traj.q[sel, 1])
+    return float(np.max(np.abs(kappa[mask] - s * fvals[mask])))
 
 
 def fit_circle(points):
@@ -206,9 +211,10 @@ def orbit_radius(system, orbit):
     surf = system.surface
     traj = orbit.trajectory
     if isinstance(surf, RoundSphere):
-        amb = np.array([surf.to_ambient(int(c), uu, vv)
-                        for c, uu, vv in zip(traj.chart, traj.q[:, 0],
-                                             traj.q[:, 1])])
+        amb = np.empty((len(traj.t), 3))
+        for c in np.unique(traj.chart):
+            sel = traj.chart == c
+            amb[sel] = surf.to_ambient(int(c), traj.q[sel, 0], traj.q[sel, 1])
         axis = amb.mean(axis=0)
         norm = np.linalg.norm(axis)
         if norm < 1e-12:

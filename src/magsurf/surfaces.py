@@ -57,6 +57,11 @@ class Surface:
         """Return (rho, d rho/du, d rho/dv); accepts scalars or arrays."""
         raise NotImplementedError
 
+    def rho_grad(self, chart, u, v):
+        """(d rho/du, d rho/dv) at a scalar point as Python floats; the
+        integrator's right-hand side uses nothing else of the metric."""
+        raise NotImplementedError
+
     def laplacian_rho(self, chart, u, v):
         """Flat Laplacian of rho, used for the Gauss curvature."""
         raise NotImplementedError
@@ -107,6 +112,9 @@ class FlatTorus(Surface):
         z = np.zeros_like(np.asarray(u, dtype=float))
         return z, z, z
 
+    def rho_grad(self, chart, u, v):
+        return 0.0, 0.0
+
     def laplacian_rho(self, chart, u, v):
         return np.zeros_like(np.asarray(u, dtype=float))
 
@@ -136,6 +144,10 @@ class RoundSphere(Surface):
         v = np.asarray(v, dtype=float)
         d = 1.0 + u * u + v * v
         return np.log(2.0 / d), -2.0 * u / d, -2.0 * v / d
+
+    def rho_grad(self, chart, u, v):
+        d = 1.0 + u * u + v * v
+        return -2.0 * u / d, -2.0 * v / d
 
     def laplacian_rho(self, chart, u, v):
         u = np.asarray(u, dtype=float)
@@ -224,6 +236,9 @@ class HyperbolicPlane(Surface):
         v = np.asarray(v, dtype=float)
         return -np.log(v), np.zeros_like(u), -1.0 / v
 
+    def rho_grad(self, chart, u, v):
+        return 0.0, -1.0 / v
+
     def laplacian_rho(self, chart, u, v):
         v = np.asarray(v, dtype=float)
         return 1.0 / (v * v)
@@ -266,6 +281,10 @@ class ConformalTorus(Surface):
         self.lattice = (self.lx, self.ly)
         self.grid = grid
         self._spline = periodic_spline(grid, self.lx, self.ly)
+        # d rho/du and d rho/dv as splines of their own: cheaper to evaluate
+        # than derivative calls on the rho spline, and the same numbers
+        self._spline_u = self._spline.partial_derivative(1, 0)
+        self._spline_v = self._spline.partial_derivative(0, 1)
 
     def _wrapped(self, u, v):
         return np.asarray(u, float) % self.lx, np.asarray(v, float) % self.ly
@@ -273,9 +292,14 @@ class ConformalTorus(Surface):
     def conformal(self, chart, u, v):
         x, y = self._wrapped(u, v)
         rho = self._spline(x, y, grid=False)
-        ru = self._spline(x, y, dx=1, grid=False)
-        rv = self._spline(x, y, dy=1, grid=False)
+        ru = self._spline_u(x, y, grid=False)
+        rv = self._spline_v(x, y, grid=False)
         return rho, ru, rv
+
+    def rho_grad(self, chart, u, v):
+        x, y = u % self.lx, v % self.ly
+        return (float(self._spline_u(x, y, grid=False)),
+                float(self._spline_v(x, y, grid=False)))
 
     def laplacian_rho(self, chart, u, v):
         x, y = self._wrapped(u, v)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magsurf.errors import DegenerateInputError, NoReturnError
 from magsurf.fields import ConstantField, MagneticSystem, energy_of_s
@@ -10,7 +12,9 @@ from magsurf.flow import (Section, TangentState, energy_of, integrate,
                           poincare_return, state_at_energy,
                           trajectory_curvature, trajectory_energies,
                           trajectory_speeds)
-from magsurf.surfaces import FlatTorus, HyperbolicPlane, RoundSphere
+from magsurf.surfaces import (ChartPoint, ConformalTorus, FlatTorus,
+                              HyperbolicPlane, RoundSphere,
+                              geodesic_curvature_of)
 
 
 def _systems():
@@ -179,6 +183,79 @@ def test_poincare_return_stops_at_hyperbolic_floor():
     section = Section(coord=1, value=2.0, direction=1, chart=0)
     with pytest.raises(NoReturnError, match="floor"):
         poincare_return(system, section, st, max_time=200.0)
+
+
+def test_poincare_unrefined_crossing_raises():
+    """A crossing the bisection cannot bring under tol is an error, not an
+    unrefined state."""
+    system = MagneticSystem(FlatTorus(), ConstantField(1.0))
+    st = TangentState(0, 0.0, 0.0, 0.0, 0.25)
+    section = Section(coord=1, value=0.0, direction=1, wrap=1.0, chart=0)
+    with pytest.raises(NoReturnError, match="did not refine"):
+        poincare_return(system, section, st, tol=0.0)
+
+
+def _assert_curvature_per_sample(system, traj):
+    """The array-wide curvature equals geodesic_curvature_of at every
+    sample with the same five-point acceleration."""
+    kappa = trajectory_curvature(system, traj)
+    h = traj.t[1] - traj.t[0]
+    dq = traj.dq
+    ok = np.nonzero(~np.isnan(kappa))[0]
+    assert len(ok) > 0.9 * len(kappa)
+    for i in ok:
+        acc = (-dq[i + 2] + 8 * dq[i + 1] - 8 * dq[i - 1] + dq[i - 2]) \
+            / (12 * h)
+        p = ChartPoint(int(traj.chart[i]), traj.q[i, 0], traj.q[i, 1])
+        want = geodesic_curvature_of(system.surface, p, dq[i], acc)
+        assert abs(kappa[i] - want) <= 1e-12 * max(1.0, abs(want))
+    return kappa
+
+
+@given(f=st.floats(0.0, 0.3), u=st.floats(-0.05, 0.05),
+       v=st.floats(-0.05, 0.05), ang=st.floats(0.0, 2.0 * math.pi))
+@settings(max_examples=10, deadline=None)
+def test_curvature_per_sample_sphere_across_charts(f, u, v, ang):
+    # at unit speed the circle's geodesic diameter 2 atan(1 / f) > 2.5
+    # takes it from near the chart-0 origin past the switch radius
+    system = MagneticSystem(RoundSphere(), ConstantField(f))
+    st0 = state_at_energy(system, TangentState(0, u, v, math.cos(ang),
+                                               math.sin(ang)), 0.5)
+    traj = integrate(system, st0, 6.0, dt=2e-2)
+    assert set(traj.chart.tolist()) == {0, 1}
+    kappa = _assert_curvature_per_sample(system, traj)
+    # stencils straddling a chart switch are masked
+    switch = np.nonzero(np.diff(traj.chart))[0]
+    assert np.all(np.isnan(kappa[switch])) and np.all(
+        np.isnan(kappa[switch + 1]))
+
+
+@given(s=st.floats(1.5, 4.0), u=st.floats(-1.0, 1.0), v=st.floats(0.5, 2.0),
+       ang=st.floats(0.0, 2.0 * math.pi))
+@settings(max_examples=10, deadline=None)
+def test_curvature_per_sample_hyperbolic_circle(s, u, v, ang):
+    system = MagneticSystem(HyperbolicPlane(genus=2), ConstantField(1.0))
+    st0 = state_at_energy(system, TangentState(0, u, v, math.cos(ang),
+                                               math.sin(ang)),
+                          energy_of_s(s))
+    traj = integrate(system, st0, 4.0, dt=2e-2)
+    kappa = _assert_curvature_per_sample(system, traj)
+    assert np.nanmax(np.abs(kappa - s)) < 1e-4   # a circle of curvature s
+
+
+@given(u=st.floats(0.0, 1.0), v=st.floats(0.0, 1.0),
+       ang=st.floats(0.0, 2.0 * math.pi), f=st.floats(-3.0, 3.0))
+@settings(max_examples=10, deadline=None)
+def test_curvature_per_sample_conformal_torus(u, v, ang, f):
+    n = 32
+    x = np.arange(n) / n
+    grid = 0.1 * np.cos(2 * np.pi * x)[:, None] * np.sin(
+        2 * np.pi * x)[None, :]
+    system = MagneticSystem(ConformalTorus(grid), ConstantField(f))
+    st0 = state_at_energy(system, TangentState(0, u, v, math.cos(ang),
+                                               math.sin(ang)), 0.5)
+    traj = integrate(system, st0, 3.0, dt=2e-2)
+    _assert_curvature_per_sample(system, traj)
 
 
 @pytest.mark.parametrize("entry", ["integrate", "poincare_return",

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magsurf.errors import DomainError, UnsupportedError
 from magsurf.surfaces import (ChartPoint, ConformalTorus, FlatTorus,
@@ -201,3 +203,32 @@ def test_conformal_torus_interpolates_samples():
         u, v = RNG.uniform(0, 1, size=2)
         rho, _, _ = surf.conformal(0, u, v)
         assert abs(rho - rho_fn(u, v)) < 1e-5
+
+
+def _rho_grad_cases():
+    grid = 0.08 * np.cos(2.0 * np.pi * np.arange(48)[:, None] / 48) \
+        * np.sin(2.0 * np.pi * np.arange(48)[None, :] / 48)
+    # torus coordinates range over several periods to cover the wrapping
+    return [
+        (FlatTorus(1.0, 2.0), 0, (-3.0, 3.0), (-3.0, 3.0)),
+        (RoundSphere(), 0, (-2.5, 2.5), (-2.5, 2.5)),
+        (RoundSphere(), 1, (-2.5, 2.5), (-2.5, 2.5)),
+        (HyperbolicPlane(genus=2), 0, (-5.0, 5.0), (1e-6, 50.0)),
+        (ConformalTorus(grid, lx=1.0, ly=0.5), 0, (-3.0, 3.0), (-3.0, 3.0)),
+    ]
+
+
+@pytest.mark.parametrize("surface,chart,urange,vrange", _rho_grad_cases(),
+                         ids=["flat", "sphere0", "sphere1", "hyp", "grid"])
+@given(a=st.floats(0.0, 1.0), b=st.floats(0.0, 1.0))
+@settings(max_examples=60, deadline=None)
+def test_rho_grad_is_conformal_gradient(surface, chart, urange, vrange, a,
+                                        b):
+    """The integrator's scalar rho_grad returns exactly conformal()[1:],
+    as Python floats."""
+    u = urange[0] + a * (urange[1] - urange[0])
+    v = vrange[0] + b * (vrange[1] - vrange[0])
+    got = surface.rho_grad(chart, u, v)
+    _, ru, rv = surface.conformal(chart, u, v)
+    assert all(type(x) is float for x in got)
+    assert got == (float(ru), float(rv))

@@ -12,7 +12,8 @@ from magsurf.errors import (DegenerateInputError, NoGlobalPrimitiveError,
 from magsurf.fields import (CallableField, ConstantField, MagneticSystem,
                             TorusField, energy_of_s, flux_total,
                             local_primitive, s_of_energy)
-from magsurf.surfaces import FlatTorus, HyperbolicPlane, RoundSphere
+from magsurf.surfaces import (FlatTorus, HyperbolicPlane, RoundSphere,
+                              periodic_spline)
 
 RNG = np.random.default_rng(7)
 
@@ -152,3 +153,31 @@ def test_constant_field_vectorized():
     f = ConstantField(2.5)
     vals = f.eval(0, np.zeros(5), np.ones(5))
     assert np.all(np.asarray(vals) == 2.5)
+
+
+def _scalar_cases():
+    amp = 2.0 * math.pi
+    n = 16
+    x = np.arange(n) / n
+    grid = np.cos(2 * np.pi * x)[:, None] + 0.5 * np.sin(
+        4 * np.pi * x)[None, :]
+    spl = periodic_spline(grid, 1.0, 2.0)
+    return [
+        ConstantField(-1.7),
+        TorusField(lambda x, y: amp * np.cos(2.0 * np.pi * x)),
+        CallableField(lambda c, u, v: np.sin(u) * v + c),
+        # what [field] type = csv builds: a periodic spline in a TorusField
+        TorusField(lambda x, y: spl(x, y, grid=False), lx=1.0, ly=2.0),
+    ]
+
+
+@pytest.mark.parametrize("field", _scalar_cases(),
+                         ids=["constant", "cosine", "callable", "csv"])
+@given(chart=st.integers(0, 1), u=st.floats(-5.0, 5.0),
+       v=st.floats(-5.0, 5.0))
+@settings(max_examples=60, deadline=None)
+def test_scalar_matches_eval(field, chart, u, v):
+    """The integrator's scalar field value equals float(eval) exactly."""
+    got = field.scalar(chart, u, v)
+    assert type(got) is float
+    assert got == float(field.eval(chart, u, v))

@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magsurf.errors import NoReturnError
-from magsurf.fields import ConstantField, MagneticSystem, energy_of_s
+from magsurf.fields import (ConstantField, MagneticSystem, TorusField,
+                            energy_of_s)
 from magsurf.flow import TangentState, integrate, state_at_energy
-from magsurf.orbits import (DescentParams, DiscreteLoop, circle_loop,
-                            descend_to_critical, discrete_action,
+from magsurf.orbits import (SHOOT_TOL, DescentParams, DiscreteLoop,
+                            circle_loop, descend_to_critical, discrete_action,
                             discrete_action_gradient, fit_circle,
                             homogeneous_oracle, loop_l2_energy, loop_length,
                             loop_mean_energy, orbit_curvature_residual,
@@ -112,6 +113,44 @@ def test_flat_geodesic_winding():
     assert orbit.winding == (1, 0)
     assert not orbit.contractible
     assert abs(orbit.period - 1.0) < 1e-9
+
+
+def _shot_trajectory_cases():
+    amp = 2.0 * math.pi
+    s_cos = 1.8
+    r = 1.0 / (s_cos * amp)
+    hyp_r = homogeneous_oracle("hyperbolic", 2.0).radius
+    return [
+        # a wide circle on the sphere, through both charts
+        (MagneticSystem(RoundSphere(), ConstantField(0.2)), 1.0,
+         TangentState(0, 0.0, 0.05, 1.0, 0.1), SHOOT_TOL),
+        (MagneticSystem(HyperbolicPlane(genus=2), ConstantField(1.0)), 2.0,
+         TangentState(0, 0.9 * math.sinh(hyp_r), math.cosh(hyp_r), 0.0,
+                      1.0), SHOOT_TOL),
+        # seeded 10 % off the curvature radius: Newton moves the seed
+        (MagneticSystem(FlatTorus(), TorusField(
+            lambda x, y: amp * np.cos(2.0 * np.pi * x))), s_cos,
+         TangentState(0, 1.1 * r, 0.5, 0.0, 1.0), 1e-9),
+    ]
+
+
+@pytest.mark.parametrize("system,s,seed,tol", _shot_trajectory_cases(),
+                         ids=["sphere", "hyperbolic", "cosine"])
+def test_shot_trajectory_is_integrated_orbit(system, s, seed, tol):
+    """The orbit's trajectory, kept from the accepted return's steps, is
+    exactly what integrating the orbit's seed over its period gives."""
+    k = energy_of_s(s)
+    orbit = shoot_periodic(system, k, seed, tol=tol)
+    traj = orbit.trajectory
+    ref = integrate(system, orbit.seed, orbit.period, traj.dt)
+    for name in ("t", "chart", "q", "dq"):
+        assert np.array_equal(getattr(traj, name), getattr(ref, name)), name
+    assert traj.dt == ref.dt and not traj.truncated
+    if system.surface.n_charts == 2:
+        assert set(traj.chart.tolist()) == {0, 1}
+    if isinstance(system.field, TorusField):
+        # the accepted return is a line-search candidate, not the seed's
+        assert orbit.seed != state_at_energy(system, seed, k)
 
 
 def test_fit_circle_exact():

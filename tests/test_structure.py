@@ -1,5 +1,7 @@
-"""Structure guard: callers ask surfaces what they are instead of testing
-their class.
+"""Structure guards.
+
+Callers ask surfaces what they are instead of testing their class, and the
+stepping core runs on plain floats.
 
 Outside ``surfaces.py`` and ``cli._build_surface`` no code may call
 ``isinstance`` against a surface class or probe a surface for ``lx`` /
@@ -87,3 +89,59 @@ def test_no_surface_type_probes_outside_surfaces():
     for key, limit in ALLOWED.items():
         if limit is not None:
             assert counts[key] <= limit, f"{key} has {counts[key]} probes"
+
+
+# The stepping core: the RK4 step and its right-hand side in flow.py, and
+# the per-point methods they call on surfaces and fields, use no numpy.
+CORE_FUNCTIONS = {"make_rhs", "_make_step"}
+CORE_METHODS = {"rho_grad", "scalar"}
+
+
+def _numpy_uses(path):
+    """(function, line) of every np/numpy name inside the stepping-core
+    functions and methods of a file."""
+    sites = []
+
+    def visit(node, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and (child.name in CORE_METHODS if in_class
+                         else child.name in CORE_FUNCTIONS):
+                sites.extend(
+                    (child.name, n.lineno) for n in ast.walk(child)
+                    if isinstance(n, ast.Name) and n.id in ("np", "numpy"))
+            else:
+                visit(child, isinstance(child, ast.ClassDef))
+
+    visit(ast.parse(path.read_text()), False)
+    return sites
+
+
+def test_core_guard_detects_numpy(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "import numpy as np\n"
+        "def make_rhs(system):\n"
+        "    def rhs(u):\n"
+        "        return np.cos(u)\n"
+        "    return rhs\n"
+        "def integrate(u):\n"
+        "    return np.sin(u)\n"
+        "class Field:\n"
+        "    def scalar(self, chart, u, v):\n"
+        "        return float(numpy.exp(u))\n"
+        "    def eval(self, chart, u, v):\n"
+        "        return np.exp(u)\n"
+        "def scalar(u):\n"
+        "    return np.exp(u)\n")
+    assert _numpy_uses(bad) == [("make_rhs", 4), ("scalar", 10)]
+
+
+def test_stepping_core_is_numpy_free():
+    uses = [f"{path.name}:{line} in {func}"
+            for path in sorted(SRC.glob("*.py"))
+            for func, line in _numpy_uses(path)]
+    assert not uses, "numpy in the stepping core: " + ", ".join(uses)
+    flow = ast.parse((SRC / "flow.py").read_text())
+    defined = {n.name for n in flow.body if isinstance(n, ast.FunctionDef)}
+    assert CORE_FUNCTIONS <= defined
