@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import (DegenerateInputError, InvalidRegionError, NoBracketError)
 from .fields import local_primitive, s_of_energy
-from .surfaces import ClosedPolyline
+from .surfaces import ClosedPolyline, close_padded
 
 
 @dataclasses.dataclass
@@ -58,11 +58,8 @@ class Region:
 
 
 def curve_length(system, curve):
-    x, nxt = curve.edges(system.surface)
-    mids = 0.5 * (x + nxt)
-    rho = np.asarray(system.surface.conformal(curve.chart, mids[:, 0],
-                                              mids[:, 1])[0], float)
-    return float(np.sum(np.exp(rho) * np.linalg.norm(nxt - x, axis=1)))
+    return _length(system.surface, curve.chart,
+                   curve.padded(system.surface)[:, 1:])
 
 
 def curve_enclosed_flux(system, curve, subdivide=8):
@@ -110,6 +107,8 @@ def region_flux(system, region, primitive=None):
 
     if region.whole_surface:
         return flux_total(system)
+    if not region.curves:
+        return 0.0
     if len(region.curves) == 1 and region.curves[0].winding == (0, 0):
         c = region.curves[0]
         fan = curve_enclosed_flux(system, c)
@@ -124,8 +123,8 @@ def region_flux(system, region, primitive=None):
         primitive = local_primitive(system)
     total = 0.0
     for c in region.curves:
-        x, nxt = c.edges(system.surface)
-        total += primitive.line_integral(c.chart, np.vstack([x, nxt[-1]]))
+        total += primitive.line_integral(c.chart,
+                                         c.padded(system.surface)[:, 1:].T)
     return total
 
 
@@ -152,47 +151,84 @@ def region_complement(region):
 
 # ---------------------------------------------------------------------------
 # discrete curvature and the evolution
+#
+# The evolution keeps each curve as padded coordinate rows (2, N + 2),
+# previous vertex | vertices | next vertex (``ClosedPolyline.padded``), and
+# the helpers below read edges, chords and normals off that buffer with
+# plain slices.  Norms are sqrt(a*a + b*b), the sum np.linalg.norm forms;
+# np.hypot rounds differently and would break the pinned golden results.
 # ---------------------------------------------------------------------------
+
+def _norm2(d):
+    """Euclidean length of each column of a (2, M) array."""
+    return np.sqrt(d[0] * d[0] + d[1] * d[1])
+
+
+def _length(surf, chart, pts):
+    """Midpoint-rule metric length of the polyline through the columns of
+    pts (2, M + 1)."""
+    mids = 0.5 * (pts[:, :-1] + pts[:, 1:])
+    rho = np.asarray(surf.conformal(chart, mids[0], mids[1])[0], float)
+    return float((np.exp(rho) * _norm2(pts[:, 1:] - pts[:, :-1])).sum())
+
+
+def _geometry(surf, chart, buf):
+    """Geodesic curvature (N,) and outward unit normal (2, N) at the
+    vertices of a padded curve buffer (2, N + 2)."""
+    d = buf[:, 1:] - buf[:, :-1]            # edges prev->x, then x->next
+    lens = _norm2(d)
+    l1 = lens[:-1]
+    l2 = lens[1:]
+    tang = buf[:, 2:] - buf[:, :-2]         # chord prev->next
+    chord = _norm2(tang)
+    cross = d[0, :-1] * d[1, 1:] - d[1, :-1] * d[0, 1:]
+    denom = l1 * l2 * chord
+    if (denom <= 0).any():
+        raise DegenerateInputError("degenerate polygon edge")
+    kappa_e = 2.0 * cross / denom
+    tang /= chord
+    normal = tang[::-1]                     # right of travel: (t_v, -t_u)
+    normal[1] *= -1.0
+    rho, ru, rv = surf.conformal(chart, buf[0, 1:-1], buf[1, 1:-1])
+    rho = np.asarray(rho, float)
+    kappa = np.exp(-rho) * (kappa_e + (ru * normal[0] + rv * normal[1]))
+    return kappa, normal
+
+
+def _resample(pts, shift, spacing):
+    """Padded buffer of the closed curve through pts (2, M + 1), whose last
+    column is the lifted first vertex, redistributed uniformly in chart
+    arclength at about the given spacing (at least 8 vertices)."""
+    seg = _norm2(pts[:, 1:] - pts[:, :-1])
+    cum = np.empty(len(seg) + 1)
+    cum[0] = 0.0
+    np.cumsum(seg, out=cum[1:])
+    total = float(cum[-1])
+    n = max(round(total / spacing), 8)
+    targets = np.arange(n) * total / n
+    buf = np.empty((2, n + 2))
+    buf[0, 1:-1] = np.interp(targets, cum, pts[0])
+    buf[1, 1:-1] = np.interp(targets, cum, pts[1])
+    return close_padded(buf, shift)
+
+
+def _curve(buf, chart, winding):
+    return RegionCurve(vertices=buf[:, 1:-1].T.copy(), chart=chart,
+                       winding=winding)
+
 
 def curve_geometry(system, curve):
     """Per-vertex geodesic curvature and Euclidean outward unit normal."""
     surf = system.surface
-    x, nxt = curve.edges(surf)
-    prv = np.roll(x, 1, axis=0)
-    prv[0] -= curve.closure_shift(surf)
-    e1 = x - prv
-    e2 = nxt - x
-    l1 = np.linalg.norm(e1, axis=1)
-    l2 = np.linalg.norm(e2, axis=1)
-    chord = np.linalg.norm(nxt - prv, axis=1)
-    cross = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    denom = l1 * l2 * chord
-    if np.any(denom <= 0):
-        raise DegenerateInputError("degenerate polygon edge")
-    kappa_e = 2.0 * cross / denom
-    tang = nxt - prv
-    tang /= chord[:, None]
-    normal = np.column_stack([tang[:, 1], -tang[:, 0]])  # right of travel
-    rho, ru, rv = surf.conformal(curve.chart, x[:, 0], x[:, 1])
-    rho = np.asarray(rho, float)
-    grad = np.column_stack([np.asarray(ru, float), np.asarray(rv, float)])
-    kappa = np.exp(-rho) * (kappa_e + np.sum(grad * normal, axis=1))
-    return kappa, normal
+    kappa, normal = _geometry(surf, curve.chart, curve.padded(surf))
+    return kappa, normal.T
 
 
 def resample_curve(curve, spacing, surface):
     """Redistribute vertices uniformly in chart arclength."""
-    x, nxt = curve.edges(surface)
-    seg = np.linalg.norm(nxt - x, axis=1)
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
-    total = cum[-1]
-    n = max(int(round(total / spacing)), 8)
-    targets = np.arange(n) * total / n
-    pts_ext = np.vstack([x, nxt[-1]])
-    us = np.interp(targets, cum, pts_ext[:, 0])
-    vs = np.interp(targets, cum, pts_ext[:, 1])
-    return RegionCurve(vertices=np.column_stack([us, vs]), chart=curve.chart,
-                       winding=curve.winding)
+    buf = _resample(curve.padded(surface)[:, 1:],
+                    curve.closure_shift(surface), spacing)
+    return _curve(buf, curve.chart, curve.winding)
 
 
 def _segments_intersect(p, q):
@@ -250,7 +286,17 @@ def evolve_minimize(system, k, region, params=None):
     normal, scaled by a parabolic stability step 0.25 h^2 / sqrt(2k);
     curves are rearclengthed every iteration.  There is no surgery: curves
     that self-intersect halt the run, curves shorter than min_length count
-    as vanished (the empty region, value zero).
+    as vanished (the empty region, value zero).  A region without boundary
+    curves (empty or the whole surface) has nothing to move: it comes back
+    unchanged as stationary, with its value.
+
+    Between iterations a curve is its chart, winding, closure shift and
+    padded coordinate rows (2, N + 2), previous | vertices | next; one
+    iteration moves the middle columns in place, closes the ends again and
+    resamples into the next buffer, with no ``RegionCurve`` in between.
+    ``tests/test_evolve_golden.py`` pins the outcome, iterations, value,
+    residual and vertices bit for bit, so the norms stay sqrt(a*a + b*b)
+    and o * s * f, step * defect and the length sum keep their order.
     """
     if params is None:
         params = EvolveParams()
@@ -258,51 +304,59 @@ def evolve_minimize(system, k, region, params=None):
     o = region.orientation
     sqrt2k = math.sqrt(2.0 * k)
     s = s_of_energy(k)
-    curves = [resample_curve(c, params.spacing, surf) for c in region.curves]
-    if not curves:
-        return EvolveResult(region=Region.empty(), value=0.0, residual=0.0,
-                            outcome="vanished", iterations=0)
+    if not region.curves:
+        return EvolveResult(region=region,
+                            value=taimanov_value(system, k, region),
+                            residual=0.0, outcome="stationary", iterations=0)
+    loops = []
+    for c in region.curves:
+        c = resample_curve(c, params.spacing, surf)
+        loops.append((c.chart, c.winding, c.closure_shift(surf),
+                      c.padded(surf)))
     step = params.step_factor * params.spacing ** 2 / sqrt2k
     outcome = "max_iter"
     it = 0
     for it in range(1, params.max_iter + 1):
         residual = 0.0
-        new_curves = []
-        vanished = []
-        for c in curves:
-            kappa, normal = curve_geometry(system, c)
-            f = np.asarray(system.field.eval(c.chart, c.vertices[:, 0],
-                                             c.vertices[:, 1]), float)
+        kept = []
+        vanished = False
+        for chart, winding, shift, buf in loops:
+            kappa, normal = _geometry(surf, chart, buf)
+            x = buf[:, 1:-1]
+            f = np.asarray(system.field.eval(chart, x[0], x[1]), float)
             defect = sqrt2k * kappa - o * f
-            residual = max(residual, float(np.max(np.abs(kappa - o * s * f))))
-            verts = c.vertices - step * defect[:, None] * normal
-            nc = RegionCurve(vertices=verts, chart=c.chart, winding=c.winding)
-            nc = resample_curve(nc, params.spacing, surf)
-            if c.winding == (0, 0) and \
-                    curve_length(system, nc) < params.min_length:
-                vanished.append(nc)
+            residual = max(residual, float(np.abs(kappa - o * s * f).max()))
+            x -= step * defect * normal
+            buf = _resample(close_padded(buf, shift)[:, 1:], shift,
+                            params.spacing)
+            if winding == (0, 0) and \
+                    _length(surf, chart, buf[:, 1:]) < params.min_length:
+                vanished = True
             else:
-                new_curves.append(nc)
-        if vanished and not new_curves:
+                kept.append((chart, winding, shift, buf))
+        if vanished and not kept:
             outcome = "vanished"
-            curves = []
+            loops = []
             break
-        curves = new_curves
+        loops = kept
         if residual < params.tol:
             outcome = "stationary"
             break
         if it % params.check_every == 0:
-            if not all(curve_is_simple(c, surf) for c in curves):
+            if not all(curve_is_simple(_curve(buf, chart, winding), surf)
+                       for chart, winding, _, buf in loops):
                 outcome = "halted"
                 break
+    curves = [_curve(buf, chart, winding)
+              for chart, winding, _, buf in loops]
     final = Region(curves=curves, orientation=o)
     value = 0.0 if not curves else taimanov_value(system, k, final)
     res = 0.0
-    for c in curves:
-        kappa, _ = curve_geometry(system, c)
-        f = np.asarray(system.field.eval(c.chart, c.vertices[:, 0],
-                                         c.vertices[:, 1]), float)
-        res = max(res, float(np.max(np.abs(kappa - o * s * f))))
+    for chart, _, _, buf in loops:
+        kappa, _ = _geometry(surf, chart, buf)
+        f = np.asarray(system.field.eval(chart, buf[0, 1:-1], buf[1, 1:-1]),
+                       float)
+        res = max(res, float(np.abs(kappa - o * s * f).max()))
     return EvolveResult(region=final, value=value, residual=res,
                         outcome=outcome, iterations=it)
 

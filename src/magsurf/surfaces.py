@@ -393,6 +393,16 @@ def surface_invariants(surface):
                              total_curvature=total)
 
 
+def close_padded(buf, shift):
+    """Fill the end columns of a padded (2, N + 2) coordinate buffer whose
+    middle columns hold a closed polygon: the first column is the last
+    vertex moved back by the closure shift, the last column the first
+    vertex moved forward by it.  Returns ``buf``."""
+    buf[:, 0] = buf[:, -2] - shift
+    buf[:, -1] = buf[:, 1] + shift
+    return buf
+
+
 class ClosedPolyline:
     """Closed polygon in one chart lift: subclasses are dataclasses with
     fields ``vertices`` (N, 2), ``chart`` and ``winding``, and a nonzero
@@ -419,10 +429,14 @@ class ClosedPolyline:
             raise DegenerateInputError("a winding polyline needs a lattice")
         return np.multiply(self.winding, surface.lattice)
 
+    def padded(self, surface):
+        """Coordinate rows (2, N + 2): previous vertex | vertices | next
+        vertex, closed up by ``close_padded``."""
+        buf = np.empty((2, self.n + 2))
+        buf[:, 1:-1] = self.vertices.T
+        return close_padded(buf, self.closure_shift(surface))
+
     def edges(self, surface):
-        """Start and end points of the N edges; the last edge ends on the
-        lifted first vertex."""
-        x = self.vertices
-        nxt = np.roll(x, -1, axis=0)
-        nxt[-1] += self.closure_shift(surface)
-        return x, nxt
+        """Start and end points (N, 2) of the N edges; the last edge ends on
+        the lifted first vertex."""
+        return self.vertices, self.padded(surface)[:, 2:].T.copy()

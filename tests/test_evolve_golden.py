@@ -1,0 +1,143 @@
+"""Golden results of the curve evolution, pinned bit for bit.
+
+``evolve_golden.json`` holds the outcome, iteration count, value, residual
+(as ``float.hex``) and every final vertex of a few evolutions, recorded
+with the row-per-vertex kernel that used ``np.roll``/``np.linalg.norm`` and
+built a ``RegionCurve`` every iteration.  Any rewrite of the evolution must
+reproduce them exactly.  Re-record (``python tests/test_evolve_golden.py``)
+only for a change that is meant to alter the numbers, and say so.
+"""
+import json
+import math
+import pathlib
+
+import numpy as np
+import pytest
+
+from magsurf import regions
+from magsurf.fields import (ConstantField, MagneticSystem, TorusField,
+                            energy_of_s)
+from magsurf.regions import EvolveParams, Region, RegionCurve
+from magsurf.surfaces import FlatTorus, HyperbolicPlane, RoundSphere
+
+GOLDEN = pathlib.Path(__file__).with_name("evolve_golden.json")
+
+
+def _disc(center, radius, n=96, chart=0):
+    ang = 2.0 * np.pi * np.arange(n) / n
+    return RegionCurve(np.column_stack([center[0] + radius * np.cos(ang),
+                                        center[1] + radius * np.sin(ang)]),
+                       chart=chart)
+
+
+def _bump(x, y):
+    return 1.0 - 2.0 * np.exp(-((x - 0.5) ** 2 + (y - 0.5) ** 2) / 0.0625)
+
+
+def _favorable_strip(x0=0.3, x1=0.7, n=64):
+    """Criterion 08's seed: the reversed strip x0 < x < x1."""
+    ys = np.arange(n, dtype=float) / n
+    right = RegionCurve(np.column_stack([np.full(n, x1), ys]), winding=(0, 1))
+    left = RegionCurve(np.column_stack([np.full(n, x0), 1.0 - ys]),
+                       winding=(0, -1))
+    return Region([RegionCurve(c.vertices[::-1].copy(),
+                               winding=(-c.winding[0], -c.winding[1]))
+                   for c in (right, left)], orientation=-1)
+
+
+def _cosine_system():
+    return MagneticSystem(FlatTorus(), TorusField(
+        lambda x, y: 2.0 * math.pi * np.cos(2.0 * math.pi * x)))
+
+
+# name -> (system, k, region, params); each runs one evolve_minimize
+EVOLVE_CASES = {
+    "bump_disc_reversed": lambda: (
+        MagneticSystem(FlatTorus(), TorusField(_bump)), energy_of_s(24.0),
+        Region([_disc((0.51, 0.49), 0.2)], orientation=-1),
+        EvolveParams(spacing=0.01, max_iter=300)),
+    "constant_disc_vanishes": lambda: (
+        MagneticSystem(FlatTorus(), ConstantField(1.0)), energy_of_s(2.5),
+        Region([_disc((0.5, 0.5), 0.15)]), EvolveParams()),
+    "halfplane_disc": lambda: (
+        MagneticSystem(HyperbolicPlane(genus=2), ConstantField(1.0)),
+        energy_of_s(3.4), Region([_disc((0.1, 1.0), 0.3)]),
+        EvolveParams(spacing=0.03, max_iter=300)),
+    "sphere_chart1_disc": lambda: (
+        MagneticSystem(RoundSphere(), ConstantField(1.0)), energy_of_s(1.5),
+        Region([_disc((0.3, -0.2), 0.6, chart=1)]),
+        EvolveParams(spacing=0.04, max_iter=400)),
+}
+
+
+def _record(result):
+    return {"outcome": result.outcome, "iterations": result.iterations,
+            "value": float(result.value).hex(),
+            "residual": float(result.residual).hex(),
+            "curves": [[[float(x).hex() for x in col]
+                        for col in c.vertices.T]
+                       for c in result.region.curves]}
+
+
+def _run_evolve(name):
+    system, k, region, params = EVOLVE_CASES[name]()
+    return _record(regions.evolve_minimize(system, k, region, params))
+
+
+def _run_tau(monkeypatch=None):
+    """tau_estimate on criterion 08's strip with every evolution kept."""
+    seen = []
+    evolve = regions.evolve_minimize
+
+    def recording(*args, **kwargs):
+        result = evolve(*args, **kwargs)
+        seen.append(_record(result))
+        return result
+
+    if monkeypatch is None:
+        monkeypatch = pytest.MonkeyPatch()
+    with monkeypatch.context() as mp:
+        mp.setattr(regions, "evolve_minimize", recording)
+        tau = regions.tau_estimate(
+            _cosine_system(), [_favorable_strip()], 0.1, 1.0, bisect_iters=2,
+            params=EvolveParams(tol=1e-4, max_iter=30000))
+    return {"tau": float(tau).hex(), "evolutions": seen}
+
+
+def _check(got, want):
+    for key in ("outcome", "iterations", "value", "residual"):
+        assert got[key] == want[key], key
+    assert len(got["curves"]) == len(want["curves"])
+    for g, w in zip(got["curves"], want["curves"]):
+        g = np.array([[float.fromhex(x) for x in col] for col in g])
+        w = np.array([[float.fromhex(x) for x in col] for col in w])
+        assert np.array_equal(g, w)
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+@pytest.mark.parametrize("name", sorted(EVOLVE_CASES))
+def test_evolution_matches_golden(golden, name):
+    _check(_run_evolve(name), golden[name])
+
+
+def test_tau_estimate_matches_golden(golden, monkeypatch):
+    got = _run_tau(monkeypatch)
+    want = golden["criterion_08_tau"]
+    assert got["tau"] == want["tau"]
+    assert len(got["evolutions"]) == len(want["evolutions"])
+    for g, w in zip(got["evolutions"], want["evolutions"]):
+        _check(g, w)
+
+
+if __name__ == "__main__":
+    data = {name: _run_evolve(name) for name in sorted(EVOLVE_CASES)}
+    data["criterion_08_tau"] = _run_tau()
+    GOLDEN.write_text(json.dumps(data, indent=1) + "\n")
+    for name, rec in data.items():
+        rec = rec.get("evolutions", [rec])
+        print(name, [(r["outcome"], r["iterations"],
+                      [len(c[0]) for c in r["curves"]]) for r in rec])

@@ -145,3 +145,69 @@ def test_stepping_core_is_numpy_free():
     flow = ast.parse((SRC / "flow.py").read_text())
     defined = {n.name for n in flow.body if isinstance(n, ast.FunctionDef)}
     assert CORE_FUNCTIONS <= defined
+
+
+# The curve evolution reads edges, chords and normals off padded coordinate
+# rows with plain slices: regions.py and ClosedPolyline make no rolled,
+# stacked or np.linalg.norm temporaries.
+CHURN_CALLS = {"roll", "linalg.norm", "column_stack", "vstack"}
+
+
+def _dotted(node):
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+    return ".".join(reversed(parts))
+
+
+def _churn_calls(path, classes=None):
+    """(function, line) of every np.roll / np.linalg.norm /
+    np.column_stack / np.vstack call in a file, or in the named classes."""
+    tree = ast.parse(path.read_text())
+    roots = tree.body if classes is None else [
+        n for n in tree.body if isinstance(n, ast.ClassDef)
+        and n.name in classes]
+    sites = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Call):
+            name = _dotted(node.func)
+            module, _, attr = name.partition(".")
+            if module in ("np", "numpy") and attr in CHURN_CALLS:
+                sites.append((func, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    for node in roots:
+        visit(node, None)
+    return sites
+
+
+def test_churn_guard_detects_calls(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "import numpy as np\n"
+        "def f(x):\n"
+        "    return np.roll(x, 1), numpy.linalg.norm(x, axis=1)\n"
+        "class Polyline:\n"
+        "    def edges(self, x):\n"
+        "        return np.column_stack([x, x])\n"
+        "class Other:\n"
+        "    def g(self, x):\n"
+        "        return np.vstack([x]), np.linalg.det(x), x.roll()\n")
+    assert _churn_calls(bad) == [("f", 3), ("f", 3), ("edges", 6),
+                                 ("g", 9)]
+    assert _churn_calls(bad, {"Polyline"}) == [("edges", 6)]
+
+
+def test_curve_evolution_has_no_array_churn():
+    sites = [f"regions.py:{line} in {func}"
+             for func, line in _churn_calls(SRC / "regions.py")]
+    sites += [f"surfaces.py:{line} in {func}" for func, line in
+              _churn_calls(SRC / "surfaces.py", {"ClosedPolyline"})]
+    assert not sites, "roll/norm/stack calls: " + ", ".join(sites)

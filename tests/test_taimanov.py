@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from magsurf.errors import NoBracketError
 from magsurf.fields import (ConstantField, MagneticSystem, TorusField,
                             energy_of_s, flux_total)
 from magsurf.flow import integrate
@@ -11,8 +12,8 @@ from magsurf.orbits import orbit_curvature_residual, shoot_periodic
 from magsurf.regions import (EvolveParams, Region, RegionCurve, curve_geometry,
                              curve_is_simple, curve_length, evolve_minimize,
                              region_complement, region_flux, resample_curve,
-                             state_from_curve, taimanov_value)
-from magsurf.surfaces import FlatTorus, HyperbolicPlane
+                             state_from_curve, tau_estimate, taimanov_value)
+from magsurf.surfaces import FlatTorus, HyperbolicPlane, RoundSphere
 
 SQ2 = math.sqrt(2.0)
 
@@ -182,3 +183,60 @@ def test_stationary_curve_carries_orbit():
     orbit = shoot_periodic(system, k, seed)
     assert orbit_curvature_residual(system, orbit) < 1e-6
     assert abs(orbit.period - 2 * math.pi) < 1e-8
+
+
+def test_evolution_halts_on_self_crossing_seed():
+    """A figure-eight seed stays crossed, so the first simplicity check
+    halts the run."""
+    system = MagneticSystem(FlatTorus(), ConstantField(1.0))
+    t = 2 * np.pi * (np.arange(64) + 0.5) / 64
+    eight = RegionCurve(np.column_stack(
+        [0.5 + 0.2 * np.sin(2 * t), 0.5 + 0.1 * np.sin(t)]))
+    params = EvolveParams()
+    res = evolve_minimize(system, energy_of_s(2.5), Region([eight]), params)
+    assert res.outcome == "halted"
+    assert res.iterations == params.check_every
+    assert len(res.region.curves) == 1
+    assert not curve_is_simple(res.region.curves[0], system.surface)
+
+
+def test_evolution_drops_vanished_disc_and_goes_on():
+    """Of two discs at s f = 5 (unstable radius 0.2), the one inside its
+    radius shrinks below min_length and is dropped; the other one keeps
+    evolving, and the value is that of the remaining region."""
+    system = MagneticSystem(FlatTorus(), ConstantField(1.0))
+    k = energy_of_s(5.0)
+    region = Region([_circle((0.25, 0.25), 0.08, 96),
+                     _circle((0.65, 0.65), 0.21, 96)])
+    early = evolve_minimize(system, k, region, EvolveParams(max_iter=5))
+    assert len(early.region.curves) == 2
+    res = evolve_minimize(system, k, region, EvolveParams(max_iter=100))
+    assert res.outcome == "max_iter"
+    assert res.iterations == 100
+    (kept,) = res.region.curves
+    assert np.max(np.abs(kept.vertices.mean(axis=0) - 0.65)) < 0.01
+    assert res.value == taimanov_value(system, k, res.region)
+    assert res.value > 0.0
+
+
+@pytest.mark.parametrize("orientation", [1, -1])
+def test_evolution_keeps_whole_surface(orientation):
+    """A whole-surface region has no boundary to move: it comes back
+    unchanged and stationary, with value -orientation * 4 pi f."""
+    system = MagneticSystem(RoundSphere(), ConstantField(1.0))
+    k = 0.3
+    region = Region.full(orientation)
+    res = evolve_minimize(system, k, region)
+    assert res.outcome == "stationary"
+    assert res.iterations == 0
+    assert res.region is region
+    assert res.value == taimanov_value(system, k, region)
+    assert abs(res.value + orientation * 4.0 * math.pi) < 1e-9
+
+
+def test_tau_estimate_sees_whole_surface_minimum():
+    """The full sphere region has value -4 pi at every energy, so the
+    functional is still negative at k_hi."""
+    system = MagneticSystem(RoundSphere(), ConstantField(1.0))
+    with pytest.raises(NoBracketError):
+        tau_estimate(system, [Region.full(1)], 0.1, 1.0, bisect_iters=1)
