@@ -12,7 +12,9 @@ these coordinates
     psi   = d phi - rho_v du + rho_u dv
 
 and the generator of the rescaled flow is X_s = X + s f V with V = d/dphi
-and X the geodesic generator.
+and X the geodesic generator.  Candidates pair with X_s in closed form:
+alpha(X_s) = 1, psi(X_s) = s f and, for a base 1-form zeta,
+(pi* zeta)(X_s) = e^(-rho) (zeta_u cos phi + zeta_v sin phi).
 """
 from __future__ import annotations
 
@@ -23,8 +25,8 @@ import numpy as np
 
 from .errors import (DegenerateInputError, InvalidCandidateError,
                      UnsupportedError)
-from .fields import (ClosedFormPrimitive, ConstantField, flux_total,
-                     local_primitive, stokes_residual)
+from .fields import (ConstantField, flux_total, local_primitive,
+                     stokes_residual)
 from .flow import trajectory_speeds
 from .regions import region_flux, taimanov_value
 
@@ -153,78 +155,72 @@ def structural_relations_check(surface, h=1e-3, n_samples=20, seed=0,
 # candidate 1-forms and contact certificates
 # ---------------------------------------------------------------------------
 
-class RotatedCandidate:
-    """tau = alpha + c psi, for homogeneous systems with c K = s f."""
+class ContactCandidate:
+    """tau = alpha + s ratio psi - s pi* zeta with d zeta = sigma - ratio K mu.
 
-    def __init__(self, c):
-        self.c = float(c)
-
-    def pairing(self, system, s, chart, u, v, phi):
-        a, p, _ = xs_coefficients(system, s, chart, u, v, phi)
-        return a + self.c * p
-
-    def check(self, system, s, samples):
-        charts, us, vs = samples
-        k = np.asarray(system.surface.gauss_curvature(charts, us, vs), float)
-        f = np.asarray(system.field.eval(charts, us, vs), float)
-        err = np.max(np.abs(self.c * k - s * f))
-        if err > 1e-8:
-            raise InvalidCandidateError(
-                f"d tau != omega_s: max |cK - sf| = {err:.3e}")
-
-
-class CorrectedPrimitiveCandidate:
-    """tau = alpha - s pi* zeta + s ratio psi with d zeta = sigma - ratio K mu.
-
-    On surfaces with chi != 0, ratio = [sigma] / (2 pi chi); ratio = 0 is
-    the exact-primitive candidate d zeta = sigma of exact systems.
+    Without zeta this is the rotated form alpha + c psi (c = s ratio) of the
+    homogeneous systems, consistent when ratio K = f.  On surfaces with
+    chi != 0, ratio = [sigma] / (2 pi chi); ratio = 0 with zeta a primitive
+    of sigma is the exact-primitive candidate of exact systems.
     """
 
-    def __init__(self, zeta, ratio):
-        self.zeta = zeta
+    def __init__(self, ratio, zeta=None):
         self.ratio = float(ratio)
+        self.zeta = zeta
 
-    def _zeta_of_v(self, system, chart, u, v, phi):
+    def coefficients(self, system, s, chart, u, v):
+        """(a, b_u, b_v) with tau(X_s) = a - s (b_u cos phi + b_v sin phi)."""
+        f = np.asarray(system.field.eval(chart, u, v), float)
+        a = 1.0 + s * self.ratio * (s * f)
+        if self.zeta is None:
+            return a, 0.0, 0.0
+        lam_inv = np.exp(-np.asarray(
+            system.surface.conformal(chart, u, v)[0], float))
         z1, z2 = self.zeta(chart, u, v)
-        rho = np.asarray(system.surface.conformal(chart, u, v)[0], float)
-        return np.exp(-rho) * (np.asarray(z1, float) * np.cos(phi)
-                               + np.asarray(z2, float) * np.sin(phi))
-
-    def pairing(self, system, s, chart, u, v, phi):
-        a, p, _ = xs_coefficients(system, s, chart, u, v, phi)
-        return a - s * self._zeta_of_v(system, chart, u, v, phi) \
-            + s * self.ratio * p
+        return a, lam_inv * z1, lam_inv * z2
 
     def check(self, system, s, samples):
-        # K mu has the chart density K e^(2 rho) = -laplacian(rho)
+        if self.zeta is None:
+            charts, us, vs = samples
+            k = np.asarray(system.surface.gauss_curvature(charts, us, vs),
+                           float)
+            f = np.asarray(system.field.eval(charts, us, vs), float)
+            err = s * float(np.max(np.abs(self.ratio * k - f)))
+            if err > 1e-8:
+                raise InvalidCandidateError(
+                    f"d tau != omega_s: max s |ratio K - f| = {err:.3e}")
+            return
+
+        # Stokes check of d zeta = sigma - ratio K mu; K mu has the chart
+        # density K e^(2 rho) = -laplacian(rho)
         def dens(c, u, v):
             sig = np.asarray(system.form_density(c, u, v), float)
             lap = np.asarray(system.surface.laplacian_rho(c, u, v), float)
             return sig + self.ratio * lap
-        _check_zeta_derivative(self.zeta, dens, samples)
+        worst = max(stokes_residual(self.zeta, dens, int(c), (u, v), 1e-4)
+                    for c, u, v in zip(*map(np.atleast_1d, samples)))
+        if worst > 1e-3:
+            raise InvalidCandidateError("candidate potential fails d zeta "
+                                        f"check: residual {worst:.2e}")
 
 
 class FiberCandidate:
     """Closed form with tau(V) = 1 on a flat torus: tau = d phi."""
 
-    def pairing(self, system, s, chart, u, v, phi):
+    def coefficients(self, system, s, chart, u, v):
         if system.surface.constant_curvature != 0:
             raise UnsupportedError("the fiber form is closed on flat tori")
-        f = np.asarray(system.field.eval(chart, u, v), float)
-        return s * f * np.ones_like(np.asarray(phi, float))
+        return s * np.asarray(system.field.eval(chart, u, v), float), 0.0, 0.0
 
     def check(self, system, s, samples):
         if system.surface.constant_curvature != 0:
             raise InvalidCandidateError("d phi is closed on flat tori only")
 
 
-def _check_zeta_derivative(zeta, density, samples, h=1e-4):
-    """Midpoint Stokes check that d zeta equals the target density."""
-    worst = max(stokes_residual(zeta, density, int(c), (u, v), h)
-                for c, u, v in zip(*map(np.atleast_1d, samples)))
-    if worst > 1e-3:
-        raise InvalidCandidateError(
-            f"candidate potential fails d zeta check: residual {worst:.2e}")
+def pairing(candidate, system, s, chart, u, v, phi):
+    """tau(X_s) at the bundle points (chart, u, v, phi)."""
+    a, bu, bv = candidate.coefficients(system, s, chart, u, v)
+    return a - s * (bu * np.cos(phi) + bv * np.sin(phi))
 
 
 @dataclasses.dataclass
@@ -237,17 +233,19 @@ class ContactCertificate:
 
 
 def sm_sample_grid(surface, n_base=128, n_fiber=64):
-    """Sample points of the unit tangent bundle used for certificates."""
+    """Bundle samples (charts, us, vs, area weights, phis) for certificates
+    and actions; the half-plane patch that stands in for a hyperbolic
+    quotient has weights None."""
     if surface.constant_curvature == -1:
         xs = np.linspace(*_HALF_PLANE_PATCH[0], n_base)
         ys = np.linspace(*_HALF_PLANE_PATCH[1], n_base)
         xx, yy = np.meshgrid(xs, ys, indexing="ij")
         charts = np.zeros(xx.size, dtype=int)
-        us, vs = xx.ravel(), yy.ravel()
+        us, vs, w = xx.ravel(), yy.ravel(), None
     else:
-        charts, us, vs, _ = surface.quadrature_nodes(n_base)
+        charts, us, vs, w = surface.quadrature_nodes(n_base)
     phis = (np.arange(n_fiber) + 0.5) * 2.0 * math.pi / n_fiber
-    return charts, us, vs, phis
+    return charts, us, vs, w, phis
 
 
 def contact_candidate_min(system, s, candidate, n_base=128, n_fiber=64,
@@ -256,16 +254,17 @@ def contact_candidate_min(system, s, candidate, n_base=128, n_fiber=64,
 
     The candidate's structural consistency (d tau proportional to the
     twisted form) is spot-checked first; an inconsistent candidate raises
-    InvalidCandidateError rather than producing a certificate.
+    InvalidCandidateError rather than producing a certificate.  The base
+    is sampled once; each fibre angle costs one row of cos / sin arithmetic.
     """
-    charts, us, vs, phis = sm_sample_grid(system.surface, n_base, n_fiber)
+    charts, us, vs, _, phis = sm_sample_grid(system.surface, n_base, n_fiber)
     stride = max(1, len(us) // _CONSISTENCY_SAMPLES)
     candidate.check(system, s,
                     (charts[::stride], us[::stride], vs[::stride]))
+    a, bu, bv = candidate.coefficients(system, s, charts, us, vs)
     mn, mx = math.inf, -math.inf
     for phi in phis:
-        vals = candidate.pairing(system, s, charts, us, vs,
-                                 np.full(len(us), phi))
+        vals = a - s * (bu * math.cos(phi) + bv * math.sin(phi))
         mn = min(mn, float(np.min(vals)))
         mx = max(mx, float(np.max(vals)))
     if mn > tol:
@@ -291,12 +290,12 @@ def homogeneous_candidate(system, s):
         raise UnsupportedError("no closed-form candidate for this surface")
     if curvature == 0:
         return FiberCandidate()
-    return RotatedCandidate(s * system.field.value / curvature)
+    return ContactCandidate(system.field.value / curvature)
 
 
 def torus_exact_candidate(system):
     """Exact-primitive candidate from the spectral torus primitive."""
-    return CorrectedPrimitiveCandidate(local_primitive(system).theta, 0.0)
+    return ContactCandidate(0.0, local_primitive(system).theta)
 
 
 def corrected_candidate(system):
@@ -312,8 +311,7 @@ def corrected_candidate(system):
     ratio = flux_total(system) / (2.0 * math.pi * chi)
     if isinstance(system.field, ConstantField) and \
             surf.constant_curvature is not None:
-        zero = ClosedFormPrimitive(np.zeros_like, np.zeros_like)
-        return CorrectedPrimitiveCandidate(zero.theta, ratio)
+        return ContactCandidate(ratio)
     raise UnsupportedError("general corrected potentials are not modelled")
 
 
@@ -345,34 +343,29 @@ def liouville_action(system, s, n_base=128, n_fiber=64):
     """Action of the normalized bundle volume against the primitive family.
 
     Hyperbolic quotients have no fundamental domain model, so their base
-    quadrature averages the (constant-field) integrand over a half-plane
-    patch weighted by the declared total area.
+    quadrature averages the (constant-field) integrand over the half-plane
+    patch of ``sm_sample_grid`` weighted by the declared total area.
     """
     surf = system.surface
     candidate, corr = _candidate_for_action(system)
     area = surf.area()
     volume = 2.0 * math.pi * area
-    if surf.constant_curvature == -1:
-        charts, us, vs, phis = sm_sample_grid(surf, 64, n_fiber)
+    charts, us, vs, w, phis = sm_sample_grid(surf, n_base, n_fiber)
+    if w is None:
         w = np.full(len(us), area / len(us))
-    else:
-        charts, us, vs, w = surf.quadrature_nodes(n_base)
-        phis = (np.arange(n_fiber) + 0.5) * 2.0 * math.pi / n_fiber
-    total = 0.0
-    flip = 0.0
+    a, bu, bv = candidate.coefficients(system, s, charts, us, vs)
+    total = flip = 0.0
     dphi = 2.0 * math.pi / n_fiber
     for phi in phis:
-        ph = np.full(len(us), phi)
-        vals = candidate.pairing(system, s, charts, us, vs, ph)
-        total += float(np.sum(vals * w)) * dphi
-        zv = candidate._zeta_of_v(system, charts, us, vs, ph)
+        zv = bu * math.cos(phi) + bv * math.sin(phi)
+        total += float(np.sum((a - s * zv) * w)) * dphi
         flip += float(np.sum(zv * w)) * dphi
     closed = volume + s * s * corr
     return LiouvilleAction(volume=volume, quadrature_action=total,
                            closed_form=closed, flip_integral=flip)
 
 
-def rotation_vector(system, s, orbit=None, n_base=256, n_fiber=64):
+def rotation_vector(system, s, orbit=None, n_base=256):
     """Rotation data (base winding pair, fiber coefficient).
 
     Without an orbit this is the rotation vector of the normalized
@@ -385,10 +378,7 @@ def rotation_vector(system, s, orbit=None, n_base=256, n_fiber=64):
     if orbit is None:
         if lattice is not None:
             # fiber pairing: integral of d phi (X_s) = s f over the measure
-            charts, us, vs, w = system.surface.quadrature_nodes(n_base)
-            f = np.asarray(system.field.eval(charts, us, vs), float)
-            fiber = s * float(np.sum(f * w))
-            return (0.0, 0.0, fiber)
+            return (0.0, 0.0, s * flux_total(system, n_base))
         return (0.0, 0.0, 0.0)
     traj = orbit.trajectory
     ang = np.unwrap(np.arctan2(traj.dq[:, 1], traj.dq[:, 0]))
@@ -418,12 +408,11 @@ def orbit_action(system, s, orbit, candidate):
     """
     traj = orbit.trajectory
     speeds = trajectory_speeds(system, traj)
-    phi = np.arctan2(traj.dq[:, 1], traj.dq[:, 0])
     # angle against the conformal frame equals the chart velocity angle
-    vals = candidate.pairing(system, s, traj.chart, traj.q[:, 0],
-                             traj.q[:, 1], phi)
-    integrand = np.asarray(vals, float) * speeds
-    return float(np.trapezoid(integrand, traj.t))
+    phi = np.arctan2(traj.dq[:, 1], traj.dq[:, 0])
+    vals = pairing(candidate, system, s, traj.chart, traj.q[:, 0],
+                   traj.q[:, 1], phi)
+    return float(np.trapezoid(vals * speeds, traj.t))
 
 
 def gauss_bonnet_action_check(system, s, orbit, region):
@@ -451,9 +440,10 @@ def gauss_bonnet_action_check(system, s, orbit, region):
     # Gauss-Bonnet on the underlying disc
     traj = orbit.trajectory
     speeds = trajectory_speeds(system, traj)
-    f = np.array([float(system.field.eval(int(c), uu, vv))
-                  for c, uu, vv in zip(traj.chart, traj.q[:, 0],
-                                       traj.q[:, 1])])
+    f = np.empty(len(traj.t))
+    for c in np.unique(traj.chart):
+        on = traj.chart == c
+        f[on] = system.field.eval(int(c), traj.q[on, 0], traj.q[on, 1])
     turn = region.orientation * float(np.trapezoid(s * f * speeds, traj.t))
     k_int = 0.0
     if surf.constant_curvature == -1:

@@ -271,12 +271,8 @@ def cmd_oracle(cfg, system, outdir):
         _emit({"exists_contractible": False, "curve_type": data.curve_type,
                "boundary_angle": data.boundary_angle}, outdir, "result.json")
         return 1
-    summary = {"radius": round(data.radius, 8),
-               "period": round(data.period, 8)}
-    print(json.dumps(summary))
-    if outdir is not None:
-        with open(os.path.join(outdir, "result.json"), "w") as fh:
-            json.dump(summary, fh)
+    _emit({"radius": data.radius, "period": data.period}, outdir,
+          "result.json")
     return 0
 
 

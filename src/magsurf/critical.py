@@ -11,8 +11,8 @@ import math
 import numpy as np
 
 from .errors import UnsupportedError
-from .fields import FourierOneForm, flux_total, periodic_poisson
-from .surfaces import HyperbolicPlane
+from .fields import (ConstantField, FourierOneForm, flux_total,
+                     periodic_poisson)
 
 
 def c_h_value(system):
@@ -26,27 +26,28 @@ def c_h_value(system):
 
 
 def homogeneous_mane_value(system):
-    """Closed-form critical value 1/2 of the unit-field hyperbolic system."""
-    from .fields import ConstantField
-
-    if not (isinstance(system.surface, HyperbolicPlane)
-            and isinstance(system.field, ConstantField)
-            and system.field.value == 1.0):
-        raise UnsupportedError(
-            "closed-form value available for the unit hyperbolic system only")
-    return 0.5
+    """Closed-form critical value f^2 / 2 of a constant field f on K = -1;
+    on a genus-g quotient it equals c_h_value."""
+    if not (system.surface.constant_curvature == -1
+            and isinstance(system.field, ConstantField)):
+        raise UnsupportedError("closed-form value available for constant "
+                               "fields on the hyperbolic surface only")
+    return 0.5 * system.field.value ** 2
 
 
 # ---------------------------------------------------------------------------
 # sup-norm primitive bound on exact flat-torus systems
 # ---------------------------------------------------------------------------
 
+# the c0 bound: phi parameter / evaluation grid, and the smoothing of |theta|
+C0_GRID = 64
+C0_SMOOTH_EPS = 1e-9
+
+
 @dataclasses.dataclass
 class C0Params:
-    grid: int = 64                      # phi parameter / evaluation grid
     betas: tuple = (10.0, 100.0, 1000.0)
     max_iter: int = 500
-    smooth_eps: float = 1e-9
 
 
 @dataclasses.dataclass
@@ -76,11 +77,11 @@ def c0_upper_bound(system, params=None):
         raise UnsupportedError("the bound is computed on flat tori only")
     if params is None:
         params = C0Params()
-    n = params.grid
+    n = C0_GRID
     kxx, kyy, ghat = periodic_poisson(system, n)
     pstar = _grid_field(-1j * kyy * ghat)   # theta*_x = -G_y
     qstar = _grid_field(1j * kxx * ghat)    # theta*_y = +G_x
-    eps2 = params.smooth_eps ** 2
+    eps2 = C0_SMOOTH_EPS ** 2
 
     def split(z):
         return z[:-2].reshape(n, n), z[-2], z[-1]

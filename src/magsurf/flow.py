@@ -23,7 +23,6 @@ from array import array
 import numpy as np
 
 from .errors import DegenerateInputError, NoReturnError
-from .surfaces import ChartPoint
 
 DEFAULT_DT = 1e-3
 SECTION_TOL = 1e-12
@@ -44,9 +43,6 @@ class TangentState:
         for name in ("u", "v", "du", "dv"):
             object.__setattr__(self, name, float(getattr(self, name)))
 
-    def point(self):
-        return ChartPoint(self.chart, self.u, self.v)
-
 
 @dataclasses.dataclass
 class Trajectory:
@@ -56,9 +52,6 @@ class Trajectory:
     dq: np.ndarray       # (n, 2)
     dt: float
     truncated: bool = False
-
-    def state(self, i):
-        return TangentState(self.chart[i], *self.q[i], *self.dq[i])
 
 
 def make_rhs(system):

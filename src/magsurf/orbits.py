@@ -20,6 +20,12 @@ from .surfaces import ClosedPolyline, HyperbolicPlane, RoundSphere
 
 FD_STEP = 1e-7
 SHOOT_TOL = 1e-10
+# descent: the period and Euclidean extent below which a loop has collapsed
+# to a point, the largest line-search step, and the Newton-Krylov budget
+DESCENT_T_MIN = 1e-4
+DESCENT_LEN_MIN = 1e-3
+DESCENT_STEP0 = 0.05
+REFINE_MAX_ITER = 200
 
 
 @dataclasses.dataclass(frozen=True)
@@ -358,12 +364,8 @@ def discrete_action_gradient(system, k, loop, primitive=None):
 @dataclasses.dataclass
 class DescentParams:
     tol: float = 1e-8
-    t_min: float = 1e-4
-    len_min: float = 1e-3     # Euclidean extent below which the loop is a point
     max_iter: int = 400
-    step0: float = 0.05
     refine: bool = True
-    refine_max_iter: int = 200
 
 
 @dataclasses.dataclass
@@ -390,10 +392,10 @@ def descend_to_critical(system, k, loop, params=None):
 
     Phase one follows the normalized steepest-descent direction
     -grad / sqrt(1 + |grad|^2) with a backtracking line search; it detects
-    period collapse (T below t_min with shrinking length).  Critical points
-    of the free-period action are often saddle points, which no descent
-    line can reach, so a second stage drives the gradient itself to zero
-    with a Jacobian-free Newton-Krylov iteration.
+    period collapse (T below DESCENT_T_MIN with shrinking length).
+    Critical points of the free-period action are often saddle points,
+    which no descent line can reach, so a second stage drives the gradient
+    itself to zero with a Jacobian-free Newton-Krylov iteration.
     """
     if params is None:
         params = DescentParams()
@@ -409,7 +411,7 @@ def descend_to_critical(system, k, loop, params=None):
 
     z = _pack(loop)
     s_val = value(z)
-    step = params.step0
+    step = DESCENT_STEP0
     best_z, best_gn = z, np.inf
     outcome = "max_iter"
     it = 0
@@ -423,7 +425,7 @@ def descend_to_critical(system, k, loop, params=None):
             break
         verts = z[:-1].reshape(-1, 2)
         extent = float(np.max(np.abs(verts - verts.mean(axis=0))))
-        if z[-1] < params.t_min or extent < params.len_min:
+        if z[-1] < DESCENT_T_MIN or extent < DESCENT_LEN_MIN:
             outcome = "collapsed"
             break
         direction = -g / math.sqrt(1.0 + gn * gn)
@@ -441,7 +443,7 @@ def descend_to_critical(system, k, loop, params=None):
         else:
             break
         z, s_val = cand, c_val
-        step = min(alpha * 2.0, params.step0)
+        step = min(alpha * 2.0, DESCENT_STEP0)
     if outcome == "max_iter" and params.refine:
         z, gn, ok = _refine_stationary(value, grad, best_z, params)
         if not ok:
@@ -470,22 +472,13 @@ def _refine_stationary(value, grad, z0, params):
     try:
         res = root(grad, z0, method="krylov",
                    options={"fatol": 0.1 * params.tol,
-                            "maxiter": params.refine_max_iter})
+                            "maxiter": REFINE_MAX_ITER})
     except Exception:
         return z0, float(np.linalg.norm(grad(z0))), False
     gn = float(np.linalg.norm(grad(res.x)))
-    if not np.isfinite(gn) or gn >= params.tol or res.x[-1] < params.t_min:
+    if not np.isfinite(gn) or gn >= params.tol or res.x[-1] < DESCENT_T_MIN:
         return z0, float(np.linalg.norm(grad(z0))), False
     return res.x, gn, True
-
-
-def state_from_loop(system, loop, k):
-    """Tangent seed at vertex zero with the discrete loop velocity."""
-    x = loop.vertices
-    shift = loop.closure_shift(system.surface)
-    vel = (x[1] - (x[-1] - shift)) / (2.0 / loop.n * loop.period)
-    st = TangentState(loop.chart, x[0, 0], x[0, 1], vel[0], vel[1])
-    return state_at_energy(system, st, k)
 
 
 def refine_loop(system, loop):

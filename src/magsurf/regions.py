@@ -24,6 +24,14 @@ from .errors import (DegenerateInputError, InvalidRegionError, NoBracketError)
 from .fields import local_primitive, s_of_energy
 from .surfaces import ClosedPolyline, close_padded
 
+# curve evolution: parabolic step factor, length below which a contractible
+# curve has vanished, and iterations between simplicity checks
+STEP_FACTOR = 0.25
+MIN_LENGTH = 0.05
+CHECK_EVERY = 25
+# curve_enclosed_flux splits each fan triangle into FLUX_SUBDIVIDE^2
+FLUX_SUBDIVIDE = 8
+
 
 @dataclasses.dataclass
 class RegionCurve(ClosedPolyline):
@@ -62,13 +70,14 @@ def curve_length(system, curve):
                    curve.padded(system.surface)[:, 1:])
 
 
-def curve_enclosed_flux(system, curve, subdivide=8):
+def curve_enclosed_flux(system, curve):
     """Flux of sigma through the disc bounded by a contractible curve.
 
     Uses a triangle fan from the barycenter; each fan triangle is split
-    barycentrically into subdivide^2 similar triangles carrying a degree-2
-    edge-midpoint rule.  The fan triangles are long slivers, so without
-    the subdivision the rule error does not vanish under edge refinement.
+    barycentrically into FLUX_SUBDIVIDE^2 similar triangles carrying a
+    degree-2 edge-midpoint rule.  The fan triangles are long slivers, so
+    without the subdivision the rule error does not vanish under edge
+    refinement.
     """
     if curve.winding != (0, 0):
         raise InvalidRegionError("curve is not contractible")
@@ -77,7 +86,7 @@ def curve_enclosed_flux(system, curve, subdivide=8):
     a1 = x - b
     a2 = nxt - b
     areas = 0.5 * (a1[:, 0] * a2[:, 1] - a1[:, 1] * a2[:, 0])
-    m = max(int(subdivide), 1)
+    m = FLUX_SUBDIVIDE
     sub_area = areas / (m * m)
     tris = []
     for i in range(m):
@@ -173,8 +182,8 @@ def _length(surf, chart, pts):
 
 
 def _geometry(surf, chart, buf):
-    """Geodesic curvature (N,) and outward unit normal (2, N) at the
-    vertices of a padded curve buffer (2, N + 2)."""
+    """Geodesic curvature (N,), outward unit normal (2, N) and conformal
+    factor rho (N,) at the vertices of a padded curve buffer (2, N + 2)."""
     d = buf[:, 1:] - buf[:, :-1]            # edges prev->x, then x->next
     lens = _norm2(d)
     l1 = lens[:-1]
@@ -192,7 +201,7 @@ def _geometry(surf, chart, buf):
     rho, ru, rv = surf.conformal(chart, buf[0, 1:-1], buf[1, 1:-1])
     rho = np.asarray(rho, float)
     kappa = np.exp(-rho) * (kappa_e + (ru * normal[0] + rv * normal[1]))
-    return kappa, normal
+    return kappa, normal, rho
 
 
 def _resample(pts, shift, spacing):
@@ -220,7 +229,7 @@ def _curve(buf, chart, winding):
 def curve_geometry(system, curve):
     """Per-vertex geodesic curvature and Euclidean outward unit normal."""
     surf = system.surface
-    kappa, normal = _geometry(surf, curve.chart, curve.padded(surf))
+    kappa, normal, _ = _geometry(surf, curve.chart, curve.padded(surf))
     return kappa, normal.T
 
 
@@ -265,9 +274,6 @@ class EvolveParams:
     tol: float = 1e-3
     max_iter: int = 20000
     spacing: float = 0.02
-    step_factor: float = 0.25
-    min_length: float = 0.05
-    check_every: int = 25
 
 
 @dataclasses.dataclass
@@ -283,12 +289,14 @@ def evolve_minimize(system, k, region, params=None):
     """Normal-velocity evolution toward a stationary boundary.
 
     Each vertex moves by -(sqrt(2k) kappa - orient * f) along the outward
-    normal, scaled by a parabolic stability step 0.25 h^2 / sqrt(2k);
-    curves are rearclengthed every iteration.  There is no surgery: curves
-    that self-intersect halt the run, curves shorter than min_length count
-    as vanished (the empty region, value zero).  A region without boundary
-    curves (empty or the whole surface) has nothing to move: it comes back
-    unchanged as stationary, with its value.
+    normal, scaled by a parabolic stability step 0.25 h^2 / sqrt(2k); the
+    speed carries e^(-rho), so where a curve reaches e^(-rho) > 2 its step
+    shrinks by 2 min e^rho.  Curves are rearclengthed every iteration.
+    There is no surgery: curves that self-intersect halt the run, curves
+    shorter than MIN_LENGTH count as vanished (the empty region, value
+    zero).  A region without boundary curves (empty or the whole surface)
+    has nothing to move: it comes back unchanged as stationary, with its
+    value.
 
     Between iterations a curve is its chart, winding, closure shift and
     padded coordinate rows (2, N + 2), previous | vertices | next; one
@@ -313,7 +321,7 @@ def evolve_minimize(system, k, region, params=None):
         c = resample_curve(c, params.spacing, surf)
         loops.append((c.chart, c.winding, c.closure_shift(surf),
                       c.padded(surf)))
-    step = params.step_factor * params.spacing ** 2 / sqrt2k
+    step = STEP_FACTOR * params.spacing ** 2 / sqrt2k
     outcome = "max_iter"
     it = 0
     for it in range(1, params.max_iter + 1):
@@ -321,16 +329,17 @@ def evolve_minimize(system, k, region, params=None):
         kept = []
         vanished = False
         for chart, winding, shift, buf in loops:
-            kappa, normal = _geometry(surf, chart, buf)
+            kappa, normal, rho = _geometry(surf, chart, buf)
             x = buf[:, 1:-1]
             f = np.asarray(system.field.eval(chart, x[0], x[1]), float)
             defect = sqrt2k * kappa - o * f
             residual = max(residual, float(np.abs(kappa - o * s * f).max()))
-            x -= step * defect * normal
+            h = step * min(1.0, 2.0 * math.exp(float(rho.min())))
+            x -= h * defect * normal
             buf = _resample(close_padded(buf, shift)[:, 1:], shift,
                             params.spacing)
             if winding == (0, 0) and \
-                    _length(surf, chart, buf[:, 1:]) < params.min_length:
+                    _length(surf, chart, buf[:, 1:]) < MIN_LENGTH:
                 vanished = True
             else:
                 kept.append((chart, winding, shift, buf))
@@ -342,7 +351,7 @@ def evolve_minimize(system, k, region, params=None):
         if residual < params.tol:
             outcome = "stationary"
             break
-        if it % params.check_every == 0:
+        if it % CHECK_EVERY == 0:
             if not all(curve_is_simple(_curve(buf, chart, winding), surf)
                        for chart, winding, _, buf in loops):
                 outcome = "halted"
@@ -353,7 +362,7 @@ def evolve_minimize(system, k, region, params=None):
     value = 0.0 if not curves else taimanov_value(system, k, final)
     res = 0.0
     for chart, _, _, buf in loops:
-        kappa, _ = _geometry(surf, chart, buf)
+        kappa, _, _ = _geometry(surf, chart, buf)
         f = np.asarray(system.field.eval(chart, buf[0, 1:-1], buf[1, 1:-1]),
                        float)
         res = max(res, float(np.abs(kappa - o * s * f).max()))

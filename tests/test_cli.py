@@ -50,9 +50,9 @@ def test_oracle_output_deterministic(capsys, tmp_path):
     assert code1 == 0 and code2 == 0
     assert out1 == out2
     data = json.loads(out1)
-    assert list(data) == ["radius", "period"]
-    assert data["radius"] == round(math.atan(1.0), 8)
-    assert data["period"] == round(2.0 * math.pi / math.sqrt(2.0), 8)
+    assert list(data) == ["period", "radius"]
+    assert data["radius"] == round(math.atan(1.0), 12)
+    assert data["period"] == round(2.0 * math.pi / math.sqrt(2.0), 12)
 
 
 def test_oracle_uses_field_strength(capsys, tmp_path):
@@ -63,8 +63,8 @@ def test_oracle_uses_field_strength(capsys, tmp_path):
     code, out_text, _ = _run(capsys, tmp_path, text, "oracle")
     assert code == 0
     data = json.loads(out_text)
-    assert data["radius"] == round(math.atan2(1.0, 6.0), 8)
-    assert data["period"] == round(4.0 * math.pi / math.sqrt(37.0), 8)
+    assert data["radius"] == round(math.atan2(1.0, 6.0), 12)
+    assert data["period"] == round(4.0 * math.pi / math.sqrt(37.0), 12)
 
 
 def test_oracle_rejects_nonconstant_field(capsys, tmp_path):

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from magsurf.bundle import (contact_candidate_min, corrected_candidate,
-                            homogeneous_candidate, liouville_action,
-                            rotation_vector, structural_relations_check,
+                            frame_vectors, homogeneous_candidate,
+                            liouville_action, pairing, rotation_vector,
+                            structural_relations_check,
                             torus_exact_candidate, xs_coefficients,
-                            FiberCandidate, RotatedCandidate)
+                            ContactCandidate, FiberCandidate)
 from magsurf.errors import InvalidCandidateError, UnsupportedError
 from magsurf.fields import (ConstantField, MagneticSystem, TorusField,
                             energy_of_s, flux_total)
@@ -77,14 +78,17 @@ def test_sphere_certificate_always_positive():
 
 def test_hyperbolic_certificate_signs():
     """alpha - s psi pairs to 1 - s^2: positive below the critical speed,
-    vanishing at it, negative above."""
-    system = MagneticSystem(HyperbolicPlane(genus=2), ConstantField(1.0))
+    vanishing at it, negative above.  The certificate needs no area, so
+    the half-plane without a declared quotient gets one too."""
     cases = [(0.5, "positive"), (1.0, "indeterminate"), (2.0, "negative")]
-    for s, want in cases:
-        cert = contact_candidate_min(system, s, homogeneous_candidate(
-            system, s), n_base=48, n_fiber=16)
-        assert cert.verdict == want
-        assert abs(cert.min_value - (1.0 - s * s)) < 1e-12
+    for genus in (2, None):
+        system = MagneticSystem(HyperbolicPlane(genus=genus),
+                                ConstantField(1.0))
+        for s, want in cases:
+            cert = contact_candidate_min(system, s, homogeneous_candidate(
+                system, s), n_base=48, n_fiber=16)
+            assert cert.verdict == want
+            assert abs(cert.min_value - (1.0 - s * s)) < 1e-12
 
 
 def test_torus_fiber_certificate_tracks_field_sign():
@@ -118,8 +122,88 @@ def test_inconsistent_candidate_rejected():
     spot-check instead of producing a certificate."""
     system = MagneticSystem(RoundSphere(), ConstantField(1.0))
     with pytest.raises(InvalidCandidateError):
-        contact_candidate_min(system, 1.0, RotatedCandidate(0.123),
+        contact_candidate_min(system, 1.0, ContactCandidate(0.123),
                               n_base=16, n_fiber=8)
+
+
+def _builders():
+    """(system, s, candidate) for every candidate builder."""
+    def cosine(x, y):
+        return 2 * np.pi * np.cos(2 * np.pi * x) \
+            + 0.5 * np.sin(2 * np.pi * (x + 2 * y))
+
+    sphere = MagneticSystem(RoundSphere(), ConstantField(1.3))
+    hyper = MagneticSystem(HyperbolicPlane(genus=2), ConstantField(-0.8))
+    flat = MagneticSystem(FlatTorus(), ConstantField(0.9))
+    exact = MagneticSystem(FlatTorus(), TorusField(cosine))
+    s = 0.7
+    return [(sphere, s, homogeneous_candidate(sphere, s)),
+            (hyper, s, homogeneous_candidate(hyper, s)),
+            (flat, s, homogeneous_candidate(flat, s)),
+            (exact, s, torus_exact_candidate(exact)),
+            (sphere, s, corrected_candidate(sphere)),
+            (hyper, s, corrected_candidate(hyper))]
+
+
+def _honest_pairing(system, s, cand, chart, u, v, phi):
+    """tau(X_s) from the coframe and frame components: d phi = psi on a
+    flat torus, else alpha + s ratio psi - s pi* zeta."""
+    a, p, _ = xs_coefficients(system, s, chart, u, v, phi)
+    if isinstance(cand, FiberCandidate):
+        return p
+    tau = a + s * cand.ratio * p
+    if cand.zeta is not None:
+        x_vec, _, _ = frame_vectors(system.surface, chart, u, v, phi)
+        z1, z2 = cand.zeta(chart, u, v)
+        tau -= s * (z1 * x_vec[..., 0] + z2 * x_vec[..., 1])
+    return tau
+
+
+@pytest.mark.parametrize("case", range(6), ids=[
+    "sphere", "hyperbolic", "flat", "exact", "corrected-sphere",
+    "corrected-hyperbolic"])
+def test_closed_form_pairing_matches_coframe(case):
+    """The closed form a - s (b_u cos phi + b_v sin phi) is the honest
+    pairing of the candidate with X_s at random bundle points."""
+    system, s, cand = _builders()[case]
+    if system.surface.constant_curvature == -1:
+        us, vs = RNG.uniform(-1, 1, 50), RNG.uniform(0.3, 3, 50)
+    else:
+        us, vs = RNG.uniform(-2, 2, 50), RNG.uniform(-2, 2, 50)
+    phis = RNG.uniform(0, 2 * np.pi, 50)
+    for chart in range(system.surface.n_charts):
+        got = pairing(cand, system, s, chart, us, vs, phis)
+        want = _honest_pairing(system, s, cand, chart, us, vs, phis)
+        assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_certificate_samples_the_base_once():
+    """conformal, field.eval and zeta are called as often for 8 fibre
+    angles as for 32: the angle enters only through cos and sin."""
+    for system, s, cand in _builders():
+        calls = {"conformal": 0, "eval": 0, "zeta": 0}
+
+        def counted(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapped
+
+        system.surface.conformal = counted("conformal",
+                                           system.surface.conformal)
+        system.field.eval = counted("eval", system.field.eval)
+        if getattr(cand, "zeta", None) is not None:
+            cand.zeta = counted("zeta", cand.zeta)
+        seen = []
+        for n_fiber in (8, 32):
+            calls.update(dict.fromkeys(calls, 0))
+            contact_candidate_min(system, s, cand, n_base=16,
+                                  n_fiber=n_fiber)
+            seen.append(dict(calls))
+        assert seen[0] == seen[1]
+        assert seen[0]["eval"] > 0
+        # the sphere and hyperbolic systems serve two candidates each
+        del system.surface.conformal, system.field.eval
 
 
 def test_liouville_action_homogeneous_quotient():

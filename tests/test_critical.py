@@ -8,7 +8,8 @@ import pytest
 from magsurf.critical import (C0Params, c0_upper_bound, c_h_value,
                               homogeneous_mane_value)
 from magsurf.errors import UnsupportedError
-from magsurf.fields import ConstantField, MagneticSystem, TorusField
+from magsurf.fields import (CallableField, ConstantField, MagneticSystem,
+                            TorusField)
 from magsurf.surfaces import FlatTorus, HyperbolicPlane, RoundSphere
 
 
@@ -30,11 +31,17 @@ def test_quotient_bound_needs_negative_chi():
 
 
 def test_homogeneous_value_unit_hyperbolic():
+    """f^2 / 2 for every constant field on K = -1, which is the homology
+    value on the genus-two quotient."""
     hyp = HyperbolicPlane(genus=2)
-    assert abs(homogeneous_mane_value(MagneticSystem(hyp, ConstantField(1.0)))
-               - 0.5) < 1e-15
+    for f, want in ((1.0, 0.5), (2.0, 2.0), (-0.7, 0.245)):
+        system = MagneticSystem(hyp, ConstantField(f))
+        assert abs(homogeneous_mane_value(system) - want) < 1e-15
+        assert abs(homogeneous_mane_value(system) - c_h_value(system)) \
+            < 1e-15
     with pytest.raises(UnsupportedError):
-        homogeneous_mane_value(MagneticSystem(hyp, ConstantField(2.0)))
+        homogeneous_mane_value(MagneticSystem(hyp, CallableField(
+            lambda c, u, v: 1.0 + 0.0 * u)))
     with pytest.raises(UnsupportedError):
         homogeneous_mane_value(MagneticSystem(FlatTorus(),
                                               ConstantField(1.0)))

@@ -20,7 +20,6 @@ ALLOWED = {
     ("orbits.py", "orbit_radius"): 2,
     ("fields.py", "local_primitive"): 2,
     ("fields.py", "flux_total"): 1,
-    ("critical.py", "homogeneous_mane_value"): 1,
     ("cli.py", "_build_surface"): None,     # any number
 }
 

@@ -9,10 +9,11 @@ from magsurf.fields import (ConstantField, MagneticSystem, TorusField,
                             energy_of_s, flux_total)
 from magsurf.flow import integrate
 from magsurf.orbits import orbit_curvature_residual, shoot_periodic
-from magsurf.regions import (EvolveParams, Region, RegionCurve, curve_geometry,
-                             curve_is_simple, curve_length, evolve_minimize,
-                             region_complement, region_flux, resample_curve,
-                             state_from_curve, tau_estimate, taimanov_value)
+from magsurf.regions import (CHECK_EVERY, EvolveParams, Region, RegionCurve,
+                             curve_geometry, curve_is_simple, curve_length,
+                             evolve_minimize, region_complement, region_flux,
+                             resample_curve, state_from_curve, tau_estimate,
+                             taimanov_value)
 from magsurf.surfaces import FlatTorus, HyperbolicPlane, RoundSphere
 
 SQ2 = math.sqrt(2.0)
@@ -192,12 +193,24 @@ def test_evolution_halts_on_self_crossing_seed():
     t = 2 * np.pi * (np.arange(64) + 0.5) / 64
     eight = RegionCurve(np.column_stack(
         [0.5 + 0.2 * np.sin(2 * t), 0.5 + 0.1 * np.sin(t)]))
-    params = EvolveParams()
-    res = evolve_minimize(system, energy_of_s(2.5), Region([eight]), params)
+    res = evolve_minimize(system, energy_of_s(2.5), Region([eight]))
     assert res.outcome == "halted"
-    assert res.iterations == params.check_every
+    assert res.iterations == CHECK_EVERY
     assert len(res.region.curves) == 1
     assert not curve_is_simple(res.region.curves[0], system.surface)
+
+
+def test_evolution_step_follows_conformal_factor():
+    """On the half-plane the normal speed carries e^(-rho) = v, up to 2.5
+    on this disc; with the step shrunk by 2 min e^rho it stays stable
+    instead of zigzagging into a self-crossing (was: halted at 200 with
+    residual 348)."""
+    system = MagneticSystem(HyperbolicPlane(), ConstantField(1.0))
+    res = evolve_minimize(system, energy_of_s(3.0),
+                          Region([_circle((0.1, 2.0), 0.5, 96)]),
+                          EvolveParams(max_iter=200))
+    assert res.outcome != "halted"
+    assert res.residual < 2.0
 
 
 def test_evolution_drops_vanished_disc_and_goes_on():
