@@ -12,7 +12,6 @@ import numpy as np
 
 from .errors import (DegenerateInputError, DomainError, NoGlobalPrimitiveError,
                      UnsupportedError)
-from .surfaces import FlatTorus, HyperbolicPlane
 
 
 class MagneticField:
@@ -98,7 +97,7 @@ def flux_total(system, n=512):
     constant fields are integrable there (flux = value * area).
     """
     surf = system.surface
-    if isinstance(surf, HyperbolicPlane):
+    if surf.constant_curvature == -1:
         if isinstance(system.field, ConstantField):
             return system.field.value * surf.area()
         raise UnsupportedError(
@@ -338,9 +337,9 @@ def local_primitive(system, chart=0, ref_v=None):
         c = fld.value
         if c == 0.0:
             return ClosedFormPrimitive(np.zeros_like, np.zeros_like)
-        if isinstance(surf, HyperbolicPlane):
+        if surf.constant_curvature == -1:
             return ClosedFormPrimitive(lambda v: c / v, lambda v: -c / (v * v))
-        if isinstance(surf, FlatTorus):
+        if surf.constant_curvature == 0:
             return ClosedFormPrimitive(lambda v: -c * v, lambda v: -c)
     if surf.lattice is not None:
         try:

@@ -8,11 +8,10 @@ where i is the 90 degree rotation; its solutions have constant kinetic
 energy and geodesic curvature f / |q'|_g.  Integration uses a fixed-step
 classical fourth-order Runge-Kutta scheme on plain floats, fed by the
 surface's rho_grad and the field's scalar value; the surface's post_step
-rule runs at step boundaries and section crossings are located by
-bisection inside a step.  integrate and poincare_return share that one
-step, so a return that keeps its steps in a StepRecord yields the
-trajectory integrate would: a shot orbit's trajectory is the accepted
-return's steps.
+rule runs at step boundaries and section crossings land exactly (Henon's
+step).  integrate and poincare_return share the dt step, so a return that
+keeps its steps in a StepRecord yields the trajectory integrate would: a
+shot orbit's trajectory is the accepted return's steps.
 """
 from __future__ import annotations
 
@@ -25,7 +24,6 @@ import numpy as np
 from .errors import DegenerateInputError, NoReturnError
 
 DEFAULT_DT = 1e-3
-SECTION_TOL = 1e-12
 
 
 @dataclasses.dataclass(frozen=True)
@@ -91,6 +89,28 @@ def _make_step(system):
                          v + s * (dv + 2 * dv2 + 2 * dv3 + dv4),
                          du + s * (a1u + 2 * a2u + 2 * a3u + a4u),
                          dv + s * (a1v + 2 * a2v + 2 * a3v + a4v))
+
+    return step
+
+
+def _make_section_step(system, coord):
+    """Henon's step: RK4 for d(u, v, du, dv, t)/dx_c = (F, 1) / F_c."""
+    rhs = make_rhs(system)
+
+    def g(chart, y):
+        w = 1.0 / y[2 + coord]
+        return (y[2] * w, y[3] * w, *(a * w for a in rhs(chart, *y[:4])), w)
+
+    def step(chart, u, v, du, dv, h):
+        y = (u, v, du, dv, 0.0)
+        k1 = g(chart, y)
+        k2 = g(chart, [a + 0.5 * h * b for a, b in zip(y, k1)])
+        k3 = g(chart, [a + 0.5 * h * b for a, b in zip(y, k2)])
+        k4 = g(chart, [a + h * b for a, b in zip(y, k3)])
+        out = [a + h / 6.0 * (b1 + 2 * b2 + 2 * b3 + b4)
+               for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+        out[coord] = y[coord] + h
+        return (chart, *out)
 
     return step
 
@@ -260,17 +280,18 @@ class StepRecord:
 
 
 def poincare_return(system, section, state0, max_time=200.0, dt=DEFAULT_DT,
-                    tol=SECTION_TOL, record=None):
+                    record=None):
     """First directed return to the section.
 
-    Returns (state, return_time).  The crossing time is refined by bisecting
-    the sub-step length of a single Runge-Kutta step until the residual is
-    below tol; NoReturnError says why when there is no return within
-    max_time, the state falls below the surface's floor, or 100 bisections
-    do not refine the crossing.  A StepRecord passed as record receives
-    state0 and every full dt step taken, the step over the crossing too.
+    Returns (state, return_time).  The dt step over the crossing is redone
+    as one RK4 step in the section coordinate (M. Henon, Physica D 5 (1982)
+    412-414), which lands on the section exactly.  NoReturnError says why
+    when there is no return within max_time or the state falls below the
+    floor.  A StepRecord passed as record receives state0 and every full
+    dt step taken, the step over the crossing too.
     """
     step = _make_step(system)
+    cross = _make_section_step(system, section.coord)
     floor = system.surface.floor
     _require_finite(state0)
     st = (state0.chart, state0.u, state0.v, state0.du, state0.dv)
@@ -293,21 +314,8 @@ def poincare_return(system, section, state0, max_time=200.0, dt=DEFAULT_DT,
         elif (on_section_chart and st[0] == section.chart
               and prev < 0.0 <= cur and abs(cur - prev) < guard
               and section.crossing_velocity(nst) > 0.0):
-            # refine the crossing by bisecting the sub-step length
-            lo, hi = 0.0, dt
-            for _ in range(100):
-                tau = 0.5 * (lo + hi)
-                cand = step(*st, tau)
-                r = section.signed_residual(cand)
-                if abs(r) < tol:
-                    return TangentState(*cand), (i - 1) * dt + tau
-                if r < 0.0:
-                    lo = tau
-                else:
-                    hi = tau
-            raise NoReturnError(
-                f"the section crossing near t = {i * dt} did not refine: "
-                f"residual {abs(r):.3e} >= tol {tol} after 100 bisections")
+            *hit, t = cross(*st, -prev * section.direction)
+            return TangentState(*hit), (i - 1) * dt + t
         if on_section_chart:
             prev = cur
         st = nst

@@ -11,12 +11,12 @@ import math
 import numpy as np
 
 from .errors import (DegenerateInputError, NoConvergenceError,
-                     NoGlobalPrimitiveError, UndefinedActionError,
-                     UnsupportedError)
+                     NoGlobalPrimitiveError, NoReturnError,
+                     UndefinedActionError, UnsupportedError)
 from .fields import local_primitive, s_of_energy
 from .flow import (DEFAULT_DT, Section, StepRecord, TangentState,
                    poincare_return, state_at_energy, trajectory_curvature)
-from .surfaces import ClosedPolyline, HyperbolicPlane, RoundSphere
+from .surfaces import ClosedPolyline
 
 FD_STEP = 1e-7
 SHOOT_TOL = 1e-10
@@ -138,9 +138,9 @@ def shoot_periodic(system, k, seed, section=None, tol=SHOOT_TOL,
         section = default_section(system, seed)
     x = _reduced(section, seed)
 
-    def ret(xv, record=None):
+    def ret(xv, record=None, t_max=max_time):
         st = _section_state(system, section, k, xv[0], xv[1])
-        hit, rt = poincare_return(system, section, st, max_time=max_time,
+        hit, rt = poincare_return(system, section, st, max_time=t_max,
                                   dt=dt, record=record)
         out = _reduced(section, hit)
         return np.array([out[0] - xv[0], _wrap_angle(out[1] - xv[1])]), rt
@@ -163,7 +163,11 @@ def shoot_periodic(system, k, seed, section=None, tol=SHOOT_TOL,
         for _ in range(20):
             cand = x + lam * step
             cand_steps = StepRecord()
-            cres, crt = ret(cand, cand_steps)
+            try:
+                cres, crt = ret(cand, cand_steps, min(max_time, 2.0 * rt))
+            except NoReturnError:   # none near the current return time
+                lam *= 0.5
+                continue
             if np.linalg.norm(cres) < np.linalg.norm(res):
                 x, res, rt, steps = cand, cres, crt, cand_steps
                 break
@@ -216,7 +220,7 @@ def orbit_radius(system, orbit):
     """Geodesic radius of a contractible circular orbit."""
     surf = system.surface
     traj = orbit.trajectory
-    if isinstance(surf, RoundSphere):
+    if surf.constant_curvature == 1:
         amb = np.empty((len(traj.t), 3))
         for c in np.unique(traj.chart):
             sel = traj.chart == c
@@ -228,7 +232,7 @@ def orbit_radius(system, orbit):
         axis /= norm
         return float(np.mean(np.arccos(np.clip(amb @ axis, -1.0, 1.0))))
     center, r = fit_circle(traj.q)
-    if isinstance(surf, HyperbolicPlane):
+    if surf.constant_curvature == -1:
         if center[1] <= r:
             raise DegenerateInputError("curve is not a hyperbolic circle")
         return math.atanh(r / center[1])

@@ -21,7 +21,8 @@ import math
 import numpy as np
 
 from .errors import (DegenerateInputError, InvalidRegionError, NoBracketError)
-from .fields import local_primitive, s_of_energy
+from .fields import flux_total, local_primitive, s_of_energy
+from .flow import TangentState, state_at_energy
 from .surfaces import ClosedPolyline, close_padded
 
 # curve evolution: parabolic step factor, length below which a contractible
@@ -112,8 +113,6 @@ def curve_enclosed_flux(system, curve):
 
 def region_flux(system, region, primitive=None):
     """Flux of sigma through the region's underlying set."""
-    from .fields import flux_total
-
     if region.whole_surface:
         return flux_total(system)
     if not region.curves:
@@ -409,8 +408,6 @@ def state_from_curve(system, k, curve, orientation=1):
     Stationary boundaries of reversed-orientation regions are traversed
     backwards by the flow, so the tangent is flipped for orientation -1.
     """
-    from .flow import TangentState, state_at_energy
-
     x, nxt = curve.edges(system.surface)
     tang = nxt[0] - x[0]
     if orientation < 0:

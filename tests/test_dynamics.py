@@ -1,4 +1,5 @@
 """Time integration, energy conservation and return maps."""
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from magsurf.flow import (Section, TangentState, energy_of, integrate,
                           poincare_return, state_at_energy,
                           trajectory_curvature, trajectory_energies,
                           trajectory_speeds)
+from magsurf.orbits import homogeneous_oracle
 from magsurf.surfaces import (ChartPoint, ConformalTorus, FlatTorus,
                               HyperbolicPlane, RoundSphere,
                               geodesic_curvature_of)
@@ -185,14 +187,33 @@ def test_poincare_return_stops_at_hyperbolic_floor():
         poincare_return(system, section, st, max_time=200.0)
 
 
-def test_poincare_unrefined_crossing_raises():
-    """A crossing the bisection cannot bring under tol is an error, not an
-    unrefined state."""
-    system = MagneticSystem(FlatTorus(), ConstantField(1.0))
-    st = TangentState(0, 0.0, 0.0, 0.0, 0.25)
-    section = Section(coord=1, value=0.0, direction=1, wrap=1.0, chart=0)
-    with pytest.raises(NoReturnError, match="did not refine"):
-        poincare_return(system, section, st, tol=0.0)
+def _circle_cases():
+    """Constant-field circles about the chart origin (the half-plane's
+    about i), seeded at their rightmost point heading +v."""
+    torus = homogeneous_oracle("flat_torus", 2.5)
+    sphere = homogeneous_oracle("sphere", 1.0)
+    hyp = homogeneous_oracle("hyperbolic", 2.0)
+    return [
+        (FlatTorus(), 2.5, (torus.radius, 0.0), torus.period),
+        (RoundSphere(), 1.0, (math.tan(sphere.radius / 2.0), 0.0),
+         sphere.period),
+        (HyperbolicPlane(genus=2), 2.0,
+         (math.sinh(hyp.radius), math.cosh(hyp.radius)), hyp.period),
+    ]
+
+
+@pytest.mark.parametrize("surface,s,point,period", _circle_cases(),
+                         ids=["flat_torus", "sphere", "genus2"])
+def test_poincare_return_lands_on_section(surface, s, point, period):
+    """Henon's step puts the hit on the section itself, and the return
+    time is the closed-form period to the integrator's accuracy."""
+    system = MagneticSystem(surface, ConstantField(1.0))
+    st = state_at_energy(system, TangentState(0, *point, 0.0, 1.0),
+                         energy_of_s(s))
+    section = Section(coord=1, value=point[1], direction=1, chart=0)
+    hit, rt = poincare_return(system, section, st)
+    assert abs(section.signed_residual(dataclasses.astuple(hit))) <= 1e-14
+    assert abs(rt - period) < 1e-12
 
 
 def _assert_curvature_per_sample(system, traj):

@@ -115,6 +115,36 @@ def test_flat_geodesic_winding():
     assert abs(orbit.period - 1.0) < 1e-9
 
 
+def _cosine_system():
+    amp = 2.0 * math.pi
+    return MagneticSystem(FlatTorus(), TorusField(
+        lambda x, y: amp * np.cos(2.0 * np.pi * x))), amp
+
+
+@pytest.mark.parametrize("s,off", [(1.71, 0.06), (1.89, -0.10),
+                                   (2.09, 0.10)])
+def test_cosine_shoot_converges_at_default_tol(s, off):
+    """Seeded off the curvature radius about x = 0, the symmetric orbit of
+    the cosine field converges at SHOOT_TOL: with exact section landings
+    the return map's noise floor lies well below it."""
+    system, amp = _cosine_system()
+    seed = TangentState(0, (1.0 + off) / (s * amp), 0.5, 0.0, 1.0)
+    orbit = shoot_periodic(system, energy_of_s(s), seed)
+    assert orbit.residual <= SHOOT_TOL
+    assert orbit_curvature_residual(system, orbit) < 1e-6
+
+
+def test_line_search_rejects_candidate_without_return():
+    """From this seed the full Newton step proposes a state that never
+    recrosses the section; the line search halves the step instead of
+    aborting and finds the contractible orbit."""
+    system, _ = _cosine_system()
+    orbit = shoot_periodic(system, energy_of_s(1.8),
+                           TangentState(0, 0.5, 0.1, 0.0, 1.0), tol=1e-9)
+    assert orbit.winding == (0, 0)
+    assert orbit_curvature_residual(system, orbit) < 1e-6
+
+
 def _shot_trajectory_cases():
     amp = 2.0 * math.pi
     s_cos = 1.8

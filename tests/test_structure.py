@@ -6,8 +6,7 @@ stepping core runs on plain floats.
 Outside ``surfaces.py`` and ``cli._build_surface`` no code may call
 ``isinstance`` against a surface class or probe a surface for ``lx`` /
 ``ly`` with ``hasattr`` / ``getattr``; surfaces expose ``lattice``,
-``constant_curvature``, ``floor`` and ``post_step`` instead.  The sites
-below keep per-model closed forms and are allowed, with these counts.
+``constant_curvature``, ``floor`` and ``post_step`` instead.
 """
 import ast
 import collections
@@ -17,9 +16,6 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "magsurf"
 SURFACE_CLASSES = {"Surface", "FlatTorus", "RoundSphere", "HyperbolicPlane",
                    "ConformalTorus"}
 ALLOWED = {
-    ("orbits.py", "orbit_radius"): 2,
-    ("fields.py", "local_primitive"): 2,
-    ("fields.py", "flux_total"): 1,
     ("cli.py", "_build_surface"): None,     # any number
 }
 
@@ -90,9 +86,10 @@ def test_no_surface_type_probes_outside_surfaces():
             assert counts[key] <= limit, f"{key} has {counts[key]} probes"
 
 
-# The stepping core: the RK4 step and its right-hand side in flow.py, and
-# the per-point methods they call on surfaces and fields, use no numpy.
-CORE_FUNCTIONS = {"make_rhs", "_make_step"}
+# The stepping core: the RK4 steps (in time, and in the section coordinate
+# over a crossing) and their right-hand side in flow.py, and the per-point
+# methods they call on surfaces and fields, use no numpy.
+CORE_FUNCTIONS = {"make_rhs", "_make_step", "_make_section_step"}
 CORE_METHODS = {"rho_grad", "scalar"}
 
 
