@@ -1,5 +1,4 @@
 """Unit tangent bundle machinery: the canonical frame and coframe, contact
-
 certificates for rescaled flows, invariant-measure actions and rotation
 data, and the boundary action identity checks.
 

@@ -8,8 +8,8 @@ run parameters; unknown sections or keys are rejected.  The [run] key
 ``workers`` is accepted for compatibility and ignored: sweep runs its
 values one after another.  Results are written
 as CSV/JSON files plus a gnuplot script, and a one-line JSON summary goes to
-stdout.  Exit codes: 0 success, 1 negative outcome (no convergence, collapse,
-halt), 2 configuration or usage error.
+stdout.  Exit codes: 0 success, 1 negative outcome (no convergence, halt),
+2 configuration or usage error.
 """
 from __future__ import annotations
 

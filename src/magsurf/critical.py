@@ -1,5 +1,4 @@
 """Critical speed thresholds: the homology value for higher genus, the
-
 closed-form homogeneous value, and a minimax upper bound for the primitive
 sup-norm constant on exact flat-torus systems.
 """

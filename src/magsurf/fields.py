@@ -1,5 +1,4 @@
 """Magnetic 2-forms sigma = f * mu, fluxes, speed/energy dictionary and
-
 chart-local primitives.  A field is described by its density f relative to
 the area form; in chart coordinates sigma = f * e^(2 rho) du ^ dv.
 """

@@ -1,7 +1,7 @@
 """Periodic orbit finding: closed-form oracles for the homogeneous systems,
-
 Newton shooting on a reduced Poincare return map, and a variational route
-through discretized loops of the free-period action.
+through discretized loops of the free-period action, whose critical loops
+one Newton-Krylov solve of the action gradient finds.
 """
 from __future__ import annotations
 
@@ -20,12 +20,6 @@ from .surfaces import ClosedPolyline
 
 FD_STEP = 1e-7
 SHOOT_TOL = 1e-10
-# descent: the period and Euclidean extent below which a loop has collapsed
-# to a point, the largest line-search step, and the Newton-Krylov budget
-DESCENT_T_MIN = 1e-4
-DESCENT_LEN_MIN = 1e-3
-DESCENT_STEP0 = 0.05
-REFINE_MAX_ITER = 200
 
 
 @dataclasses.dataclass(frozen=True)
@@ -368,14 +362,13 @@ def discrete_action_gradient(system, k, loop, primitive=None):
 @dataclasses.dataclass
 class DescentParams:
     tol: float = 1e-8
-    max_iter: int = 400
-    refine: bool = True
+    max_iter: int = 200          # Newton-Krylov iterations
 
 
 @dataclasses.dataclass
 class DescentResult:
     loop: DiscreteLoop
-    outcome: str                 # converged | collapsed | max_iter
+    outcome: str                 # converged | max_iter
     grad_norm: float
     action: float
     iterations: int
@@ -392,105 +385,40 @@ def _unpack(z, loop):
 
 
 def descend_to_critical(system, k, loop, params=None):
-    """Drive a loop toward a critical point of the discrete action.
+    """Solve grad S = 0 for a critical loop of the discrete action.
 
-    Phase one follows the normalized steepest-descent direction
-    -grad / sqrt(1 + |grad|^2) with a backtracking line search; it detects
-    period collapse (T below DESCENT_T_MIN with shrinking length).
     Critical points of the free-period action are often saddle points,
-    which no descent line can reach, so a second stage drives the gradient
-    itself to zero with a Jacobian-free Newton-Krylov iteration.
+    which no descent line reaches, so one Jacobian-free Newton-Krylov
+    iteration (Knoll and Keyes, J. Comput. Phys. 193 (2004) 357) drives the
+    gradient to zero from the seed.  Its stopping test bounds the largest
+    gradient entry by tol / sqrt(number of unknowns), so that a converged
+    loop has Euclidean |grad S| < tol.  A solve that fails or raises
+    returns the seed with outcome max_iter and the seed's gradient norm.
     """
+    from scipy.optimize import root
+
     if params is None:
         params = DescentParams()
     primitive = loop_primitive(system, loop)
 
-    def value(z):
-        return discrete_action(system, k, _unpack(z, loop), primitive)
-
     def grad(z):
-        lp = _unpack(z, loop)
-        g, dt = discrete_action_gradient(system, k, lp, primitive)
-        return np.concatenate([g.ravel(), [dt]])
+        g, dt = discrete_action_gradient(system, k, _unpack(z, loop),
+                                         primitive)
+        return np.append(g.ravel(), dt)
 
-    z = _pack(loop)
-    s_val = value(z)
-    step = DESCENT_STEP0
-    best_z, best_gn = z, np.inf
-    outcome = "max_iter"
-    it = 0
-    for it in range(1, params.max_iter + 1):
-        g = grad(z)
-        gn = float(np.linalg.norm(g))
-        if gn < best_gn:
-            best_z, best_gn = z.copy(), gn
-        if gn < params.tol:
-            outcome = "converged"
-            break
-        verts = z[:-1].reshape(-1, 2)
-        extent = float(np.max(np.abs(verts - verts.mean(axis=0))))
-        if z[-1] < DESCENT_T_MIN or extent < DESCENT_LEN_MIN:
-            outcome = "collapsed"
-            break
-        direction = -g / math.sqrt(1.0 + gn * gn)
-        slope = float(g @ direction)
-        alpha = step
-        for _ in range(40):
-            cand = z + alpha * direction
-            if cand[-1] <= 0:
-                alpha *= 0.5
-                continue
-            c_val = value(cand)
-            if c_val <= s_val + 1e-4 * alpha * slope:
-                break
-            alpha *= 0.5
-        else:
-            break
-        z, s_val = cand, c_val
-        step = min(alpha * 2.0, DESCENT_STEP0)
-    if outcome == "max_iter" and params.refine:
-        z, gn, ok = _refine_stationary(value, grad, best_z, params)
-        if not ok:
-            # descent may have drifted off the saddle's basin; retry the
-            # root solve from the untouched seed
-            z, gn, ok = _refine_stationary(value, grad, _pack(loop), params)
-        if ok:
-            outcome = "converged"
-        if gn < best_gn:
-            best_z, best_gn = z, gn
-    elif outcome == "converged":
-        best_z, best_gn = z, float(np.linalg.norm(grad(z)))
-    final = _unpack(best_z, loop)
-    return DescentResult(loop=final, outcome=outcome, grad_norm=best_gn,
-                         action=value(best_z), iterations=it)
-
-
-def _refine_stationary(value, grad, z0, params):
-    """Solve grad = 0 with a Jacobian-free Newton-Krylov iteration.
-
-    Plain descent cannot terminate on saddle points of the free-period
-    action; a root finder on the gradient field lands on them directly.
-    """
-    from scipy.optimize import root
-
+    z0 = _pack(loop)
     try:
         res = root(grad, z0, method="krylov",
-                   options={"fatol": 0.1 * params.tol,
-                            "maxiter": REFINE_MAX_ITER})
+                   options={"fatol": params.tol / math.sqrt(z0.size),
+                            "maxiter": params.max_iter})
+        z, it = res.x, res.nit
     except Exception:
-        return z0, float(np.linalg.norm(grad(z0))), False
-    gn = float(np.linalg.norm(grad(res.x)))
-    if not np.isfinite(gn) or gn >= params.tol or res.x[-1] < DESCENT_T_MIN:
-        return z0, float(np.linalg.norm(grad(z0))), False
-    return res.x, gn, True
-
-
-def refine_loop(system, loop):
-    """Double the vertex count by edge midpoint insertion."""
-    x, nxt = loop.edges(system.surface)
-    mids = 0.5 * (x + nxt)
-    out = np.empty((2 * len(x), 2))
-    out[0::2] = x
-    out[1::2] = mids
-    return DiscreteLoop(vertices=out, period=loop.period, chart=loop.chart,
-                        winding=loop.winding)
+        z, it = z0, 0
+    gn = float(np.linalg.norm(grad(z)))
+    outcome = "converged" if gn < params.tol else "max_iter"
+    if outcome == "max_iter":
+        z, gn = z0, float(np.linalg.norm(grad(z0)))
+    final = _unpack(z, loop)
+    return DescentResult(loop=final, outcome=outcome, grad_norm=gn,
+                         action=discrete_action(system, k, final, primitive),
+                         iterations=it)

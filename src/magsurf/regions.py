@@ -1,5 +1,4 @@
 """Regions with boundary curves, the length-minus-flux functional and its
-
 curve-evolution minimization, plus the threshold-energy estimator.
 
 A region is described by boundary curves stored with the region on their

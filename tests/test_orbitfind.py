@@ -1,4 +1,4 @@
-"""Periodic orbit search: shooting and discrete action descent."""
+"""Periodic orbit search: shooting and the Newton-Krylov action solve."""
 import math
 
 import numpy as np
@@ -15,7 +15,7 @@ from magsurf.orbits import (SHOOT_TOL, DescentParams, DiscreteLoop,
                             discrete_action_gradient, fit_circle,
                             homogeneous_oracle, loop_l2_energy, loop_length,
                             loop_mean_energy, orbit_curvature_residual,
-                            orbit_radius, refine_loop, shoot_periodic)
+                            orbit_radius, shoot_periodic)
 from magsurf.surfaces import FlatTorus, HyperbolicPlane, RoundSphere
 
 RNG = np.random.default_rng(11)
@@ -257,8 +257,8 @@ def test_length_energy_inequality(n, period):
 
 
 def test_descent_finds_torus_orbit():
-    """Gradient descent from a nearby circle converges to the circular
-    orbit with the oracle period and mean energy k."""
+    """The Newton-Krylov solve from a nearby circle converges to the
+    circular orbit with the oracle period and mean energy k."""
     system = _torus_system()
     s = 2.0
     k = energy_of_s(s)
@@ -274,7 +274,7 @@ def test_descent_finds_torus_orbit():
 
 
 def test_descent_matches_shooting_on_sphere():
-    """The saddle refinement reaches the orbit the shooter finds."""
+    """The root solve lands on the saddle the shooter finds."""
     system = MagneticSystem(RoundSphere(), ConstantField(1.0))
     s = 1.0
     k = energy_of_s(s)
@@ -309,19 +309,53 @@ def test_refinement_converges_with_resolution():
     assert errs[1] < 1e-4
 
 
-def test_descent_collapse_detected():
-    """A tiny seed loop shrinks to a point; the collapse is reported."""
+def test_descent_from_tiny_seed_finds_orbit():
+    """A seed far smaller than the orbit still reaches the circle of
+    radius 1/s."""
     system = _torus_system()
-    k = energy_of_s(2.0)
+    s = 8.0
+    k = energy_of_s(s)
+    oracle = homogeneous_oracle("flat_torus", s)
+    loop = circle_loop((0.5, 0.5), 0.01, 64, 0.02)
+    res = descend_to_critical(system, k, loop)
+    assert res.outcome == "converged"
+    assert res.grad_norm < DescentParams().tol
+    assert abs(res.loop.period - oracle.period) < 1e-2
+    _, r = fit_circle(res.loop.vertices)
+    assert abs(r - oracle.radius) < 1e-2
+
+
+def test_descent_is_one_root_solve(monkeypatch):
+    """A converging descent evaluates the action once, on the solution."""
+    import magsurf.orbits as orbits
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return discrete_action(*args, **kwargs)
+
+    monkeypatch.setattr(orbits, "discrete_action", counted)
+    system = _torus_system()
+    loop = circle_loop((0.5, 0.5), 0.42, 256, 5.5)
+    res = orbits.descend_to_critical(system, energy_of_s(2.0), loop)
+    assert res.outcome == "converged"
+    assert 0 < res.iterations <= DescentParams().max_iter
+    assert len(calls) == 1
+
+
+def test_failed_descent_returns_seed():
+    """A solve that does not converge hands back the untouched seed with
+    its own gradient norm; here the seed is 250 times smaller than the
+    radius-5 orbit of s = 0.2."""
+    system = _torus_system()
+    k = energy_of_s(0.2)
     loop = circle_loop((0.5, 0.5), 0.02, 64, 0.3)
-    res = descend_to_critical(system, k, loop,
-                              DescentParams(refine=False, max_iter=2000))
-    assert res.outcome == "collapsed"
-
-
-def test_refine_loop_doubles_resolution():
-    system = _torus_system()
-    loop = circle_loop((0.5, 0.5), 0.3, 32, 4.0)
-    fine = refine_loop(system, loop)
-    assert fine.n == 64
-    assert abs(loop_length(system, fine) - 2 * np.pi * 0.3) < 1e-2
+    params = DescentParams()
+    res = descend_to_critical(system, k, loop, params)
+    assert res.outcome == "max_iter"
+    assert np.array_equal(res.loop.vertices, loop.vertices)
+    assert res.loop.period == loop.period
+    g, dt = discrete_action_gradient(system, k, loop)
+    assert res.grad_norm == pytest.approx(
+        math.sqrt(float(np.sum(g * g)) + dt * dt), rel=1e-12)
+    assert res.grad_norm > params.tol
