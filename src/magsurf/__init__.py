@@ -14,7 +14,7 @@ from .flow import (Section, TangentState, Trajectory, energy_of, integrate,
 from .orbits import (DescentParams, DiscreteLoop, Orbit, circle_loop,
                      descend_to_critical, discrete_action,
                      discrete_action_gradient, homogeneous_oracle,
-                     loop_length, loop_l2_energy, loop_mean_energy,
+                     loop_l2_energy, loop_mean_energy,
                      orbit_curvature_residual, orbit_radius, shoot_periodic)
 from .surfaces import (ChartPoint, ConformalTorus, FlatTorus, HyperbolicPlane,
                        RoundSphere, geodesic_curvature_of, metric_at,

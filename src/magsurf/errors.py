@@ -42,7 +42,7 @@ class InvalidCandidateError(MagsurfError):
 
 
 class NoBracketError(MagsurfError):
-    """A root bracketing step failed (no sign change on the interval)."""
+    """The functional is still negative at the upper energy of a search."""
 
 
 class ConfigError(MagsurfError):

@@ -148,11 +148,6 @@ class LocalPrimitive:
         """(n, 2, 2) array J[i, a, b] = d theta_a / d x_b at n points."""
         raise NotImplementedError
 
-    def jacobian(self, chart, u, v):
-        """2x2 array J[a, b] = d theta_a / d x_b at a scalar chart point."""
-        return self.jacobian_many(chart, np.array([u], float),
-                                  np.array([v], float))[0]
-
     def line_integral(self, chart, pts):
         """Integral of theta along a polyline (midpoint rule per segment)."""
         pts = np.asarray(pts, dtype=float)
@@ -160,11 +155,6 @@ class LocalPrimitive:
         dx = np.diff(pts, axis=0)
         t1, t2 = self.theta(chart, mids[:, 0], mids[:, 1])
         return float(np.sum(t1 * dx[:, 0] + t2 * dx[:, 1]))
-
-    def stokes_residual(self, system, chart, center, h, n=1):
-        """Stokes residual of theta against sigma; see stokes_residual."""
-        return stokes_residual(self.theta, system.form_density, chart, center,
-                               h, n)
 
 
 def stokes_residual(theta, density, chart, center, h, n=1):

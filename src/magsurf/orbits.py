@@ -271,11 +271,6 @@ def _midpoint_data(system, loop):
     return m, nxt - x, np.asarray(rho, float), ru, rv
 
 
-def loop_length(system, loop):
-    _, d, rho, _, _ = _midpoint_data(system, loop)
-    return float(np.sum(np.exp(rho) * np.linalg.norm(d, axis=1)))
-
-
 def loop_l2_energy(system, loop):
     """Discrete Dirichlet energy, integral of |x'|_g^2 in loop parameter."""
     _, d, rho, _, _ = _midpoint_data(system, loop)

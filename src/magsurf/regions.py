@@ -372,33 +372,33 @@ def tau_estimate(system, seed_regions, k_lo, k_hi, bisect_iters=20,
                  params=None):
     """Threshold energy below which the minimized functional goes negative.
 
-    Bisects on k using the evolved minimum over the seed regions (the empty
-    region, value zero, is always admissible).  Returns 0.0 when even k_lo
-    admits no negative value; raises NoBracketError if k_hi still does.
+    A value is negative exactly when k < r = (o flux / length)^2 / 2, so
+    Dinkelbach's iteration climbs to sup r: evolve the seeds at k_lo, then
+    the lowest-valued non-halted region, warm-started at its own r (k never
+    decreases), until no region is negative or it was already stationary.
+    ``bisect_iters`` caps the ratio updates (keyword callers keep the old
+    bisection's name).  Returns 0.0 if k_lo admits no negative value; raises
+    NoBracketError once r reaches k_hi (r is infinite without a boundary).
     """
     if k_lo <= 0 or k_hi <= k_lo:
         raise DegenerateInputError("need 0 < k_lo < k_hi")
-
-    def min_value(k):
-        best = 0.0
-        for region in seed_regions:
-            r = evolve_minimize(system, k, region, params)
-            if r.outcome in ("stationary", "vanished", "max_iter"):
-                best = min(best, r.value)
-        return best
-
-    if min_value(k_lo) >= 0.0:
-        return 0.0
-    if min_value(k_hi) < 0.0:
-        raise NoBracketError("functional still negative at k_hi")
-    lo, hi = k_lo, k_hi
-    for _ in range(bisect_iters):
-        mid = 0.5 * (lo + hi)
-        if min_value(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    k, tau, todo = k_lo, 0.0, seed_regions
+    for n in range(bisect_iters + 1):
+        results = [evolve_minimize(system, k, region, params)
+                   for region in todo]
+        best = min((r for r in results if r.outcome != "halted"),
+                   key=lambda r: r.value, default=None)
+        if best is None or best.value >= 0.0:
+            break
+        length = sum(curve_length(system, c) for c in best.region.curves)
+        tau = (0.5 * (math.sqrt(2.0 * k) - best.value / length) ** 2
+               if length > 0.0 else math.inf)
+        if tau >= k_hi:
+            raise NoBracketError("functional still negative at k_hi")
+        if n and best.outcome == "stationary" and best.iterations == 1:
+            break
+        k, todo = tau, [best.region]
+    return tau
 
 
 def state_from_curve(system, k, curve, orientation=1):

@@ -4,12 +4,18 @@
 (as ``float.hex``) and every final vertex of a few evolutions, recorded
 with the row-per-vertex kernel that used ``np.roll``/``np.linalg.norm`` and
 built a ``RegionCurve`` every iteration.  Any rewrite of the evolution must
-reproduce them exactly.  Re-record (``python tests/test_evolve_golden.py``)
-only for a change that is meant to alter the numbers, and say so.
+reproduce them exactly.  The ``criterion_08_tau`` entry pins every
+evolution ``tau_estimate`` makes on criterion 08's strip and the tau it
+returns, recorded with Dinkelbach's ratio iteration.
+
+Re-record only for a change that is meant to alter the numbers, and say
+so: ``python tests/test_evolve_golden.py [NAME ...]`` rewrites the named
+entries, or all of them when none is named, and keeps the others.
 """
 import json
 import math
 import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -134,10 +140,15 @@ def test_tau_estimate_matches_golden(golden, monkeypatch):
 
 
 if __name__ == "__main__":
-    data = {name: _run_evolve(name) for name in sorted(EVOLVE_CASES)}
-    data["criterion_08_tau"] = _run_tau()
+    runs = {name: (lambda name=name: _run_evolve(name))
+            for name in sorted(EVOLVE_CASES)}
+    runs["criterion_08_tau"] = _run_tau
+    names = sys.argv[1:] or list(runs)
+    data = json.loads(GOLDEN.read_text())
+    for name in names:
+        data[name] = runs[name]()
     GOLDEN.write_text(json.dumps(data, indent=1) + "\n")
-    for name, rec in data.items():
-        rec = rec.get("evolutions", [rec])
+    for name in names:
+        rec = data[name].get("evolutions", [data[name]])
         print(name, [(r["outcome"], r["iterations"],
                       [len(c[0]) for c in r["curves"]]) for r in rec])

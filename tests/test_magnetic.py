@@ -11,7 +11,7 @@ from magsurf.errors import (DegenerateInputError, NoGlobalPrimitiveError,
                             UnsupportedError)
 from magsurf.fields import (CallableField, ConstantField, MagneticSystem,
                             TorusField, energy_of_s, flux_total,
-                            local_primitive, s_of_energy)
+                            local_primitive, s_of_energy, stokes_residual)
 from magsurf.surfaces import (FlatTorus, HyperbolicPlane, RoundSphere,
                               periodic_spline)
 
@@ -83,7 +83,7 @@ def test_primitive_jacobian_consistency():
             else:
                 u, v = RNG.uniform(0.05, 0.95, size=2)
             h = 1e-6
-            jac = np.asarray(prim.jacobian(0, u, v))
+            jac = prim.jacobian_many(0, [u], [v])[0]
             fd = np.empty((2, 2))
             fd[:, 0] = (np.asarray(prim.theta(0, u + h, v))
                         - np.asarray(prim.theta(0, u - h, v))) / (2 * h)
@@ -98,7 +98,8 @@ def test_stokes_residual_second_order():
     square shrinks like h^2 relative to enclosed flux."""
     system = MagneticSystem(RoundSphere(), ConstantField(1.0))
     prim = local_primitive(system)
-    res = [abs(prim.stokes_residual(system, 0, (0.3, 0.2), h))
+    res = [abs(stokes_residual(prim.theta, system.form_density, 0,
+                               (0.3, 0.2), h))
            for h in (0.2, 0.1, 0.05)]
     r1 = math.log2(res[0] / res[1])
     r2 = math.log2(res[1] / res[2])

@@ -13,9 +13,10 @@ from magsurf.flow import TangentState, integrate, state_at_energy
 from magsurf.orbits import (SHOOT_TOL, DescentParams, DiscreteLoop,
                             circle_loop, descend_to_critical, discrete_action,
                             discrete_action_gradient, fit_circle,
-                            homogeneous_oracle, loop_l2_energy, loop_length,
+                            homogeneous_oracle, loop_l2_energy,
                             loop_mean_energy, orbit_curvature_residual,
                             orbit_radius, shoot_periodic)
+from magsurf.regions import curve_length
 from magsurf.surfaces import FlatTorus, HyperbolicPlane, RoundSphere
 
 RNG = np.random.default_rng(11)
@@ -247,7 +248,7 @@ def test_length_energy_inequality(n, period):
     verts = 0.2 * np.cos(2 * np.pi * np.arange(n) / n)[:, None] \
         * np.ones((1, 2)) + 0.1 * np.sin(np.arange(n))[:, None]
     loop = DiscreteLoop(vertices=verts + 0.5, period=period, winding=(0, 0))
-    ell = loop_length(system, loop)
+    ell = curve_length(system, loop)
     e = loop_l2_energy(system, loop)
     assert e >= 0.0
     # mean energy is e / (2 T^2); the inequality reads ell^2 <= n e

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from magsurf import regions
+from magsurf.critical import c0_upper_bound
 from magsurf.errors import NoBracketError
 from magsurf.fields import (ConstantField, MagneticSystem, TorusField,
                             energy_of_s, flux_total)
@@ -36,6 +38,38 @@ def _strip(x0, x1, n=64):
     left = RegionCurve(np.column_stack([np.full(n, x0), 1.0 - ys]),
                        winding=(0, -1))
     return Region([right, left], orientation=1)
+
+
+def _favorable_strip():
+    """Criterion 08's seed: the strip 0.3 < x < 0.7, reversed."""
+    return Region([RegionCurve(c.vertices[::-1].copy(),
+                               winding=(-c.winding[0], -c.winding[1]))
+                   for c in _strip(0.3, 0.7, 64).curves], orientation=-1)
+
+
+def _cosine_system():
+    """Criterion 08's field f = 2 pi cos(2 pi x) on the flat torus."""
+    return MagneticSystem(FlatTorus(), TorusField(
+        lambda x, y: 2 * np.pi * np.cos(2 * np.pi * x)))
+
+
+def _tau_08(k_hi=1.0):
+    return tau_estimate(_cosine_system(), [_favorable_strip()], 0.1, k_hi,
+                        bisect_iters=16,
+                        params=EvolveParams(tol=1e-4, max_iter=30000))
+
+
+def _record_energies(monkeypatch):
+    """Energies of the evolve_minimize calls made from here on."""
+    seen = []
+    evolve = regions.evolve_minimize
+
+    def recording(system, k, region, params=None):
+        seen.append(k)
+        return evolve(system, k, region, params)
+
+    monkeypatch.setattr(regions, "evolve_minimize", recording)
+    return seen
 
 
 def test_value_of_flat_disc():
@@ -155,14 +189,9 @@ def test_evolution_shrinks_unfavorable_disc():
 def test_evolution_strip_reaches_exact_minimum():
     """For f = 2 pi cos(2 pi x) the reversed strip 1/4 < x < 3/4 evolves
     to the minimizer with value 2 sqrt(2k) - 2."""
-    system = MagneticSystem(FlatTorus(), TorusField(
-        lambda x, y: 2 * np.pi * np.cos(2 * np.pi * x)))
+    system = _cosine_system()
     k = 0.3
-    strip = _strip(0.3, 0.7, 64)
-    rev = Region([RegionCurve(c.vertices[::-1].copy(),
-                              winding=(-c.winding[0], -c.winding[1]))
-                  for c in strip.curves], orientation=-1)
-    res = evolve_minimize(system, k, rev,
+    res = evolve_minimize(system, k, _favorable_strip(),
                           EvolveParams(tol=1e-4, max_iter=30000))
     assert res.outcome == "stationary"
     want = 2.0 * math.sqrt(2.0 * k) - 2.0
@@ -247,9 +276,37 @@ def test_evolution_keeps_whole_surface(orientation):
     assert abs(res.value + orientation * 4.0 * math.pi) < 1e-9
 
 
-def test_tau_estimate_sees_whole_surface_minimum():
-    """The full sphere region has value -4 pi at every energy, so the
-    functional is still negative at k_hi."""
+def test_tau_estimate_sees_whole_surface_minimum(monkeypatch):
+    """The full sphere region has value -4 pi at every energy, so its ratio
+    is infinite and the functional is still negative at k_hi.  The strip's
+    ratio 1/2 above k_hi = 0.4 raises with no evolution at k >= k_hi, and a
+    disc that vanishes at k_lo admits no negative value: tau is 0."""
     system = MagneticSystem(RoundSphere(), ConstantField(1.0))
     with pytest.raises(NoBracketError):
         tau_estimate(system, [Region.full(1)], 0.1, 1.0, bisect_iters=1)
+    seen = _record_energies(monkeypatch)
+    with pytest.raises(NoBracketError):
+        _tau_08(k_hi=0.4)
+    assert seen and max(seen) < 0.4
+    torus = MagneticSystem(FlatTorus(), ConstantField(1.0))
+    disc = Region([_circle((0.5, 0.5), 0.15)])
+    assert tau_estimate(torus, [disc], energy_of_s(2.5), 1.0) == 0.0
+
+
+def test_tau_estimate_strip_closed_form():
+    """On criterion 08's field the sup of the ratio (o flux / length)^2 / 2
+    is attained by the strip 1/4 < x < 3/4: o flux = 2, length 2, tau 1/2.
+    flux <= sup|theta| length for any primitive theta, so tau is also at
+    most the energy c0^2 / 2 of the sup-norm bound."""
+    tau = _tau_08()
+    assert abs(tau - 0.5) < 1e-9
+    assert tau <= c0_upper_bound(_cosine_system()).energy_value
+
+
+def test_tau_estimate_ratio_iteration_is_monotone(monkeypatch):
+    """Dinkelbach's k never decreases, and the strip needs one evolution
+    from the seed plus one warm-started check."""
+    seen = _record_energies(monkeypatch)
+    _tau_08()
+    assert 1 <= len(seen) <= 3
+    assert all(a <= b for a, b in zip(seen, seen[1:]))
