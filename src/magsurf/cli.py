@@ -42,7 +42,7 @@ _ALLOWED = {
             "record_every", "tol", "max_time", "center_u", "center_v",
             "radius", "n_vertices", "period", "orientation", "spacing",
             "max_iter", "quantity", "candidate", "n_base", "n_fiber",
-            "s_values", "workers", "command_args"},
+            "s_values", "workers"},
 }
 
 
@@ -313,7 +313,7 @@ def cmd_critical(cfg, system, outdir):
     elif quantity == "c0":
         res = critical.c0_upper_bound(system)
         summary = {"c0": res.value, "energy_value": res.energy_value,
-                   "history": list(res.history)}
+                   "lower": res.lower, "gap": res.gap, "history": res.history}
     else:
         raise ConfigError(f"unknown critical quantity {quantity!r}")
     _emit(summary, outdir, "result.json")

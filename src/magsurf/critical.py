@@ -1,5 +1,5 @@
 """Critical speed thresholds: the homology value for higher genus, the
-closed-form homogeneous value, and a minimax upper bound for the primitive
+closed-form homogeneous value, and a primal-dual bracket for the primitive
 sup-norm constant on exact flat-torus systems.
 """
 from __future__ import annotations
@@ -38,15 +38,15 @@ def homogeneous_mane_value(system):
 # sup-norm primitive bound on exact flat-torus systems
 # ---------------------------------------------------------------------------
 
-# the c0 bound: phi parameter / evaluation grid, and the smoothing of |theta|
+# the c0 bracket: FFT grid, stopping gap (relative), step / n^2 sup|theta*|
 C0_GRID = 64
-C0_SMOOTH_EPS = 1e-9
+C0_GAP = 1e-3
+C0_STEP = 0.1
 
 
 @dataclasses.dataclass
 class C0Params:
-    betas: tuple = (10.0, 100.0, 1000.0)
-    max_iter: int = 500
+    max_iter: int = 2000
 
 
 @dataclasses.dataclass
@@ -54,87 +54,85 @@ class C0Result:
     value: float            # best sup-norm over the evaluation grid
     energy_value: float     # matching energy threshold, value^2 / 2
     witness: object         # primitive achieving the reported sup
-    history: list           # best sup after each smoothing stage
+    history: list           # best sup at iterations 0, 1, 2, 4, ... and last
+    lower: float            # dual lower bound on the sup of every primitive
+    gap: float              # value - lower
 
 
-def _grid_field(coef_hat):
-    return np.real(np.fft.ifft2(coef_hat * coef_hat.shape[0]
-                                * coef_hat.shape[1]))
+def _norm(f):
+    """Pointwise Euclidean norm of a (2, n, n) field."""
+    return np.sqrt(f[0] * f[0] + f[1] * f[1])
+
+
+def _unit_ball(y):
+    """Project a (2, n, n) field onto {sum of pointwise norms <= 1}."""
+    r = _norm(y)
+    s = np.sort(r.ravel())[::-1]
+    excess = np.cumsum(s) - 1.0
+    j = np.nonzero(s * np.arange(1, s.size + 1) > excess)[0][-1]
+    lam = max(excess[j] / (j + 1), 0.0)     # 0 inside the ball
+    return y * np.maximum(1.0 - lam / np.maximum(r, 1e-300), 0.0)
 
 
 def c0_upper_bound(system, params=None):
-    """Upper bound for the minimal sup-norm of a primitive of sigma.
+    """Two-sided bracket for the minimal sup-norm of a primitive of sigma.
 
-    The primitive family is theta* + d phi + c1 dx + c2 dy with theta* the
-    spectral Poisson primitive; phi lives on a periodic grid and the sup is
-    relaxed through a log-sum-exp softmax at an increasing schedule of
-    sharpness values, each stage descended with a quasi-Newton method.  The
-    reported value is the best true grid sup ever seen, so more budget can
-    only improve it.
+    The primitives theta* + d phi + c form the affine set theta* + R, with
+    theta* the spectral Poisson primitive and R the range of the spectral
+    gradient (no Nyquist modes) plus constants.  A Chambolle-Pock iteration
+    projects the primal field onto theta* + R and the dual field y onto
+    {sum |y| <= 1}; y's part orthogonal to R bounds every grid sup below by
+    <theta*, y> / sum |y|.  It stops at relative gap C0_GAP, or max_iter.
     """
     if system.surface.constant_curvature != 0:
         raise UnsupportedError("the bound is computed on flat tori only")
-    if params is None:
-        params = C0Params()
+    params = params or C0Params()
     n = C0_GRID
     kxx, kyy, ghat = periodic_poisson(system, n)
-    pstar = _grid_field(-1j * kyy * ghat)   # theta*_x = -G_y
-    qstar = _grid_field(1j * kxx * ghat)    # theta*_y = +G_x
-    eps2 = C0_SMOOTH_EPS ** 2
+    k = np.stack([kxx, kyy])
+    k2 = kxx ** 2 + kyy ** 2
+    k2[0, 0], k2[n // 2], k2[:, n // 2] = 1.0, np.inf, np.inf   # no Nyquist
+    kh, k2h = k[:, :, :n // 2 + 1], k2[:, :n // 2 + 1]    # rfft2 layout
 
-    def split(z):
-        return z[:-2].reshape(n, n), z[-2], z[-1]
+    def project(w):
+        """Orthogonal projection onto R."""
+        what = np.fft.rfft2(w)
+        out = kh * (np.sum(kh * what, axis=0) / k2h)
+        out[:, 0, 0] = what[:, 0, 0]
+        return np.fft.irfft2(out, s=(n, n))
 
-    def components(z):
-        phi, c1, c2 = split(z)
-        phihat = np.fft.fft2(phi)
-        dx = np.real(np.fft.ifft2(1j * kxx * phihat))
-        dy = np.real(np.fft.ifft2(1j * kyy * phihat))
-        return pstar + dx + c1, qstar + dy + c2
-
-    def true_sup(z):
-        p, q = components(z)
-        return float(np.max(np.hypot(p, q)))
-
-    def make_objective(beta):
-        def obj(z):
-            p, q = components(z)
-            r = np.sqrt(p * p + q * q + eps2)
-            m = r.max()
-            w = np.exp(beta * (r - m))
-            sw = w.sum()
-            val = m + math.log(sw / r.size) / beta
-            w /= sw
-            gp = w * p / r
-            gq = w * q / r
-            # adjoint of the spectral derivative is its negative
-            gphi = -np.real(np.fft.ifft2(
-                1j * kxx * np.fft.fft2(gp) + 1j * kyy * np.fft.fft2(gq)))
-            grad = np.concatenate([gphi.ravel(),
-                                   [float(gp.sum()), float(gq.sum())]])
-            return val, grad
-        return obj
-
-    from scipy.optimize import minimize
-
-    z = np.zeros(n * n + 2)
-    best_val = true_sup(z)
-    best_z = z.copy()
-    history = [best_val]
-    for beta in params.betas:
-        res = minimize(make_objective(beta), z, jac=True, method="L-BFGS-B",
-                       options={"maxiter": params.max_iter, "ftol": 1e-14,
-                                "gtol": 1e-12})
-        z = res.x
-        cur = true_sup(z)
-        if cur < best_val:
-            best_val, best_z = cur, z.copy()
-        history.append(best_val)
-    phi, c1, c2 = split(best_z)
-    phihat = np.fft.fft2(phi) / (n * n)
+    theta = np.real(np.fft.ifft2(np.stack([-1j * kyy * ghat, 1j * kxx * ghat])
+                                 * (n * n)))
+    base = theta - project(theta)
+    r = _norm(theta)
+    best = float(r.max())
+    tau = C0_STEP * n * n * best
+    # the dual starts at theta*'s direction on the nodes near its sup
+    y = theta * (r >= (1.0 - C0_GAP) * best)
+    y = y / max(float(_norm(y).sum()), 1e-300)
+    y_perp = y - project(y)
+    w, w_bar, best_w, lower, history = theta, theta, theta, 0.0, [best]
+    for it in range(params.max_iter + 1):
+        mass = max(float(_norm(y_perp).sum()), 1e-300)
+        lower = max(lower, float(np.vdot(theta, y_perp)) / mass)
+        if best - lower <= C0_GAP * best or it == params.max_iter:
+            break
+        y = _unit_ball(y + w_bar / tau)
+        w_new = project(w - tau * y) + base
+        # (w - w_new) / tau is the part of y in R
+        y_perp = y - (w - w_new) / tau
+        w_bar, w = 2.0 * w_new - w, w_new
+        cur = float(_norm(w).max())
+        if cur < best:
+            best, best_w = cur, w
+        if it & (it + 1) == 0:      # after steps 1, 2, 4, 8, ...
+            history.append(best)
+    history.append(best)
+    # best_w - theta lies in R: read phi and c off its Fourier coefficients
+    dhat = np.fft.fft2(best_w - theta) / (n * n)
+    phihat = -1j * np.sum(k * dhat, axis=0) / k2
     keep = np.abs(ghat) + np.abs(phihat) > 1e-13
-    keep[0, 0] = False
     witness = FourierOneForm(kxx[keep], kyy[keep], ghat[keep], phihat[keep],
-                             c1, c2)
-    return C0Result(value=best_val, energy_value=0.5 * best_val ** 2,
-                    witness=witness, history=history)
+                             dhat[0, 0, 0].real, dhat[1, 0, 0].real)
+    return C0Result(value=best, energy_value=0.5 * best ** 2, witness=witness,
+                    history=history, lower=lower, gap=best - lower)

@@ -261,45 +261,47 @@ class FourierOneForm(LocalPrimitive):
     wavenumbers (kx, ky).  Its exterior derivative is Laplace G du ^ dv.
     """
 
+    PHASE_BLOCK = 1 << 20   # complex entries of one points x modes block
+
     def __init__(self, kx, ky, ghat, phihat, c1=0.0, c2=0.0):
         ikx, iky = 1j * kx, 1j * ky
-        self._kx = kx
-        self._ky = ky
-        self._theta_modes = (-1j * ky * ghat + 1j * kx * phihat,
-                             1j * kx * ghat + 1j * ky * phihat)
+        self._kx, self._ky = kx, ky
+        self._theta_modes = np.stack([-1j * ky * ghat + 1j * kx * phihat,
+                                      1j * kx * ghat + 1j * ky * phihat], 1)
         # J[a, b] = d theta_a / d x_b
-        self._jac_modes = (-(ghat * ikx * iky) + phihat * ikx ** 2,
-                           -(ghat * iky ** 2) + phihat * ikx * iky,
-                           ghat * ikx ** 2 + phihat * ikx * iky,
-                           ghat * ikx * iky + phihat * iky ** 2)
+        self._jac_modes = np.stack([-(ghat * ikx * iky) + phihat * ikx ** 2,
+                                    -(ghat * iky ** 2) + phihat * ikx * iky,
+                                    ghat * ikx ** 2 + phihat * ikx * iky,
+                                    ghat * ikx * iky + phihat * iky ** 2], 1)
         self.c1 = float(c1)
         self.c2 = float(c2)
 
-    def _phase(self, u, v):
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        v = np.atleast_1d(np.asarray(v, dtype=float))
-        return np.exp(1j * (np.outer(u, self._kx) + np.outer(v, self._ky)))
+    def _sum(self, u, v, modes):
+        """Re sum_k modes[k] exp(i k.x) at each point, over blocks of points
+        whose phase matrix holds at most PHASE_BLOCK entries."""
+        u, v = np.asarray(u, float).ravel(), np.asarray(v, float).ravel()
+        out = np.empty((u.size, modes.shape[1]))
+        step = max(1, self.PHASE_BLOCK // max(1, self._kx.size))
+        for i in range(0, u.size, step):
+            phase = np.exp(1j * (np.outer(u[i:i + step], self._kx)
+                                 + np.outer(v[i:i + step], self._ky)))
+            out[i:i + step] = np.real(phase @ modes)
+        return out
 
     def theta(self, chart, u, v):
-        phase = self._phase(u, v)
-        p = np.real(phase @ self._theta_modes[0]) + self.c1
-        q = np.real(phase @ self._theta_modes[1]) + self.c2
+        p, q = (self._sum(u, v, self._theta_modes) + (self.c1, self.c2)).T
         if np.asarray(u).ndim == 0:
             return float(p[0]), float(q[0])
         return p, q
 
     def jacobian_many(self, chart, u, v):
-        phase = self._phase(u, v)
-        return np.stack([np.real(phase @ m) for m in self._jac_modes],
-                        axis=-1).reshape(-1, 2, 2)
+        return self._sum(u, v, self._jac_modes).reshape(-1, 2, 2)
 
     def sup_norm(self, n=256, lx=1.0, ly=1.0):
         """Maximum of |theta| over an n x n grid of the period cell."""
-        xs = np.arange(n) * lx / n
-        ys = np.arange(n) * ly / n
-        xx, yy = np.meshgrid(xs, ys, indexing="ij")
-        p, q = self.theta(0, xx.ravel(), yy.ravel())
-        return float(np.max(np.hypot(p, q)))
+        xx, yy = np.meshgrid(np.arange(n) * lx / n, np.arange(n) * ly / n,
+                             indexing="ij")
+        return float(np.max(np.hypot(*self.theta(0, xx, yy))))
 
 
 class TorusSpectralPrimitive(FourierOneForm):

@@ -115,6 +115,13 @@ def test_config_rejects_unknown_key(capsys, tmp_path):
     assert code == 2
 
 
+def test_config_rejects_command_args(capsys, tmp_path):
+    """No command reads command_args, so it is an unknown key."""
+    text = SPHERE_ORACLE.replace("[run]", "[run]\ncommand_args = --x")
+    code, _, _ = _run(capsys, tmp_path, text, "oracle")
+    assert code == 2
+
+
 def test_config_rejects_unknown_section(capsys, tmp_path):
     text = SPHERE_ORACLE + "\n[extras]\nfoo = 1\n"
     code, _, _ = _run(capsys, tmp_path, text, "oracle")
@@ -186,6 +193,28 @@ quantity = c_h
     flux = -2.0 * math.pi * (2 - 2 * 2)
     expected = flux ** 2 / (4.0 * math.pi * 2.0 * area)
     assert abs(json.loads(out_text)["c_h"] - expected) < 1e-12
+
+
+def test_critical_c0_writes_bracket(capsys, tmp_path):
+    """c0 reports its duality bracket: lower <= c0 = 1 on the cosine field,
+    with the gap closed to 1e-3."""
+    text = """\
+[surface]
+kind = flat_torus
+
+[field]
+type = cosine
+
+[run]
+quantity = c0
+"""
+    code, out_text, out = _run(capsys, tmp_path, text, "critical")
+    assert code == 0
+    data = json.loads((out / "result.json").read_text())
+    assert abs(data["c0"] - 1.0) < 1e-12
+    assert data["lower"] <= data["c0"] == data["history"][-1]
+    assert abs(data["gap"] - (data["c0"] - data["lower"])) < 1e-12
+    assert data["gap"] <= 1e-3
 
 
 def test_contact_check_sphere(capsys, tmp_path):

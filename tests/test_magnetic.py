@@ -75,7 +75,7 @@ def test_primitive_jacobian_consistency():
         lambda x, y: 2 * np.pi * np.cos(2 * np.pi * x)
         + 4 * np.pi * np.sin(2 * np.pi * y)))
     cases.append(("flat_torus", c0_upper_bound(
-        witness_system, C0Params(betas=(10.0,), max_iter=30)).witness))
+        witness_system, C0Params(max_iter=30)).witness))
     for kind, prim in cases:
         for _ in range(10):
             if kind == "hyperbolic":

@@ -6,7 +6,8 @@ stepping core runs on plain floats.
 Outside ``surfaces.py`` and ``cli._build_surface`` no code may call
 ``isinstance`` against a surface class or probe a surface for ``lx`` /
 ``ly`` with ``hasattr`` / ``getattr``; surfaces expose ``lattice``,
-``constant_curvature``, ``floor`` and ``post_step`` instead.
+``constant_curvature``, ``floor`` and ``post_step`` instead.  The c0
+bracket in ``critical.py`` imports nothing from scipy.
 """
 import ast
 import collections
@@ -207,3 +208,38 @@ def test_curve_evolution_has_no_array_churn():
     sites += [f"surfaces.py:{line} in {func}" for func, line in
               _churn_calls(SRC / "surfaces.py", {"ClosedPolyline"})]
     assert not sites, "roll/norm/stack calls: " + ", ".join(sites)
+
+
+# The c0 bracket is its own primal-dual loop on numpy's FFT: critical.py
+# imports no scipy optimizer, nor anything else from scipy.
+def _scipy_imports(path):
+    """Line of every import of scipy or a scipy submodule in a file."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        if any(n == "scipy" or n.startswith("scipy.") for n in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_scipy_guard_detects_imports(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "import numpy, scipy\n"
+        "from scipy.optimize import minimize\n"
+        "import scipyx\n"
+        "def f():\n"
+        "    import scipy.fft as sf\n"
+        "    from . import scipy_like\n"
+        "    return sf\n")
+    assert _scipy_imports(bad) == [1, 2, 5]
+
+
+def test_critical_imports_no_scipy():
+    lines = _scipy_imports(SRC / "critical.py")
+    assert not lines, f"scipy imports in critical.py at lines {lines}"
