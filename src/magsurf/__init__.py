@@ -1,10 +1,9 @@
 """Numerical laboratory for magnetic flows on closed oriented surfaces."""
 
 from .errors import (ConfigError, DegenerateInputError, DomainError,
-                     InvalidCandidateError, InvalidRegionError, MagsurfError,
-                     NoBracketError, NoConvergenceError,
-                     NoGlobalPrimitiveError, NoReturnError,
-                     UndefinedActionError, UnsupportedError)
+                     InvalidCandidateError, MagsurfError, NoBracketError,
+                     NoConvergenceError, NoGlobalPrimitiveError,
+                     NoReturnError, UndefinedActionError, UnsupportedError)
 from .fields import (CallableField, ConstantField, MagneticField,
                      MagneticSystem, TorusField, energy_of_s, flux_total,
                      local_primitive, s_of_energy)

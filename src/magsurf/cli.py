@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -88,20 +89,30 @@ def _build_surface(cfg):
 
 
 def _load_grid_csv(path):
-    """CSV with header x,y,f sampled row-major on a regular grid."""
+    """CSV with header x,y,<value> sampled row-major on a regular grid, every
+    sample finite."""
     try:
-        data = np.genfromtxt(path, delimiter=",", names=True)
-    except OSError as exc:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")     # an empty file warns first
+            data = np.genfromtxt(path, delimiter=",", names=True, ndmin=1)
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read grid csv: {exc}")
-    xs = np.unique(data["x"])
-    ys = np.unique(data["y"])
-    vals = np.full((len(xs), len(ys)), np.nan)
-    ix = np.searchsorted(xs, data["x"])
-    iy = np.searchsorted(ys, data["y"])
-    vals[ix, iy] = data[data.dtype.names[2]]
-    if np.isnan(vals).any():
+    except IndexError:                          # genfromtxt on an empty file
+        raise ConfigError("grid csv is empty")
+    names = data.dtype.names or ()
+    value = [n for n in names if n not in ("x", "y")]
+    if len(names) != 3 or len(value) != 1 or not data.size:
+        raise ConfigError("grid csv needs columns x, y, value and samples")
+    x, y, vals = data["x"], data["y"], data[value[0]]
+    if not (np.isfinite(x) & np.isfinite(y) & np.isfinite(vals)).all():
+        raise ConfigError("grid csv has a non-finite sample")
+    xs = np.unique(x)
+    ys = np.unique(y)
+    grid = np.full((len(xs), len(ys)), np.nan)
+    grid[np.searchsorted(xs, x), np.searchsorted(ys, y)] = vals
+    if np.isnan(grid).any():
         raise ConfigError("grid csv does not cover a full regular grid")
-    return vals
+    return grid
 
 
 def _build_field(cfg, surface):

@@ -33,10 +33,6 @@ class UndefinedActionError(MagsurfError):
     """The discrete action is not defined for this loop and field."""
 
 
-class InvalidRegionError(MagsurfError):
-    """A region specification is inconsistent (intersecting curves, ...)."""
-
-
 class InvalidCandidateError(MagsurfError):
     """A contact-form candidate fails its consistency requirements."""
 

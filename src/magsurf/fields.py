@@ -149,11 +149,17 @@ class LocalPrimitive:
         raise NotImplementedError
 
     def line_integral(self, chart, pts):
-        """Integral of theta along a polyline (midpoint rule per segment)."""
+        """Integral of theta along a polyline: two-point Gauss-Legendre per
+        segment, exact where theta is cubic along the segment."""
         pts = np.asarray(pts, dtype=float)
         mids = 0.5 * (pts[:-1] + pts[1:])
         dx = np.diff(pts, axis=0)
-        t1, t2 = self.theta(chart, mids[:, 0], mids[:, 1])
+        off = dx / (2.0 * math.sqrt(3.0))
+        nodes = np.concatenate([mids - off, mids + off])
+        t1, t2 = self.theta(chart, nodes[:, 0], nodes[:, 1])
+        m = len(dx)
+        t1 = 0.5 * (t1[:m] + t1[m:])
+        t2 = 0.5 * (t2[:m] + t2[m:])
         return float(np.sum(t1 * dx[:, 0] + t2 * dx[:, 1]))
 
 

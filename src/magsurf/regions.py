@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .errors import (DegenerateInputError, InvalidRegionError, NoBracketError)
+from .errors import DegenerateInputError, NoBracketError
 from .fields import flux_total, local_primitive, s_of_energy
 from .flow import TangentState, state_at_energy
 from .surfaces import ClosedPolyline, close_padded
@@ -29,8 +29,6 @@ from .surfaces import ClosedPolyline, close_padded
 STEP_FACTOR = 0.25
 MIN_LENGTH = 0.05
 CHECK_EVERY = 25
-# curve_enclosed_flux splits each fan triangle into FLUX_SUBDIVIDE^2
-FLUX_SUBDIVIDE = 8
 
 
 @dataclasses.dataclass
@@ -70,77 +68,31 @@ def curve_length(system, curve):
                    curve.padded(system.surface)[:, 1:])
 
 
-def curve_enclosed_flux(system, curve):
-    """Flux of sigma through the disc bounded by a contractible curve.
-
-    Uses a triangle fan from the barycenter; each fan triangle is split
-    barycentrically into FLUX_SUBDIVIDE^2 similar triangles carrying a
-    degree-2 edge-midpoint rule.  The fan triangles are long slivers, so
-    without the subdivision the rule error does not vanish under edge
-    refinement.
-    """
-    if curve.winding != (0, 0):
-        raise InvalidRegionError("curve is not contractible")
-    x, nxt = curve.edges(system.surface)
-    b = x.mean(axis=0)
-    a1 = x - b
-    a2 = nxt - b
-    areas = 0.5 * (a1[:, 0] * a2[:, 1] - a1[:, 1] * a2[:, 0])
-    m = FLUX_SUBDIVIDE
-    sub_area = areas / (m * m)
-    tris = []
-    for i in range(m):
-        for j in range(m - i):
-            tris.append(((i, j), (i + 1, j), (i, j + 1)))
-            if j < m - i - 1:
-                tris.append(((i + 1, j), (i + 1, j + 1), (i, j + 1)))
-    total = 0.0
-    for tri in tris:
-        mids = []
-        for (ia, ja), (ib, jb) in ((tri[0], tri[1]), (tri[1], tri[2]),
-                                   (tri[2], tri[0])):
-            aa = 0.5 * (ia + ib) / m
-            bb = 0.5 * (ja + jb) / m
-            mids.append(b + aa * a1 + bb * a2)
-        pts = np.concatenate(mids)
-        dens = np.asarray(system.form_density(curve.chart, pts[:, 0],
-                                              pts[:, 1]),
-                          dtype=float).reshape(3, -1)
-        total += float(np.sum(sub_area * dens.mean(axis=0)))
-    return total
-
-
-def region_flux(system, region, primitive=None):
-    """Flux of sigma through the region's underlying set."""
+def region_flux(system, region):
+    """Flux of sigma through the region's underlying set, by Stokes: the line
+    integral along the boundary of one chart primitive per chart.  A lone
+    clockwise contractible curve bounds the complement of its disc, which
+    adds the total flux."""
     if region.whole_surface:
         return flux_total(system)
-    if not region.curves:
-        return 0.0
+    surf = system.surface
+    prims = {chart: local_primitive(system, chart=chart)
+             for chart in {c.chart for c in region.curves}}
+    total = sum((prims[c.chart].line_integral(c.chart, c.padded(surf)[:, 1:].T)
+                 for c in region.curves), 0.0)
     if len(region.curves) == 1 and region.curves[0].winding == (0, 0):
-        c = region.curves[0]
-        fan = curve_enclosed_flux(system, c)
-        x, nxt = c.edges(system.surface)
-        signed_area = 0.5 * float(np.sum(x[:, 0] * nxt[:, 1]
-                                         - x[:, 1] * nxt[:, 0]))
-        if signed_area >= 0.0:      # counterclockwise: region is the disc
-            return fan
-        # clockwise: the region-on-the-left is the complement of the disc
-        return flux_total(system) + fan
-    if primitive is None:
-        primitive = local_primitive(system)
-    total = 0.0
-    for c in region.curves:
-        total += primitive.line_integral(c.chart,
-                                         c.padded(system.surface)[:, 1:].T)
+        x, nxt = region.curves[0].edges(surf)
+        if np.sum(x[:, 0] * nxt[:, 1] - x[:, 1] * nxt[:, 0]) < 0.0:
+            total += flux_total(system)
     return total
 
 
-def taimanov_value(system, k, region, primitive=None):
+def taimanov_value(system, k, region):
     """Length-minus-flux functional of the region at energy k."""
     if k <= 0:
         raise DegenerateInputError("energy must be positive")
     length = sum(curve_length(system, c) for c in region.curves)
-    flux = region_flux(system, region, primitive)
+    flux = region_flux(system, region)
     return math.sqrt(2.0 * k) * length - region.orientation * flux
 
 

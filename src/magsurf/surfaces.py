@@ -69,6 +69,8 @@ class Surface:
     def check_domain(self, chart, u, v):
         if not (0 <= chart < self.n_charts):
             raise DomainError(f"chart {chart} not in 0..{self.n_charts - 1}")
+        if np.any(np.asarray(v) < self.floor):
+            raise DomainError(f"point below the chart floor v = {self.floor}")
 
     # -- chart bookkeeping -------------------------------------------------
     def post_step(self, chart, u, v, du, dv):
@@ -225,11 +227,6 @@ class HyperbolicPlane(Surface):
         if genus is not None and genus < 2:
             raise DegenerateInputError("a hyperbolic quotient needs genus >= 2")
         self.genus = genus
-
-    def check_domain(self, chart, u, v):
-        super().check_domain(chart, u, v)
-        if np.any(np.asarray(v) < self.floor):
-            raise DomainError("point below the upper half-plane floor")
 
     def conformal(self, chart, u, v):
         u = np.asarray(u, dtype=float)

@@ -128,6 +128,55 @@ def test_config_rejects_unknown_section(capsys, tmp_path):
     assert code == 2
 
 
+def _grid_text(header="x,y,f", first=None, n=8):
+    """A CSV grid of cos 2 pi x on n x n nodes; ``first`` replaces the value
+    of the first sample."""
+    rows = [f"{i / n},{j / n},{math.cos(2.0 * math.pi * i / n)}"
+            for i in range(n) for j in range(n)]
+    if first is not None:
+        rows[0] = f"0.0,0.0,{first}"
+    return "\n".join([header] + rows) + "\n"
+
+
+CSV_FIELD = """\
+[surface]
+kind = flat_torus
+
+[field]
+type = csv
+csv = {path}
+
+[run]
+quantity = c0
+"""
+
+CSV_FACTOR = """\
+[surface]
+kind = conformal_torus
+factor_csv = {path}
+
+[run]
+quantity = c0
+"""
+
+
+@pytest.mark.parametrize("config", [CSV_FIELD, CSV_FACTOR],
+                         ids=["field", "factor"])
+@pytest.mark.parametrize("grid", [
+    _grid_text(header="a,b,c"), "x,y\n0,0\n0,0.5\n", "", "x,y,f\n",
+    _grid_text(first="inf"), _grid_text(first="nan")],
+    ids=["no_xy", "no_value", "empty", "header_only", "inf", "nan"])
+def test_config_rejects_bad_grid_csv(capsys, tmp_path, config, grid):
+    """A grid CSV without x, y and value columns, without samples or with
+    a non-finite sample is a configuration error (exit 2), for a field and
+    for a conformal factor alike."""
+    cfg = _write(tmp_path, config.format(path=_write(tmp_path, grid,
+                                                       "grid.csv")))
+    code = main(["critical", cfg, "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "grid csv" in capsys.readouterr().err
+
+
 def test_simulate_writes_trajectory(capsys, tmp_path):
     text = """\
 [surface]

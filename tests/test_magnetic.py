@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from magsurf.critical import C0Params, c0_upper_bound
 from magsurf.errors import (DegenerateInputError, NoGlobalPrimitiveError,
                             UnsupportedError)
-from magsurf.fields import (CallableField, ConstantField, MagneticSystem,
-                            TorusField, energy_of_s, flux_total,
-                            local_primitive, s_of_energy, stokes_residual)
+from magsurf.fields import (CallableField, ClosedFormPrimitive, ConstantField,
+                            MagneticSystem, TorusField, energy_of_s,
+                            flux_total, local_primitive, s_of_energy,
+                            stokes_residual)
 from magsurf.surfaces import (FlatTorus, HyperbolicPlane, RoundSphere,
                               periodic_spline)
 
@@ -148,6 +149,26 @@ def test_line_integral_matches_flux_on_disc():
     dens = system.form_density(0, xs.ravel(), ys.ravel())
     flux = float(np.sum(dens * rg.ravel()) * (r / nr) * (2 * np.pi / na))
     assert abs(circ - flux) < 1e-6 * max(1.0, abs(flux))
+
+
+def test_line_integral_exact_for_cubic_theta():
+    """Two-point Gauss per segment integrates theta = a(v) du exactly for a
+    cubic a: along a segment from p to q the integral is
+    du * (A(q_v) - A(p_v)) / dv with A' = a."""
+    coef = [0.7, -1.3, 2.1, 1.6]          # a(v) = sum coef[j] v^j
+
+    def a(v):
+        return sum(c * v ** j for j, c in enumerate(coef))
+
+    def big_a(v):
+        return sum(c * v ** (j + 1) / (j + 1) for j, c in enumerate(coef))
+
+    prim = ClosedFormPrimitive(a, lambda v: np.zeros_like(v))
+    pts = np.array([[0.0, -0.4], [0.3, 0.7], [1.1, -0.2], [0.4, -0.9],
+                    [-0.5, 0.35], [0.2, 1.05]])
+    want = sum((q[0] - p[0]) * (big_a(q[1]) - big_a(p[1])) / (q[1] - p[1])
+               for p, q in zip(pts[:-1], pts[1:]))
+    assert abs(prim.line_integral(0, pts) - want) < 1e-14
 
 
 def test_constant_field_vectorized():

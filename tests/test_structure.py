@@ -7,7 +7,8 @@ Outside ``surfaces.py`` and ``cli._build_surface`` no code may call
 ``isinstance`` against a surface class or probe a surface for ``lx`` /
 ``ly`` with ``hasattr`` / ``getattr``; surfaces expose ``lattice``,
 ``constant_curvature``, ``floor`` and ``post_step`` instead.  The c0
-bracket in ``critical.py`` imports nothing from scipy.
+bracket in ``critical.py`` imports nothing from scipy, and region flux in
+``regions.py`` goes only through a primitive, never ``form_density``.
 """
 import ast
 import collections
@@ -243,3 +244,28 @@ def test_scipy_guard_detects_imports(tmp_path):
 def test_critical_imports_no_scipy():
     lines = _scipy_imports(SRC / "critical.py")
     assert not lines, f"scipy imports in critical.py at lines {lines}"
+
+
+# Region flux is a line integral of a chart primitive (Stokes): regions.py
+# evaluates no density of sigma itself.
+def _calls_named(path, name):
+    """Sorted lines of every call of a function or method of that name."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.Call)
+                  and name in (getattr(node.func, "attr", None),
+                               getattr(node.func, "id", None)))
+
+
+def test_call_guard_detects_calls(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "def f(system, x):\n"
+        "    d = system.form_density(0, x, x)\n"
+        "    g = system.form_density\n"
+        "    return form_density(x) + d.form_density_sum(x)\n")
+    assert _calls_named(bad, "form_density") == [2, 4]
+
+
+def test_regions_make_no_form_density_call():
+    lines = _calls_named(SRC / "regions.py", "form_density")
+    assert not lines, f"form_density calls in regions.py at lines {lines}"

@@ -21,12 +21,13 @@ from magsurf.surfaces import FlatTorus, HyperbolicPlane, RoundSphere
 SQ2 = math.sqrt(2.0)
 
 
-def _circle(center, radius, n=128, ccw=True):
+def _circle(center, radius, n=128, ccw=True, chart=0):
     ang = 2.0 * np.pi * np.arange(n) / n
     if not ccw:
         ang = ang[::-1]
     return RegionCurve(np.column_stack([center[0] + radius * np.cos(ang),
-                                        center[1] + radius * np.sin(ang)]))
+                                        center[1] + radius * np.sin(ang)]),
+                       chart=chart)
 
 
 def _strip(x0, x1, n=64):
@@ -113,6 +114,45 @@ def test_strip_flux_and_value():
     rev = Region(list(region.curves), orientation=-1)
     assert abs(taimanov_value(system, k, rev)
                - (math.sqrt(2 * k) * 2.0 - 2.0)) < 1e-9
+
+
+# (system, chart, Euclidean centre, Euclidean radius, closed-form flux) of a
+# disc: a sphere chart-1 disc of radius R = 0.5 about 0, whose flux is the
+# cap area 4 pi R^2 / (1 + R^2), and the hyperbolic disc of radius 0.8 about
+# i, the Euclidean circle about (0, cosh r) of radius sinh r with flux
+# 2 pi (cosh r - 1)
+DISCS = {
+    "sphere_chart1": lambda: (
+        MagneticSystem(RoundSphere(), ConstantField(1.0)), 1, (0.0, 0.0),
+        0.5, 4.0 * math.pi * 0.25 / 1.25),
+    "halfplane": lambda: (
+        MagneticSystem(HyperbolicPlane(), ConstantField(1.0)), 0,
+        (0.0, math.cosh(0.8)), math.sinh(0.8),
+        2.0 * math.pi * (math.cosh(0.8) - 1.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DISCS))
+def test_ngon_flux_converges_at_second_order(name):
+    """The flux of an inscribed n-gon misses the disc by the polygon's own
+    O(1/n^2) deficit; a quadrature that adds no error of its own keeps the
+    ratio err(256) / err(1024) at 16."""
+    system, chart, center, radius, want = DISCS[name]()
+    err = [region_flux(system, Region([_circle(center, radius, n,
+                                               chart=chart)])) - want
+           for n in (256, 1024)]
+    assert 15.0 <= err[0] / err[1] <= 17.0
+
+
+def test_region_flux_two_charts():
+    """A sphere region with one disc in each chart gets one primitive per
+    chart: its flux is the sum of the two discs' fluxes."""
+    system = MagneticSystem(RoundSphere(), ConstantField(1.0))
+    discs = [_circle((0.0, 0.0), 0.5, 256, chart=chart) for chart in (0, 1)]
+    alone = [region_flux(system, Region([c])) for c in discs]
+    both = region_flux(system, Region(discs))
+    assert abs(both - sum(alone)) < 1e-12
+    assert abs(both - 2.0 * 4.0 * math.pi * 0.25 / 1.25) < 1e-3
 
 
 def test_curve_geometry_circle():
