@@ -83,14 +83,15 @@ def _build_surface(cfg):
         path = sec.get("factor_csv")
         if path is None:
             raise ConfigError("conformal_torus needs factor_csv")
-        grid = _load_grid_csv(path)
+        grid = _load_grid_csv(path, lx, ly)
         return ConformalTorus(grid, lx=lx, ly=ly)
     raise ConfigError(f"unknown surface kind {kind!r}")
 
 
-def _load_grid_csv(path):
-    """CSV with header x,y,<value> sampled row-major on a regular grid, every
-    sample finite."""
+def _load_grid_csv(path, lx, ly):
+    """CSV with header x,y,<value> sampled row-major on the regular grid
+    (i lx / nx, j ly / ny) of the period cell, every sample finite; the
+    spline through it puts node i there whatever the file says."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")     # an empty file warns first
@@ -108,6 +109,10 @@ def _load_grid_csv(path):
         raise ConfigError("grid csv has a non-finite sample")
     xs = np.unique(x)
     ys = np.unique(y)
+    for nodes, period in ((xs, lx), (ys, ly)):
+        cell = period / len(nodes)
+        if np.abs(nodes - np.arange(len(nodes)) * cell).max() > 1e-4 * cell:
+            raise ConfigError("grid csv nodes are not i * period / n")
     grid = np.full((len(xs), len(ys)), np.nan)
     grid[np.searchsorted(xs, x), np.searchsorted(ys, y)] = vals
     if np.isnan(grid).any():
@@ -139,7 +144,8 @@ def _build_field(cfg, surface):
                 -(((x - cx) ** 2 + (y - cy) ** 2)) / wid ** 2),
             lx=lx, ly=ly)
     if ftype == "csv":
-        spl = periodic_spline(_load_grid_csv(sec.get("csv", "")), lx, ly)
+        spl = periodic_spline(_load_grid_csv(sec.get("csv", ""), lx, ly),
+                              lx, ly)
         # TorusField.eval wraps the coordinates into the period cell
         return TorusField(lambda x, y: spl(x, y, grid=False), lx=lx, ly=ly)
     raise ConfigError(f"unknown field type {ftype!r}")

@@ -10,7 +10,12 @@ surface orientation and -1 for the reversed orientation.  The functional
 is minimized by moving vertices along their normals at a rate set by the
 stationarity defect sqrt(2 k) * kappa - orient * f; stationary boundaries
 have geodesic curvature orient * s * f, i.e. they are (possibly reversed)
-periodic orbits of the flow at energy k.
+periodic orbits of the flow at energy k.  Each move is smoothed by
+(I - beta D2)^-1, D2 the periodic second difference along the curve, which
+treats the stiff curvature term linearly implicitly (Dziuk, Math. Models
+Methods Appl. Sci. 4 (1994) 589-606) with a constant coefficient solved by
+FFT (Zhu, Chen, Shen and Tikare, Phys. Rev. E 60 (1999) 3564), so the step
+is not capped by the polygon's shortest modes.
 """
 from __future__ import annotations
 
@@ -19,16 +24,18 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateInputError, NoBracketError
+from .errors import DegenerateInputError, DomainError, NoBracketError
 from .fields import flux_total, local_primitive, s_of_energy
 from .flow import TangentState, state_at_energy
 from .surfaces import ClosedPolyline, close_padded
 
-# curve evolution: parabolic step factor, length below which a contractible
-# curve has vanished, and iterations between simplicity checks
-STEP_FACTOR = 0.25
+# curve evolution: step factor in units of spacing^2 / sqrt(2k) (at 1.5 the
+# unstable stationary circle of the ``halfplane_disc`` golden already runs
+# off), length below which a contractible curve has vanished, and iterations
+# between simplicity checks
+STEP_FACTOR = 1.0
 MIN_LENGTH = 0.05
-CHECK_EVERY = 25
+CHECK_EVERY = 6
 
 
 @dataclasses.dataclass
@@ -157,7 +164,8 @@ def _geometry(surf, chart, buf):
 def _resample(pts, shift, spacing):
     """Padded buffer of the closed curve through pts (2, M + 1), whose last
     column is the lifted first vertex, redistributed uniformly in chart
-    arclength at about the given spacing (at least 8 vertices)."""
+    arclength at about the given spacing (at least 8 vertices), and the
+    chart arclength between its vertices."""
     seg = _norm2(pts[:, 1:] - pts[:, :-1])
     cum = np.empty(len(seg) + 1)
     cum[0] = 0.0
@@ -168,7 +176,7 @@ def _resample(pts, shift, spacing):
     buf = np.empty((2, n + 2))
     buf[0, 1:-1] = np.interp(targets, cum, pts[0])
     buf[1, 1:-1] = np.interp(targets, cum, pts[1])
-    return close_padded(buf, shift)
+    return close_padded(buf, shift), total / n
 
 
 def _curve(buf, chart, winding):
@@ -185,8 +193,8 @@ def curve_geometry(system, curve):
 
 def resample_curve(curve, spacing, surface):
     """Redistribute vertices uniformly in chart arclength."""
-    buf = _resample(curve.padded(surface)[:, 1:],
-                    curve.closure_shift(surface), spacing)
+    buf, _ = _resample(curve.padded(surface)[:, 1:],
+                       curve.closure_shift(surface), spacing)
     return _curve(buf, curve.chart, curve.winding)
 
 
@@ -239,22 +247,30 @@ def evolve_minimize(system, k, region, params=None):
     """Normal-velocity evolution toward a stationary boundary.
 
     Each vertex moves by -(sqrt(2k) kappa - orient * f) along the outward
-    normal, scaled by a parabolic stability step 0.25 h^2 / sqrt(2k); the
-    speed carries e^(-rho), so where a curve reaches e^(-rho) > 2 its step
-    shrinks by 2 min e^rho.  Curves are rearclengthed every iteration.
+    normal, scaled by the step h = STEP_FACTOR spacing^2 / sqrt(2k); the
+    speed carries e^(-rho), so where a curve reaches e^(-rho) > 2 the
+    step shrinks by 2 min e^rho.  The move of both coordinate rows is then
+    smoothed by S = (I - beta D2)^-1 with beta = h sqrt(2k) max e^(-rho) /
+    ds^2, ds the chart spacing of the last resample: the curvature term is
+    about -sqrt(2k) e^(-rho) D2 x / ds^2, so S damps mode j of the polygon
+    by 1 / (1 + beta (2 - 2 cos 2 pi j / N)) instead of the explicit step's
+    1 - beta (2 - 2 cos 2 pi j / N), which needs beta <= 1/2.  A
+    stationary curve has no move to smooth, so it stays a fixed point.
+    Curves are rearclengthed every iteration.
+
     There is no surgery: curves that self-intersect halt the run, curves
     shorter than MIN_LENGTH count as vanished (the empty region, value
-    zero).  A region without boundary curves (empty or the whole surface)
-    has nothing to move: it comes back unchanged as stationary, with its
-    value.
+    zero), and a vertex moved off its chart (non-finite or below the
+    surface's floor) raises DomainError.  A region without boundary curves
+    (empty or the whole surface) has nothing to move: it comes back
+    unchanged as stationary, with its value.
 
-    Between iterations a curve is its chart, winding, closure shift and
-    padded coordinate rows (2, N + 2), previous | vertices | next; one
-    iteration moves the middle columns in place, closes the ends again and
-    resamples into the next buffer, with no ``RegionCurve`` in between.
-    ``tests/test_evolve_golden.py`` pins the outcome, iterations, value,
-    residual and vertices bit for bit, so the norms stay sqrt(a*a + b*b)
-    and o * s * f, step * defect and the length sum keep their order.
+    Between iterations a curve is its chart, winding, closure shift,
+    padded coordinate rows (2, N + 2), previous | vertices | next, and
+    vertex spacing; one iteration moves the middle columns in place,
+    closes the ends again and resamples into the next buffer, with no
+    ``RegionCurve`` in between.  ``tests/test_evolve_golden.py`` pins the
+    outcome, iterations, value, residual and vertices bit for bit.
     """
     if params is None:
         params = EvolveParams()
@@ -268,31 +284,44 @@ def evolve_minimize(system, k, region, params=None):
                             residual=0.0, outcome="stationary", iterations=0)
     loops = []
     for c in region.curves:
-        c = resample_curve(c, params.spacing, surf)
-        loops.append((c.chart, c.winding, c.closure_shift(surf),
-                      c.padded(surf)))
+        shift = c.closure_shift(surf)
+        buf, ds = _resample(c.padded(surf)[:, 1:], shift, params.spacing)
+        loops.append((c.chart, c.winding, shift, buf, ds))
     step = STEP_FACTOR * params.spacing ** 2 / sqrt2k
+    symbols = {}                  # vertex count N -> 2 - 2 cos(2 pi j / N)
     outcome = "max_iter"
     it = 0
     for it in range(1, params.max_iter + 1):
         residual = 0.0
         kept = []
         vanished = False
-        for chart, winding, shift, buf in loops:
+        for chart, winding, shift, buf, ds in loops:
             kappa, normal, rho = _geometry(surf, chart, buf)
             x = buf[:, 1:-1]
             f = np.asarray(system.field.eval(chart, x[0], x[1]), float)
             defect = sqrt2k * kappa - o * f
             residual = max(residual, float(np.abs(kappa - o * s * f).max()))
-            h = step * min(1.0, 2.0 * math.exp(float(rho.min())))
-            x -= h * defect * normal
-            buf = _resample(close_padded(buf, shift)[:, 1:], shift,
-                            params.spacing)
+            rho_min = float(rho.min())
+            h = step * min(1.0, 2.0 * math.exp(rho_min))
+            n = x.shape[1]
+            if n not in symbols:
+                symbols[n] = 2.0 - 2.0 * np.cos(
+                    2.0 * math.pi / n * np.arange(n // 2 + 1))
+            beta = h * sqrt2k * math.exp(-rho_min) / (ds * ds)
+            # S on both coordinate rows: -D2 has eigenvalue symbols[n][j]
+            # on rfft frequency j
+            x -= np.fft.irfft(np.fft.rfft(h * defect * normal, axis=1)
+                              / (1.0 + beta * symbols[n]), n=n, axis=1)
+            if not np.isfinite(x).all() or x[1].min() < surf.floor:
+                raise DomainError(
+                    f"curve evolution left chart {chart} at iteration {it}")
+            buf, ds = _resample(close_padded(buf, shift)[:, 1:], shift,
+                                params.spacing)
             if winding == (0, 0) and \
                     _length(surf, chart, buf[:, 1:]) < MIN_LENGTH:
                 vanished = True
             else:
-                kept.append((chart, winding, shift, buf))
+                kept.append((chart, winding, shift, buf, ds))
         if vanished and not kept:
             outcome = "vanished"
             loops = []
@@ -303,15 +332,15 @@ def evolve_minimize(system, k, region, params=None):
             break
         if it % CHECK_EVERY == 0:
             if not all(curve_is_simple(_curve(buf, chart, winding), surf)
-                       for chart, winding, _, buf in loops):
+                       for chart, winding, _, buf, _ in loops):
                 outcome = "halted"
                 break
     curves = [_curve(buf, chart, winding)
-              for chart, winding, _, buf in loops]
+              for chart, winding, _, buf, _ in loops]
     final = Region(curves=curves, orientation=o)
     value = 0.0 if not curves else taimanov_value(system, k, final)
     res = 0.0
-    for chart, _, _, buf in loops:
+    for chart, _, _, buf, _ in loops:
         kappa, _, _ = _geometry(surf, chart, buf)
         f = np.asarray(system.field.eval(chart, buf[0, 1:-1], buf[1, 1:-1]),
                        float)

@@ -128,11 +128,12 @@ def test_config_rejects_unknown_section(capsys, tmp_path):
     assert code == 2
 
 
-def _grid_text(header="x,y,f", first=None, n=8):
-    """A CSV grid of cos 2 pi x on n x n nodes; ``first`` replaces the value
-    of the first sample."""
-    rows = [f"{i / n},{j / n},{math.cos(2.0 * math.pi * i / n)}"
-            for i in range(n) for j in range(n)]
+def _grid_text(header="x,y,f", first=None, n=8, xs=None):
+    """A CSV grid of cos 2 pi x on n x n nodes (x nodes ``xs`` if given,
+    else i / n); ``first`` replaces the value of the first sample."""
+    xs = [i / n for i in range(n)] if xs is None else xs
+    rows = [f"{x},{j / n},{math.cos(2.0 * math.pi * i / n)}"
+            for i, x in enumerate(xs) for j in range(n)]
     if first is not None:
         rows[0] = f"0.0,0.0,{first}"
     return "\n".join([header] + rows) + "\n"
@@ -164,12 +165,16 @@ quantity = c0
                          ids=["field", "factor"])
 @pytest.mark.parametrize("grid", [
     _grid_text(header="a,b,c"), "x,y\n0,0\n0,0.5\n", "", "x,y,f\n",
-    _grid_text(first="inf"), _grid_text(first="nan")],
-    ids=["no_xy", "no_value", "empty", "header_only", "inf", "nan"])
+    _grid_text(first="inf"), _grid_text(first="nan"),
+    _grid_text(n=4, xs=[0.0, 0.1, 0.5, 0.9]),
+    _grid_text(n=4, xs=[0.0, 0.5, 1.0, 1.5])],
+    ids=["no_xy", "no_value", "empty", "header_only", "inf", "nan",
+         "nonuniform", "off_period"])
 def test_config_rejects_bad_grid_csv(capsys, tmp_path, config, grid):
-    """A grid CSV without x, y and value columns, without samples or with
-    a non-finite sample is a configuration error (exit 2), for a field and
-    for a conformal factor alike."""
+    """A grid CSV without x, y and value columns, without samples, with a
+    non-finite sample or with nodes other than i / n on the unit period is
+    a configuration error (exit 2), for a field and for a conformal factor
+    alike."""
     cfg = _write(tmp_path, config.format(path=_write(tmp_path, grid,
                                                        "grid.csv")))
     code = main(["critical", cfg, "--out", str(tmp_path / "out")])
@@ -264,6 +269,33 @@ quantity = c0
     assert data["lower"] <= data["c0"] == data["history"][-1]
     assert abs(data["gap"] - (data["c0"] - data["lower"])) < 1e-12
     assert data["gap"] <= 1e-3
+
+
+def test_taimanov_off_chart_is_an_error(capsys, tmp_path):
+    """A half-plane disc that grows past the chart floor ends with an error
+    naming the iteration (exit 1), not a traceback."""
+    text = """\
+[surface]
+kind = hyperbolic
+genus = 2
+
+[field]
+type = constant
+value = 1.0
+
+[run]
+s = 3.4
+center_u = 0.1
+center_v = 1.0
+radius = 0.4
+spacing = 0.03
+max_iter = 4000
+"""
+    code = main(["taimanov", _write(tmp_path, text), "--out",
+                 str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "iteration" in err
 
 
 def test_contact_check_sphere(capsys, tmp_path):

@@ -2,15 +2,19 @@
 
 ``evolve_golden.json`` holds the outcome, iteration count, value, residual
 (as ``float.hex``) and every final vertex of a few evolutions, recorded
-with the row-per-vertex kernel that used ``np.roll``/``np.linalg.norm`` and
-built a ``RegionCurve`` every iteration.  Any rewrite of the evolution must
-reproduce them exactly.  The ``criterion_08_tau`` entry pins every
-evolution ``tau_estimate`` makes on criterion 08's strip and the tau it
-returns, recorded with Dinkelbach's ratio iteration.
+with the smoothed-step kernel: the padded-buffer evolution whose normal
+move is smoothed by (I - beta D2)^-1 through one rfft/irfft pair, at
+``STEP_FACTOR`` 1.0 with a simplicity check every 6 iterations.  Any
+rewrite of the evolution must reproduce them exactly.  The
+``criterion_08_tau`` entry pins every evolution ``tau_estimate`` makes on
+criterion 08's strip and the tau it returns, by Dinkelbach's ratio
+iteration.
 
 Re-record only for a change that is meant to alter the numbers, and say
 so: ``python tests/test_evolve_golden.py [NAME ...]`` rewrites the named
-entries, or all of them when none is named, and keeps the others.
+entries, or all of them when none is named, keeps the others, and prints a
+Markdown table of old -> new outcome, iterations, value and residual for
+each rewritten entry.
 """
 import json
 import math
@@ -139,16 +143,46 @@ def test_tau_estimate_matches_golden(golden, monkeypatch):
         _check(g, w)
 
 
+def _changes(name, old, new):
+    """Markdown rows old -> new of outcome, iterations, value and residual
+    for one rewritten entry; a tau entry gets one row per evolution and a
+    row for tau."""
+    def cells(rec):
+        if rec is None:
+            return ("-",) * 4
+        return (rec["outcome"], str(rec["iterations"]),
+                "%.12g" % float.fromhex(rec["value"]),
+                "%.6g" % float.fromhex(rec["residual"]))
+
+    if "tau" in new:
+        olds = (old or {}).get("evolutions", [])
+        news = new["evolutions"]
+        pairs = [(f"{name}[{i}]", olds[i] if i < len(olds) else None,
+                  news[i] if i < len(news) else None)
+                 for i in range(max(len(olds), len(news)))]
+    else:
+        pairs = [(name, old, new)]
+    rows = ["| %s | %s |" % (label, " | ".join(
+        f"{a} → {b}" for a, b in zip(cells(o), cells(n))))
+        for label, o, n in pairs]
+    if "tau" in new:
+        tau = ("%.13g" % float.fromhex(old["tau"]) if old else "-",
+               "%.13g" % float.fromhex(new["tau"]))
+        rows.append(f"| {name} tau | {tau[0]} → {tau[1]} | | | |")
+    return rows
+
+
 if __name__ == "__main__":
     runs = {name: (lambda name=name: _run_evolve(name))
             for name in sorted(EVOLVE_CASES)}
     runs["criterion_08_tau"] = _run_tau
     names = sys.argv[1:] or list(runs)
     data = json.loads(GOLDEN.read_text())
+    old = dict(data)
     for name in names:
         data[name] = runs[name]()
     GOLDEN.write_text(json.dumps(data, indent=1) + "\n")
+    print("| entry | outcome | iterations | value | residual |")
+    print("|---|---|---|---|---|")
     for name in names:
-        rec = data[name].get("evolutions", [data[name]])
-        print(name, [(r["outcome"], r["iterations"],
-                      [len(c[0]) for c in r["curves"]]) for r in rec])
+        print("\n".join(_changes(name, old.get(name), data[name])))

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from magsurf import fields
 from magsurf.critical import C0Params, c0_upper_bound
 from magsurf.errors import (DegenerateInputError, NoGlobalPrimitiveError,
                             UnsupportedError)
 from magsurf.fields import (CallableField, ClosedFormPrimitive, ConstantField,
-                            MagneticSystem, TorusField, energy_of_s,
-                            flux_total, local_primitive, s_of_energy,
-                            stokes_residual)
+                            LineIntegralPrimitive, MagneticSystem, TorusField,
+                            TorusSpectralPrimitive, energy_of_s, flux_total,
+                            local_primitive, s_of_energy, stokes_residual)
 from magsurf.surfaces import (FlatTorus, HyperbolicPlane, RoundSphere,
                               periodic_spline)
 
@@ -124,9 +125,33 @@ def test_spectral_primitive_is_global():
 
 def test_spectral_primitive_rejects_net_flux():
     sys = MagneticSystem(FlatTorus(), ConstantField(1.0))
-    from magsurf.fields import TorusSpectralPrimitive
     with pytest.raises(NoGlobalPrimitiveError):
         TorusSpectralPrimitive(sys)
+
+
+def test_local_primitive_skips_spectral_solve_of_inexact_field(monkeypatch):
+    """The bump field's coarse-grid mean is most of its largest value, so
+    local_primitive makes no 256 x 256 Poisson solve for it; the cosine and
+    two-mode fields, of zero mean, still get the spectral primitive."""
+    sizes = []
+    solve = fields.periodic_poisson
+
+    def recording(system, n):
+        sizes.append(n)
+        return solve(system, n)
+
+    monkeypatch.setattr(fields, "periodic_poisson", recording)
+    bump = TorusField(lambda x, y: 1.0 - 2.0 * np.exp(
+        -((x - 0.5) ** 2 + (y - 0.5) ** 2) / 0.0625))
+    prim = local_primitive(MagneticSystem(FlatTorus(), bump))
+    assert isinstance(prim, LineIntegralPrimitive)
+    assert sizes == []
+    for f in (lambda x, y: 2 * np.pi * np.cos(2 * np.pi * x),
+              lambda x, y: 2 * np.pi * np.cos(2 * np.pi * x)
+              + np.pi * np.sin(2 * np.pi * (x + y))):
+        prim = local_primitive(MagneticSystem(FlatTorus(), TorusField(f)))
+        assert isinstance(prim, TorusSpectralPrimitive)
+    assert sizes == [256, 256]
 
 
 def test_line_integral_matches_flux_on_disc():

@@ -6,16 +6,16 @@ import pytest
 
 from magsurf import regions
 from magsurf.critical import c0_upper_bound
-from magsurf.errors import NoBracketError
+from magsurf.errors import DomainError, NoBracketError
 from magsurf.fields import (ConstantField, MagneticSystem, TorusField,
                             energy_of_s, flux_total)
 from magsurf.flow import integrate
 from magsurf.orbits import orbit_curvature_residual, shoot_periodic
-from magsurf.regions import (CHECK_EVERY, EvolveParams, Region, RegionCurve,
-                             curve_geometry, curve_is_simple, curve_length,
-                             evolve_minimize, region_complement, region_flux,
-                             resample_curve, state_from_curve, tau_estimate,
-                             taimanov_value)
+from magsurf.regions import (CHECK_EVERY, STEP_FACTOR, EvolveParams, Region,
+                             RegionCurve, curve_geometry, curve_is_simple,
+                             curve_length, evolve_minimize, region_complement,
+                             region_flux, resample_curve, state_from_curve,
+                             tau_estimate, taimanov_value)
 from magsurf.surfaces import FlatTorus, HyperbolicPlane, RoundSphere
 
 SQ2 = math.sqrt(2.0)
@@ -282,6 +282,54 @@ def test_evolution_step_follows_conformal_factor():
     assert res.residual < 2.0
 
 
+@pytest.mark.parametrize("n_iter", [25, 50, 100])
+def test_evolution_follows_closed_form_disc(n_iter):
+    """On the flat torus with f = 1 a disc of radius r < R = sqrt(2k)
+    shrinks concentrically at dr/dt = 1 - R / r, so after evolution time t
+    its radius solves t = (r - r0) + R ln((R - r) / (R - r0)); each
+    iteration advances t by STEP_FACTOR spacing^2 / R."""
+    system = MagneticSystem(FlatTorus(), ConstantField(1.0))
+    k = energy_of_s(2.5)
+    big_r, r0, spacing = math.sqrt(2.0 * k), 0.15, 0.01
+    res = evolve_minimize(system, k, Region([_circle((0.5, 0.5), r0)]),
+                          EvolveParams(spacing=spacing, max_iter=n_iter))
+    assert res.outcome == "max_iter"
+    verts = res.region.curves[0].vertices
+    r = np.hypot(*(verts - verts.mean(axis=0)).T).mean()
+    t = (r - r0) + big_r * math.log((big_r - r) / (big_r - r0))
+    want = n_iter * STEP_FACTOR * spacing ** 2 / big_r
+    assert abs(t - want) < 0.06 * want
+
+
+def test_evolution_damps_shortest_mode():
+    """A +-1e-3 alternating radial zigzag on the stationary circle r = 0.4
+    is the polygon's stiffest mode: the smoothed step damps it below 5e-4
+    in one iteration, where the unsmoothed move at the same step grows its
+    radial spread from 2e-3 to 5.6e-3."""
+    system = MagneticSystem(FlatTorus(), ConstantField(1.0))
+    n = 252
+    ang = 2.0 * np.pi * np.arange(n) / n
+    rad = 0.4 + 1e-3 * (-1.0) ** np.arange(n)
+    zigzag = RegionCurve(np.column_stack([0.5 + rad * np.cos(ang),
+                                          0.5 + rad * np.sin(ang)]))
+    res = evolve_minimize(system, energy_of_s(2.5), Region([zigzag]),
+                          EvolveParams(spacing=0.01, max_iter=1))
+    assert res.iterations == 1
+    verts = res.region.curves[0].vertices
+    rad = np.hypot(verts[:, 0] - 0.5, verts[:, 1] - 0.5)
+    assert rad.max() - rad.min() < 5e-4
+
+
+def test_evolution_off_chart_raises():
+    """A half-plane disc that grows past the chart floor raises DomainError
+    naming the iteration instead of resampling non-finite vertices."""
+    system = MagneticSystem(HyperbolicPlane(genus=2), ConstantField(1.0))
+    with pytest.raises(DomainError, match="iteration"):
+        evolve_minimize(system, energy_of_s(3.4),
+                        Region([_circle((0.1, 1.0), 0.4)]),
+                        EvolveParams(spacing=0.03, max_iter=4000))
+
+
 def test_evolution_drops_vanished_disc_and_goes_on():
     """Of two discs at s f = 5 (unstable radius 0.2), the one inside its
     radius shrinks below min_length and is dropped; the other one keeps
@@ -297,6 +345,9 @@ def test_evolution_drops_vanished_disc_and_goes_on():
     assert res.iterations == 100
     (kept,) = res.region.curves
     assert np.max(np.abs(kept.vertices.mean(axis=0) - 0.65)) < 0.01
+    # the exact flow is concentric; each resample restarts at vertex 0 and
+    # pulls the centroid toward it, so fewer iterations drift less
+    assert abs(kept.vertices[:, 0].mean() - 0.65) < 1e-3
     assert res.value == taimanov_value(system, k, res.region)
     assert res.value > 0.0
 
