@@ -3,7 +3,7 @@
 from .errors import (ConfigError, DegenerateInputError, DomainError,
                      InvalidCandidateError, MagsurfError, NoBracketError,
                      NoConvergenceError, NoGlobalPrimitiveError,
-                     NoReturnError, UndefinedActionError, UnsupportedError)
+                     NoReturnError, UnsupportedError)
 from .fields import (CallableField, ConstantField, MagneticField,
                      MagneticSystem, TorusField, energy_of_s, flux_total,
                      local_primitive, s_of_energy)

@@ -4,9 +4,10 @@ Usage:  magsurf <command> <config.ini> [--out DIR]
 
 Commands: simulate, orbit-shoot, orbit-descend, oracle, taimanov, critical,
 contact-check, sweep.  The INI file describes the surface, the field and the
-run parameters; unknown sections or keys are rejected.  The [run] key
-``workers`` is accepted for compatibility and ignored: sweep runs its
-values one after another.  Results are written
+run parameters; unknown sections or keys are rejected.  The [run] keys
+``workers`` and ``period`` are accepted for compatibility and ignored:
+sweep runs its values one after another, and orbit-descend takes the
+period T* at which the action is stationary.  Results are written
 as CSV/JSON files plus a gnuplot script, and a one-line JSON summary goes to
 stdout.  Exit codes: 0 success, 1 negative outcome (no convergence, halt),
 2 configuration or usage error.
@@ -258,9 +259,7 @@ def cmd_orbit_descend(cfg, system, outdir):
     n = sec.getint("n_vertices", 256)
     radius = sec.getfloat("radius", 1.0)
     center = (sec.getfloat("center_u", 0.0), sec.getfloat("center_v", 0.0))
-    period = sec.getfloat("period",
-                          2.0 * math.pi * radius / math.sqrt(2.0 * k))
-    loop = circle_loop(center, radius, n, period)
+    loop = circle_loop(center, radius, n, 1.0)    # the period is T*
     params = DescentParams(tol=sec.getfloat("tol", 1e-6))
     result = descend_to_critical(system, k, loop, params)
     with open(os.path.join(outdir, "loop.csv"), "w") as fh:

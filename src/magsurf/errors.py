@@ -29,10 +29,6 @@ class NoConvergenceError(MagsurfError):
     """An iterative solver exhausted its budget without converging."""
 
 
-class UndefinedActionError(MagsurfError):
-    """The discrete action is not defined for this loop and field."""
-
-
 class InvalidCandidateError(MagsurfError):
     """A contact-form candidate fails its consistency requirements."""
 

@@ -143,7 +143,11 @@ def periodic_poisson(system, n):
 
 
 class LocalPrimitive:
-    """A 1-form theta with d theta = sigma on its region of validity."""
+    """A 1-form theta with d theta = sigma on its region of validity;
+    ``periodic`` if theta is lattice-periodic, so that it integrates along a
+    curve winding around the torus."""
+
+    periodic = False
 
     def theta(self, chart, u, v):
         """Components (theta_u, theta_v) at a chart point (vectorized)."""
@@ -195,39 +199,48 @@ def stokes_residual(theta, density, chart, center, h, n=1):
 
 
 class ClosedFormPrimitive(LocalPrimitive):
-    """theta = a(v) du with closed-form a and its derivative da."""
+    """theta = a(v) du, or theta = a(q) (u dv - v du) with q = u^2 + v^2
+    when radial, for a closed-form a and its derivative da."""
 
-    def __init__(self, a, da):
+    def __init__(self, a, da, radial=False):
         self._a = a
         self._da = da
+        self.radial = radial
 
     def theta(self, chart, u, v):
-        return self._a(np.asarray(v, float)), np.zeros_like(
-            np.asarray(u, float))
+        u, v = np.asarray(u, float), np.asarray(v, float)
+        if self.radial:
+            a = self._a(u * u + v * v)
+            return -v * a, u * a
+        return self._a(v), np.zeros_like(u)
 
     def jacobian_many(self, chart, u, v):
-        v = np.asarray(v, float)
+        u, v = np.ravel(u).astype(float), np.ravel(v).astype(float)
         out = np.zeros((v.size, 2, 2))
-        out[:, 0, 1] = self._da(v)
+        if self.radial:
+            q = u * u + v * v
+            a, d = self._a(q), 2.0 * self._da(q)
+            out[:] = np.moveaxis(np.array([[-u * v * d, -a - v * v * d],
+                                           [a + u * u * d, u * v * d]]), 2, 0)
+        else:
+            out[:, 0, 1] = self._da(v)
         return out
 
 
 class LineIntegralPrimitive(LocalPrimitive):
     """theta = -F(x, y) dx with F(x, y) the fiberwise integral of the chart
-
-    density from a reference height; valid on any chart rectangle that the
-    vertical segments stay inside.
+    density from the height v0 (0, or 1 above a chart floor); valid on any
+    chart rectangle that the vertical segments stay inside.
     """
 
-    _NODES = 48
+    # 48-point Gauss-Legendre nodes and weights on [0, 1]
+    _T, _W = np.polynomial.legendre.leggauss(48)
+    _T, _W = 0.5 * (_T + 1.0), 0.5 * _W
 
-    def __init__(self, system, chart, ref_v=0.0):
+    def __init__(self, system, chart):
         self.system = system
         self.chart = chart
-        self.ref_v = float(ref_v)
-        t, w = np.polynomial.legendre.leggauss(self._NODES)
-        self._t = 0.5 * (t + 1.0)
-        self._w = 0.5 * w
+        self.v0 = 0.0 if system.surface.floor == -math.inf else 1.0
 
     def _density(self, u, v):
         return np.asarray(self.system.form_density(self.chart, u, v), float)
@@ -235,11 +248,11 @@ class LineIntegralPrimitive(LocalPrimitive):
     def _fint(self, u, v):
         u = np.atleast_1d(np.asarray(u, dtype=float))
         v = np.atleast_1d(np.asarray(v, dtype=float))
-        span = v - self.ref_v
-        ys = self.ref_v + span[:, None] * self._t[None, :]
+        span = v - self.v0
+        ys = self.v0 + span[:, None] * self._T[None, :]
         xs = np.broadcast_to(u[:, None], ys.shape)
         vals = self._density(xs.ravel(), ys.ravel()).reshape(ys.shape)
-        return span * (vals @ self._w)
+        return span * (vals @ self._W)
 
     def theta(self, chart, u, v):
         if chart != self.chart:
@@ -273,6 +286,7 @@ class FourierOneForm(LocalPrimitive):
     """
 
     PHASE_BLOCK = 1 << 20   # complex entries of one points x modes block
+    periodic = True
 
     def __init__(self, kx, ky, ghat, phihat, c1=0.0, c2=0.0):
         ikx, iky = 1j * kx, 1j * ky
@@ -326,35 +340,47 @@ class TorusSpectralPrimitive(FourierOneForm):
                          np.zeros(np.count_nonzero(keep), complex))
 
 
-def local_primitive(system, chart=0, ref_v=None):
+def local_primitive(system, chart=0, winds=False):
     """Build a primitive of sigma usable on the given chart.
 
-    On a torus with (numerically) zero total flux a global spectral
-    primitive is returned; otherwise a chart-local fiber-integral primitive.
-    Known homogeneous cases get closed forms.  A torus density whose mean on
-    a 32 x 32 grid is at least a tenth of its largest sample skips the
-    256 x 256 spectral attempt: the two grid means differ only by the modes
-    at multiples of 32, which would have to carry that tenth for the fine
-    mean to pass the spectral primitive's 1e-9 test.
+    Constant fields on the homogeneous surfaces get closed forms: -c v du
+    on the flat torus, c du / v on the half-plane and the rotation-symmetric
+    2c (u dv - v du) / (1 + u^2 + v^2) in either sphere chart.  On a torus
+    with (numerically) zero total flux a global spectral primitive is
+    returned, otherwise a chart-local fiber-integral primitive.  A torus
+    density whose mean on a 32 x 32 grid is at least a tenth of its largest
+    sample skips the 256 x 256 spectral attempt: the two grid means differ
+    only by the modes at multiples of 32, which would have to carry that
+    tenth for the fine mean to pass the spectral primitive's 1e-9 test.
+
+    A curve that winds around the torus (winds) needs a lattice-periodic
+    primitive; when the field has none, NoGlobalPrimitiveError is raised.
     """
     surf = system.surface
     fld = system.field
+    prim = None
     if isinstance(fld, ConstantField):
         c = fld.value
-        if c == 0.0:
-            return ClosedFormPrimitive(np.zeros_like, np.zeros_like)
+        if c == 0.0:       # the zero form, periodic on any lattice
+            return FourierOneForm(*np.zeros((4, 0)))
         if surf.constant_curvature == -1:
-            return ClosedFormPrimitive(lambda v: c / v, lambda v: -c / (v * v))
-        if surf.constant_curvature == 0:
-            return ClosedFormPrimitive(lambda v: -c * v, lambda v: -c)
-    if surf.lattice is not None:
+            prim = ClosedFormPrimitive(lambda v: c / v, lambda v: -c / (v * v))
+        elif surf.constant_curvature == 0:
+            prim = ClosedFormPrimitive(lambda v: -c * v, lambda v: -c)
+        elif surf.constant_curvature == 1:
+            prim = ClosedFormPrimitive(lambda q: 2.0 * c / (1.0 + q),
+                                       lambda q: -2.0 * c / (1.0 + q) ** 2,
+                                       radial=True)
+    elif surf.lattice is not None:
         dens = _density_grid(system, 32)
         if abs(dens.mean()) < 0.1 * np.abs(dens).max():
             try:
-                return TorusSpectralPrimitive(system)
+                prim = TorusSpectralPrimitive(system)
             except NoGlobalPrimitiveError:
                 pass
-    if ref_v is None:
-        # the reference height must lie inside the chart domain
-        ref_v = 0.0 if surf.floor == -math.inf else 1.0
-    return LineIntegralPrimitive(system, chart, ref_v=ref_v)
+    if prim is None:
+        prim = LineIntegralPrimitive(system, chart)
+    if winds and not prim.periodic:
+        raise NoGlobalPrimitiveError(
+            "a winding curve needs a periodic primitive; this field has none")
+    return prim

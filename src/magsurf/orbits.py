@@ -1,7 +1,8 @@
 """Periodic orbit finding: closed-form oracles for the homogeneous systems,
 Newton shooting on a reduced Poincare return map, and a variational route
-through discretized loops of the free-period action, whose critical loops
-one Newton-Krylov solve of the action gradient finds.
+through discretized loops of the free-period action: with the period
+eliminated it is Taimanov's length-minus-flux functional, whose critical
+loops one Newton-Krylov solve of the vertex gradient finds.
 """
 from __future__ import annotations
 
@@ -10,9 +11,8 @@ import math
 
 import numpy as np
 
-from .errors import (DegenerateInputError, NoConvergenceError,
-                     NoGlobalPrimitiveError, NoReturnError,
-                     UndefinedActionError, UnsupportedError)
+from .errors import (DegenerateInputError, NoConvergenceError, NoReturnError,
+                     UnsupportedError)
 from .fields import local_primitive, s_of_energy
 from .flow import (DEFAULT_DT, Section, StepRecord, TangentState,
                    poincare_return, state_at_energy, trajectory_curvature)
@@ -282,20 +282,6 @@ def loop_mean_energy(system, loop):
     return loop_l2_energy(system, loop) / (2.0 * loop.period ** 2)
 
 
-def loop_primitive(system, loop):
-    """Primitive of sigma appropriate for the loop's flux term."""
-    surf = system.surface
-    if surf.lattice is not None and loop.winding != (0, 0):
-        try:
-            return local_primitive(system, chart=loop.chart)
-        except NoGlobalPrimitiveError as exc:
-            raise UndefinedActionError(str(exc))
-    ref = float(np.min(loop.vertices[:, 1])) - 0.5
-    if surf.floor > -math.inf:
-        ref = max(ref, 0.05)
-    return local_primitive(system, chart=loop.chart, ref_v=ref)
-
-
 def _primitive_arrays(primitive, chart, mids):
     t1, t2 = primitive.theta(chart, mids[:, 0], mids[:, 1])
     t1 = np.broadcast_to(np.asarray(t1, float), (len(mids),))
@@ -309,11 +295,12 @@ def discrete_action(system, k, loop, primitive=None):
         S = sum_i |dx_i|_g^2 / (2 h T) + k T - sum_i theta(m_i) . dx_i
 
     with h = 1/N and midpoint metric/primitive evaluation.  The flux term
-    uses a chart primitive, so it is defined for loops that are either
-    contractible or sit over an exact field.
+    uses local_primitive's chart primitive; a loop winding around the torus
+    over a field with no periodic primitive raises NoGlobalPrimitiveError.
     """
     if primitive is None:
-        primitive = loop_primitive(system, loop)
+        primitive = local_primitive(system, loop.chart,
+                                    loop.winding != (0, 0))
     m, d, rho, _, _ = _midpoint_data(system, loop)
     h = 1.0 / loop.n
     kin = float(np.sum(np.exp(2.0 * rho) * np.sum(d * d, axis=1))
@@ -326,7 +313,8 @@ def discrete_action(system, k, loop, primitive=None):
 def discrete_action_gradient(system, k, loop, primitive=None):
     """Analytic gradient of discrete_action: (d/d vertices, d/dT)."""
     if primitive is None:
-        primitive = loop_primitive(system, loop)
+        primitive = local_primitive(system, loop.chart,
+                                    loop.winding != (0, 0))
     h, t = 1.0 / loop.n, loop.period
     m, d, rho, ru, rv = _midpoint_data(system, loop)
     lam2 = np.exp(2.0 * rho)
@@ -369,51 +357,56 @@ class DescentResult:
     iterations: int
 
 
-def _pack(loop):
-    return np.concatenate([loop.vertices.ravel(), [loop.period]])
-
-
-def _unpack(z, loop):
-    verts = z[:-1].reshape(-1, 2)
-    return DiscreteLoop(vertices=verts, period=max(float(z[-1]), 1e-12),
-                        chart=loop.chart, winding=loop.winding)
-
-
 def descend_to_critical(system, k, loop, params=None):
-    """Solve grad S = 0 for a critical loop of the discrete action.
+    """Solve grad S* = 0 for a critical loop of the period-free action.
 
-    Critical points of the free-period action are often saddle points,
-    which no descent line reaches, so one Jacobian-free Newton-Krylov
-    iteration (Knoll and Keyes, J. Comput. Phys. 193 (2004) 357) drives the
-    gradient to zero from the seed.  Its stopping test bounds the largest
-    gradient entry by tol / sqrt(number of unknowns), so that a converged
-    loop has Euclidean |grad S| < tol.  A solve that fails or raises
-    returns the seed with outcome max_iter and the seed's gradient norm.
+    At fixed vertices the action S is stationary in T at T* = sqrt(E / 2k),
+    E = loop_l2_energy, which leaves S* = sqrt(2kE) - flux, the discrete
+    Taimanov functional (Taimanov, Russian Math. Surveys 47:2 (1992) 163;
+    Abbondandolo, J. Fixed Point Theory Appl. 13 (2013) 397).  Its gradient
+    is the vertex part of discrete_action_gradient at T* (envelope theorem).
+    The seed's period is not used: loops come back at T*, of mean energy k,
+    and a collapsed seed (E = 0) raises DegenerateInputError.
+
+    Critical loops are often saddle points, which no descent line reaches,
+    so one Jacobian-free Newton-Krylov iteration (Knoll and Keyes, J.
+    Comput. Phys. 193 (2004) 357) drives the vertex gradient to zero from
+    the seed.  Its stopping test bounds the largest gradient entry by
+    tol / sqrt(number of unknowns), so that a converged loop has Euclidean
+    |grad S*| < tol.  A solve that fails or raises returns the seed's
+    vertices at T* with outcome max_iter and the gradient norm there.
     """
     from scipy.optimize import root
 
     if params is None:
         params = DescentParams()
-    primitive = loop_primitive(system, loop)
+    primitive = local_primitive(system, loop.chart, loop.winding != (0, 0))
 
-    def grad(z):
-        g, dt = discrete_action_gradient(system, k, _unpack(z, loop),
-                                         primitive)
-        return np.append(g.ravel(), dt)
+    def at_t_star(x):
+        """The loop through the vertices x at the period T*."""
+        trial = dataclasses.replace(loop, vertices=x.reshape(-1, 2))
+        energy = loop_l2_energy(system, trial)
+        if energy == 0.0:
+            raise DegenerateInputError("collapsed loop: no period T*")
+        return dataclasses.replace(trial,
+                                   period=math.sqrt(energy / (2.0 * k)))
 
-    z0 = _pack(loop)
+    def grad(trial):
+        return discrete_action_gradient(system, k, trial, primitive)[0]
+
+    x0 = loop.vertices.ravel()
+    seed = at_t_star(x0)
     try:
-        res = root(grad, z0, method="krylov",
-                   options={"fatol": params.tol / math.sqrt(z0.size),
+        res = root(lambda x: grad(at_t_star(x)).ravel(), x0, method="krylov",
+                   options={"fatol": params.tol / math.sqrt(x0.size),
                             "maxiter": params.max_iter})
-        z, it = res.x, res.nit
+        final, it = at_t_star(res.x), res.nit
     except Exception:
-        z, it = z0, 0
-    gn = float(np.linalg.norm(grad(z)))
+        final, it = seed, 0
+    gn = float(np.linalg.norm(grad(final)))
     outcome = "converged" if gn < params.tol else "max_iter"
     if outcome == "max_iter":
-        z, gn = z0, float(np.linalg.norm(grad(z0)))
-    final = _unpack(z, loop)
+        final, gn = seed, float(np.linalg.norm(grad(seed)))
     return DescentResult(loop=final, outcome=outcome, grad_norm=gn,
                          action=discrete_action(system, k, final, primitive),
                          iterations=it)

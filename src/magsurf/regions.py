@@ -79,11 +79,13 @@ def region_flux(system, region):
     """Flux of sigma through the region's underlying set, by Stokes: the line
     integral along the boundary of one chart primitive per chart.  A lone
     clockwise contractible curve bounds the complement of its disc, which
-    adds the total flux."""
+    adds the total flux.  Curves winding around the torus need a periodic
+    primitive: on a field with none, NoGlobalPrimitiveError is raised."""
     if region.whole_surface:
         return flux_total(system)
     surf = system.surface
-    prims = {chart: local_primitive(system, chart=chart)
+    winds = any(c.winding != (0, 0) for c in region.curves)
+    prims = {chart: local_primitive(system, chart, winds)
              for chart in {c.chart for c in region.curves}}
     total = sum((prims[c.chart].line_integral(c.chart, c.padded(surf)[:, 1:].T)
                  for c in region.curves), 0.0)

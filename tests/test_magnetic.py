@@ -109,6 +109,23 @@ def test_stokes_residual_second_order():
     assert 1.6 < r2 < 2.6
 
 
+@given(chart=st.integers(0, 1), u=st.floats(-2.0, 2.0),
+       v=st.floats(-2.0, 2.0), c=st.sampled_from([-1.5, 0.4, 1.0]))
+@settings(max_examples=60, deadline=None)
+def test_sphere_primitive_closed_form(chart, u, v, c):
+    """In either sphere chart a constant field gets the rotation-symmetric
+    primitive 2c (u dv - v du) / (1 + u^2 + v^2), whose circulation around
+    small squares matches form_density to O(h^2)."""
+    system = MagneticSystem(RoundSphere(), ConstantField(c))
+    prim = local_primitive(system, chart)
+    a = 2.0 * c / (1.0 + u * u + v * v)
+    assert np.allclose(prim.theta(chart, u, v), (-v * a, u * a),
+                       rtol=1e-14, atol=1e-15)
+    for h in (0.04, 0.02, 0.01):
+        assert stokes_residual(prim.theta, system.form_density, chart,
+                               (u, v), h) < 2.0 * abs(c) * h * h
+
+
 def test_spectral_primitive_is_global():
     sys = MagneticSystem(FlatTorus(), TorusField(
         lambda x, y: 2 * np.pi * np.cos(2 * np.pi * x)))

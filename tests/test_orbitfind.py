@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magsurf.errors import NoReturnError
+from magsurf.cli import main
+from magsurf.errors import (DegenerateInputError, NoGlobalPrimitiveError,
+                            NoReturnError)
 from magsurf.fields import (ConstantField, MagneticSystem, TorusField,
                             energy_of_s)
 from magsurf.flow import TangentState, integrate, state_at_energy
@@ -345,18 +347,81 @@ def test_descent_is_one_root_solve(monkeypatch):
 
 
 def test_failed_descent_returns_seed():
-    """A solve that does not converge hands back the untouched seed with
-    its own gradient norm; here the seed is 250 times smaller than the
-    radius-5 orbit of s = 0.2."""
+    """A solve that does not converge hands back the seed's vertices at the
+    period T* = sqrt(E / 2k) with the reduced gradient norm there; one
+    Newton-Krylov iteration does not carry this seed, 250 times smaller
+    than the radius-5 orbit of s = 0.2, to the orbit."""
     system = _torus_system()
     k = energy_of_s(0.2)
     loop = circle_loop((0.5, 0.5), 0.02, 64, 0.3)
-    params = DescentParams()
+    params = DescentParams(max_iter=1)
     res = descend_to_critical(system, k, loop, params)
     assert res.outcome == "max_iter"
     assert np.array_equal(res.loop.vertices, loop.vertices)
-    assert res.loop.period == loop.period
-    g, dt = discrete_action_gradient(system, k, loop)
-    assert res.grad_norm == pytest.approx(
-        math.sqrt(float(np.sum(g * g)) + dt * dt), rel=1e-12)
+    t_star = math.sqrt(loop_l2_energy(system, loop) / (2.0 * k))
+    assert res.loop.period == pytest.approx(t_star, rel=1e-15)
+    seed = DiscreteLoop(vertices=loop.vertices, period=t_star)
+    g, dt = discrete_action_gradient(system, k, seed)
+    assert abs(dt) < 1e-12
+    assert res.grad_norm == pytest.approx(float(np.linalg.norm(g)),
+                                          rel=1e-12)
     assert res.grad_norm > params.tol
+
+
+def test_descent_from_far_seed_reaches_orbit():
+    """The period-free functional carries a seed 250 times smaller than the
+    orbit of s = 0.2 to the radius-5 circle of period 2 pi."""
+    system = _torus_system()
+    s = 0.2
+    oracle = homogeneous_oracle("flat_torus", s)
+    loop = circle_loop((0.5, 0.5), 0.02, 64, 0.3)
+    res = descend_to_critical(system, energy_of_s(s), loop)
+    assert res.outcome == "converged"
+    assert abs(res.loop.period - oracle.period) < 1e-2
+    _, r = fit_circle(res.loop.vertices)
+    assert abs(r - oracle.radius) < 1e-2
+
+
+@pytest.mark.parametrize("s,radius_factor,period_factor",
+                         [(0.7, 0.9, 1.1), (1.0, 1.1, 0.9), (1.0, 0.9, 0.9)])
+def test_descent_sphere_seeds_converge(s, radius_factor, period_factor):
+    """Circles 10 % off the sphere orbit converge at tol 1e-6 with the
+    closed-form chart primitive, to the 256-vertex discretization error of
+    the period."""
+    system = MagneticSystem(RoundSphere(), ConstantField(1.0))
+    oracle = homogeneous_oracle("sphere", s)
+    rc = math.tan(radius_factor * oracle.radius / 2.0)
+    loop = circle_loop((0.0, 0.0), rc, 256, period_factor * oracle.period)
+    res = descend_to_critical(system, energy_of_s(s), loop,
+                              DescentParams(tol=1e-6))
+    assert res.outcome == "converged"
+    assert abs(res.loop.period - oracle.period) < 5e-4
+
+
+def test_descent_rejects_collapsed_seed(capsys, tmp_path):
+    """A seed of zero energy has no period T*: the descent raises, and
+    orbit-descend exits 1."""
+    system = _torus_system()
+    loop = circle_loop((0.5, 0.5), 0.0, 16, 1.0)
+    with pytest.raises(DegenerateInputError):
+        descend_to_critical(system, energy_of_s(2.0), loop)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[surface]\nkind = flat_torus\n\n"
+                   "[field]\ntype = constant\nvalue = 1.0\n\n"
+                   "[run]\ns = 2.0\nradius = 0.0\nperiod = 1.0\n"
+                   "n_vertices = 16\n")
+    code = main(["orbit-descend", str(cfg), "--out", str(tmp_path / "out")])
+    capsys.readouterr()
+    assert code == 1
+
+
+def test_winding_loop_needs_periodic_primitive():
+    """A loop winding once around the torus has no flux term over f = 1,
+    whose total flux is not zero."""
+    system = _torus_system()
+    n = 32
+    verts = np.column_stack([np.arange(n) / n, 0.5 + 0.1 * np.sin(
+        2 * np.pi * np.arange(n) / n)])
+    loop = DiscreteLoop(vertices=verts, period=1.0, winding=(1, 0))
+    with pytest.raises(NoGlobalPrimitiveError):
+        discrete_action(system, energy_of_s(2.0), loop)

@@ -9,6 +9,7 @@ Outside ``surfaces.py`` and ``cli._build_surface`` no code may call
 ``constant_curvature``, ``floor`` and ``post_step`` instead.  The c0
 bracket in ``critical.py`` imports nothing from scipy, and region flux in
 ``regions.py`` goes only through a primitive, never ``form_density``.
+Primitives are chosen by ``fields.local_primitive`` alone.
 """
 import ast
 import collections
@@ -269,3 +270,19 @@ def test_call_guard_detects_calls(tmp_path):
 def test_regions_make_no_form_density_call():
     lines = _calls_named(SRC / "regions.py", "form_density")
     assert not lines, f"form_density calls in regions.py at lines {lines}"
+
+
+# One primitive policy: outside fields.py no code builds a chart primitive
+# itself; it asks local_primitive.  The c0 witness, a FourierOneForm built
+# in critical.py, is the one allowed constructor call.
+PRIMITIVE_CLASSES = ("ClosedFormPrimitive", "LineIntegralPrimitive",
+                     "TorusSpectralPrimitive", "FourierOneForm")
+
+
+def test_primitives_are_built_only_by_local_primitive():
+    calls = collections.Counter()
+    for path in SRC.glob("*.py"):
+        if path.name != "fields.py":
+            for name in PRIMITIVE_CLASSES:
+                calls[path.name, name] += len(_calls_named(path, name))
+    assert +calls == {("critical.py", "FourierOneForm"): 1}

@@ -6,7 +6,8 @@ import pytest
 
 from magsurf import regions
 from magsurf.critical import c0_upper_bound
-from magsurf.errors import DomainError, NoBracketError
+from magsurf.errors import (DomainError, NoBracketError,
+                            NoGlobalPrimitiveError)
 from magsurf.fields import (ConstantField, MagneticSystem, TorusField,
                             energy_of_s, flux_total)
 from magsurf.flow import integrate
@@ -114,6 +115,21 @@ def test_strip_flux_and_value():
     rev = Region(list(region.curves), orientation=-1)
     assert abs(taimanov_value(system, k, rev)
                - (math.sqrt(2 * k) * 2.0 - 2.0)) < 1e-9
+
+
+@pytest.mark.parametrize("field", [
+    ConstantField(1.0),
+    TorusField(lambda x, y: 1.0 - 2.0 * np.exp(
+        -((x - 0.5) ** 2 + (y - 0.5) ** 2) / 0.0625))],
+    ids=["constant", "bump"])
+def test_winding_strip_flux_needs_periodic_primitive(field):
+    """A strip bounded by winding curves has flux 0.4 (f = 1) and 0.110
+    (bump) for 0.3 < x < 0.7, which no chart primitive's line integral
+    gives: theta = -F dx vanishes on the vertical edges.  A field without a
+    periodic primitive is an error, not 0."""
+    system = MagneticSystem(FlatTorus(), field)
+    with pytest.raises(NoGlobalPrimitiveError):
+        region_flux(system, _strip(0.3, 0.7))
 
 
 # (system, chart, Euclidean centre, Euclidean radius, closed-form flux) of a
