@@ -91,8 +91,8 @@ def _build_surface(cfg):
 
 def _load_grid_csv(path, lx, ly):
     """CSV with header x,y,<value> sampled row-major on the regular grid
-    (i lx / nx, j ly / ny) of the period cell, every sample finite; the
-    spline through it puts node i there whatever the file says."""
+    (i lx / nx, j ly / ny) of the period cell, one finite sample per node;
+    the spline through it puts node i there whatever the file says."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")     # an empty file warns first
@@ -114,6 +114,9 @@ def _load_grid_csv(path, lx, ly):
         cell = period / len(nodes)
         if np.abs(nodes - np.arange(len(nodes)) * cell).max() > 1e-4 * cell:
             raise ConfigError("grid csv nodes are not i * period / n")
+    if len(x) != len(xs) * len(ys):
+        raise ConfigError(f"grid csv has {len(x)} rows for a "
+                          f"{len(xs)} x {len(ys)} grid")
     grid = np.full((len(xs), len(ys)), np.nan)
     grid[np.searchsorted(xs, x), np.searchsorted(ys, y)] = vals
     if np.isnan(grid).any():

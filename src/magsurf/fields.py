@@ -142,10 +142,21 @@ def periodic_poisson(system, n):
     return kxx, kyy, ghat
 
 
+GAUSS_C = 0.5 / math.sqrt(3.0)
+
+
+def gauss_nodes(pts):
+    """Two-point Gauss-Legendre nodes (a, b) of the segments of a polyline
+    pts (M + 1, 2), at the parameters 1/2 -+ GAUSS_C of each segment."""
+    mids = 0.5 * (pts[:-1] + pts[1:])
+    off = np.diff(pts, axis=0) / (2.0 * math.sqrt(3.0))
+    return mids - off, mids + off
+
+
 class LocalPrimitive:
-    """A 1-form theta with d theta = sigma on its region of validity;
-    ``periodic`` if theta is lattice-periodic, so that it integrates along a
-    curve winding around the torus."""
+    """A 1-form theta with d theta = sigma on its region of validity, and
+    its Gauss line integral; ``periodic`` if theta is lattice-periodic, so
+    that it integrates along a curve winding around the torus."""
 
     periodic = False
 
@@ -153,19 +164,13 @@ class LocalPrimitive:
         """Components (theta_u, theta_v) at a chart point (vectorized)."""
         raise NotImplementedError
 
-    def jacobian_many(self, chart, u, v):
-        """(n, 2, 2) array J[i, a, b] = d theta_a / d x_b at n points."""
-        raise NotImplementedError
-
     def line_integral(self, chart, pts):
         """Integral of theta along a polyline: two-point Gauss-Legendre per
         segment, exact where theta is cubic along the segment."""
         pts = np.asarray(pts, dtype=float)
-        mids = 0.5 * (pts[:-1] + pts[1:])
+        a, b = gauss_nodes(pts)
         dx = np.diff(pts, axis=0)
-        off = dx / (2.0 * math.sqrt(3.0))
-        nodes = np.concatenate([mids - off, mids + off])
-        t1, t2 = self.theta(chart, nodes[:, 0], nodes[:, 1])
+        t1, t2 = self.theta(chart, *np.concatenate([a, b]).T)
         m = len(dx)
         t1 = 0.5 * (t1[:m] + t1[m:])
         t2 = 0.5 * (t2[:m] + t2[m:])
@@ -200,11 +205,11 @@ def stokes_residual(theta, density, chart, center, h, n=1):
 
 class ClosedFormPrimitive(LocalPrimitive):
     """theta = a(v) du, or theta = a(q) (u dv - v du) with q = u^2 + v^2
-    when radial, for a closed-form a and its derivative da."""
+    when radial, for a closed-form a; like every primitive it is theta and
+    its Gauss line integral, and no caller needs its derivative."""
 
-    def __init__(self, a, da, radial=False):
+    def __init__(self, a, radial=False):
         self._a = a
-        self._da = da
         self.radial = radial
 
     def theta(self, chart, u, v):
@@ -213,18 +218,6 @@ class ClosedFormPrimitive(LocalPrimitive):
             a = self._a(u * u + v * v)
             return -v * a, u * a
         return self._a(v), np.zeros_like(u)
-
-    def jacobian_many(self, chart, u, v):
-        u, v = np.ravel(u).astype(float), np.ravel(v).astype(float)
-        out = np.zeros((v.size, 2, 2))
-        if self.radial:
-            q = u * u + v * v
-            a, d = self._a(q), 2.0 * self._da(q)
-            out[:] = np.moveaxis(np.array([[-u * v * d, -a - v * v * d],
-                                           [a + u * u * d, u * v * d]]), 2, 0)
-        else:
-            out[:, 0, 1] = self._da(v)
-        return out
 
 
 class LineIntegralPrimitive(LocalPrimitive):
@@ -242,16 +235,14 @@ class LineIntegralPrimitive(LocalPrimitive):
         self.chart = chart
         self.v0 = 0.0 if system.surface.floor == -math.inf else 1.0
 
-    def _density(self, u, v):
-        return np.asarray(self.system.form_density(self.chart, u, v), float)
-
     def _fint(self, u, v):
         u = np.atleast_1d(np.asarray(u, dtype=float))
         v = np.atleast_1d(np.asarray(v, dtype=float))
         span = v - self.v0
         ys = self.v0 + span[:, None] * self._T[None, :]
         xs = np.broadcast_to(u[:, None], ys.shape)
-        vals = self._density(xs.ravel(), ys.ravel()).reshape(ys.shape)
+        vals = np.asarray(self.system.form_density(
+            self.chart, xs.ravel(), ys.ravel()), float).reshape(ys.shape)
         return span * (vals @ self._W)
 
     def theta(self, chart, u, v):
@@ -262,18 +253,6 @@ class LineIntegralPrimitive(LocalPrimitive):
         if u.ndim == 0:
             return -float(res[0]), 0.0
         return -res, np.zeros_like(res)
-
-    def jacobian_many(self, chart, u, v):
-        if chart != self.chart:
-            raise DomainError("primitive evaluated outside its chart")
-        u = np.asarray(u, float)
-        v = np.asarray(v, float)
-        eps = 1e-6
-        dfx = (self._fint(u + eps, v) - self._fint(u - eps, v)) / (2 * eps)
-        out = np.zeros((u.size, 2, 2))
-        out[:, 0, 0] = -dfx
-        out[:, 0, 1] = -self._density(u, v)
-        return out
 
 
 class FourierOneForm(LocalPrimitive):
@@ -289,38 +268,28 @@ class FourierOneForm(LocalPrimitive):
     periodic = True
 
     def __init__(self, kx, ky, ghat, phihat, c1=0.0, c2=0.0):
-        ikx, iky = 1j * kx, 1j * ky
         self._kx, self._ky = kx, ky
         self._theta_modes = np.stack([-1j * ky * ghat + 1j * kx * phihat,
                                       1j * kx * ghat + 1j * ky * phihat], 1)
-        # J[a, b] = d theta_a / d x_b
-        self._jac_modes = np.stack([-(ghat * ikx * iky) + phihat * ikx ** 2,
-                                    -(ghat * iky ** 2) + phihat * ikx * iky,
-                                    ghat * ikx ** 2 + phihat * ikx * iky,
-                                    ghat * ikx * iky + phihat * iky ** 2], 1)
         self.c1 = float(c1)
         self.c2 = float(c2)
 
-    def _sum(self, u, v, modes):
-        """Re sum_k modes[k] exp(i k.x) at each point, over blocks of points
-        whose phase matrix holds at most PHASE_BLOCK entries."""
+    def theta(self, chart, u, v):
+        """(c1, c2) + Re sum_k theta_modes[k] exp(i k.x) at each point, over
+        blocks of points whose phase matrix holds at most PHASE_BLOCK
+        entries."""
+        scalar = np.asarray(u).ndim == 0
         u, v = np.asarray(u, float).ravel(), np.asarray(v, float).ravel()
-        out = np.empty((u.size, modes.shape[1]))
+        out = np.empty((u.size, 2))
         step = max(1, self.PHASE_BLOCK // max(1, self._kx.size))
         for i in range(0, u.size, step):
             phase = np.exp(1j * (np.outer(u[i:i + step], self._kx)
                                  + np.outer(v[i:i + step], self._ky)))
-            out[i:i + step] = np.real(phase @ modes)
-        return out
-
-    def theta(self, chart, u, v):
-        p, q = (self._sum(u, v, self._theta_modes) + (self.c1, self.c2)).T
-        if np.asarray(u).ndim == 0:
+            out[i:i + step] = np.real(phase @ self._theta_modes)
+        p, q = (out + (self.c1, self.c2)).T
+        if scalar:
             return float(p[0]), float(q[0])
         return p, q
-
-    def jacobian_many(self, chart, u, v):
-        return self._sum(u, v, self._jac_modes).reshape(-1, 2, 2)
 
     def sup_norm(self, n=256, lx=1.0, ly=1.0):
         """Maximum of |theta| over an n x n grid of the period cell."""
@@ -364,12 +333,11 @@ def local_primitive(system, chart=0, winds=False):
         if c == 0.0:       # the zero form, periodic on any lattice
             return FourierOneForm(*np.zeros((4, 0)))
         if surf.constant_curvature == -1:
-            prim = ClosedFormPrimitive(lambda v: c / v, lambda v: -c / (v * v))
+            prim = ClosedFormPrimitive(lambda v: c / v)
         elif surf.constant_curvature == 0:
-            prim = ClosedFormPrimitive(lambda v: -c * v, lambda v: -c)
+            prim = ClosedFormPrimitive(lambda v: -c * v)
         elif surf.constant_curvature == 1:
             prim = ClosedFormPrimitive(lambda q: 2.0 * c / (1.0 + q),
-                                       lambda q: -2.0 * c / (1.0 + q) ** 2,
                                        radial=True)
     elif surf.lattice is not None:
         dens = _density_grid(system, 32)

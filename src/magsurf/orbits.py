@@ -2,7 +2,9 @@
 Newton shooting on a reduced Poincare return map, and a variational route
 through discretized loops of the free-period action: with the period
 eliminated it is Taimanov's length-minus-flux functional, whose critical
-loops one Newton-Krylov solve of the vertex gradient finds.
+loops one Newton-Krylov solve of the vertex gradient finds.  The action's
+flux is the chart primitive's Gauss line integral, the rule region_flux
+uses, and its gradient is sigma times the area each vertex sweeps.
 """
 from __future__ import annotations
 
@@ -11,9 +13,9 @@ import math
 
 import numpy as np
 
-from .errors import (DegenerateInputError, NoConvergenceError, NoReturnError,
-                     UnsupportedError)
-from .fields import local_primitive, s_of_energy
+from .errors import (DegenerateInputError, MagsurfError, NoConvergenceError,
+                     NoReturnError, UnsupportedError)
+from .fields import GAUSS_C, gauss_nodes, local_primitive, s_of_energy
 from .flow import (DEFAULT_DT, Section, StepRecord, TangentState,
                    poincare_return, state_at_energy, trajectory_curvature)
 from .surfaces import ClosedPolyline
@@ -264,16 +266,16 @@ def circle_loop(center, radius, n, period, chart=0, ccw=True, phase=0.0):
 
 
 def _midpoint_data(system, loop):
-    """Edge midpoints, edge vectors and (rho, rho_u, rho_v) there."""
+    """Edge vectors and (rho, rho_u, rho_v) at the edge midpoints."""
     x, nxt = loop.edges(system.surface)
     m = 0.5 * (x + nxt)
     rho, ru, rv = system.surface.conformal(loop.chart, m[:, 0], m[:, 1])
-    return m, nxt - x, np.asarray(rho, float), ru, rv
+    return nxt - x, np.asarray(rho, float), ru, rv
 
 
 def loop_l2_energy(system, loop):
     """Discrete Dirichlet energy, integral of |x'|_g^2 in loop parameter."""
-    _, d, rho, _, _ = _midpoint_data(system, loop)
+    d, rho, _, _ = _midpoint_data(system, loop)
     h = 1.0 / loop.n
     return float(np.sum(np.exp(2.0 * rho) * np.sum(d * d, axis=1)) / h)
 
@@ -282,58 +284,54 @@ def loop_mean_energy(system, loop):
     return loop_l2_energy(system, loop) / (2.0 * loop.period ** 2)
 
 
-def _primitive_arrays(primitive, chart, mids):
-    t1, t2 = primitive.theta(chart, mids[:, 0], mids[:, 1])
-    t1 = np.broadcast_to(np.asarray(t1, float), (len(mids),))
-    t2 = np.broadcast_to(np.asarray(t2, float), (len(mids),))
-    return np.column_stack([t1, t2])
-
-
 def discrete_action(system, k, loop, primitive=None):
     """Discrete free-period action
 
-        S = sum_i |dx_i|_g^2 / (2 h T) + k T - sum_i theta(m_i) . dx_i
+        S = sum_i |dx_i|_g^2 / (2 h T) + k T - flux
 
-    with h = 1/N and midpoint metric/primitive evaluation.  The flux term
-    uses local_primitive's chart primitive; a loop winding around the torus
-    over a field with no periodic primitive raises NoGlobalPrimitiveError.
+    with h = 1/N and the metric at the edge midpoints.  The flux is the
+    Gauss line integral of local_primitive's primitive, as in region_flux;
+    a loop winding around the torus over a field with no periodic primitive
+    raises NoGlobalPrimitiveError.
     """
     if primitive is None:
         primitive = local_primitive(system, loop.chart,
                                     loop.winding != (0, 0))
-    m, d, rho, _, _ = _midpoint_data(system, loop)
-    h = 1.0 / loop.n
-    kin = float(np.sum(np.exp(2.0 * rho) * np.sum(d * d, axis=1))
-                / (2.0 * h * loop.period))
-    th = _primitive_arrays(primitive, loop.chart, m)
-    flux_term = float(np.sum(th * d))
-    return kin + k * loop.period - flux_term
+    flux = primitive.line_integral(loop.chart,
+                                   loop.padded(system.surface)[:, 1:].T)
+    return (loop_l2_energy(system, loop) / (2.0 * loop.period)
+            + k * loop.period - flux)
 
 
-def discrete_action_gradient(system, k, loop, primitive=None):
-    """Analytic gradient of discrete_action: (d/d vertices, d/dT)."""
-    if primitive is None:
-        primitive = local_primitive(system, loop.chart,
-                                    loop.winding != (0, 0))
+def discrete_action_gradient(system, k, loop):
+    """Gradient of discrete_action: (d/d vertices, d/dT).
+
+    The flux part is the exact first variation of the polygon's flux:
+    sigma (form_density) times the area each vertex sweeps.  With edge i's
+    Gauss nodes a_i, b_i, c = GAUSS_C and rot(d) = (d_v, -d_u), vertex i gets
+    1/2 [(1/2 + c) sigma(a_i) + (1/2 - c) sigma(b_i)] rot(d_i) from the edge
+    it starts, and the same with the two weights swapped from edge i - 1,
+    which it ends.  No primitive is needed.  Where the Gauss rule is exact
+    for theta (f = 1 on the flat torus) this is the derivative of
+    discrete_action; elsewhere they differ by the rule error's derivative.
+    """
     h, t = 1.0 / loop.n, loop.period
-    m, d, rho, ru, rv = _midpoint_data(system, loop)
+    d, rho, ru, rv = _midpoint_data(system, loop)
     lam2 = np.exp(2.0 * rho)
-    grad_lam2 = 2.0 * lam2[:, None] * np.column_stack(
-        [np.asarray(ru, float), np.asarray(rv, float)])
     d2 = np.sum(d * d, axis=1)
-    # kinetic part
-    gk = (0.5 * d2[:, None] * grad_lam2
-          - 2.0 * lam2[:, None] * d)
-    gk_prev = (0.5 * d2[:, None] * grad_lam2
-               + 2.0 * lam2[:, None] * d)
-    grad = (gk + np.roll(gk_prev, 1, axis=0)) / (2.0 * h * t)
-    # flux part: - sum theta(m_i) . d_i
-    th = _primitive_arrays(primitive, loop.chart, m)
-    jac = primitive.jacobian_many(loop.chart, m[:, 0], m[:, 1])
-    jtd = np.einsum("iab,ia->ib", jac, d)
-    gf = -(0.5 * jtd - th)
-    gf_prev = -(0.5 * jtd + th)
-    grad += gf + np.roll(gf_prev, 1, axis=0)
+    a, b = gauss_nodes(loop.padded(system.surface)[:, 1:].T)
+    sigma = system.form_density(loop.chart, *np.concatenate([a, b]).T)
+    sa, sb = sigma[:loop.n, None], sigma[loop.n:, None]
+    # vertex i starts edge i and ends edge i - 1
+    bend = (d2 * lam2)[:, None] * np.column_stack(
+        [np.asarray(ru, float), np.asarray(rv, float)])
+    pull = 2.0 * lam2[:, None] * d
+    rot = 0.5 * np.column_stack([d[:, 1], -d[:, 0]])
+    start = ((bend - pull) / (2.0 * h * t)
+             - ((0.5 + GAUSS_C) * sa + (0.5 - GAUSS_C) * sb) * rot)
+    end = ((bend + pull) / (2.0 * h * t)
+           - ((0.5 - GAUSS_C) * sa + (0.5 + GAUSS_C) * sb) * rot)
+    grad = start + np.roll(end, 1, axis=0)
     dT = k - float(np.sum(lam2 * d2)) / (2.0 * h * t * t)
     return grad, dT
 
@@ -373,7 +371,8 @@ def descend_to_critical(system, k, loop, params=None):
     Comput. Phys. 193 (2004) 357) drives the vertex gradient to zero from
     the seed.  Its stopping test bounds the largest gradient entry by
     tol / sqrt(number of unknowns), so that a converged loop has Euclidean
-    |grad S*| < tol.  A solve that fails or raises returns the seed's
+    |grad S*| < tol.  A solve that fails or raises a package error or
+    ValueError (scipy's, on a non-finite residual) returns the seed's
     vertices at T* with outcome max_iter and the gradient norm there.
     """
     from scipy.optimize import root
@@ -392,7 +391,7 @@ def descend_to_critical(system, k, loop, params=None):
                                    period=math.sqrt(energy / (2.0 * k)))
 
     def grad(trial):
-        return discrete_action_gradient(system, k, trial, primitive)[0]
+        return discrete_action_gradient(system, k, trial)[0]
 
     x0 = loop.vertices.ravel()
     seed = at_t_star(x0)
@@ -401,7 +400,7 @@ def descend_to_critical(system, k, loop, params=None):
                    options={"fatol": params.tol / math.sqrt(x0.size),
                             "maxiter": params.max_iter})
         final, it = at_t_star(res.x), res.nit
-    except Exception:
+    except (MagsurfError, ValueError):   # a collapsed or non-finite iterate
         final, it = seed, 0
     gn = float(np.linalg.norm(grad(final)))
     outcome = "converged" if gn < params.tol else "max_iter"

@@ -167,14 +167,15 @@ quantity = c0
     _grid_text(header="a,b,c"), "x,y\n0,0\n0,0.5\n", "", "x,y,f\n",
     _grid_text(first="inf"), _grid_text(first="nan"),
     _grid_text(n=4, xs=[0.0, 0.1, 0.5, 0.9]),
-    _grid_text(n=4, xs=[0.0, 0.5, 1.0, 1.5])],
+    _grid_text(n=4, xs=[0.0, 0.5, 1.0, 1.5]),
+    _grid_text(n=4) + "0.25,0.5,99\n"],
     ids=["no_xy", "no_value", "empty", "header_only", "inf", "nan",
-         "nonuniform", "off_period"])
+         "nonuniform", "off_period", "duplicate"])
 def test_config_rejects_bad_grid_csv(capsys, tmp_path, config, grid):
     """A grid CSV without x, y and value columns, without samples, with a
-    non-finite sample or with nodes other than i / n on the unit period is
-    a configuration error (exit 2), for a field and for a conformal factor
-    alike."""
+    non-finite sample, with nodes other than i / n on the unit period or
+    with a node given twice is a configuration error (exit 2), for a field
+    and for a conformal factor alike."""
     cfg = _write(tmp_path, config.format(path=_write(tmp_path, grid,
                                                        "grid.csv")))
     code = main(["critical", cfg, "--out", str(tmp_path / "out")])

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magsurf import fields
-from magsurf.critical import C0Params, c0_upper_bound
 from magsurf.errors import (DegenerateInputError, NoGlobalPrimitiveError,
                             UnsupportedError)
 from magsurf.fields import (CallableField, ClosedFormPrimitive, ConstantField,
@@ -16,8 +15,6 @@ from magsurf.fields import (CallableField, ClosedFormPrimitive, ConstantField,
                             local_primitive, s_of_energy, stokes_residual)
 from magsurf.surfaces import (FlatTorus, HyperbolicPlane, RoundSphere,
                               periodic_spline)
-
-RNG = np.random.default_rng(7)
 
 
 @given(st.floats(min_value=1e-6, max_value=1e6))
@@ -60,39 +57,6 @@ def test_flux_mean_zero_torus_field():
         FlatTorus(),
         TorusField(lambda x, y: np.cos(2 * np.pi * x) * np.sin(2 * np.pi * y)))
     assert abs(flux_total(sys)) < 1e-12
-
-
-def test_primitive_jacobian_consistency():
-    """jacobian matches finite differences of theta, for the primitives
-    local_primitive builds and for the c0 minimax witness."""
-    systems = [
-        MagneticSystem(FlatTorus(), ConstantField(2.0)),
-        MagneticSystem(HyperbolicPlane(genus=2), ConstantField(1.5)),
-        MagneticSystem(RoundSphere(), ConstantField(1.0)),
-        MagneticSystem(FlatTorus(), TorusField(
-            lambda x, y: np.cos(2 * np.pi * x) * np.sin(2 * np.pi * y))),
-    ]
-    cases = [(s.surface.kind, local_primitive(s)) for s in systems]
-    witness_system = MagneticSystem(FlatTorus(), TorusField(
-        lambda x, y: 2 * np.pi * np.cos(2 * np.pi * x)
-        + 4 * np.pi * np.sin(2 * np.pi * y)))
-    cases.append(("flat_torus", c0_upper_bound(
-        witness_system, C0Params(max_iter=30)).witness))
-    for kind, prim in cases:
-        for _ in range(10):
-            if kind == "hyperbolic":
-                u, v = RNG.uniform(-1, 1), RNG.uniform(0.5, 2.0)
-            else:
-                u, v = RNG.uniform(0.05, 0.95, size=2)
-            h = 1e-6
-            jac = prim.jacobian_many(0, [u], [v])[0]
-            fd = np.empty((2, 2))
-            fd[:, 0] = (np.asarray(prim.theta(0, u + h, v))
-                        - np.asarray(prim.theta(0, u - h, v))) / (2 * h)
-            fd[:, 1] = (np.asarray(prim.theta(0, u, v + h))
-                        - np.asarray(prim.theta(0, u, v - h))) / (2 * h)
-            scale = max(1.0, np.max(np.abs(fd)))
-            assert np.max(np.abs(jac - fd)) / scale < 1e-6
 
 
 def test_stokes_residual_second_order():
@@ -205,7 +169,7 @@ def test_line_integral_exact_for_cubic_theta():
     def big_a(v):
         return sum(c * v ** (j + 1) / (j + 1) for j, c in enumerate(coef))
 
-    prim = ClosedFormPrimitive(a, lambda v: np.zeros_like(v))
+    prim = ClosedFormPrimitive(a)
     pts = np.array([[0.0, -0.4], [0.3, 0.7], [1.1, -0.2], [0.4, -0.9],
                     [-0.5, 0.35], [0.2, 1.05]])
     want = sum((q[0] - p[0]) * (big_a(q[1]) - big_a(p[1])) / (q[1] - p[1])

@@ -1,4 +1,5 @@
 """Periodic orbit search: shooting and the Newton-Krylov action solve."""
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from magsurf.cli import main
 from magsurf.errors import (DegenerateInputError, NoGlobalPrimitiveError,
                             NoReturnError)
 from magsurf.fields import (ConstantField, MagneticSystem, TorusField,
-                            energy_of_s)
+                            energy_of_s, local_primitive)
 from magsurf.flow import TangentState, integrate, state_at_energy
 from magsurf.orbits import (SHOOT_TOL, DescentParams, DiscreteLoop,
                             circle_loop, descend_to_critical, discrete_action,
@@ -197,7 +198,36 @@ def test_fit_circle_exact():
 
 # ------------------------------------------------- discrete action descent
 
+def _fd_gradient(system, k, loop, h=1e-6):
+    """Central differences of discrete_action in every vertex coordinate
+    and in the period, with the primitive built once."""
+    prim = local_primitive(system, loop.chart, loop.winding != (0, 0))
+
+    def action(verts, period):
+        return discrete_action(system, k, dataclasses.replace(
+            loop, vertices=verts, period=period), prim)
+
+    flat = loop.vertices.ravel()
+    fd = np.empty(flat.size + 1)
+    for j in range(flat.size):
+        step = np.zeros(flat.size)
+        step[j] = h
+        fd[j] = (action((flat + step).reshape(-1, 2), loop.period)
+                 - action((flat - step).reshape(-1, 2), loop.period)) / (2 * h)
+    fd[-1] = (action(loop.vertices, loop.period + h)
+              - action(loop.vertices, loop.period - h)) / (2 * h)
+    return fd
+
+
+def _gradient(system, k, loop):
+    gv, gt = discrete_action_gradient(system, k, loop)
+    return np.concatenate([gv.ravel(), [gt]])
+
+
 def test_action_gradient_matches_finite_differences():
+    """On the flat torus with f = 1 the primitive is linear, so the Gauss
+    rule is exact and the swept-area gradient is the derivative of the
+    action."""
     system = _torus_system()
     k = energy_of_s(2.0)
     for _ in range(10):
@@ -206,29 +236,52 @@ def test_action_gradient_matches_finite_differences():
         verts = base.vertices + 0.02 * RNG.normal(size=(n, 2))
         loop = DiscreteLoop(vertices=verts, period=5.0 + RNG.uniform(-1, 1),
                             winding=(0, 0))
-        gv, gt = discrete_action_gradient(system, k, loop)
-        g = np.concatenate([gv.ravel(), [gt]])
-        h = 1e-6
-        fd = np.empty(2 * n + 1)
-        for j in range(2 * n):
-            vp = verts.copy().ravel()
-            vm = verts.copy().ravel()
-            vp[j] += h
-            vm[j] -= h
-            lp = DiscreteLoop(vertices=vp.reshape(n, 2), period=loop.period,
-                              winding=(0, 0))
-            lm = DiscreteLoop(vertices=vm.reshape(n, 2), period=loop.period,
-                              winding=(0, 0))
-            fd[j] = (discrete_action(system, k, lp)
-                     - discrete_action(system, k, lm)) / (2 * h)
-        lp = DiscreteLoop(vertices=verts, period=loop.period + h,
-                          winding=(0, 0))
-        lm = DiscreteLoop(vertices=verts, period=loop.period - h,
-                          winding=(0, 0))
-        fd[-1] = (discrete_action(system, k, lp)
-                  - discrete_action(system, k, lm)) / (2 * h)
+        g = _gradient(system, k, loop)
+        fd = _fd_gradient(system, k, loop)
         scale = max(1.0, np.max(np.abs(fd)))
         assert np.max(np.abs(g - fd)) / scale < 1e-6
+
+
+def _bump(x, y):
+    return 1.0 - 2.0 * np.exp(-((x - 0.5) ** 2 + (y - 0.5) ** 2) / 0.0625)
+
+
+@pytest.mark.parametrize("system,center,r0", [
+    (MagneticSystem(RoundSphere(), ConstantField(1.0)), (0.2, 0.1), 0.5),
+    (MagneticSystem(FlatTorus(), TorusField(_bump)), (0.5, 0.5), 0.3)],
+    ids=["sphere", "bump"])
+def test_action_gradient_converges_to_finite_differences(system, center, r0):
+    """Where the Gauss rule is not exact for the primitive, the swept-area
+    gradient and the derivative of discrete_action differ by the
+    derivative of the rule's error; on the loop r(t) = r0 (1 + 0.15 cos 3t)
+    that mismatch falls at least 12 times per doubling of the vertices."""
+    k = energy_of_s(1.0)
+    errs = []
+    for n in (16, 32, 64):
+        t = 2.0 * np.pi * np.arange(n) / n
+        r = r0 * (1.0 + 0.15 * np.cos(3.0 * t))
+        loop = DiscreteLoop(vertices=np.column_stack(
+            [center[0] + r * np.cos(t), center[1] + r * np.sin(t)]),
+            period=1.3)
+        errs.append(np.max(np.abs(_gradient(system, k, loop)
+                                  - _fd_gradient(system, k, loop))))
+    assert errs[0] > 12.0 * errs[1] > 144.0 * errs[2]
+
+
+def test_winding_loop_gradient_matches_finite_differences():
+    """A loop winding once around the torus over the cosine field, whose
+    primitive is periodic, has a gradient that matches finite differences
+    of its action to 1e-6 relative at 64 vertices."""
+    system = MagneticSystem(FlatTorus(), TorusField(
+        lambda x, y: 2.0 * np.pi * np.cos(2.0 * np.pi * x)))
+    t = np.arange(64) / 64
+    loop = DiscreteLoop(vertices=np.column_stack(
+        [0.3 + 0.1 * np.sin(2.0 * np.pi * t), t]), period=1.3,
+        winding=(0, 1))
+    k = energy_of_s(1.0)
+    fd = _fd_gradient(system, k, loop)
+    g = _gradient(system, k, loop)
+    assert np.max(np.abs(g - fd)) < 1e-6 * np.max(np.abs(fd))
 
 
 def test_constant_loop_action():
@@ -425,3 +478,36 @@ def test_winding_loop_needs_periodic_primitive():
     loop = DiscreteLoop(vertices=verts, period=1.0, winding=(1, 0))
     with pytest.raises(NoGlobalPrimitiveError):
         discrete_action(system, energy_of_s(2.0), loop)
+
+
+def test_winding_loop_gradient_needs_no_primitive():
+    """The gradient is sigma times swept area, so it exists for a winding
+    loop over f = 1; the action and the descent still need a periodic
+    primitive and raise."""
+    system = _torus_system()
+    n = 32
+    verts = np.column_stack([np.arange(n) / n, 0.5 + 0.1 * np.sin(
+        2 * np.pi * np.arange(n) / n)])
+    loop = DiscreteLoop(vertices=verts, period=1.0, winding=(1, 0))
+    gv, _ = discrete_action_gradient(system, energy_of_s(2.0), loop)
+    assert np.isfinite(gv).all()
+    with pytest.raises(NoGlobalPrimitiveError):
+        descend_to_critical(system, energy_of_s(2.0), loop)
+
+
+def test_descent_propagates_programming_errors(monkeypatch):
+    """Only package errors and scipy's ValueError end a solve as max_iter;
+    a TypeError from the gradient reaches the caller."""
+    import magsurf.orbits as orbits
+    calls = []
+
+    def broken(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise TypeError("broken gradient")
+        return discrete_action_gradient(*args, **kwargs)
+
+    monkeypatch.setattr(orbits, "discrete_action_gradient", broken)
+    loop = circle_loop((0.5, 0.5), 0.42, 64, 5.5)
+    with pytest.raises(TypeError):
+        orbits.descend_to_critical(_torus_system(), energy_of_s(2.0), loop)

@@ -272,6 +272,14 @@ def test_regions_make_no_form_density_call():
     assert not lines, f"form_density calls in regions.py at lines {lines}"
 
 
+# A primitive is theta and its line integral: the action's gradient is sigma
+# times swept area, so no code asks a primitive for its Jacobian.
+def test_no_code_calls_jacobian_many():
+    calls = {path.name: _calls_named(path, "jacobian_many")
+             for path in SRC.glob("*.py")}
+    assert not {name: lines for name, lines in calls.items() if lines}
+
+
 # One primitive policy: outside fields.py no code builds a chart primitive
 # itself; it asks local_primitive.  The c0 witness, a FourierOneForm built
 # in critical.py, is the one allowed constructor call.
