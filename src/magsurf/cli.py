@@ -150,8 +150,7 @@ def _build_field(cfg, surface):
     if ftype == "csv":
         spl = periodic_spline(_load_grid_csv(sec.get("csv", ""), lx, ly),
                               lx, ly)
-        # TorusField.eval wraps the coordinates into the period cell
-        return TorusField(lambda x, y: spl(x, y, grid=False), lx=lx, ly=ly)
+        return TorusField(spl, lx=lx, ly=ly)
     raise ConfigError(f"unknown field type {ftype!r}")
 
 

@@ -9,6 +9,7 @@ planar lifts, and the hyperbolic plane uses upper half-plane coordinates.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -262,9 +263,9 @@ class HyperbolicPlane(Surface):
 class ConformalTorus(Surface):
     """Torus with metric e^(2 rho(x, y)) * (dx^2 + dy^2).
 
-    The factor rho is sampled on a regular grid and interpolated with a
-    periodically padded bicubic spline, so metric data is C^2 inside every
-    cell of the fundamental domain.
+    The factor rho is sampled on a regular grid and interpolated by the
+    exactly periodic bicubic spline through the samples, so metric data is
+    C^2 everywhere on the torus, across the period seams too.
     """
 
     kind = "conformal_torus"
@@ -278,30 +279,30 @@ class ConformalTorus(Surface):
         self.lattice = (self.lx, self.ly)
         self.grid = grid
         self._spline = periodic_spline(grid, self.lx, self.ly)
-        # d rho/du and d rho/dv as splines of their own: cheaper to evaluate
-        # than derivative calls on the rho spline, and the same numbers
-        self._spline_u = self._spline.partial_derivative(1, 0)
-        self._spline_v = self._spline.partial_derivative(0, 1)
 
-    def _wrapped(self, u, v):
-        return np.asarray(u, float) % self.lx, np.asarray(v, float) % self.ly
+    @functools.cached_property
+    def _cells(self):
+        """(hx, hy, nx, ny, cells): the spline's cell size and count, and
+        its cell coefficients as nested lists of Python floats, built on the
+        first rho_grad call."""
+        spl = self._spline
+        return (spl.hx, spl.hy, spl.nx, spl.ny,
+                spl.coef.reshape(spl.nx, spl.ny, 16).tolist())
 
     def conformal(self, chart, u, v):
-        x, y = self._wrapped(u, v)
-        rho = self._spline(x, y, grid=False)
-        ru = self._spline_u(x, y, grid=False)
-        rv = self._spline_v(x, y, grid=False)
-        return rho, ru, rv
+        c, dx, dy = self._spline.cells(u, v)
+        return (PeriodicBicubic.patch_value(c, dx, dy),
+                *PeriodicBicubic.patch_grad(c, dx, dy))
 
     def rho_grad(self, chart, u, v):
+        hx, hy, nx, ny, cells = self._cells
         x, y = u % self.lx, v % self.ly
-        return (float(self._spline_u(x, y, grid=False)),
-                float(self._spline_v(x, y, grid=False)))
+        i, j = PeriodicBicubic.cell_of(x / hx, y / hy)
+        return PeriodicBicubic.patch_grad(cells[i % nx][j % ny],
+                                          x - i * hx, y - j * hy)
 
     def laplacian_rho(self, chart, u, v):
-        x, y = self._wrapped(u, v)
-        return (self._spline(x, y, dx=2, grid=False)
-                + self._spline(x, y, dy=2, grid=False))
+        return PeriodicBicubic.patch_laplacian(*self._spline.cells(u, v))
 
     def area(self):
         charts, us, vs, w = self.quadrature_nodes(self.grid.shape[0])
@@ -319,18 +320,116 @@ class ConformalTorus(Surface):
         return np.zeros(uu.size, dtype=int), uu.ravel(), vv.ravel(), w
 
 
-def periodic_spline(grid, lx, ly):
-    """Bicubic spline through grid[i, j] at (i lx / nx, j ly / ny), padded
-    periodically so it is C^2 across the period cell; evaluate it at
-    wrapped coordinates."""
-    from scipy.interpolate import RectBivariateSpline
+def _periodic_cubic(y, h):
+    """Power coefficients (4, ..., n) of the exactly periodic cubic spline
+    through y[..., i] at i h, cell i being a + b t + c t^2 + d t^3 in
+    t = x - i h.  The second derivatives M solve the circulant system
+    M[i-1] + 4 M[i] + M[i+1] = 6 (y[i-1] - 2 y[i] + y[i+1]) / h^2, one FFT
+    division (de Boor, A Practical Guide to Splines, ch. IV)."""
+    n = y.shape[-1]
+    lam = 2.0 * np.cos(2.0 * np.pi * np.arange(n // 2 + 1) / n)
+    m = np.fft.irfft(np.fft.rfft(y) * (6.0 * (lam - 2.0)
+                                        / (h * h * (4.0 + lam))), n)
+    y1 = np.roll(y, -1, axis=-1)
+    m1 = np.roll(m, -1, axis=-1)
+    return np.stack([y, (y1 - y) / h - h * (2.0 * m + m1) / 6.0, 0.5 * m,
+                     (m1 - m) / (6.0 * h)])
 
-    pad = 4
-    nx, ny = grid.shape
-    padded = np.pad(grid, pad, mode="wrap")
-    xs = np.arange(-pad, nx + pad) * lx / nx
-    ys = np.arange(-pad, ny + pad) * ly / ny
-    return RectBivariateSpline(xs, ys, padded, kx=3, ky=3)
+
+class PeriodicBicubic:
+    """Exactly periodic bicubic spline through grid[i, j] at (i hx, j hy),
+    hx = lx / nx and hy = ly / ny: the tensor product of periodic cubic
+    splines, so C^2 on the whole torus.  ``coef[i, j, p, q]`` multiplies
+    dx^p dy^q on cell (i, j), with (dx, dy) the offset from its lower-left
+    node.  The patch functions take the 16 coefficients c[4 p + q] of a cell
+    and evaluate by Horner in plain arithmetic, so they run alike on Python
+    floats and on numpy arrays."""
+
+    def __init__(self, grid, lx, ly):
+        self.nx, self.ny = grid.shape
+        self.lx, self.ly = float(lx), float(ly)
+        self.hx, self.hy = self.lx / self.nx, self.ly / self.ny
+        # along x: [p, j, i]; then along y on the four planes: [q, p, i, j]
+        cx = _periodic_cubic(grid.T, self.hx).transpose(0, 2, 1)
+        self.coef = np.ascontiguousarray(
+            _periodic_cubic(cx, self.hy).transpose(2, 3, 1, 0))
+        self._planes = self.coef.reshape(self.nx, self.ny, 16).transpose(
+            2, 0, 1)
+
+    def cells(self, x, y):
+        """Coefficient planes (16, ...) of the cells holding (x, y), which
+        may lie in any period cell, and the offsets (dx, dy) in them.  At
+        one float point the planes are a list of 16 floats, which numpy's
+        per-operation overhead on 0-d arrays would otherwise dominate."""
+        if isinstance(x, float) and isinstance(y, float):
+            x, y = x % self.lx, y % self.ly
+            i, j = self.cell_of(x / self.hx, y / self.hy)
+            return (self.coef[i % self.nx, j % self.ny].ravel().tolist(),
+                    x - i * self.hx, y - j * self.hy)
+        x = np.asarray(x, float) % self.lx
+        y = np.asarray(y, float) % self.ly
+        # x, y >= 0 here, so truncation is the floor
+        i, j = (x / self.hx).astype(int), (y / self.hy).astype(int)
+        return (self._planes[:, i % self.nx, j % self.ny],
+                x - i * self.hx, y - j * self.hy)
+
+    def __call__(self, x, y):
+        return self.patch_value(*self.cells(x, y))
+
+    @staticmethod
+    def cell_of(s, t):
+        """Cell indices of a point s, t >= 0 spacings from the origin node
+        (truncation is the floor there, as in ``cells``); a non-finite
+        point, as from a blown-up integration, is a DomainError."""
+        try:
+            return int(s), int(t)
+        except ValueError:
+            raise DomainError("non-finite point on a periodic spline") \
+                from None
+
+    @staticmethod
+    def patch_value(c, dx, dy):
+        c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c12, c13, c14, \
+            c15 = c
+        r0 = c0 + dy * (c1 + dy * (c2 + dy * c3))
+        r1 = c4 + dy * (c5 + dy * (c6 + dy * c7))
+        r2 = c8 + dy * (c9 + dy * (c10 + dy * c11))
+        r3 = c12 + dy * (c13 + dy * (c14 + dy * c15))
+        return r0 + dx * (r1 + dx * (r2 + dx * r3))
+
+    @staticmethod
+    def patch_grad(c, dx, dy):
+        """(d/dx, d/dy) of the patch; the integrator's rho_grad runs this on
+        Python floats, so it uses no numpy."""
+        c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c12, c13, c14, \
+            c15 = c
+        r1 = c4 + dy * (c5 + dy * (c6 + dy * c7))
+        r2 = c8 + dy * (c9 + dy * (c10 + dy * c11))
+        r3 = c12 + dy * (c13 + dy * (c14 + dy * c15))
+        s0 = c1 + dy * (2.0 * c2 + dy * 3.0 * c3)
+        s1 = c5 + dy * (2.0 * c6 + dy * 3.0 * c7)
+        s2 = c9 + dy * (2.0 * c10 + dy * 3.0 * c11)
+        s3 = c13 + dy * (2.0 * c14 + dy * 3.0 * c15)
+        return (r1 + dx * (2.0 * r2 + dx * 3.0 * r3),
+                s0 + dx * (s1 + dx * (s2 + dx * s3)))
+
+    @staticmethod
+    def patch_laplacian(c, dx, dy):
+        """d^2/dx^2 + d^2/dy^2 of the patch."""
+        c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c12, c13, c14, \
+            c15 = c
+        xx = [2.0 * a + 6.0 * dx * b
+              for a, b in ((c8, c12), (c9, c13), (c10, c14), (c11, c15))]
+        yy = [2.0 * a + 6.0 * dy * b
+              for a, b in ((c2, c3), (c6, c7), (c10, c11), (c14, c15))]
+        return (xx[0] + dy * (xx[1] + dy * (xx[2] + dy * xx[3]))
+                + yy[0] + dx * (yy[1] + dx * (yy[2] + dx * yy[3])))
+
+
+def periodic_spline(grid, lx, ly):
+    """The exactly periodic bicubic spline through grid[i, j] at
+    (i lx / nx, j ly / ny); it takes coordinates in any period cell."""
+    return PeriodicBicubic(np.asarray(grid, dtype=float), lx, ly)
 
 
 def metric_at(surface, p):

@@ -272,6 +272,27 @@ quantity = c0
     assert data["gap"] <= 1e-3
 
 
+def test_critical_c0_on_coarse_csv_field(capsys, tmp_path):
+    """A 16 x 16 CSV sample of 2 pi cos 2 pi x + 4 pi sin 2 pi y, solved on
+    the 64 x 64 c0 grid, passes the zero-flux test: the periodic spline's
+    grid mean is the sample's.  Its bracket closes below the sup sqrt(5) of
+    the primitive (-2 cos 2 pi y, sin 2 pi x)."""
+    def f(x, y):
+        return 2 * math.pi * (math.cos(2 * math.pi * x)
+                              + 2 * math.sin(2 * math.pi * y))
+
+    n = 16
+    rows = [f"{i / n},{j / n},{f(i / n, j / n)!r}"
+            for i in range(n) for j in range(n)]
+    grid = _write(tmp_path, "\n".join(["x,y,f"] + rows) + "\n", "grid.csv")
+    code, _, out = _run(capsys, tmp_path, CSV_FIELD.format(path=grid),
+                        "critical")
+    assert code == 0
+    data = json.loads((out / "result.json").read_text())
+    assert data["lower"] <= data["c0"] <= math.sqrt(5.0)
+    assert data["gap"] <= 1e-2
+
+
 def test_taimanov_off_chart_is_an_error(capsys, tmp_path):
     """A half-plane disc that grows past the chart floor ends with an error
     naming the iteration (exit 1), not a traceback."""

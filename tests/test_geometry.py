@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from magsurf.errors import DomainError, UnsupportedError
 from magsurf.surfaces import (ChartPoint, ConformalTorus, FlatTorus,
                               HyperbolicPlane, RoundSphere,
-                              geodesic_curvature_of, metric_at, rotate90,
-                              surface_invariants)
+                              geodesic_curvature_of, metric_at,
+                              periodic_spline, rotate90, surface_invariants)
 
 RNG = np.random.default_rng(42)
 FD_STEP = 1e-5
@@ -203,6 +203,91 @@ def test_conformal_torus_interpolates_samples():
         u, v = RNG.uniform(0, 1, size=2)
         rho, _, _ = surf.conformal(0, u, v)
         assert abs(rho - rho_fn(u, v)) < 1e-5
+
+
+@given(nx=st.integers(8, 24), ny=st.integers(8, 24),
+       lx=st.floats(0.3, 3.0), ly=st.floats(0.3, 3.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_periodic_spline_reproduces_samples(nx, ny, lx, ly, seed):
+    grid = np.random.default_rng(seed).uniform(-1.0, 1.0, (nx, ny))
+    ii, jj = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
+    spl = periodic_spline(grid, lx, ly)
+    assert np.abs(spl(ii * lx / nx, jj * ly / ny) - grid).max() < 1e-12
+
+
+@given(lx=st.floats(0.3, 3.0), ly=st.floats(0.3, 3.0),
+       seed=st.integers(0, 2 ** 32 - 1), a=st.floats(0.0, 1.0),
+       b=st.floats(0.0, 1.0), m=st.integers(-5, 5), n=st.integers(-5, 5))
+@settings(max_examples=60, deadline=None)
+def test_conformal_torus_is_lattice_periodic(lx, ly, seed, a, b, m, n):
+    """rho and its gradient are invariant under (x, y) -> (x + m lx,
+    y + n ly), up to the rounding of the translated point."""
+    rng = np.random.default_rng(seed)
+    surf = ConformalTorus(0.1 * rng.standard_normal(rng.integers(8, 25, 2)),
+                          lx=lx, ly=ly)
+    x, y = a * lx, b * ly
+    want = np.array(surf.conformal(0, x, y), float)
+    got = np.array(surf.conformal(0, x + m * lx, y + n * ly), float)
+    assert np.abs(got - want).max() < 1e-9
+
+
+def _tensor_cubic_reference(grid, lx, ly, x, y, nu=(0, 0)):
+    """The periodic bicubic spline by scipy's 1-d periodic CubicSpline:
+    along y at every x node, then along x through those values; ``nu``
+    orders of derivative in x and y."""
+    from scipy.interpolate import CubicSpline
+
+    nx, ny = grid.shape
+    cols = CubicSpline(np.arange(ny + 1) * ly / ny, np.c_[grid, grid[:, 0]],
+                       axis=1, bc_type="periodic")(y, nu[1])
+    return np.array([
+        CubicSpline(np.arange(nx + 1) * lx / nx, np.r_[col, col[0]],
+                    bc_type="periodic")(xk, nu[0])
+        for xk, col in zip(x, cols.T)])
+
+
+def test_conformal_torus_matches_tensor_cubic_reference():
+    rng = np.random.default_rng(3)
+    grid = 0.1 * rng.standard_normal((12, 10))
+    lx, ly = 1.3, 0.7
+    x, y = rng.uniform(0.0, lx, 25), rng.uniform(0.0, ly, 25)
+    surf = ConformalTorus(grid, lx=lx, ly=ly)
+    got = surf.conformal(0, x, y)
+    for val, nu in zip(got, ((0, 0), (1, 0), (0, 1))):
+        want = _tensor_cubic_reference(grid, lx, ly, x, y, nu)
+        assert np.abs(val - want).max() < 1e-12 * max(1.0, np.abs(want).max())
+    lap = sum(_tensor_cubic_reference(grid, lx, ly, x, y, nu)
+              for nu in ((2, 0), (0, 2)))
+    assert np.abs(surf.laplacian_rho(0, x, y) - lap).max() \
+        < 1e-11 * np.abs(lap).max()
+
+
+def test_conformal_torus_is_continuous_across_the_seams():
+    """rho, rho_u and rho_v agree 1e-13 to either side of each seam of
+    the period cell and on it (the spline is periodic, not padded)."""
+    surf = ConformalTorus(0.1 * np.random.default_rng(0).standard_normal(
+        (32, 32)), lx=1.0, ly=0.5)
+    t = np.linspace(0.0, 1.0, 41)
+    at_x0 = np.array(surf.conformal(0, 0 * t, 0.5 * t))
+    at_y0 = np.array(surf.conformal(0, t, 0 * t))
+    for side in (-1e-13, 0.0, 1e-13):
+        at_lx = np.array(surf.conformal(0, 1.0 + side + 0 * t, 0.5 * t))
+        at_ly = np.array(surf.conformal(0, t, 0.5 + side + 0 * t))
+        assert np.abs(at_lx - at_x0).max() < 1e-8
+        assert np.abs(at_ly - at_y0).max() < 1e-8
+
+
+def test_periodic_spline_grid_mean_is_sample_mean():
+    """On a finer grid the periodic spline's mean is its sample mean: a
+    zero-mean 16 x 16 sample of 2 pi cos 2 pi x + 4 pi sin 2 pi y has a
+    64 x 64 grid mean of rounding size (the padded spline gave -6.3e-6)."""
+    x = np.arange(16) / 16
+    sample = 2 * np.pi * np.cos(2 * np.pi * x)[:, None] \
+        + 4 * np.pi * np.sin(2 * np.pi * x)[None, :]
+    xx, yy = np.meshgrid(np.arange(64) / 64, np.arange(64) / 64,
+                         indexing="ij")
+    assert abs(periodic_spline(sample, 1.0, 1.0)(xx, yy).mean()) < 1e-12
 
 
 def _rho_grad_cases():

@@ -195,7 +195,7 @@ def _scalar_cases():
         TorusField(lambda x, y: amp * np.cos(2.0 * np.pi * x)),
         CallableField(lambda c, u, v: np.sin(u) * v + c),
         # what [field] type = csv builds: a periodic spline in a TorusField
-        TorusField(lambda x, y: spl(x, y, grid=False), lx=1.0, ly=2.0),
+        TorusField(lambda x, y: spl(x, y), lx=1.0, ly=2.0),
     ]
 
 

@@ -7,9 +7,10 @@ Outside ``surfaces.py`` and ``cli._build_surface`` no code may call
 ``isinstance`` against a surface class or probe a surface for ``lx`` /
 ``ly`` with ``hasattr`` / ``getattr``; surfaces expose ``lattice``,
 ``constant_curvature``, ``floor`` and ``post_step`` instead.  The c0
-bracket in ``critical.py`` imports nothing from scipy, and region flux in
-``regions.py`` goes only through a primitive, never ``form_density``.
-Primitives are chosen by ``fields.local_primitive`` alone.
+bracket in ``critical.py`` and the splines in ``surfaces.py`` import
+nothing from scipy, and region flux in ``regions.py`` goes only through a
+primitive, never ``form_density``.  Primitives are chosen by
+``fields.local_primitive`` alone.
 """
 import ast
 import collections
@@ -91,9 +92,11 @@ def test_no_surface_type_probes_outside_surfaces():
 
 # The stepping core: the RK4 steps (in time, and in the section coordinate
 # over a crossing) and their right-hand side in flow.py, and the per-point
-# methods they call on surfaces and fields, use no numpy.
+# methods they call on surfaces and fields, use no numpy.  The conformal
+# torus's rho_grad reads its spline through the cell lookup and Horner
+# helper of PeriodicBicubic.
 CORE_FUNCTIONS = {"make_rhs", "_make_step", "_make_section_step"}
-CORE_METHODS = {"rho_grad", "scalar"}
+CORE_METHODS = {"rho_grad", "scalar", "cell_of", "patch_grad"}
 
 
 def _numpy_uses(path):
@@ -144,6 +147,11 @@ def test_stepping_core_is_numpy_free():
     flow = ast.parse((SRC / "flow.py").read_text())
     defined = {n.name for n in flow.body if isinstance(n, ast.FunctionDef)}
     assert CORE_FUNCTIONS <= defined
+    methods = {n.name for path in SRC.glob("*.py")
+               for c in ast.parse(path.read_text()).body
+               if isinstance(c, ast.ClassDef)
+               for n in c.body if isinstance(n, ast.FunctionDef)}
+    assert CORE_METHODS <= methods
 
 
 # The curve evolution reads edges, chords and normals off padded coordinate
@@ -212,8 +220,9 @@ def test_curve_evolution_has_no_array_churn():
     assert not sites, "roll/norm/stack calls: " + ", ".join(sites)
 
 
-# The c0 bracket is its own primal-dual loop on numpy's FFT: critical.py
-# imports no scipy optimizer, nor anything else from scipy.
+# The c0 bracket is its own primal-dual loop on numpy's FFT, and the
+# conformal factor and CSV fields are periodic splines built by numpy's FFT:
+# critical.py and surfaces.py import nothing from scipy.
 def _scipy_imports(path):
     """Line of every import of scipy or a scipy submodule in a file."""
     lines = []
@@ -245,6 +254,11 @@ def test_scipy_guard_detects_imports(tmp_path):
 def test_critical_imports_no_scipy():
     lines = _scipy_imports(SRC / "critical.py")
     assert not lines, f"scipy imports in critical.py at lines {lines}"
+
+
+def test_surfaces_import_no_scipy():
+    lines = _scipy_imports(SRC / "surfaces.py")
+    assert not lines, f"scipy imports in surfaces.py at lines {lines}"
 
 
 # Region flux is a line integral of a chart primitive (Stokes): regions.py
