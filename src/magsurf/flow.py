@@ -21,7 +21,7 @@ from array import array
 
 import numpy as np
 
-from .errors import DegenerateInputError, NoReturnError
+from .errors import DegenerateInputError, DomainError, NoReturnError
 
 DEFAULT_DT = 1e-3
 
@@ -120,6 +120,12 @@ def _require_finite(state):
         raise DegenerateInputError(f"non-finite state {state}")
 
 
+def _check_blowup(u, v, du, dv, t):
+    """A run that went non-finite (RK4 blew up) is a DomainError."""
+    if not all(map(math.isfinite, (u, v, du, dv))):
+        raise DomainError(f"trajectory became non-finite by t = {t:g}")
+
+
 def energy_of(system, state):
     """Kinetic energy (1/2) |q'|_g^2."""
     rho = system.surface.conformal(state.chart, state.u, state.v)[0]
@@ -146,7 +152,8 @@ def integrate(system, state0, t_end, dt=DEFAULT_DT, record_every=1):
 
     The surface's post_step applies after every step (the sphere changes
     stereographic chart there); the run is truncated (flagged) if the state
-    falls below the surface's floor.
+    falls below the surface's floor, and a run that goes non-finite raises
+    DomainError.
     """
     step = _make_step(system)
     floor = system.surface.floor
@@ -165,12 +172,13 @@ def integrate(system, state0, t_end, dt=DEFAULT_DT, record_every=1):
     truncated = False
     for i in range(1, n_steps + 1):
         chart, u, v, du, dv = step(chart, u, v, du, dv, dt)
-        truncated = v < floor
+        truncated = not v >= floor          # below the floor, or NaN
         if i % record_every == 0 or truncated:
             ts[m], charts[m], qs[m], dqs[m] = i * dt, chart, (u, v), (du, dv)
             m += 1
         if truncated:
             break
+    _check_blowup(u, v, du, dv, ts[m - 1])
     return Trajectory(t=ts[:m], chart=charts[:m], q=qs[:m], dq=dqs[:m],
                       dt=dt, truncated=truncated)
 
@@ -287,8 +295,9 @@ def poincare_return(system, section, state0, max_time=200.0, dt=DEFAULT_DT,
     as one RK4 step in the section coordinate (M. Henon, Physica D 5 (1982)
     412-414), which lands on the section exactly.  NoReturnError says why
     when there is no return within max_time or the state falls below the
-    floor.  A StepRecord passed as record receives state0 and every full
-    dt step taken, the step over the crossing too.
+    floor, and DomainError when the run goes non-finite.  A StepRecord
+    passed as record receives state0 and every full dt step taken, the step
+    over the crossing too.
     """
     step = _make_step(system)
     cross = _make_section_step(system, section.coord)
@@ -305,7 +314,8 @@ def poincare_return(system, section, state0, max_time=200.0, dt=DEFAULT_DT,
         nst = step(*st, dt)
         if record is not None:
             record.add(*nst)
-        if nst[2] < floor:
+        if not nst[2] >= floor:             # below the floor, or NaN
+            _check_blowup(*nst[1:], i * dt)
             raise NoReturnError("trajectory fell below the chart floor")
         on_section_chart = nst[0] == section.chart
         cur = section.signed_residual(nst) if on_section_chart else prev
@@ -315,8 +325,10 @@ def poincare_return(system, section, state0, max_time=200.0, dt=DEFAULT_DT,
               and prev < 0.0 <= cur and abs(cur - prev) < guard
               and section.crossing_velocity(nst) > 0.0):
             *hit, t = cross(*st, -prev * section.direction)
+            _check_blowup(*hit[1:], (i - 1) * dt + t)
             return TangentState(*hit), (i - 1) * dt + t
         if on_section_chart:
             prev = cur
         st = nst
+    _check_blowup(*st[1:], n_steps * dt)
     raise NoReturnError(f"no directed return within time {max_time}")

@@ -105,18 +105,6 @@ def taimanov_value(system, k, region):
     return math.sqrt(2.0 * k) * length - region.orientation * flux
 
 
-def region_complement(region):
-    """Same boundary set, complementary region with reversed orientation."""
-    if region.whole_surface or not region.curves:
-        return Region(curves=list(region.curves),
-                      orientation=-region.orientation,
-                      whole_surface=not region.whole_surface)
-    flipped = [RegionCurve(vertices=c.vertices[::-1].copy(), chart=c.chart,
-                           winding=(-c.winding[0], -c.winding[1]))
-               for c in region.curves]
-    return Region(curves=flipped, orientation=-region.orientation)
-
-
 # ---------------------------------------------------------------------------
 # discrete curvature and the evolution
 #
@@ -200,33 +188,48 @@ def resample_curve(curve, spacing, surface):
     return _curve(buf, curve.chart, curve.winding)
 
 
-def _segments_intersect(p, q):
-    """Vectorized proper-intersection test between two sets of segments."""
-    p0, p1 = p
-    q0, q1 = q
-    d1 = p1 - p0
-    d2 = q1 - q0
-    den = d1[:, None, 0] * d2[None, :, 1] - d1[:, None, 1] * d2[None, :, 0]
-    diff = q0[None, :, :] - p0[:, None, :]
-    tn = diff[:, :, 0] * d2[None, :, 1] - diff[:, :, 1] * d2[None, :, 0]
-    sn = diff[:, :, 0] * d1[:, None, 1] - diff[:, :, 1] * d1[:, None, 0]
+def curve_is_simple(curve, surface):
+    """Whether no two non-adjacent edges of the curve cross properly.
+
+    Sort and sweep (M. I. Shamos and D. Hoey, Proc. 17th IEEE FOCS (1976)
+    208-215) along the longer side of the bounding box, chosen per curve (a
+    strip boundary winding in y hardly spans x): each edge, in order of its
+    low end, is tested against the later edges whose low ends lie below its
+    high end, which holds every pair that can cross; neighbouring edges,
+    the last and the first too, are skipped.  The test is the all-pairs one
+    (t, s in (eps, 1 - eps), |den| > eps = 1e-12), symmetric bit for bit in
+    the two edges, so the verdict is the all-pairs one, bar near-parallel
+    edges (|den| near eps) whose crossing that arithmetic cannot place.
+    """
+    buf = curve.padded(surface)
+    x, nxt = buf[:, 1:-1], buf[:, 2:]       # edge i runs x[:, i] -> nxt[:, i]
+    n = x.shape[1]
+    axis = int(np.argmax(x.max(axis=1) - x.min(axis=1)))
+    lo = np.minimum(x[axis], nxt[axis])
+    order = np.argsort(lo, kind="stable")
+    # sorted edge i overlaps sorted edges i + 1 .. i + count[i]
+    count = np.searchsorted(lo.take(order),
+                            np.maximum(x[axis], nxt[axis]).take(order),
+                            side="right") - np.arange(1, n + 1)
+    first = np.repeat(np.arange(n), count)
+    start = np.cumsum(count) - count
+    a = order.take(first)
+    b = order.take(first + 1 + np.arange(len(first)) - start.take(first))
+    gap = np.abs(a - b)
+    keep = (gap != 1) & (gap != n - 1)
+    a, b = a[keep], b[keep]
+    d = nxt - x
+    d1, d2 = d.take(a, axis=1), d.take(b, axis=1)
+    diff = x.take(b, axis=1) - x.take(a, axis=1)
+    den = d1[0] * d2[1] - d1[1] * d2[0]
+    tn = diff[0] * d2[1] - diff[1] * d2[0]
+    sn = diff[0] * d1[1] - diff[1] * d1[0]
     with np.errstate(divide="ignore", invalid="ignore"):
         t = tn / den
         s = sn / den
-    eps = 1e-12
-    return (np.abs(den) > eps) & (t > eps) & (t < 1 - eps) \
-        & (s > eps) & (s < 1 - eps)
-
-
-def curve_is_simple(curve, surface):
-    x, nxt = curve.edges(surface)
-    hit = _segments_intersect((x, nxt), (x, nxt))
-    np.fill_diagonal(hit, False)
-    n = len(x)
-    idx = np.arange(n)
-    hit[idx, (idx + 1) % n] = False
-    hit[(idx + 1) % n, idx] = False
-    return not bool(hit.any())
+    eps = 1e-12          # t, s > eps and < 1 - eps, NaN failing both
+    return not ((np.abs(den) > eps) & (np.minimum(t, s) > eps)
+                & (np.maximum(t, s) < 1 - eps)).any()
 
 
 @dataclasses.dataclass

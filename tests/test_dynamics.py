@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magsurf.errors import DegenerateInputError, NoReturnError
-from magsurf.fields import ConstantField, MagneticSystem, energy_of_s
+from magsurf.errors import DegenerateInputError, DomainError, NoReturnError
+from magsurf.fields import (ConstantField, MagneticSystem, TorusField,
+                            energy_of_s)
 from magsurf.flow import (Section, TangentState, energy_of, integrate,
                           poincare_return, state_at_energy,
                           trajectory_curvature, trajectory_energies,
@@ -308,3 +309,28 @@ def test_non_finite_state_rejected(entry):
                 TangentState(0, math.inf, 0.2, 1.0, 0.3)):
         with pytest.raises(DegenerateInputError):
             calls[entry](bad)
+
+
+@pytest.mark.parametrize("entry", ["integrate", "poincare_return"])
+def test_blown_up_run_is_a_domain_error(entry):
+    """RK4 at dt = 0.5 blows up on a strong cosine field over the flat
+    torus; the run raises instead of handing back q = (nan, nan) with
+    ``truncated`` False."""
+    system = MagneticSystem(FlatTorus(), TorusField(
+        lambda x, y: 50.0 * np.cos(2 * np.pi * x)))
+    st = TangentState(0, 0.1, 0.2, 30.0, 40.0)
+    section = Section(coord=0, value=0.37, direction=1, wrap=1.0, chart=0)
+    with pytest.raises(DomainError, match="non-finite"):
+        if entry == "integrate":
+            integrate(system, st, 200.0, dt=0.5)
+        else:
+            poincare_return(system, section, st, dt=0.5)
+
+
+def test_blown_up_plunge_is_a_domain_error():
+    """A geodesic plunging toward the half-plane's boundary at dt = 1e-2
+    jumps from above the floor straight to NaN: that is no truncation."""
+    system = MagneticSystem(HyperbolicPlane(genus=2), ConstantField(0.0))
+    with pytest.raises(DomainError, match="non-finite"):
+        integrate(system, TangentState(0, 0.0, 1e-3, 0.0, -1.0), 20.0,
+                  dt=1e-2)

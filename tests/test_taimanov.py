@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magsurf import regions
 from magsurf.critical import c0_upper_bound
@@ -14,9 +16,9 @@ from magsurf.flow import integrate
 from magsurf.orbits import orbit_curvature_residual, shoot_periodic
 from magsurf.regions import (CHECK_EVERY, STEP_FACTOR, EvolveParams, Region,
                              RegionCurve, curve_geometry, curve_is_simple,
-                             curve_length, evolve_minimize, region_complement,
-                             region_flux, resample_curve, state_from_curve,
-                             tau_estimate, taimanov_value)
+                             curve_length, evolve_minimize, region_flux,
+                             resample_curve, state_from_curve, tau_estimate,
+                             taimanov_value)
 from magsurf.surfaces import FlatTorus, HyperbolicPlane, RoundSphere
 
 SQ2 = math.sqrt(2.0)
@@ -59,6 +61,49 @@ def _tau_08(k_hi=1.0):
     return tau_estimate(_cosine_system(), [_favorable_strip()], 0.1, k_hi,
                         bisect_iters=16,
                         params=EvolveParams(tol=1e-4, max_iter=30000))
+
+
+def region_complement(region):
+    """Same boundary set, complementary region with reversed orientation."""
+    if region.whole_surface or not region.curves:
+        return Region(curves=list(region.curves),
+                      orientation=-region.orientation,
+                      whole_surface=not region.whole_surface)
+    flipped = [RegionCurve(vertices=c.vertices[::-1].copy(), chart=c.chart,
+                           winding=(-c.winding[0], -c.winding[1]))
+               for c in region.curves]
+    return Region(curves=flipped, orientation=-region.orientation)
+
+
+def _segments_intersect(p, q):
+    """Reference: proper-intersection matrix between two sets of segments,
+    the all-pairs test ``curve_is_simple`` used before its sweep."""
+    p0, p1 = p
+    q0, q1 = q
+    d1 = p1 - p0
+    d2 = q1 - q0
+    den = d1[:, None, 0] * d2[None, :, 1] - d1[:, None, 1] * d2[None, :, 0]
+    diff = q0[None, :, :] - p0[:, None, :]
+    tn = diff[:, :, 0] * d2[None, :, 1] - diff[:, :, 1] * d2[None, :, 0]
+    sn = diff[:, :, 0] * d1[:, None, 1] - diff[:, :, 1] * d1[:, None, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = tn / den
+        s = sn / den
+    eps = 1e-12
+    return (np.abs(den) > eps) & (t > eps) & (t < 1 - eps) \
+        & (s > eps) & (s < 1 - eps)
+
+
+def _crossing_matrix(curve, surface):
+    """Reference: which pairs of non-adjacent edges cross properly."""
+    x, nxt = curve.edges(surface)
+    hit = _segments_intersect((x, nxt), (x, nxt))
+    np.fill_diagonal(hit, False)
+    n = len(x)
+    idx = np.arange(n)
+    hit[idx, (idx + 1) % n] = False
+    hit[(idx + 1) % n, idx] = False
+    return hit
 
 
 def _record_energies(monkeypatch):
@@ -211,6 +256,76 @@ def test_curve_is_simple():
     eight = RegionCurve(np.column_stack(
         [0.5 + 0.2 * np.sin(2 * t), 0.5 + 0.1 * np.sin(t)]))
     assert not curve_is_simple(eight, surf)
+
+
+SHAPES = ("jittered_circle", "star", "figure_eight", "cloud", "near_touch",
+          "strip_small_jitter", "strip_large_jitter")
+
+
+def _test_polygon(kind, n, seed, amp):
+    """A closed polygon of the given kind, n vertices, drawn from the seed;
+    amp in [0, 1] sets how far it strays from its simple template."""
+    rng = np.random.default_rng(seed)
+    ang = 2 * np.pi * (np.arange(n) + rng.uniform(-amp, amp, n)) / n
+    winding = (0, 0)
+    if kind == "jittered_circle":
+        r = 0.3 + 0.05 * amp * rng.standard_normal(n)
+        pts = 0.5 + r[:, None] * np.column_stack([np.cos(ang), np.sin(ang)])
+    elif kind == "star":
+        r = 0.3 * (1 + 0.9 * amp * np.cos(rng.integers(2, 9) * ang
+                                          + rng.uniform(0, 2 * np.pi)))
+        pts = 0.5 + r[:, None] * np.column_stack([np.cos(ang), np.sin(ang)])
+    elif kind == "figure_eight":
+        c, s = np.cos(rng.uniform(0, np.pi)), np.sin(rng.uniform(0, np.pi))
+        u, v = 0.3 * np.sin(2 * ang), rng.uniform(0.05, 0.3) * np.sin(ang)
+        pts = 0.5 + np.column_stack([c * u - s * v, s * u + c * v])
+    elif kind == "cloud":
+        pts = rng.uniform(0, 1, (n, 2))
+    elif kind == "near_touch":
+        # a circle pinched at two opposite vertices, whose tips meet at
+        # the centre with a gap of +-10^-14 .. 10^-3: negative gaps cross
+        rim = np.column_stack([np.cos(ang), np.sin(ang)])
+        pts = 0.5 + 0.3 * rim
+        i = rng.integers(n)
+        gap = rng.choice([-1, 1]) * 10 ** rng.uniform(-14, -3)
+        pts[i] = 0.5 + 0.5 * gap * rim[i]
+        pts[(i + n // 2) % n] = 0.5 - 0.5 * gap * rim[i]
+    else:
+        # criterion 08's vertical strip boundary, winding once in y
+        jitter = 1e-3 if kind == "strip_small_jitter" else 0.7
+        ys = np.arange(n) / n
+        pts = np.column_stack([0.3 + jitter * amp * rng.standard_normal(n),
+                               ys])
+        winding = (0, 1)
+    return RegionCurve(pts, winding=winding)
+
+
+def test_oracle_shapes_cover_both_verdicts():
+    """The shapes the oracle property draws from are not all simple."""
+    surf = FlatTorus()
+    verdicts = {kind: {_crossing_matrix(_test_polygon(kind, 60, seed,
+                                                      seed / 19),
+                                        surf).any() for seed in range(20)}
+                for kind in SHAPES}
+    for kind in ("jittered_circle", "star", "near_touch"):
+        assert verdicts[kind] == {True, False}, kind
+    for kind in ("figure_eight", "cloud"):
+        assert True in verdicts[kind], kind
+    for kind in ("strip_small_jitter", "strip_large_jitter"):
+        assert verdicts[kind] == {False}, kind
+
+
+@given(kind=st.sampled_from(SHAPES), n=st.integers(4, 200),
+       seed=st.integers(0, 2 ** 32 - 1), amp=st.floats(0.0, 1.0))
+@settings(max_examples=300, deadline=None)
+def test_curve_is_simple_matches_all_pairs(kind, n, seed, amp):
+    """The sweep gives the all-pairs verdict.  The all-pairs matrix is
+    symmetric bit for bit, which is why one order per pair suffices."""
+    surf = FlatTorus()
+    curve = _test_polygon(kind, n, seed, amp)
+    hit = _crossing_matrix(curve, surf)
+    assert (hit == hit.T).all()
+    assert curve_is_simple(curve, surf) == (not hit.any())
 
 
 def test_evolution_constant_field_stationary_circle():
