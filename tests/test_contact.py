@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from magsurf.bundle import (contact_candidate_min, corrected_candidate,
-                            frame_vectors, homogeneous_candidate,
+from magsurf.bundle import (coframe_coefficients, contact_candidate_min,
+                            corrected_candidate, homogeneous_candidate,
                             liouville_action, pairing, rotation_vector,
                             structural_relations_check,
-                            torus_exact_candidate, xs_coefficients,
-                            ContactCandidate, FiberCandidate)
+                            torus_exact_candidate, ContactCandidate,
+                            FiberCandidate)
 from magsurf.errors import InvalidCandidateError, UnsupportedError
 from magsurf.fields import (ConstantField, MagneticSystem, TorusField,
                             energy_of_s, flux_total)
@@ -19,6 +19,34 @@ from magsurf.flow import TangentState
 from magsurf.surfaces import FlatTorus, HyperbolicPlane, RoundSphere
 
 RNG = np.random.default_rng(3)
+
+
+def frame_vectors(surface, chart, u, v, phi):
+    """Components of (X, V, H) in the coordinates (u, v, phi)."""
+    rho, ru, rv = surface.conformal(chart, u, v)
+    rho = np.asarray(rho, float)
+    ru = np.broadcast_to(np.asarray(ru, float), rho.shape)
+    rv = np.broadcast_to(np.asarray(rv, float), rho.shape)
+    lam_inv = np.exp(-rho)
+    c, s = np.cos(phi), np.sin(phi)
+    zero = np.zeros_like(lam_inv)
+    one = np.ones_like(lam_inv)
+    x_vec = np.stack([lam_inv * c, lam_inv * s,
+                      lam_inv * (rv * c - ru * s)], axis=-1)
+    v_vec = np.stack([zero, zero, one], axis=-1)
+    h_vec = np.stack([-lam_inv * s, lam_inv * c,
+                      lam_inv * (-rv * s - ru * c)], axis=-1)
+    return x_vec, v_vec, h_vec
+
+
+def xs_coefficients(system, s, chart, u, v, phi):
+    """Pairings (alpha, psi, beta)(X_s) = (1, s f(q), 0), computed honestly."""
+    alpha, psi, beta = coframe_coefficients(system.surface, chart, u, v, phi)
+    x_vec, v_vec, _ = frame_vectors(system.surface, chart, u, v, phi)
+    f = np.asarray(system.field.eval(chart, u, v), float)
+    xs = x_vec + s * f[..., None] * v_vec
+    return (np.sum(alpha * xs, axis=-1), np.sum(psi * xs, axis=-1),
+            np.sum(beta * xs, axis=-1))
 
 
 def test_flow_pairings_exact():

@@ -15,9 +15,8 @@ from magsurf.flow import (Section, TangentState, energy_of, integrate,
                           trajectory_curvature, trajectory_energies,
                           trajectory_speeds)
 from magsurf.orbits import homogeneous_oracle
-from magsurf.surfaces import (ChartPoint, ConformalTorus, FlatTorus,
-                              HyperbolicPlane, RoundSphere,
-                              geodesic_curvature_of)
+from magsurf.surfaces import (ConformalTorus, FlatTorus, HyperbolicPlane,
+                              RoundSphere)
 
 
 def _systems():
@@ -230,6 +229,49 @@ def test_poincare_return_lands_on_section(surface, s, point, period):
     assert abs(rt - period) < 1e-12
 
 
+def geodesic_curvature_of(surface, chart, q, qdot, qddot):
+    """Signed geodesic curvature from first and second chart derivatives:
+    lam2 (q'' + Gamma[q', q']) . (i q') / (lam2 |q'|^2)^(3/2) with the
+    Christoffel tensor of e^(2 rho) (du^2 + dv^2) built from conformal's
+    rho_u and rho_v, the per-sample reference for trajectory_curvature."""
+    rho, ru, rv = (float(x) for x in surface.conformal(chart, *q))
+    gamma = np.array([
+        [[ru, rv], [rv, -ru]],   # Gamma^u_ij
+        [[-rv, ru], [ru, rv]],   # Gamma^v_ij
+    ])
+    qdot = np.asarray(qdot, dtype=float)
+    acc = np.asarray(qddot, dtype=float) \
+        + np.einsum("kij,i,j->k", gamma, qdot, qdot)
+    lam2 = math.exp(2.0 * rho)
+    iq = np.array([-qdot[1], qdot[0]])
+    return float(lam2 * acc @ iq) / (lam2 * float(qdot @ qdot)) ** 1.5
+
+
+def test_geodesic_circle_curvature():
+    """Euclidean circles in the charts have the classical geodesic
+    curvature: cot(r) on the sphere (chart radius tan(r/2)) and coth(r)
+    in the hyperbolic plane (center (0, a cosh r), radius a sinh r)."""
+    sph = RoundSphere()
+    r = 0.7
+    rc = math.tan(r / 2.0)
+    for phi in np.linspace(0.0, 2 * np.pi, 7):
+        q = np.array([rc * math.cos(phi), rc * math.sin(phi)])
+        dq = np.array([-math.sin(phi), math.cos(phi)])
+        ddq = np.array([-math.cos(phi), -math.sin(phi)]) / rc
+        kap = geodesic_curvature_of(sph, 0, q, dq * rc, ddq * rc ** 2)
+        assert abs(kap - 1.0 / math.tan(r)) < 1e-8
+
+    hyp = HyperbolicPlane(genus=2)
+    a, r = 1.0, 0.6
+    cy, re = a * math.cosh(r), a * math.sinh(r)
+    for phi in np.linspace(0.0, 2 * np.pi, 7):
+        q = np.array([re * math.cos(phi), cy + re * math.sin(phi)])
+        dq = np.array([-math.sin(phi), math.cos(phi)])
+        ddq = np.array([-math.cos(phi), -math.sin(phi)]) / re
+        kap = geodesic_curvature_of(hyp, 0, q, dq * re, ddq * re ** 2)
+        assert abs(kap - 1.0 / math.tanh(r)) < 1e-8
+
+
 def _assert_curvature_per_sample(system, traj):
     """The array-wide curvature equals geodesic_curvature_of at every
     sample with the same five-point acceleration."""
@@ -241,8 +283,8 @@ def _assert_curvature_per_sample(system, traj):
     for i in ok:
         acc = (-dq[i + 2] + 8 * dq[i + 1] - 8 * dq[i - 1] + dq[i - 2]) \
             / (12 * h)
-        p = ChartPoint(int(traj.chart[i]), traj.q[i, 0], traj.q[i, 1])
-        want = geodesic_curvature_of(system.surface, p, dq[i], acc)
+        want = geodesic_curvature_of(system.surface, int(traj.chart[i]),
+                                     traj.q[i], dq[i], acc)
         assert abs(kappa[i] - want) <= 1e-12 * max(1.0, abs(want))
     return kappa
 
@@ -334,3 +376,15 @@ def test_blown_up_plunge_is_a_domain_error():
     with pytest.raises(DomainError, match="non-finite"):
         integrate(system, TangentState(0, 0.0, 1e-3, 0.0, -1.0), 20.0,
                   dt=1e-2)
+
+
+def test_blown_up_but_finite_return_is_a_domain_error():
+    """RK4 at dt = 0.5 on the strong cosine field reaches the section at
+    t = 1.973 from a state that is still finite but carries an energy near
+    1e30, against 1250 at the start: the return raises."""
+    system = MagneticSystem(FlatTorus(), TorusField(
+        lambda x, y: 50.0 * np.cos(2 * np.pi * x)))
+    section = Section(coord=1, value=0.77, direction=1, chart=0)
+    with pytest.raises(DomainError, match="energy"):
+        poincare_return(system, section,
+                        TangentState(0, 0.1, 0.2, 30.0, 40.0), dt=0.5)

@@ -1,4 +1,5 @@
-"""Metric, Christoffel, curvature and chart machinery."""
+"""Conformal factor, curvature, chart machinery, and the integrator's
+right-hand side against the geodesic equation."""
 import math
 
 import numpy as np
@@ -7,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magsurf.errors import DomainError, UnsupportedError
-from magsurf.surfaces import (ChartPoint, ConformalTorus, FlatTorus,
-                              HyperbolicPlane, RoundSphere,
-                              geodesic_curvature_of, metric_at,
-                              periodic_spline, rotate90, surface_invariants)
+from magsurf.fields import ConstantField, MagneticSystem
+from magsurf.flow import make_rhs
+from magsurf.surfaces import (ConformalTorus, FlatTorus, HyperbolicPlane,
+                              RoundSphere, periodic_spline)
 
 RNG = np.random.default_rng(42)
 FD_STEP = 1e-5
@@ -30,11 +31,13 @@ def _surfaces():
 
 
 def _fd_christoffel(surface, chart, u, v):
-    """Central differences of the metric, assembled the classical way."""
+    """Central differences of the metric e^(2 rho) I, assembled the
+    classical way (do Carmo, Riemannian Geometry, 1992, section 3.2)."""
     h = FD_STEP
 
     def g(uu, vv):
-        return metric_at(surface, ChartPoint(chart, uu, vv)).g
+        return math.exp(2.0 * float(surface.conformal(chart, uu, vv)[0])) \
+            * np.eye(2)
 
     dg_du = (g(u + h, v) - g(u - h, v)) / (2 * h)
     dg_dv = (g(u, v + h) - g(u, v - h)) / (2 * h)
@@ -56,30 +59,23 @@ def _fd_christoffel(surface, chart, u, v):
                          ids=["flat", "sphere0", "sphere1", "hyp", "grid"])
 def test_christoffel_matches_finite_differences(surface, chart, urange,
                                                 vrange):
+    """The RHS the integrator runs is the geodesic equation
+    q'' = -Gamma(q)[q', q'] with finite-difference Christoffel symbols,
+    plus f i q' = f (-dv, du) under a field f."""
+    geodesic = make_rhs(MagneticSystem(surface, ConstantField(0.0)))
+    magnetic = make_rhs(MagneticSystem(surface, ConstantField(0.7)))
     for _ in range(20):
         u = RNG.uniform(*urange)
         v = RNG.uniform(*vrange)
-        got = metric_at(surface, ChartPoint(chart, u, v)).christoffel
-        want = _fd_christoffel(surface, chart, u, v)
+        du, dv = RNG.normal(size=2)
+        gamma = _fd_christoffel(surface, chart, u, v)
+        want = -np.einsum("kij,i,j->k", gamma, (du, dv), (du, dv))
         scale = max(1.0, np.max(np.abs(want)))
+        got = np.array(geodesic(chart, u, v, du, dv))
         assert np.max(np.abs(got - want)) / scale < FD_RTOL
-
-
-@pytest.mark.parametrize("surface,chart,urange,vrange", _surfaces(),
-                         ids=["flat", "sphere0", "sphere1", "hyp", "grid"])
-def test_rotation_is_isometric_and_orthogonal(surface, chart, urange,
-                                              vrange):
-    for _ in range(20):
-        u = RNG.uniform(*urange)
-        v = RNG.uniform(*vrange)
-        pt = ChartPoint(chart, u, v)
-        g = metric_at(surface, pt).g
-        w = RNG.normal(size=2)
-        r = rotate90(surface, pt, w)
-        rr = rotate90(surface, pt, r)
-        assert abs(w @ g @ r) < 1e-12 * max(1.0, abs(w @ g @ w))
-        assert abs(r @ g @ r - w @ g @ w) < 1e-12 * max(1.0, w @ g @ w)
-        assert np.max(np.abs(rr + w)) < 1e-12 * max(1.0, np.max(np.abs(w)))
+        got = np.array(magnetic(chart, u, v, du, dv))
+        assert np.max(np.abs(got - want - 0.7 * np.array([-dv, du]))) \
+            / scale < FD_RTOL
 
 
 def test_known_curvatures():
@@ -94,18 +90,24 @@ def test_known_curvatures():
         assert abs(flat.gauss_curvature(0, u, v)) < 1e-15
 
 
+def _total_curvature(surface):
+    """Quadrature of the Gauss curvature against the area form."""
+    charts, us, vs, w = surface.quadrature_nodes(256)
+    return float(np.sum(surface.gauss_curvature(charts, us, vs) * w))
+
+
 def test_total_curvature_sphere():
-    inv = surface_invariants(RoundSphere())
-    assert inv.euler_characteristic == 2
-    assert abs(inv.area - 4.0 * math.pi) < 1e-8
-    assert abs(inv.total_curvature - 4.0 * math.pi) < 1e-8
+    sph = RoundSphere()
+    assert sph.euler_characteristic() == 2
+    assert abs(sph.area() - 4.0 * math.pi) < 1e-8
+    assert abs(_total_curvature(sph) - 4.0 * math.pi) < 1e-8
 
 
 def test_total_curvature_flat_torus():
-    inv = surface_invariants(FlatTorus(2.0, 0.5))
-    assert inv.euler_characteristic == 0
-    assert abs(inv.area - 1.0) < 1e-12
-    assert abs(inv.total_curvature) < 1e-10
+    torus = FlatTorus(2.0, 0.5)
+    assert torus.euler_characteristic() == 0
+    assert abs(torus.area() - 1.0) < 1e-12
+    assert abs(_total_curvature(torus)) < 1e-10
 
 
 def test_total_curvature_conformal_torus():
@@ -113,37 +115,39 @@ def test_total_curvature_conformal_torus():
     x = np.arange(n) / n
     grid = 0.1 * np.cos(2 * np.pi * x)[:, None] \
         * np.sin(2 * np.pi * x)[None, :]
-    inv = surface_invariants(ConformalTorus(grid))
-    assert inv.euler_characteristic == 0
-    assert abs(inv.total_curvature) < 1e-4
+    torus = ConformalTorus(grid)
+    assert torus.euler_characteristic() == 0
+    assert abs(_total_curvature(torus)) < 1e-4
 
 
 def test_hyperbolic_declared_area():
-    inv = surface_invariants(HyperbolicPlane(genus=2))
-    assert inv.euler_characteristic == -2
-    assert abs(inv.area - 4.0 * math.pi) < 1e-12
-    assert abs(inv.total_curvature + 4.0 * math.pi) < 1e-12
+    hyp = HyperbolicPlane(genus=2)
+    assert hyp.euler_characteristic() == -2
+    assert abs(hyp.area() - 4.0 * math.pi) < 1e-12
     with pytest.raises(UnsupportedError):
-        HyperbolicPlane(genus=2).quadrature_nodes(8)
+        hyp.quadrature_nodes(8)
     with pytest.raises(UnsupportedError):
-        surface_invariants(HyperbolicPlane())
+        HyperbolicPlane().area()
+    with pytest.raises(UnsupportedError):
+        HyperbolicPlane().euler_characteristic()
 
 
 def test_hyperbolic_domain_floor():
     hyp = HyperbolicPlane(genus=2)
     with pytest.raises(DomainError):
-        metric_at(hyp, ChartPoint(0, 0.0, -1.0))
+        hyp.check_domain(0, 0.0, -1.0)
 
 
 def test_sphere_chart_transition_consistency():
-    """The two stereographic charts agree through the ambient embedding."""
+    """The two stereographic charts agree through the ambient embedding
+    under the integrator's chart transition w = 1/z."""
     sph = RoundSphere()
     for _ in range(20):
-        u, v = RNG.uniform(1.1, 1.5, size=2)   # |z| > 1, lands in chart 1
+        u, v = RNG.uniform(1.1, 1.5, size=2)
         amb = sph.to_ambient(0, u, v)
-        pt = sph.from_ambient(*amb)
-        assert pt.chart == 1
-        back = sph.to_ambient(pt.chart, pt.u, pt.v)
+        chart, u1, v1, _, _ = sph.switch_chart(0, u, v, 0.0, 0.0)
+        assert chart == 1
+        back = sph.to_ambient(chart, u1, v1)
         assert np.max(np.abs(np.asarray(amb) - np.asarray(back))) < 1e-12
         assert abs(float(np.dot(amb, amb)) - 1.0) < 1e-12
 
@@ -151,43 +155,18 @@ def test_sphere_chart_transition_consistency():
 def test_sphere_switch_preserves_state():
     """switch_chart maps position and velocity without changing speed."""
     sph = RoundSphere()
+
+    def speed2(chart, u, v, du, dv):
+        rho = float(sph.conformal(chart, u, v)[0])
+        return math.exp(2.0 * rho) * (du * du + dv * dv)
+
     for _ in range(10):
         u, v = RNG.uniform(1.5, 2.5, size=2)
         du, dv = RNG.normal(size=2)
-        g0 = metric_at(sph, ChartPoint(0, u, v)).g
-        sp0 = np.array([du, dv]) @ g0 @ np.array([du, dv])
-        c1, u1, v1, du1, dv1 = sph.switch_chart(0, u, v, du, dv)
-        assert c1 == 1
-        g1 = metric_at(sph, ChartPoint(1, u1, v1)).g
-        sp1 = np.array([du1, dv1]) @ g1 @ np.array([du1, dv1])
-        assert abs(sp1 - sp0) < 1e-10 * sp0
-
-
-def test_geodesic_circle_curvature():
-    """Euclidean circles in the charts have the classical geodesic
-    curvature: cot(r) on the sphere (chart radius tan(r/2)) and coth(r)
-    in the hyperbolic plane (center (0, a cosh r), radius a sinh r)."""
-    sph = RoundSphere()
-    r = 0.7
-    rc = math.tan(r / 2.0)
-    for phi in np.linspace(0.0, 2 * np.pi, 7):
-        q = np.array([rc * math.cos(phi), rc * math.sin(phi)])
-        dq = np.array([-math.sin(phi), math.cos(phi)])
-        ddq = np.array([-math.cos(phi), -math.sin(phi)]) / rc
-        kap = geodesic_curvature_of(sph, ChartPoint(0, q[0], q[1]),
-                                    dq * rc, ddq * rc ** 2)
-        assert abs(kap - 1.0 / math.tan(r)) < 1e-8
-
-    hyp = HyperbolicPlane(genus=2)
-    a, r = 1.0, 0.6
-    cy, re = a * math.cosh(r), a * math.sinh(r)
-    for phi in np.linspace(0.0, 2 * np.pi, 7):
-        q = np.array([re * math.cos(phi), cy + re * math.sin(phi)])
-        dq = np.array([-math.sin(phi), math.cos(phi)])
-        ddq = np.array([-math.cos(phi), -math.sin(phi)]) / re
-        kap = geodesic_curvature_of(hyp, ChartPoint(0, q[0], q[1]),
-                                    dq * re, ddq * re ** 2)
-        assert abs(kap - 1.0 / math.tanh(r)) < 1e-8
+        sp0 = speed2(0, u, v, du, dv)
+        switched = sph.switch_chart(0, u, v, du, dv)
+        assert switched[0] == 1
+        assert abs(speed2(*switched) - sp0) < 1e-10 * sp0
 
 
 def test_conformal_torus_interpolates_samples():

@@ -10,7 +10,8 @@ Outside ``surfaces.py`` and ``cli._build_surface`` no code may call
 bracket in ``critical.py`` and the splines in ``surfaces.py`` import
 nothing from scipy, and region flux in ``regions.py`` goes only through a
 primitive, never ``form_density``.  Primitives are chosen by
-``fields.local_primitive`` alone.
+``fields.local_primitive`` alone.  Every public function and class of the
+package is used somewhere, or is a listed library entry point.
 """
 import ast
 import collections
@@ -308,3 +309,72 @@ def test_primitives_are_built_only_by_local_primitive():
             for name in PRIMITIVE_CLASSES:
                 calls[path.name, name] += len(_calls_named(path, name))
     assert +calls == {("critical.py", "FourierOneForm"): 1}
+
+
+# Dead code: every public module-level function or class of the package is
+# named somewhere else in it or in perfbench/, by a name, an attribute or a
+# string constant (the tracer patches names given as strings).  Re-exports
+# in __init__.py do not count.  LIBRARY_API holds the entry points that only
+# the acceptance criteria and the README call.
+PERFBENCH = SRC.parent.parent / "perfbench"
+LIBRARY_API = {"CallableField", "gauss_bonnet_action_check",
+               "liouville_action", "orbit_curvature_residual",
+               "rotation_vector", "state_from_curve",
+               "structural_relations_check"}
+
+
+def _unreferenced(package, *others):
+    """Sorted public module-level functions and classes of a package's
+    modules (bar __init__.py) that no name, attribute or string constant
+    of those modules or of the .py files in the ``others`` directories
+    mentions."""
+    modules = [ast.parse(path.read_text())
+               for path in sorted(package.glob("*.py"))
+               if path.name != "__init__.py"]
+    defined = {node.name for tree in modules for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and not node.name.startswith("_")}
+    named = set()
+    for tree in modules + [ast.parse(path.read_text()) for d in others
+                           for path in sorted(d.glob("*.py"))]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.Constant) \
+                    and isinstance(node.value, str):
+                named.add(node.value)
+    return sorted(defined - named)
+
+
+def test_dead_code_guard_detects_unnamed(tmp_path):
+    pkg, bench = tmp_path / "pkg", tmp_path / "bench"
+    pkg.mkdir()
+    bench.mkdir()
+    (pkg / "__init__.py").write_text("from .a import Dead, dead\n")
+    (pkg / "a.py").write_text(
+        "def used():\n"
+        "    return 1\n"
+        "def _private():\n"
+        "    return used()\n"
+        "def dead():\n"
+        "    'dead is named only here'\n"
+        "class Dead:\n"
+        "    pass\n"
+        "def patched():\n"
+        "    return 2\n"
+        "def attribute():\n"
+        "    return 3\n")
+    (pkg / "b.py").write_text("from . import a\nf = a.attribute\n")
+    (bench / "tracer.py").write_text("PATCHES = [('a', 'patched')]\n")
+    assert _unreferenced(pkg, bench) == ["Dead", "dead"]
+
+
+def test_every_public_name_is_used():
+    unused = _unreferenced(SRC, PERFBENCH)
+    stray = sorted(set(unused) - LIBRARY_API)
+    assert not stray, "public names nothing uses: " + ", ".join(stray)
+    assert LIBRARY_API <= set(unused), \
+        "used names still in LIBRARY_API: " \
+        + ", ".join(sorted(LIBRARY_API - set(unused)))
