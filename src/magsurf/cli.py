@@ -21,13 +21,14 @@ import math
 import os
 import sys
 import warnings
+from itertools import chain
 
 import numpy as np
 
 from . import bundle, critical, regions
 from .errors import ConfigError, MagsurfError
-from .fields import (ConstantField, MagneticSystem, TorusField, energy_of_s,
-                     s_of_energy)
+from .fields import (ConstantField, CosineField, MagneticSystem, TorusField,
+                     energy_of_s, s_of_energy)
 from .flow import (TangentState, integrate, state_at_energy,
                    trajectory_curvature, trajectory_energies)
 from .orbits import (DescentParams, circle_loop, descend_to_critical,
@@ -134,9 +135,7 @@ def _build_field(cfg, surface):
     # periodic field types take their periods from the torus lattice
     lx, ly = surface.lattice or (1.0, 1.0)
     if ftype == "cosine":
-        amp = sec.getfloat("amplitude", 2.0 * math.pi)
-        return TorusField(lambda x, y: amp * np.cos(2.0 * np.pi * x / lx),
-                          lx=lx, ly=ly)
+        return CosineField(sec.getfloat("amplitude", 2.0 * math.pi), lx, ly)
     if ftype == "bump":
         base = sec.getfloat("base", 1.0)
         amp = sec.getfloat("amplitude", 2.0)
@@ -191,12 +190,14 @@ def _write_trajectory_csv(system, traj, path):
     energies = trajectory_energies(system, traj)
     kappa = trajectory_curvature(system, traj) if len(traj.t) >= 5 \
         else np.full(len(traj.t), np.nan)
+    cols = (traj.t, traj.chart, *traj.q.T, *traj.dq.T, energies, kappa)
     with open(path, "w") as fh:
         fh.write("t,chart,u,v,du,dv,energy,kappa\n")
-        for i in range(len(traj.t)):
-            fh.write("%.12g,%d,%.12g,%.12g,%.12g,%.12g,%.12g,%.12g\n" % (
-                traj.t[i], traj.chart[i], traj.q[i, 0], traj.q[i, 1],
-                traj.dq[i, 0], traj.dq[i, 1], energies[i], kappa[i]))
+        # 256 rows per % call: a call per row cost as much as a shoot's return
+        for a in range(0, len(traj.t), 256):
+            rows = list(zip(*(c[a:a + 256].tolist() for c in cols)))
+            fh.write("%.12g,%d,%.12g,%.12g,%.12g,%.12g,%.12g,%.12g\n"
+                     * len(rows) % tuple(chain.from_iterable(rows)))
 
 
 def _write_gnuplot(outdir, csv_name, using, title):

@@ -64,6 +64,18 @@ class TorusField(MagneticField):
         return float(self.fn(u % self.lx, v % self.ly))
 
 
+class CosineField(TorusField):
+    """f = amp cos(2 pi x / lx); scalar is eval's formula on math.cos."""
+
+    def __init__(self, amp, lx=1.0, ly=1.0):
+        super().__init__(lambda x, y: amp * np.cos(2.0 * np.pi * x / lx),
+                         lx=lx, ly=ly)
+        self.amp = float(amp)
+
+    def scalar(self, chart, u, v):
+        return self.amp * math.cos(2.0 * math.pi * (u % self.lx) / self.lx)
+
+
 @dataclasses.dataclass
 class MagneticSystem:
     """A surface together with a magnetic field density."""

@@ -7,11 +7,12 @@ The equation of motion in a conformal chart reads
 where i is the 90 degree rotation; its solutions have constant kinetic
 energy and geodesic curvature f / |q'|_g.  Integration uses a fixed-step
 classical fourth-order Runge-Kutta scheme on plain floats, fed by the
-surface's rho_grad and the field's scalar value; the surface's post_step
-rule runs at step boundaries and section crossings land exactly (Henon's
-step).  integrate and poincare_return share the dt step, so a return that
-keeps its steps in a StepRecord yields the trajectory integrate would: a
-shot orbit's trajectory is the accepted return's steps.
+surface's rho_grad and the field's scalar value; the dt step inlines the
+reference right-hand side make_rhs, the surface's post_step rule runs at
+step boundaries and section crossings land exactly (Henon's step).
+integrate and poincare_return share the dt step, so a return that keeps
+its steps in a StepRecord yields the trajectory integrate would: a shot
+orbit's trajectory is the accepted return's steps.
 """
 from __future__ import annotations
 
@@ -62,8 +63,7 @@ def make_rhs(system):
     fscalar = system.field.scalar
 
     def rhs(chart, u, v, du, dv):
-        ru, rv = rho_grad(chart, u, v)
-        f = fscalar(chart, u, v)
+        (ru, rv), f = rho_grad(chart, u, v), fscalar(chart, u, v)
         ddu = -(ru * du * du + 2.0 * rv * du * dv - ru * dv * dv) - f * dv
         ddv = -(-rv * du * du + 2.0 * ru * du * dv + rv * dv * dv) + f * du
         return ddu, ddv
@@ -72,24 +72,36 @@ def make_rhs(system):
 
 
 def _make_step(system):
-    """One RK4 step on plain floats (chart, u, v, du, dv, h), followed by
-    the surface's post_step chart rule; returns the new 5-tuple."""
-    rhs = make_rhs(system)
+    """One RK4 step on plain floats (chart, u, v, du, dv, h), make_rhs
+    inlined into each stage, then the surface's post_step chart rule."""
+    rho_grad = system.surface.rho_grad
+    fscalar = system.field.scalar
     post_step = system.surface.post_step
 
     def step(chart, u, v, du, dv, h):
         hh = 0.5 * h
-        a1u, a1v = rhs(chart, u, v, du, dv)
-        du2, dv2 = du + hh * a1u, dv + hh * a1v
-        a2u, a2v = rhs(chart, u + hh * du, v + hh * dv, du2, dv2)
-        du3, dv3 = du + hh * a2u, dv + hh * a2v
-        a3u, a3v = rhs(chart, u + hh * du2, v + hh * dv2, du3, dv3)
-        du4, dv4 = du + h * a3u, dv + h * a3v
-        a4u, a4v = rhs(chart, u + h * du3, v + h * dv3, du4, dv4)
+        (ru, rv), f = rho_grad(chart, u, v), fscalar(chart, u, v)
+        a1u = -(ru * du * du + 2.0 * rv * du * dv - ru * dv * dv) - f * dv
+        a1v = -(-rv * du * du + 2.0 * ru * du * dv + rv * dv * dv) + f * du
+        p2, q2 = du + hh * a1u, dv + hh * a1v
+        x, y = u + hh * du, v + hh * dv
+        (ru, rv), f = rho_grad(chart, x, y), fscalar(chart, x, y)
+        a2u = -(ru * p2 * p2 + 2.0 * rv * p2 * q2 - ru * q2 * q2) - f * q2
+        a2v = -(-rv * p2 * p2 + 2.0 * ru * p2 * q2 + rv * q2 * q2) + f * p2
+        p3, q3 = du + hh * a2u, dv + hh * a2v
+        x, y = u + hh * p2, v + hh * q2
+        (ru, rv), f = rho_grad(chart, x, y), fscalar(chart, x, y)
+        a3u = -(ru * p3 * p3 + 2.0 * rv * p3 * q3 - ru * q3 * q3) - f * q3
+        a3v = -(-rv * p3 * p3 + 2.0 * ru * p3 * q3 + rv * q3 * q3) + f * p3
+        p4, q4 = du + h * a3u, dv + h * a3v
+        x, y = u + h * p3, v + h * q3
+        (ru, rv), f = rho_grad(chart, x, y), fscalar(chart, x, y)
+        a4u = -(ru * p4 * p4 + 2.0 * rv * p4 * q4 - ru * q4 * q4) - f * q4
+        a4v = -(-rv * p4 * p4 + 2.0 * ru * p4 * q4 + rv * q4 * q4) + f * p4
         s = h / 6.0
         return post_step(chart,
-                         u + s * (du + 2 * du2 + 2 * du3 + du4),
-                         v + s * (dv + 2 * dv2 + 2 * dv3 + dv4),
+                         u + s * (du + 2 * p2 + 2 * p3 + p4),
+                         v + s * (dv + 2 * q2 + 2 * q3 + q4),
                          du + s * (a1u + 2 * a2u + 2 * a3u + a4u),
                          dv + s * (a1v + 2 * a2v + 2 * a3v + a4v))
 
@@ -262,10 +274,6 @@ class Section:
             d = (d + 0.5 * self.wrap) % self.wrap - 0.5 * self.wrap
         return self.direction * d
 
-    def crossing_velocity(self, state):
-        """Coordinate velocity along the section's direction."""
-        return state[3 + self.coord] * self.direction
-
 
 class StepRecord:
     """The dt-grid states of one run, kept compactly: one int and four
@@ -306,38 +314,42 @@ def poincare_return(system, section, state0, max_time=200.0, dt=DEFAULT_DT,
     step = _make_step(system)
     cross = _make_section_step(system, section.coord)
     floor = system.surface.floor
+    ci, sval, sdir = 1 + section.coord, section.value, section.direction
+    wrap, schart = section.wrap, section.chart
     _require_finite(state0)
     st = (state0.chart, state0.u, state0.v, state0.du, state0.dv)
-    if record is not None:
-        record.add(*st)
+    add = record.add if record is not None else None
+    if add is not None:
+        add(*st)
     prev = section.signed_residual(st)
     armed = abs(prev) > 1e-9
-    guard = 0.25 * (section.wrap if section.wrap else math.inf)
+    guard = 0.25 * (wrap if wrap else math.inf)
     n_steps = int(math.ceil(max_time / dt))
     for i in range(1, n_steps + 1):
         nst = step(*st, dt)
-        if record is not None:
-            record.add(*nst)
+        if add is not None:
+            add(*nst)
         if not nst[2] >= floor:             # below the floor, or NaN
             _check_blowup(*nst[1:], i * dt)
             raise NoReturnError("trajectory fell below the chart floor")
-        on_section_chart = nst[0] == section.chart
-        cur = section.signed_residual(nst) if on_section_chart else prev
-        if not armed:
-            armed = abs(cur) > 1e-9
-        elif (on_section_chart and st[0] == section.chart
-              and prev < 0.0 <= cur and abs(cur - prev) < guard
-              and section.crossing_velocity(nst) > 0.0):
-            *hit, t = cross(*st, -prev * section.direction)
-            t += (i - 1) * dt
-            _check_blowup(*hit[1:], t)
-            hit = TangentState(*hit)
-            e0 = energy_of(system, state0)
-            if abs(energy_of(system, hit) - e0) > RETURN_ENERGY_RTOL * e0:
-                raise DomainError(f"return at t = {t:g} is off the energy "
-                                  f"level {e0:g}: the run blew up")
-            return hit, t
-        if on_section_chart:
+        if nst[0] == schart:
+            cur = nst[ci] - sval        # Section.signed_residual, inlined
+            if wrap is not None:
+                cur = (cur + 0.5 * wrap) % wrap - 0.5 * wrap
+            cur = sdir * cur
+            if not armed:
+                armed = abs(cur) > 1e-9
+            elif (st[0] == schart and prev < 0.0 <= cur
+                  and abs(cur - prev) < guard and nst[ci + 2] * sdir > 0.0):
+                *hit, t = cross(*st, -prev * sdir)
+                t += (i - 1) * dt
+                _check_blowup(*hit[1:], t)
+                hit = TangentState(*hit)
+                e0 = energy_of(system, state0)
+                if abs(energy_of(system, hit) - e0) > RETURN_ENERGY_RTOL * e0:
+                    raise DomainError(f"return at t = {t:g} is off the "
+                                      f"energy level {e0:g}: the run blew up")
+                return hit, t
             prev = cur
         st = nst
     _check_blowup(*st[1:], n_steps * dt)

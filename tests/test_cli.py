@@ -9,9 +9,15 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
-from magsurf.cli import main
+from magsurf.cli import _write_trajectory_csv, main
+from magsurf.fields import ConstantField, MagneticSystem
+from magsurf.flow import (TangentState, Trajectory, integrate,
+                          state_at_energy, trajectory_curvature,
+                          trajectory_energies)
+from magsurf.surfaces import RoundSphere
 
 PERIOD_TOL = 1e-6
 
@@ -206,6 +212,37 @@ t_end = 5.0
     assert len(lines) > 100
     assert (out / "plot.gp").exists()
     assert json.loads((out / "result.json").read_text()) == summary
+
+
+def _per_row_csv(system, traj, path):
+    """The trajectory CSV written one row per % call."""
+    energies = trajectory_energies(system, traj)
+    kappa = trajectory_curvature(system, traj) if len(traj.t) >= 5 \
+        else np.full(len(traj.t), np.nan)
+    with open(path, "w") as fh:
+        fh.write("t,chart,u,v,du,dv,energy,kappa\n")
+        for i in range(len(traj.t)):
+            fh.write("%.12g,%d,%.12g,%.12g,%.12g,%.12g,%.12g,%.12g\n" % (
+                traj.t[i], traj.chart[i], traj.q[i, 0], traj.q[i, 1],
+                traj.dq[i, 0], traj.dq[i, 1], energies[i], kappa[i]))
+
+
+@pytest.mark.parametrize("rows", [1, 4, 255, 256, 257, 5001])
+def test_trajectory_csv_matches_per_row_writer(tmp_path, rows):
+    """The chunked writer's file equals the per-row one byte for byte, on
+    a sphere trajectory that changes chart after 89 steps and again after
+    2911; four rows or fewer take the NaN-kappa branch."""
+    system = MagneticSystem(RoundSphere(), ConstantField(0.7))
+    seed = state_at_energy(system, TangentState(0, 1.8, 0.1, 1.0, 0.3), 0.5)
+    full = integrate(system, seed, 5.0)
+    assert full.chart[0] == 0 and full.chart[89] == 1
+    traj = Trajectory(t=full.t[:rows], chart=full.chart[:rows],
+                      q=full.q[:rows], dq=full.dq[:rows], dt=full.dt)
+    _write_trajectory_csv(system, traj, tmp_path / "chunked.csv")
+    _per_row_csv(system, traj, tmp_path / "per_row.csv")
+    got = (tmp_path / "chunked.csv").read_bytes()
+    assert got == (tmp_path / "per_row.csv").read_bytes()
+    assert got.count(b"\n") == rows + 1
 
 
 def test_orbit_shoot_matches_oracle(capsys, tmp_path):

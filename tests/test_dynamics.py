@@ -1,4 +1,5 @@
 """Time integration, energy conservation and return maps."""
+import configparser
 import dataclasses
 import math
 
@@ -7,16 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from magsurf.cli import _build_field
 from magsurf.errors import DegenerateInputError, DomainError, NoReturnError
 from magsurf.fields import (ConstantField, MagneticSystem, TorusField,
                             energy_of_s)
-from magsurf.flow import (Section, TangentState, energy_of, integrate,
-                          poincare_return, state_at_energy,
-                          trajectory_curvature, trajectory_energies,
-                          trajectory_speeds)
+from magsurf.flow import (Section, TangentState, _make_step, energy_of,
+                          integrate, make_rhs, poincare_return,
+                          state_at_energy, trajectory_curvature,
+                          trajectory_energies, trajectory_speeds)
 from magsurf.orbits import homogeneous_oracle
-from magsurf.surfaces import (ConformalTorus, FlatTorus, HyperbolicPlane,
-                              RoundSphere)
+from magsurf.surfaces import (SPHERE_SWITCH_RADIUS, ConformalTorus, FlatTorus,
+                              HyperbolicPlane, RoundSphere, periodic_spline)
 
 
 def _systems():
@@ -388,3 +390,85 @@ def test_blown_up_but_finite_return_is_a_domain_error():
     with pytest.raises(DomainError, match="energy"):
         poincare_return(system, section,
                         TangentState(0, 0.1, 0.2, 30.0, 40.0), dt=0.5)
+
+
+def _rk4_reference(system, chart, u, v, du, dv, h):
+    """Classical RK4 on (u, v, du, dv) over make_rhs, then the surface's
+    post_step: the step _make_step inlines, in the same operation order."""
+    rhs = make_rhs(system)
+    hh = 0.5 * h
+    a1u, a1v = rhs(chart, u, v, du, dv)
+    du2, dv2 = du + hh * a1u, dv + hh * a1v
+    a2u, a2v = rhs(chart, u + hh * du, v + hh * dv, du2, dv2)
+    du3, dv3 = du + hh * a2u, dv + hh * a2v
+    a3u, a3v = rhs(chart, u + hh * du2, v + hh * dv2, du3, dv3)
+    du4, dv4 = du + h * a3u, dv + h * a3v
+    a4u, a4v = rhs(chart, u + h * du3, v + h * dv3, du4, dv4)
+    s = h / 6.0
+    return system.surface.post_step(
+        chart,
+        u + s * (du + 2 * du2 + 2 * du3 + du4),
+        v + s * (dv + 2 * dv2 + 2 * dv3 + dv4),
+        du + s * (a1u + 2 * a2u + 2 * a3u + a4u),
+        dv + s * (a1v + 2 * a2v + 2 * a3v + a4v))
+
+
+def _step_cases():
+    """(system, v range) for each surface and field kind the CLI builds:
+    the cosine field is what [field] type = cosine makes, and the grid
+    stands in for a csv field and a conformal torus's factor_csv."""
+    x = np.arange(16) / 16
+    grid = 0.1 * np.cos(2 * np.pi * x)[:, None] \
+        * np.sin(2 * np.pi * x + 0.3)[None, :]
+    cfg = configparser.ConfigParser()
+    cfg.read_string("[field]\ntype = cosine\namplitude = 5.5\n")
+    torus = FlatTorus(1.0, 2.0)
+    return {
+        "flat-constant": (MagneticSystem(torus, ConstantField(1.3)),
+                          (-3.0, 3.0)),
+        "flat-cosine": (MagneticSystem(torus, _build_field(cfg, torus)),
+                        (-3.0, 3.0)),
+        "flat-csv": (MagneticSystem(torus, TorusField(
+            periodic_spline(grid, 1.0, 2.0), ly=2.0)), (-3.0, 3.0)),
+        "sphere-constant": (MagneticSystem(RoundSphere(),
+                                           ConstantField(-0.8)),
+                            (-2.5, 2.5)),
+        "halfplane-constant": (MagneticSystem(HyperbolicPlane(genus=2),
+                                              ConstantField(1.7)),
+                               (0.3, 3.0)),
+        "conformal-constant": (MagneticSystem(ConformalTorus(grid),
+                                              ConstantField(0.9)),
+                               (-3.0, 3.0)),
+        "conformal-cosine": (MagneticSystem(ConformalTorus(grid),
+                                            _build_field(cfg, FlatTorus())),
+                             (-3.0, 3.0)),
+    }
+
+
+@pytest.mark.parametrize("system,vrange", list(_step_cases().values()),
+                         ids=list(_step_cases()))
+@given(chart=st.integers(0, 1), u=st.floats(-2.5, 2.5),
+       w=st.floats(0.0, 1.0), du=st.floats(-3.0, 3.0),
+       dv=st.floats(-3.0, 3.0), h=st.floats(1e-4, 0.05))
+@settings(max_examples=60, deadline=None)
+def test_step_is_rk4_over_make_rhs(system, vrange, chart, u, w, du, dv, h):
+    """The dt step inlines make_rhs into its four stages; it equals the
+    classical RK4 over make_rhs bit for bit."""
+    lo, hi = vrange
+    if system.surface.n_charts == 1:
+        chart = 0
+    v = lo + w * (hi - lo)
+    got = _make_step(system)(chart, u, v, du, dv, h)
+    assert got == _rk4_reference(system, chart, u, v, du, dv, h)
+
+
+@pytest.mark.parametrize("chart", [0, 1])
+def test_step_past_sphere_switch_is_rk4_over_make_rhs(chart):
+    """A step that leaves the disc of radius SPHERE_SWITCH_RADIUS changes
+    chart, and still equals the reference step."""
+    system = MagneticSystem(RoundSphere(), ConstantField(0.6))
+    r = SPHERE_SWITCH_RADIUS - 1e-4
+    state = (chart, 0.6 * r, 0.8 * r, 0.9, 1.1)
+    got = _make_step(system)(*state, 1e-3)
+    assert got[0] == 1 - chart
+    assert got == _rk4_reference(system, *state, 1e-3)

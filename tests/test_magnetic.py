@@ -1,4 +1,5 @@
 """Fields, fluxes and local primitives of the magnetic form."""
+import configparser
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magsurf import fields
+from magsurf.cli import _build_field
 from magsurf.errors import (DegenerateInputError, NoGlobalPrimitiveError,
                             UnsupportedError)
 from magsurf.fields import (CallableField, ClosedFormPrimitive, ConstantField,
@@ -190,17 +192,25 @@ def _scalar_cases():
     grid = np.cos(2 * np.pi * x)[:, None] + 0.5 * np.sin(
         4 * np.pi * x)[None, :]
     spl = periodic_spline(grid, 1.0, 2.0)
+    cfg = configparser.ConfigParser()
+    cfg.read_string("[field]\ntype = cosine\n")
+    wide = configparser.ConfigParser()
+    wide.read_string("[field]\ntype = cosine\namplitude = -3.3\n")
     return [
         ConstantField(-1.7),
         TorusField(lambda x, y: amp * np.cos(2.0 * np.pi * x)),
         CallableField(lambda c, u, v: np.sin(u) * v + c),
         # what [field] type = csv builds: a periodic spline in a TorusField
         TorusField(lambda x, y: spl(x, y), lx=1.0, ly=2.0),
+        # what [field] type = cosine builds, on the unit and a wide lattice
+        _build_field(cfg, FlatTorus()),
+        _build_field(wide, FlatTorus(1.7, 0.6)),
     ]
 
 
 @pytest.mark.parametrize("field", _scalar_cases(),
-                         ids=["constant", "cosine", "callable", "csv"])
+                         ids=["constant", "cosine", "callable", "csv",
+                              "cli-cosine", "cli-cosine-wide"])
 @given(chart=st.integers(0, 1), u=st.floats(-5.0, 5.0),
        v=st.floats(-5.0, 5.0))
 @settings(max_examples=60, deadline=None)

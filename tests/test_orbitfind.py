@@ -95,6 +95,42 @@ def test_shooting_hyperbolic(s):
     assert orbit_curvature_residual(system, orbit) < 1e-6
 
 
+def _off_circle_seed(kind, radius, f):
+    """Chart point at geodesic distance radius from the point (0, 0) of
+    the sphere, (0.5, 0.5) of the flat torus or i of the half-plane, moving
+    tangentially the way f turns."""
+    if kind == "sphere":
+        u, v = math.tan(0.5 * radius), 0.0
+    elif kind == "flat_torus":
+        u, v = 0.5 + radius, 0.5
+    else:
+        u, v = math.sinh(radius), math.cosh(radius)
+    return TangentState(0, u, v, 0.0, 1.0 if f > 0 else -1.0)
+
+
+@pytest.mark.parametrize("kind,surface,kappa_lo", [
+    ("sphere", RoundSphere(), 0.5),
+    ("flat_torus", FlatTorus(), 0.5),
+    ("hyperbolic", HyperbolicPlane(genus=2), 1.2)])
+@given(f=st.floats(0.5, 2.0), sign=st.sampled_from([1, -1]),
+       kappa=st.floats(0.0, 1.0), off=st.floats(0.03, 0.15),
+       outside=st.booleans())
+@settings(max_examples=10, deadline=None)
+def test_shoot_period_matches_oracle(kind, surface, kappa_lo, f, sign, kappa,
+                                     off, outside):
+    """For a constant field f and kappa = s |f| in [kappa_lo, 4], a shoot
+    seeded 3-15 % off the oracle's circle radius finds the oracle's period
+    to 1e-9."""
+    f *= sign
+    kappa = kappa_lo + kappa * (4.0 - kappa_lo)
+    s = kappa / abs(f)
+    oracle = homogeneous_oracle(kind, s, f)
+    radius = (1.0 + off if outside else 1.0 - off) * oracle.radius
+    system = MagneticSystem(surface, ConstantField(f))
+    orbit, _ = _shoot(system, s, _off_circle_seed(kind, radius, f))
+    assert abs(orbit.period - oracle.period) < 1e-9
+
+
 def test_shooting_subcritical_hyperbolic_fails():
     """Below the critical speed no contractible orbit exists; the shooter
     reports no return instead of inventing one."""
