@@ -22,8 +22,7 @@ import math
 
 import numpy as np
 
-from .errors import (DegenerateInputError, InvalidCandidateError,
-                     UnsupportedError)
+from .errors import InvalidCandidateError, UnsupportedError
 from .fields import (ConstantField, flux_total, local_primitive,
                      stokes_residual)
 from .flow import trajectory_speeds
@@ -73,9 +72,8 @@ def _two_form_value(surface, name, z):
         return np.outer(a, b) - np.outer(b, a)
     if name == "psi":         # d psi = K beta ^ alpha
         return k * (np.outer(beta, alpha) - np.outer(alpha, beta))
-    if name == "beta":        # d beta = alpha ^ psi
-        return np.outer(alpha, psi) - np.outer(psi, alpha)
-    raise DegenerateInputError(name)
+    # d beta = alpha ^ psi
+    return np.outer(alpha, psi) - np.outer(psi, alpha)
 
 
 def _parallelogram_residual(surface, name, z0, e1, e2, h):
@@ -179,8 +177,6 @@ class FiberCandidate:
     """Closed form with tau(V) = 1 on a flat torus: tau = d phi."""
 
     def coefficients(self, system, s, chart, u, v):
-        if system.surface.constant_curvature != 0:
-            raise UnsupportedError("the fiber form is closed on flat tori")
         return s * np.asarray(system.field.eval(chart, u, v), float), 0.0, 0.0
 
     def check(self, system, s, samples):
@@ -269,23 +265,6 @@ def torus_exact_candidate(system):
     return ContactCandidate(0.0, local_primitive(system).theta)
 
 
-def corrected_candidate(system):
-    """Corrected-primitive candidate on a surface with chi != 0.
-
-    For the homogeneous sphere and hyperbolic systems the correcting
-    potential zeta vanishes identically.
-    """
-    surf = system.surface
-    chi = surf.euler_characteristic()
-    if chi == 0:
-        raise UnsupportedError("needs a surface with nonzero characteristic")
-    ratio = flux_total(system) / (2.0 * math.pi * chi)
-    if isinstance(system.field, ConstantField) and \
-            surf.constant_curvature is not None:
-        return ContactCandidate(ratio)
-    raise UnsupportedError("general corrected potentials are not modelled")
-
-
 # ---------------------------------------------------------------------------
 # invariant measures: actions, flips and rotation data
 # ---------------------------------------------------------------------------
@@ -298,7 +277,7 @@ class LiouvilleAction:
     flip_integral: float
 
 
-def _candidate_for_action(system):
+def _candidate_for_action(system, s):
     surf = system.surface
     flux = flux_total(system)
     if surf.constant_curvature == 0:
@@ -307,7 +286,7 @@ def _candidate_for_action(system):
                 "torus actions need an exact field (zero flux)")
         return torus_exact_candidate(system), 0.0
     chi = surf.euler_characteristic()
-    return corrected_candidate(system), flux ** 2 / chi
+    return homogeneous_candidate(system, s), flux ** 2 / chi
 
 
 def liouville_action(system, s, n_base=128):
@@ -321,7 +300,7 @@ def liouville_action(system, s, n_base=128):
     ``sm_sample_grid`` weighted by the declared total area.
     """
     surf = system.surface
-    candidate, corr = _candidate_for_action(system)
+    candidate, corr = _candidate_for_action(system, s)
     area = surf.area()
     volume = 2.0 * math.pi * area
     charts, us, vs, w, _ = sm_sample_grid(surf, n_base)
@@ -396,7 +375,7 @@ def gauss_bonnet_action_check(system, s, orbit, region):
     if surf.constant_curvature not in (0, -1):
         raise UnsupportedError("disc identities are checked on these cases")
     k = 0.5 / (s * s)
-    candidate, _ = _candidate_for_action(system)
+    candidate, _ = _candidate_for_action(system, s)
     lhs = orbit_action(system, s, orbit, candidate) / s
     value = taimanov_value(system, k, region)
     if surf.constant_curvature == 0:

@@ -34,8 +34,8 @@ from .flow import (TangentState, integrate, state_at_energy,
 from .orbits import (DescentParams, circle_loop, descend_to_critical,
                      homogeneous_oracle, loop_mean_energy, orbit_radius,
                      shoot_periodic)
-from .surfaces import (ConformalTorus, FlatTorus, HyperbolicPlane, RoundSphere,
-                       periodic_spline)
+from .surfaces import (ConformalTorus, FlatTorus, HyperbolicPlane,
+                       PeriodicBicubic, RoundSphere)
 
 _ALLOWED = {
     "surface": {"kind", "lx", "ly", "genus", "factor_csv"},
@@ -47,6 +47,17 @@ _ALLOWED = {
             "max_iter", "quantity", "candidate", "n_base", "n_fiber",
             "s_values", "workers"},
 }
+# text keys; every other key holds finite numbers (integers in _INTS)
+_TEXT = {"kind", "factor_csv", "type", "csv", "quantity", "candidate"}
+_INTS = {"genus", "record_every", "n_vertices", "orientation", "max_iter",
+         "n_base", "n_fiber", "workers"}
+
+
+def _is_number(key, text):
+    try:
+        return math.isfinite(int(text) if key in _INTS else float(text))
+    except (ValueError, OverflowError):
+        return False
 
 
 def _read_config(path):
@@ -61,9 +72,12 @@ def _read_config(path):
     for section in parser.sections():
         if section not in _ALLOWED:
             raise ConfigError(f"unknown section [{section}]")
-        for key in parser[section]:
+        for key, text in parser.items(section, raw=True):
             if key not in _ALLOWED[section]:
                 raise ConfigError(f"unknown key {key!r} in [{section}]")
+            items = text.split(",") if key == "s_values" else [text]
+            if key not in _TEXT and not all(_is_number(key, x) for x in items):
+                raise ConfigError(f"{key} = {text!r} is not a finite number")
     return parser
 
 
@@ -147,7 +161,7 @@ def _build_field(cfg, surface):
                 -(((x - cx) ** 2 + (y - cy) ** 2)) / wid ** 2),
             lx=lx, ly=ly)
     if ftype == "csv":
-        spl = periodic_spline(_load_grid_csv(sec.get("csv", ""), lx, ly),
+        spl = PeriodicBicubic(_load_grid_csv(sec.get("csv", ""), lx, ly),
                               lx, ly)
         return TorusField(spl, lx=lx, ly=ly)
     raise ConfigError(f"unknown field type {ftype!r}")
@@ -209,6 +223,15 @@ def _write_gnuplot(outdir, csv_name, using, title):
         fh.write(f"plot '{csv_name}' using {using} with lines\n")
 
 
+def _write_vertices_csv(outdir, name, iterations, curves, title):
+    with open(os.path.join(outdir, name), "w") as fh:
+        fh.write("iter,vertex,u,v\n")
+        for verts in curves:
+            for i, (u, v) in enumerate(verts):
+                fh.write("%d,%d,%.12g,%.12g\n" % (iterations, i, u, v))
+    _write_gnuplot(outdir, name, "3:4", title)
+
+
 def _seed_state(system, cfg, k):
     sec = cfg["run"]
     u = sec.getfloat("seed_u", 0.0)
@@ -265,11 +288,8 @@ def cmd_orbit_descend(cfg, system, outdir):
     loop = circle_loop(center, radius, n, 1.0)    # the period is T*
     params = DescentParams(tol=sec.getfloat("tol", 1e-6))
     result = descend_to_critical(system, k, loop, params)
-    with open(os.path.join(outdir, "loop.csv"), "w") as fh:
-        fh.write("iter,vertex,u,v\n")
-        for i, (u, v) in enumerate(result.loop.vertices):
-            fh.write("%d,%d,%.12g,%.12g\n" % (result.iterations, i, u, v))
-    _write_gnuplot(outdir, "loop.csv", "3:4", "critical loop")
+    _write_vertices_csv(outdir, "loop.csv", result.iterations,
+                        [result.loop.vertices], "critical loop")
     _emit({"outcome": result.outcome, "period": result.loop.period,
            "grad_norm": result.grad_norm, "action": result.action,
            "mean_energy": loop_mean_energy(system, result.loop), "s": s},
@@ -302,20 +322,15 @@ def cmd_taimanov(cfg, system, outdir):
     radius = sec.getfloat("radius", 0.2)
     center = (sec.getfloat("center_u", 0.5), sec.getfloat("center_v", 0.5))
     orient = sec.getint("orientation", 1)
-    ang = 2.0 * math.pi * np.arange(n) / n
-    curve = regions.RegionCurve(np.column_stack(
-        [center[0] + radius * np.cos(ang), center[1] + radius * np.sin(ang)]))
+    curve = regions.RegionCurve(circle_loop(center, radius, n, 1.0).vertices)
     params = regions.EvolveParams(tol=sec.getfloat("tol", 1e-3),
                                   spacing=sec.getfloat("spacing", 0.02),
                                   max_iter=sec.getint("max_iter", 20000))
     result = regions.evolve_minimize(system, k,
                                      regions.Region([curve], orient), params)
-    with open(os.path.join(outdir, "curves.csv"), "w") as fh:
-        fh.write("iter,vertex,u,v\n")
-        for c in result.region.curves:
-            for i, (u, v) in enumerate(c.vertices):
-                fh.write("%d,%d,%.12g,%.12g\n" % (result.iterations, i, u, v))
-    _write_gnuplot(outdir, "curves.csv", "3:4", "evolved boundary")
+    _write_vertices_csv(outdir, "curves.csv", result.iterations,
+                        [c.vertices for c in result.region.curves],
+                        "evolved boundary")
     _emit({"outcome": result.outcome, "value": result.value,
            "residual": result.residual, "iterations": result.iterations,
            "s": s}, outdir, "result.json")
@@ -347,8 +362,6 @@ def cmd_contact_check(cfg, system, outdir):
         cand = bundle.homogeneous_candidate(system, s)
     elif kind == "exact":
         cand = bundle.torus_exact_candidate(system)
-    elif kind == "corrected":
-        cand = bundle.corrected_candidate(system)
     else:
         raise ConfigError(f"unknown candidate {kind!r}")
     cert = bundle.contact_candidate_min(

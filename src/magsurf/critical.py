@@ -45,11 +45,6 @@ C0_STEP = 0.1
 
 
 @dataclasses.dataclass
-class C0Params:
-    max_iter: int = 2000
-
-
-@dataclasses.dataclass
 class C0Result:
     value: float            # best sup-norm over the evaluation grid
     energy_value: float     # matching energy threshold, value^2 / 2
@@ -74,7 +69,7 @@ def _unit_ball(y):
     return y * np.maximum(1.0 - lam / np.maximum(r, 1e-300), 0.0)
 
 
-def c0_upper_bound(system, params=None):
+def c0_upper_bound(system, max_iter=2000):
     """Two-sided bracket for the minimal sup-norm of a primitive of sigma.
 
     The primitives theta* + d phi + c form the affine set theta* + R, with
@@ -86,7 +81,6 @@ def c0_upper_bound(system, params=None):
     """
     if system.surface.constant_curvature != 0:
         raise UnsupportedError("the bound is computed on flat tori only")
-    params = params or C0Params()
     n = C0_GRID
     kxx, kyy, ghat = periodic_poisson(system, n)
     k = np.stack([kxx, kyy])
@@ -112,10 +106,10 @@ def c0_upper_bound(system, params=None):
     y = y / max(float(_norm(y).sum()), 1e-300)
     y_perp = y - project(y)
     w, w_bar, best_w, lower, history = theta, theta, theta, 0.0, [best]
-    for it in range(params.max_iter + 1):
+    for it in range(max_iter + 1):
         mass = max(float(_norm(y_perp).sum()), 1e-300)
         lower = max(lower, float(np.vdot(theta, y_perp)) / mass)
-        if best - lower <= C0_GAP * best or it == params.max_iter:
+        if best - lower <= C0_GAP * best or it == max_iter:
             break
         y = _unit_ball(y + w_bar / tau)
         w_new = project(w - tau * y) + base

@@ -29,10 +29,7 @@ class ConstantField(MagneticField):
         self.value = float(value)
 
     def eval(self, chart, u, v):
-        u = np.asarray(u, dtype=float)
-        if u.ndim == 0:
-            return self.value
-        return np.full(u.shape, self.value)
+        return np.full(np.shape(u), self.value)
 
     def scalar(self, chart, u, v):
         return self.value
@@ -251,10 +248,7 @@ class LineIntegralPrimitive(LocalPrimitive):
     def theta(self, chart, u, v):
         if chart != self.chart:
             raise DomainError("primitive evaluated outside its chart")
-        u = np.asarray(u, dtype=float)
         res = self._fint(u, v)
-        if u.ndim == 0:
-            return -float(res[0]), 0.0
         return -res, np.zeros_like(res)
 
 
@@ -281,7 +275,6 @@ class FourierOneForm(LocalPrimitive):
         """(c1, c2) + Re sum_k theta_modes[k] exp(i k.x) at each point, over
         blocks of points whose phase matrix holds at most PHASE_BLOCK
         entries."""
-        scalar = np.asarray(u).ndim == 0
         u, v = np.asarray(u, float).ravel(), np.asarray(v, float).ravel()
         out = np.empty((u.size, 2))
         step = max(1, self.PHASE_BLOCK // max(1, self._kx.size))
@@ -290,8 +283,6 @@ class FourierOneForm(LocalPrimitive):
                                  + np.outer(v[i:i + step], self._ky)))
             out[i:i + step] = np.real(phase @ self._theta_modes)
         p, q = (out + (self.c1, self.c2)).T
-        if scalar:
-            return float(p[0]), float(q[0])
         return p, q
 
     def sup_norm(self, n=256, lx=1.0, ly=1.0):

@@ -258,11 +258,11 @@ class DiscreteLoop(ClosedPolyline):
             raise DegenerateInputError("loop period must be positive")
 
 
-def circle_loop(center, radius, n, period, chart=0, ccw=True, phase=0.0):
-    ang = phase + (1.0 if ccw else -1.0) * 2.0 * math.pi * np.arange(n) / n
+def circle_loop(center, radius, n, period):
+    ang = 2.0 * math.pi * np.arange(n) / n
     verts = np.column_stack([center[0] + radius * np.cos(ang),
                              center[1] + radius * np.sin(ang)])
-    return DiscreteLoop(vertices=verts, period=period, chart=chart)
+    return DiscreteLoop(vertices=verts, period=period)
 
 
 def _midpoint_data(system, loop):

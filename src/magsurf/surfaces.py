@@ -73,18 +73,34 @@ class Surface:
         return -np.exp(-2.0 * np.asarray(rho)) * self.laplacian_rho(chart, u, v)
 
 
-class FlatTorus(Surface):
-    """Flat torus R^2 / (lx Z x ly Z) with the Euclidean metric."""
-
-    kind = "flat_torus"
-    constant_curvature = 0
+class Torus(Surface):
+    """Torus R^2 / (lx Z x ly Z) in one planar chart; subclasses give rho."""
 
     def __init__(self, lx=1.0, ly=1.0):
-        if lx <= 0 or ly <= 0:
+        if not (lx > 0 and ly > 0):
             raise DegenerateInputError("torus periods must be positive")
         self.lx = float(lx)
         self.ly = float(ly)
         self.lattice = (self.lx, self.ly)
+
+    def euler_characteristic(self):
+        return 0
+
+    def quadrature_nodes(self, n):
+        # cell centres, weighted e^(2 rho) * cell area
+        xs = (np.arange(n) + 0.5) * self.lx / n
+        ys = (np.arange(n) + 0.5) * self.ly / n
+        uu, vv = np.meshgrid(xs, ys, indexing="ij")
+        rho = self.conformal(0, uu.ravel(), vv.ravel())[0]
+        w = np.exp(2.0 * rho) * (self.lx * self.ly / (n * n))
+        return np.zeros(uu.size, dtype=int), uu.ravel(), vv.ravel(), w
+
+
+class FlatTorus(Torus):
+    """Flat torus R^2 / (lx Z x ly Z) with the Euclidean metric."""
+
+    kind = "flat_torus"
+    constant_curvature = 0
 
     def conformal(self, chart, u, v):
         z = np.zeros_like(np.asarray(u, dtype=float))
@@ -98,16 +114,6 @@ class FlatTorus(Surface):
 
     def area(self):
         return self.lx * self.ly
-
-    def euler_characteristic(self):
-        return 0
-
-    def quadrature_nodes(self, n):
-        xs = (np.arange(n) + 0.5) * self.lx / n
-        ys = (np.arange(n) + 0.5) * self.ly / n
-        uu, vv = np.meshgrid(xs, ys, indexing="ij")
-        w = np.full(uu.size, self.lx * self.ly / (n * n))
-        return np.zeros(uu.size, dtype=int), uu.ravel(), vv.ravel(), w
 
 
 class RoundSphere(Surface):
@@ -230,7 +236,7 @@ class HyperbolicPlane(Surface):
             "no fundamental domain is modelled for hyperbolic quotients")
 
 
-class ConformalTorus(Surface):
+class ConformalTorus(Torus):
     """Torus with metric e^(2 rho(x, y)) * (dx^2 + dy^2).
 
     The factor rho is sampled on a regular grid and interpolated by the
@@ -241,23 +247,12 @@ class ConformalTorus(Surface):
     kind = "conformal_torus"
 
     def __init__(self, rho_grid, lx=1.0, ly=1.0):
+        super().__init__(lx, ly)
         grid = np.asarray(rho_grid, dtype=float)
         if grid.ndim != 2 or min(grid.shape) < 8:
             raise DegenerateInputError("need a 2-d factor grid, >= 8 per axis")
-        self.lx = float(lx)
-        self.ly = float(ly)
-        self.lattice = (self.lx, self.ly)
         self.grid = grid
-        self._spline = periodic_spline(grid, self.lx, self.ly)
-
-    @functools.cached_property
-    def _cells(self):
-        """(hx, hy, nx, ny, cells): the spline's cell size and count, and
-        its cell coefficients as nested lists of Python floats, built on the
-        first rho_grad call."""
-        spl = self._spline
-        return (spl.hx, spl.hy, spl.nx, spl.ny,
-                spl.coef.reshape(spl.nx, spl.ny, 16).tolist())
+        self._spline = PeriodicBicubic(grid, self.lx, self.ly)
 
     def conformal(self, chart, u, v):
         c, dx, dy = self._spline.cells(u, v)
@@ -265,10 +260,11 @@ class ConformalTorus(Surface):
                 *PeriodicBicubic.patch_grad(c, dx, dy))
 
     def rho_grad(self, chart, u, v):
-        hx, hy, nx, ny, cells = self._cells
+        spl = self._spline
+        hx, hy = spl.hx, spl.hy
         x, y = u % self.lx, v % self.ly
         i, j = PeriodicBicubic.cell_of(x / hx, y / hy)
-        return PeriodicBicubic.patch_grad(cells[i % nx][j % ny],
+        return PeriodicBicubic.patch_grad(spl.rows[i % spl.nx][j % spl.ny],
                                           x - i * hx, y - j * hy)
 
     def laplacian_rho(self, chart, u, v):
@@ -277,17 +273,6 @@ class ConformalTorus(Surface):
     def area(self):
         charts, us, vs, w = self.quadrature_nodes(self.grid.shape[0])
         return float(np.sum(w))
-
-    def euler_characteristic(self):
-        return 0
-
-    def quadrature_nodes(self, n):
-        xs = (np.arange(n) + 0.5) * self.lx / n
-        ys = (np.arange(n) + 0.5) * self.ly / n
-        uu, vv = np.meshgrid(xs, ys, indexing="ij")
-        rho = self.conformal(0, uu.ravel(), vv.ravel())[0]
-        w = np.exp(2.0 * rho) * (self.lx * self.ly / (n * n))
-        return np.zeros(uu.size, dtype=int), uu.ravel(), vv.ravel(), w
 
 
 def _periodic_cubic(y, h):
@@ -316,6 +301,7 @@ class PeriodicBicubic:
     floats and on numpy arrays."""
 
     def __init__(self, grid, lx, ly):
+        grid = np.asarray(grid, dtype=float)
         self.nx, self.ny = grid.shape
         self.lx, self.ly = float(lx), float(ly)
         self.hx, self.hy = self.lx / self.nx, self.ly / self.ny
@@ -326,15 +312,21 @@ class PeriodicBicubic:
         self._planes = self.coef.reshape(self.nx, self.ny, 16).transpose(
             2, 0, 1)
 
+    @functools.cached_property
+    def rows(self):
+        """rows[i][j]: the 16 coefficients of cell (i, j) as Python floats,
+        for lookups at one float point, where numpy's per-operation
+        overhead on 0-d arrays would otherwise dominate."""
+        return self.coef.reshape(self.nx, self.ny, 16).tolist()
+
     def cells(self, x, y):
         """Coefficient planes (16, ...) of the cells holding (x, y), which
-        may lie in any period cell, and the offsets (dx, dy) in them.  At
-        one float point the planes are a list of 16 floats, which numpy's
-        per-operation overhead on 0-d arrays would otherwise dominate."""
+        may lie in any period cell, and the offsets (dx, dy) in them; at one
+        float point the planes are a list of 16 floats from ``rows``."""
         if isinstance(x, float) and isinstance(y, float):
             x, y = x % self.lx, y % self.ly
             i, j = self.cell_of(x / self.hx, y / self.hy)
-            return (self.coef[i % self.nx, j % self.ny].ravel().tolist(),
+            return (self.rows[i % self.nx][j % self.ny],
                     x - i * self.hx, y - j * self.hy)
         x = np.asarray(x, float) % self.lx
         y = np.asarray(y, float) % self.ly
@@ -394,12 +386,6 @@ class PeriodicBicubic:
               for a, b in ((c2, c3), (c6, c7), (c10, c11), (c14, c15))]
         return (xx[0] + dy * (xx[1] + dy * (xx[2] + dy * xx[3]))
                 + yy[0] + dx * (yy[1] + dx * (yy[2] + dx * yy[3])))
-
-
-def periodic_spline(grid, lx, ly):
-    """The exactly periodic bicubic spline through grid[i, j] at
-    (i lx / nx, j ly / ny); it takes coordinates in any period cell."""
-    return PeriodicBicubic(np.asarray(grid, dtype=float), lx, ly)
 
 
 def close_padded(buf, shift):

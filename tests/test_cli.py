@@ -134,6 +134,40 @@ def test_config_rejects_unknown_section(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("command, old, new", [
+    ("oracle", "s = 1.0", "s = abc"),
+    ("oracle", "s = 1.0", "s = nan"),
+    ("oracle", "s = 1.0", "k = -inf"),
+    ("oracle", "value = 1.0", "value = inf"),
+    ("oracle", "kind = sphere", "kind = flat_torus\nlx = nan"),
+    ("simulate", "t_end = 0.1", "t_end = x"),
+    ("simulate", "t_end = 0.1", "t_end = nan"),
+    ("simulate", "t_end = 0.1", "t_end = 0.1\nrecord_every = 2.5"),
+    ("sweep", "s_values = 0.5, 1.5", "s_values = 0.5, nan"),
+    ("sweep", "s_values = 0.5, 1.5", "s_values = 0.5,abc"),
+], ids=["text", "nan", "minus-inf", "inf-field", "nan-period",
+        "text-t_end", "nan-t_end", "fractional-int", "nan-s_values",
+        "text-s_values"])
+def test_config_rejects_bad_number(capsys, tmp_path, command, old, new):
+    """A numeric key whose value is text, NaN, infinite or (for an integer
+    key) fractional is a configuration error before any command runs, so
+    nothing reaches stdout; the unchanged config runs."""
+    good = SPHERE_ORACLE + "t_end = 0.1\ns_values = 0.5, 1.5\n"
+    assert _run(capsys, tmp_path, good, command)[0] == 0
+    code, out_text, _ = _run(capsys, tmp_path, good.replace(old, new),
+                             command)
+    assert code == 2
+    assert out_text == ""
+
+
+def test_contact_check_rejects_unknown_candidate(capsys, tmp_path):
+    """The candidates are homogeneous and exact; any other is exit 2."""
+    text = SPHERE_ORACLE + "candidate = corrected\n"
+    code, out_text, _ = _run(capsys, tmp_path, text, "contact-check")
+    assert code == 2
+    assert out_text == ""
+
+
 def _grid_text(header="x,y,f", first=None, n=8, xs=None):
     """A CSV grid of cos 2 pi x on n x n nodes (x nodes ``xs`` if given,
     else i / n); ``first`` replaces the value of the first sample."""

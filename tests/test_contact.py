@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from magsurf.bundle import (coframe_coefficients, contact_candidate_min,
-                            corrected_candidate, homogeneous_candidate,
-                            liouville_action, pairing, rotation_vector,
-                            structural_relations_check,
+                            homogeneous_candidate, liouville_action, pairing,
+                            rotation_vector, structural_relations_check,
                             torus_exact_candidate, ContactCandidate,
                             FiberCandidate)
 from magsurf.errors import InvalidCandidateError, UnsupportedError
@@ -168,9 +167,7 @@ def _builders():
     return [(sphere, s, homogeneous_candidate(sphere, s)),
             (hyper, s, homogeneous_candidate(hyper, s)),
             (flat, s, homogeneous_candidate(flat, s)),
-            (exact, s, torus_exact_candidate(exact)),
-            (sphere, s, corrected_candidate(sphere)),
-            (hyper, s, corrected_candidate(hyper))]
+            (exact, s, torus_exact_candidate(exact))]
 
 
 def _honest_pairing(system, s, cand, chart, u, v, phi):
@@ -187,9 +184,8 @@ def _honest_pairing(system, s, cand, chart, u, v, phi):
     return tau
 
 
-@pytest.mark.parametrize("case", range(6), ids=[
-    "sphere", "hyperbolic", "flat", "exact", "corrected-sphere",
-    "corrected-hyperbolic"])
+@pytest.mark.parametrize("case", range(4), ids=[
+    "sphere", "hyperbolic", "flat", "exact"])
 def test_closed_form_pairing_matches_coframe(case):
     """The closed form a - s (b_u cos phi + b_v sin phi) is the honest
     pairing of the candidate with X_s at random bundle points."""

@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magsurf.critical import (C0Params, c0_upper_bound, c_h_value,
-                              homogeneous_mane_value)
+from magsurf.critical import c0_upper_bound, c_h_value, homogeneous_mane_value
 from magsurf.errors import UnsupportedError
 from magsurf.fields import (CallableField, ConstantField, MagneticSystem,
                             TorusField, TorusSpectralPrimitive)
@@ -75,7 +74,7 @@ def test_c0_witness_is_primitive():
     system = MagneticSystem(FlatTorus(), TorusField(
         lambda x, y: 2 * np.pi * np.cos(2 * np.pi * x)
         + 4 * np.pi * np.sin(2 * np.pi * y)))
-    res = c0_upper_bound(system, C0Params(max_iter=150))
+    res = c0_upper_bound(system, max_iter=150)
     n = 128
     xs = np.arange(n) / n
     xx, yy = np.meshgrid(xs, xs, indexing="ij")
@@ -96,8 +95,8 @@ def test_c0_budget_monotone():
     system = MagneticSystem(FlatTorus(), TorusField(
         lambda x, y: 2 * np.pi * np.cos(2 * np.pi * x)
         * np.cos(2 * np.pi * y)))
-    small = c0_upper_bound(system, C0Params(max_iter=40))
-    large = c0_upper_bound(system, C0Params(max_iter=400))
+    small = c0_upper_bound(system, max_iter=40)
+    large = c0_upper_bound(system, max_iter=400)
     assert large.value <= small.value + 1e-12
     assert np.all(np.diff(large.history) <= 1e-12)
 

@@ -18,7 +18,7 @@ from magsurf.flow import (Section, TangentState, _make_step, energy_of,
                           trajectory_energies, trajectory_speeds)
 from magsurf.orbits import homogeneous_oracle
 from magsurf.surfaces import (SPHERE_SWITCH_RADIUS, ConformalTorus, FlatTorus,
-                              HyperbolicPlane, RoundSphere, periodic_spline)
+                              HyperbolicPlane, PeriodicBicubic, RoundSphere)
 
 
 def _systems():
@@ -429,7 +429,7 @@ def _step_cases():
         "flat-cosine": (MagneticSystem(torus, _build_field(cfg, torus)),
                         (-3.0, 3.0)),
         "flat-csv": (MagneticSystem(torus, TorusField(
-            periodic_spline(grid, 1.0, 2.0), ly=2.0)), (-3.0, 3.0)),
+            PeriodicBicubic(grid, 1.0, 2.0), ly=2.0)), (-3.0, 3.0)),
         "sphere-constant": (MagneticSystem(RoundSphere(),
                                            ConstantField(-0.8)),
                             (-2.5, 2.5)),

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magsurf.errors import DomainError, UnsupportedError
+from magsurf.errors import DegenerateInputError, DomainError, UnsupportedError
 from magsurf.fields import ConstantField, MagneticSystem
 from magsurf.flow import make_rhs
 from magsurf.surfaces import (ConformalTorus, FlatTorus, HyperbolicPlane,
-                              RoundSphere, periodic_spline)
+                              PeriodicBicubic, RoundSphere)
 
 RNG = np.random.default_rng(42)
 FD_STEP = 1e-5
@@ -138,6 +138,28 @@ def test_hyperbolic_domain_floor():
         hyp.check_domain(0, 0.0, -1.0)
 
 
+@pytest.mark.parametrize("lx, ly", [(-1.0, 1.0), (0.0, 1.0), (1.0, -2.0),
+                                    (1.0, 0.0), (math.nan, 1.0)])
+def test_torus_periods_must_be_positive(lx, ly):
+    """Both tori reject a period that is not positive, before the conformal
+    torus builds its spline (a zero period divided by zero there)."""
+    with pytest.raises(DegenerateInputError):
+        FlatTorus(lx, ly)
+    with pytest.raises(DegenerateInputError):
+        ConformalTorus(np.zeros((8, 8)), lx=lx, ly=ly)
+
+
+def test_flat_torus_quadrature_weights_are_exact():
+    """The shared torus quadrature weights nodes by e^(2 rho) times the cell
+    area; on the flat torus that is lx * ly / n^2 to the last bit."""
+    for lx, ly, n in ((1.0, 1.0, 64), (2.0, 0.3, 7), (0.7, 1.9, 33)):
+        charts, us, vs, w = FlatTorus(lx, ly).quadrature_nodes(n)
+        assert np.all(w == lx * ly / n ** 2) and len(w) == n * n
+        assert not charts.any()
+        assert np.array_equal(us[::n], (np.arange(n) + 0.5) * lx / n)
+        assert np.array_equal(vs[:n], (np.arange(n) + 0.5) * ly / n)
+
+
 def test_sphere_chart_transition_consistency():
     """The two stereographic charts agree through the ambient embedding
     under the integrator's chart transition w = 1/z."""
@@ -191,7 +213,7 @@ def test_conformal_torus_interpolates_samples():
 def test_periodic_spline_reproduces_samples(nx, ny, lx, ly, seed):
     grid = np.random.default_rng(seed).uniform(-1.0, 1.0, (nx, ny))
     ii, jj = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
-    spl = periodic_spline(grid, lx, ly)
+    spl = PeriodicBicubic(grid, lx, ly)
     assert np.abs(spl(ii * lx / nx, jj * ly / ny) - grid).max() < 1e-12
 
 
@@ -266,7 +288,27 @@ def test_periodic_spline_grid_mean_is_sample_mean():
         + 4 * np.pi * np.sin(2 * np.pi * x)[None, :]
     xx, yy = np.meshgrid(np.arange(64) / 64, np.arange(64) / 64,
                          indexing="ij")
-    assert abs(periodic_spline(sample, 1.0, 1.0)(xx, yy).mean()) < 1e-12
+    assert abs(PeriodicBicubic(sample, 1.0, 1.0)(xx, yy).mean()) < 1e-12
+
+
+def test_spline_cells_at_a_float_match_the_array_path():
+    """At one float point ``cells`` reads the Python-float table ``rows``;
+    its coefficients and offsets equal the array path's at a one-element
+    array, in every period cell, at negative coordinates and on the nodes,
+    so ``rows`` cannot drift from ``coef``."""
+    rng = np.random.default_rng(5)
+    lx, ly = 1.3, 0.7
+    spl = PeriodicBicubic(rng.standard_normal((12, 10)), lx, ly)
+    assert spl.rows == spl.coef.reshape(12, 10, 16).tolist()
+    nodes = [(i * lx / 12, j * ly / 10) for i in range(-13, 26, 7)
+             for j in range(-11, 22, 5)]
+    pts = rng.uniform(-3.0, 3.0, (200, 2)) * (lx, ly)
+    for x, y in nodes + [tuple(p) for p in pts.tolist()]:
+        c, dx, dy = spl.cells(x, y)
+        ca, dxa, dya = spl.cells(np.array([x]), np.array([y]))
+        assert all(type(ci) is float for ci in c)
+        assert c == ca[:, 0].tolist()
+        assert (dx, dy) == (dxa[0], dya[0])
 
 
 def _rho_grad_cases():

@@ -15,8 +15,8 @@ from magsurf.fields import (CallableField, ClosedFormPrimitive, ConstantField,
                             LineIntegralPrimitive, MagneticSystem, TorusField,
                             TorusSpectralPrimitive, energy_of_s, flux_total,
                             local_primitive, s_of_energy, stokes_residual)
-from magsurf.surfaces import (FlatTorus, HyperbolicPlane, RoundSphere,
-                              periodic_spline)
+from magsurf.surfaces import (FlatTorus, HyperbolicPlane, PeriodicBicubic,
+                              RoundSphere)
 
 
 @given(st.floats(min_value=1e-6, max_value=1e6))
@@ -191,7 +191,7 @@ def _scalar_cases():
     x = np.arange(n) / n
     grid = np.cos(2 * np.pi * x)[:, None] + 0.5 * np.sin(
         4 * np.pi * x)[None, :]
-    spl = periodic_spline(grid, 1.0, 2.0)
+    spl = PeriodicBicubic(grid, 1.0, 2.0)
     cfg = configparser.ConfigParser()
     cfg.read_string("[field]\ntype = cosine\n")
     wide = configparser.ConfigParser()

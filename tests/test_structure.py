@@ -378,3 +378,31 @@ def test_every_public_name_is_used():
     assert LIBRARY_API <= set(unused), \
         "used names still in LIBRARY_API: " \
         + ", ".join(sorted(LIBRARY_API - set(unused)))
+
+
+# perfbench's tracer wraps names of the package by string and reads
+# vars(cls)["conformal"] / vars(cls)["eval"] on the surface and field
+# classes.  Building its wrappers (without putting them in place) fails on
+# any of those names that is gone, so a deletion shows here and not only
+# in a traced benchmark run.
+def test_tracer_finds_every_name_it_patches():
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", PERFBENCH / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    tracer = module.Tracer()
+    tracer.install()
+    patched = {(getattr(obj, "__name__", None), attr)
+               for obj, attr, _, _ in tracer._patches}
+    assert ("magsurf.flow", "make_rhs") in patched
+    assert ("magsurf.cli", "_COMMANDS") in patched
+    for cls in ("FlatTorus", "RoundSphere", "HyperbolicPlane",
+                "ConformalTorus"):
+        assert (cls, "conformal") in patched
+    for cls in ("ConstantField", "TorusField"):
+        assert (cls, "eval") in patched
+    # install only records the wrappers: the package is left untouched
+    for obj, attr, old, _ in tracer._patches:
+        assert getattr(obj, attr) is old
