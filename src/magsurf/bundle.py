@@ -244,9 +244,8 @@ def contact_candidate_min(system, s, candidate, n_base=128, n_fiber=64,
                               tol=tol, grid=(n_base, n_base, n_fiber))
 
 
-def homogeneous_candidate(system, s):
+def homogeneous_candidate(system):
     """Closed-form candidate for the constant-field constant-curvature
-
     systems: alpha + (s f / K) psi on the sphere and hyperbolic plane, the
     fiber form on the flat torus.
     """
@@ -277,7 +276,7 @@ class LiouvilleAction:
     flip_integral: float
 
 
-def _candidate_for_action(system, s):
+def _candidate_for_action(system):
     surf = system.surface
     flux = flux_total(system)
     if surf.constant_curvature == 0:
@@ -286,7 +285,7 @@ def _candidate_for_action(system, s):
                 "torus actions need an exact field (zero flux)")
         return torus_exact_candidate(system), 0.0
     chi = surf.euler_characteristic()
-    return homogeneous_candidate(system, s), flux ** 2 / chi
+    return homogeneous_candidate(system), flux ** 2 / chi
 
 
 def liouville_action(system, s, n_base=128):
@@ -300,7 +299,7 @@ def liouville_action(system, s, n_base=128):
     ``sm_sample_grid`` weighted by the declared total area.
     """
     surf = system.surface
-    candidate, corr = _candidate_for_action(system, s)
+    candidate, corr = _candidate_for_action(system)
     area = surf.area()
     volume = 2.0 * math.pi * area
     charts, us, vs, w, _ = sm_sample_grid(surf, n_base)
@@ -375,7 +374,7 @@ def gauss_bonnet_action_check(system, s, orbit, region):
     if surf.constant_curvature not in (0, -1):
         raise UnsupportedError("disc identities are checked on these cases")
     k = 0.5 / (s * s)
-    candidate, _ = _candidate_for_action(system, s)
+    candidate, _ = _candidate_for_action(system)
     lhs = orbit_action(system, s, orbit, candidate) / s
     value = taimanov_value(system, k, region)
     if surf.constant_curvature == 0:

@@ -51,6 +51,8 @@ _ALLOWED = {
 _TEXT = {"kind", "factor_csv", "type", "csv", "quantity", "candidate"}
 _INTS = {"genus", "record_every", "n_vertices", "orientation", "max_iter",
          "n_base", "n_fiber", "workers"}
+# numeric keys that must be > 0 (>= 1 for the integers among them)
+_POSITIVE = {"dt", "t_end", "record_every", "n_base", "n_fiber"}
 
 
 def _is_number(key, text):
@@ -78,6 +80,8 @@ def _read_config(path):
             items = text.split(",") if key == "s_values" else [text]
             if key not in _TEXT and not all(_is_number(key, x) for x in items):
                 raise ConfigError(f"{key} = {text!r} is not a finite number")
+            if key in _POSITIVE and float(text) <= 0.0:
+                raise ConfigError(f"{key} = {text!r} is not positive")
     return parser
 
 
@@ -109,18 +113,21 @@ def _load_grid_csv(path, lx, ly):
     (i lx / nx, j ly / ny) of the period cell, one finite sample per node;
     the spline through it puts node i there whatever the file says."""
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")     # an empty file warns first
-            data = np.genfromtxt(path, delimiter=",", names=True, ndmin=1)
+        with open(path) as fh:
+            header = fh.readline()
+            names = [name.strip() for name in header.lstrip("#").split(",")]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")     # no rows warns
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read grid csv: {exc}")
-    except IndexError:                          # genfromtxt on an empty file
+    if not header.strip():
         raise ConfigError("grid csv is empty")
-    names = data.dtype.names or ()
     value = [n for n in names if n not in ("x", "y")]
-    if len(names) != 3 or len(value) != 1 or not data.size:
+    if (len(value) != 1 or len(set(names)) != 3 or data.shape[1:] != (3,)
+            or not data.size):
         raise ConfigError("grid csv needs columns x, y, value and samples")
-    x, y, vals = data["x"], data["y"], data[value[0]]
+    x, y, vals = (data[:, names.index(n)] for n in ("x", "y", value[0]))
     if not (np.isfinite(x) & np.isfinite(y) & np.isfinite(vals)).all():
         raise ConfigError("grid csv has a non-finite sample")
     xs = np.unique(x)
@@ -347,7 +354,8 @@ def cmd_critical(cfg, system, outdir):
     elif quantity == "c0":
         res = critical.c0_upper_bound(system)
         summary = {"c0": res.value, "energy_value": res.energy_value,
-                   "lower": res.lower, "gap": res.gap, "history": res.history}
+                   "lower": res.lower, "gap": res.gap, "history": res.history,
+                   "iterations": res.iterations}
     else:
         raise ConfigError(f"unknown critical quantity {quantity!r}")
     _emit(summary, outdir, "result.json")
@@ -359,7 +367,7 @@ def cmd_contact_check(cfg, system, outdir):
     sec = cfg["run"]
     kind = sec.get("candidate", "homogeneous")
     if kind == "homogeneous":
-        cand = bundle.homogeneous_candidate(system, s)
+        cand = bundle.homogeneous_candidate(system)
     elif kind == "exact":
         cand = bundle.torus_exact_candidate(system)
     else:

@@ -296,14 +296,14 @@ def test_criterion_10_contact_certificates():
     sphere = _sphere()
     hyper = _hyperbolic()
     for s in (0.5, 1.0, 2.0, 5.0):
-        cand = bundle.homogeneous_candidate(sphere, s)
+        cand = bundle.homogeneous_candidate(sphere)
         cert = bundle.contact_candidate_min(sphere, s, cand)
         ok &= abs(cert.min_value - (1.0 + s * s)) < 1e-12
         ok &= abs(cert.max_value - (1.0 + s * s)) < 1e-12
         ok &= cert.verdict == "positive"
     for s, verdict in ((0.5, "positive"), (1.0, "indeterminate"),
                        (2.0, "negative")):
-        cand = bundle.homogeneous_candidate(hyper, s)
+        cand = bundle.homogeneous_candidate(hyper)
         cert = bundle.contact_candidate_min(hyper, s, cand)
         ok &= abs(cert.min_value - (1.0 - s * s)) < 1e-12
         ok &= cert.verdict == verdict

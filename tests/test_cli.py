@@ -12,7 +12,7 @@ import os
 import numpy as np
 import pytest
 
-from magsurf.cli import _write_trajectory_csv, main
+from magsurf.cli import _load_grid_csv, _write_trajectory_csv, main
 from magsurf.fields import ConstantField, MagneticSystem
 from magsurf.flow import (TangentState, Trajectory, integrate,
                           state_at_energy, trajectory_curvature,
@@ -145,12 +145,20 @@ def test_config_rejects_unknown_section(capsys, tmp_path):
     ("simulate", "t_end = 0.1", "t_end = 0.1\nrecord_every = 2.5"),
     ("sweep", "s_values = 0.5, 1.5", "s_values = 0.5, nan"),
     ("sweep", "s_values = 0.5, 1.5", "s_values = 0.5,abc"),
+    ("contact-check", "s = 1.0", "s = 1.0\nn_fiber = 0"),
+    ("simulate", "t_end = 0.1", "t_end = 0.1\ndt = 0"),
+    ("simulate", "t_end = 0.1", "t_end = 0.1\nrecord_every = 0"),
+    ("contact-check", "s = 1.0", "s = 1.0\nn_base = 0"),
+    ("simulate", "t_end = 0.1", "t_end = -1"),
+    ("simulate", "t_end = 0.1", "t_end = 0.1\ndt = -0.01"),
 ], ids=["text", "nan", "minus-inf", "inf-field", "nan-period",
         "text-t_end", "nan-t_end", "fractional-int", "nan-s_values",
-        "text-s_values"])
+        "text-s_values", "zero-n_fiber", "zero-dt", "zero-record_every",
+        "zero-n_base", "negative-t_end", "negative-dt"])
 def test_config_rejects_bad_number(capsys, tmp_path, command, old, new):
-    """A numeric key whose value is text, NaN, infinite or (for an integer
-    key) fractional is a configuration error before any command runs, so
+    """A numeric key whose value is text, NaN, infinite, (for an integer
+    key) fractional or (for dt, t_end, record_every, n_base and n_fiber)
+    not positive is a configuration error before any command runs, so
     nothing reaches stdout; the unchanged config runs."""
     good = SPHERE_ORACLE + "t_end = 0.1\ns_values = 0.5, 1.5\n"
     assert _run(capsys, tmp_path, good, command)[0] == 0
@@ -158,6 +166,16 @@ def test_config_rejects_bad_number(capsys, tmp_path, command, old, new):
                              command)
     assert code == 2
     assert out_text == ""
+
+
+@pytest.mark.parametrize("key, value", [
+    ("dt", "0"), ("t_end", "-1"), ("record_every", "0"), ("n_base", "0"),
+    ("n_fiber", "-2")])
+def test_config_names_key_out_of_range(capsys, tmp_path, key, value):
+    """The error for a number out of range names its key."""
+    cfg = _write(tmp_path, SPHERE_ORACLE + f"{key} = {value}\n")
+    assert main(["simulate", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert f"{key} = '{value}' is not positive" in capsys.readouterr().err
 
 
 def test_contact_check_rejects_unknown_candidate(capsys, tmp_path):
@@ -168,11 +186,12 @@ def test_contact_check_rejects_unknown_candidate(capsys, tmp_path):
     assert out_text == ""
 
 
-def _grid_text(header="x,y,f", first=None, n=8, xs=None):
+def _grid_text(header="x,y,f", first=None, n=8, xs=None, extra=""):
     """A CSV grid of cos 2 pi x on n x n nodes (x nodes ``xs`` if given,
-    else i / n); ``first`` replaces the value of the first sample."""
+    else i / n); ``first`` replaces the value of the first sample, and
+    ``extra`` is appended to every sample row."""
     xs = [i / n for i in range(n)] if xs is None else xs
-    rows = [f"{x},{j / n},{math.cos(2.0 * math.pi * i / n)}"
+    rows = [f"{x},{j / n},{math.cos(2.0 * math.pi * i / n)}{extra}"
             for i, x in enumerate(xs) for j in range(n)]
     if first is not None:
         rows[0] = f"0.0,0.0,{first}"
@@ -208,19 +227,42 @@ quantity = c0
     _grid_text(first="inf"), _grid_text(first="nan"),
     _grid_text(n=4, xs=[0.0, 0.1, 0.5, 0.9]),
     _grid_text(n=4, xs=[0.0, 0.5, 1.0, 1.5]),
-    _grid_text(n=4) + "0.25,0.5,99\n"],
+    _grid_text(n=4) + "0.25,0.5,99\n",
+    _grid_text(n=4).replace("0.0,0.0,1.0\n", "0.0,0.0\n"),
+    _grid_text(header="x,y,f,g", n=4, extra=",0.5")],
     ids=["no_xy", "no_value", "empty", "header_only", "inf", "nan",
-         "nonuniform", "off_period", "duplicate"])
+         "nonuniform", "off_period", "duplicate", "ragged", "fourth_column"])
 def test_config_rejects_bad_grid_csv(capsys, tmp_path, config, grid):
     """A grid CSV without x, y and value columns, without samples, with a
-    non-finite sample, with nodes other than i / n on the unit period or
-    with a node given twice is a configuration error (exit 2), for a field
-    and for a conformal factor alike."""
+    non-finite sample, with nodes other than i / n on the unit period, with
+    a node given twice, with a short row or with a fourth column is a
+    configuration error (exit 2), for a field and for a conformal factor
+    alike."""
     cfg = _write(tmp_path, config.format(path=_write(tmp_path, grid,
                                                        "grid.csv")))
     code = main(["critical", cfg, "--out", str(tmp_path / "out")])
     assert code == 2
     assert "grid csv" in capsys.readouterr().err
+
+
+def test_grid_csv_reads_every_float_exactly(tmp_path):
+    """The 64 x 64 grid read back holds float() of each CSV value, bit for
+    bit, whatever the number of digits and the column order; a trailing
+    blank line is no sample."""
+    n = 64
+    rng = np.random.default_rng(11)
+    mags = 10.0 ** rng.integers(-20, 21, (n, n))
+    digits = rng.integers(1, 18, (n, n))
+    text = [[f"{v:.{d}g}" for v, d in zip(row, drow)]
+            for row, drow in zip(rng.standard_normal((n, n)) * mags,
+                                 digits)]
+    rows = [f"{text[i][j]},{i / n!r},{j / n!r}"
+            for i in range(n) for j in range(n)]
+    path = _write(tmp_path, "\n".join(["f,x,y"] + rows) + "\n\n",
+                  "grid.csv")
+    grid = _load_grid_csv(path, 1.0, 1.0)
+    want = np.array([[float(v) for v in row] for row in text])
+    assert grid.tobytes() == want.tobytes()
 
 
 def test_simulate_writes_trajectory(capsys, tmp_path):
@@ -341,6 +383,7 @@ quantity = c0
     assert data["lower"] <= data["c0"] == data["history"][-1]
     assert abs(data["gap"] - (data["c0"] - data["lower"])) < 1e-12
     assert data["gap"] <= 1e-3
+    assert data["iterations"] == 0      # theta* = sin 2 pi x dy is optimal
 
 
 def test_critical_c0_on_coarse_csv_field(capsys, tmp_path):
@@ -362,6 +405,7 @@ def test_critical_c0_on_coarse_csv_field(capsys, tmp_path):
     data = json.loads((out / "result.json").read_text())
     assert data["lower"] <= data["c0"] <= math.sqrt(5.0)
     assert data["gap"] <= 1e-2
+    assert 0 < data["iterations"] < 2000
 
 
 def test_taimanov_off_chart_is_an_error(capsys, tmp_path):

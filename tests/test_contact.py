@@ -96,8 +96,9 @@ def test_sphere_certificate_always_positive():
     """alpha + s psi pairs with X_s to the constant 1 + s^2 > 0."""
     system = MagneticSystem(RoundSphere(), ConstantField(1.0))
     for s in (0.3, 1.0, 3.0):
-        cert = contact_candidate_min(system, s, homogeneous_candidate(
-            system, s), n_base=48, n_fiber=16)
+        cert = contact_candidate_min(system, s,
+                                     homogeneous_candidate(system),
+                                     n_base=48, n_fiber=16)
         assert cert.verdict == "positive"
         assert abs(cert.min_value - (1.0 + s * s)) < 1e-12
         assert abs(cert.max_value - (1.0 + s * s)) < 1e-12
@@ -112,16 +113,18 @@ def test_hyperbolic_certificate_signs():
         system = MagneticSystem(HyperbolicPlane(genus=genus),
                                 ConstantField(1.0))
         for s, want in cases:
-            cert = contact_candidate_min(system, s, homogeneous_candidate(
-                system, s), n_base=48, n_fiber=16)
+            cert = contact_candidate_min(system, s,
+                                         homogeneous_candidate(system),
+                                         n_base=48, n_fiber=16)
             assert cert.verdict == want
             assert abs(cert.min_value - (1.0 - s * s)) < 1e-12
 
 
 def test_torus_fiber_certificate_tracks_field_sign():
     system = MagneticSystem(FlatTorus(), ConstantField(1.0))
-    cert = contact_candidate_min(system, 0.7, homogeneous_candidate(
-        system, 0.7), n_base=32, n_fiber=16)
+    cert = contact_candidate_min(system, 0.7,
+                                 homogeneous_candidate(system),
+                                 n_base=32, n_fiber=16)
     assert cert.verdict == "positive"
     assert abs(cert.min_value - 0.7) < 1e-12
 
@@ -164,9 +167,9 @@ def _builders():
     flat = MagneticSystem(FlatTorus(), ConstantField(0.9))
     exact = MagneticSystem(FlatTorus(), TorusField(cosine))
     s = 0.7
-    return [(sphere, s, homogeneous_candidate(sphere, s)),
-            (hyper, s, homogeneous_candidate(hyper, s)),
-            (flat, s, homogeneous_candidate(flat, s)),
+    return [(sphere, s, homogeneous_candidate(sphere)),
+            (hyper, s, homogeneous_candidate(hyper)),
+            (flat, s, homogeneous_candidate(flat)),
             (exact, s, torus_exact_candidate(exact))]
 
 

@@ -5,13 +5,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from magsurf.critical import c0_upper_bound, c_h_value, homogeneous_mane_value
+from magsurf.critical import (C0_GAP, C0_GRID, C0_STEP, _unit_ball,
+                              c0_upper_bound, c_h_value,
+                              homogeneous_mane_value)
 from magsurf.errors import UnsupportedError
 from magsurf.fields import (CallableField, ConstantField, MagneticSystem,
-                            TorusField, TorusSpectralPrimitive)
+                            TorusField, TorusSpectralPrimitive,
+                            periodic_poisson)
 from magsurf.surfaces import FlatTorus, HyperbolicPlane, RoundSphere
 
 
@@ -135,6 +138,12 @@ def test_c0_bracket_closes(name):
     assert res.history[-1] == res.value
 
 
+def test_c0_two_mode_iterations():
+    """The over-relaxed iteration closes the two-mode bracket in at most 340
+    steps (the unrelaxed one took 554)."""
+    assert 0 < _c0("two_mode").iterations <= 340
+
+
 def test_c0_two_mode_witness_sup_is_value():
     """The witness rebuilt from the best grid field reads back its sup."""
     res = _c0("two_mode")
@@ -168,3 +177,117 @@ def test_c0_lower_bounds_every_primitive(coef, c1, c2):
         dphi = 2 * np.pi * (b * np.cos(arg) - a * np.sin(arg))
         p, q = p + m * dphi, q + l * dphi
     assert np.max(np.hypot(p, q)) >= _c0("two_mode").lower - 1e-12
+
+
+# ---------------------------------------------------------------------------
+# reference: the unrelaxed iteration on real (2, n, n) fields, with the ball
+# threshold found by sorting every modulus
+# ---------------------------------------------------------------------------
+
+def _ref_norm(f):
+    return np.sqrt(f[0] * f[0] + f[1] * f[1])
+
+
+def _ref_unit_ball(y):
+    """Project a (2, n, n) field onto {sum of pointwise norms <= 1}."""
+    r = _ref_norm(y)
+    s = np.sort(r.ravel())[::-1]
+    excess = np.cumsum(s) - 1.0
+    j = np.nonzero(s * np.arange(1, s.size + 1) > excess)[0][-1]
+    lam = max(excess[j] / (j + 1), 0.0)     # 0 inside the ball
+    return y * np.maximum(1.0 - lam / np.maximum(r, 1e-300), 0.0)
+
+
+def _ref_c0(system, max_iter=2000):
+    """(best grid sup, dual lower bound) of the plain Chambolle-Pock
+    iteration, two projections onto R per step."""
+    n = C0_GRID
+    kxx, kyy, ghat = periodic_poisson(system, n)
+    k = np.stack([kxx, kyy])
+    k2 = kxx ** 2 + kyy ** 2
+    k2[0, 0], k2[n // 2], k2[:, n // 2] = 1.0, np.inf, np.inf
+    kh, k2h = k[:, :, :n // 2 + 1], k2[:, :n // 2 + 1]
+
+    def project(w):
+        what = np.fft.rfft2(w)
+        out = kh * (np.sum(kh * what, axis=0) / k2h)
+        out[:, 0, 0] = what[:, 0, 0]
+        return np.fft.irfft2(out, s=(n, n))
+
+    theta = np.real(np.fft.ifft2(np.stack([-1j * kyy * ghat, 1j * kxx * ghat])
+                                 * (n * n)))
+    base = theta - project(theta)
+    r = _ref_norm(theta)
+    best = float(r.max())
+    tau = C0_STEP * n * n * best
+    y = theta * (r >= (1.0 - C0_GAP) * best)
+    y = y / max(float(_ref_norm(y).sum()), 1e-300)
+    y_perp = y - project(y)
+    w, w_bar, lower = theta, theta, 0.0
+    for it in range(max_iter + 1):
+        mass = max(float(_ref_norm(y_perp).sum()), 1e-300)
+        lower = max(lower, float(np.vdot(theta, y_perp)) / mass)
+        if best - lower <= C0_GAP * best or it == max_iter:
+            break
+        y = _ref_unit_ball(y + w_bar / tau)
+        w_new = project(w - tau * y) + base
+        y_perp = y - (w - w_new) / tau
+        w_bar, w = 2.0 * w_new - w, w_new
+        best = min(best, float(_ref_norm(w).max()))
+    return best, lower
+
+
+def test_c0_reference_two_mode():
+    """The reference iteration gives the two-mode bracket recorded for it,
+    and the two brackets overlap."""
+    best, lower = _ref_c0(MagneticSystem(FlatTorus(), TorusField(_two_mode)))
+    assert abs(best - 1.0274095) < 1e-7 and abs(lower - 1.0263831) < 1e-7
+    res = _c0("two_mode")
+    assert max(lower, res.lower) <= min(best, res.value)
+
+
+LOW_MODES = ((1, 0), (0, 1), (1, 1), (1, -1), (2, 0), (0, 2), (2, 1),
+             (1, 2))
+
+
+@given(coef=st.lists(st.floats(-1.0, 1.0), min_size=2 * len(LOW_MODES),
+                     max_size=2 * len(LOW_MODES)))
+@settings(max_examples=6, deadline=None)
+def test_c0_brackets_agree_with_reference(coef):
+    """On exact low-mode fields the relaxed and the reference brackets
+    intersect, and the relaxed one closes to C0_GAP."""
+    assume(max(map(abs, coef)) >= 0.2)
+
+    def field(x, y):
+        out = 0.0 * x
+        for (m, l), a, b in zip(LOW_MODES, coef[::2], coef[1::2]):
+            arg = 2 * np.pi * (m * x + l * y)
+            out = out + 2 * np.pi * (a * np.cos(arg) + b * np.sin(arg))
+        return out
+
+    system = MagneticSystem(FlatTorus(), TorusField(field))
+    res = c0_upper_bound(system)
+    best, lower = _ref_c0(system)
+    slack = 1e-12 * best
+    assert max(lower, res.lower) <= min(best, res.value) + slack
+    assert res.gap <= C0_GAP * res.value
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), scale=st.floats(0.05, 20.0),
+       n=st.integers(1, 12))
+@settings(max_examples=60, deadline=None)
+def test_unit_ball_matches_sorting(seed, scale, n):
+    """Michelot's threshold gives the sort-based projection to rounding;
+    a field already in the ball comes back unchanged."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    z[rng.random((n, n)) < 0.3] = 0.0
+    total = float(np.abs(z).sum())
+    assume(total > 0.0)
+    z *= scale / total
+    got = _unit_ball(z)
+    want = _ref_unit_ball(np.stack([z.real, z.imag]))
+    assert np.allclose(got.real, want[0], rtol=0, atol=1e-14)
+    assert np.allclose(got.imag, want[1], rtol=0, atol=1e-14)
+    if float(np.abs(z).sum()) <= 1.0:
+        assert np.array_equal(got, z)
