@@ -52,7 +52,8 @@ _TEXT = {"kind", "factor_csv", "type", "csv", "quantity", "candidate"}
 _INTS = {"genus", "record_every", "n_vertices", "orientation", "max_iter",
          "n_base", "n_fiber", "workers"}
 # numeric keys that must be > 0 (>= 1 for the integers among them)
-_POSITIVE = {"dt", "t_end", "record_every", "n_base", "n_fiber"}
+_POSITIVE = {"dt", "t_end", "record_every", "n_base", "n_fiber", "spacing",
+             "max_time"}
 
 
 def _is_number(key, text):

@@ -7,9 +7,10 @@ The equation of motion in a conformal chart reads
 where i is the 90 degree rotation; its solutions have constant kinetic
 energy and geodesic curvature f / |q'|_g.  Integration uses a fixed-step
 classical fourth-order Runge-Kutta scheme on plain floats, fed by the
-surface's rho_grad and the field's scalar value; the dt step inlines the
-reference right-hand side make_rhs, the surface's post_step rule runs at
-step boundaries and section crossings land exactly (Henon's step).
+surface's rho_grad and the field's scalar value.  The dt step inlines the
+reference right-hand side make_rhs, and the surface's post_step rule runs
+after each step.  A section crossing lands exactly: the hit is the same
+step, cut short to the length that ends on the section.
 integrate and poincare_return share the dt step, so a return that keeps
 its steps in a StepRecord yields the trajectory integrate would: a shot
 orbit's trajectory is the accepted return's steps.
@@ -71,12 +72,13 @@ def make_rhs(system):
     return rhs
 
 
-def _make_step(system):
+def _make_step(system, post_step=None):
     """One RK4 step on plain floats (chart, u, v, du, dv, h), make_rhs
-    inlined into each stage, then the surface's post_step chart rule."""
+    inlined into each stage, then post_step (by default the surface's
+    chart rule)."""
     rho_grad = system.surface.rho_grad
     fscalar = system.field.scalar
-    post_step = system.surface.post_step
+    post_step = post_step or system.surface.post_step
 
     def step(chart, u, v, du, dv, h):
         hh = 0.5 * h
@@ -104,28 +106,6 @@ def _make_step(system):
                          v + s * (dv + 2 * q2 + 2 * q3 + q4),
                          du + s * (a1u + 2 * a2u + 2 * a3u + a4u),
                          dv + s * (a1v + 2 * a2v + 2 * a3v + a4v))
-
-    return step
-
-
-def _make_section_step(system, coord):
-    """Henon's step: RK4 for d(u, v, du, dv, t)/dx_c = (F, 1) / F_c."""
-    rhs = make_rhs(system)
-
-    def g(chart, y):
-        w = 1.0 / y[2 + coord]
-        return (y[2] * w, y[3] * w, *(a * w for a in rhs(chart, *y[:4])), w)
-
-    def step(chart, u, v, du, dv, h):
-        y = (u, v, du, dv, 0.0)
-        k1 = g(chart, y)
-        k2 = g(chart, [a + 0.5 * h * b for a, b in zip(y, k1)])
-        k3 = g(chart, [a + 0.5 * h * b for a, b in zip(y, k2)])
-        k4 = g(chart, [a + h * b for a, b in zip(y, k3)])
-        out = [a + h / 6.0 * (b1 + 2 * b2 + 2 * b3 + b4)
-               for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
-        out[coord] = y[coord] + h
-        return (chart, *out)
 
     return step
 
@@ -302,9 +282,12 @@ def poincare_return(system, section, state0, max_time=200.0, dt=DEFAULT_DT,
                     record=None):
     """First directed return to the section.
 
-    Returns (state, return_time).  The dt step over the crossing is redone
-    as one RK4 step in the section coordinate (M. Henon, Physica D 5 (1982)
-    412-414), which lands on the section exactly.  NoReturnError says why
+    Returns (state, return_time).  The hit is the dt step from the state
+    before the crossing cut short to the length h that lands it on the
+    section: h starts at the linear guess and takes two Newton updates,
+    each dividing the section residual by the coordinate's velocity.  The
+    cut step runs no post_step, so the hit stays in the section's chart
+    even just past the sphere's switch circle.  NoReturnError says why
     when there is no return within max_time or the state falls below the
     floor, and DomainError when the run goes non-finite or the hit's energy
     is off the start's by more than RETURN_ENERGY_RTOL.  A StepRecord
@@ -312,7 +295,7 @@ def poincare_return(system, section, state0, max_time=200.0, dt=DEFAULT_DT,
     over the crossing too.
     """
     step = _make_step(system)
-    cross = _make_section_step(system, section.coord)
+    cut = _make_step(system, post_step=lambda *state: state)
     floor = system.surface.floor
     ci, sval, sdir = 1 + section.coord, section.value, section.direction
     wrap, schart = section.wrap, section.chart
@@ -341,8 +324,12 @@ def poincare_return(system, section, state0, max_time=200.0, dt=DEFAULT_DT,
                 armed = abs(cur) > 1e-9
             elif (st[0] == schart and prev < 0.0 <= cur
                   and abs(cur - prev) < guard and nst[ci + 2] * sdir > 0.0):
-                *hit, t = cross(*st, -prev * sdir)
-                t += (i - 1) * dt
+                h = dt * prev / (prev - cur)
+                for _ in range(2):
+                    hit = cut(*st, h)
+                    h -= section.signed_residual(hit) / (sdir * hit[ci + 2])
+                hit = cut(*st, h)
+                t = (i - 1) * dt + h
                 _check_blowup(*hit[1:], t)
                 hit = TangentState(*hit)
                 e0 = energy_of(system, state0)

@@ -221,12 +221,12 @@ def orbit_radius(system, orbit):
         for c in np.unique(traj.chart):
             sel = traj.chart == c
             amb[sel] = surf.to_ambient(int(c), traj.q[sel, 0], traj.q[sel, 1])
-        axis = amb.mean(axis=0)
-        norm = np.linalg.norm(axis)
-        if norm < 1e-12:
-            raise DegenerateInputError("orbit has no well-defined axis")
-        axis /= norm
-        return float(np.mean(np.arccos(np.clip(amb @ axis, -1.0, 1.0))))
+        # the circle is the sphere's section by the plane x . n = cos r:
+        # a least-squares plane, like fit_circle, is exact on a circle
+        # however its samples are spaced
+        mid = amb.mean(axis=0)
+        normal = np.linalg.eigh((amb - mid).T @ (amb - mid))[1][:, 0]
+        return float(np.arccos(min(1.0, abs(mid @ normal))))
     center, r = fit_circle(traj.q)
     if surf.constant_curvature == -1:
         if center[1] <= r:

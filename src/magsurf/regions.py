@@ -238,6 +238,11 @@ class EvolveParams:
     max_iter: int = 20000
     spacing: float = 0.02
 
+    def __post_init__(self):
+        if not self.spacing > 0.0:          # NaN too
+            raise DegenerateInputError(f"spacing {self.spacing} is not "
+                                       "positive")
+
 
 @dataclasses.dataclass
 class EvolveResult:

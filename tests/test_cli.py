@@ -157,9 +157,9 @@ def test_config_rejects_unknown_section(capsys, tmp_path):
         "zero-n_base", "negative-t_end", "negative-dt"])
 def test_config_rejects_bad_number(capsys, tmp_path, command, old, new):
     """A numeric key whose value is text, NaN, infinite, (for an integer
-    key) fractional or (for dt, t_end, record_every, n_base and n_fiber)
-    not positive is a configuration error before any command runs, so
-    nothing reaches stdout; the unchanged config runs."""
+    key) fractional or (for dt, t_end, record_every, n_base, n_fiber,
+    spacing and max_time) not positive is a configuration error before any
+    command runs, so nothing reaches stdout; the unchanged config runs."""
     good = SPHERE_ORACLE + "t_end = 0.1\ns_values = 0.5, 1.5\n"
     assert _run(capsys, tmp_path, good, command)[0] == 0
     code, out_text, _ = _run(capsys, tmp_path, good.replace(old, new),
@@ -168,13 +168,18 @@ def test_config_rejects_bad_number(capsys, tmp_path, command, old, new):
     assert out_text == ""
 
 
-@pytest.mark.parametrize("key, value", [
-    ("dt", "0"), ("t_end", "-1"), ("record_every", "0"), ("n_base", "0"),
-    ("n_fiber", "-2")])
-def test_config_names_key_out_of_range(capsys, tmp_path, key, value):
+@pytest.mark.parametrize("key, value, command", [
+    ("dt", "0", "simulate"), ("t_end", "-1", "simulate"),
+    ("record_every", "0", "simulate"), ("n_base", "0", "simulate"),
+    ("n_fiber", "-2", "simulate"), ("spacing", "0", "taimanov"),
+    ("spacing", "-0.02", "taimanov"), ("max_time", "-1", "orbit-shoot")],
+    ids=["dt-0", "t_end--1", "record_every-0", "n_base-0", "n_fiber--2",
+         "spacing-0", "spacing--0.02", "max_time--1"])
+def test_config_names_key_out_of_range(capsys, tmp_path, key, value,
+                                       command):
     """The error for a number out of range names its key."""
     cfg = _write(tmp_path, SPHERE_ORACLE + f"{key} = {value}\n")
-    assert main(["simulate", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert main([command, cfg, "--out", str(tmp_path / "out")]) == 2
     assert f"{key} = '{value}' is not positive" in capsys.readouterr().err
 
 

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from magsurf.cli import _build_field
 from magsurf.errors import DegenerateInputError, DomainError, NoReturnError
-from magsurf.fields import (ConstantField, MagneticSystem, TorusField,
-                            energy_of_s)
+from magsurf.fields import (ConstantField, CosineField, MagneticSystem,
+                            TorusField, energy_of_s)
 from magsurf.flow import (Section, TangentState, _make_step, energy_of,
                           integrate, make_rhs, poincare_return,
                           state_at_energy, trajectory_curvature,
@@ -204,31 +204,105 @@ def test_poincare_return_stops_at_hyperbolic_floor():
 
 def _circle_cases():
     """Constant-field circles about the chart origin (the half-plane's
-    about i), seeded at their rightmost point heading +v."""
+    about i), seeded at their rightmost point heading +v: the return to
+    the seed's own line after one period, and on the flat torus also the
+    return to the wrapped line u = 0, at the top point a quarter period
+    on."""
     torus = homogeneous_oracle("flat_torus", 2.5)
     sphere = homogeneous_oracle("sphere", 1.0)
     hyp = homogeneous_oracle("hyperbolic", 2.0)
+    hyp_point = (math.sinh(hyp.radius), math.cosh(hyp.radius))
     return [
-        (FlatTorus(), 2.5, (torus.radius, 0.0), torus.period),
+        (FlatTorus(), 2.5, (torus.radius, 0.0), Section(1, 0.0),
+         torus.period),
         (RoundSphere(), 1.0, (math.tan(sphere.radius / 2.0), 0.0),
-         sphere.period),
-        (HyperbolicPlane(genus=2), 2.0,
-         (math.sinh(hyp.radius), math.cosh(hyp.radius)), hyp.period),
+         Section(1, 0.0), sphere.period),
+        (HyperbolicPlane(genus=2), 2.0, hyp_point, Section(1, hyp_point[1]),
+         hyp.period),
+        (FlatTorus(), 2.5, (torus.radius, 0.0),
+         Section(0, 0.0, direction=-1, wrap=1.0), 0.25 * torus.period),
     ]
 
 
-@pytest.mark.parametrize("surface,s,point,period", _circle_cases(),
-                         ids=["flat_torus", "sphere", "genus2"])
-def test_poincare_return_lands_on_section(surface, s, point, period):
-    """Henon's step puts the hit on the section itself, and the return
-    time is the closed-form period to the integrator's accuracy."""
+@pytest.mark.parametrize("surface,s,point,section,time", _circle_cases(),
+                         ids=["flat_torus", "sphere", "genus2",
+                              "flat_torus_wrapped"])
+def test_poincare_return_lands_on_section(surface, s, point, section, time):
+    """The cut-short step puts the hit on the section itself, and the
+    return time is the closed-form one to the integrator's accuracy."""
     system = MagneticSystem(surface, ConstantField(1.0))
     st = state_at_energy(system, TangentState(0, *point, 0.0, 1.0),
                          energy_of_s(s))
-    section = Section(coord=1, value=point[1], direction=1, chart=0)
     hit, rt = poincare_return(system, section, st)
     assert abs(section.signed_residual(dataclasses.astuple(hit))) <= 1e-14
-    assert abs(rt - period) < 1e-12
+    assert abs(rt - time) < 1e-12
+
+
+def test_poincare_return_past_sphere_switch_keeps_chart():
+    """A circle through the chart-0 origin (f = 1, s = 0.5, seed
+    u = -1e-7) meets v = 0 heading -v just outside the switch circle
+    |z| = 2, after 4.5 periods: the hit is the cut-short step without the
+    chart rule, so it stays in chart 0 at u = -2.0000005."""
+    system = MagneticSystem(RoundSphere(), ConstantField(1.0))
+    st = state_at_energy(system, TangentState(0, -1e-7, 0.0, 0.0, 1.0),
+                         energy_of_s(0.5))
+    section = Section(coord=1, value=0.0, direction=-1, chart=0)
+    hit, rt = poincare_return(system, section, st)
+    assert hit.chart == 0
+    assert abs(hit.v) <= 1e-14
+    assert abs(hit.u + 2.0000005) < 1e-9
+    assert abs(rt - 4.5 * homogeneous_oracle("sphere", 0.5).period) < 1e-9
+
+
+def _points(surface, traj):
+    """The samples as points of R^3 on the sphere, whatever their chart,
+    and as chart points on a one-chart surface."""
+    if surface.n_charts == 1:
+        return traj.q
+    out = np.empty((len(traj.t), 3))
+    for c in (0, 1):
+        sel = traj.chart == c
+        out[sel] = surface.to_ambient(c, traj.q[sel, 0], traj.q[sel, 1])
+    return out
+
+
+@pytest.mark.parametrize("surface,field", [
+    (FlatTorus(), CosineField), (RoundSphere(), ConstantField)],
+    ids=["flat-cosine", "sphere-constant"])
+@given(f=st.floats(0.3, 3.0), u=st.floats(-1.0, 1.0),
+       v=st.floats(-1.0, 1.0), ang=st.floats(0.0, 2.0 * math.pi))
+@settings(max_examples=6, deadline=None)
+def test_time_reversal_retraces_orbit(surface, field, f, u, v, ang):
+    """q(T - t) solves the equation with -f: integrating back from the end
+    state with the velocity and the field reversed retraces the orbit."""
+    system = MagneticSystem(surface, field(f))
+    st0 = state_at_energy(system, TangentState(0, u, v, math.cos(ang),
+                                               math.sin(ang)), 0.5)
+    fwd = integrate(system, st0, 3.0, record_every=100)
+    end = TangentState(int(fwd.chart[-1]), *fwd.q[-1], *(-fwd.dq[-1]))
+    back = integrate(MagneticSystem(surface, field(-f)), end, 3.0,
+                     record_every=100)
+    assert len(back.t) == len(fwd.t) == 31
+    assert np.abs(_points(surface, back)[::-1]
+                  - _points(surface, fwd)).max() < 1e-10
+
+
+@given(f=st.floats(-2.0, 2.0), r=st.floats(0.2, 1.5),
+       pos=st.floats(0.0, 2.0 * math.pi), ang=st.floats(0.0, 2.0 * math.pi))
+@settings(max_examples=6, deadline=None)
+def test_sphere_orbit_independent_of_start_chart(f, r, pos, ang):
+    """The same tangent vector written in chart 1 (switch_chart) starts the
+    same orbit: the ambient trajectories agree."""
+    sphere = RoundSphere()
+    system = MagneticSystem(sphere, ConstantField(f))
+    st0 = state_at_energy(system, TangentState(
+        0, r * math.cos(pos), r * math.sin(pos), math.cos(ang),
+        math.sin(ang)), 0.5)
+    st1 = TangentState(*sphere.switch_chart(*dataclasses.astuple(st0)))
+    assert st1.chart == 1
+    a = integrate(system, st0, 3.0, record_every=100)
+    b = integrate(system, st1, 3.0, record_every=100)
+    assert np.abs(_points(sphere, a) - _points(sphere, b)).max() < 1e-9
 
 
 def geodesic_curvature_of(surface, chart, q, qdot, qddot):

@@ -131,6 +131,34 @@ def test_shoot_period_matches_oracle(kind, surface, kappa_lo, f, sign, kappa,
     assert abs(orbit.period - oracle.period) < 1e-9
 
 
+@pytest.mark.parametrize("kind,surface,kappa_lo", [
+    ("sphere", RoundSphere(), 0.5),
+    ("flat_torus", FlatTorus(), 0.5),
+    ("hyperbolic", HyperbolicPlane(genus=2), 1.2)])
+@given(f=st.floats(0.5, 1.0), c=st.floats(0.5, 2.0),
+       kappa=st.floats(0.0, 1.0), off=st.floats(0.03, 0.15))
+@settings(max_examples=4, deadline=None)
+def test_shoot_depends_on_kappa_only(kind, surface, kappa_lo, f, c, kappa,
+                                     off):
+    """Shoots at (s, f) and (c s, f / c), kappa = s f in [kappa_lo, 3],
+    from one seed find one circle: the same radius, and periods in the
+    ratio c.  Both speeds 1 / s stay at most 2 / kappa: RK4's period
+    error at dt 1e-3 grows like s^-5 (5e-11 in period / s at s = 0.25,
+    kappa = 1/2, on the sphere)."""
+    kappa = kappa_lo + kappa * (3.0 - kappa_lo)
+    s = kappa / f
+    seed = _off_circle_seed(
+        kind, (1.0 + off) * homogeneous_oracle(kind, s, f).radius, f)
+    found = []
+    for s_, f_ in ((s, f), (c * s, f / c)):
+        system = MagneticSystem(surface, ConstantField(f_))
+        orbit, _ = _shoot(system, s_, seed)
+        found.append((orbit.period / s_, orbit_radius(system, orbit)))
+    (p1, r1), (p2, r2) = found
+    assert abs(p1 - p2) < 1e-9
+    assert abs(r1 - r2) < 1e-7
+
+
 def test_shooting_subcritical_hyperbolic_fails():
     """Below the critical speed no contractible orbit exists; the shooter
     reports no return instead of inventing one."""

@@ -91,12 +91,12 @@ def test_no_surface_type_probes_outside_surfaces():
             assert counts[key] <= limit, f"{key} has {counts[key]} probes"
 
 
-# The stepping core: the RK4 steps (in time, and in the section coordinate
-# over a crossing) and their right-hand side in flow.py, and the per-point
-# methods they call on surfaces and fields, use no numpy.  The conformal
-# torus's rho_grad reads its spline through the cell lookup and Horner
-# helper of PeriodicBicubic.
-CORE_FUNCTIONS = {"make_rhs", "_make_step", "_make_section_step"}
+# The stepping core: the one RK4 step (full dt steps, and the step cut
+# short on a section at a crossing) and its reference right-hand side in
+# flow.py, and the per-point methods they call on surfaces and fields, use
+# no numpy.  The conformal torus's rho_grad reads its spline through the
+# cell lookup and Horner helper of PeriodicBicubic.
+CORE_FUNCTIONS = {"make_rhs", "_make_step"}
 CORE_METHODS = {"rho_grad", "scalar", "cell_of", "patch_grad"}
 
 

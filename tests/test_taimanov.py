@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from magsurf import regions
 from magsurf.critical import c0_upper_bound
-from magsurf.errors import (DomainError, NoBracketError,
-                            NoGlobalPrimitiveError)
+from magsurf.errors import (DegenerateInputError, DomainError,
+                            NoBracketError, NoGlobalPrimitiveError)
 from magsurf.fields import (ConstantField, MagneticSystem, TorusField,
                             energy_of_s, flux_total)
 from magsurf.flow import integrate
@@ -459,6 +459,14 @@ def test_evolution_off_chart_raises():
         evolve_minimize(system, energy_of_s(3.4),
                         Region([_circle((0.1, 1.0), 0.4)]),
                         EvolveParams(spacing=0.03, max_iter=4000))
+
+
+@pytest.mark.parametrize("spacing", [0.0, -0.02, math.nan])
+def test_evolve_params_reject_nonpositive_spacing(spacing):
+    """The resample spacing must be positive: zero would divide by zero
+    and a negative one would resample every curve to eight vertices."""
+    with pytest.raises(DegenerateInputError, match="spacing"):
+        EvolveParams(spacing=spacing)
 
 
 def test_evolution_drops_vanished_disc_and_goes_on():
