@@ -23,6 +23,11 @@ class MagneticField:
         """f at a scalar chart point as a Python float."""
         return float(self.eval(chart, u, v))
 
+    def step_source(self):
+        """(line, names): scalar as a source line setting f at the point
+        x, y of chart, for the RK4 step's stages, and the names it reads."""
+        return "f = fscalar(chart, x, y)", {"fscalar": self.scalar}
+
 
 class ConstantField(MagneticField):
     def __init__(self, value):
@@ -33,6 +38,9 @@ class ConstantField(MagneticField):
 
     def scalar(self, chart, u, v):
         return self.value
+
+    def step_source(self):
+        return "f = fval", {"fval": self.value}
 
 
 class CallableField(MagneticField):
@@ -71,6 +79,10 @@ class CosineField(TorusField):
 
     def scalar(self, chart, u, v):
         return self.amp * math.cos(2.0 * math.pi * (u % self.lx) / self.lx)
+
+    def step_source(self):
+        return ("f = amp * cos(2.0 * pi * (x % lx) / lx)",
+                dict(amp=self.amp, lx=self.lx, cos=math.cos, pi=math.pi))
 
 
 @dataclasses.dataclass

@@ -6,9 +6,9 @@ The equation of motion in a conformal chart reads
 
 where i is the 90 degree rotation; its solutions have constant kinetic
 energy and geodesic curvature f / |q'|_g.  Integration uses a fixed-step
-classical fourth-order Runge-Kutta scheme on plain floats, fed by the
-surface's rho_grad and the field's scalar value.  The dt step inlines the
-reference right-hand side make_rhs, and the surface's post_step rule runs
+classical fourth-order Runge-Kutta scheme on plain floats, whose stages
+hold the surface's and field's step_source lines (rho_grad and scalar
+written out) and make_rhs's formula; the surface's post_step rule runs
 after each step.  A section crossing lands exactly: the hit is the same
 step, cut short to the length that ends on the section.
 integrate and poincare_return share the dt step, so a return that keeps
@@ -18,12 +18,15 @@ orbit's trajectory is the accepted return's steps.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
+import numbers
 from array import array
 
 import numpy as np
 
 from .errors import DegenerateInputError, DomainError, NoReturnError
+from .surfaces import Surface
 
 DEFAULT_DT = 1e-3
 # a return whose energy left the start's by more than this, relative, came
@@ -72,47 +75,67 @@ def make_rhs(system):
     return rhs
 
 
+# The one RK4 step; at each stage's point x, y the surface's and field's
+# step_source lines set ru, rv and f.  A flat chart has no Christoffel terms.
+_RK4 = """\
+def step(chart, u, v, du, dv, h):
+    hh = 0.5 * h
+    x, y, p1, q1 = u, v, du, dv
+{0}
+    p2, q2 = du + hh * a1u, dv + hh * a1v
+    x, y = u + hh * p1, v + hh * q1
+{1}
+    p3, q3 = du + hh * a2u, dv + hh * a2v
+    x, y = u + hh * p2, v + hh * q2
+{2}
+    p4, q4 = du + h * a3u, dv + h * a3v
+    x, y = u + h * p3, v + h * q3
+{3}
+    s = h / 6.0
+    return {post}(chart, u + s * (p1 + 2 * p2 + 2 * p3 + p4),
+        v + s * (q1 + 2 * q2 + 2 * q3 + q4),
+        du + s * (a1u + 2 * a2u + 2 * a3u + a4u),
+        dv + s * (a1v + 2 * a2v + 2 * a3v + a4v))
+"""
+_CURVED = """\
+    {metric}
+    {field}
+    a{n}u = -(ru * p{n} * p{n} + 2.0 * rv * p{n} * q{n}
+              - ru * q{n} * q{n}) - f * q{n}
+    a{n}v = -(-rv * p{n} * p{n} + 2.0 * ru * p{n} * q{n}
+              + rv * q{n} * q{n}) + f * p{n}"""
+_FLAT = "    {field}\n    a{n}u, a{n}v = -f * q{n}, f * p{n}"
+_compiled = functools.lru_cache(maxsize=64)(compile)
+
+
 def _make_step(system, post_step=None):
-    """One RK4 step on plain floats (chart, u, v, du, dv, h), make_rhs
-    inlined into each stage, then post_step (by default the surface's
-    chart rule)."""
-    rho_grad = system.surface.rho_grad
-    fscalar = system.field.scalar
+    """One RK4 step on plain floats (chart, u, v, du, dv, h), then
+    post_step (by default the surface's chart rule): _RK4 compiled once per
+    distinct source, its values bound by name, never written into it."""
+    metric, names = system.surface.step_source()
+    field, fnames = system.field.step_source()
     post_step = post_step or system.surface.post_step
-
-    def step(chart, u, v, du, dv, h):
-        hh = 0.5 * h
-        (ru, rv), f = rho_grad(chart, u, v), fscalar(chart, u, v)
-        a1u = -(ru * du * du + 2.0 * rv * du * dv - ru * dv * dv) - f * dv
-        a1v = -(-rv * du * du + 2.0 * ru * du * dv + rv * dv * dv) + f * du
-        p2, q2 = du + hh * a1u, dv + hh * a1v
-        x, y = u + hh * du, v + hh * dv
-        (ru, rv), f = rho_grad(chart, x, y), fscalar(chart, x, y)
-        a2u = -(ru * p2 * p2 + 2.0 * rv * p2 * q2 - ru * q2 * q2) - f * q2
-        a2v = -(-rv * p2 * p2 + 2.0 * ru * p2 * q2 + rv * q2 * q2) + f * p2
-        p3, q3 = du + hh * a2u, dv + hh * a2v
-        x, y = u + hh * p2, v + hh * q2
-        (ru, rv), f = rho_grad(chart, x, y), fscalar(chart, x, y)
-        a3u = -(ru * p3 * p3 + 2.0 * rv * p3 * q3 - ru * q3 * q3) - f * q3
-        a3v = -(-rv * p3 * p3 + 2.0 * ru * p3 * q3 + rv * q3 * q3) + f * p3
-        p4, q4 = du + h * a3u, dv + h * a3v
-        x, y = u + h * p3, v + h * q3
-        (ru, rv), f = rho_grad(chart, x, y), fscalar(chart, x, y)
-        a4u = -(ru * p4 * p4 + 2.0 * rv * p4 * q4 - ru * q4 * q4) - f * q4
-        a4v = -(-rv * p4 * p4 + 2.0 * ru * p4 * q4 + rv * q4 * q4) + f * p4
-        s = h / 6.0
-        return post_step(chart,
-                         u + s * (du + 2 * p2 + 2 * p3 + p4),
-                         v + s * (dv + 2 * q2 + 2 * q3 + q4),
-                         du + s * (a1u + 2 * a2u + 2 * a3u + a4u),
-                         dv + s * (a1v + 2 * a2v + 2 * a3v + a4v))
-
-    return step
+    stage = _FLAT if metric is None else _CURVED
+    source = _RK4.format(*(stage.format(metric=metric, field=field, n=n)
+                           for n in range(1, 5)),
+                         # the base class's identity rule is a plain tuple
+                         post="" if getattr(post_step, "__func__", None)
+                         is Surface.post_step else "post_step")
+    namespace = {**names, **fnames, "post_step": post_step}
+    exec(_compiled(source, "<rk4 step>", "exec"), namespace)
+    return namespace["step"]
 
 
-def _require_finite(state):
+def _require_inputs(state, every=1, **args):
+    """A finite state, dt, t_end and max_time finite and positive and every
+    (record_every) an integer >= 1, or a DegenerateInputError naming it."""
     if not all(map(math.isfinite, (state.u, state.v, state.du, state.dv))):
         raise DegenerateInputError(f"non-finite state {state}")
+    for name, x in args.items():
+        if not 0.0 < x < math.inf:
+            raise DegenerateInputError(f"{name} must be finite and > 0: {x}")
+    if not (isinstance(every, numbers.Integral) and every >= 1):
+        raise DegenerateInputError(f"record_every must be >= 1: {every}")
 
 
 def _check_blowup(u, v, du, dv, t):
@@ -129,7 +152,7 @@ def energy_of(system, state):
 
 def state_at_energy(system, state, k):
     """Rescale the velocity so the state sits on the energy level k."""
-    _require_finite(state)
+    _require_inputs(state)
     e = energy_of(system, state)
     if e <= 0.0:
         raise DegenerateInputError("cannot rescale a zero velocity")
@@ -150,10 +173,10 @@ def integrate(system, state0, t_end, dt=DEFAULT_DT, record_every=1):
     falls below the surface's floor, and a run that goes non-finite raises
     DomainError.
     """
+    _require_inputs(state0, record_every, t_end=t_end, dt=dt)
     step = _make_step(system)
     floor = system.surface.floor
     n_steps = _step_count(t_end, dt)
-    _require_finite(state0)
     chart, u, v, du, dv = (state0.chart, state0.u, state0.v,
                            state0.du, state0.dv)
     system.surface.check_domain(chart, u, v)
@@ -294,12 +317,12 @@ def poincare_return(system, section, state0, max_time=200.0, dt=DEFAULT_DT,
     passed as record receives state0 and every full dt step taken, the step
     over the crossing too.
     """
+    _require_inputs(state0, max_time=max_time, dt=dt)
     step = _make_step(system)
     cut = _make_step(system, post_step=lambda *state: state)
     floor = system.surface.floor
     ci, sval, sdir = 1 + section.coord, section.value, section.direction
     wrap, schart = section.wrap, section.chart
-    _require_finite(state0)
     st = (state0.chart, state0.u, state0.v, state0.du, state0.dv)
     add = record.add if record is not None else None
     if add is not None:

@@ -27,6 +27,9 @@ class Surface:
     lattice = None               # periods (lx, ly) of a torus lift
     constant_curvature = None    # K = 1, 0 or -1 on the homogeneous models
     floor = -math.inf            # lowest admissible v in the chart
+    # rho_grad as a source line setting ru, rv at the point x, y of chart,
+    # written into the RK4 step's stages; None marks a flat chart
+    step_line = "ru, rv = rho_grad(chart, x, y)"
 
     # -- conformal data ----------------------------------------------------
     def conformal(self, chart, u, v):
@@ -37,6 +40,10 @@ class Surface:
         """(d rho/du, d rho/dv) at a scalar point as Python floats; the
         integrator's right-hand side uses nothing else of the metric."""
         raise NotImplementedError
+
+    def step_source(self):
+        """(step_line, the names it reads) for the RK4 step."""
+        return self.step_line, {"rho_grad": self.rho_grad}
 
     def laplacian_rho(self, chart, u, v):
         """Flat Laplacian of rho, used for the Gauss curvature."""
@@ -101,6 +108,7 @@ class FlatTorus(Torus):
 
     kind = "flat_torus"
     constant_curvature = 0
+    step_line = None
 
     def conformal(self, chart, u, v):
         z = np.zeros_like(np.asarray(u, dtype=float))
@@ -122,6 +130,7 @@ class RoundSphere(Surface):
     kind = "sphere"
     n_charts = 2
     constant_curvature = 1
+    step_line = "d = 1.0 + x * x + y * y; ru, rv = -2.0 * x / d, -2.0 * y / d"
 
     def conformal(self, chart, u, v):
         u = np.asarray(u, dtype=float)
@@ -199,6 +208,7 @@ class HyperbolicPlane(Surface):
     kind = "hyperbolic"
     constant_curvature = -1
     floor = HYPERBOLIC_FLOOR
+    step_line = "ru, rv = 0.0, -1.0 / y"
 
     def __init__(self, genus=None):
         if genus is not None and genus < 2:

@@ -1,4 +1,5 @@
 """Time integration, energy conservation and return maps."""
+import ast
 import configparser
 import dataclasses
 import math
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 
 from magsurf.cli import _build_field
 from magsurf.errors import DegenerateInputError, DomainError, NoReturnError
-from magsurf.fields import (ConstantField, CosineField, MagneticSystem,
-                            TorusField, energy_of_s)
+from magsurf.fields import (CallableField, ConstantField, CosineField,
+                            MagneticSystem, TorusField, energy_of_s)
 from magsurf.flow import (Section, TangentState, _make_step, energy_of,
                           integrate, make_rhs, poincare_return,
                           state_at_energy, trajectory_curvature,
@@ -466,9 +467,10 @@ def test_blown_up_but_finite_return_is_a_domain_error():
                         TangentState(0, 0.1, 0.2, 30.0, 40.0), dt=0.5)
 
 
-def _rk4_reference(system, chart, u, v, du, dv, h):
-    """Classical RK4 on (u, v, du, dv) over make_rhs, then the surface's
-    post_step: the step _make_step inlines, in the same operation order."""
+def _rk4_reference(system, chart, u, v, du, dv, h, post_step=None):
+    """Classical RK4 on (u, v, du, dv) over make_rhs, then post_step (by
+    default the surface's): the step _make_step writes out, in the same
+    operation order."""
     rhs = make_rhs(system)
     hh = 0.5 * h
     a1u, a1v = rhs(chart, u, v, du, dv)
@@ -479,7 +481,7 @@ def _rk4_reference(system, chart, u, v, du, dv, h):
     du4, dv4 = du + h * a3u, dv + h * a3v
     a4u, a4v = rhs(chart, u + h * du3, v + h * dv3, du4, dv4)
     s = h / 6.0
-    return system.surface.post_step(
+    return (post_step or system.surface.post_step)(
         chart,
         u + s * (du + 2 * du2 + 2 * du3 + du4),
         v + s * (dv + 2 * dv2 + 2 * dv3 + dv4),
@@ -507,8 +509,15 @@ def _step_cases():
         "sphere-constant": (MagneticSystem(RoundSphere(),
                                            ConstantField(-0.8)),
                             (-2.5, 2.5)),
+        "sphere-callable": (MagneticSystem(RoundSphere(), CallableField(
+            lambda c, u, v: 0.5 + 0.3 * np.sin(u + c) * np.cos(v))),
+                            (-2.5, 2.5)),
         "halfplane-constant": (MagneticSystem(HyperbolicPlane(genus=2),
                                               ConstantField(1.7)),
+                               (0.3, 3.0)),
+        "halfplane-callable": (MagneticSystem(HyperbolicPlane(genus=2),
+                                              CallableField(
+            lambda c, u, v: 1.2 + 0.4 * np.cos(u) / (1.0 + v * v))),
                                (0.3, 3.0)),
         "conformal-constant": (MagneticSystem(ConformalTorus(grid),
                                               ConstantField(0.9)),
@@ -523,17 +532,56 @@ def _step_cases():
                          ids=list(_step_cases()))
 @given(chart=st.integers(0, 1), u=st.floats(-2.5, 2.5),
        w=st.floats(0.0, 1.0), du=st.floats(-3.0, 3.0),
-       dv=st.floats(-3.0, 3.0), h=st.floats(1e-4, 0.05))
+       dv=st.floats(-3.0, 3.0), h=st.floats(1e-4, 0.05), cut=st.booleans())
 @settings(max_examples=60, deadline=None)
-def test_step_is_rk4_over_make_rhs(system, vrange, chart, u, w, du, dv, h):
-    """The dt step inlines make_rhs into its four stages; it equals the
-    classical RK4 over make_rhs bit for bit."""
+def test_step_is_rk4_over_make_rhs(system, vrange, chart, u, w, du, dv, h,
+                                   cut):
+    """The dt step writes make_rhs into its four stages; it equals the
+    classical RK4 over make_rhs bit for bit, and so does the step a
+    section crossing cuts short, built with the identity post_step."""
     lo, hi = vrange
     if system.surface.n_charts == 1:
         chart = 0
     v = lo + w * (hi - lo)
-    got = _make_step(system)(chart, u, v, du, dv, h)
-    assert got == _rk4_reference(system, chart, u, v, du, dv, h)
+    post_step = (lambda *state: state) if cut else None
+    got = _make_step(system, post_step)(chart, u, v, du, dv, h)
+    assert got == _rk4_reference(system, chart, u, v, du, dv, h, post_step)
+
+
+@pytest.mark.parametrize("system", [c[0] for c in _step_cases().values()],
+                         ids=list(_step_cases()))
+def test_step_sources_are_numpy_free(system):
+    """The per-point lines the step is written from are source text, out of
+    the structure guard's reach: they name no numpy, and the compiled
+    step's namespace holds no numpy object."""
+    for line, _ in (system.surface.step_source(),
+                    system.field.step_source()):
+        assert not {n.id for n in ast.walk(ast.parse(line or ""))
+                    if isinstance(n, ast.Name)} & {"np", "numpy"}
+    for value in _make_step(system).__globals__.values():
+        assert value is not np
+        assert type(value).__module__.partition(".")[0] != "numpy"
+
+
+@pytest.mark.parametrize("entry,args,name", [
+    ("integrate", {"dt": -1e-3}, "dt"),
+    ("integrate", {"dt": 0.0}, "dt"),
+    ("integrate", {"t_end": -5.0}, "t_end"),
+    ("integrate", {"t_end": math.nan}, "t_end"),
+    ("integrate", {"record_every": 0}, "record_every"),
+    ("return", {"dt": -1e-3}, "dt"),
+    ("return", {"max_time": math.inf}, "max_time"),
+])
+def test_step_arguments_are_checked_at_entry(entry, args, name):
+    """A negative or zero dt, a t_end or max_time that is not finite and
+    positive, and a record_every below 1 raise before any step."""
+    system, st0 = _systems()[0][1:]
+    with pytest.raises(DegenerateInputError, match=f"^{name} "):
+        if entry == "integrate":
+            integrate(system, st0, **{"t_end": 1.0, **args})
+        else:
+            poincare_return(system, Section(coord=0, value=0.37, wrap=1.0),
+                            st0, **args)
 
 
 @pytest.mark.parametrize("chart", [0, 1])

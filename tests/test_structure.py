@@ -93,11 +93,13 @@ def test_no_surface_type_probes_outside_surfaces():
 
 # The stepping core: the one RK4 step (full dt steps, and the step cut
 # short on a section at a crossing) and its reference right-hand side in
-# flow.py, and the per-point methods they call on surfaces and fields, use
-# no numpy.  The conformal torus's rho_grad reads its spline through the
-# cell lookup and Horner helper of PeriodicBicubic.
+# flow.py, and the per-point methods they call or write in on surfaces and
+# fields, use no numpy.  The conformal torus's rho_grad reads its spline
+# through the cell lookup and Horner helper of PeriodicBicubic.  The source
+# lines step_source gives are checked in test_dynamics.
 CORE_FUNCTIONS = {"make_rhs", "_make_step"}
-CORE_METHODS = {"rho_grad", "scalar", "cell_of", "patch_grad"}
+CORE_METHODS = {"rho_grad", "scalar", "step_source", "cell_of",
+                "patch_grad"}
 
 
 def _numpy_uses(path):
