@@ -85,12 +85,14 @@ class CosineField(TorusField):
                 dict(amp=self.amp, lx=self.lx, cos=math.cos, pi=math.pi))
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class MagneticSystem:
-    """A surface together with a magnetic field density."""
+    """A surface and a field density, frozen: local_primitive caches in it."""
 
     surface: object
     field: MagneticField
+    primitives: dict = dataclasses.field(default_factory=dict, init=False,
+                                         repr=False, compare=False)
 
     def form_density(self, chart, u, v):
         """Chart density of sigma, i.e. f * e^(2 rho)."""
@@ -316,7 +318,7 @@ class TorusSpectralPrimitive(FourierOneForm):
 
 
 def local_primitive(system, chart=0, winds=False):
-    """Build a primitive of sigma usable on the given chart.
+    """A primitive of sigma usable on the given chart, built once per system.
 
     Constant fields on the homogeneous surfaces get closed forms: -c v du
     on the flat torus, c du / v on the half-plane and the rotation-symmetric
@@ -331,6 +333,16 @@ def local_primitive(system, chart=0, winds=False):
     A curve that winds around the torus (winds) needs a lattice-periodic
     primitive; when the field has none, NoGlobalPrimitiveError is raised.
     """
+    prim = system.primitives.get(chart)
+    if prim is None:
+        prim = system.primitives[chart] = _build_primitive(system, chart)
+    if winds and not prim.periodic:
+        raise NoGlobalPrimitiveError(
+            "a winding curve needs a periodic primitive; this field has none")
+    return prim
+
+
+def _build_primitive(system, chart):
     surf = system.surface
     fld = system.field
     prim = None
@@ -352,9 +364,4 @@ def local_primitive(system, chart=0, winds=False):
                 prim = TorusSpectralPrimitive(system)
             except NoGlobalPrimitiveError:
                 pass
-    if prim is None:
-        prim = LineIntegralPrimitive(system, chart)
-    if winds and not prim.periodic:
-        raise NoGlobalPrimitiveError(
-            "a winding curve needs a periodic primitive; this field has none")
-    return prim
+    return prim or LineIntegralPrimitive(system, chart)

@@ -71,8 +71,9 @@ class Region:
 
 
 def curve_length(system, curve):
-    return _length(system.surface, curve.chart,
-                   curve.padded(system.surface)[:, 1:])
+    pts = curve.padded(system.surface)[:, 1:]
+    return _length(system.surface, curve.chart, pts,
+                   _norm2(pts[:, 1:] - pts[:, :-1]))
 
 
 def region_flux(system, region):
@@ -120,17 +121,18 @@ def _norm2(d):
     return np.sqrt(d[0] * d[0] + d[1] * d[1])
 
 
-def _length(surf, chart, pts):
+def _length(surf, chart, pts, lens):
     """Midpoint-rule metric length of the polyline through the columns of
-    pts (2, M + 1)."""
+    pts (2, M + 1), whose M edges have chart lengths lens."""
     mids = 0.5 * (pts[:, :-1] + pts[:, 1:])
     rho = np.asarray(surf.conformal(chart, mids[0], mids[1])[0], float)
-    return float((np.exp(rho) * _norm2(pts[:, 1:] - pts[:, :-1])).sum())
+    return float((np.exp(rho) * lens).sum())
 
 
 def _geometry(surf, chart, buf):
-    """Geodesic curvature (N,), outward unit normal (2, N) and conformal
-    factor rho (N,) at the vertices of a padded curve buffer (2, N + 2)."""
+    """Geodesic curvature (N,), outward unit normal (2, N), least conformal
+    factor rho and metric length of a padded curve buffer (2, N + 2); on a
+    flat chart (``step_line`` None) rho = 0 and e^0 = 1 exactly."""
     d = buf[:, 1:] - buf[:, :-1]            # edges prev->x, then x->next
     lens = _norm2(d)
     l1 = lens[:-1]
@@ -141,14 +143,17 @@ def _geometry(surf, chart, buf):
     denom = l1 * l2 * chord
     if (denom <= 0).any():
         raise DegenerateInputError("degenerate polygon edge")
-    kappa_e = 2.0 * cross / denom
+    kappa = 2.0 * cross / denom
     tang /= chord
     normal = tang[::-1]                     # right of travel: (t_v, -t_u)
     normal[1] *= -1.0
+    if surf.step_line is None:
+        return kappa, normal, 0.0, float(l2.sum())
+    length = _length(surf, chart, buf[:, 1:], l2)
     rho, ru, rv = surf.conformal(chart, buf[0, 1:-1], buf[1, 1:-1])
     rho = np.asarray(rho, float)
-    kappa = np.exp(-rho) * (kappa_e + (ru * normal[0] + rv * normal[1]))
-    return kappa, normal, rho
+    kappa = np.exp(-rho) * (kappa + (ru * normal[0] + rv * normal[1]))
+    return kappa, normal, float(rho.min()), length
 
 
 def _resample(pts, shift, spacing):
@@ -177,7 +182,7 @@ def _curve(buf, chart, winding):
 def curve_geometry(system, curve):
     """Per-vertex geodesic curvature and Euclidean outward unit normal."""
     surf = system.surface
-    kappa, normal, _ = _geometry(surf, curve.chart, curve.padded(surf))
+    kappa, normal, _, _ = _geometry(surf, curve.chart, curve.padded(surf))
     return kappa, normal.T
 
 
@@ -188,21 +193,36 @@ def resample_curve(curve, spacing, surface):
     return _curve(buf, curve.chart, curve.winding)
 
 
-def curve_is_simple(curve, surface):
-    """Whether no two non-adjacent edges of the curve cross properly.
+def curve_is_simple(buf):
+    """Whether no two non-adjacent edges of the closed curve in the padded
+    buffer buf (2, N + 2) (``ClosedPolyline.padded``) cross properly.
 
-    Sort and sweep (M. I. Shamos and D. Hoey, Proc. 17th IEEE FOCS (1976)
-    208-215) along the longer side of the bounding box, chosen per curve (a
-    strip boundary winding in y hardly spans x): each edge, in order of its
-    low end, is tested against the later edges whose low ends lie below its
+    Two kinds exit at once: a contractible curve whose turns share one
+    strict sign and add up to +-2 pi (not 4 pi: wound twice) is convex, and
+    a curve closing up to a lattice shift and strictly monotone along the
+    shift's larger axis is a graph over it.  Any other is swept.  Sort and
+    sweep (M. I. Shamos and D. Hoey, Proc. 17th IEEE FOCS (1976) 208-215)
+    along the longer side of the bounding box, chosen per curve (a strip
+    boundary winding in y hardly spans x): each edge, in order of its low
+    end, is tested against the later edges whose low ends lie below its
     high end, which holds every pair that can cross; neighbouring edges,
     the last and the first too, are skipped.  The test is the all-pairs one
     (t, s in (eps, 1 - eps), |den| > eps = 1e-12), symmetric bit for bit in
     the two edges, so the verdict is the all-pairs one, bar near-parallel
     edges (|den| near eps) whose crossing that arithmetic cannot place.
     """
-    buf = curve.padded(surface)
-    x, nxt = buf[:, 1:-1], buf[:, 2:]       # edge i runs x[:, i] -> nxt[:, i]
+    d = buf[:, 1:] - buf[:, :-1]            # edges prev->x, then x->next
+    shift = buf[:, -1] - buf[:, 1]
+    if shift.any():                         # a graph over the shift's axis
+        axis = int(np.argmax(np.abs(shift)))
+        if (d[axis, 1:] * shift[axis] > 0.0).all():
+            return True
+    else:                                   # one turn sign, turning 2 pi
+        cross = d[0, :-1] * d[1, 1:] - d[1, :-1] * d[0, 1:]
+        turn = np.arctan2(cross, (d[:, :-1] * d[:, 1:]).sum(axis=0)).sum()
+        if (cross * turn > 0.0).all() and abs(turn) < 3.0 * math.pi:
+            return True
+    x, nxt, d = buf[:, 1:-1], buf[:, 2:], d[:, 1:]  # edge i: x[:, i] -> nxt
     n = x.shape[1]
     axis = int(np.argmax(x.max(axis=1) - x.min(axis=1)))
     lo = np.minimum(x[axis], nxt[axis])
@@ -218,7 +238,6 @@ def curve_is_simple(curve, surface):
     gap = np.abs(a - b)
     keep = (gap != 1) & (gap != n - 1)
     a, b = a[keep], b[keep]
-    d = nxt - x
     d1, d2 = d.take(a, axis=1), d.take(b, axis=1)
     diff = x.take(b, axis=1) - x.take(a, axis=1)
     den = d1[0] * d2[1] - d1[1] * d2[0]
@@ -239,9 +258,9 @@ class EvolveParams:
     spacing: float = 0.02
 
     def __post_init__(self):
-        if not self.spacing > 0.0:          # NaN too
-            raise DegenerateInputError(f"spacing {self.spacing} is not "
-                                       "positive")
+        if not (self.tol > 0.0 and self.spacing > 0.0 and self.max_iter >= 1):
+            raise DegenerateInputError(       # NaN fails the test too
+                f"need tol > 0, spacing > 0 and max_iter >= 1: {self}")
 
 
 @dataclasses.dataclass
@@ -276,11 +295,13 @@ def evolve_minimize(system, k, region, params=None):
     unchanged as stationary, with its value.
 
     Between iterations a curve is its chart, winding, closure shift,
-    padded coordinate rows (2, N + 2), previous | vertices | next, and
-    vertex spacing; one iteration moves the middle columns in place,
-    closes the ends again and resamples into the next buffer, with no
-    ``RegionCurve`` in between.  ``tests/test_evolve_golden.py`` pins the
-    outcome, iterations, value, residual and vertices bit for bit.
+    padded coordinate rows (2, N + 2), previous | vertices | next, vertex
+    spacing and ``_geometry``, taken once per resample for the vanishing
+    test and the next move (no conformal factor on a flat chart).  One
+    iteration moves the middle columns in place, closes the ends again and
+    resamples into the next buffer, with no ``RegionCurve`` in between;
+    ``curve_is_simple`` reads the buffers.  ``tests/test_evolve_golden.py``
+    pins the outcome, iterations, value, residual and vertices bit for bit.
     """
     if params is None:
         params = EvolveParams()
@@ -296,22 +317,20 @@ def evolve_minimize(system, k, region, params=None):
     for c in region.curves:
         shift = c.closure_shift(surf)
         buf, ds = _resample(c.padded(surf)[:, 1:], shift, params.spacing)
-        loops.append((c.chart, c.winding, shift, buf, ds))
+        loops.append((c.chart, c.winding, shift, buf, ds,
+                      *_geometry(surf, c.chart, buf)))
     step = STEP_FACTOR * params.spacing ** 2 / sqrt2k
     symbols = {}                  # vertex count N -> 2 - 2 cos(2 pi j / N)
     outcome = "max_iter"
-    it = 0
     for it in range(1, params.max_iter + 1):
         residual = 0.0
         kept = []
         vanished = False
-        for chart, winding, shift, buf, ds in loops:
-            kappa, normal, rho = _geometry(surf, chart, buf)
+        for chart, winding, shift, buf, ds, kappa, normal, rho_min, _ in loops:
             x = buf[:, 1:-1]
             f = np.asarray(system.field.eval(chart, x[0], x[1]), float)
             defect = sqrt2k * kappa - o * f
             residual = max(residual, float(np.abs(kappa - o * s * f).max()))
-            rho_min = float(rho.min())
             h = step * min(1.0, 2.0 * math.exp(rho_min))
             n = x.shape[1]
             if n not in symbols:
@@ -327,11 +346,11 @@ def evolve_minimize(system, k, region, params=None):
                     f"curve evolution left chart {chart} at iteration {it}")
             buf, ds = _resample(close_padded(buf, shift)[:, 1:], shift,
                                 params.spacing)
-            if winding == (0, 0) and \
-                    _length(surf, chart, buf[:, 1:]) < MIN_LENGTH:
+            geo = _geometry(surf, chart, buf)
+            if winding == (0, 0) and geo[3] < MIN_LENGTH:   # its length
                 vanished = True
             else:
-                kept.append((chart, winding, shift, buf, ds))
+                kept.append((chart, winding, shift, buf, ds, *geo))
         if vanished and not kept:
             outcome = "vanished"
             loops = []
@@ -340,18 +359,16 @@ def evolve_minimize(system, k, region, params=None):
         if residual < params.tol:
             outcome = "stationary"
             break
-        if it % CHECK_EVERY == 0:
-            if not all(curve_is_simple(_curve(buf, chart, winding), surf)
-                       for chart, winding, _, buf, _ in loops):
-                outcome = "halted"
-                break
+        if it % CHECK_EVERY == 0 and \
+                not all(curve_is_simple(buf) for _, _, _, buf, *_ in loops):
+            outcome = "halted"
+            break
     curves = [_curve(buf, chart, winding)
-              for chart, winding, _, buf, _ in loops]
+              for chart, winding, _, buf, *_ in loops]
     final = Region(curves=curves, orientation=o)
     value = 0.0 if not curves else taimanov_value(system, k, final)
     res = 0.0
-    for chart, _, _, buf, _ in loops:
-        kappa, _, _ = _geometry(surf, chart, buf)
+    for chart, _, _, buf, _, kappa, *_ in loops:
         f = np.asarray(system.field.eval(chart, buf[0, 1:-1], buf[1, 1:-1]),
                        float)
         res = max(res, float(np.abs(kappa - o * s * f).max()))
@@ -371,8 +388,8 @@ def tau_estimate(system, seed_regions, k_lo, k_hi, bisect_iters=20,
     bisection's name).  Returns 0.0 if k_lo admits no negative value; raises
     NoBracketError once r reaches k_hi (r is infinite without a boundary).
     """
-    if k_lo <= 0 or k_hi <= k_lo:
-        raise DegenerateInputError("need 0 < k_lo < k_hi")
+    if k_lo <= 0 or k_hi <= k_lo or bisect_iters < 0:
+        raise DegenerateInputError("need 0 < k_lo < k_hi, bisect_iters >= 0")
     k, tau, todo = k_lo, 0.0, seed_regions
     for n in range(bisect_iters + 1):
         results = [evolve_minimize(system, k, region, params)

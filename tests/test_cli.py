@@ -440,6 +440,32 @@ max_iter = 4000
     assert err.startswith("error: ") and "iteration" in err
 
 
+@pytest.mark.parametrize("key,value", [("tol", "0"), ("tol", "-1e-3"),
+                                       ("max_iter", "0")])
+def test_taimanov_rejects_unreachable_tol_and_no_iterations(
+        capsys, tmp_path, key, value):
+    """A tol that is not positive or a max_iter below 1 ends with an error
+    naming it (exit 1) before any evolution."""
+    text = f"""\
+[surface]
+kind = flat_torus
+
+[field]
+type = constant
+value = 1.0
+
+[run]
+s = 8.0
+radius = 0.1
+{key} = {value}
+"""
+    code = main(["taimanov", _write(tmp_path, text), "--out",
+                 str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and f"{key}=" in err
+
+
 def test_contact_check_sphere(capsys, tmp_path):
     text = """\
 [surface]

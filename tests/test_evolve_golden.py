@@ -10,11 +10,14 @@ rewrite of the evolution must reproduce them exactly.  The
 criterion 08's strip and the tau it returns, by Dinkelbach's ratio
 iteration.
 
-Re-record only for a change that is meant to alter the numbers, and say
-so: ``python tests/test_evolve_golden.py [NAME ...]`` rewrites the named
-entries, or all of them when none is named, keeps the others, and prints a
-Markdown table of old -> new outcome, iterations, value and residual for
-each rewritten entry.
+``python tests/test_evolve_golden.py --check [NAME ...]`` runs the named
+entries, or all of them, and prints match or mismatch for each without
+writing; it exits 1 on any mismatch.  Re-record only for a change that is
+meant to alter the numbers, and say so: ``python
+tests/test_evolve_golden.py [NAME ...]`` rewrites the named entries, or
+all of them when none is named, keeps the others, and prints a Markdown
+table of old -> new outcome, iterations, value and residual for each
+rewritten entry.
 """
 import json
 import math
@@ -28,7 +31,8 @@ from magsurf import regions
 from magsurf.fields import (ConstantField, MagneticSystem, TorusField,
                             energy_of_s)
 from magsurf.regions import EvolveParams, Region, RegionCurve
-from magsurf.surfaces import FlatTorus, HyperbolicPlane, RoundSphere
+from magsurf.surfaces import (ConformalTorus, FlatTorus, HyperbolicPlane,
+                              RoundSphere)
 
 GOLDEN = pathlib.Path(__file__).with_name("evolve_golden.json")
 
@@ -55,6 +59,13 @@ def _favorable_strip(x0=0.3, x1=0.7, n=64):
                    for c in (right, left)], orientation=-1)
 
 
+def _conformal_torus():
+    """A smooth conformal factor of amplitude 0.1 on a 32 x 32 grid."""
+    x = np.arange(32) / 32
+    return ConformalTorus(0.1 * np.cos(2.0 * np.pi * (x[:, None] + 0.3))
+                          * np.sin(2.0 * np.pi * x[None, :]))
+
+
 def _cosine_system():
     return MagneticSystem(FlatTorus(), TorusField(
         lambda x, y: 2.0 * math.pi * np.cos(2.0 * math.pi * x)))
@@ -66,6 +77,11 @@ EVOLVE_CASES = {
         MagneticSystem(FlatTorus(), TorusField(_bump)), energy_of_s(24.0),
         Region([_disc((0.51, 0.49), 0.2)], orientation=-1),
         EvolveParams(spacing=0.01, max_iter=300)),
+    "conformal_torus_bump_disc": lambda: (
+        MagneticSystem(_conformal_torus(), TorusField(_bump)),
+        energy_of_s(24.0),
+        Region([_disc((0.5, 0.45), 0.2)], orientation=-1),
+        EvolveParams(spacing=0.02, max_iter=400)),
     "constant_disc_vanishes": lambda: (
         MagneticSystem(FlatTorus(), ConstantField(1.0)), energy_of_s(2.5),
         Region([_disc((0.5, 0.5), 0.15)]), EvolveParams()),
@@ -124,6 +140,13 @@ def _check(got, want):
         assert np.array_equal(g, w)
 
 
+def _check_tau(got, want):
+    assert got["tau"] == want["tau"], "tau"
+    assert len(got["evolutions"]) == len(want["evolutions"])
+    for g, w in zip(got["evolutions"], want["evolutions"]):
+        _check(g, w)
+
+
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(GOLDEN.read_text())
@@ -135,12 +158,7 @@ def test_evolution_matches_golden(golden, name):
 
 
 def test_tau_estimate_matches_golden(golden, monkeypatch):
-    got = _run_tau(monkeypatch)
-    want = golden["criterion_08_tau"]
-    assert got["tau"] == want["tau"]
-    assert len(got["evolutions"]) == len(want["evolutions"])
-    for g, w in zip(got["evolutions"], want["evolutions"]):
-        _check(g, w)
+    _check_tau(_run_tau(monkeypatch), golden["criterion_08_tau"])
 
 
 def _changes(name, old, new):
@@ -176,8 +194,20 @@ if __name__ == "__main__":
     runs = {name: (lambda name=name: _run_evolve(name))
             for name in sorted(EVOLVE_CASES)}
     runs["criterion_08_tau"] = _run_tau
-    names = sys.argv[1:] or list(runs)
+    check = "--check" in sys.argv[1:]
+    names = [a for a in sys.argv[1:] if a != "--check"] or list(runs)
     data = json.loads(GOLDEN.read_text())
+    if check:
+        bad = 0
+        for name in names:
+            got = runs[name]()
+            try:
+                (_check_tau if "tau" in got else _check)(got, data[name])
+                print(f"{name}: match")
+            except (AssertionError, KeyError) as exc:
+                bad += 1
+                print(f"{name}: mismatch ({exc!r})")
+        sys.exit(1 if bad else 0)
     old = dict(data)
     for name in names:
         data[name] = runs[name]()

@@ -1,5 +1,6 @@
 """Fields, fluxes and local primitives of the magnetic form."""
 import configparser
+import dataclasses
 import math
 
 import numpy as np
@@ -135,6 +136,47 @@ def test_local_primitive_skips_spectral_solve_of_inexact_field(monkeypatch):
         prim = local_primitive(MagneticSystem(FlatTorus(), TorusField(f)))
         assert isinstance(prim, TorusSpectralPrimitive)
     assert sizes == [256, 256]
+
+
+def test_local_primitive_is_built_once_per_system(monkeypatch):
+    """A frozen system caches its primitive per chart: every flux of one
+    tau_estimate on criterion 08's strip reads one 256 x 256 Poisson
+    solve, and a second system makes its own.  A winding request still
+    raises on a cached primitive that is not periodic."""
+    from magsurf import regions
+
+    sizes = []
+    solve = fields.periodic_poisson
+    monkeypatch.setattr(fields, "periodic_poisson",
+                        lambda system, n: sizes.append(n) or solve(system, n))
+    evolve = regions.evolve_minimize
+    runs = []
+    monkeypatch.setattr(regions, "evolve_minimize",
+                        lambda *a: runs.append(1) or evolve(*a))
+    cosine = TorusField(lambda x, y: 2 * np.pi * np.cos(2 * np.pi * x))
+    system = MagneticSystem(FlatTorus(), cosine)
+    n = 32
+    ys = np.arange(n) / n
+    strip = regions.Region([
+        regions.RegionCurve(np.column_stack([np.full(n, 0.7), ys])[::-1],
+                            winding=(0, -1)),
+        regions.RegionCurve(np.column_stack([np.full(n, 0.3), 1.0 - ys])
+                            [::-1], winding=(0, 1))], orientation=-1)
+    regions.tau_estimate(system, [strip], 0.12, 1.0, bisect_iters=3,
+                         params=regions.EvolveParams(spacing=0.04))
+    assert len(runs) >= 2
+    assert sizes == [256]
+    assert local_primitive(system, 0, True) is local_primitive(system)
+    local_primitive(MagneticSystem(FlatTorus(), cosine))
+    assert sizes == [256, 256]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        system.field = ConstantField(1.0)
+    bump = MagneticSystem(FlatTorus(), TorusField(
+        lambda x, y: 1.0 - 2.0 * np.exp(-((x - 0.5) ** 2 + (y - 0.5) ** 2)
+                                        / 0.0625)))
+    assert not local_primitive(bump).periodic
+    with pytest.raises(NoGlobalPrimitiveError):
+        local_primitive(bump, 0, True)
 
 
 def test_line_integral_matches_flux_on_disc():

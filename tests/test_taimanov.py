@@ -251,11 +251,11 @@ def test_resample_preserves_length():
 
 def test_curve_is_simple():
     surf = FlatTorus()
-    assert curve_is_simple(_circle((0.5, 0.5), 0.2), surf)
+    assert curve_is_simple(_circle((0.5, 0.5), 0.2).padded(surf))
     t = 2 * np.pi * (np.arange(64) + 0.5) / 64
     eight = RegionCurve(np.column_stack(
         [0.5 + 0.2 * np.sin(2 * t), 0.5 + 0.1 * np.sin(t)]))
-    assert not curve_is_simple(eight, surf)
+    assert not curve_is_simple(eight.padded(surf))
 
 
 SHAPES = ("jittered_circle", "star", "figure_eight", "cloud", "near_touch",
@@ -325,7 +325,65 @@ def test_curve_is_simple_matches_all_pairs(kind, n, seed, amp):
     curve = _test_polygon(kind, n, seed, amp)
     hit = _crossing_matrix(curve, surf)
     assert (hit == hit.T).all()
-    assert curve_is_simple(curve, surf) == (not hit.any())
+    assert curve_is_simple(curve.padded(surf)) == (not hit.any())
+
+
+def _swept(curve, surf, monkeypatch):
+    """curve_is_simple's verdict on the curve, and whether it reached the
+    sweep (its one np.argsort call) rather than a fast exit."""
+    calls = []
+    argsort = np.argsort
+    with monkeypatch.context() as mp:
+        mp.setattr(np, "argsort",
+                   lambda *a, **kw: calls.append(1) or argsort(*a, **kw))
+        verdict = curve_is_simple(curve.padded(surf))
+    return verdict, bool(calls)
+
+
+def test_oracle_shapes_take_the_fast_exit(monkeypatch):
+    """The oracle property reaches both exits and the sweep: a regular
+    polygon or a lightly jittered circle is convex and every strip is
+    monotone in y, so they skip the sweep; figure eights, clouds and
+    pinched circles are swept."""
+    surf = FlatTorus()
+    fast = {kind: sum(not _swept(_test_polygon(kind, 60, seed, seed / 19),
+                                 surf, monkeypatch)[1] for seed in range(20))
+            for kind in SHAPES}
+    assert fast["strip_small_jitter"] == fast["strip_large_jitter"] == 20
+    assert fast["jittered_circle"] > 0 and fast["star"] > 0
+    assert fast["figure_eight"] == fast["cloud"] == fast["near_touch"] == 0
+
+
+def test_curve_wound_twice_is_not_simple(monkeypatch):
+    """The heptagram {7/2} turns the same way at every vertex, through 4 pi
+    in all: locally convex but wound twice, so the convex exit must not
+    take it, and the sweep finds its crossings."""
+    surf = FlatTorus()
+    ang = 4.0 * np.pi * np.arange(7) / 7
+    curve = RegionCurve(0.5 + 0.3 * np.column_stack([np.cos(ang),
+                                                     np.sin(ang)]))
+    d = np.roll(curve.vertices, -1, axis=0) - curve.vertices
+    e = np.roll(d, -1, axis=0)
+    assert (d[:, 0] * e[:, 1] - d[:, 1] * e[:, 0] > 0).all()
+    assert _crossing_matrix(curve, surf).any()
+    assert _swept(curve, surf, monkeypatch) == (False, True)
+
+
+@pytest.mark.parametrize("fold,crosses", [
+    ({5: (0.35, 0.2)}, False),
+    ({5: (0.35, 0.1), 6: (0.25, 0.2)}, True)], ids=["apart", "crossing"])
+def test_strip_with_backward_step_is_swept(monkeypatch, fold, crosses):
+    """A strip boundary winding in y with one step back down is not
+    monotone, so it falls through to the sweep, which gives the all-pairs
+    verdict whether or not the fold crosses the line below it."""
+    surf = FlatTorus()
+    n = 16
+    pts = np.column_stack([np.full(n, 0.3), np.arange(n) / n])
+    for i, p in fold.items():
+        pts[i] = p
+    curve = RegionCurve(pts, winding=(0, 1))
+    assert _crossing_matrix(curve, surf).any() == crosses
+    assert _swept(curve, surf, monkeypatch) == (not crosses, True)
 
 
 def test_evolution_constant_field_stationary_circle():
@@ -397,7 +455,7 @@ def test_evolution_halts_on_self_crossing_seed():
     assert res.outcome == "halted"
     assert res.iterations == CHECK_EVERY
     assert len(res.region.curves) == 1
-    assert not curve_is_simple(res.region.curves[0], system.surface)
+    assert not curve_is_simple(res.region.curves[0].padded(system.surface))
 
 
 def test_evolution_step_follows_conformal_factor():
@@ -467,6 +525,25 @@ def test_evolve_params_reject_nonpositive_spacing(spacing):
     and a negative one would resample every curve to eight vertices."""
     with pytest.raises(DegenerateInputError, match="spacing"):
         EvolveParams(spacing=spacing)
+
+
+@pytest.mark.parametrize("name,value", [
+    ("tol", 0.0), ("tol", -1e-3), ("tol", math.nan), ("max_iter", 0),
+    ("max_iter", -5)])
+def test_evolve_params_reject_unreachable_tol_and_no_iterations(name,
+                                                                value):
+    """A tol that is not positive can never be met, so the run would go on
+    to max_iter, and a max_iter below 1 would hand back the seed."""
+    with pytest.raises(DegenerateInputError, match=f"{name}={value!r}"):
+        EvolveParams(**{name: value})
+
+
+def test_tau_estimate_rejects_negative_bisect_iters():
+    """bisect_iters = -1 would return 0.0, the answer for an energy that
+    admits no negative value, without evolving anything."""
+    with pytest.raises(DegenerateInputError, match="bisect_iters"):
+        tau_estimate(_cosine_system(), [_favorable_strip()], 0.1, 1.0,
+                     bisect_iters=-1)
 
 
 def test_evolution_drops_vanished_disc_and_goes_on():
