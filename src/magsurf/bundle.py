@@ -29,6 +29,7 @@ from .flow import trajectory_speeds
 from .regions import region_flux, taimanov_value
 
 _CONSISTENCY_SAMPLES = 32
+_RELATION_SAMPLES = 20
 # sampled in place of the unmodelled fundamental domain of a quotient
 _HALF_PLANE_PATCH = ((-1.0, 1.0), (0.5, 2.0))
 
@@ -89,26 +90,23 @@ def _parallelogram_residual(surface, name, z0, e1, e2, h):
     return abs(circ - flux) / (h * h)
 
 
-def structural_relations_check(surface, h=1e-3, n_samples=20, seed=0,
-                               base_box=None):
+def structural_relations_check(surface, h=1e-3):
     """Max residual (per unit area) of the three coframe derivatives over
-
-    random coordinate parallelograms of side h.  Residuals vanish at least
-    linearly in h.
+    random coordinate parallelograms of side h, _RELATION_SAMPLES of them
+    from a fixed seed.  Residuals vanish at least linearly in h.
     """
-    rng = np.random.default_rng(seed)
-    if base_box is None:
-        if surface.lattice is not None:
-            base_box = ((0.0, surface.lattice[0]), (0.0, surface.lattice[1]))
-        elif surface.constant_curvature == -1:
-            base_box = _HALF_PLANE_PATCH
-        else:
-            base_box = ((-0.8, 0.8), (-0.8, 0.8))
+    rng = np.random.default_rng(0)
+    if surface.lattice is not None:
+        base_box = ((0.0, surface.lattice[0]), (0.0, surface.lattice[1]))
+    elif surface.constant_curvature == -1:
+        base_box = _HALF_PLANE_PATCH
+    else:
+        base_box = ((-0.8, 0.8), (-0.8, 0.8))
     axes = np.eye(3)
     out = {}
     for name in ("alpha", "psi", "beta"):
         worst = 0.0
-        for _ in range(n_samples):
+        for _ in range(_RELATION_SAMPLES):
             z0 = np.array([rng.uniform(*base_box[0]),
                            rng.uniform(*base_box[1]),
                            rng.uniform(0.0, 2.0 * math.pi)])
@@ -387,10 +385,7 @@ def gauss_bonnet_action_check(system, s, orbit, region):
     # Gauss-Bonnet on the underlying disc
     traj = orbit.trajectory
     speeds = trajectory_speeds(system, traj)
-    f = np.empty(len(traj.t))
-    for c in np.unique(traj.chart):
-        on = traj.chart == c
-        f[on] = system.field.eval(int(c), traj.q[on, 0], traj.q[on, 1])
+    f = system.field.eval(traj.chart, traj.q[:, 0], traj.q[:, 1])
     turn = region.orientation * float(np.trapezoid(s * f * speeds, traj.t))
     k_int = 0.0
     if surf.constant_curvature == -1:

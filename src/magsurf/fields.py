@@ -14,40 +14,35 @@ from .errors import (DegenerateInputError, DomainError, NoGlobalPrimitiveError,
 
 
 class MagneticField:
-    """Scalar density f of the magnetic form against the area form."""
+    """Scalar density f of the magnetic form against the area form.
+
+    Each concrete field sets step_line, its one scalar copy of eval: a
+    line of Python setting f at the float point x, y of chart for the RK4
+    step's stages, with step_names, the values it reads."""
 
     def eval(self, chart, u, v):
         raise NotImplementedError
 
-    def scalar(self, chart, u, v):
-        """f at a scalar chart point as a Python float."""
-        return float(self.eval(chart, u, v))
-
-    def step_source(self):
-        """(line, names): scalar as a source line setting f at the point
-        x, y of chart, for the RK4 step's stages, and the names it reads."""
-        return "f = fscalar(chart, x, y)", {"fscalar": self.scalar}
-
 
 class ConstantField(MagneticField):
+    step_line = "f = fval"
+
     def __init__(self, value):
         self.value = float(value)
+        self.step_names = {"fval": self.value}
 
     def eval(self, chart, u, v):
         return np.full(np.shape(u), self.value)
-
-    def scalar(self, chart, u, v):
-        return self.value
-
-    def step_source(self):
-        return "f = fval", {"fval": self.value}
 
 
 class CallableField(MagneticField):
     """Field given by a chart-aware callable f(chart, u, v) (vectorized)."""
 
+    step_line = "f = float(fn(chart, x, y))"
+
     def __init__(self, fn):
         self.fn = fn
+        self.step_names = {"fn": fn}
 
     def eval(self, chart, u, v):
         return self.fn(chart, u, v)
@@ -56,33 +51,31 @@ class CallableField(MagneticField):
 class TorusField(MagneticField):
     """Doubly periodic field on a torus given by a plain callable f(x, y)."""
 
+    step_line = "f = float(fn(x % lx, y % ly))"
+
     def __init__(self, fn, lx=1.0, ly=1.0):
         self.fn = fn
         self.lx = float(lx)
         self.ly = float(ly)
+        self.step_names = {"fn": fn, "lx": self.lx, "ly": self.ly}
 
     def eval(self, chart, u, v):
         return self.fn(np.asarray(u, float) % self.lx,
                        np.asarray(v, float) % self.ly)
 
-    def scalar(self, chart, u, v):
-        return float(self.fn(u % self.lx, v % self.ly))
-
 
 class CosineField(TorusField):
-    """f = amp cos(2 pi x / lx); scalar is eval's formula on math.cos."""
+    """f = amp cos(2 pi x / lx); the step line is eval's formula on
+    math.cos."""
+
+    step_line = "f = amp * cos(2.0 * pi * (x % lx) / lx)"
 
     def __init__(self, amp, lx=1.0, ly=1.0):
         super().__init__(lambda x, y: amp * np.cos(2.0 * np.pi * x / lx),
                          lx=lx, ly=ly)
         self.amp = float(amp)
-
-    def scalar(self, chart, u, v):
-        return self.amp * math.cos(2.0 * math.pi * (u % self.lx) / self.lx)
-
-    def step_source(self):
-        return ("f = amp * cos(2.0 * pi * (x % lx) / lx)",
-                dict(amp=self.amp, lx=self.lx, cos=math.cos, pi=math.pi))
+        self.step_names = dict(amp=self.amp, lx=self.lx, cos=math.cos,
+                               pi=math.pi)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -7,10 +7,11 @@ The equation of motion in a conformal chart reads
 where i is the 90 degree rotation; its solutions have constant kinetic
 energy and geodesic curvature f / |q'|_g.  Integration uses a fixed-step
 classical fourth-order Runge-Kutta scheme on plain floats, whose stages
-hold the surface's and field's step_source lines (rho_grad and scalar
-written out) and make_rhs's formula; the surface's post_step rule runs
-after each step.  A section crossing lands exactly: the hit is the same
-step, cut short to the length that ends on the section.
+hold the surface's and field's step_line (the one scalar copy of each
+class's point formula, with the step_names it reads) and make_rhs's
+formula; the surface's post_step rule runs after each step.  A section
+crossing lands exactly: the hit is the same step, cut short to the length
+that ends on the section and run without the chart rule.
 integrate and poincare_return share the dt step, so a return that keeps
 its steps in a StepRecord yields the trajectory integrate would: a shot
 orbit's trajectory is the accepted return's steps.
@@ -61,13 +62,13 @@ class Trajectory:
 
 
 def make_rhs(system):
-    """Scalar right-hand side on plain floats: it asks the surface for
-    rho_grad and the field for its scalar value, nothing else."""
-    rho_grad = system.surface.rho_grad
-    fscalar = system.field.scalar
+    """Reference right-hand side on plain floats, from the vectorized
+    formulas: the surface's conformal()[1:] and the field's eval."""
+    conformal, feval = system.surface.conformal, system.field.eval
 
     def rhs(chart, u, v, du, dv):
-        (ru, rv), f = rho_grad(chart, u, v), fscalar(chart, u, v)
+        ru, rv = map(float, conformal(chart, u, v)[1:])
+        f = float(feval(chart, u, v))
         ddu = -(ru * du * du + 2.0 * rv * du * dv - ru * dv * dv) - f * dv
         ddv = -(-rv * du * du + 2.0 * ru * du * dv + rv * dv * dv) + f * du
         return ddu, ddv
@@ -76,7 +77,7 @@ def make_rhs(system):
 
 
 # The one RK4 step; at each stage's point x, y the surface's and field's
-# step_source lines set ru, rv and f.  A flat chart has no Christoffel terms.
+# step_line set ru, rv and f.  A flat chart has no Christoffel terms.
 _RK4 = """\
 def step(chart, u, v, du, dv, h):
     hh = 0.5 * h
@@ -108,20 +109,21 @@ _FLAT = "    {field}\n    a{n}u, a{n}v = -f * q{n}, f * p{n}"
 _compiled = functools.lru_cache(maxsize=64)(compile)
 
 
-def _make_step(system, post_step=None):
-    """One RK4 step on plain floats (chart, u, v, du, dv, h), then
-    post_step (by default the surface's chart rule): _RK4 compiled once per
-    distinct source, its values bound by name, never written into it."""
-    metric, names = system.surface.step_source()
-    field, fnames = system.field.step_source()
-    post_step = post_step or system.surface.post_step
-    stage = _FLAT if metric is None else _CURVED
-    source = _RK4.format(*(stage.format(metric=metric, field=field, n=n)
+def _make_step(system, chart_rule=True):
+    """One RK4 step on plain floats (chart, u, v, du, dv, h), then the
+    surface's post_step chart rule unless chart_rule is False: _RK4
+    compiled once per distinct source, its values bound by name, never
+    written into it.  A surface or field without a step_line fails here."""
+    surface, field = system.surface, system.field
+    stage = _FLAT if surface.step_line is None else _CURVED
+    # the base class's identity rule is left out: the step ends in a tuple
+    rule = chart_rule and type(surface).post_step is not Surface.post_step
+    source = _RK4.format(*(stage.format(metric=surface.step_line,
+                                        field=field.step_line, n=n)
                            for n in range(1, 5)),
-                         # the base class's identity rule is a plain tuple
-                         post="" if getattr(post_step, "__func__", None)
-                         is Surface.post_step else "post_step")
-    namespace = {**names, **fnames, "post_step": post_step}
+                         post="post_step" if rule else "")
+    namespace = {**surface.step_names, **field.step_names,
+                 "post_step": surface.post_step}
     exec(_compiled(source, "<rk4 step>", "exec"), namespace)
     return namespace["step"]
 
@@ -319,7 +321,7 @@ def poincare_return(system, section, state0, max_time=200.0, dt=DEFAULT_DT,
     """
     _require_inputs(state0, max_time=max_time, dt=dt)
     step = _make_step(system)
-    cut = _make_step(system, post_step=lambda *state: state)
+    cut = _make_step(system, chart_rule=False)
     floor = system.surface.floor
     ci, sval, sdir = 1 + section.coord, section.value, section.direction
     wrap, schart = section.wrap, section.chart

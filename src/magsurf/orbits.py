@@ -192,12 +192,8 @@ def orbit_curvature_residual(system, orbit):
     s = s_of_energy(orbit.energy)
     traj = orbit.trajectory
     kappa = trajectory_curvature(system, traj)
-    mask = ~np.isnan(kappa)
-    fvals = np.empty(len(kappa))
-    for c in np.unique(traj.chart[mask]):
-        sel = mask & (traj.chart == c)
-        fvals[sel] = system.field.eval(int(c), traj.q[sel, 0], traj.q[sel, 1])
-    return float(np.max(np.abs(kappa[mask] - s * fvals[mask])))
+    f = system.field.eval(traj.chart, traj.q[:, 0], traj.q[:, 1])
+    return float(np.max(np.abs(kappa - s * f)[~np.isnan(kappa)]))
 
 
 def fit_circle(points):

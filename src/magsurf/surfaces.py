@@ -27,23 +27,16 @@ class Surface:
     lattice = None               # periods (lx, ly) of a torus lift
     constant_curvature = None    # K = 1, 0 or -1 on the homogeneous models
     floor = -math.inf            # lowest admissible v in the chart
-    # rho_grad as a source line setting ru, rv at the point x, y of chart,
-    # written into the RK4 step's stages; None marks a flat chart
-    step_line = "ru, rv = rho_grad(chart, x, y)"
+    # Each concrete surface sets step_line: conformal()[1:] as one line of
+    # Python setting ru, rv at the float point x, y of chart, written into
+    # the RK4 step's stages (None marks a flat chart), and step_names, the
+    # values it reads.  The integrator uses nothing else of the metric.
+    step_names = {}
 
     # -- conformal data ----------------------------------------------------
     def conformal(self, chart, u, v):
         """Return (rho, d rho/du, d rho/dv); accepts scalars or arrays."""
         raise NotImplementedError
-
-    def rho_grad(self, chart, u, v):
-        """(d rho/du, d rho/dv) at a scalar point as Python floats; the
-        integrator's right-hand side uses nothing else of the metric."""
-        raise NotImplementedError
-
-    def step_source(self):
-        """(step_line, the names it reads) for the RK4 step."""
-        return self.step_line, {"rho_grad": self.rho_grad}
 
     def laplacian_rho(self, chart, u, v):
         """Flat Laplacian of rho, used for the Gauss curvature."""
@@ -114,9 +107,6 @@ class FlatTorus(Torus):
         z = np.zeros_like(np.asarray(u, dtype=float))
         return z, z, z
 
-    def rho_grad(self, chart, u, v):
-        return 0.0, 0.0
-
     def laplacian_rho(self, chart, u, v):
         return np.zeros_like(np.asarray(u, dtype=float))
 
@@ -137,10 +127,6 @@ class RoundSphere(Surface):
         v = np.asarray(v, dtype=float)
         d = 1.0 + u * u + v * v
         return np.log(2.0 / d), -2.0 * u / d, -2.0 * v / d
-
-    def rho_grad(self, chart, u, v):
-        d = 1.0 + u * u + v * v
-        return -2.0 * u / d, -2.0 * v / d
 
     def laplacian_rho(self, chart, u, v):
         u = np.asarray(u, dtype=float)
@@ -220,9 +206,6 @@ class HyperbolicPlane(Surface):
         v = np.asarray(v, dtype=float)
         return -np.log(v), np.zeros_like(u), -1.0 / v
 
-    def rho_grad(self, chart, u, v):
-        return 0.0, -1.0 / v
-
     def laplacian_rho(self, chart, u, v):
         v = np.asarray(v, dtype=float)
         return 1.0 / (v * v)
@@ -255,6 +238,11 @@ class ConformalTorus(Torus):
     """
 
     kind = "conformal_torus"
+    # the float-point lookup of PeriodicBicubic.cells, then patch_grad; the
+    # periods are px, py, apart from the lx, ly a torus field's line reads
+    step_line = ("xm, ym = x % px, y % py; i, j = cell_of(xm / hx, ym / hy); "
+                 "ru, rv = patch_grad(rows[i % nx][j % ny], xm - i * hx, "
+                 "ym - j * hy)")
 
     def __init__(self, rho_grid, lx=1.0, ly=1.0):
         super().__init__(lx, ly)
@@ -269,13 +257,12 @@ class ConformalTorus(Torus):
         return (PeriodicBicubic.patch_value(c, dx, dy),
                 *PeriodicBicubic.patch_grad(c, dx, dy))
 
-    def rho_grad(self, chart, u, v):
+    @property
+    def step_names(self):
         spl = self._spline
-        hx, hy = spl.hx, spl.hy
-        x, y = u % self.lx, v % self.ly
-        i, j = PeriodicBicubic.cell_of(x / hx, y / hy)
-        return PeriodicBicubic.patch_grad(spl.rows[i % spl.nx][j % spl.ny],
-                                          x - i * hx, y - j * hy)
+        return dict(cell_of=spl.cell_of, patch_grad=spl.patch_grad,
+                    rows=spl.rows, nx=spl.nx, ny=spl.ny, hx=spl.hx,
+                    hy=spl.hy, px=spl.lx, py=spl.ly)
 
     def laplacian_rho(self, chart, u, v):
         return PeriodicBicubic.patch_laplacian(*self._spline.cells(u, v))
@@ -371,8 +358,8 @@ class PeriodicBicubic:
 
     @staticmethod
     def patch_grad(c, dx, dy):
-        """(d/dx, d/dy) of the patch; the integrator's rho_grad runs this on
-        Python floats, so it uses no numpy."""
+        """(d/dx, d/dy) of the patch; the conformal torus's step line runs
+        this on Python floats, so it uses no numpy."""
         c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c12, c13, c14, \
             c15 = c
         r1 = c4 + dy * (c5 + dy * (c6 + dy * c7))

@@ -9,17 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magsurf.cli import _build_field
+from magsurf.cli import _build_field, _build_surface
 from magsurf.errors import DegenerateInputError, DomainError, NoReturnError
 from magsurf.fields import (CallableField, ConstantField, CosineField,
-                            MagneticSystem, TorusField, energy_of_s)
+                            MagneticField, MagneticSystem, TorusField,
+                            energy_of_s)
 from magsurf.flow import (Section, TangentState, _make_step, energy_of,
                           integrate, make_rhs, poincare_return,
                           state_at_energy, trajectory_curvature,
                           trajectory_energies, trajectory_speeds)
 from magsurf.orbits import homogeneous_oracle
 from magsurf.surfaces import (SPHERE_SWITCH_RADIUS, ConformalTorus, FlatTorus,
-                              HyperbolicPlane, PeriodicBicubic, RoundSphere)
+                              HyperbolicPlane, PeriodicBicubic, RoundSphere,
+                              Surface)
 
 
 def _systems():
@@ -489,6 +491,12 @@ def _rk4_reference(system, chart, u, v, du, dv, h, post_step=None):
         dv + s * (a1v + 2 * a2v + 2 * a3v + a4v))
 
 
+def _config(text):
+    cfg = configparser.ConfigParser()
+    cfg.read_string(text)
+    return cfg
+
+
 def _step_cases():
     """(system, v range) for each surface and field kind the CLI builds:
     the cosine field is what [field] type = cosine makes, and the grid
@@ -496,14 +504,17 @@ def _step_cases():
     x = np.arange(16) / 16
     grid = 0.1 * np.cos(2 * np.pi * x)[:, None] \
         * np.sin(2 * np.pi * x + 0.3)[None, :]
-    cfg = configparser.ConfigParser()
-    cfg.read_string("[field]\ntype = cosine\namplitude = 5.5\n")
+    cfg = _config("[field]\ntype = cosine\namplitude = 5.5\n")
+    wide = _config("[field]\ntype = cosine\namplitude = -3.3\n")
     torus = FlatTorus(1.0, 2.0)
+    wide_torus = FlatTorus(1.7, 0.6)
     return {
         "flat-constant": (MagneticSystem(torus, ConstantField(1.3)),
                           (-3.0, 3.0)),
         "flat-cosine": (MagneticSystem(torus, _build_field(cfg, torus)),
                         (-3.0, 3.0)),
+        "flat-cosine-wide": (MagneticSystem(
+            wide_torus, _build_field(wide, wide_torus)), (-3.0, 3.0)),
         "flat-csv": (MagneticSystem(torus, TorusField(
             PeriodicBicubic(grid, 1.0, 2.0), ly=2.0)), (-3.0, 3.0)),
         "sphere-constant": (MagneticSystem(RoundSphere(),
@@ -525,6 +536,14 @@ def _step_cases():
         "conformal-cosine": (MagneticSystem(ConformalTorus(grid),
                                             _build_field(cfg, FlatTorus())),
                              (-3.0, 3.0)),
+        "conformal-wide-callable": (MagneticSystem(
+            ConformalTorus(grid, lx=1.0, ly=0.5),
+            CallableField(lambda c, u, v: np.sin(u) * v + c)), (-3.0, 3.0)),
+        # periods other than the field's: a name that the surface's and the
+        # field's step lines both read would bind one of them wrongly
+        "conformal-wide-cosine": (MagneticSystem(
+            ConformalTorus(grid, lx=1.0, ly=0.5),
+            _build_field(wide, wide_torus)), (-3.0, 3.0)),
     }
 
 
@@ -536,15 +555,16 @@ def _step_cases():
 @settings(max_examples=60, deadline=None)
 def test_step_is_rk4_over_make_rhs(system, vrange, chart, u, w, du, dv, h,
                                    cut):
-    """The dt step writes make_rhs into its four stages; it equals the
-    classical RK4 over make_rhs bit for bit, and so does the step a
-    section crossing cuts short, built with the identity post_step."""
+    """The dt step writes make_rhs into its four stages, with the step
+    lines for make_rhs's conformal and eval calls; it equals the classical
+    RK4 over make_rhs bit for bit, and so does the step a section crossing
+    cuts short, built without the chart rule."""
     lo, hi = vrange
     if system.surface.n_charts == 1:
         chart = 0
     v = lo + w * (hi - lo)
     post_step = (lambda *state: state) if cut else None
-    got = _make_step(system, post_step)(chart, u, v, du, dv, h)
+    got = _make_step(system, not cut)(chart, u, v, du, dv, h)
     assert got == _rk4_reference(system, chart, u, v, du, dv, h, post_step)
 
 
@@ -554,13 +574,55 @@ def test_step_sources_are_numpy_free(system):
     """The per-point lines the step is written from are source text, out of
     the structure guard's reach: they name no numpy, and the compiled
     step's namespace holds no numpy object."""
-    for line, _ in (system.surface.step_source(),
-                    system.field.step_source()):
+    for line in (system.surface.step_line, system.field.step_line):
         assert not {n.id for n in ast.walk(ast.parse(line or ""))
                     if isinstance(n, ast.Name)} & {"np", "numpy"}
     for value in _make_step(system).__globals__.values():
         assert value is not np
         assert type(value).__module__.partition(".")[0] != "numpy"
+
+
+def _cli_surfaces(tmp_path):
+    """The surface of each [surface] kind the CLI builds."""
+    factor = tmp_path / "factor.csv"
+    factor.write_text("x,y,rho\n" + "".join(
+        f"{i / 8},{j / 8},{0.1 * math.sin(2 * math.pi * (i + 2 * j) / 8)}\n"
+        for i in range(8) for j in range(8)))
+    configs = ["kind = sphere", "kind = flat_torus\nlx = 1.5",
+               "kind = hyperbolic\ngenus = 2",
+               f"kind = conformal_torus\nfactor_csv = {factor}"]
+    return [_build_surface(_config(f"[surface]\n{c}\n")) for c in configs]
+
+
+@pytest.mark.parametrize("ftype", ["constant", "cosine"])
+def test_step_stages_call_no_method_of_surface_or_field(tmp_path, ftype):
+    """On every surface the CLI builds, with a constant and a cosine field,
+    the compiled step's namespace holds no bound method of the system's
+    surface or field: each stage runs the classes' step lines, and only
+    the chart rule (post_step) runs once after the step."""
+    for surface in _cli_surfaces(tmp_path):
+        field = _build_field(_config(f"[field]\ntype = {ftype}\n"), surface)
+        step = _make_step(MagneticSystem(surface, field))
+        for name, value in step.__globals__.items():
+            owner = getattr(value, "__self__", None)
+            assert name == "post_step" or not (owner is surface
+                                               or owner is field), name
+
+
+def test_class_without_step_line_fails_when_step_is_built():
+    """The base classes set no step_line (None would mark a flat chart), so
+    a surface or field that gives none fails as its step is built instead
+    of running flat."""
+    class BareSurface(Surface):
+        pass
+
+    class BareField(MagneticField):
+        pass
+
+    for system in (MagneticSystem(BareSurface(), ConstantField(1.0)),
+                   MagneticSystem(RoundSphere(), BareField())):
+        with pytest.raises(AttributeError, match="step_line"):
+            _make_step(system)
 
 
 @pytest.mark.parametrize("entry,args,name", [

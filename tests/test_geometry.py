@@ -330,11 +330,15 @@ def _rho_grad_cases():
 @settings(max_examples=60, deadline=None)
 def test_rho_grad_is_conformal_gradient(surface, chart, urange, vrange, a,
                                         b):
-    """The integrator's scalar rho_grad returns exactly conformal()[1:],
-    as Python floats."""
+    """The surface's step_line, run alone at a point with its step_names,
+    sets ru, rv to exactly conformal()[1:], as Python floats; a flat chart
+    (step_line None) has a zero gradient."""
     u = urange[0] + a * (urange[1] - urange[0])
     v = vrange[0] + b * (vrange[1] - vrange[0])
-    got = surface.rho_grad(chart, u, v)
+    scope = {**surface.step_names, "chart": chart, "x": u, "y": v,
+             "ru": 0.0, "rv": 0.0}
+    exec(surface.step_line or "", scope)
+    got = scope["ru"], scope["rv"]
     _, ru, rv = surface.conformal(chart, u, v)
     assert all(type(x) is float for x in got)
     assert got == (float(ru), float(rv))

@@ -257,7 +257,10 @@ def _scalar_cases():
        v=st.floats(-5.0, 5.0))
 @settings(max_examples=60, deadline=None)
 def test_scalar_matches_eval(field, chart, u, v):
-    """The integrator's scalar field value equals float(eval) exactly."""
-    got = field.scalar(chart, u, v)
+    """The field's step_line, run alone at a point with its step_names,
+    sets f to exactly float(eval)."""
+    scope = {**field.step_names, "chart": chart, "x": u, "y": v}
+    exec(field.step_line, scope)
+    got = scope["f"]
     assert type(got) is float
     assert got == float(field.eval(chart, u, v))

@@ -92,14 +92,14 @@ def test_no_surface_type_probes_outside_surfaces():
 
 
 # The stepping core: the one RK4 step (full dt steps, and the step cut
-# short on a section at a crossing) and its reference right-hand side in
-# flow.py, and the per-point methods they call or write in on surfaces and
-# fields, use no numpy.  The conformal torus's rho_grad reads its spline
-# through the cell lookup and Horner helper of PeriodicBicubic.  The source
-# lines step_source gives are checked in test_dynamics.
+# short on a section at a crossing) in flow.py, and the helpers the
+# conformal torus's step line calls (the cell lookup and Horner gradient
+# of PeriodicBicubic), use no numpy.  make_rhs, the reference right-hand
+# side, reads the surface's conformal and the field's eval and makes
+# floats of them itself.  The classes' step_line texts are checked in
+# test_dynamics.
 CORE_FUNCTIONS = {"make_rhs", "_make_step"}
-CORE_METHODS = {"rho_grad", "scalar", "step_source", "cell_of",
-                "patch_grad"}
+CORE_METHODS = {"cell_of", "patch_grad"}
 
 
 def _numpy_uses(path):
@@ -132,14 +132,14 @@ def test_core_guard_detects_numpy(tmp_path):
         "    return rhs\n"
         "def integrate(u):\n"
         "    return np.sin(u)\n"
-        "class Field:\n"
-        "    def scalar(self, chart, u, v):\n"
-        "        return float(numpy.exp(u))\n"
+        "class Spline:\n"
+        "    def patch_grad(self, c, dx, dy):\n"
+        "        return float(numpy.exp(dx))\n"
         "    def eval(self, chart, u, v):\n"
         "        return np.exp(u)\n"
-        "def scalar(u):\n"
+        "def patch_grad(u):\n"
         "    return np.exp(u)\n")
-    assert _numpy_uses(bad) == [("make_rhs", 4), ("scalar", 10)]
+    assert _numpy_uses(bad) == [("make_rhs", 4), ("patch_grad", 10)]
 
 
 def test_stepping_core_is_numpy_free():
