@@ -29,6 +29,7 @@ from .flow import trajectory_speeds
 from .regions import region_flux, taimanov_value
 
 _CONSISTENCY_SAMPLES = 32
+CONTACT_TOL = 1e-10
 _RELATION_SAMPLES = 20
 # sampled in place of the unmodelled fundamental domain of a quotient
 _HALF_PLANE_PATCH = ((-1.0, 1.0), (0.5, 2.0))
@@ -213,8 +214,7 @@ def sm_sample_grid(surface, n_base=128, n_fiber=64):
     return charts, us, vs, w, phis
 
 
-def contact_candidate_min(system, s, candidate, n_base=128, n_fiber=64,
-                          tol=1e-10):
+def contact_candidate_min(system, s, candidate, n_base=128, n_fiber=64):
     """Evaluate tau(X_s) over a bundle grid and certify its sign.
 
     The candidate's structural consistency (d tau proportional to the
@@ -232,14 +232,14 @@ def contact_candidate_min(system, s, candidate, n_base=128, n_fiber=64,
         vals = a - s * (bu * math.cos(phi) + bv * math.sin(phi))
         mn = min(mn, float(np.min(vals)))
         mx = max(mx, float(np.max(vals)))
-    if mn > tol:
+    if mn > CONTACT_TOL:
         verdict = "positive"
-    elif mx < -tol:
+    elif mx < -CONTACT_TOL:
         verdict = "negative"
     else:
         verdict = "indeterminate"
     return ContactCertificate(verdict=verdict, min_value=mn, max_value=mx,
-                              tol=tol, grid=(n_base, n_base, n_fiber))
+                              tol=CONTACT_TOL, grid=(n_base, n_base, n_fiber))
 
 
 def homogeneous_candidate(system):
@@ -258,8 +258,16 @@ def homogeneous_candidate(system):
 
 
 def torus_exact_candidate(system):
-    """Exact-primitive candidate from the spectral torus primitive."""
-    return ContactCandidate(0.0, local_primitive(system).theta)
+    """Exact-primitive candidate; the field's primitive must be periodic."""
+    return ContactCandidate(0.0, local_primitive(system, winds=True).theta)
+
+
+def candidate_for(system):
+    """The exact-primitive candidate if the field's primitive is periodic,
+    so global on the unit tangent bundle; else the homogeneous one."""
+    if local_primitive(system).periodic:
+        return torus_exact_candidate(system)
+    return homogeneous_candidate(system)
 
 
 # ---------------------------------------------------------------------------
@@ -277,16 +285,15 @@ class LiouvilleAction:
 def _candidate_for_action(system):
     surf = system.surface
     flux = flux_total(system)
-    if surf.constant_curvature == 0:
+    if surf.lattice is not None:
         if abs(flux) > 1e-9:
             raise UnsupportedError(
                 "torus actions need an exact field (zero flux)")
-        return torus_exact_candidate(system), 0.0
-    chi = surf.euler_characteristic()
-    return homogeneous_candidate(system), flux ** 2 / chi
+        return candidate_for(system), 0.0
+    return candidate_for(system), flux ** 2 / surf.euler_characteristic()
 
 
-def liouville_action(system, s, n_base=128):
+def liouville_action(system, s):
     """Action of the normalized bundle volume against the primitive family.
 
     Over each fibre tau(X_s) = a - s (b_u cos phi + b_v sin phi) integrates
@@ -300,7 +307,7 @@ def liouville_action(system, s, n_base=128):
     candidate, corr = _candidate_for_action(system)
     area = surf.area()
     volume = 2.0 * math.pi * area
-    charts, us, vs, w, _ = sm_sample_grid(surf, n_base)
+    charts, us, vs, w, _ = sm_sample_grid(surf)
     if w is None:
         w = np.full(len(us), area / len(us))
     a = candidate.coefficients(system, s, charts, us, vs)[0]
@@ -310,7 +317,7 @@ def liouville_action(system, s, n_base=128):
                            closed_form=closed, flip_integral=0.0)
 
 
-def rotation_vector(system, s, orbit=None, n_base=256):
+def rotation_vector(system, s, orbit=None):
     """Rotation data (base winding pair, fiber coefficient).
 
     Without an orbit this is the rotation vector of the normalized
@@ -323,7 +330,7 @@ def rotation_vector(system, s, orbit=None, n_base=256):
     if orbit is None:
         if lattice is not None:
             # fiber pairing: integral of d phi (X_s) = s f over the measure
-            return (0.0, 0.0, s * flux_total(system, n_base))
+            return (0.0, 0.0, s * flux_total(system))
         return (0.0, 0.0, 0.0)
     traj = orbit.trajectory
     ang = np.unwrap(np.arctan2(traj.dq[:, 1], traj.dq[:, 0]))

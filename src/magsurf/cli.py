@@ -5,9 +5,10 @@ Usage:  magsurf <command> <config.ini> [--out DIR]
 Commands: simulate, orbit-shoot, orbit-descend, oracle, taimanov, critical,
 contact-check, sweep.  The INI file describes the surface, the field and the
 run parameters; unknown sections or keys are rejected.  The [run] keys
-``workers`` and ``period`` are accepted for compatibility and ignored:
-sweep runs its values one after another, and orbit-descend takes the
-period T* at which the action is stationary.  Results are written
+``workers``, ``period`` and ``candidate`` are accepted for compatibility
+and ignored: sweep runs its values one after another, orbit-descend takes
+the period T* at which the action is stationary, and contact-check takes
+the candidate the system admits (bundle.candidate_for).  Results are written
 as CSV/JSON files plus a gnuplot script, and a one-line JSON summary goes to
 stdout.  Exit codes: 0 success, 1 negative outcome (no convergence, halt),
 2 configuration or usage error.
@@ -366,16 +367,9 @@ def cmd_critical(cfg, system, outdir):
 def cmd_contact_check(cfg, system, outdir):
     _, s = _energy(cfg)
     sec = cfg["run"]
-    kind = sec.get("candidate", "homogeneous")
-    if kind == "homogeneous":
-        cand = bundle.homogeneous_candidate(system)
-    elif kind == "exact":
-        cand = bundle.torus_exact_candidate(system)
-    else:
-        raise ConfigError(f"unknown candidate {kind!r}")
     cert = bundle.contact_candidate_min(
-        system, s, cand, n_base=sec.getint("n_base", 128),
-        n_fiber=sec.getint("n_fiber", 64))
+        system, s, bundle.candidate_for(system),
+        n_base=sec.getint("n_base", 128), n_fiber=sec.getint("n_fiber", 64))
     _emit({"verdict": cert.verdict, "min": cert.min_value,
            "max": cert.max_value, "s": s}, outdir, "result.json")
     return 0
@@ -388,21 +382,14 @@ def cmd_sweep(cfg, system, outdir):
         raise ConfigError("sweep needs s_values in [run]")
     svals = [float(x) for x in raw.split(",")]
     f = _constant_value(system)
-    kind = system.surface.kind
-    # with f < 0 the circles turn the other way round their centres
-    vel = 1.0 if f >= 0.0 else -1.0
+    # where the oracle has a contractible circle, every state of the
+    # constant field lies on one; (0, 1) is above the half-plane's floor
+    seed = TangentState(0, 0.0, 1.0, 0.0, 1.0)
 
     def one(s):
-        data = homogeneous_oracle(kind, s, f)
+        data = homogeneous_oracle(system.surface.kind, s, f)
         if not data.exists_contractible:
             return {"s": s, "exists_contractible": False}
-        r = data.radius
-        if kind == "sphere":
-            seed = TangentState(0, math.tan(r / 2.0), 0.0, 0.0, vel)
-        elif kind == "flat_torus":
-            seed = TangentState(0, 0.0, 0.0, 0.0, vel)
-        else:
-            seed = TangentState(0, math.sinh(r), math.cosh(r), 0.0, vel)
         orbit = shoot_periodic(system, energy_of_s(s), seed)
         return {"s": s, "exists_contractible": True, "period": orbit.period,
                 "oracle_period": data.period, "residual": orbit.residual}

@@ -105,8 +105,8 @@ def s_of_energy(k):
     return 1.0 / math.sqrt(2.0 * k)
 
 
-def flux_total(system, n=512):
-    """Total flux of sigma over the surface by quadrature.
+def flux_total(system):
+    """Total flux of sigma over the surface by 512 x 512 quadrature.
 
     Hyperbolic quotients carry no fundamental-domain geometry, so only
     constant fields are integrable there (flux = value * area).
@@ -117,7 +117,7 @@ def flux_total(system, n=512):
             return system.field.value * surf.area()
         raise UnsupportedError(
             "hyperbolic quotient flux is available for constant fields only")
-    charts, us, vs, w = surf.quadrature_nodes(n)
+    charts, us, vs, w = surf.quadrature_nodes(512)
     fvals = np.asarray(system.field.eval(charts, us, vs), dtype=float)
     return float(np.sum(fvals * w))
 
@@ -323,7 +323,7 @@ def local_primitive(system, chart=0, winds=False):
     only by the modes at multiples of 32, which would have to carry that
     tenth for the fine mean to pass the spectral primitive's 1e-9 test.
 
-    A curve that winds around the torus (winds) needs a lattice-periodic
+    A winding curve or a global contact form (winds) needs a lattice-periodic
     primitive; when the field has none, NoGlobalPrimitiveError is raised.
     """
     prim = system.primitives.get(chart)
@@ -331,7 +331,7 @@ def local_primitive(system, chart=0, winds=False):
         prim = system.primitives[chart] = _build_primitive(system, chart)
     if winds and not prim.periodic:
         raise NoGlobalPrimitiveError(
-            "a winding curve needs a periodic primitive; this field has none")
+            "this field has no lattice-periodic primitive")
     return prim
 
 

@@ -22,6 +22,7 @@ from .surfaces import ClosedPolyline
 
 FD_STEP = 1e-7
 SHOOT_TOL = 1e-10
+SHOOT_MAX_ITER = 50
 
 
 @dataclasses.dataclass(frozen=True)
@@ -31,7 +32,6 @@ class OracleData:
     exists_contractible: bool
     radius: float | None
     period: float | None
-    curvature: float
     curve_type: str
     boundary_angle: float | None = None
 
@@ -45,21 +45,20 @@ def homogeneous_oracle(kind, s, value=1.0):
     if kind == "sphere":
         return OracleData(True, math.atan2(1.0, kappa),
                           2.0 * math.pi * s / math.sqrt(1.0 + kappa * kappa),
-                          kappa, "circle")
+                          "circle")
     if kind == "flat_torus":
         if kappa == 0.0:
-            return OracleData(False, None, None, 0.0, "geodesic")
+            return OracleData(False, None, None, "geodesic")
         return OracleData(True, 1.0 / kappa, 2.0 * math.pi / abs(value),
-                          kappa, "circle")
+                          "circle")
     if kind == "hyperbolic":
         if kappa > 1.0:
             return OracleData(True, math.atanh(1.0 / kappa),
                               2.0 * math.pi * s
-                              / math.sqrt(kappa * kappa - 1.0),
-                              kappa, "circle")
+                              / math.sqrt(kappa * kappa - 1.0), "circle")
         if kappa == 1.0:
-            return OracleData(False, None, None, 1.0, "horocycle")
-        return OracleData(False, None, None, kappa, "boundary_arc",
+            return OracleData(False, None, None, "horocycle")
+        return OracleData(False, None, None, "boundary_arc",
                           boundary_angle=math.acos(kappa))
     raise UnsupportedError(f"no homogeneous oracle for kind {kind!r}")
 
@@ -118,16 +117,16 @@ def default_section(system, seed):
 
 
 def shoot_periodic(system, k, seed, section=None, tol=SHOOT_TOL,
-                   dt=DEFAULT_DT, max_iter=50, max_time=200.0):
+                   dt=DEFAULT_DT, max_time=200.0):
     """Newton iteration on the reduced return map at fixed energy k.
 
     The seed is rescaled onto the energy level; the reduced state is the
     free section coordinate together with the velocity angle.  Raises
-    NoConvergenceError if the displacement does not fall under tol.  The
-    orbit's trajectory is made of the dt steps the accepted return (the
-    first one or a line-search candidate) took, so it equals
-    integrate(system, orbit.seed, orbit.period, dt) and is not computed
-    twice; the finite-difference returns record nothing.
+    NoConvergenceError if the displacement does not fall under tol within
+    SHOOT_MAX_ITER Newton steps.  The orbit's trajectory is made of the dt
+    steps the accepted return (the first one or a line-search candidate)
+    took, so it equals integrate(system, orbit.seed, orbit.period, dt) and
+    is not computed twice; the finite-difference returns record nothing.
     """
     seed = state_at_energy(system, seed, k)
     if section is None:
@@ -144,7 +143,7 @@ def shoot_periodic(system, k, seed, section=None, tol=SHOOT_TOL,
     steps = StepRecord()
     res, rt = ret(x, steps)
     it = 0
-    while np.linalg.norm(res) > tol and it < max_iter:
+    while np.linalg.norm(res) > tol and it < SHOOT_MAX_ITER:
         jac = np.empty((2, 2))
         for j in range(2):
             dx = np.zeros(2)

@@ -61,6 +61,11 @@ class Region:
     orientation: int = 1           # +1 with the surface, -1 reversed
     whole_surface: bool = False
 
+    def __post_init__(self):
+        if self.orientation not in (1, -1):
+            raise DegenerateInputError(
+                f"need orientation 1 or -1: orientation={self.orientation!r}")
+
     @classmethod
     def empty(cls):
         return cls(curves=[], orientation=1)

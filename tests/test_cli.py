@@ -80,14 +80,26 @@ def test_oracle_rejects_nonconstant_field(capsys, tmp_path):
     assert code == 2
 
 
-def test_sweep_negative_field(capsys, tmp_path):
-    """With f < 0 the seeds turn the other way and still close up."""
-    text = SPHERE_ORACLE.replace("value = 1.0", "value = -1.3") \
-        .replace("s = 1.0", "s_values = 0.7, 1.5")
+@pytest.mark.parametrize("kind", ["sphere", "flat_torus", "hyperbolic"])
+@pytest.mark.parametrize("value", [1.3, -1.3])
+def test_sweep_shoots_one_seed_on_every_surface(capsys, tmp_path, kind,
+                                                value):
+    """The one seed lies on a circle of either turning sense on each
+    homogeneous surface, and shooting from it gives the oracle's period."""
+    # only the half-plane reads its genus
+    surface = f"kind = {kind}\ngenus = 2"
+    text = SPHERE_ORACLE.replace("kind = sphere", surface) \
+        .replace("value = 1.0", f"value = {value}") \
+        .replace("s = 1.0", "s_values = 0.7, 1.5, 3.0")
     code, out_text, _ = _run(capsys, tmp_path, text, "sweep")
     assert code == 0
-    for r in json.loads(out_text)["runs"]:
-        assert abs(r["period"] - r["oracle_period"]) < PERIOD_TOL
+    runs = json.loads(out_text)["runs"]
+    # the half-plane has no circle at kappa = 0.7 * 1.3 < 1
+    assert [r["exists_contractible"] for r in runs] \
+        == [kind != "hyperbolic", True, True]
+    for r in runs:
+        if r["exists_contractible"]:
+            assert abs(r["period"] - r["oracle_period"]) < 1e-9
 
 
 def test_oracle_subcritical_exit_code(capsys, tmp_path):
@@ -183,12 +195,17 @@ def test_config_names_key_out_of_range(capsys, tmp_path, key, value,
     assert f"{key} = '{value}' is not positive" in capsys.readouterr().err
 
 
-def test_contact_check_rejects_unknown_candidate(capsys, tmp_path):
-    """The candidates are homogeneous and exact; any other is exit 2."""
-    text = SPHERE_ORACLE + "candidate = corrected\n"
+def test_contact_check_ignores_candidate(capsys, tmp_path):
+    """The system picks its candidate: candidate = exact on the sphere,
+    whose field has no periodic primitive, gives the homogeneous
+    certificate that no key gives."""
+    code, want, _ = _run(capsys, tmp_path, SPHERE_ORACLE, "contact-check")
+    assert code == 0
+    text = SPHERE_ORACLE + "candidate = exact\n"
     code, out_text, _ = _run(capsys, tmp_path, text, "contact-check")
-    assert code == 2
-    assert out_text == ""
+    assert code == 0
+    assert out_text == want
+    assert json.loads(out_text)["min"] == 2.0
 
 
 def _grid_text(header="x,y,f", first=None, n=8, xs=None, extra=""):
@@ -464,6 +481,20 @@ radius = 0.1
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: ") and f"{key}=" in err
+
+
+@pytest.mark.parametrize("orientation", ["0", "2"])
+def test_taimanov_rejects_orientation_other_than_unit(capsys, tmp_path,
+                                                      orientation):
+    """An orientation other than 1 or -1 ends with an error naming it
+    (exit 1), not with a region that vanished."""
+    text = SPHERE_ORACLE.replace("kind = sphere", "kind = flat_torus") \
+        .replace("s = 1.0", f"s = 8.0\norientation = {orientation}")
+    code = main(["taimanov", _write(tmp_path, text), "--out",
+                 str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and f"orientation={orientation}" in err
 
 
 def test_contact_check_sphere(capsys, tmp_path):

@@ -5,17 +5,20 @@ import math
 import numpy as np
 import pytest
 
-from magsurf.bundle import (coframe_coefficients, contact_candidate_min,
-                            homogeneous_candidate, liouville_action, pairing,
-                            rotation_vector, structural_relations_check,
-                            torus_exact_candidate, ContactCandidate,
-                            FiberCandidate)
-from magsurf.errors import InvalidCandidateError, UnsupportedError
-from magsurf.fields import (ConstantField, MagneticSystem, TorusField,
-                            energy_of_s, flux_total)
+from magsurf.bundle import (candidate_for, coframe_coefficients,
+                            contact_candidate_min, homogeneous_candidate,
+                            liouville_action, pairing, rotation_vector,
+                            structural_relations_check, torus_exact_candidate,
+                            ContactCandidate, FiberCandidate)
+from magsurf.errors import (InvalidCandidateError, NoGlobalPrimitiveError,
+                            UnsupportedError)
+from magsurf.fields import (ConstantField, CosineField, MagneticSystem,
+                            TorusField, energy_of_s, flux_total,
+                            local_primitive)
 from magsurf.orbits import homogeneous_oracle, shoot_periodic
 from magsurf.flow import TangentState
-from magsurf.surfaces import FlatTorus, HyperbolicPlane, RoundSphere
+from magsurf.surfaces import (ConformalTorus, FlatTorus, HyperbolicPlane,
+                              RoundSphere)
 
 RNG = np.random.default_rng(3)
 
@@ -147,6 +150,54 @@ def test_exact_candidate_on_mean_zero_field():
     assert big.verdict != "positive"
 
 
+def _bump(x, y):
+    """A positive-mean field with no periodic primitive."""
+    return 1.0 - 2.0 * np.exp(-((x - 0.5) ** 2 + (y - 0.5) ** 2) / 0.0625)
+
+
+@pytest.mark.parametrize("system", [
+    MagneticSystem(RoundSphere(), ConstantField(1.0)),
+    MagneticSystem(FlatTorus(), ConstantField(1.0)),
+    MagneticSystem(FlatTorus(), TorusField(_bump))],
+    ids=["sphere", "flat", "bump"])
+def test_exact_candidate_needs_periodic_primitive(system):
+    """The sphere chart's radial form and -v du on the flat torus are
+    primitives on one chart only, so pi* zeta is not global: the exact
+    candidate raises rather than certify (the sphere at s = 0.5 read min
+    0.5097, where alpha + s psi gives 1.25), and on a bump torus it raises
+    the same error rather than a numpy one."""
+    with pytest.raises(NoGlobalPrimitiveError):
+        torus_exact_candidate(system)
+
+
+@pytest.mark.parametrize("surface,field,want", [
+    (RoundSphere(), ConstantField(1.3), "rotated"),
+    (HyperbolicPlane(genus=2), ConstantField(1.3), "rotated"),
+    (FlatTorus(), ConstantField(1.3), "fiber"),
+    (FlatTorus(), CosineField(3.0), "exact"),
+    (FlatTorus(), ConstantField(0.0), "exact"),
+    (FlatTorus(), TorusField(_bump), "none")],
+    ids=["sphere", "half-plane", "flat", "cosine", "zero", "bump"])
+def test_candidate_for_picks_from_the_system(surface, field, want):
+    """Constant fields get alpha + (s f / K) psi on the sphere and the
+    half-plane and d phi on the flat torus; a field with a periodic
+    primitive gets the exact candidate; a bump torus has none."""
+    system = MagneticSystem(surface, field)
+    if want == "none":
+        with pytest.raises(UnsupportedError):
+            candidate_for(system)
+        return
+    cand = candidate_for(system)
+    if want == "fiber":
+        assert isinstance(cand, FiberCandidate)
+    elif want == "rotated":
+        assert cand.zeta is None
+        assert cand.ratio == field.value / surface.constant_curvature
+    else:
+        assert cand.ratio == 0.0
+        assert cand.zeta == local_primitive(system).theta
+
+
 def test_inconsistent_candidate_rejected():
     """A rotated form with the wrong coefficient fails the structural
     spot-check instead of producing a certificate."""
@@ -256,6 +307,19 @@ def test_liouville_action_exact_torus():
     assert abs(act.volume - 2.0 * math.pi) < 1e-12
     assert abs(act.quadrature_action - act.volume) < 1e-9
     assert abs(act.flip_integral) < 1e-12
+
+
+def test_liouville_action_exact_conformal_torus():
+    """The exact candidate serves every torus: on a conformal one the
+    action is the bundle volume too, with no curvature term, up to the
+    gap between the 128^2 base grid and the 32^2 area quadrature."""
+    x = np.arange(32) / 32
+    grid = 0.1 * np.cos(2 * np.pi * x)[:, None] \
+        * np.sin(2 * np.pi * x)[None, :]
+    system = MagneticSystem(ConformalTorus(grid), CosineField(2 * np.pi))
+    act = liouville_action(system, 1.7)
+    assert abs(act.closed_form - act.volume) < 1e-12
+    assert abs(act.quadrature_action - act.volume) < 1e-6 * act.volume
 
 
 def test_liouville_action_rejects_net_flux_torus():

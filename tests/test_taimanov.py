@@ -538,6 +538,15 @@ def test_evolve_params_reject_unreachable_tol_and_no_iterations(name,
         EvolveParams(**{name: value})
 
 
+@pytest.mark.parametrize("orientation", [0, 2, -3])
+def test_region_rejects_orientation_other_than_unit(orientation):
+    """The functional reads the orientation as a sign; any other integer
+    would scale the flux and could end a run as "vanished"."""
+    with pytest.raises(DegenerateInputError,
+                       match=f"orientation={orientation}"):
+        Region([], orientation)
+
+
 def test_tau_estimate_rejects_negative_bisect_iters():
     """bisect_iters = -1 would return 0.0, the answer for an energy that
     admits no negative value, without evolving anything."""
