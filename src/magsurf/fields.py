@@ -5,11 +5,12 @@ the area form; in chart coordinates sigma = f * e^(2 rho) du ^ dv.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
 
-from .errors import (DegenerateInputError, DomainError, NoGlobalPrimitiveError,
+from .errors import (DegenerateInputError, NoGlobalPrimitiveError,
                      UnsupportedError)
 
 
@@ -80,12 +81,14 @@ class CosineField(TorusField):
 
 @dataclasses.dataclass(frozen=True)
 class MagneticSystem:
-    """A surface and a field density, frozen: local_primitive caches in it."""
+    """A surface and a field density, frozen: its primitive is built once."""
 
     surface: object
     field: MagneticField
-    primitives: dict = dataclasses.field(default_factory=dict, init=False,
-                                         repr=False, compare=False)
+
+    @functools.cached_property
+    def primitive(self):        # local_primitive hands it out
+        return _build_primitive(self)
 
     def form_density(self, chart, u, v):
         """Chart density of sigma, i.e. f * e^(2 rho)."""
@@ -228,34 +231,29 @@ class ClosedFormPrimitive(LocalPrimitive):
 
 
 class LineIntegralPrimitive(LocalPrimitive):
-    """theta = -F(x, y) dx with F(x, y) the fiberwise integral of the chart
-    density from the height v0 (0, or 1 above a chart floor); valid on any
-    chart rectangle that the vertical segments stay inside.
+    """theta = -F(x, y) dx with F(x, y) the fiberwise integral of the
+    density of sigma in the chart theta is asked for, from the height v0
+    (0, or 1 above a chart floor); valid on any chart rectangle that the
+    vertical segments stay inside.
     """
 
     # 48-point Gauss-Legendre nodes and weights on [0, 1]
     _T, _W = np.polynomial.legendre.leggauss(48)
     _T, _W = 0.5 * (_T + 1.0), 0.5 * _W
 
-    def __init__(self, system, chart):
+    def __init__(self, system):
         self.system = system
-        self.chart = chart
         self.v0 = 0.0 if system.surface.floor == -math.inf else 1.0
 
-    def _fint(self, u, v):
+    def theta(self, chart, u, v):
         u = np.atleast_1d(np.asarray(u, dtype=float))
         v = np.atleast_1d(np.asarray(v, dtype=float))
         span = v - self.v0
         ys = self.v0 + span[:, None] * self._T[None, :]
         xs = np.broadcast_to(u[:, None], ys.shape)
         vals = np.asarray(self.system.form_density(
-            self.chart, xs.ravel(), ys.ravel()), float).reshape(ys.shape)
-        return span * (vals @ self._W)
-
-    def theta(self, chart, u, v):
-        if chart != self.chart:
-            raise DomainError("primitive evaluated outside its chart")
-        res = self._fint(u, v)
+            chart, xs.ravel(), ys.ravel()), float).reshape(ys.shape)
+        res = span * (vals @ self._W)
         return -res, np.zeros_like(res)
 
 
@@ -310,32 +308,30 @@ class TorusSpectralPrimitive(FourierOneForm):
                          np.zeros(np.count_nonzero(keep), complex))
 
 
-def local_primitive(system, chart=0, winds=False):
-    """A primitive of sigma usable on the given chart, built once per system.
+def local_primitive(system, winds=False):
+    """A primitive of sigma in every chart, built once per system.
 
     Constant fields on the homogeneous surfaces get closed forms: -c v du
     on the flat torus, c du / v on the half-plane and the rotation-symmetric
     2c (u dv - v du) / (1 + u^2 + v^2) in either sphere chart.  On a torus
     with (numerically) zero total flux a global spectral primitive is
-    returned, otherwise a chart-local fiber-integral primitive.  A torus
-    density whose mean on a 32 x 32 grid is at least a tenth of its largest
-    sample skips the 256 x 256 spectral attempt: the two grid means differ
-    only by the modes at multiples of 32, which would have to carry that
-    tenth for the fine mean to pass the spectral primitive's 1e-9 test.
+    returned, otherwise the fiber-integral primitive.  A torus density whose
+    mean on a 32 x 32 grid is at least a tenth of its largest sample skips
+    the 256 x 256 spectral attempt: the two grid means differ only by the
+    modes at multiples of 32, which would have to carry that tenth for the
+    fine mean to pass the spectral primitive's 1e-9 test.
 
     A winding curve or a global contact form (winds) needs a lattice-periodic
     primitive; when the field has none, NoGlobalPrimitiveError is raised.
     """
-    prim = system.primitives.get(chart)
-    if prim is None:
-        prim = system.primitives[chart] = _build_primitive(system, chart)
+    prim = system.primitive
     if winds and not prim.periodic:
         raise NoGlobalPrimitiveError(
             "this field has no lattice-periodic primitive")
     return prim
 
 
-def _build_primitive(system, chart):
+def _build_primitive(system):
     surf = system.surface
     fld = system.field
     prim = None
@@ -357,4 +353,4 @@ def _build_primitive(system, chart):
                 prim = TorusSpectralPrimitive(system)
             except NoGlobalPrimitiveError:
                 pass
-    return prim or LineIntegralPrimitive(system, chart)
+    return prim or LineIntegralPrimitive(system)

@@ -9,9 +9,10 @@ energy and geodesic curvature f / |q'|_g.  Integration uses a fixed-step
 classical fourth-order Runge-Kutta scheme on plain floats, whose stages
 hold the surface's and field's step_line (the one scalar copy of each
 class's point formula, with the step_names it reads) and make_rhs's
-formula; the surface's post_step rule runs after each step.  A section
-crossing lands exactly: the hit is the same step, cut short to the length
-that ends on the section and run without the chart rule.
+formula; the surface's chart_line follows the update (the sphere changes
+chart there).  A section crossing lands exactly: the hit is the same step,
+cut short to the length that ends on the section and written without the
+chart line.
 integrate and poincare_return share the dt step, so a return that keeps
 its steps in a StepRecord yields the trajectory integrate would: a shot
 orbit's trajectory is the accepted return's steps.
@@ -27,7 +28,6 @@ from array import array
 import numpy as np
 
 from .errors import DegenerateInputError, DomainError, NoReturnError
-from .surfaces import Surface
 
 DEFAULT_DT = 1e-3
 # a return whose energy left the start's by more than this, relative, came
@@ -77,7 +77,8 @@ def make_rhs(system):
 
 
 # The one RK4 step; at each stage's point x, y the surface's and field's
-# step_line set ru, rv and f.  A flat chart has no Christoffel terms.
+# step_line set ru, rv and f, and the surface's chart_line may move the
+# updated state to another chart.  A flat chart has no Christoffel terms.
 _RK4 = """\
 def step(chart, u, v, du, dv, h):
     hh = 0.5 * h
@@ -93,10 +94,12 @@ def step(chart, u, v, du, dv, h):
     x, y = u + h * p3, v + h * q3
 {3}
     s = h / 6.0
-    return {post}(chart, u + s * (p1 + 2 * p2 + 2 * p3 + p4),
-        v + s * (q1 + 2 * q2 + 2 * q3 + q4),
-        du + s * (a1u + 2 * a2u + 2 * a3u + a4u),
-        dv + s * (a1v + 2 * a2v + 2 * a3v + a4v))
+    x = u + s * (p1 + 2 * p2 + 2 * p3 + p4)
+    y = v + s * (q1 + 2 * q2 + 2 * q3 + q4)
+    p = du + s * (a1u + 2 * a2u + 2 * a3u + a4u)
+    q = dv + s * (a1v + 2 * a2v + 2 * a3v + a4v)
+    {chart}
+    return chart, x, y, p, q
 """
 _CURVED = """\
     {metric}
@@ -110,20 +113,17 @@ _compiled = functools.lru_cache(maxsize=64)(compile)
 
 
 def _make_step(system, chart_rule=True):
-    """One RK4 step on plain floats (chart, u, v, du, dv, h), then the
-    surface's post_step chart rule unless chart_rule is False: _RK4
-    compiled once per distinct source, its values bound by name, never
-    written into it.  A surface or field without a step_line fails here."""
+    """One RK4 step on plain floats (chart, u, v, du, dv, h), ending in the
+    surface's chart_line unless chart_rule is False: _RK4 compiled once per
+    distinct source, its values bound by name, never written into it.  A
+    surface or field without a step_line fails here."""
     surface, field = system.surface, system.field
     stage = _FLAT if surface.step_line is None else _CURVED
-    # the base class's identity rule is left out: the step ends in a tuple
-    rule = chart_rule and type(surface).post_step is not Surface.post_step
     source = _RK4.format(*(stage.format(metric=surface.step_line,
                                         field=field.step_line, n=n)
                            for n in range(1, 5)),
-                         post="post_step" if rule else "")
-    namespace = {**surface.step_names, **field.step_names,
-                 "post_step": surface.post_step}
+                         chart=chart_rule and surface.chart_line or "")
+    namespace = {**surface.step_names, **field.step_names}
     exec(_compiled(source, "<rk4 step>", "exec"), namespace)
     return namespace["step"]
 
@@ -155,6 +155,7 @@ def energy_of(system, state):
 def state_at_energy(system, state, k):
     """Rescale the velocity so the state sits on the energy level k."""
     _require_inputs(state)
+    system.surface.check_domain(state.chart, state.u, state.v)
     e = energy_of(system, state)
     if e <= 0.0:
         raise DegenerateInputError("cannot rescale a zero velocity")
@@ -170,7 +171,7 @@ def _step_count(t_end, dt):
 def integrate(system, state0, t_end, dt=DEFAULT_DT, record_every=1):
     """Integrate for t in [0, t_end]; returns a Trajectory.
 
-    The surface's post_step applies after every step (the sphere changes
+    The surface's chart_line ends every step (the sphere changes
     stereographic chart there); the run is truncated (flagged) if the state
     falls below the surface's floor, and a run that goes non-finite raises
     DomainError.
@@ -204,8 +205,7 @@ def integrate(system, state0, t_end, dt=DEFAULT_DT, record_every=1):
 
 
 def trajectory_energies(system, traj):
-    # every supported surface uses one conformal formula across its charts
-    rho = np.asarray(system.surface.conformal(0, traj.q[:, 0],
+    rho = np.asarray(system.surface.conformal(traj.chart, traj.q[:, 0],
                                               traj.q[:, 1])[0], float)
     return 0.5 * np.exp(2.0 * rho) * np.sum(traj.dq ** 2, axis=1)
 
@@ -224,30 +224,23 @@ def trajectory_curvature(system, traj):
 
         kappa = lam2 (a + Gamma(q', q')) . (i q') / (lam2 |q'|^2)^(3/2),
 
-    with one conformal call per chart.
+    with one conformal call over the samples of every chart.
     """
     surface = system.surface
     n = len(traj.t)
     if n < 5:
         raise DegenerateInputError("need at least five samples")
     h = float(traj.t[1] - traj.t[0])
-    charts = traj.chart
-    same_chart = np.zeros(n, dtype=bool)
-    same_chart[2:-2] = ((charts[4:] == charts[:-4])
-                        & (charts[3:-1] == charts[:-4])
-                        & (charts[2:-2] == charts[:-4])
-                        & (charts[1:-3] == charts[:-4]))
-    idx = np.nonzero(same_chart)[0]
+    # the samples whose five-point stencil lies in one chart
+    window = np.lib.stride_tricks.sliding_window_view(traj.chart, 5)
+    idx = 2 + np.nonzero((window == window[:, :1]).all(axis=1))[0]
     dq = traj.dq
     acc = (-dq[idx + 2] + 8 * dq[idx + 1] - 8 * dq[idx - 1]
            + dq[idx - 2]) / (12 * h)
     du, dv = dq[idx, 0], dq[idx, 1]
-    rho, ru, rv = (np.empty(len(idx)) for _ in range(3))
-    for c in np.unique(charts[idx]):
-        sel = charts[idx] == c
-        u, v = traj.q[idx[sel], 0], traj.q[idx[sel], 1]
-        surface.check_domain(int(c), u, v)
-        rho[sel], ru[sel], rv[sel] = surface.conformal(int(c), u, v)
+    at = (traj.chart[idx], traj.q[idx, 0], traj.q[idx, 1])
+    surface.check_domain(*at)
+    rho, ru, rv = surface.conformal(*at)
     lam2 = np.exp(2.0 * rho)
     speed2 = lam2 * (du * du + dv * dv)
     if np.any(speed2 <= 0.0):
@@ -311,7 +304,7 @@ def poincare_return(system, section, state0, max_time=200.0, dt=DEFAULT_DT,
     before the crossing cut short to the length h that lands it on the
     section: h starts at the linear guess and takes two Newton updates,
     each dividing the section residual by the coordinate's velocity.  The
-    cut step runs no post_step, so the hit stays in the section's chart
+    cut step has no chart line, so the hit stays in the section's chart
     even just past the sphere's switch circle.  NoReturnError says why
     when there is no return within max_time or the state falls below the
     floor, and DomainError when the run goes non-finite or the hit's energy

@@ -127,7 +127,10 @@ def shoot_periodic(system, k, seed, section=None, tol=SHOOT_TOL,
     steps the accepted return (the first one or a line-search candidate)
     took, so it equals integrate(system, orbit.seed, orbit.period, dt) and
     is not computed twice; the finite-difference returns record nothing.
+    A tol no residual can meet (not finite and > 0) is DegenerateInputError.
     """
+    if not 0.0 < tol < math.inf:
+        raise DegenerateInputError(f"tol must be finite and > 0: {tol}")
     seed = state_at_energy(system, seed, k)
     if section is None:
         section = default_section(system, seed)
@@ -212,10 +215,7 @@ def orbit_radius(system, orbit):
     surf = system.surface
     traj = orbit.trajectory
     if surf.constant_curvature == 1:
-        amb = np.empty((len(traj.t), 3))
-        for c in np.unique(traj.chart):
-            sel = traj.chart == c
-            amb[sel] = surf.to_ambient(int(c), traj.q[sel, 0], traj.q[sel, 1])
+        amb = surf.to_ambient(traj.chart, traj.q[:, 0], traj.q[:, 1])
         # the circle is the sphere's section by the plane x . n = cos r:
         # a least-squares plane, like fit_circle, is exact on a circle
         # however its samples are spaced
@@ -290,8 +290,7 @@ def discrete_action(system, k, loop, primitive=None):
     raises NoGlobalPrimitiveError.
     """
     if primitive is None:
-        primitive = local_primitive(system, loop.chart,
-                                    loop.winding != (0, 0))
+        primitive = local_primitive(system, loop.winding != (0, 0))
     flux = primitive.line_integral(loop.chart,
                                    loop.padded(system.surface)[:, 1:].T)
     return (loop_l2_energy(system, loop) / (2.0 * loop.period)
@@ -340,6 +339,11 @@ class DescentParams:
     tol: float = 1e-8
     max_iter: int = 200          # Newton-Krylov iterations
 
+    def __post_init__(self):
+        if not (self.tol > 0.0 and self.max_iter >= 1):
+            raise DegenerateInputError(       # NaN fails the test too
+                f"need tol > 0 and max_iter >= 1: {self}")
+
 
 @dataclasses.dataclass
 class DescentResult:
@@ -374,7 +378,7 @@ def descend_to_critical(system, k, loop, params=None):
 
     if params is None:
         params = DescentParams()
-    primitive = local_primitive(system, loop.chart, loop.winding != (0, 0))
+    primitive = local_primitive(system, loop.winding != (0, 0))
 
     def at_t_star(x):
         """The loop through the vertices x at the period T*."""

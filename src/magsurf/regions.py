@@ -83,17 +83,17 @@ def curve_length(system, curve):
 
 def region_flux(system, region):
     """Flux of sigma through the region's underlying set, by Stokes: the line
-    integral along the boundary of one chart primitive per chart.  A lone
-    clockwise contractible curve bounds the complement of its disc, which
-    adds the total flux.  Curves winding around the torus need a periodic
-    primitive: on a field with none, NoGlobalPrimitiveError is raised."""
+    integral of the system's primitive along the boundary, each curve in its
+    own chart.  A lone clockwise contractible curve bounds the complement of
+    its disc, which adds the total flux.  Curves winding around the torus
+    need a periodic primitive: on a field with none, NoGlobalPrimitiveError
+    is raised."""
     if region.whole_surface:
         return flux_total(system)
     surf = system.surface
     winds = any(c.winding != (0, 0) for c in region.curves)
-    prims = {chart: local_primitive(system, chart, winds)
-             for chart in {c.chart for c in region.curves}}
-    total = sum((prims[c.chart].line_integral(c.chart, c.padded(surf)[:, 1:].T)
+    prim = local_primitive(system, winds)
+    total = sum((prim.line_integral(c.chart, c.padded(surf)[:, 1:].T)
                  for c in region.curves), 0.0)
     if len(region.curves) == 1 and region.curves[0].winding == (0, 0):
         x, nxt = region.curves[0].edges(surf)

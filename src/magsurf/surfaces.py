@@ -30,8 +30,11 @@ class Surface:
     # Each concrete surface sets step_line: conformal()[1:] as one line of
     # Python setting ru, rv at the float point x, y of chart, written into
     # the RK4 step's stages (None marks a flat chart), and step_names, the
-    # values it reads.  The integrator uses nothing else of the metric.
+    # values it reads; a chart_line, written after the update to chart, x,
+    # y, p, q, may return that state in another chart.  The integrator uses
+    # nothing else of the surface.
     step_names = {}
+    chart_line = None
 
     # -- conformal data ----------------------------------------------------
     def conformal(self, chart, u, v):
@@ -43,15 +46,12 @@ class Surface:
         raise NotImplementedError
 
     def check_domain(self, chart, u, v):
-        if not (0 <= chart < self.n_charts):
-            raise DomainError(f"chart {chart} not in 0..{self.n_charts - 1}")
+        """Charts (one or an array) in range and no point below the floor."""
+        bad = np.setdiff1d(chart, range(self.n_charts))
+        if bad.size:
+            raise DomainError(f"chart {bad[0]} not in 0..{self.n_charts - 1}")
         if np.any(np.asarray(v) < self.floor):
             raise DomainError(f"point below the chart floor v = {self.floor}")
-
-    # -- chart bookkeeping -------------------------------------------------
-    def post_step(self, chart, u, v, du, dv):
-        """Chart bookkeeping after an integration step; identity here."""
-        return chart, u, v, du, dv
 
     # -- global data ---------------------------------------------------------
     def area(self):
@@ -121,6 +121,7 @@ class RoundSphere(Surface):
     n_charts = 2
     constant_curvature = 1
     step_line = "d = 1.0 + x * x + y * y; ru, rv = -2.0 * x / d, -2.0 * y / d"
+    chart_line = "if x * x + y * y > r2: return switch_chart(chart, x, y, p, q)"
 
     def conformal(self, chart, u, v):
         u = np.asarray(u, dtype=float)
@@ -134,11 +135,10 @@ class RoundSphere(Surface):
         d = 1.0 + u * u + v * v
         return -4.0 / (d * d)
 
-    def post_step(self, chart, u, v, du, dv):
-        """Move to the other chart once the state leaves the preferred disc."""
-        if u * u + v * v > SPHERE_SWITCH_RADIUS ** 2:
-            return self.switch_chart(chart, u, v, du, dv)
-        return chart, u, v, du, dv
+    @property
+    def step_names(self):
+        return {"r2": SPHERE_SWITCH_RADIUS ** 2,
+                "switch_chart": self.switch_chart}
 
     def switch_chart(self, chart, u, v, du, dv):
         # w = 1/z is holomorphic, velocities transform by dw = -dz / z^2.
@@ -150,14 +150,15 @@ class RoundSphere(Surface):
         return 1 - chart, w.real, w.imag, dw.real, dw.imag
 
     def to_ambient(self, chart, u, v):
-        """Embed a chart point into R^3 (unit sphere)."""
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
+        """Embed chart points into the unit sphere in R^3: chart 1 is chart
+        0 with y and z negated, exact in floating point, so chart may be an
+        array."""
+        u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
         r2 = u * u + v * v
         d = 1.0 + r2
-        if chart == 0:
-            return np.stack([2 * u / d, 2 * v / d, (r2 - 1.0) / d], axis=-1)
-        return np.stack([2 * u / d, -2 * v / d, (1.0 - r2) / d], axis=-1)
+        sign = 1.0 - 2.0 * np.asarray(chart)
+        return np.stack([2 * u / d, sign * (2 * v / d),
+                         sign * ((r2 - 1.0) / d)], axis=-1)
 
     def area(self):
         return 4.0 * math.pi

@@ -8,6 +8,7 @@ directory.
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -481,6 +482,61 @@ radius = 0.1
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: ") and f"{key}=" in err
+
+
+@pytest.mark.parametrize("command,value", [
+    ("orbit-shoot", "0"), ("orbit-shoot", "-1e-3"),
+    ("orbit-descend", "0"), ("orbit-descend", "-1")])
+def test_shoot_and_descend_reject_unreachable_tol(capsys, tmp_path, command,
+                                                  value):
+    """A tol that is not positive, which no residual can meet, ends with an
+    error naming it (exit 1) before any return or Krylov step, not with a
+    stalled line search or the seed handed back as max_iter."""
+    text = f"""\
+[surface]
+kind = flat_torus
+
+[field]
+type = constant
+value = 1.0
+
+[run]
+s = 4.0
+seed_u = 0.5
+seed_v = 0.5
+radius = 0.3
+tol = {value}
+"""
+    code = main([command, _write(tmp_path, text), "--out",
+                 str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "tol" in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "orbit-shoot"])
+@pytest.mark.parametrize("seed_v", ["0", "-1"])
+def test_seed_below_hyperbolic_floor_is_an_error(capsys, tmp_path, command,
+                                                 seed_v):
+    """A half-plane seed on or below the real axis is refused where it
+    enters, before its energy is taken: exit 1 with the floor message and
+    no numpy warning on the way."""
+    text = f"""\
+[surface]
+kind = hyperbolic
+genus = 2
+
+[run]
+s = 1.0
+seed_v = {seed_v}
+"""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command, _write(tmp_path, text), "--out",
+                     str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: point below the chart floor")
 
 
 @pytest.mark.parametrize("orientation", ["0", "2"])

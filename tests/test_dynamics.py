@@ -169,13 +169,13 @@ def test_hyperbolic_truncation_flag():
 
 
 class _ChartLog(RoundSphere):
-    """Round sphere that records the chart after every step."""
+    """Round sphere that records the chart each switch moves to."""
 
     def __init__(self):
         self.charts = set()
 
-    def post_step(self, chart, u, v, du, dv):
-        out = super().post_step(chart, u, v, du, dv)
+    def switch_chart(self, chart, u, v, du, dv):
+        out = super().switch_chart(chart, u, v, du, dv)
         self.charts.add(out[0])
         return out
 
@@ -469,9 +469,10 @@ def test_blown_up_but_finite_return_is_a_domain_error():
                         TangentState(0, 0.1, 0.2, 30.0, 40.0), dt=0.5)
 
 
-def _rk4_reference(system, chart, u, v, du, dv, h, post_step=None):
-    """Classical RK4 on (u, v, du, dv) over make_rhs, then post_step (by
-    default the surface's): the step _make_step writes out, in the same
+def _rk4_reference(system, chart, u, v, du, dv, h, cut=False):
+    """Classical RK4 on (u, v, du, dv) over make_rhs, then, unless cut, the
+    sphere's radius rule (switch_chart past the circle of radius
+    SPHERE_SWITCH_RADIUS): the step _make_step writes out, in the same
     operation order."""
     rhs = make_rhs(system)
     hh = 0.5 * h
@@ -483,12 +484,16 @@ def _rk4_reference(system, chart, u, v, du, dv, h, post_step=None):
     du4, dv4 = du + h * a3u, dv + h * a3v
     a4u, a4v = rhs(chart, u + h * du3, v + h * dv3, du4, dv4)
     s = h / 6.0
-    return (post_step or system.surface.post_step)(
-        chart,
-        u + s * (du + 2 * du2 + 2 * du3 + du4),
-        v + s * (dv + 2 * dv2 + 2 * dv3 + dv4),
-        du + s * (a1u + 2 * a2u + 2 * a3u + a4u),
-        dv + s * (a1v + 2 * a2v + 2 * a3v + a4v))
+    state = (chart,
+             u + s * (du + 2 * du2 + 2 * du3 + du4),
+             v + s * (dv + 2 * dv2 + 2 * dv3 + dv4),
+             du + s * (a1u + 2 * a2u + 2 * a3u + a4u),
+             dv + s * (a1v + 2 * a2v + 2 * a3v + a4v))
+    x, y = state[1:3]
+    if (not cut and system.surface.kind == "sphere"
+            and x * x + y * y > SPHERE_SWITCH_RADIUS ** 2):
+        return system.surface.switch_chart(*state)
+    return state
 
 
 def _config(text):
@@ -563,9 +568,8 @@ def test_step_is_rk4_over_make_rhs(system, vrange, chart, u, w, du, dv, h,
     if system.surface.n_charts == 1:
         chart = 0
     v = lo + w * (hi - lo)
-    post_step = (lambda *state: state) if cut else None
     got = _make_step(system, not cut)(chart, u, v, du, dv, h)
-    assert got == _rk4_reference(system, chart, u, v, du, dv, h, post_step)
+    assert got == _rk4_reference(system, chart, u, v, du, dv, h, cut)
 
 
 @pytest.mark.parametrize("system", [c[0] for c in _step_cases().values()],
@@ -599,14 +603,15 @@ def test_step_stages_call_no_method_of_surface_or_field(tmp_path, ftype):
     """On every surface the CLI builds, with a constant and a cosine field,
     the compiled step's namespace holds no bound method of the system's
     surface or field: each stage runs the classes' step lines, and only
-    the chart rule (post_step) runs once after the step."""
+    the sphere's chart line calls one, switch_chart, past the switch
+    circle."""
     for surface in _cli_surfaces(tmp_path):
         field = _build_field(_config(f"[field]\ntype = {ftype}\n"), surface)
         step = _make_step(MagneticSystem(surface, field))
         for name, value in step.__globals__.items():
             owner = getattr(value, "__self__", None)
-            assert name == "post_step" or not (owner is surface
-                                               or owner is field), name
+            assert name == "switch_chart" or not (owner is surface
+                                                  or owner is field), name
 
 
 def test_class_without_step_line_fails_when_step_is_built():

@@ -174,6 +174,38 @@ def test_sphere_chart_transition_consistency():
         assert abs(float(np.dot(amb, amb)) - 1.0) < 1e-12
 
 
+def test_sphere_to_ambient_takes_a_chart_array():
+    """A chart array embeds each row as its own chart does, bit for bit:
+    chart 0 is (2u, 2v, r^2 - 1) / d and chart 1 is (2u, -2v, 1 - r^2) / d,
+    d = 1 + r^2, whose negations are exact in floating point."""
+    sph = RoundSphere()
+    rng = np.random.default_rng(7)      # the shared RNG's draws stay put
+    u, v = rng.uniform(-3.0, 3.0, size=(2, 200))
+    charts = rng.integers(0, 2, size=200)
+    got = sph.to_ambient(charts, u, v)
+    for c in (0, 1):
+        sel = charts == c
+        uu, vv = u[sel], v[sel]
+        r2 = uu * uu + vv * vv
+        d = 1.0 + r2
+        want = (np.stack([2 * uu / d, 2 * vv / d, (r2 - 1.0) / d], axis=-1)
+                if c == 0 else
+                np.stack([2 * uu / d, -2 * vv / d, (1.0 - r2) / d], axis=-1))
+        assert np.array_equal(got[sel], want)
+        assert np.array_equal(got[sel], sph.to_ambient(c, uu, vv))
+
+
+def test_check_domain_rejects_chart_array_with_stray_entry():
+    """check_domain takes a chart array and names an entry out of range."""
+    sph, flat = RoundSphere(), FlatTorus()
+    sph.check_domain(np.array([0, 1, 1, 0]), np.zeros(4), np.zeros(4))
+    for surface, charts, stray in ((sph, [0, 1, 2, 0], 2),
+                                   (sph, [1, -1, 0, 0], -1),
+                                   (flat, [0, 0, 1, 0], 1)):
+        with pytest.raises(DomainError, match=f"^chart {stray} not in"):
+            surface.check_domain(np.array(charts), np.zeros(4), np.zeros(4))
+
+
 def test_sphere_switch_preserves_state():
     """switch_chart maps position and velocity without changing speed."""
     sph = RoundSphere()

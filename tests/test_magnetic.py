@@ -84,13 +84,31 @@ def test_sphere_primitive_closed_form(chart, u, v, c):
     primitive 2c (u dv - v du) / (1 + u^2 + v^2), whose circulation around
     small squares matches form_density to O(h^2)."""
     system = MagneticSystem(RoundSphere(), ConstantField(c))
-    prim = local_primitive(system, chart)
+    prim = local_primitive(system)
     a = 2.0 * c / (1.0 + u * u + v * v)
     assert np.allclose(prim.theta(chart, u, v), (-v * a, u * a),
                        rtol=1e-14, atol=1e-15)
     for h in (0.04, 0.02, 0.01):
         assert stokes_residual(prim.theta, system.form_density, chart,
                                (u, v), h) < 2.0 * abs(c) * h * h
+
+
+@pytest.mark.parametrize("field", [
+    ConstantField(0.7),
+    CallableField(lambda c, u, v: 0.5 + 0.3 * np.asarray(u) - 0.2 * c)],
+    ids=["constant", "callable"])
+def test_both_sphere_charts_share_one_primitive(field):
+    """Both sphere charts get the same primitive object, and it reads the
+    chart from each call: in each chart its circulation around small
+    squares matches that chart's form_density to O(h^2), the chart-aware
+    callable field's fibre integral included."""
+    system = MagneticSystem(RoundSphere(), field)
+    prim = local_primitive(system)
+    assert local_primitive(system) is prim
+    for chart in (0, 1):
+        for h in (0.04, 0.02, 0.01):
+            assert stokes_residual(prim.theta, system.form_density, chart,
+                                   (0.3, -0.4), h) < 2.0 * h * h
 
 
 def test_spectral_primitive_is_global():
@@ -139,7 +157,7 @@ def test_local_primitive_skips_spectral_solve_of_inexact_field(monkeypatch):
 
 
 def test_local_primitive_is_built_once_per_system(monkeypatch):
-    """A frozen system caches its primitive per chart: every flux of one
+    """A frozen system caches its one primitive: every flux of one
     tau_estimate on criterion 08's strip reads one 256 x 256 Poisson
     solve, and a second system makes its own.  A winding request still
     raises on a cached primitive that is not periodic."""
@@ -166,7 +184,7 @@ def test_local_primitive_is_built_once_per_system(monkeypatch):
                          params=regions.EvolveParams(spacing=0.04))
     assert len(runs) >= 2
     assert sizes == [256]
-    assert local_primitive(system, 0, True) is local_primitive(system)
+    assert local_primitive(system, True) is local_primitive(system)
     local_primitive(MagneticSystem(FlatTorus(), cosine))
     assert sizes == [256, 256]
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -176,7 +194,7 @@ def test_local_primitive_is_built_once_per_system(monkeypatch):
                                         / 0.0625)))
     assert not local_primitive(bump).periodic
     with pytest.raises(NoGlobalPrimitiveError):
-        local_primitive(bump, 0, True)
+        local_primitive(bump, True)
 
 
 def test_line_integral_matches_flux_on_disc():

@@ -265,7 +265,7 @@ def test_fit_circle_exact():
 def _fd_gradient(system, k, loop, h=1e-6):
     """Central differences of discrete_action in every vertex coordinate
     and in the period, with the primitive built once."""
-    prim = local_primitive(system, loop.chart, loop.winding != (0, 0))
+    prim = local_primitive(system, loop.winding != (0, 0))
 
     def action(verts, period):
         return discrete_action(system, k, dataclasses.replace(
@@ -483,6 +483,15 @@ def test_failed_descent_returns_seed():
     assert res.grad_norm == pytest.approx(float(np.linalg.norm(g)),
                                           rel=1e-12)
     assert res.grad_norm > params.tol
+
+
+@pytest.mark.parametrize("args", [{"tol": 0.0}, {"tol": -1.0},
+                                  {"tol": math.nan}, {"max_iter": 0}])
+def test_descent_params_reject_unreachable_tol_and_no_iterations(args):
+    """Like EvolveParams, DescentParams refuses a tol no gradient can get
+    under and a solve with no iteration."""
+    with pytest.raises(DegenerateInputError, match="tol > 0"):
+        DescentParams(**args)
 
 
 def test_descent_from_far_seed_reaches_orbit():

@@ -6,7 +6,7 @@ stepping core runs on plain floats.
 Outside ``surfaces.py`` and ``cli._build_surface`` no code may call
 ``isinstance`` against a surface class or probe a surface for ``lx`` /
 ``ly`` with ``hasattr`` / ``getattr``; surfaces expose ``lattice``,
-``constant_curvature``, ``floor`` and ``post_step`` instead.  The c0
+``constant_curvature``, ``floor`` and ``chart_line`` instead.  The c0
 bracket in ``critical.py`` and the splines in ``surfaces.py`` import
 nothing from scipy, and region flux in ``regions.py`` goes only through a
 primitive, never ``form_density``.  Primitives are chosen by
