@@ -19,10 +19,12 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 
 import numpy as np
 
-from .errors import InvalidCandidateError, UnsupportedError
+from .errors import (DegenerateInputError, InvalidCandidateError,
+                     UnsupportedError)
 from .fields import (ConstantField, flux_total, local_primitive,
                      stokes_residual)
 from .flow import trajectory_speeds
@@ -58,43 +60,16 @@ def coframe_coefficients(surface, chart, u, v, phi):
 # discrete Stokes checks of the structural relations
 # ---------------------------------------------------------------------------
 
-def _form_value(surface, name, z):
-    idx = {"alpha": 0, "psi": 1, "beta": 2}[name]
-    return coframe_coefficients(surface, 0, z[0], z[1], z[2])[idx]
-
-def _two_form_value(surface, name, z):
-    """Claimed exterior derivative of a coframe element as a matrix A with
-
-    d tau (W1, W2) = W1 . A W2 in (u, v, phi) coordinates.
-    """
-    alpha, psi, beta = coframe_coefficients(surface, 0, z[0], z[1], z[2])
-    k = float(surface.gauss_curvature(0, z[0], z[1]))
-    if name == "alpha":       # d alpha = psi ^ beta
-        a, b = psi, beta
-        return np.outer(a, b) - np.outer(b, a)
-    if name == "psi":         # d psi = K beta ^ alpha
-        return k * (np.outer(beta, alpha) - np.outer(alpha, beta))
-    # d beta = alpha ^ psi
-    return np.outer(alpha, psi) - np.outer(psi, alpha)
-
-
-def _parallelogram_residual(surface, name, z0, e1, e2, h):
-    """Midpoint-rule circulation against the claimed derivative flux."""
-    corners = [z0, z0 + h * e1, z0 + h * e1 + h * e2, z0 + h * e2]
-    circ = 0.0
-    for a, b in zip(corners, corners[1:] + corners[:1]):
-        mid = 0.5 * (a + b)
-        circ += float(_form_value(surface, name, mid) @ (b - a))
-    center = z0 + 0.5 * h * (e1 + e2)
-    mat = _two_form_value(surface, name, center)
-    flux = h * h * float(e1 @ mat @ e2)
-    return abs(circ - flux) / (h * h)
+# the claimed derivatives d alpha = psi ^ beta, d psi = K beta ^ alpha and
+# d beta = alpha ^ psi: (form, wedge factors) as indices into
+# coframe_coefficients' (alpha, psi, beta)
+_RELATIONS = {"alpha": (0, 1, 2), "psi": (1, 2, 0), "beta": (2, 0, 1)}
 
 
 def structural_relations_check(surface, h=1e-3):
-    """Max residual (per unit area) of the three coframe derivatives over
-    random coordinate parallelograms of side h, _RELATION_SAMPLES of them
-    from a fixed seed.  Residuals vanish at least linearly in h.
+    """Max stokes_residual of the three coframe derivatives over random
+    coordinate parallelograms of side h, _RELATION_SAMPLES of them from a
+    fixed seed.  Residuals vanish at least linearly in h.
     """
     rng = np.random.default_rng(0)
     if surface.lattice is not None:
@@ -104,17 +79,23 @@ def structural_relations_check(surface, h=1e-3):
     else:
         base_box = ((-0.8, 0.8), (-0.8, 0.8))
     axes = np.eye(3)
+
+    def coframe(z):
+        return coframe_coefficients(surface, 0, *np.moveaxis(z, -1, 0))
     out = {}
-    for name in ("alpha", "psi", "beta"):
+    for name, (i, j, m) in _RELATIONS.items():
+        def dform(z):
+            c = coframe(z)
+            k = surface.gauss_curvature(0, z[0], z[1]) if name == "psi" else 1
+            return float(k) * (np.outer(c[j], c[m]) - np.outer(c[m], c[j]))
         worst = 0.0
         for _ in range(_RELATION_SAMPLES):
             z0 = np.array([rng.uniform(*base_box[0]),
                            rng.uniform(*base_box[1]),
                            rng.uniform(0.0, 2.0 * math.pi)])
-            for i in range(3):
-                for j in range(i + 1, 3):
-                    worst = max(worst, _parallelogram_residual(
-                        surface, name, z0, axes[i], axes[j], h))
+            for a, b in ((0, 1), (0, 2), (1, 2)):
+                worst = max(worst, stokes_residual(
+                    lambda z: coframe(z)[i], dform, z0, axes[a], axes[b], h))
         out[name] = worst
     return out
 
@@ -159,13 +140,18 @@ class ContactCandidate:
                     f"d tau != omega_s: max s |ratio K - f| = {err:.3e}")
             return
 
-        # Stokes check of d zeta = sigma - ratio K mu; K mu has the chart
-        # density K e^(2 rho) = -laplacian(rho)
-        def dens(c, u, v):
-            sig = np.asarray(system.form_density(c, u, v), float)
-            lap = np.asarray(system.surface.laplacian_rho(c, u, v), float)
-            return sig + self.ratio * lap
-        worst = max(stokes_residual(self.zeta, dens, int(c), (u, v), 1e-4)
+        # Stokes check of d zeta = sigma - ratio K mu on squares of side h
+        # centred on the samples; K mu has the chart density
+        # K e^(2 rho) = -laplacian(rho)
+        def residual(c, u, v, h=1e-4):
+            def dzeta(z):
+                d = float(system.form_density(c, *z) + self.ratio
+                          * system.surface.laplacian_rho(c, *z))
+                return np.array([[0.0, d], [-d, 0.0]])
+            return stokes_residual(
+                lambda p: np.array(self.zeta(c, p[:, 0], p[:, 1])).T,
+                dzeta, (u - 0.5 * h, v - 0.5 * h), (1.0, 0.0), (0.0, 1.0), h)
+        worst = max(residual(int(c), u, v)
                     for c, u, v in zip(*map(np.atleast_1d, samples)))
         if worst > 1e-3:
             raise InvalidCandidateError("candidate potential fails d zeta "
@@ -222,6 +208,9 @@ def contact_candidate_min(system, s, candidate, n_base=128, n_fiber=64):
     InvalidCandidateError rather than producing a certificate.  The base
     is sampled once; each fibre angle costs one row of cos / sin arithmetic.
     """
+    if not all(isinstance(n, numbers.Integral) and n >= 1
+               for n in (n_base, n_fiber)):
+        raise DegenerateInputError("need integers n_base, n_fiber >= 1")
     charts, us, vs, _, phis = sm_sample_grid(system.surface, n_base, n_fiber)
     stride = max(1, len(us) // _CONSISTENCY_SAMPLES)
     candidate.check(system, s,

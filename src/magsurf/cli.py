@@ -155,8 +155,11 @@ def _build_field(cfg, surface):
     ftype = sec.get("type", "constant")
     if ftype == "constant":
         return ConstantField(sec.getfloat("value", 1.0))
-    # periodic field types take their periods from the torus lattice
-    lx, ly = surface.lattice or (1.0, 1.0)
+    if ftype not in ("cosine", "bump", "csv"):
+        raise ConfigError(f"unknown field type {ftype!r}")
+    if surface.lattice is None:     # the periods are the torus lattice's
+        raise ConfigError(f"a {ftype} field needs a torus surface")
+    lx, ly = surface.lattice
     if ftype == "cosine":
         return CosineField(sec.getfloat("amplitude", 2.0 * math.pi), lx, ly)
     if ftype == "bump":
@@ -169,11 +172,8 @@ def _build_field(cfg, surface):
             lambda x, y: base - amp * np.exp(
                 -(((x - cx) ** 2 + (y - cy) ** 2)) / wid ** 2),
             lx=lx, ly=ly)
-    if ftype == "csv":
-        spl = PeriodicBicubic(_load_grid_csv(sec.get("csv", ""), lx, ly),
-                              lx, ly)
-        return TorusField(spl, lx=lx, ly=ly)
-    raise ConfigError(f"unknown field type {ftype!r}")
+    spl = PeriodicBicubic(_load_grid_csv(sec.get("csv", ""), lx, ly), lx, ly)
+    return TorusField(spl, lx=lx, ly=ly)
 
 
 def _energy(cfg):
@@ -295,7 +295,8 @@ def cmd_orbit_descend(cfg, system, outdir):
     radius = sec.getfloat("radius", 1.0)
     center = (sec.getfloat("center_u", 0.0), sec.getfloat("center_v", 0.0))
     loop = circle_loop(center, radius, n, 1.0)    # the period is T*
-    params = DescentParams(tol=sec.getfloat("tol", 1e-6))
+    params = DescentParams(tol=sec.getfloat("tol", 1e-6),
+                           max_iter=sec.getint("max_iter", 200))
     result = descend_to_critical(system, k, loop, params)
     _write_vertices_csv(outdir, "loop.csv", result.iterations,
                         [result.loop.vertices], "critical loop")

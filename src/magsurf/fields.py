@@ -196,20 +196,21 @@ class LocalPrimitive:
         return float(np.sum(t1 * dx[:, 0] + t2 * dx[:, 1]))
 
 
-def stokes_residual(theta, density, chart, center, h):
-    """|circulation of theta - integral of density| / area on the square of
-    side h at center.
+def stokes_residual(form, dform, z0, e1, e2, h):
+    """|circulation of a 1-form - flux of its claimed derivative| / area on
+    the parallelogram with corners z0, z0 + h e1, z0 + h (e1 + e2), z0 + h e2
+    in any dimension; its edges and their midpoints are tables of the sides.
 
-    Midpoint rules are used on both sides, one node per edge and one at the
-    center, so the residual scales like h^2 when d theta = density du ^ dv.
+    form maps points (m, d) to components (m, d); dform maps one point to
+    the matrix A with d form (W1, W2) = W1 . A W2.  Midpoint rules are used
+    on both sides, one node per edge and one at the center, so the residual
+    scales like h^2 when dform is d form.
     """
-    cx, cy = center
-    # edge midpoints, counter-clockwise; each edge is h (-ov, ou)
-    ou, ov = np.array([0.0, 1.0, 0.0, -1.0]), np.array([-1.0, 0.0, 1.0, 0.0])
-    t1, t2 = theta(chart, cx + 0.5 * h * ou, cy + 0.5 * h * ov)
-    circ = h * float(np.sum(t2 * ou - t1 * ov))
-    flux = h * h * float(np.sum(density(chart, np.array([cx]),
-                                        np.array([cy]))))
+    z0, sides = np.asarray(z0, float), h * np.array([e1, e2], float)
+    edges = np.array([[1, 0], [0, 1], [-1, 0], [0, -1]]) @ sides
+    mids = z0 + np.array([[0.5, 0], [1, 0.5], [0.5, 1], [0, 0.5]]) @ sides
+    circ = float(np.sum(form(mids) * edges))
+    flux = float(sides[0] @ dform(z0 + 0.5 * sides.sum(0)) @ sides[1])
     return abs(circ - flux) / (h * h)
 
 

@@ -13,8 +13,8 @@ formula; the surface's chart_line follows the update (the sphere changes
 chart there).  A section crossing lands exactly: the hit is the same step,
 cut short to the length that ends on the section and written without the
 chart line.
-integrate and poincare_return share the dt step, so a return that keeps
-its steps in a StepRecord yields the trajectory integrate would: a shot
+integrate and poincare_return share the dt step and the StepRecord, so a
+return that keeps its steps yields the trajectory integrate would: a shot
 orbit's trajectory is the accepted return's steps.
 """
 from __future__ import annotations
@@ -27,7 +27,8 @@ from array import array
 
 import numpy as np
 
-from .errors import DegenerateInputError, DomainError, NoReturnError
+from .errors import (DegenerateInputError, DomainError, NoReturnError,
+                     UnsupportedError)
 
 DEFAULT_DT = 1e-3
 # a return whose energy left the start's by more than this, relative, came
@@ -116,13 +117,16 @@ def _make_step(system, chart_rule=True):
     """One RK4 step on plain floats (chart, u, v, du, dv, h), ending in the
     surface's chart_line unless chart_rule is False: _RK4 compiled once per
     distinct source, its values bound by name, never written into it.  A
-    surface or field without a step_line fails here."""
+    surface or field without a step_line, or a name both of them bind,
+    fails here."""
     surface, field = system.surface, system.field
     stage = _FLAT if surface.step_line is None else _CURVED
     source = _RK4.format(*(stage.format(metric=surface.step_line,
                                         field=field.step_line, n=n)
                            for n in range(1, 5)),
                          chart=chart_rule and surface.chart_line or "")
+    if shared := surface.step_names.keys() & field.step_names.keys():
+        raise UnsupportedError(f"surface and field both bind {sorted(shared)}")
     namespace = {**surface.step_names, **field.step_names}
     exec(_compiled(source, "<rk4 step>", "exec"), namespace)
     return namespace["step"]
@@ -183,25 +187,19 @@ def integrate(system, state0, t_end, dt=DEFAULT_DT, record_every=1):
     chart, u, v, du, dv = (state0.chart, state0.u, state0.v,
                            state0.du, state0.dv)
     system.surface.check_domain(chart, u, v)
-    n_rec = n_steps // record_every + 1
-    ts = np.empty(n_rec + 1)
-    charts = np.empty(n_rec + 1, dtype=int)
-    qs = np.empty((n_rec + 1, 2))
-    dqs = np.empty((n_rec + 1, 2))
-    ts[0], charts[0], qs[0], dqs[0] = 0.0, chart, (u, v), (du, dv)
-    m = 1
+    record, kept = StepRecord(), [0]
+    record.add(chart, u, v, du, dv)
     truncated = False
     for i in range(1, n_steps + 1):
         chart, u, v, du, dv = step(chart, u, v, du, dv, dt)
         truncated = not v >= floor          # below the floor, or NaN
         if i % record_every == 0 or truncated:
-            ts[m], charts[m], qs[m], dqs[m] = i * dt, chart, (u, v), (du, dv)
-            m += 1
+            record.add(chart, u, v, du, dv)
+            kept.append(i)
         if truncated:
             break
-    _check_blowup(u, v, du, dv, ts[m - 1])
-    return Trajectory(t=ts[:m], chart=charts[:m], q=qs[:m], dq=dqs[:m],
-                      dt=dt, truncated=truncated)
+    _check_blowup(u, v, du, dv, kept[-1] * dt)
+    return record.trajectory(kept, dt, truncated)
 
 
 def trajectory_energies(system, traj):
@@ -274,8 +272,9 @@ class Section:
 
 
 class StepRecord:
-    """The dt-grid states of one run, kept compactly: one int and four
-    doubles per step."""
+    """The states of one run, kept compactly: one int and four doubles per
+    state.  integrate keeps its samples here, and a Poincare return every
+    dt step."""
 
     def __init__(self):
         self.charts = array("i")
@@ -285,15 +284,17 @@ class StepRecord:
         self.charts.append(chart)
         self.values.extend((u, v, du, dv))
 
-    def trajectory(self, t_end, dt):
-        """The samples integrate(system, state0, t_end, dt) records, taken
-        from a run that stepped from state0 with the same dt at least that
-        far: the same RK4 steps, so the same numbers."""
-        n = _step_count(t_end, dt) + 1
+    def trajectory(self, steps, dt, truncated=False):
+        """The Trajectory of the first len(steps) states, state i taken
+        after steps[i] dt steps.  A return from state0 that kept every step
+        gives, with steps = range(_step_count(t_end, dt) + 1), the samples
+        of integrate(system, state0, t_end, dt): the same RK4 steps."""
+        n = len(steps)
         vals = np.array(self.values, dtype=float).reshape(-1, 4)[:n]
-        return Trajectory(t=np.arange(n) * dt,
+        return Trajectory(t=np.array(steps) * dt,
                           chart=np.array(self.charts[:n], dtype=int),
-                          q=vals[:, :2].copy(), dq=vals[:, 2:].copy(), dt=dt)
+                          q=vals[:, :2].copy(), dq=vals[:, 2:].copy(), dt=dt,
+                          truncated=truncated)
 
 
 def poincare_return(system, section, state0, max_time=200.0, dt=DEFAULT_DT,

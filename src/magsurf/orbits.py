@@ -16,7 +16,7 @@ import numpy as np
 from .errors import (DegenerateInputError, MagsurfError, NoConvergenceError,
                      NoReturnError, UnsupportedError)
 from .fields import GAUSS_C, gauss_nodes, local_primitive, s_of_energy
-from .flow import (DEFAULT_DT, Section, StepRecord, TangentState,
+from .flow import (DEFAULT_DT, Section, StepRecord, TangentState, _step_count,
                    poincare_return, state_at_energy, trajectory_curvature)
 from .surfaces import ClosedPolyline
 
@@ -177,7 +177,7 @@ def shoot_periodic(system, k, seed, section=None, tol=SHOOT_TOL,
         raise NoConvergenceError(
             f"shooting residual {np.linalg.norm(res):.3e} after {it} steps")
     state = _section_state(system, section, k, x[0], x[1])
-    traj = steps.trajectory(rt, dt)
+    traj = steps.trajectory(range(_step_count(rt, dt) + 1), dt)
     winding = (0, 0)
     lattice = system.surface.lattice
     if lattice is not None:

@@ -263,9 +263,10 @@ class EvolveParams:
     spacing: float = 0.02
 
     def __post_init__(self):
-        if not (self.tol > 0.0 and self.spacing > 0.0 and self.max_iter >= 1):
-            raise DegenerateInputError(       # NaN fails the test too
-                f"need tol > 0, spacing > 0 and max_iter >= 1: {self}")
+        if not (0.0 < self.tol < math.inf and 0.0 < self.spacing < math.inf
+                and self.max_iter >= 1):      # NaN fails the test too
+            raise DegenerateInputError("need tol, spacing finite and > 0, "
+                                       f"max_iter >= 1: {self}")
 
 
 @dataclasses.dataclass

@@ -514,6 +514,72 @@ tol = {value}
     assert err.startswith("error: ") and "tol" in err
 
 
+def test_orbit_descend_reads_max_iter(capsys, tmp_path):
+    """[run] max_iter bounds the Newton-Krylov iterations: the bump loop
+    that converges in 5 of them (the numbers golden's
+    orbit-descend.flat_torus) ends as max_iter (exit 1) given one."""
+    text = """\
+[surface]
+kind = flat_torus
+
+[field]
+type = bump
+
+[run]
+s = 16.0
+center_u = 0.5
+center_v = 0.5
+radius = 0.15
+n_vertices = 32
+max_iter = 1
+"""
+    code, out_text, _ = _run(capsys, tmp_path, text, "orbit-descend")
+    assert code == 1
+    assert json.loads(out_text)["outcome"] == "max_iter"
+
+
+@pytest.mark.parametrize("kind,ftype", [("sphere", "cosine"),
+                                        ("hyperbolic\ngenus = 2", "bump")],
+                         ids=["sphere-cosine", "hyperbolic-bump"])
+def test_periodic_field_needs_a_torus(capsys, tmp_path, kind, ftype):
+    """A cosine, bump or csv field takes its periods from the torus
+    lattice; on a surface without one it is a configuration error (exit
+    2), not a field that reads differently in the sphere's two charts."""
+    text = f"""\
+[surface]
+kind = {kind}
+
+[field]
+type = {ftype}
+
+[run]
+s = 1.0
+seed_v = 1.0
+t_end = 0.1
+"""
+    code = main(["simulate", _write(tmp_path, text), "--out",
+                 str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error: ") and "torus" in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "orbit-shoot"])
+def test_energy_key_k_matches_its_s(capsys, tmp_path, command):
+    """[run] k = 2 names the level of s = 0.5 (k = 1 / 2 s^2, both exact in
+    binary): the summary and every file written are the same bytes."""
+    runs = []
+    for key in ("s = 0.5", "k = 2.0"):
+        text = SPHERE_ORACLE.replace("s = 1.0", key) \
+            + "seed_u = 0.3\nt_end = 1.0\n"
+        (tmp_path / key[0]).mkdir()
+        code, out_text, out = _run(capsys, tmp_path / key[0], text, command)
+        assert code == 0
+        runs.append((out_text, {p.name: p.read_bytes()
+                                for p in sorted(out.iterdir())}))
+    assert runs[0] == runs[1]
+
+
 @pytest.mark.parametrize("command", ["simulate", "orbit-shoot"])
 @pytest.mark.parametrize("seed_v", ["0", "-1"])
 def test_seed_below_hyperbolic_floor_is_an_error(capsys, tmp_path, command,

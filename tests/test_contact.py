@@ -10,8 +10,8 @@ from magsurf.bundle import (candidate_for, coframe_coefficients,
                             liouville_action, pairing, rotation_vector,
                             structural_relations_check, torus_exact_candidate,
                             ContactCandidate, FiberCandidate)
-from magsurf.errors import (InvalidCandidateError, NoGlobalPrimitiveError,
-                            UnsupportedError)
+from magsurf.errors import (DegenerateInputError, InvalidCandidateError,
+                            NoGlobalPrimitiveError, UnsupportedError)
 from magsurf.fields import (ConstantField, CosineField, MagneticSystem,
                             TorusField, energy_of_s, flux_total,
                             local_primitive)
@@ -205,6 +205,18 @@ def test_inconsistent_candidate_rejected():
     with pytest.raises(InvalidCandidateError):
         contact_candidate_min(system, 1.0, ContactCandidate(0.123),
                               n_base=16, n_fiber=8)
+
+
+@pytest.mark.parametrize("n_base,n_fiber", [(0, 8), (16, 0), (-1, 8),
+                                           (2.5, 8), (16, 2.5)])
+def test_bad_grid_size_rejected(n_base, n_fiber):
+    """A grid without base points or fibre angles has no sign to certify:
+    it raises instead of reporting "positive" with min inf, or dividing
+    by zero; a fractional size would certify a grid it does not name."""
+    system = MagneticSystem(FlatTorus(), CosineField(1.0))
+    with pytest.raises(DegenerateInputError, match="n_base"):
+        contact_candidate_min(system, 0.5, candidate_for(system),
+                              n_base=n_base, n_fiber=n_fiber)
 
 
 def _builders():

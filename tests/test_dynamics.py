@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magsurf.cli import _build_field, _build_surface
-from magsurf.errors import DegenerateInputError, DomainError, NoReturnError
+from magsurf.errors import (DegenerateInputError, DomainError, NoReturnError,
+                            UnsupportedError)
 from magsurf.fields import (CallableField, ConstantField, CosineField,
                             MagneticField, MagneticSystem, TorusField,
                             energy_of_s)
@@ -604,9 +605,14 @@ def test_step_stages_call_no_method_of_surface_or_field(tmp_path, ftype):
     the compiled step's namespace holds no bound method of the system's
     surface or field: each stage runs the classes' step lines, and only
     the sphere's chart line calls one, switch_chart, past the switch
-    circle."""
+    circle.  The CLI builds a cosine field on a torus only, so on the
+    other surfaces the test builds it from the library."""
     for surface in _cli_surfaces(tmp_path):
-        field = _build_field(_config(f"[field]\ntype = {ftype}\n"), surface)
+        if ftype == "cosine" and surface.lattice is None:
+            field = CosineField(2.0 * math.pi)
+        else:
+            field = _build_field(_config(f"[field]\ntype = {ftype}\n"),
+                                 surface)
         step = _make_step(MagneticSystem(surface, field))
         for name, value in step.__globals__.items():
             owner = getattr(value, "__self__", None)
@@ -628,6 +634,19 @@ def test_class_without_step_line_fails_when_step_is_built():
                    MagneticSystem(RoundSphere(), BareField())):
         with pytest.raises(AttributeError, match="step_line"):
             _make_step(system)
+
+
+def test_name_bound_by_surface_and_field_fails_when_step_is_built():
+    """The step binds the surface's and the field's step_names in one
+    namespace, so a name both bind (here the sphere's switch radius r2)
+    fails instead of letting the field's value win."""
+    class ClashingField(ConstantField):
+        def __init__(self, value):
+            super().__init__(value)
+            self.step_names = {**self.step_names, "r2": 4.0}
+
+    with pytest.raises(UnsupportedError, match="r2"):
+        _make_step(MagneticSystem(RoundSphere(), ClashingField(1.0)))
 
 
 @pytest.mark.parametrize("entry,args,name", [

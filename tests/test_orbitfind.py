@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from magsurf import orbits
 from magsurf.cli import main
-from magsurf.errors import (DegenerateInputError, NoGlobalPrimitiveError,
-                            NoReturnError)
+from magsurf.errors import (DegenerateInputError, NoConvergenceError,
+                            NoGlobalPrimitiveError, NoReturnError)
 from magsurf.fields import (ConstantField, MagneticSystem, TorusField,
                             energy_of_s, local_primitive)
 from magsurf.flow import TangentState, integrate, state_at_energy
@@ -211,6 +212,43 @@ def test_line_search_rejects_candidate_without_return():
                            TangentState(0, 0.5, 0.1, 0.0, 1.0), tol=1e-9)
     assert orbit.winding == (0, 0)
     assert orbit_curvature_residual(system, orbit) < 1e-6
+
+
+def _cosine_seed(s=1.8):
+    """A state 10 % off the curvature radius about x = 0, where Newton
+    moves the seed."""
+    system, amp = _cosine_system()
+    return system, energy_of_s(s), TangentState(0, 1.1 / (s * amp), 0.5,
+                                                0.0, 1.0)
+
+
+def test_shoot_reports_stalled_line_search(monkeypatch):
+    """When all 20 halvings of the line search fail (here every candidate
+    return finds no crossing), the shoot raises NoConvergenceError naming
+    the stall instead of handing back an unrefined orbit."""
+    real, kept = orbits.poincare_return, []
+
+    def no_candidate_returns(*args, record=None, **kwargs):
+        if record is not None:
+            kept.append(record)
+            if len(kept) > 1:
+                raise NoReturnError("no return")
+        return real(*args, record=record, **kwargs)
+
+    monkeypatch.setattr(orbits, "poincare_return", no_candidate_returns)
+    with pytest.raises(NoConvergenceError, match="line search stalled"):
+        shoot_periodic(*_cosine_seed())
+    assert len(kept) == 1 + 20
+
+
+def test_shoot_reports_residual_after_max_iter(monkeypatch):
+    """A shoot still above tol after SHOOT_MAX_ITER Newton steps raises
+    NoConvergenceError with its residual and step count: one step does not
+    carry this seed to 1e-10."""
+    monkeypatch.setattr(orbits, "SHOOT_MAX_ITER", 1)
+    with pytest.raises(NoConvergenceError,
+                       match=r"^shooting residual \S+ after 1 steps$"):
+        shoot_periodic(*_cosine_seed())
 
 
 def _shot_trajectory_cases():
@@ -447,7 +485,6 @@ def test_descent_from_tiny_seed_finds_orbit():
 
 def test_descent_is_one_root_solve(monkeypatch):
     """A converging descent evaluates the action once, on the solution."""
-    import magsurf.orbits as orbits
     calls = []
 
     def counted(*args, **kwargs):
@@ -483,6 +520,29 @@ def test_failed_descent_returns_seed():
     assert res.grad_norm == pytest.approx(float(np.linalg.norm(g)),
                                           rel=1e-12)
     assert res.grad_norm > params.tol
+
+
+def test_descent_falls_back_to_seed_when_solve_raises(monkeypatch):
+    """A solve that raises a package error (here its first iterate
+    collapses the loop to a point, which has no period T*) hands back the
+    seed at T* with outcome max_iter and no iterations, as a solve that
+    ran out of iterations does."""
+    import scipy.optimize
+
+    def collapsing_root(fun, x0, **kwargs):
+        return fun(np.zeros_like(x0))
+
+    monkeypatch.setattr(scipy.optimize, "root", collapsing_root)
+    system = _torus_system()
+    k = energy_of_s(0.2)
+    loop = circle_loop((0.5, 0.5), 0.02, 64, 0.3)
+    res = descend_to_critical(system, k, loop)
+    assert res.outcome == "max_iter" and res.iterations == 0
+    assert np.array_equal(res.loop.vertices, loop.vertices)
+    t_star = math.sqrt(loop_l2_energy(system, loop) / (2.0 * k))
+    assert res.loop.period == t_star
+    g, _ = discrete_action_gradient(system, k, res.loop)
+    assert res.grad_norm == float(np.linalg.norm(g))
 
 
 @pytest.mark.parametrize("args", [{"tol": 0.0}, {"tol": -1.0},
@@ -571,7 +631,6 @@ def test_winding_loop_gradient_needs_no_primitive():
 def test_descent_propagates_programming_errors(monkeypatch):
     """Only package errors and scipy's ValueError end a solve as max_iter;
     a TypeError from the gradient reaches the caller."""
-    import magsurf.orbits as orbits
     calls = []
 
     def broken(*args, **kwargs):

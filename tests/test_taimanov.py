@@ -519,21 +519,23 @@ def test_evolution_off_chart_raises():
                         EvolveParams(spacing=0.03, max_iter=4000))
 
 
-@pytest.mark.parametrize("spacing", [0.0, -0.02, math.nan])
+@pytest.mark.parametrize("spacing", [0.0, -0.02, math.nan, math.inf])
 def test_evolve_params_reject_nonpositive_spacing(spacing):
-    """The resample spacing must be positive: zero would divide by zero
-    and a negative one would resample every curve to eight vertices."""
+    """The resample spacing must be finite and positive: zero would divide
+    by zero, a negative one would resample every curve to eight vertices
+    and an infinite one sends the curve off its chart."""
     with pytest.raises(DegenerateInputError, match="spacing"):
         EvolveParams(spacing=spacing)
 
 
 @pytest.mark.parametrize("name,value", [
-    ("tol", 0.0), ("tol", -1e-3), ("tol", math.nan), ("max_iter", 0),
-    ("max_iter", -5)])
+    ("tol", 0.0), ("tol", -1e-3), ("tol", math.nan), ("tol", math.inf),
+    ("max_iter", 0), ("max_iter", -5)])
 def test_evolve_params_reject_unreachable_tol_and_no_iterations(name,
                                                                 value):
     """A tol that is not positive can never be met, so the run would go on
-    to max_iter, and a max_iter below 1 would hand back the seed."""
+    to max_iter, an infinite one is met by the seed before any step, and
+    a max_iter below 1 would hand back the seed."""
     with pytest.raises(DegenerateInputError, match=f"{name}={value!r}"):
         EvolveParams(**{name: value})
 
