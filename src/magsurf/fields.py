@@ -19,7 +19,10 @@ class MagneticField:
 
     Each concrete field sets step_line, its one scalar copy of eval: a
     line of Python setting f at the float point x, y of chart for the RK4
-    step's stages, with step_names, the values it reads."""
+    step's stages, with step_names, the values it reads.  lattice is the
+    periods (lx, ly) a lattice-periodic field repeats with, else None."""
+
+    lattice = None
 
     def eval(self, chart, u, v):
         raise NotImplementedError
@@ -58,6 +61,7 @@ class TorusField(MagneticField):
         self.fn = fn
         self.lx = float(lx)
         self.ly = float(ly)
+        self.lattice = (self.lx, self.ly)
         self.step_names = {"fn": fn, "lx": self.lx, "ly": self.ly}
 
     def eval(self, chart, u, v):
@@ -81,10 +85,18 @@ class CosineField(TorusField):
 
 @dataclasses.dataclass(frozen=True)
 class MagneticSystem:
-    """A surface and a field density, frozen: its primitive is built once."""
+    """A surface and a field density, frozen: its primitive is built once.
+    A lattice-periodic field needs a surface with a lattice: on any other
+    it is no function on the surface, and the pair is UnsupportedError."""
 
     surface: object
     field: MagneticField
+
+    def __post_init__(self):
+        if self.field.lattice is not None and self.surface.lattice is None:
+            raise UnsupportedError(
+                "a lattice-periodic field needs a surface with a lattice, "
+                f"not the {self.surface.kind} surface")
 
     @functools.cached_property
     def primitive(self):        # local_primitive hands it out

@@ -6,24 +6,28 @@ The equation of motion in a conformal chart reads
 
 where i is the 90 degree rotation; its solutions have constant kinetic
 energy and geodesic curvature f / |q'|_g.  Integration uses a fixed-step
-classical fourth-order Runge-Kutta scheme on plain floats, whose stages
-hold the surface's and field's step_line (the one scalar copy of each
-class's point formula, with the step_names it reads) and make_rhs's
-formula; the surface's chart_line follows the update (the sphere changes
-chart there).  A section crossing lands exactly: the hit is the same step,
-cut short to the length that ends on the section and written without the
+classical fourth-order Runge-Kutta scheme on plain floats, written once as
+text whose stages hold the surface's and field's step_line (the one scalar
+copy of each class's point formula, with the step_names it reads) and
+make_rhs's formula; the surface's chart_line follows the update (the
+sphere changes chart there).  The dt loop compiled from that text keeps
+the state in locals, appends each state to a StepRecord's list when given
+one, and stops at the floor or at a section's directed crossing.  A
+crossing lands exactly: the hit is the single step written from the same
+text, cut short to the length that ends on the section and without the
 chart line.
-integrate and poincare_return share the dt step and the StepRecord, so a
+integrate and poincare_return share the dt loop and the StepRecord, so a
 return that keeps its steps yields the trajectory integrate would: a shot
 orbit's trajectory is the accepted return's steps.
 """
 from __future__ import annotations
 
+import ast
 import dataclasses
 import functools
 import math
 import numbers
-from array import array
+import textwrap
 
 import numpy as np
 
@@ -77,12 +81,13 @@ def make_rhs(system):
     return rhs
 
 
-# The one RK4 step; at each stage's point x, y the surface's and field's
-# step_line set ru, rv and f, and the surface's chart_line may move the
-# updated state to another chart.  A flat chart has no Christoffel terms.
+# The one RK4 text: at each stage's point x, y the surface's and field's
+# step_line set ru, rv and f, and the update gives the state x, y, p, q
+# after one step of length h from chart, u, v, du, dv.  The step and the
+# loop run it, with hh = h / 2 and s = h / 6 set before it; the surface's
+# chart_line may then move the updated state to another chart.  A flat
+# chart has no Christoffel terms.
 _RK4 = """\
-def step(chart, u, v, du, dv, h):
-    hh = 0.5 * h
     x, y, p1, q1 = u, v, du, dv
 {0}
     p2, q2 = du + hh * a1u, dv + hh * a1v
@@ -94,14 +99,11 @@ def step(chart, u, v, du, dv, h):
     p4, q4 = du + h * a3u, dv + h * a3v
     x, y = u + h * p3, v + h * q3
 {3}
-    s = h / 6.0
     x = u + s * (p1 + 2 * p2 + 2 * p3 + p4)
     y = v + s * (q1 + 2 * q2 + 2 * q3 + q4)
     p = du + s * (a1u + 2 * a2u + 2 * a3u + a4u)
     q = dv + s * (a1v + 2 * a2v + 2 * a3v + a4v)
-    {chart}
-    return chart, x, y, p, q
-"""
+    {chart}"""
 _CURVED = """\
     {metric}
     {field}
@@ -110,26 +112,109 @@ _CURVED = """\
     a{n}v = -(-rv * p{n} * p{n} + 2.0 * ru * p{n} * q{n}
               + rv * q{n} * q{n}) + f * p{n}"""
 _FLAT = "    {field}\n    a{n}u, a{n}v = -f * q{n}, f * p{n}"
-_compiled = functools.lru_cache(maxsize=64)(compile)
+_STEP = """\
+def step(chart, u, v, du, dv, h):
+    hh, s = 0.5 * h, h / 6.0
+{rk4}
+    return chart, x, y, p, q
+"""
+# n dt steps with the state in locals; ext, when given, receives every
+# state.  It stops early at the floor (the state that fell) or at the
+# directed crossing of the section {coord = sval} in chart schart (the
+# state before it, and the residuals prev, cur on either side): the test
+# of poincare_return, with prev and armed from the start state.  With
+# schart None no chart is the section's.
+_LOOP = """\
+def run(chart, u, v, du, dv, h, n, ext, floor, schart=None, coord=0,
+        sval=0.0, sdir=1, wrap=None, guard=0.0, prev=0.0, armed=False):
+    hh, s = 0.5 * h, h / 6.0
+    for k in range(1, n + 1):
+        c0 = chart
+{rk4}
+        if ext is not None:
+            ext((chart, x, y, p, q))
+        if not y >= floor:              # below the floor, or NaN
+            return k, (chart, x, y, p, q), None
+        if chart == schart:
+            cur = (y if coord else x) - sval
+            if wrap is not None:
+                cur = (cur + 0.5 * wrap) % wrap - 0.5 * wrap
+            cur = sdir * cur
+            if not armed:
+                armed = abs(cur) > 1e-9
+            elif (c0 == schart and prev < 0.0 <= cur
+                  and abs(cur - prev) < guard
+                  and (q if coord else p) * sdir > 0.0):
+                return k, (c0, u, v, du, dv), (prev, cur)
+            prev = cur
+        u, v, du, dv = x, y, p, q
+    return n, (chart, u, v, du, dv), None
+"""
+# what each class's line may assign; any other name it assigns, or binds
+# in step_names, must be one the loop (and so the step) does not use
+_LINE_OUTPUTS = {"metric": {"ru", "rv"}, "field": {"f"},
+                 "chart": {"chart", "x", "y", "p", "q"}}
 
 
-def _make_step(system, chart_rule=True):
-    """One RK4 step on plain floats (chart, u, v, du, dv, h), ending in the
-    surface's chart_line unless chart_rule is False: _RK4 compiled once per
-    distinct source, its values bound by name, never written into it.  A
-    surface or field without a step_line, or a name both of them bind,
-    fails here."""
+def _write(template, metric, field, chart):
+    """template with the RK4 text of these lines at its {rk4}."""
+    stage = _FLAT if metric is None else _CURVED
+    rk4 = _RK4.format(*(stage.format(metric=metric, field=field, n=n)
+                        for n in range(1, 5)), chart=chart or "")
+    return template.format(
+        rk4=textwrap.indent(rk4, "    " if template is _LOOP else ""))
+
+
+def _names(source, ctx=ast.expr_context):
+    """The names a source reads or assigns (only assigns: ctx ast.Store)."""
+    return {n.id for n in ast.walk(ast.parse(source or ""))
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ctx)}
+
+
+@functools.lru_cache(maxsize=128)
+def _code(template, metric, field, chart, bound):
+    """template written from the surface's metric and chart lines and the
+    field's line, compiled once per distinct text.  A line that assigns a
+    name of the loop's own, or a step name (in bound) that the loop's
+    locals would shadow, fails with UnsupportedError instead of
+    overwriting the loop's state."""
+    own = _names(_write(_LOOP, metric and "ru = rv = 0.0", "f = 0.0", None))
+    for key, line in dict(metric=metric, field=field, chart=chart).items():
+        if clash := own & (_names(line, ast.Store) - _LINE_OUTPUTS[key]):
+            raise UnsupportedError(f"the {key} line assigns {sorted(clash)}, "
+                                   "which the RK4 loop uses")
+    if clash := own & set(bound):
+        raise UnsupportedError(f"the step names {sorted(clash)} are names "
+                               "the RK4 loop uses")
+    return compile(_write(template, metric, field, chart), "<rk4>", "exec")
+
+
+def _build(system, template, chart_rule=True):
+    """The function template defines, on plain floats, written from the
+    system's lines with their values bound by name, never written into the
+    text.  A surface or field without a step_line, or a name both of them
+    bind, fails here."""
     surface, field = system.surface, system.field
-    stage = _FLAT if surface.step_line is None else _CURVED
-    source = _RK4.format(*(stage.format(metric=surface.step_line,
-                                        field=field.step_line, n=n)
-                           for n in range(1, 5)),
-                         chart=chart_rule and surface.chart_line or "")
+    lines = (surface.step_line, field.step_line,
+             chart_rule and surface.chart_line or None)
     if shared := surface.step_names.keys() & field.step_names.keys():
         raise UnsupportedError(f"surface and field both bind {sorted(shared)}")
     namespace = {**surface.step_names, **field.step_names}
-    exec(_compiled(source, "<rk4 step>", "exec"), namespace)
-    return namespace["step"]
+    exec(_code(template, *lines, tuple(namespace)), namespace)
+    return namespace["run" if template is _LOOP else "step"]
+
+
+def _make_step(system, chart_rule=True):
+    """One RK4 step (chart, u, v, du, dv, h) -> state, ending in the
+    surface's chart_line unless chart_rule is False."""
+    return _build(system, _STEP, chart_rule)
+
+
+def _make_loop(system):
+    """The dt loop of _LOOP on the system's lines, run(chart, u, v, du, dv,
+    h, n, ext, floor, *section) -> (steps taken, state, (prev, cur) at a
+    crossing or None); its steps are those of _make_step(system)."""
+    return _build(system, _LOOP)
 
 
 def _require_inputs(state, every=1, **args):
@@ -178,27 +263,26 @@ def integrate(system, state0, t_end, dt=DEFAULT_DT, record_every=1):
     The surface's chart_line ends every step (the sphere changes
     stereographic chart there); the run is truncated (flagged) if the state
     falls below the surface's floor, and a run that goes non-finite raises
-    DomainError.
+    DomainError.  The dt loop runs record_every steps per call, with no
+    section, and the state it ends in is the next sample.
     """
     _require_inputs(state0, record_every, t_end=t_end, dt=dt)
-    step = _make_step(system)
+    run = _make_loop(system)
     floor = system.surface.floor
     n_steps = _step_count(t_end, dt)
-    chart, u, v, du, dv = (state0.chart, state0.u, state0.v,
-                           state0.du, state0.dv)
-    system.surface.check_domain(chart, u, v)
+    st = (state0.chart, state0.u, state0.v, state0.du, state0.dv)
+    system.surface.check_domain(*st[:3])
     record, kept = StepRecord(), [0]
-    record.add(chart, u, v, du, dv)
-    truncated = False
-    for i in range(1, n_steps + 1):
-        chart, u, v, du, dv = step(chart, u, v, du, dv, dt)
-        truncated = not v >= floor          # below the floor, or NaN
+    record.add(*st)
+    i, truncated = 0, False
+    while i < n_steps and not truncated:
+        k, st, _ = run(*st, dt, min(record_every, n_steps - i), None, floor)
+        i += k
+        truncated = not st[2] >= floor      # below the floor, or NaN
         if i % record_every == 0 or truncated:
-            record.add(chart, u, v, du, dv)
+            record.add(*st)
             kept.append(i)
-        if truncated:
-            break
-    _check_blowup(u, v, du, dv, kept[-1] * dt)
+    _check_blowup(*st[1:], kept[-1] * dt)
     return record.trajectory(kept, dt, truncated)
 
 
@@ -272,17 +356,17 @@ class Section:
 
 
 class StepRecord:
-    """The states of one run, kept compactly: one int and four doubles per
-    state.  integrate keeps its samples here, and a Poincare return every
-    dt step."""
+    """The states of one run as one flat list, five numbers per state:
+    chart, u, v, du, dv.  integrate keeps its samples here, and a Poincare
+    return every dt step, which its loop appends with one list extend;
+    trajectory reads the list as floats and gives the charts back as
+    ints."""
 
     def __init__(self):
-        self.charts = array("i")
-        self.values = array("d")
+        self.values = []
 
     def add(self, chart, u, v, du, dv):
-        self.charts.append(chart)
-        self.values.extend((u, v, du, dv))
+        self.values.extend((chart, u, v, du, dv))
 
     def trajectory(self, steps, dt, truncated=False):
         """The Trajectory of the first len(steps) states, state i taken
@@ -290,73 +374,63 @@ class StepRecord:
         gives, with steps = range(_step_count(t_end, dt) + 1), the samples
         of integrate(system, state0, t_end, dt): the same RK4 steps."""
         n = len(steps)
-        vals = np.array(self.values, dtype=float).reshape(-1, 4)[:n]
+        vals = np.array(self.values, dtype=float).reshape(-1, 5)[:n]
         return Trajectory(t=np.array(steps) * dt,
-                          chart=np.array(self.charts[:n], dtype=int),
-                          q=vals[:, :2].copy(), dq=vals[:, 2:].copy(), dt=dt,
-                          truncated=truncated)
+                          chart=vals[:, 0].astype(int),
+                          q=vals[:, 1:3].copy(), dq=vals[:, 3:].copy(),
+                          dt=dt, truncated=truncated)
 
 
 def poincare_return(system, section, state0, max_time=200.0, dt=DEFAULT_DT,
                     record=None):
     """First directed return to the section.
 
-    Returns (state, return_time).  The hit is the dt step from the state
-    before the crossing cut short to the length h that lands it on the
-    section: h starts at the linear guess and takes two Newton updates,
-    each dividing the section residual by the coordinate's velocity.  The
-    cut step has no chart line, so the hit stays in the section's chart
-    even just past the sphere's switch circle.  NoReturnError says why
-    when there is no return within max_time or the state falls below the
-    floor, and DomainError when the run goes non-finite or the hit's energy
-    is off the start's by more than RETURN_ENERGY_RTOL.  A StepRecord
-    passed as record receives state0 and every full dt step taken, the step
-    over the crossing too.
+    Returns (state, return_time).  The dt loop runs until the state falls
+    below the floor or steps over the section.  The hit is the dt step from
+    the state before the crossing cut short to the length h that lands it
+    on the section: h starts at the linear guess and takes two Newton
+    updates, each dividing the section residual by the coordinate's
+    velocity.  The cut step has no chart line, so the hit stays in the
+    section's chart even just past the sphere's switch circle.
+    NoReturnError says why when there is no return within max_time or the
+    state falls below the floor, and DomainError when the run goes
+    non-finite or the hit's energy is off the start's by more than
+    RETURN_ENERGY_RTOL.  A StepRecord passed as record receives state0 and
+    every full dt step taken, the step over the crossing too.
     """
     _require_inputs(state0, max_time=max_time, dt=dt)
-    step = _make_step(system)
-    cut = _make_step(system, chart_rule=False)
+    run = _make_loop(system)
     floor = system.surface.floor
-    ci, sval, sdir = 1 + section.coord, section.value, section.direction
-    wrap, schart = section.wrap, section.chart
     st = (state0.chart, state0.u, state0.v, state0.du, state0.dv)
-    add = record.add if record is not None else None
-    if add is not None:
-        add(*st)
+    ext = None
+    if record is not None:
+        record.add(*st)
+        ext = record.values.extend
     prev = section.signed_residual(st)
-    armed = abs(prev) > 1e-9
-    guard = 0.25 * (wrap if wrap else math.inf)
+    wrap = section.wrap
     n_steps = int(math.ceil(max_time / dt))
-    for i in range(1, n_steps + 1):
-        nst = step(*st, dt)
-        if add is not None:
-            add(*nst)
-        if not nst[2] >= floor:             # below the floor, or NaN
-            _check_blowup(*nst[1:], i * dt)
+    i, st, crossing = run(
+        *st, dt, n_steps, ext, floor, section.chart, section.coord,
+        section.value, section.direction, wrap,
+        0.25 * (wrap if wrap else math.inf), prev, abs(prev) > 1e-9)
+    if crossing is None:
+        _check_blowup(*st[1:], i * dt)
+        if not st[2] >= floor:
             raise NoReturnError("trajectory fell below the chart floor")
-        if nst[0] == schart:
-            cur = nst[ci] - sval        # Section.signed_residual, inlined
-            if wrap is not None:
-                cur = (cur + 0.5 * wrap) % wrap - 0.5 * wrap
-            cur = sdir * cur
-            if not armed:
-                armed = abs(cur) > 1e-9
-            elif (st[0] == schart and prev < 0.0 <= cur
-                  and abs(cur - prev) < guard and nst[ci + 2] * sdir > 0.0):
-                h = dt * prev / (prev - cur)
-                for _ in range(2):
-                    hit = cut(*st, h)
-                    h -= section.signed_residual(hit) / (sdir * hit[ci + 2])
-                hit = cut(*st, h)
-                t = (i - 1) * dt + h
-                _check_blowup(*hit[1:], t)
-                hit = TangentState(*hit)
-                e0 = energy_of(system, state0)
-                if abs(energy_of(system, hit) - e0) > RETURN_ENERGY_RTOL * e0:
-                    raise DomainError(f"return at t = {t:g} is off the "
-                                      f"energy level {e0:g}: the run blew up")
-                return hit, t
-            prev = cur
-        st = nst
-    _check_blowup(*st[1:], n_steps * dt)
-    raise NoReturnError(f"no directed return within time {max_time}")
+        raise NoReturnError(f"no directed return within time {max_time}")
+    cut = _make_step(system, chart_rule=False)
+    ci, sdir = 1 + section.coord, section.direction
+    prev, cur = crossing
+    h = dt * prev / (prev - cur)
+    for _ in range(2):
+        hit = cut(*st, h)
+        h -= section.signed_residual(hit) / (sdir * hit[ci + 2])
+    hit = cut(*st, h)
+    t = (i - 1) * dt + h
+    _check_blowup(*hit[1:], t)
+    hit = TangentState(*hit)
+    e0 = energy_of(system, state0)
+    if abs(energy_of(system, hit) - e0) > RETURN_ENERGY_RTOL * e0:
+        raise DomainError(f"return at t = {t:g} is off the "
+                          f"energy level {e0:g}: the run blew up")
+    return hit, t

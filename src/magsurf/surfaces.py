@@ -31,8 +31,8 @@ class Surface:
     # Python setting ru, rv at the float point x, y of chart, written into
     # the RK4 step's stages (None marks a flat chart), and step_names, the
     # values it reads; a chart_line, written after the update to chart, x,
-    # y, p, q, may return that state in another chart.  The integrator uses
-    # nothing else of the surface.
+    # y, p, q, may reassign them the same state in another chart.  The
+    # integrator uses nothing else of the surface.
     step_names = {}
     chart_line = None
 
@@ -121,7 +121,8 @@ class RoundSphere(Surface):
     n_charts = 2
     constant_curvature = 1
     step_line = "d = 1.0 + x * x + y * y; ru, rv = -2.0 * x / d, -2.0 * y / d"
-    chart_line = "if x * x + y * y > r2: return switch_chart(chart, x, y, p, q)"
+    chart_line = ("if x * x + y * y > r2: "
+                  "chart, x, y, p, q = switch_chart(chart, x, y, p, q)")
 
     def conformal(self, chart, u, v):
         u = np.asarray(u, dtype=float)

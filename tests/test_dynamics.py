@@ -15,10 +15,11 @@ from magsurf.errors import (DegenerateInputError, DomainError, NoReturnError,
 from magsurf.fields import (CallableField, ConstantField, CosineField,
                             MagneticField, MagneticSystem, TorusField,
                             energy_of_s)
-from magsurf.flow import (Section, TangentState, _make_step, energy_of,
-                          integrate, make_rhs, poincare_return,
-                          state_at_energy, trajectory_curvature,
-                          trajectory_energies, trajectory_speeds)
+from magsurf.flow import (Section, StepRecord, TangentState, _make_loop,
+                          _make_step, energy_of, integrate, make_rhs,
+                          poincare_return, state_at_energy,
+                          trajectory_curvature, trajectory_energies,
+                          trajectory_speeds)
 from magsurf.orbits import homogeneous_oracle
 from magsurf.surfaces import (SPHERE_SWITCH_RADIUS, ConformalTorus, FlatTorus,
                               HyperbolicPlane, PeriodicBicubic, RoundSphere,
@@ -564,13 +565,17 @@ def test_step_is_rk4_over_make_rhs(system, vrange, chart, u, w, du, dv, h,
     """The dt step writes make_rhs into its four stages, with the step
     lines for make_rhs's conformal and eval calls; it equals the classical
     RK4 over make_rhs bit for bit, and so does the step a section crossing
-    cuts short, built without the chart rule."""
+    cuts short, built without the chart rule; one pass of the dt loop
+    gives the dt step's state."""
     lo, hi = vrange
     if system.surface.n_charts == 1:
         chart = 0
     v = lo + w * (hi - lo)
     got = _make_step(system, not cut)(chart, u, v, du, dv, h)
     assert got == _rk4_reference(system, chart, u, v, du, dv, h, cut)
+    if not cut:
+        assert _make_loop(system)(chart, u, v, du, dv, h, 1, None,
+                                  system.surface.floor) == (1, got, None)
 
 
 @pytest.mark.parametrize("system", [c[0] for c in _step_cases().values()],
@@ -605,14 +610,12 @@ def test_step_stages_call_no_method_of_surface_or_field(tmp_path, ftype):
     the compiled step's namespace holds no bound method of the system's
     surface or field: each stage runs the classes' step lines, and only
     the sphere's chart line calls one, switch_chart, past the switch
-    circle.  The CLI builds a cosine field on a torus only, so on the
-    other surfaces the test builds it from the library."""
+    circle.  A cosine field needs a lattice, so it is built on the tori
+    only."""
     for surface in _cli_surfaces(tmp_path):
         if ftype == "cosine" and surface.lattice is None:
-            field = CosineField(2.0 * math.pi)
-        else:
-            field = _build_field(_config(f"[field]\ntype = {ftype}\n"),
-                                 surface)
+            continue
+        field = _build_field(_config(f"[field]\ntype = {ftype}\n"), surface)
         step = _make_step(MagneticSystem(surface, field))
         for name, value in step.__globals__.items():
             owner = getattr(value, "__self__", None)
@@ -647,6 +650,80 @@ def test_name_bound_by_surface_and_field_fails_when_step_is_built():
 
     with pytest.raises(UnsupportedError, match="r2"):
         _make_step(MagneticSystem(RoundSphere(), ClashingField(1.0)))
+
+
+def test_name_the_loop_uses_fails_when_step_is_built():
+    """The dt loop keeps its state and counters in locals beside the names
+    the step lines assign, so a line that assigns one of them (here the
+    section residual prev) or a step name that one of them would shadow
+    (here the step count n) fails as the step or the loop is built,
+    instead of overwriting the loop's state."""
+    class ClashingSphere(RoundSphere):
+        step_line = "prev = 0.0; " + RoundSphere.step_line
+
+    class ShadowedField(ConstantField):
+        def __init__(self, value):
+            super().__init__(value)
+            self.step_names = {**self.step_names, "n": 3}
+
+    for build in (_make_step, _make_loop):
+        with pytest.raises(UnsupportedError, match="metric line .*'prev'"):
+            build(MagneticSystem(ClashingSphere(), ConstantField(1.0)))
+        with pytest.raises(UnsupportedError, match="step names .*'n'"):
+            build(MagneticSystem(FlatTorus(), ShadowedField(1.0)))
+
+
+@pytest.mark.parametrize("field", [CosineField(1.0),
+                                   TorusField(lambda x, y: x * y)])
+def test_lattice_field_needs_a_surface_lattice(field):
+    """A lattice-periodic field is no function on a surface without a
+    lattice (a cosine field on the sphere reads differently in its two
+    charts at one point), so MagneticSystem refuses the pair."""
+    for surface in (RoundSphere(), HyperbolicPlane(genus=2)):
+        with pytest.raises(UnsupportedError, match="lattice"):
+            MagneticSystem(surface, field)
+    assert MagneticSystem(FlatTorus(), field).field is field
+    assert ConstantField(1.0).lattice is None
+    assert field.lattice == (1.0, 1.0)
+
+
+def test_return_on_wrapped_section_records_integrate_steps():
+    """A return to a section of a torus coordinate, taken across the
+    period seam (v from 0.7 up to 1.5, i.e. 0.5 mod 1), records state0
+    and every dt step: exactly integrate's samples at record_every 1."""
+    system = MagneticSystem(FlatTorus(), CosineField(2.0 * math.pi))
+    st0 = state_at_energy(system, TangentState(0, 0.1, 0.7, 0.3, 1.0), 0.5)
+    record = StepRecord()
+    hit, rt = poincare_return(system, Section(coord=1, value=0.5, wrap=1.0),
+                              st0, record=record)
+    assert 1.4 < hit.v < 1.6 and abs(hit.v - 1.5) < 1e-12
+    n = len(record.values) // 5
+    got = record.trajectory(range(n), 1e-3)
+    ref = integrate(system, st0, (n - 1) * 1e-3, record_every=1)
+    assert len(ref.t) == n and n > 500
+    for name in ("t", "chart", "q", "dq"):
+        assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+
+
+def test_return_stops_at_the_floor_where_integrate_truncates():
+    """The plunging geodesic of test_hyperbolic_truncation_flag has no
+    return: the loop stops at the step that falls below the floor, which
+    is the step integrate flags truncated, and that step ends the
+    record."""
+    system = MagneticSystem(HyperbolicPlane(genus=2), ConstantField(0.0))
+    k = energy_of_s(0.05)
+    st = state_at_energy(system, TangentState(0, 0.0, 1e-9, 0.0, -1.0), k)
+    traj = integrate(system, st, 10.0, dt=1e-3)
+    assert traj.truncated
+    record = StepRecord()
+    with pytest.raises(NoReturnError, match="below the chart floor"):
+        poincare_return(system, Section(coord=0, value=1.0), st,
+                        max_time=10.0, record=record)
+    got = record.trajectory(range(len(record.values) // 5), 1e-3)
+    assert len(got.t) == len(traj.t)
+    for name in ("t", "chart", "q", "dq"):
+        assert np.array_equal(getattr(got, name), getattr(traj, name),
+                              equal_nan=True), name
 
 
 @pytest.mark.parametrize("entry,args,name", [

@@ -21,7 +21,8 @@ from magsurf.orbits import (SHOOT_TOL, DescentParams, DiscreteLoop,
                             loop_mean_energy, orbit_curvature_residual,
                             orbit_radius, shoot_periodic)
 from magsurf.regions import curve_length
-from magsurf.surfaces import FlatTorus, HyperbolicPlane, RoundSphere
+from magsurf.surfaces import (ConformalTorus, FlatTorus, HyperbolicPlane,
+                              RoundSphere)
 
 RNG = np.random.default_rng(11)
 
@@ -256,6 +257,9 @@ def _shot_trajectory_cases():
     s_cos = 1.8
     r = 1.0 / (s_cos * amp)
     hyp_r = homogeneous_oracle("hyperbolic", 2.0).radius
+    x = np.arange(16) / 16
+    grid = 0.1 * np.cos(2 * np.pi * x)[:, None] \
+        * np.sin(2 * np.pi * x + 0.3)[None, :]
     return [
         # a wide circle on the sphere, through both charts
         (MagneticSystem(RoundSphere(), ConstantField(0.2)), 1.0,
@@ -267,11 +271,15 @@ def _shot_trajectory_cases():
         (MagneticSystem(FlatTorus(), TorusField(
             lambda x, y: amp * np.cos(2.0 * np.pi * x))), s_cos,
          TangentState(0, 1.1 * r, 0.5, 0.0, 1.0), 1e-9),
+        # a circle of radius about 1/8 over the spline's 1/16 cells: the
+        # step line binds i, j, the cell of each stage point
+        (MagneticSystem(ConformalTorus(grid), ConstantField(8.0)), 1.0,
+         TangentState(0, 0.4, 0.5, 0.0, 1.0), SHOOT_TOL),
     ]
 
 
 @pytest.mark.parametrize("system,s,seed,tol", _shot_trajectory_cases(),
-                         ids=["sphere", "hyperbolic", "cosine"])
+                         ids=["sphere", "hyperbolic", "cosine", "conformal"])
 def test_shot_trajectory_is_integrated_orbit(system, s, seed, tol):
     """The orbit's trajectory, kept from the accepted return's steps, is
     exactly what integrating the orbit's seed over its period gives."""

@@ -91,14 +91,16 @@ def test_no_surface_type_probes_outside_surfaces():
             assert counts[key] <= limit, f"{key} has {counts[key]} probes"
 
 
-# The stepping core: the one RK4 step (full dt steps, and the step cut
-# short on a section at a crossing) in flow.py, and the helpers the
-# conformal torus's step line calls (the cell lookup and Horner gradient
-# of PeriodicBicubic), use no numpy.  make_rhs, the reference right-hand
+# The stepping core: the one RK4 text in flow.py, which the dt loop and
+# the single step (the step cut short on a section at a crossing) are
+# written and compiled from, and the helpers the conformal torus's step
+# line calls (the cell lookup and Horner gradient of PeriodicBicubic), use
+# no numpy.  make_rhs, the reference right-hand
 # side, reads the surface's conformal and the field's eval and makes
 # floats of them itself.  The classes' step_line texts are checked in
 # test_dynamics.
-CORE_FUNCTIONS = {"make_rhs", "_make_step"}
+CORE_FUNCTIONS = {"make_rhs", "_make_step", "_make_loop", "_build", "_code",
+                  "_write"}
 CORE_METHODS = {"cell_of", "patch_grad"}
 
 

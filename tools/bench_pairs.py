@@ -1,0 +1,135 @@
+"""Alternating perfbench pairs: a base revision against the working tree.
+
+    python3 tools/bench_pairs.py --base REV --workload W --pairs N --seconds S
+
+REV is exported with ``git archive`` into a temporary directory, removed on
+exit and on error.  Pair j (seed j, from 1) runs
+
+    python3 perfbench/run.py --workload W --seed j --seconds S --trace 0
+
+once in REV's tree and once in the working tree, the base first in odd
+pairs and the working tree first in even ones.  Each run's end-to-end
+metrics are printed as it ends; then, per metric, each side's median and
+quartiles and the number of pairs each side won, by the metric's
+``better`` direction in BENCHMARK.json (ties count for neither).  A run
+that exits non-zero or prints no result drops its pair, and is reported.
+Only the standard library is used; perfbench/ is run, never changed.
+"""
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def parse_result(stdout):
+    """The result dict of a perfbench run: its last stdout line."""
+    lines = stdout.strip().splitlines()
+    result = json.loads(lines[-1]) if lines else {}
+    if "metrics" not in result:
+        raise ValueError("no perfbench result line")
+    return result
+
+
+def summarize(pairs, better):
+    """Per metric: the base and change medians and quartiles over the
+    pairs (base result, change result), and the pairs each side won."""
+    rows = {}
+    for name, direction in better.items():
+        base = [b["metrics"][name]["value"] for b, _ in pairs]
+        change = [c["metrics"][name]["value"] for _, c in pairs]
+        sign = 1.0 if direction == "higher" else -1.0
+        gains = [sign * (c - b) for b, c in zip(base, change)]
+        rows[name] = {
+            "base": _quartiles(base), "change": _quartiles(change),
+            "change_wins": sum(g > 0 for g in gains),
+            "base_wins": sum(g < 0 for g in gains),
+        }
+    return rows
+
+
+def _quartiles(values):
+    """(first quartile, median, third quartile) of a non-empty list."""
+    if len(values) < 2:
+        return (values[0],) * 3
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def format_summary(rows, n_pairs):
+    out = [f"{n_pairs} pairs; median [q1, q3], and pairs won"]
+    for name, row in rows.items():
+        (bq1, bm, bq3), (cq1, cm, cq3) = row["base"], row["change"]
+        out.append(f"{name:12s} base {bm:.6g} [{bq1:.6g}, {bq3:.6g}]  "
+                   f"change {cm:.6g} [{cq1:.6g}, {cq3:.6g}]  "
+                   f"won base {row['base_wins']} / change "
+                   f"{row['change_wins']}")
+    return "\n".join(out)
+
+
+def _export(rev, dest):
+    """The files of rev, from git archive, under dest."""
+    tar = subprocess.run(["git", "-C", ROOT, "archive", rev],
+                         check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as tf:
+        tf.extractall(dest, filter="data")
+
+
+def _run(root, workload, seed, seconds):
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True,
+                          timeout=4 * seconds + 600)
+    if proc.returncode != 0:
+        raise RuntimeError(f"exit {proc.returncode}: {proc.stderr[-500:]}")
+    return parse_result(proc.stdout)
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--base", required=True)
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--pairs", type=int, required=True)
+    ap.add_argument("--seconds", type=float, required=True)
+    args = ap.parse_args(argv)
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        better = {m["name"]: m["better"]
+                  for m in json.load(fh)["end_to_end"]}
+    pairs = []
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        _export(args.base, tmp)
+        for seed in range(1, args.pairs + 1):
+            order = [("base", tmp), ("change", ROOT)]
+            if seed % 2 == 0:
+                order.reverse()
+            results = {}
+            for side, root in order:
+                try:
+                    results[side] = _run(root, args.workload, seed,
+                                         args.seconds)
+                except (RuntimeError, ValueError,
+                        subprocess.TimeoutExpired) as exc:
+                    print(f"seed {seed} {side}: failed: {exc}", flush=True)
+                    break
+                res = results[side]
+                values = {n: res["metrics"][n]["value"] for n in better}
+                print(f"seed {seed} {side}: failed {res['failed']} of "
+                      f"{res['attempted']} jobs, {json.dumps(values)}",
+                      flush=True)
+            if len(results) == 2:
+                pairs.append((results["base"], results["change"]))
+    if pairs:
+        print(format_summary(summarize(pairs, better), len(pairs)))
+    return 0 if len(pairs) == args.pairs else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
