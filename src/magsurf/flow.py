@@ -10,12 +10,12 @@ classical fourth-order Runge-Kutta scheme on plain floats, written once as
 text whose stages hold the surface's and field's step_line (the one scalar
 copy of each class's point formula, with the step_names it reads) and
 make_rhs's formula; the surface's chart_line follows the update (the
-sphere changes chart there).  The dt loop compiled from that text keeps
-the state in locals, appends each state to a StepRecord's list when given
-one, and stops at the floor or at a section's directed crossing.  A
-crossing lands exactly: the hit is the single step written from the same
-text, cut short to the length that ends on the section and without the
-chart line.
+sphere changes chart there).  The dt loop compiled from that text, the
+one compiled function, keeps the state in locals, appends every
+record_every-th state to a StepRecord's list when given one, and stops at
+the floor or at a section's directed crossing.  A crossing lands exactly:
+the hit is one pass of the same loop, built without the chart line, with
+its step cut short to the length that ends on the section.
 integrate and poincare_return share the dt loop and the StepRecord, so a
 return that keeps its steps yields the trajectory integrate would: a shot
 orbit's trajectory is the accepted return's steps.
@@ -27,7 +27,6 @@ import dataclasses
 import functools
 import math
 import numbers
-import textwrap
 
 import numpy as np
 
@@ -81,58 +80,44 @@ def make_rhs(system):
     return rhs
 
 
-# The one RK4 text: at each stage's point x, y the surface's and field's
-# step_line set ru, rv and f, and the update gives the state x, y, p, q
-# after one step of length h from chart, u, v, du, dv.  The step and the
-# loop run it, with hh = h / 2 and s = h / 6 set before it; the surface's
-# chart_line may then move the updated state to another chart.  A flat
-# chart has no Christoffel terms.
-_RK4 = """\
-    x, y, p1, q1 = u, v, du, dv
-{0}
-    p2, q2 = du + hh * a1u, dv + hh * a1v
-    x, y = u + hh * p1, v + hh * q1
-{1}
-    p3, q3 = du + hh * a2u, dv + hh * a2v
-    x, y = u + hh * p2, v + hh * q2
-{2}
-    p4, q4 = du + h * a3u, dv + h * a3v
-    x, y = u + h * p3, v + h * q3
-{3}
-    x = u + s * (p1 + 2 * p2 + 2 * p3 + p4)
-    y = v + s * (q1 + 2 * q2 + 2 * q3 + q4)
-    p = du + s * (a1u + 2 * a2u + 2 * a3u + a4u)
-    q = dv + s * (a1v + 2 * a2v + 2 * a3v + a4v)
-    {chart}"""
-_CURVED = """\
-    {metric}
-    {field}
-    a{n}u = -(ru * p{n} * p{n} + 2.0 * rv * p{n} * q{n}
-              - ru * q{n} * q{n}) - f * q{n}
-    a{n}v = -(-rv * p{n} * p{n} + 2.0 * ru * p{n} * q{n}
-              + rv * q{n} * q{n}) + f * p{n}"""
-_FLAT = "    {field}\n    a{n}u, a{n}v = -f * q{n}, f * p{n}"
-_STEP = """\
-def step(chart, u, v, du, dv, h):
-    hh, s = 0.5 * h, h / 6.0
-{rk4}
-    return chart, x, y, p, q
-"""
-# n dt steps with the state in locals; ext, when given, receives every
-# state.  It stops early at the floor (the state that fell) or at the
-# directed crossing of the section {coord = sval} in chart schart (the
-# state before it, and the residuals prev, cur on either side): the test
-# of poincare_return, with prev and armed from the start state.  With
-# schart None no chart is the section's.
+# The one compiled function: n RK4 steps of length h from chart, u, v,
+# du, dv, with the state in locals.  At each stage's point x, y the
+# surface's and field's step_line set ru, rv and f (a flat chart has no
+# Christoffel terms); the update gives the state x, y, p, q, and the
+# surface's chart_line may then move it to another chart.  ext, when
+# given, receives the states of steps every, 2 every, ...  The loop stops
+# early at the floor (the state that fell) or at the directed crossing of
+# the section {coord = sval} in chart schart (the state before it, and
+# the residuals prev, cur on either side): the test of poincare_return,
+# with prev and armed from the start state.  With schart None no chart is
+# the section's, so with n = 1 and no chart line it is the single step a
+# crossing is cut with.
 _LOOP = """\
-def run(chart, u, v, du, dv, h, n, ext, floor, schart=None, coord=0,
-        sval=0.0, sdir=1, wrap=None, guard=0.0, prev=0.0, armed=False):
-    hh, s = 0.5 * h, h / 6.0
+def run(chart, u, v, du, dv, h, n, ext, floor, every=1, schart=None,
+        coord=0, sval=0.0, sdir=1, wrap=None, guard=0.0, prev=0.0,
+        armed=False):
+    hh, s, rec = 0.5 * h, h / 6.0, every
     for k in range(1, n + 1):
         c0 = chart
-{rk4}
-        if ext is not None:
+        x, y, p1, q1 = u, v, du, dv
+{0}
+        p2, q2 = du + hh * a1u, dv + hh * a1v
+        x, y = u + hh * p1, v + hh * q1
+{1}
+        p3, q3 = du + hh * a2u, dv + hh * a2v
+        x, y = u + hh * p2, v + hh * q2
+{2}
+        p4, q4 = du + h * a3u, dv + h * a3v
+        x, y = u + h * p3, v + h * q3
+{3}
+        x = u + s * (p1 + 2 * p2 + 2 * p3 + p4)
+        y = v + s * (q1 + 2 * q2 + 2 * q3 + q4)
+        p = du + s * (a1u + 2 * a2u + 2 * a3u + a4u)
+        q = dv + s * (a1v + 2 * a2v + 2 * a3v + a4v)
+        {chart}
+        if ext is not None and k == rec:
             ext((chart, x, y, p, q))
+            rec += every
         if not y >= floor:              # below the floor, or NaN
             return k, (chart, x, y, p, q), None
         if chart == schart:
@@ -150,19 +135,25 @@ def run(chart, u, v, du, dv, h, n, ext, floor, schart=None, coord=0,
         u, v, du, dv = x, y, p, q
     return n, (chart, u, v, du, dv), None
 """
+_CURVED = """\
+        {metric}
+        {field}
+        a{n}u = -(ru * p{n} * p{n} + 2.0 * rv * p{n} * q{n}
+                  - ru * q{n} * q{n}) - f * q{n}
+        a{n}v = -(-rv * p{n} * p{n} + 2.0 * ru * p{n} * q{n}
+                  + rv * q{n} * q{n}) + f * p{n}"""
+_FLAT = "        {field}\n        a{n}u, a{n}v = -f * q{n}, f * p{n}"
 # what each class's line may assign; any other name it assigns, or binds
-# in step_names, must be one the loop (and so the step) does not use
+# in step_names, must be one the loop does not use
 _LINE_OUTPUTS = {"metric": {"ru", "rv"}, "field": {"f"},
                  "chart": {"chart", "x", "y", "p", "q"}}
 
 
-def _write(template, metric, field, chart):
-    """template with the RK4 text of these lines at its {rk4}."""
+def _write(metric, field, chart):
+    """_LOOP with these lines in its four stages and after its update."""
     stage = _FLAT if metric is None else _CURVED
-    rk4 = _RK4.format(*(stage.format(metric=metric, field=field, n=n)
-                        for n in range(1, 5)), chart=chart or "")
-    return template.format(
-        rk4=textwrap.indent(rk4, "    " if template is _LOOP else ""))
+    return _LOOP.format(*(stage.format(metric=metric, field=field, n=n)
+                          for n in range(1, 5)), chart=chart or "")
 
 
 def _names(source, ctx=ast.expr_context):
@@ -172,13 +163,13 @@ def _names(source, ctx=ast.expr_context):
 
 
 @functools.lru_cache(maxsize=128)
-def _code(template, metric, field, chart, bound):
-    """template written from the surface's metric and chart lines and the
+def _code(metric, field, chart, bound):
+    """_LOOP written from the surface's metric and chart lines and the
     field's line, compiled once per distinct text.  A line that assigns a
     name of the loop's own, or a step name (in bound) that the loop's
     locals would shadow, fails with UnsupportedError instead of
     overwriting the loop's state."""
-    own = _names(_write(_LOOP, metric and "ru = rv = 0.0", "f = 0.0", None))
+    own = _names(_write(metric and "ru = rv = 0.0", "f = 0.0", None))
     for key, line in dict(metric=metric, field=field, chart=chart).items():
         if clash := own & (_names(line, ast.Store) - _LINE_OUTPUTS[key]):
             raise UnsupportedError(f"the {key} line assigns {sorted(clash)}, "
@@ -186,35 +177,24 @@ def _code(template, metric, field, chart, bound):
     if clash := own & set(bound):
         raise UnsupportedError(f"the step names {sorted(clash)} are names "
                                "the RK4 loop uses")
-    return compile(_write(template, metric, field, chart), "<rk4>", "exec")
+    return compile(_write(metric, field, chart), "<rk4>", "exec")
 
 
-def _build(system, template, chart_rule=True):
-    """The function template defines, on plain floats, written from the
-    system's lines with their values bound by name, never written into the
-    text.  A surface or field without a step_line, or a name both of them
-    bind, fails here."""
+def _make_loop(system, chart_rule=True):
+    """_LOOP on plain floats, run(chart, u, v, du, dv, h, n, ext, floor,
+    every, *section) -> (steps taken, state, (prev, cur) at a crossing or
+    None), written from the system's lines with their values bound by
+    name, never written into the text; its steps end in the surface's
+    chart_line unless chart_rule is False.  A surface or field without a
+    step_line, or a name both of them bind, fails here."""
     surface, field = system.surface, system.field
     lines = (surface.step_line, field.step_line,
              chart_rule and surface.chart_line or None)
     if shared := surface.step_names.keys() & field.step_names.keys():
         raise UnsupportedError(f"surface and field both bind {sorted(shared)}")
     namespace = {**surface.step_names, **field.step_names}
-    exec(_code(template, *lines, tuple(namespace)), namespace)
-    return namespace["run" if template is _LOOP else "step"]
-
-
-def _make_step(system, chart_rule=True):
-    """One RK4 step (chart, u, v, du, dv, h) -> state, ending in the
-    surface's chart_line unless chart_rule is False."""
-    return _build(system, _STEP, chart_rule)
-
-
-def _make_loop(system):
-    """The dt loop of _LOOP on the system's lines, run(chart, u, v, du, dv,
-    h, n, ext, floor, *section) -> (steps taken, state, (prev, cur) at a
-    crossing or None); its steps are those of _make_step(system)."""
-    return _build(system, _LOOP)
+    exec(_code(*lines, tuple(namespace)), namespace)
+    return namespace["run"]
 
 
 def _require_inputs(state, every=1, **args):
@@ -263,25 +243,24 @@ def integrate(system, state0, t_end, dt=DEFAULT_DT, record_every=1):
     The surface's chart_line ends every step (the sphere changes
     stereographic chart there); the run is truncated (flagged) if the state
     falls below the surface's floor, and a run that goes non-finite raises
-    DomainError.  The dt loop runs record_every steps per call, with no
-    section, and the state it ends in is the next sample.
+    DomainError.  The dt loop runs all the steps in one call, with no
+    section, and hands the record every record_every-th state; the state
+    that fell below the floor is the last sample.
     """
     _require_inputs(state0, record_every, t_end=t_end, dt=dt)
     run = _make_loop(system)
     floor = system.surface.floor
-    n_steps = _step_count(t_end, dt)
     st = (state0.chart, state0.u, state0.v, state0.du, state0.dv)
     system.surface.check_domain(*st[:3])
-    record, kept = StepRecord(), [0]
+    record = StepRecord()
     record.add(*st)
-    i, truncated = 0, False
-    while i < n_steps and not truncated:
-        k, st, _ = run(*st, dt, min(record_every, n_steps - i), None, floor)
-        i += k
-        truncated = not st[2] >= floor      # below the floor, or NaN
-        if i % record_every == 0 or truncated:
-            record.add(*st)
-            kept.append(i)
+    i, st, _ = run(*st, dt, _step_count(t_end, dt), record.values.extend,
+                   floor, record_every)
+    truncated = not st[2] >= floor      # below the floor, or NaN
+    kept = list(range(0, i + 1, record_every))
+    if truncated and i % record_every:
+        record.add(*st)
+        kept.append(i)
     _check_blowup(*st[1:], kept[-1] * dt)
     return record.trajectory(kept, dt, truncated)
 
@@ -386,12 +365,13 @@ def poincare_return(system, section, state0, max_time=200.0, dt=DEFAULT_DT,
     """First directed return to the section.
 
     Returns (state, return_time).  The dt loop runs until the state falls
-    below the floor or steps over the section.  The hit is the dt step from
-    the state before the crossing cut short to the length h that lands it
-    on the section: h starts at the linear guess and takes two Newton
-    updates, each dividing the section residual by the coordinate's
-    velocity.  The cut step has no chart line, so the hit stays in the
-    section's chart even just past the sphere's switch circle.
+    below the floor or steps over the section.  The hit is one pass of the
+    loop from the state before the crossing, its step cut short to the
+    length h that lands it on the section: h starts at the linear guess
+    and takes two Newton updates, each dividing the section residual by
+    the coordinate's velocity.  That loop is built without the chart line,
+    so the hit stays in the section's chart even just past the sphere's
+    switch circle.
     NoReturnError says why when there is no return within max_time or the
     state falls below the floor, and DomainError when the run goes
     non-finite or the hit's energy is off the start's by more than
@@ -410,7 +390,7 @@ def poincare_return(system, section, state0, max_time=200.0, dt=DEFAULT_DT,
     wrap = section.wrap
     n_steps = int(math.ceil(max_time / dt))
     i, st, crossing = run(
-        *st, dt, n_steps, ext, floor, section.chart, section.coord,
+        *st, dt, n_steps, ext, floor, 1, section.chart, section.coord,
         section.value, section.direction, wrap,
         0.25 * (wrap if wrap else math.inf), prev, abs(prev) > 1e-9)
     if crossing is None:
@@ -418,14 +398,14 @@ def poincare_return(system, section, state0, max_time=200.0, dt=DEFAULT_DT,
         if not st[2] >= floor:
             raise NoReturnError("trajectory fell below the chart floor")
         raise NoReturnError(f"no directed return within time {max_time}")
-    cut = _make_step(system, chart_rule=False)
+    cut = _make_loop(system, chart_rule=False)
     ci, sdir = 1 + section.coord, section.direction
     prev, cur = crossing
     h = dt * prev / (prev - cur)
     for _ in range(2):
-        hit = cut(*st, h)
+        hit = cut(*st, h, 1, None, floor)[1]
         h -= section.signed_residual(hit) / (sdir * hit[ci + 2])
-    hit = cut(*st, h)
+    hit = cut(*st, h, 1, None, floor)[1]
     t = (i - 1) * dt + h
     _check_blowup(*hit[1:], t)
     hit = TangentState(*hit)

@@ -47,3 +47,33 @@ def test_summary_counts_wins_by_direction():
 def test_output_without_result_line_is_rejected():
     with pytest.raises(ValueError, match="no perfbench result"):
         bench_pairs.parse_result('{"report": {}}\n')
+
+
+def _result(**values):
+    return json.dumps({"correct": True, "attempted": 40, "failed": 0,
+                       "metrics": {n: {"value": v, "unit": ""}
+                                   for n, v in values.items()}})
+
+
+def test_verdict_against_each_metric_bound():
+    """A change median worse than the base median by more than the bound
+    is worse beyond it; a base whose quartiles spread wider than the bound
+    leaves the verdict unresolved unless every change run beats every base
+    run."""
+    runs = {"jobs_per_s": ([17.0, 17.4, 16.9, 17.2], [20.0, 19.9, 20.1, 17.0]),
+            "job_tail_s": ([1.0, 1.0, 1.1, 1.0], [1.5, 1.4, 1.6, 1.5]),
+            "setup_s": ([0.8, 1.2, 0.6, 1.3], [0.9, 1.0, 0.7, 1.1]),
+            "job_p50_s": ([0.8, 1.2, 0.6, 1.3], [0.5, 0.55, 0.4, 0.5])}
+    pairs = [tuple(bench_pairs.parse_result(_result(
+        **{n: sides[side][j] for n, sides in runs.items()}))
+        for side in (0, 1)) for j in range(4)]
+    better = {"jobs_per_s": "higher", "job_tail_s": "lower",
+              "setup_s": "lower", "job_p50_s": "lower"}
+    rows = bench_pairs.summarize(pairs, better, dict.fromkeys(better, 0.25))
+    assert {n: r["verdict"] for n, r in rows.items()} == {
+        "jobs_per_s": "within bound", "job_tail_s": "worse beyond bound",
+        "setup_s": "unresolved", "job_p50_s": "within bound"}
+    lines = bench_pairs.format_summary(rows, len(pairs)).splitlines()
+    assert lines[2].startswith("job_tail_s")
+    assert lines[2].endswith("worse beyond bound")
+    assert lines[3].endswith("unresolved")

@@ -16,7 +16,7 @@ from magsurf.fields import (CallableField, ConstantField, CosineField,
                             MagneticField, MagneticSystem, TorusField,
                             energy_of_s)
 from magsurf.flow import (Section, StepRecord, TangentState, _make_loop,
-                          _make_step, energy_of, integrate, make_rhs,
+                          energy_of, integrate, make_rhs,
                           poincare_return, state_at_energy,
                           trajectory_curvature, trajectory_energies,
                           trajectory_speeds)
@@ -474,7 +474,7 @@ def test_blown_up_but_finite_return_is_a_domain_error():
 def _rk4_reference(system, chart, u, v, du, dv, h, cut=False):
     """Classical RK4 on (u, v, du, dv) over make_rhs, then, unless cut, the
     sphere's radius rule (switch_chart past the circle of radius
-    SPHERE_SWITCH_RADIUS): the step _make_step writes out, in the same
+    SPHERE_SWITCH_RADIUS): the step _make_loop writes out, in the same
     operation order."""
     rhs = make_rhs(system)
     hh = 0.5 * h
@@ -562,20 +562,19 @@ def _step_cases():
 @settings(max_examples=60, deadline=None)
 def test_step_is_rk4_over_make_rhs(system, vrange, chart, u, w, du, dv, h,
                                    cut):
-    """The dt step writes make_rhs into its four stages, with the step
-    lines for make_rhs's conformal and eval calls; it equals the classical
-    RK4 over make_rhs bit for bit, and so does the step a section crossing
-    cuts short, built without the chart rule; one pass of the dt loop
-    gives the dt step's state."""
+    """The dt loop writes make_rhs into its four stages, with the step
+    lines for make_rhs's conformal and eval calls; one pass of it, with no
+    section, gives the classical RK4 step over make_rhs bit for bit, and
+    so does one pass of the loop a section crossing is cut with, built
+    without the chart rule."""
     lo, hi = vrange
     if system.surface.n_charts == 1:
         chart = 0
     v = lo + w * (hi - lo)
-    got = _make_step(system, not cut)(chart, u, v, du, dv, h)
+    k, got, crossing = _make_loop(system, not cut)(
+        chart, u, v, du, dv, h, 1, None, system.surface.floor)
+    assert (k, crossing) == (1, None)
     assert got == _rk4_reference(system, chart, u, v, du, dv, h, cut)
-    if not cut:
-        assert _make_loop(system)(chart, u, v, du, dv, h, 1, None,
-                                  system.surface.floor) == (1, got, None)
 
 
 @pytest.mark.parametrize("system", [c[0] for c in _step_cases().values()],
@@ -583,11 +582,11 @@ def test_step_is_rk4_over_make_rhs(system, vrange, chart, u, w, du, dv, h,
 def test_step_sources_are_numpy_free(system):
     """The per-point lines the step is written from are source text, out of
     the structure guard's reach: they name no numpy, and the compiled
-    step's namespace holds no numpy object."""
+    loop's namespace holds no numpy object."""
     for line in (system.surface.step_line, system.field.step_line):
         assert not {n.id for n in ast.walk(ast.parse(line or ""))
                     if isinstance(n, ast.Name)} & {"np", "numpy"}
-    for value in _make_step(system).__globals__.values():
+    for value in _make_loop(system).__globals__.values():
         assert value is not np
         assert type(value).__module__.partition(".")[0] != "numpy"
 
@@ -607,7 +606,7 @@ def _cli_surfaces(tmp_path):
 @pytest.mark.parametrize("ftype", ["constant", "cosine"])
 def test_step_stages_call_no_method_of_surface_or_field(tmp_path, ftype):
     """On every surface the CLI builds, with a constant and a cosine field,
-    the compiled step's namespace holds no bound method of the system's
+    the compiled loop's namespace holds no bound method of the system's
     surface or field: each stage runs the classes' step lines, and only
     the sphere's chart line calls one, switch_chart, past the switch
     circle.  A cosine field needs a lattice, so it is built on the tori
@@ -616,8 +615,8 @@ def test_step_stages_call_no_method_of_surface_or_field(tmp_path, ftype):
         if ftype == "cosine" and surface.lattice is None:
             continue
         field = _build_field(_config(f"[field]\ntype = {ftype}\n"), surface)
-        step = _make_step(MagneticSystem(surface, field))
-        for name, value in step.__globals__.items():
+        run = _make_loop(MagneticSystem(surface, field))
+        for name, value in run.__globals__.items():
             owner = getattr(value, "__self__", None)
             assert name == "switch_chart" or not (owner is surface
                                                   or owner is field), name
@@ -636,7 +635,7 @@ def test_class_without_step_line_fails_when_step_is_built():
     for system in (MagneticSystem(BareSurface(), ConstantField(1.0)),
                    MagneticSystem(RoundSphere(), BareField())):
         with pytest.raises(AttributeError, match="step_line"):
-            _make_step(system)
+            _make_loop(system)
 
 
 def test_name_bound_by_surface_and_field_fails_when_step_is_built():
@@ -649,15 +648,16 @@ def test_name_bound_by_surface_and_field_fails_when_step_is_built():
             self.step_names = {**self.step_names, "r2": 4.0}
 
     with pytest.raises(UnsupportedError, match="r2"):
-        _make_step(MagneticSystem(RoundSphere(), ClashingField(1.0)))
+        _make_loop(MagneticSystem(RoundSphere(), ClashingField(1.0)))
 
 
 def test_name_the_loop_uses_fails_when_step_is_built():
     """The dt loop keeps its state and counters in locals beside the names
     the step lines assign, so a line that assigns one of them (here the
     section residual prev) or a step name that one of them would shadow
-    (here the step count n) fails as the step or the loop is built,
-    instead of overwriting the loop's state."""
+    (here the step count n) fails as the loop is built, with the chart
+    rule or without it (the loop a crossing is cut with), instead of
+    overwriting the loop's state."""
     class ClashingSphere(RoundSphere):
         step_line = "prev = 0.0; " + RoundSphere.step_line
 
@@ -666,11 +666,13 @@ def test_name_the_loop_uses_fails_when_step_is_built():
             super().__init__(value)
             self.step_names = {**self.step_names, "n": 3}
 
-    for build in (_make_step, _make_loop):
+    for chart_rule in (True, False):
         with pytest.raises(UnsupportedError, match="metric line .*'prev'"):
-            build(MagneticSystem(ClashingSphere(), ConstantField(1.0)))
+            _make_loop(MagneticSystem(ClashingSphere(), ConstantField(1.0)),
+                       chart_rule)
         with pytest.raises(UnsupportedError, match="step names .*'n'"):
-            build(MagneticSystem(FlatTorus(), ShadowedField(1.0)))
+            _make_loop(MagneticSystem(FlatTorus(), ShadowedField(1.0)),
+                       chart_rule)
 
 
 @pytest.mark.parametrize("field", [CosineField(1.0),
@@ -703,6 +705,40 @@ def test_return_on_wrapped_section_records_integrate_steps():
     assert len(ref.t) == n and n > 500
     for name in ("t", "chart", "q", "dq"):
         assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+
+
+@pytest.mark.parametrize("case", ["plunge", "cosine"])
+def test_sampling_keeps_every_record_every_th_step(case):
+    """integrate at record_every 7 gives integrate's every-step samples at
+    steps 0, 7, 14, ... bit for bit: on the plunge of
+    test_hyperbolic_truncation_flag, which falls below the floor at a
+    step off a multiple of 7 and keeps that step as its last sample, and
+    on a cosine-torus run of 2003 steps, whose last 1 step is not
+    sampled."""
+    if case == "plunge":
+        system = MagneticSystem(HyperbolicPlane(genus=2), ConstantField(0.0))
+        st0 = state_at_energy(
+            system, TangentState(0, 0.0, 1e-9, 0.0, -1.0), energy_of_s(0.05))
+        t_end = 10.0
+    else:
+        system = MagneticSystem(FlatTorus(), CosineField(2.0 * math.pi))
+        st0 = state_at_energy(system, TangentState(0, 0.1, 0.7, 0.3, 1.0),
+                              0.5)
+        t_end = 2.003
+    every = integrate(system, st0, t_end, record_every=1)
+    seventh = integrate(system, st0, t_end, record_every=7)
+    n = len(every.t)
+    idx = list(range(0, n, 7))
+    if case == "plunge":
+        assert every.truncated and seventh.truncated and (n - 1) % 7
+        idx.append(n - 1)
+    else:
+        assert n == 2004 and not seventh.truncated
+    assert np.array_equal(seventh.t, every.t[idx])
+    for name in ("chart", "q", "dq"):
+        assert np.array_equal(getattr(seventh, name),
+                              getattr(every, name)[idx],
+                              equal_nan=True), name
 
 
 def test_return_stops_at_the_floor_where_integrate_truncates():
@@ -754,6 +790,7 @@ def test_step_past_sphere_switch_is_rk4_over_make_rhs(chart):
     system = MagneticSystem(RoundSphere(), ConstantField(0.6))
     r = SPHERE_SWITCH_RADIUS - 1e-4
     state = (chart, 0.6 * r, 0.8 * r, 0.9, 1.1)
-    got = _make_step(system)(*state, 1e-3)
+    got = _make_loop(system)(*state, 1e-3, 1, None,
+                             system.surface.floor)[1]
     assert got[0] == 1 - chart
     assert got == _rk4_reference(system, *state, 1e-3)

@@ -16,6 +16,7 @@ package is used somewhere, or is a listed library entry point.
 import ast
 import collections
 import pathlib
+import re
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "magsurf"
 SURFACE_CLASSES = {"Surface", "FlatTorus", "RoundSphere", "HyperbolicPlane",
@@ -91,16 +92,15 @@ def test_no_surface_type_probes_outside_surfaces():
             assert counts[key] <= limit, f"{key} has {counts[key]} probes"
 
 
-# The stepping core: the one RK4 text in flow.py, which the dt loop and
-# the single step (the step cut short on a section at a crossing) are
-# written and compiled from, and the helpers the conformal torus's step
-# line calls (the cell lookup and Horner gradient of PeriodicBicubic), use
-# no numpy.  make_rhs, the reference right-hand
-# side, reads the surface's conformal and the field's eval and makes
-# floats of them itself.  The classes' step_line texts are checked in
-# test_dynamics.
-CORE_FUNCTIONS = {"make_rhs", "_make_step", "_make_loop", "_build", "_code",
-                  "_write"}
+# The stepping core: the one RK4 loop text in flow.py, which the dt loop
+# (and, run for one step without the chart line, the step cut short on a
+# section at a crossing) is written and compiled from, and the helpers
+# the conformal torus's step line calls (the cell lookup and Horner
+# gradient of PeriodicBicubic), use no numpy.  make_rhs, the reference
+# right-hand side, reads the surface's conformal and the field's eval and
+# makes floats of them itself.  The classes' step_line texts are checked
+# in test_dynamics.
+CORE_FUNCTIONS = {"make_rhs", "_make_loop", "_code", "_write"}
 CORE_METHODS = {"cell_of", "patch_grad"}
 
 
@@ -157,6 +157,25 @@ def test_stepping_core_is_numpy_free():
                if isinstance(c, ast.ClassDef)
                for n in c.body if isinstance(n, ast.FunctionDef)}
     assert CORE_METHODS <= methods
+
+
+def test_one_compiled_stepping_core():
+    """flow.py holds one function template, _LOOP, as a module-level
+    string, and the package compiles and executes source text in one place
+    each: every RK4 step runs in the one compiled loop."""
+    flow = ast.parse((SRC / "flow.py").read_text())
+    templates = [t.id for n in flow.body if isinstance(n, ast.Assign)
+                 and isinstance(n.value, ast.Constant)
+                 and isinstance(n.value.value, str)
+                 and re.search(r"^\s*def \w+\(", n.value.value, re.M)
+                 for t in n.targets]
+    assert templates == ["_LOOP"]
+    calls = collections.Counter(
+        n.func.id for path in SRC.glob("*.py")
+        for n in ast.walk(ast.parse(path.read_text()))
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+        and n.func.id in ("compile", "exec"))
+    assert calls == {"compile": 1, "exec": 1}
 
 
 # The curve evolution reads edges, chords and normals off padded coordinate

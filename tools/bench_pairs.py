@@ -11,8 +11,13 @@ once in REV's tree and once in the working tree, the base first in odd
 pairs and the working tree first in even ones.  Each run's end-to-end
 metrics are printed as it ends; then, per metric, each side's median and
 quartiles and the number of pairs each side won, by the metric's
-``better`` direction in BENCHMARK.json (ties count for neither).  A run
-that exits non-zero or prints no result drops its pair, and is reported.
+``better`` direction in BENCHMARK.json (ties count for neither), and a
+verdict against the metric's ``bound``, a fraction of the base median:
+``unresolved`` when the base's interquartile spread is wider than the
+bound and not every change run beats every base run, else ``worse beyond
+bound`` when the change median is worse than the base median by more
+than the bound, else ``within bound``.  A run that exits non-zero or
+prints no result drops its pair, and is reported.
 Only the standard library is used; perfbench/ is run, never changed.
 """
 from __future__ import annotations
@@ -39,9 +44,10 @@ def parse_result(stdout):
     return result
 
 
-def summarize(pairs, better):
+def summarize(pairs, better, bounds=None):
     """Per metric: the base and change medians and quartiles over the
-    pairs (base result, change result), and the pairs each side won."""
+    pairs (base result, change result), the pairs each side won, and the
+    verdict of each metric that bounds gives a bound."""
     rows = {}
     for name, direction in better.items():
         base = [b["metrics"][name]["value"] for b, _ in pairs]
@@ -53,7 +59,24 @@ def summarize(pairs, better):
             "change_wins": sum(g > 0 for g in gains),
             "base_wins": sum(g < 0 for g in gains),
         }
+        if bounds and name in bounds:
+            rows[name]["verdict"] = verdict(base, change, direction,
+                                            bounds[name])
     return rows
+
+
+def verdict(base, change, direction, bound):
+    """'unresolved', 'worse beyond bound' or 'within bound' (see the
+    module docstring) for one metric's base and change runs."""
+    sign = 1.0 if direction == "higher" else -1.0
+    q1, median, q3 = _quartiles(base)
+    allowed = bound * abs(median)
+    beats_all = min(sign * c for c in change) > max(sign * b for b in base)
+    if q3 - q1 > allowed and not beats_all:
+        return "unresolved"
+    if sign * (_quartiles(change)[1] - median) < -allowed:
+        return "worse beyond bound"
+    return "within bound"
 
 
 def _quartiles(values):
@@ -71,7 +94,7 @@ def format_summary(rows, n_pairs):
         out.append(f"{name:12s} base {bm:.6g} [{bq1:.6g}, {bq3:.6g}]  "
                    f"change {cm:.6g} [{cq1:.6g}, {cq3:.6g}]  "
                    f"won base {row['base_wins']} / change "
-                   f"{row['change_wins']}")
+                   f"{row['change_wins']}  {row.get('verdict', '')}".rstrip())
     return "\n".join(out)
 
 
@@ -101,8 +124,9 @@ def main(argv=None):
     ap.add_argument("--seconds", type=float, required=True)
     args = ap.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
-        better = {m["name"]: m["better"]
-                  for m in json.load(fh)["end_to_end"]}
+        end_to_end = json.load(fh)["end_to_end"]
+    better = {m["name"]: m["better"] for m in end_to_end}
+    bounds = {m["name"]: m["bound"] for m in end_to_end}
     pairs = []
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         _export(args.base, tmp)
@@ -127,7 +151,7 @@ def main(argv=None):
             if len(results) == 2:
                 pairs.append((results["base"], results["change"]))
     if pairs:
-        print(format_summary(summarize(pairs, better), len(pairs)))
+        print(format_summary(summarize(pairs, better, bounds), len(pairs)))
     return 0 if len(pairs) == args.pairs else 1
 
 
