@@ -19,6 +19,12 @@ its step cut short to the length that ends on the section.
 integrate and poincare_return share the dt loop and the StepRecord, so a
 return that keeps its steps yields the trajectory integrate would: a shot
 orbit's trajectory is the accepted return's steps.
+The loop's second step body is an order-8 Gragg-Bulirsch-Stoer macro
+step of MACRO_STEPS * dt, midpoint substeps of the same stage text
+extrapolated in the substep length squared; poincare_return runs it with
+order 8, recording nothing.  Shooting's Newton iterations run on that
+map, and what a user sees stays RK4 at dt: the first return, the
+recorded orbit and its residual.
 """
 from __future__ import annotations
 
@@ -27,6 +33,7 @@ import dataclasses
 import functools
 import math
 import numbers
+import textwrap
 
 import numpy as np
 
@@ -37,6 +44,8 @@ DEFAULT_DT = 1e-3
 # a return whose energy left the start's by more than this, relative, came
 # from a run that blew up without going non-finite
 RETURN_ENERGY_RTOL = 1e-6
+# an order-8 return's steps are this many dt long
+MACRO_STEPS = 20
 
 
 @dataclasses.dataclass(frozen=True)
@@ -80,10 +89,15 @@ def make_rhs(system):
     return rhs
 
 
-# The one compiled function: n RK4 steps of length h from chart, u, v,
-# du, dv, with the state in locals.  At each stage's point x, y the
-# surface's and field's step_line set ru, rv and f (a flat chart has no
-# Christoffel terms); the update gives the state x, y, p, q, and the
+# The one compiled function: n steps of length h from chart, u, v, du,
+# dv, with the state in locals.  At each stage's point x, y the surface's
+# and field's step_line set ru, rv and f (a flat chart has no Christoffel
+# terms).  A step is classical RK4, or with macro an order-8
+# Gragg-Bulirsch-Stoer step: the explicit midpoint rule over h in m = 2,
+# 4, 6, 8 substeps g = h / m, whose error is even in g, extrapolated to
+# g = 0 by the weights w of the Aitken-Neville tableau's last entry
+# (prod over the other m' of m^2 / (m^2 - m'^2)); the first stage, at the
+# start, serves both.  The update gives the state x, y, p, q, and the
 # surface's chart_line may then move it to another chart.  ext, when
 # given, receives the states of steps every, 2 every, ...  The loop stops
 # early at the floor (the state that fell) or at the directed crossing of
@@ -95,25 +109,45 @@ def make_rhs(system):
 _LOOP = """\
 def run(chart, u, v, du, dv, h, n, ext, floor, every=1, schart=None,
         coord=0, sval=0.0, sdir=1, wrap=None, guard=0.0, prev=0.0,
-        armed=False):
+        armed=False, macro=False):
     hh, s, rec = 0.5 * h, h / 6.0, every
     for k in range(1, n + 1):
         c0 = chart
         x, y, p1, q1 = u, v, du, dv
 {0}
-        p2, q2 = du + hh * a1u, dv + hh * a1v
-        x, y = u + hh * p1, v + hh * q1
+        if macro:
+            ex = ey = ep = eq = 0.0
+            for m, w in ((2, -1 / 360), (4, 16 / 45), (6, -729 / 280),
+                         (8, 1024 / 315)):
+                g = h / m
+                g2 = 2.0 * g
+                xa, ya, pa, qa = u, v, du, dv
+                x, y = u + g * du, v + g * dv
+                p5, q5 = du + g * a1u, dv + g * a1v
+                for _ in range(m - 1):
+{4}
+                    xa, ya, pa, qa, x, y, p5, q5 = (
+                        x, y, p5, q5, xa + g2 * p5, ya + g2 * q5,
+                        pa + g2 * a5u, qa + g2 * a5v)
+                ex += w * (x - u)
+                ey += w * (y - v)
+                ep += w * (p5 - du)
+                eq += w * (q5 - dv)
+            x, y, p, q = u + ex, v + ey, du + ep, dv + eq
+        else:
+            p2, q2 = du + hh * a1u, dv + hh * a1v
+            x, y = u + hh * p1, v + hh * q1
 {1}
-        p3, q3 = du + hh * a2u, dv + hh * a2v
-        x, y = u + hh * p2, v + hh * q2
+            p3, q3 = du + hh * a2u, dv + hh * a2v
+            x, y = u + hh * p2, v + hh * q2
 {2}
-        p4, q4 = du + h * a3u, dv + h * a3v
-        x, y = u + h * p3, v + h * q3
+            p4, q4 = du + h * a3u, dv + h * a3v
+            x, y = u + h * p3, v + h * q3
 {3}
-        x = u + s * (p1 + 2 * p2 + 2 * p3 + p4)
-        y = v + s * (q1 + 2 * q2 + 2 * q3 + q4)
-        p = du + s * (a1u + 2 * a2u + 2 * a3u + a4u)
-        q = dv + s * (a1v + 2 * a2v + 2 * a3v + a4v)
+            x = u + s * (p1 + 2 * p2 + 2 * p3 + p4)
+            y = v + s * (q1 + 2 * q2 + 2 * q3 + q4)
+            p = du + s * (a1u + 2 * a2u + 2 * a3u + a4u)
+            q = dv + s * (a1v + 2 * a2v + 2 * a3v + a4v)
         {chart}
         if ext is not None and k == rec:
             ext((chart, x, y, p, q))
@@ -136,13 +170,16 @@ def run(chart, u, v, du, dv, h, n, ext, floor, every=1, schart=None,
     return n, (chart, u, v, du, dv), None
 """
 _CURVED = """\
-        {metric}
-        {field}
-        a{n}u = -(ru * p{n} * p{n} + 2.0 * rv * p{n} * q{n}
-                  - ru * q{n} * q{n}) - f * q{n}
-        a{n}v = -(-rv * p{n} * p{n} + 2.0 * ru * p{n} * q{n}
-                  + rv * q{n} * q{n}) + f * p{n}"""
-_FLAT = "        {field}\n        a{n}u, a{n}v = -f * q{n}, f * p{n}"
+{metric}
+{field}
+a{n}u = -(ru * p{n} * p{n} + 2.0 * rv * p{n} * q{n}
+          - ru * q{n} * q{n}) - f * q{n}
+a{n}v = -(-rv * p{n} * p{n} + 2.0 * ru * p{n} * q{n}
+          + rv * q{n} * q{n}) + f * p{n}"""
+_FLAT = "{field}\na{n}u, a{n}v = -f * q{n}, f * p{n}"
+# the indent of each stage: the first at the start, three in the RK4
+# body and one in the midpoint substeps
+_INDENTS = (8, 12, 12, 12, 20)
 # what each class's line may assign; any other name it assigns, or binds
 # in step_names, must be one the loop does not use
 _LINE_OUTPUTS = {"metric": {"ru", "rv"}, "field": {"f"},
@@ -150,10 +187,11 @@ _LINE_OUTPUTS = {"metric": {"ru", "rv"}, "field": {"f"},
 
 
 def _write(metric, field, chart):
-    """_LOOP with these lines in its four stages and after its update."""
+    """_LOOP with these lines in its five stages and after its update."""
     stage = _FLAT if metric is None else _CURVED
-    return _LOOP.format(*(stage.format(metric=metric, field=field, n=n)
-                          for n in range(1, 5)), chart=chart or "")
+    return _LOOP.format(*(textwrap.indent(stage.format(
+        metric=metric, field=field, n=n), " " * pad)
+        for n, pad in enumerate(_INDENTS, 1)), chart=chart or "")
 
 
 def _names(source, ctx=ast.expr_context):
@@ -361,24 +399,32 @@ class StepRecord:
 
 
 def poincare_return(system, section, state0, max_time=200.0, dt=DEFAULT_DT,
-                    record=None):
+                    record=None, *, order=4):
     """First directed return to the section.
 
-    Returns (state, return_time).  The dt loop runs until the state falls
-    below the floor or steps over the section.  The hit is one pass of the
-    loop from the state before the crossing, its step cut short to the
-    length h that lands it on the section: h starts at the linear guess
-    and takes two Newton updates, each dividing the section residual by
-    the coordinate's velocity.  That loop is built without the chart line,
-    so the hit stays in the section's chart even just past the sphere's
-    switch circle.
+    Returns (state, return_time).  The loop runs RK4 steps of length dt,
+    or with order 8 Gragg-Bulirsch-Stoer steps of length MACRO_STEPS * dt,
+    until the state falls below the floor or steps over the section.  The
+    hit is one pass of the loop from the state before the crossing, its
+    step cut short to the length h that lands it on the section: h starts
+    at the linear guess and takes two Newton updates, each dividing the
+    section residual by the coordinate's velocity.  That loop is built
+    without the chart line, so the hit stays in the section's chart even
+    just past the sphere's switch circle.
     NoReturnError says why when there is no return within max_time or the
     state falls below the floor, and DomainError when the run goes
     non-finite or the hit's energy is off the start's by more than
     RETURN_ENERGY_RTOL.  A StepRecord passed as record receives state0 and
-    every full dt step taken, the step over the crossing too.
+    every full dt step taken, the step over the crossing too; order 8
+    records nothing, since its steps are not dt apart, and an order other
+    than 4 or 8, or a record with order 8, is DegenerateInputError.
     """
     _require_inputs(state0, max_time=max_time, dt=dt)
+    if order not in (4, 8) or (order == 8 and record is not None):
+        raise DegenerateInputError(
+            f"order must be 4, or 8 with no record: order {order}")
+    macro = order == 8
+    step = MACRO_STEPS * dt if macro else dt
     run = _make_loop(system)
     floor = system.surface.floor
     st = (state0.chart, state0.u, state0.v, state0.du, state0.dv)
@@ -388,25 +434,26 @@ def poincare_return(system, section, state0, max_time=200.0, dt=DEFAULT_DT,
         ext = record.values.extend
     prev = section.signed_residual(st)
     wrap = section.wrap
-    n_steps = int(math.ceil(max_time / dt))
+    n_steps = int(math.ceil(max_time / step))
     i, st, crossing = run(
-        *st, dt, n_steps, ext, floor, 1, section.chart, section.coord,
+        *st, step, n_steps, ext, floor, 1, section.chart, section.coord,
         section.value, section.direction, wrap,
-        0.25 * (wrap if wrap else math.inf), prev, abs(prev) > 1e-9)
+        0.25 * (wrap if wrap else math.inf), prev, abs(prev) > 1e-9,
+        macro=macro)
     if crossing is None:
-        _check_blowup(*st[1:], i * dt)
+        _check_blowup(*st[1:], i * step)
         if not st[2] >= floor:
             raise NoReturnError("trajectory fell below the chart floor")
         raise NoReturnError(f"no directed return within time {max_time}")
     cut = _make_loop(system, chart_rule=False)
     ci, sdir = 1 + section.coord, section.direction
     prev, cur = crossing
-    h = dt * prev / (prev - cur)
+    h = step * prev / (prev - cur)
     for _ in range(2):
-        hit = cut(*st, h, 1, None, floor)[1]
+        hit = cut(*st, h, 1, None, floor, macro=macro)[1]
         h -= section.signed_residual(hit) / (sdir * hit[ci + 2])
-    hit = cut(*st, h, 1, None, floor)[1]
-    t = (i - 1) * dt + h
+    hit = cut(*st, h, 1, None, floor, macro=macro)[1]
+    t = (i - 1) * step + h
     _check_blowup(*hit[1:], t)
     hit = TangentState(*hit)
     e0 = energy_of(system, state0)

@@ -46,10 +46,13 @@ class Surface:
         raise NotImplementedError
 
     def check_domain(self, chart, u, v):
-        """Charts (one or an array) in range and no point below the floor."""
-        bad = np.setdiff1d(chart, range(self.n_charts))
+        """Charts (one or an array) whole numbers in range and no point
+        below the floor; the error names the least stray chart."""
+        c = np.asarray(chart)
+        bad = c[(c < 0) | (c >= self.n_charts) | (c % 1 != 0)]
         if bad.size:
-            raise DomainError(f"chart {bad[0]} not in 0..{self.n_charts - 1}")
+            raise DomainError(f"chart {np.sort(bad)[0]} not in "
+                              f"0..{self.n_charts - 1}")
         if np.any(np.asarray(v) < self.floor):
             raise DomainError(f"point below the chart floor v = {self.floor}")
 

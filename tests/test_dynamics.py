@@ -15,7 +15,8 @@ from magsurf.errors import (DegenerateInputError, DomainError, NoReturnError,
 from magsurf.fields import (CallableField, ConstantField, CosineField,
                             MagneticField, MagneticSystem, TorusField,
                             energy_of_s)
-from magsurf.flow import (Section, StepRecord, TangentState, _make_loop,
+from magsurf.flow import (MACRO_STEPS, Section, StepRecord,
+                          TangentState, _make_loop,
                           energy_of, integrate, make_rhs,
                           poincare_return, state_at_energy,
                           trajectory_curvature, trajectory_energies,
@@ -241,6 +242,40 @@ def test_poincare_return_lands_on_section(surface, s, point, section, time):
     hit, rt = poincare_return(system, section, st)
     assert abs(section.signed_residual(dataclasses.astuple(hit))) <= 1e-14
     assert abs(rt - time) < 1e-12
+
+
+@pytest.mark.parametrize("surface,s,point,section,time", _circle_cases(),
+                         ids=["flat_torus", "sphere", "genus2",
+                              "flat_torus_wrapped"])
+def test_order8_return_on_oracle_circles(surface, s, point, section, time):
+    """The order-8 return, Gragg-Bulirsch-Stoer steps of MACRO_STEPS * dt:
+    at the default dt its return time is the closed-form one to 1e-12 and
+    its hit lies on the section to 1e-13; the time's error falls at least
+    100-fold (2^8 = 256 for order 8) as the macro step halves from 0.2
+    to 0.1."""
+    system = MagneticSystem(surface, ConstantField(1.0))
+    st = state_at_energy(system, TangentState(0, *point, 0.0, 1.0),
+                         energy_of_s(s))
+    hit, rt = poincare_return(system, section, st, order=8)
+    assert abs(section.signed_residual(dataclasses.astuple(hit))) <= 1e-13
+    assert abs(rt - time) <= 1e-12
+    coarse, fine = (abs(poincare_return(system, section, st, dt=dt,
+                                        order=8)[1] - time)
+                    for dt in (0.2 / MACRO_STEPS, 0.1 / MACRO_STEPS))
+    assert fine * 100.0 <= coarse
+
+
+@pytest.mark.parametrize("order", [8, 5])
+def test_return_order_is_4_or_unrecorded_8(order):
+    """An order-8 return's steps are MACRO_STEPS * dt long, so it cannot
+    record the dt steps a trajectory needs; any order but 4 and 8 is
+    refused too."""
+    system, st0 = _systems()[0][1:]
+    record = StepRecord() if order == 8 else None
+    with pytest.raises(DegenerateInputError, match="^order must be 4"):
+        poincare_return(system, Section(coord=0, value=0.37, wrap=1.0), st0,
+                        record=record, order=order)
+    assert record is None or record.values == []
 
 
 def test_poincare_return_past_sphere_switch_keeps_chart():
@@ -673,6 +708,18 @@ def test_name_the_loop_uses_fails_when_step_is_built():
         with pytest.raises(UnsupportedError, match="step names .*'n'"):
             _make_loop(MagneticSystem(FlatTorus(), ShadowedField(1.0)),
                        chart_rule)
+
+
+def test_name_the_macro_step_uses_fails_when_step_is_built():
+    """The order-8 step body keeps its midpoint states and extrapolation
+    sums in locals of the same loop, so the name guard covers them: a
+    field line that assigns one (here the sum ex) fails as the loop is
+    built."""
+    class ClashingField(ConstantField):
+        step_line = "ex = 0.0; " + ConstantField.step_line
+
+    with pytest.raises(UnsupportedError, match="field line .*'ex'"):
+        _make_loop(MagneticSystem(FlatTorus(), ClashingField(1.0)))
 
 
 @pytest.mark.parametrize("field", [CosineField(1.0),

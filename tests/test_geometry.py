@@ -206,6 +206,20 @@ def test_check_domain_rejects_chart_array_with_stray_entry():
             surface.check_domain(np.array(charts), np.zeros(4), np.zeros(4))
 
 
+@pytest.mark.parametrize("stray", [2, -1, 0.5])
+@pytest.mark.parametrize("shape", ["scalar", "array"])
+def test_check_domain_rejects_stray_chart(stray, shape):
+    """A chart past the sphere's two, below 0 or not a whole number is
+    refused, alone or inside an array, with the message naming it; the
+    sphere's own charts 0 and 1 (also as floats) pass."""
+    sph = RoundSphere()
+    for good in (0, 1, 1.0, np.array([0, 1.0, 1])):
+        sph.check_domain(good, 0.0, 0.0)
+    chart = stray if shape == "scalar" else np.array([1, stray, 0])
+    with pytest.raises(DomainError, match=f"^chart {stray} not in 0..1$"):
+        sph.check_domain(chart, 0.0, 0.0)
+
+
 def test_sphere_switch_preserves_state():
     """switch_chart maps position and velocity without changing speed."""
     sph = RoundSphere()

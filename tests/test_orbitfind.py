@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magsurf import orbits
+from magsurf import orbits, regions
 from magsurf.cli import main
 from magsurf.errors import (DegenerateInputError, NoConvergenceError,
                             NoGlobalPrimitiveError, NoReturnError)
-from magsurf.fields import (ConstantField, MagneticSystem, TorusField,
-                            energy_of_s, local_primitive)
-from magsurf.flow import TangentState, integrate, state_at_energy
+from magsurf.fields import (ConstantField, CosineField, MagneticSystem,
+                            TorusField, energy_of_s, local_primitive)
+from magsurf.flow import (TangentState, integrate, poincare_return,
+                          state_at_energy)
 from magsurf.orbits import (SHOOT_TOL, DescentParams, DiscreteLoop,
                             circle_loop, descend_to_critical, discrete_action,
                             discrete_action_gradient, fit_circle,
@@ -225,21 +226,25 @@ def _cosine_seed(s=1.8):
 
 def test_shoot_reports_stalled_line_search(monkeypatch):
     """When all 20 halvings of the line search fail (here every candidate
-    return finds no crossing), the shoot raises NoConvergenceError naming
-    the stall instead of handing back an unrefined orbit."""
-    real, kept = orbits.poincare_return, []
+    return, looked for within twice the last return time, finds no
+    crossing), the shoot raises NoConvergenceError naming the stall
+    instead of handing back an unrefined orbit.  The seed's RK4 return
+    misses tol, so Newton runs on the order-8 map (its residual at the
+    seed, two finite-difference returns, 20 candidates), and when that
+    stalls on the RK4 map from the seed (two finite-difference returns,
+    20 candidates)."""
+    real, orders = orbits.poincare_return, []
 
-    def no_candidate_returns(*args, record=None, **kwargs):
-        if record is not None:
-            kept.append(record)
-            if len(kept) > 1:
-                raise NoReturnError("no return")
-        return real(*args, record=record, **kwargs)
+    def no_candidate_returns(*args, order=4, max_time, **kwargs):
+        orders.append(order)
+        if max_time < 200.0:
+            raise NoReturnError("no return")
+        return real(*args, order=order, max_time=max_time, **kwargs)
 
     monkeypatch.setattr(orbits, "poincare_return", no_candidate_returns)
     with pytest.raises(NoConvergenceError, match="line search stalled"):
         shoot_periodic(*_cosine_seed())
-    assert len(kept) == 1 + 20
+    assert orders == [4] + [8] * (1 + 2 + 20) + [4] * (2 + 20)
 
 
 def test_shoot_reports_residual_after_max_iter(monkeypatch):
@@ -250,6 +255,112 @@ def test_shoot_reports_residual_after_max_iter(monkeypatch):
     with pytest.raises(NoConvergenceError,
                        match=r"^shooting residual \S+ after 1 steps$"):
         shoot_periodic(*_cosine_seed())
+
+
+def _count_returns(monkeypatch):
+    """The order of every Poincare return the shoot asks for, in turn."""
+    real, orders = orbits.poincare_return, []
+
+    def counted(*args, order=4, **kwargs):
+        orders.append(order)
+        return real(*args, order=order, **kwargs)
+
+    monkeypatch.setattr(orbits, "poincare_return", counted)
+    return orders
+
+
+def _cosine_template(sign, s, off):
+    """The perfbench cosine shoot (CLI field type cosine, amplitude 2 pi)
+    without its jitter: the symmetric orbit about x = 0 (sign 1) or
+    x = 1/2 (sign -1), seeded the fraction off off its curvature radius."""
+    amp = 2.0 * math.pi
+    x0 = (0.0 if sign > 0 else 0.5) + (1.0 + off) / (s * amp)
+    return (MagneticSystem(FlatTorus(), CosineField(amp)), energy_of_s(s),
+            TangentState(0, x0, 0.5, 0.0, float(sign)))
+
+
+def test_constant_field_shoot_is_one_rk4_return(monkeypatch):
+    """A seed on a constant-field circle is periodic as it stands: the
+    shoot is its RK4 return and nothing else."""
+    orders = _count_returns(monkeypatch)
+    shoot_periodic(_torus_system(), energy_of_s(2.0),
+                   TangentState(0, 0.1, 0.2, 0.0, 1.0))
+    assert orders == [4]
+
+
+@pytest.mark.parametrize("sign,s,off", [(1, 1.8, 0.12), (-1, 2.2, -0.08)])
+def test_cosine_shoot_newton_runs_on_order8_map(monkeypatch, sign, s, off):
+    """perfbench's two cosine templates at their tol 1e-9: the seed's RK4
+    return, Newton on the order-8 map, and one RK4 return at the point it
+    converged to, which meets tol as it stands."""
+    orders = _count_returns(monkeypatch)
+    orbit = shoot_periodic(*_cosine_template(sign, s, off), tol=1e-9)
+    assert orders[0] == orders[-1] == 4 and orders.count(4) == 2
+    assert orders.count(8) >= 3
+    assert orbit.residual <= 1e-9
+
+
+def test_shoot_falls_back_to_rk4_newton(monkeypatch):
+    """At dt = 0.05 the order-8 macro step is 1.0, too coarse for the
+    sphere's circle of period 4.44: its returns leave the energy level, so
+    the shoot runs Newton on the RK4 map from the seed and converges to
+    the circle at RK4's accuracy for that dt."""
+    orders = _count_returns(monkeypatch)
+    system = MagneticSystem(RoundSphere(), ConstantField(1.0))
+    orbit = shoot_periodic(system, energy_of_s(1.0),
+                           TangentState(0, 0.5, 0.0, 0.0, 1.0), dt=0.05)
+    assert orders[:3] == [4, 8, 4] and orders.count(8) == 1
+    assert orbit.residual <= SHOOT_TOL
+    assert abs(orbit.period - homogeneous_oracle("sphere", 1.0).period) < 1e-5
+
+
+@given(s=st.floats(1.7, 2.3), off=st.floats(0.05, 0.15),
+       inside=st.booleans(), sign=st.sampled_from([1, -1]))
+@settings(max_examples=10, deadline=None)
+def test_cosine_shoot_reports_rk4_residual(s, off, inside, sign):
+    """Cosine seeds 5-15 % off the curvature radius converge at SHOOT_TOL,
+    and the orbit's period and residual are those of the RK4 return from
+    its seed (the residual up to the rounding of the seed's velocity
+    angle), though Newton ran on the order-8 map."""
+    system, k, seed = _cosine_template(sign, s, -off if inside else off)
+    orbit = shoot_periodic(system, k, seed)
+    assert orbit.residual <= SHOOT_TOL
+    hit, t = poincare_return(system, orbit.section, orbit.seed)
+    x, out = (orbits._reduced(orbit.section, state)
+              for state in (orbit.seed, hit))
+    res = math.hypot(out[0] - x[0], orbits._wrap_angle(out[1] - x[1]))
+    assert t == orbit.period
+    assert abs(orbit.residual - res) <= 1e-15
+
+
+@pytest.mark.xfail(strict=True, reason="single shooting lands on another "
+                   "orbit, of period 56.252528 (ROADMAP item 2)")
+def test_shoot_from_evolved_boundary_finds_its_orbit():
+    """Criterion 07's evolved boundary of the bump-field disc (s = 32) is
+    the circle 1/r = s (2 exp(-r^2 / w^2) - 1), r* = 0.18293392, of period
+    2 pi r* s = 36.781046.  The orbit shot from it lies within 1e-3 of the
+    boundary, with that period to 1e-3."""
+    w = 0.25
+
+    def f(x, y):
+        return 1.0 - 2.0 * np.exp(-(((x - 0.5) ** 2 + (y - 0.5) ** 2)
+                                    / w ** 2))
+
+    system = MagneticSystem(FlatTorus(), TorusField(f))
+    k = energy_of_s(32.0)
+    ang = 2.0 * math.pi * np.arange(128) / 128
+    curve = regions.RegionCurve(np.column_stack(
+        [0.5 + 0.2 * np.cos(ang), 0.5 + 0.2 * np.sin(ang)]))
+    res = regions.evolve_minimize(
+        system, k, regions.Region([curve], -1),
+        regions.EvolveParams(tol=1e-3, spacing=0.01, max_iter=40000))
+    boundary = res.region.curves[0]
+    seed = regions.state_from_curve(system, k, boundary, -1)
+    orbit = shoot_periodic(system, k, seed)
+    center, radius = fit_circle(boundary.vertices)
+    dist = np.hypot(*(orbit.trajectory.q - center).T)
+    assert abs(orbit.period - 36.781046) < 1e-3
+    assert np.abs(dist - radius).max() < 1e-3
 
 
 def _shot_trajectory_cases():

@@ -36,11 +36,15 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def parse_result(stdout):
-    """The result dict of a perfbench run: its last stdout line."""
+    """The result dict of a perfbench run: its last stdout line, with the
+    run's metadata from the report line before it, when there is one,
+    under "report"."""
     lines = stdout.strip().splitlines()
     result = json.loads(lines[-1]) if lines else {}
     if "metrics" not in result:
         raise ValueError("no perfbench result line")
+    if len(lines) > 1 and lines[-2].startswith('{"report"'):
+        result["report"] = json.loads(lines[-2])["report"]
     return result
 
 
