@@ -20,9 +20,9 @@ integrate and poincare_return share the dt loop and the StepRecord, so a
 return that keeps its steps yields the trajectory integrate would: a shot
 orbit's trajectory is the accepted return's steps.
 The loop's second step body is an order-8 Gragg-Bulirsch-Stoer macro
-step of MACRO_STEPS * dt, midpoint substeps of the same stage text
+step of MACRO_STEP, midpoint substeps of the same stage text
 extrapolated in the substep length squared; poincare_return runs it with
-order 8, recording nothing.  Shooting's Newton iterations run on that
+macro, recording nothing.  Shooting's Newton iterations run on that
 map, and what a user sees stays RK4 at dt: the first return, the
 recorded orbit and its residual.
 """
@@ -44,8 +44,9 @@ DEFAULT_DT = 1e-3
 # a return whose energy left the start's by more than this, relative, came
 # from a run that blew up without going non-finite
 RETURN_ENERGY_RTOL = 1e-6
-# an order-8 return's steps are this many dt long
-MACRO_STEPS = 20
+# the length of an order-8 return's steps, whatever the dt: the order-8
+# map needs only to meet shooting's tol, not to match RK4 at dt
+MACRO_STEP = 20 * DEFAULT_DT
 
 
 @dataclasses.dataclass(frozen=True)
@@ -399,11 +400,11 @@ class StepRecord:
 
 
 def poincare_return(system, section, state0, max_time=200.0, dt=DEFAULT_DT,
-                    record=None, *, order=4):
+                    record=None, *, macro=False):
     """First directed return to the section.
 
     Returns (state, return_time).  The loop runs RK4 steps of length dt,
-    or with order 8 Gragg-Bulirsch-Stoer steps of length MACRO_STEPS * dt,
+    or with macro order-8 Gragg-Bulirsch-Stoer steps of length MACRO_STEP,
     until the state falls below the floor or steps over the section.  The
     hit is one pass of the loop from the state before the crossing, its
     step cut short to the length h that lands it on the section: h starts
@@ -415,16 +416,15 @@ def poincare_return(system, section, state0, max_time=200.0, dt=DEFAULT_DT,
     state falls below the floor, and DomainError when the run goes
     non-finite or the hit's energy is off the start's by more than
     RETURN_ENERGY_RTOL.  A StepRecord passed as record receives state0 and
-    every full dt step taken, the step over the crossing too; order 8
-    records nothing, since its steps are not dt apart, and an order other
-    than 4 or 8, or a record with order 8, is DegenerateInputError.
+    every full dt step taken, the step over the crossing too; a macro
+    return records nothing, since its steps are not dt apart, and a record
+    with macro is DegenerateInputError.
     """
     _require_inputs(state0, max_time=max_time, dt=dt)
-    if order not in (4, 8) or (order == 8 and record is not None):
-        raise DegenerateInputError(
-            f"order must be 4, or 8 with no record: order {order}")
-    macro = order == 8
-    step = MACRO_STEPS * dt if macro else dt
+    if macro and record is not None:
+        raise DegenerateInputError("a macro return records no steps: "
+                                   "record must be None")
+    step = MACRO_STEP if macro else dt
     run = _make_loop(system)
     floor = system.surface.floor
     st = (state0.chart, state0.u, state0.v, state0.du, state0.dv)

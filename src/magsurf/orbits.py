@@ -13,8 +13,8 @@ import math
 
 import numpy as np
 
-from .errors import (DegenerateInputError, DomainError, MagsurfError,
-                     NoConvergenceError, NoReturnError, UnsupportedError)
+from .errors import (DegenerateInputError, MagsurfError, NoConvergenceError,
+                     NoReturnError, UnsupportedError)
 from .fields import GAUSS_C, gauss_nodes, local_primitive, s_of_energy
 from .flow import (DEFAULT_DT, Section, StepRecord, TangentState, _step_count,
                    poincare_return, state_at_energy, trajectory_curvature)
@@ -166,18 +166,16 @@ def shoot_periodic(system, k, seed, section=None, tol=SHOOT_TOL,
     The seed is rescaled onto the energy level; the reduced state is the
     free section coordinate together with the velocity angle.  The seed's
     RK4 return at dt comes first; if its residual is above tol, Newton
-    runs on the order-8 return map (poincare_return's order 8, far
+    runs on the order-8 return map (poincare_return with macro, far
     cheaper at equal accuracy), and then on the RK4 map from one RK4
     return at the point it converged to, which mostly meets tol as it
-    stands.  If the order-8 Newton fails (its macro step too coarse for
-    the dt given), the RK4 Newton starts from the seed instead.  So the
-    orbit's residual is the RK4 map's, and its trajectory is made of the
-    dt steps the accepted RK4 return (the first one, the one after the
-    order-8 Newton or a line-search candidate) took: it equals
-    integrate(system, orbit.seed, orbit.period, dt) and is not computed
-    twice.  Raises NoConvergenceError if the RK4 Newton's line search
-    stalls or its residual is still above tol after SHOOT_MAX_ITER steps.
-    A tol no residual can meet (not finite and > 0) is
+    stands.  So the orbit's residual is the RK4 map's, and its trajectory
+    is made of the dt steps the accepted RK4 return (the first one, the
+    one after the order-8 Newton or a line-search candidate) took: it
+    equals integrate(system, orbit.seed, orbit.period, dt) and is not
+    computed twice.  Raises NoConvergenceError if either Newton's line
+    search stalls or its residual is still above tol after SHOOT_MAX_ITER
+    steps.  A tol no residual can meet (not finite and > 0) is
     DegenerateInputError.
     """
     if not 0.0 < tol < math.inf:
@@ -187,27 +185,23 @@ def shoot_periodic(system, k, seed, section=None, tol=SHOOT_TOL,
         section = default_section(system, seed)
     x = _reduced(section, seed)
 
-    def return_map(order):
+    def return_map(macro):
         def ret(xv, record=None, t_max=max_time):
             st = _section_state(system, section, k, xv[0], xv[1])
             hit, rt = poincare_return(system, section, st, max_time=t_max,
-                                      dt=dt, record=record, order=order)
+                                      dt=dt, record=record, macro=macro)
             out = _reduced(section, hit)
             return np.array([out[0] - xv[0], _wrap_angle(out[1] - xv[1])]), rt
         return ret
 
-    rk4 = return_map(4)
+    rk4 = return_map(False)
     steps = StepRecord()
     res, rt = rk4(x, steps)
     if np.linalg.norm(res) > tol:
-        gbs = return_map(8)
-        try:
-            x8 = _newton(gbs, x, *gbs(x), None, tol, max_time)[0]
-        except (DomainError, NoReturnError, NoConvergenceError):
-            pass    # no order-8 orbit (a dt too coarse for its macro step)
-        else:
-            x, steps = x8, StepRecord()
-            res, rt = rk4(x, steps)
+        gbs = return_map(True)
+        x = _newton(gbs, x, *gbs(x), None, tol, max_time)[0]
+        steps = StepRecord()
+        res, rt = rk4(x, steps)
         x, res, rt, steps = _newton(rk4, x, res, rt, steps, tol, max_time)
     state = _section_state(system, section, k, x[0], x[1])
     traj = steps.trajectory(range(_step_count(rt, dt) + 1), dt)

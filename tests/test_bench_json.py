@@ -14,10 +14,11 @@ bench_json = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_json)
 import bench_pairs  # noqa: E402  (from tools/, which bench_json puts first)
 
-END_TO_END = [{"name": "jobs_per_s", "unit": "1/s", "better": "higher",
-               "bound": 0.25},
-              {"name": "peak_rss_mb", "unit": "MB", "better": "lower",
-               "bound": 0.1}]
+BENCH = {"run_seconds": 30,
+         "end_to_end": [{"name": "jobs_per_s", "unit": "1/s",
+                         "better": "higher", "bound": 0.25},
+                        {"name": "peak_rss_mb", "unit": "MB",
+                         "better": "lower", "bound": 0.1}]}
 
 
 def _stdout(jobs_per_s, peak_rss_mb, failed=0):
@@ -45,11 +46,12 @@ def test_record_gives_quartiles_and_versions():
     failed = [{"workload": "threshold", "seed": 1, "error": "exit 1"}]
     record = bench_json.bench_record("f" * 40, "fffffff",
                                      {"shoot": runs, "threshold": []},
-                                     failed, END_TO_END, 30.0)
+                                     failed, BENCH)
     assert record["src_digest"] == "0123abcd"
     assert (record["python"], record["numpy"], record["nproc"]) == (
         "3.11.7", "2.4.6", 2)
     assert "2-core" in record["note"]
+    assert "--seconds 30 " in record["command"]
     shoot = record["workloads"]["shoot"]
     assert shoot["runs"] == 5 and shoot["failed_jobs"] == 0
     jobs = shoot["metrics"]["jobs_per_s"]

@@ -15,8 +15,8 @@ from magsurf.errors import (DegenerateInputError, DomainError, NoReturnError,
 from magsurf.fields import (CallableField, ConstantField, CosineField,
                             MagneticField, MagneticSystem, TorusField,
                             energy_of_s)
-from magsurf.flow import (MACRO_STEPS, Section, StepRecord,
-                          TangentState, _make_loop,
+from magsurf import flow
+from magsurf.flow import (Section, StepRecord, TangentState, _make_loop,
                           energy_of, integrate, make_rhs,
                           poincare_return, state_at_energy,
                           trajectory_curvature, trajectory_energies,
@@ -247,35 +247,35 @@ def test_poincare_return_lands_on_section(surface, s, point, section, time):
 @pytest.mark.parametrize("surface,s,point,section,time", _circle_cases(),
                          ids=["flat_torus", "sphere", "genus2",
                               "flat_torus_wrapped"])
-def test_order8_return_on_oracle_circles(surface, s, point, section, time):
-    """The order-8 return, Gragg-Bulirsch-Stoer steps of MACRO_STEPS * dt:
-    at the default dt its return time is the closed-form one to 1e-12 and
-    its hit lies on the section to 1e-13; the time's error falls at least
-    100-fold (2^8 = 256 for order 8) as the macro step halves from 0.2
-    to 0.1."""
+def test_order8_return_on_oracle_circles(surface, s, point, section, time,
+                                         monkeypatch):
+    """The order-8 return, Gragg-Bulirsch-Stoer steps of MACRO_STEP: its
+    return time is the closed-form one to 1e-12 and its hit lies on the
+    section to 1e-13; the time's error falls at least 100-fold (2^8 = 256
+    for order 8) as the macro step halves from 0.2 to 0.1."""
     system = MagneticSystem(surface, ConstantField(1.0))
     st = state_at_energy(system, TangentState(0, *point, 0.0, 1.0),
                          energy_of_s(s))
-    hit, rt = poincare_return(system, section, st, order=8)
+    hit, rt = poincare_return(system, section, st, macro=True)
     assert abs(section.signed_residual(dataclasses.astuple(hit))) <= 1e-13
     assert abs(rt - time) <= 1e-12
-    coarse, fine = (abs(poincare_return(system, section, st, dt=dt,
-                                        order=8)[1] - time)
-                    for dt in (0.2 / MACRO_STEPS, 0.1 / MACRO_STEPS))
-    assert fine * 100.0 <= coarse
+    errors = []
+    for step in (0.2, 0.1):
+        monkeypatch.setattr(flow, "MACRO_STEP", step)
+        errors.append(abs(poincare_return(system, section, st,
+                                          macro=True)[1] - time))
+    assert errors[1] * 100.0 <= errors[0]
 
 
-@pytest.mark.parametrize("order", [8, 5])
-def test_return_order_is_4_or_unrecorded_8(order):
-    """An order-8 return's steps are MACRO_STEPS * dt long, so it cannot
-    record the dt steps a trajectory needs; any order but 4 and 8 is
-    refused too."""
+def test_macro_return_records_nothing():
+    """A macro return's steps are MACRO_STEP long, so it cannot record
+    the dt steps a trajectory needs."""
     system, st0 = _systems()[0][1:]
-    record = StepRecord() if order == 8 else None
-    with pytest.raises(DegenerateInputError, match="^order must be 4"):
+    record = StepRecord()
+    with pytest.raises(DegenerateInputError, match="^a macro return records"):
         poincare_return(system, Section(coord=0, value=0.37, wrap=1.0), st0,
-                        record=record, order=order)
-    assert record is None or record.values == []
+                        record=record, macro=True)
+    assert record.values == []
 
 
 def test_poincare_return_past_sphere_switch_keeps_chart():

@@ -229,22 +229,20 @@ def test_shoot_reports_stalled_line_search(monkeypatch):
     return, looked for within twice the last return time, finds no
     crossing), the shoot raises NoConvergenceError naming the stall
     instead of handing back an unrefined orbit.  The seed's RK4 return
-    misses tol, so Newton runs on the order-8 map (its residual at the
-    seed, two finite-difference returns, 20 candidates), and when that
-    stalls on the RK4 map from the seed (two finite-difference returns,
-    20 candidates)."""
-    real, orders = orbits.poincare_return, []
+    misses tol, so Newton runs on the order-8 map: its residual at the
+    seed, two finite-difference returns and 20 candidates, all macro."""
+    real, macros = orbits.poincare_return, []
 
-    def no_candidate_returns(*args, order=4, max_time, **kwargs):
-        orders.append(order)
+    def no_candidate_returns(*args, macro=False, max_time, **kwargs):
+        macros.append(macro)
         if max_time < 200.0:
             raise NoReturnError("no return")
-        return real(*args, order=order, max_time=max_time, **kwargs)
+        return real(*args, macro=macro, max_time=max_time, **kwargs)
 
     monkeypatch.setattr(orbits, "poincare_return", no_candidate_returns)
     with pytest.raises(NoConvergenceError, match="line search stalled"):
         shoot_periodic(*_cosine_seed())
-    assert orders == [4] + [8] * (1 + 2 + 20) + [4] * (2 + 20)
+    assert macros == [False] + [True] * (1 + 2 + 20)
 
 
 def test_shoot_reports_residual_after_max_iter(monkeypatch):
@@ -258,15 +256,16 @@ def test_shoot_reports_residual_after_max_iter(monkeypatch):
 
 
 def _count_returns(monkeypatch):
-    """The order of every Poincare return the shoot asks for, in turn."""
-    real, orders = orbits.poincare_return, []
+    """The macro flag of every Poincare return the shoot asks for, in
+    turn: False for RK4 at dt, True for order 8."""
+    real, macros = orbits.poincare_return, []
 
-    def counted(*args, order=4, **kwargs):
-        orders.append(order)
-        return real(*args, order=order, **kwargs)
+    def counted(*args, macro=False, **kwargs):
+        macros.append(macro)
+        return real(*args, macro=macro, **kwargs)
 
     monkeypatch.setattr(orbits, "poincare_return", counted)
-    return orders
+    return macros
 
 
 def _cosine_template(sign, s, off):
@@ -282,10 +281,10 @@ def _cosine_template(sign, s, off):
 def test_constant_field_shoot_is_one_rk4_return(monkeypatch):
     """A seed on a constant-field circle is periodic as it stands: the
     shoot is its RK4 return and nothing else."""
-    orders = _count_returns(monkeypatch)
+    macros = _count_returns(monkeypatch)
     shoot_periodic(_torus_system(), energy_of_s(2.0),
                    TangentState(0, 0.1, 0.2, 0.0, 1.0))
-    assert orders == [4]
+    assert macros == [False]
 
 
 @pytest.mark.parametrize("sign,s,off", [(1, 1.8, 0.12), (-1, 2.2, -0.08)])
@@ -293,25 +292,11 @@ def test_cosine_shoot_newton_runs_on_order8_map(monkeypatch, sign, s, off):
     """perfbench's two cosine templates at their tol 1e-9: the seed's RK4
     return, Newton on the order-8 map, and one RK4 return at the point it
     converged to, which meets tol as it stands."""
-    orders = _count_returns(monkeypatch)
+    macros = _count_returns(monkeypatch)
     orbit = shoot_periodic(*_cosine_template(sign, s, off), tol=1e-9)
-    assert orders[0] == orders[-1] == 4 and orders.count(4) == 2
-    assert orders.count(8) >= 3
+    assert macros[0] is macros[-1] is False and macros.count(False) == 2
+    assert macros.count(True) >= 3
     assert orbit.residual <= 1e-9
-
-
-def test_shoot_falls_back_to_rk4_newton(monkeypatch):
-    """At dt = 0.05 the order-8 macro step is 1.0, too coarse for the
-    sphere's circle of period 4.44: its returns leave the energy level, so
-    the shoot runs Newton on the RK4 map from the seed and converges to
-    the circle at RK4's accuracy for that dt."""
-    orders = _count_returns(monkeypatch)
-    system = MagneticSystem(RoundSphere(), ConstantField(1.0))
-    orbit = shoot_periodic(system, energy_of_s(1.0),
-                           TangentState(0, 0.5, 0.0, 0.0, 1.0), dt=0.05)
-    assert orders[:3] == [4, 8, 4] and orders.count(8) == 1
-    assert orbit.residual <= SHOOT_TOL
-    assert abs(orbit.period - homogeneous_oracle("sphere", 1.0).period) < 1e-5
 
 
 @given(s=st.floats(1.7, 2.3), off=st.floats(0.05, 0.15),

@@ -1,22 +1,24 @@
 """Write BENCH_<short-rev>.json: perfbench's end-to-end metrics for one
 git revision, as medians and quartiles over several runs.
 
-    python3 tools/bench_json.py [--rev REV] [--runs N] [--seconds S]
-                                [--workloads shoot,threshold,survey]
+    python3 tools/bench_json.py [--rev REV]
 
 REV (default HEAD) is exported with ``git archive`` into a temporary
 directory, as tools/bench_pairs.py does, so the file describes committed
-code only.  Run j (seed j, from 1) of every workload is
+code only.  Run j (seed j, 1 to RUNS) of every workload of BENCHMARK.json
+is
 
     python3 perfbench/run.py --workload W --seed j --seconds S --trace 0
 
-in that tree, the workloads taking turns so that a slow spell of the
-machine spreads over all of them.  The file, written to the repository
-root, holds the full and short rev, the digest perfbench gives the
-exported ``src/magsurf``, the Python, numpy and scipy versions, nproc, a
-note on how far the machine's speed can be trusted, and per workload and
-end-to-end metric of BENCHMARK.json the first quartile, median and third
-quartile over the runs, with every run's value.  A run that exits
+in that tree, S being BENCHMARK.json's run_seconds, so that every BENCH
+file measures the same runs; the workloads take turns, so that a slow
+spell of the machine spreads over all of them.  The file, written to
+the repository root, holds the full and short rev, the digest perfbench
+gives the exported ``src/magsurf``, the Python, numpy and scipy
+versions, nproc, a note on how far the machine's speed can be trusted,
+and per workload and end-to-end metric of BENCHMARK.json the first
+quartile, median and third quartile over the runs, with every run's
+value.  A run that exits
 non-zero or prints no result is listed under ``failed_runs`` and counts
 for no metric.  Only the standard library is used; perfbench/ is run,
 never changed.
@@ -33,6 +35,7 @@ import tempfile
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from bench_pairs import ROOT, _export, _quartiles, _run  # noqa: E402
 
+RUNS = 5
 NOTE = ("measured on a shared {nproc}-core box whose speed changes between "
         "sessions and within one (perfbench reports times in reference "
         "seconds to take some of that out); compare BENCH files measured "
@@ -53,9 +56,9 @@ def summarize(results, end_to_end):
     return metrics
 
 
-def bench_record(rev, short, results, failed_runs, end_to_end, seconds):
+def bench_record(rev, short, results, failed_runs, bench):
     """The BENCH file's content from each workload's run results (in seed
-    order) and the runs that failed."""
+    order) and the runs that failed, with BENCHMARK.json's content bench."""
     reports = [r["report"] for runs in results.values() for r in runs
                if "report" in r]
     meta = reports[0] if reports else {}
@@ -67,12 +70,12 @@ def bench_record(rev, short, results, failed_runs, end_to_end, seconds):
         "scipy": meta.get("scipy"), "nproc": nproc,
         "note": NOTE.format(nproc=nproc),
         "command": ("python3 perfbench/run.py --workload W --seed j "
-                    f"--seconds {seconds:g} --trace 0"),
+                    f"--seconds {bench['run_seconds']:g} --trace 0"),
         "workloads": {
             name: {"runs": len(runs),
                    "attempted_jobs": sum(r["attempted"] for r in runs),
                    "failed_jobs": sum(r["failed"] for r in runs),
-                   "metrics": summarize(runs, end_to_end)}
+                   "metrics": summarize(runs, bench["end_to_end"])}
             for name, runs in results.items()},
         "failed_runs": failed_runs,
     }
@@ -86,25 +89,20 @@ def _git(*args):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--rev", default="HEAD")
-    ap.add_argument("--runs", type=int, default=5)
-    ap.add_argument("--seconds", type=float)
-    ap.add_argument("--workloads")
     args = ap.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
-    seconds = args.seconds or bench["run_seconds"]
-    workloads = (args.workloads.split(",") if args.workloads
-                 else [w["name"] for w in bench["workloads"]])
+    workloads = [w["name"] for w in bench["workloads"]]
     rev = _git("rev-parse", args.rev)
     short = _git("rev-parse", "--short", rev)
     results = {name: [] for name in workloads}
     failed_runs = []
     with tempfile.TemporaryDirectory(prefix="bench-json-") as tmp:
         _export(rev, tmp)
-        for seed in range(1, args.runs + 1):
+        for seed in range(1, RUNS + 1):
             for name in workloads:
                 try:
-                    res = _run(tmp, name, seed, seconds)
+                    res = _run(tmp, name, seed, bench["run_seconds"])
                 except (RuntimeError, ValueError,
                         subprocess.TimeoutExpired) as exc:
                     failed_runs.append({"workload": name, "seed": seed,
@@ -116,8 +114,7 @@ def main(argv=None):
                       f"{res['metrics']['jobs_per_s']['value']:.4g}, "
                       f"failed {res['failed']} of {res['attempted']}",
                       flush=True)
-    record = bench_record(rev, short, results, failed_runs,
-                          bench["end_to_end"], seconds)
+    record = bench_record(rev, short, results, failed_runs, bench)
     path = os.path.join(ROOT, f"BENCH_{short}.json")
     with open(path, "w") as fh:
         json.dump(record, fh, indent=1)
