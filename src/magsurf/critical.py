@@ -104,12 +104,13 @@ def c0_upper_bound(system, max_iter=2000):
     mirror = (kxx + 1j * kyy) ** 2 / (2.0 * k2)
     mirror[0, 0] = 0.0
     neg = -np.arange(n) % n
+    flip = n * neg[:, None] + neg           # flat index of -k mod n
 
     def project(z):
-        """Orthogonal projection onto R."""
+        """Orthogonal projection onto R; mirror * conj(.) in that order,
+        as b * a and in-place products round differently."""
         zhat = np.fft.fft2(z)
-        return np.fft.ifft2(same * zhat
-                            + mirror * np.conj(zhat[neg][:, neg]))
+        return np.fft.ifft2(same * zhat + mirror * np.conj(zhat.take(flip)))
 
     t = np.real(np.fft.ifft2(np.stack([-1j * kyy * ghat, 1j * kxx * ghat])
                              * (n * n)))

@@ -42,7 +42,7 @@ from .errors import (DegenerateInputError, DomainError, NoReturnError,
 
 DEFAULT_DT = 1e-3
 # a return whose energy left the start's by more than this, relative, came
-# from a run that blew up without going non-finite
+# from a step too coarse for the field or a run that blew up while finite
 RETURN_ENERGY_RTOL = 1e-6
 # the length of an order-8 return's steps, whatever the dt: the order-8
 # map needs only to meet shooting's tol, not to match RK4 at dt
@@ -458,6 +458,7 @@ def poincare_return(system, section, state0, max_time=200.0, dt=DEFAULT_DT,
     hit = TangentState(*hit)
     e0 = energy_of(system, state0)
     if abs(energy_of(system, hit) - e0) > RETURN_ENERGY_RTOL * e0:
-        raise DomainError(f"return at t = {t:g} is off the "
-                          f"energy level {e0:g}: the run blew up")
+        raise DomainError(f"return at t = {t:g} is off the energy level "
+                          f"{e0:g}: step {step:g} may be too coarse for "
+                          "RETURN_ENERGY_RTOL, or the run blew up")
     return hit, t

@@ -20,6 +20,7 @@ is not capped by the polygon's shortest modes.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -36,6 +37,7 @@ from .surfaces import ClosedPolyline, close_padded
 STEP_FACTOR = 1.0
 MIN_LENGTH = 0.05
 CHECK_EVERY = 6
+_arange = functools.lru_cache(maxsize=64)(np.arange)  # its caller never writes
 
 
 @dataclasses.dataclass
@@ -123,7 +125,8 @@ def taimanov_value(system, k, region):
 
 def _norm2(d):
     """Euclidean length of each column of a (2, M) array."""
-    return np.sqrt(d[0] * d[0] + d[1] * d[1])
+    dd = d * d
+    return np.sqrt(dd[0] + dd[1])
 
 
 def _length(surf, chart, pts, lens):
@@ -144,9 +147,10 @@ def _geometry(surf, chart, buf):
     l2 = lens[1:]
     tang = buf[:, 2:] - buf[:, :-2]         # chord prev->next
     chord = _norm2(tang)
-    cross = d[0, :-1] * d[1, 1:] - d[1, :-1] * d[0, 1:]
+    cross = d[:, :-1] * d[::-1, 1:]         # both products of the 2D cross
+    cross = cross[0] - cross[1]
     denom = l1 * l2 * chord
-    if (denom <= 0).any():
+    if np.minimum.reduce(denom) <= 0:       # NaN passes, as with .any()
         raise DegenerateInputError("degenerate polygon edge")
     kappa = 2.0 * cross / denom
     tang /= chord
@@ -165,14 +169,17 @@ def _resample(pts, shift, spacing):
     """Padded buffer of the closed curve through pts (2, M + 1), whose last
     column is the lifted first vertex, redistributed uniformly in chart
     arclength at about the given spacing (at least 8 vertices), and the
-    chart arclength between its vertices."""
+    chart arclength between its vertices; None and the total when a
+    non-finite vertex makes that total non-finite."""
     seg = _norm2(pts[:, 1:] - pts[:, :-1])
     cum = np.empty(len(seg) + 1)
     cum[0] = 0.0
-    np.cumsum(seg, out=cum[1:])
+    seg.cumsum(out=cum[1:])
     total = float(cum[-1])
+    if not total < math.inf:                # NaN fails the test too
+        return None, total
     n = max(round(total / spacing), 8)
-    targets = np.arange(n) * total / n
+    targets = _arange(n) * total / n
     buf = np.empty((2, n + 2))
     buf[0, 1:-1] = np.interp(targets, cum, pts[0])
     buf[1, 1:-1] = np.interp(targets, cum, pts[1])
@@ -195,6 +202,8 @@ def resample_curve(curve, spacing, surface):
     """Redistribute vertices uniformly in chart arclength."""
     buf, _ = _resample(curve.padded(surface)[:, 1:],
                        curve.closure_shift(surface), spacing)
+    if buf is None:
+        raise DegenerateInputError("the curve has a non-finite vertex")
     return _curve(buf, curve.chart, curve.winding)
 
 
@@ -304,8 +313,8 @@ def evolve_minimize(system, k, region, params=None):
     padded coordinate rows (2, N + 2), previous | vertices | next, vertex
     spacing and ``_geometry``, taken once per resample for the vanishing
     test and the next move (no conformal factor on a flat chart).  One
-    iteration moves the middle columns in place, closes the ends again and
-    resamples into the next buffer, with no ``RegionCurve`` in between;
+    iteration moves the middle columns in place, sets the last column again
+    and resamples into the next buffer, with no ``RegionCurve`` in between;
     ``curve_is_simple`` reads the buffers.  ``tests/test_evolve_golden.py``
     pins the outcome, iterations, value, residual and vertices bit for bit.
     """
@@ -323,9 +332,12 @@ def evolve_minimize(system, k, region, params=None):
     for c in region.curves:
         shift = c.closure_shift(surf)
         buf, ds = _resample(c.padded(surf)[:, 1:], shift, params.spacing)
+        if buf is None:
+            raise DegenerateInputError("seed curve with a non-finite vertex")
         loops.append((c.chart, c.winding, shift, buf, ds,
                       *_geometry(surf, c.chart, buf)))
     step = STEP_FACTOR * params.spacing ** 2 / sqrt2k
+    floor = surf.floor
     symbols = {}                  # vertex count N -> 2 - 2 cos(2 pi j / N)
     outcome = "max_iter"
     for it in range(1, params.max_iter + 1):
@@ -334,9 +346,10 @@ def evolve_minimize(system, k, region, params=None):
         vanished = False
         for chart, winding, shift, buf, ds, kappa, normal, rho_min, _ in loops:
             x = buf[:, 1:-1]
-            f = np.asarray(system.field.eval(chart, x[0], x[1]), float)
-            defect = sqrt2k * kappa - o * f
-            residual = max(residual, float(np.abs(kappa - o * s * f).max()))
+            of = o * np.asarray(system.field.eval(chart, x[0], x[1]), float)
+            defect = sqrt2k * kappa - of
+            # s * (o f) rounds as (o s) f does, o being +-1
+            residual = max(residual, float(np.abs(kappa - s * of).max()))
             h = step * min(1.0, 2.0 * math.exp(rho_min))
             n = x.shape[1]
             if n not in symbols:
@@ -347,11 +360,11 @@ def evolve_minimize(system, k, region, params=None):
             # on rfft frequency j
             x -= np.fft.irfft(np.fft.rfft(h * defect * normal, axis=1)
                               / (1.0 + beta * symbols[n]), n=n, axis=1)
-            if not np.isfinite(x).all() or x[1].min() < surf.floor:
+            buf[:, -1] = buf[:, 1] + shift  # _resample reads from column 1
+            buf, ds = _resample(buf[:, 1:], shift, params.spacing)
+            if buf is None or floor > -math.inf and x[1].min() < floor:
                 raise DomainError(
                     f"curve evolution left chart {chart} at iteration {it}")
-            buf, ds = _resample(close_padded(buf, shift)[:, 1:], shift,
-                                params.spacing)
             geo = _geometry(surf, chart, buf)
             if winding == (0, 0) and geo[3] < MIN_LENGTH:   # its length
                 vanished = True

@@ -3,6 +3,7 @@ import ast
 import configparser
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -504,6 +505,26 @@ def test_blown_up_but_finite_return_is_a_domain_error():
     with pytest.raises(DomainError, match="energy"):
         poincare_return(system, section,
                         TangentState(0, 0.1, 0.2, 30.0, 40.0), dt=0.5)
+
+
+def test_coarse_step_return_names_the_step():
+    """On the cosine field (amplitude 2 pi, s = 1.8, seeded 12 % outside
+    the curvature radius) RK4 at dt = 0.02 stays bounded and reaches the
+    section v = 0.5 where dt = 0.01 does, but off the energy level by more
+    than RETURN_ENERGY_RTOL: the error names the step as maybe too coarse
+    for that tolerance, not only a blow-up."""
+    amp, s = 2.0 * math.pi, 1.8
+    system = MagneticSystem(FlatTorus(), CosineField(amp))
+    seed = state_at_energy(
+        system, TangentState(0, 1.12 / (s * amp), 0.5, 0.0, 1.0),
+        energy_of_s(s))
+    section = Section(coord=1, value=0.5, wrap=1.0)
+    _, t_fine = poincare_return(system, section, seed, dt=0.01)
+    with pytest.raises(DomainError, match=r"step 0\.02 may be too coarse "
+                       "for RETURN_ENERGY_RTOL") as err:
+        poincare_return(system, section, seed, dt=0.02)
+    t_coarse = float(re.search(r"t = (\S+) ", str(err.value)).group(1))
+    assert abs(t_coarse - t_fine) < 1e-3
 
 
 def _rk4_reference(system, chart, u, v, du, dv, h, cut=False):

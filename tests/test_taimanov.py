@@ -19,7 +19,8 @@ from magsurf.regions import (CHECK_EVERY, STEP_FACTOR, EvolveParams, Region,
                              curve_length, evolve_minimize, region_flux,
                              resample_curve, state_from_curve, tau_estimate,
                              taimanov_value)
-from magsurf.surfaces import FlatTorus, HyperbolicPlane, RoundSphere
+from magsurf.surfaces import (ConformalTorus, FlatTorus, HyperbolicPlane,
+                              RoundSphere)
 
 SQ2 = math.sqrt(2.0)
 
@@ -519,6 +520,29 @@ def test_evolution_off_chart_raises():
                         EvolveParams(spacing=0.03, max_iter=4000))
 
 
+def test_evolution_with_nan_field_raises():
+    """A flat-torus disc that grows into the strip x > 0.75, where the
+    field is NaN, gets non-finite vertices: the non-finite arclength of
+    the resample raises DomainError naming the iteration."""
+    system = MagneticSystem(FlatTorus(), TorusField(
+        lambda x, y: np.where(x > 0.75, np.nan, 1.0)))
+    with pytest.raises(DomainError, match="at iteration 38$"):
+        evolve_minimize(system, energy_of_s(8.0),
+                        Region([_circle((0.5, 0.5), 0.2, n=96)]),
+                        EvolveParams(spacing=0.02, max_iter=2000))
+
+
+def test_non_finite_seed_curve_is_rejected():
+    """A seed curve with a NaN vertex has no arclength to resample by."""
+    system = MagneticSystem(FlatTorus(), ConstantField(1.0))
+    curve = _circle((0.5, 0.5), 0.2)
+    curve.vertices[3, 1] = math.nan
+    with pytest.raises(DegenerateInputError, match="non-finite"):
+        evolve_minimize(system, energy_of_s(2.0), Region([curve]))
+    with pytest.raises(DegenerateInputError, match="non-finite"):
+        resample_curve(curve, 0.02, system.surface)
+
+
 @pytest.mark.parametrize("spacing", [0.0, -0.02, math.nan, math.inf])
 def test_evolve_params_reject_nonpositive_spacing(spacing):
     """The resample spacing must be finite and positive: zero would divide
@@ -631,3 +655,118 @@ def test_tau_estimate_ratio_iteration_is_monotone(monkeypatch):
     _tau_08()
     assert 1 <= len(seen) <= 3
     assert all(a <= b for a, b in zip(seen, seen[1:]))
+
+
+# ---------------------------------------------------------------------------
+# the evolution's per-iteration kernels against their first formulas
+# ---------------------------------------------------------------------------
+
+def _geometry_reference(surf, chart, buf):
+    """``regions._geometry`` as first written: one product per term of
+    the cross product, a strict test per edge, the normal by negation."""
+    d = buf[:, 1:] - buf[:, :-1]
+    lens = np.sqrt(d[0] * d[0] + d[1] * d[1])
+    l1, l2 = lens[:-1], lens[1:]
+    tang = buf[:, 2:] - buf[:, :-2]
+    chord = np.sqrt(tang[0] * tang[0] + tang[1] * tang[1])
+    cross = d[0, :-1] * d[1, 1:] - d[1, :-1] * d[0, 1:]
+    denom = l1 * l2 * chord
+    if (denom <= 0).any():
+        raise DegenerateInputError("degenerate polygon edge")
+    kappa = 2.0 * cross / denom
+    tang = tang / chord
+    normal = np.array([tang[1], -tang[0]])
+    if surf.step_line is None:
+        return kappa, normal, 0.0, float(l2.sum())
+    mids = 0.5 * (buf[:, 1:-1] + buf[:, 2:])
+    rho_mid = np.asarray(surf.conformal(chart, mids[0], mids[1])[0], float)
+    length = float((np.exp(rho_mid) * l2).sum())
+    rho, ru, rv = surf.conformal(chart, buf[0, 1:-1], buf[1, 1:-1])
+    rho = np.asarray(rho, float)
+    kappa = np.exp(-rho) * (kappa + (ru * normal[0] + rv * normal[1]))
+    return kappa, normal, float(rho.min()), length
+
+
+def _resample_reference(pts, shift, spacing):
+    """``regions._resample`` as first written: a fresh cumulative sum and
+    a fresh np.arange on every call."""
+    d = pts[:, 1:] - pts[:, :-1]
+    seg = np.sqrt(d[0] * d[0] + d[1] * d[1])
+    cum = np.concatenate([[0.0], np.cumsum(seg)])
+    total = float(cum[-1])
+    n = max(round(total / spacing), 8)
+    targets = np.arange(n) * total / n
+    buf = np.empty((2, n + 2))
+    buf[0, 1:-1] = np.interp(targets, cum, pts[0])
+    buf[1, 1:-1] = np.interp(targets, cum, pts[1])
+    buf[:, 0] = buf[:, -2] - shift
+    buf[:, -1] = buf[:, 1] + shift
+    return buf, total / n
+
+
+def _kernel_surfaces():
+    x = np.arange(32) / 32
+    conformal = ConformalTorus(0.1 * np.cos(2.0 * np.pi * (x[:, None] + 0.3))
+                               * np.sin(2.0 * np.pi * x[None, :]))
+    # surface, centre and largest radius of a contractible chart-0 curve
+    return {"flat_torus": (FlatTorus(), (0.5, 0.5), 0.3),
+            "conformal_torus": (conformal, (0.5, 0.5), 0.3),
+            "sphere": (RoundSphere(), (0.1, -0.1), 0.8),
+            "hyperbolic": (HyperbolicPlane(genus=2), (0.0, 1.2), 0.5)}
+
+
+KERNEL_SURFACES = _kernel_surfaces()
+
+
+def _star_curve(rng, surf, centre, radius, winds):
+    """A random star-shaped contractible polygon about the centre, or on a
+    torus when winds a random graph x(y) winding once in y; either way in
+    random orientation."""
+    n = int(rng.integers(8, 160))
+    jitter = (np.arange(n) + rng.uniform(0.05, 0.95, n)) / n
+    if winds:
+        wave = rng.uniform(-0.1, 0.1, 3)
+        xs = (0.5 + wave[0] * np.sin(2.0 * np.pi * (jitter + wave[1]))
+              + wave[2] * rng.uniform(-0.2, 0.2, n))
+        verts, winding = np.column_stack([xs, jitter]), (0, 1)
+    else:
+        ang = 2.0 * np.pi * jitter
+        r = radius * rng.uniform(0.3, 1.0) * rng.uniform(0.6, 1.0, n)
+        verts = np.column_stack([centre[0] + r * np.cos(ang),
+                                 centre[1] + r * np.sin(ang)])
+        winding = (0, 0)
+    if rng.random() < 0.5:
+        verts, winding = verts[::-1].copy(), (-winding[0], -winding[1])
+    return RegionCurve(verts, winding=winding)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       name=st.sampled_from(sorted(KERNEL_SURFACES)), winds=st.booleans(),
+       spacing=st.floats(0.004, 0.08))
+@settings(max_examples=80, deadline=None)
+def test_geometry_and_resample_match_first_formulas_bit_for_bit(
+        seed, name, winds, spacing):
+    """``_geometry`` and ``_resample`` give every float of the reference
+    copies above on random star-shaped polygons, contractible and (on the
+    tori) winding, on all four surfaces, and so does ``_geometry`` of the
+    resampled buffer; a NaN vertex makes the resample's total NaN."""
+    surf, centre, radius = KERNEL_SURFACES[name]
+    rng = np.random.default_rng(seed)
+    curve = _star_curve(rng, surf, centre, radius,
+                        winds and surf.lattice is not None)
+    buf, shift = curve.padded(surf), curve.closure_shift(surf)
+    got = regions._resample(buf[:, 1:].copy(), shift, spacing)
+    want = _resample_reference(buf[:, 1:].copy(), shift, spacing)
+    assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
+    for padded in (buf, want[0]):
+        got = regions._geometry(surf, 0, padded.copy())
+        want_geo = _geometry_reference(surf, 0, padded.copy())
+        assert all(_same_bits(g, w) for g, w in zip(got, want_geo))
+    buf[1, 1 + int(rng.integers(curve.n))] = math.nan
+    got = regions._resample(buf[:, 1:], shift, spacing)
+    assert got[0] is None and math.isnan(got[1])
