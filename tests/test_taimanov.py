@@ -718,7 +718,7 @@ def _kernel_surfaces():
 KERNEL_SURFACES = _kernel_surfaces()
 
 
-def _star_curve(rng, surf, centre, radius, winds):
+def _star_curve(rng, centre, radius, winds):
     """A random star-shaped contractible polygon about the centre, or on a
     torus when winds a random graph x(y) winding once in y; either way in
     random orientation."""
@@ -757,7 +757,7 @@ def test_geometry_and_resample_match_first_formulas_bit_for_bit(
     resampled buffer; a NaN vertex makes the resample's total NaN."""
     surf, centre, radius = KERNEL_SURFACES[name]
     rng = np.random.default_rng(seed)
-    curve = _star_curve(rng, surf, centre, radius,
+    curve = _star_curve(rng, centre, radius,
                         winds and surf.lattice is not None)
     buf, shift = curve.padded(surf), curve.closure_shift(surf)
     got = regions._resample(buf[:, 1:].copy(), shift, spacing)
