@@ -391,7 +391,8 @@ def cmd_sweep(cfg, system, outdir):
         data = homogeneous_oracle(system.surface.kind, s, f)
         if not data.exists_contractible:
             return {"s": s, "exists_contractible": False}
-        orbit = shoot_periodic(system, energy_of_s(s), seed)
+        orbit = shoot_periodic(system, energy_of_s(s), seed,
+                               trajectory=False)
         return {"s": s, "exists_contractible": True, "period": orbit.period,
                 "oracle_period": data.period, "residual": orbit.residual}
 

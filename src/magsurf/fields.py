@@ -134,7 +134,10 @@ def flux_total(system):
             "hyperbolic quotient flux is available for constant fields only")
     charts, us, vs, w = surf.quadrature_nodes(512)
     fvals = np.asarray(system.field.eval(charts, us, vs), dtype=float)
-    return float(np.sum(fvals * w))
+    total = float(np.sum(fvals * w))
+    if not math.isfinite(total):
+        raise DegenerateInputError("the field's flux is not finite")
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +151,10 @@ def _density_grid(system, n):
     lx, ly = system.surface.lattice
     xx, yy = np.meshgrid(np.arange(n) * lx / n, np.arange(n) * ly / n,
                          indexing="ij")
-    return np.asarray(system.form_density(0, xx, yy), dtype=float)
+    dens = np.asarray(system.form_density(0, xx, yy), dtype=float)
+    if not np.isfinite(dens).all():
+        raise DegenerateInputError("the field is not finite on the torus")
+    return dens
 
 
 def periodic_poisson(system, n):

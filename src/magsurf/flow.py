@@ -24,7 +24,7 @@ step of MACRO_STEP, midpoint substeps of the same stage text
 extrapolated in the substep length squared; poincare_return runs it with
 macro, recording nothing.  Shooting's Newton iterations run on that
 map, and what a user sees stays RK4 at dt: the first return, the
-recorded orbit and its residual.
+recorded orbit and its residual, unless it keeps no trajectory (sweep).
 """
 from __future__ import annotations
 
@@ -90,23 +90,22 @@ def make_rhs(system):
     return rhs
 
 
-# The one compiled function: n steps of length h from chart, u, v, du,
-# dv, with the state in locals.  At each stage's point x, y the surface's
-# and field's step_line set ru, rv and f (a flat chart has no Christoffel
-# terms).  A step is classical RK4, or with macro an order-8
-# Gragg-Bulirsch-Stoer step: the explicit midpoint rule over h in m = 2,
-# 4, 6, 8 substeps g = h / m, whose error is even in g, extrapolated to
-# g = 0 by the weights w of the Aitken-Neville tableau's last entry
-# (prod over the other m' of m^2 / (m^2 - m'^2)); the first stage, at the
-# start, serves both.  The update gives the state x, y, p, q, and the
-# surface's chart_line may then move it to another chart.  ext, when
-# given, receives the states of steps every, 2 every, ...  The loop stops
-# early at the floor (the state that fell) or at the directed crossing of
-# the section {coord = sval} in chart schart (the state before it, and
-# the residuals prev, cur on either side): the test of poincare_return,
-# with prev and armed from the start state.  With schart None no chart is
-# the section's, so with n = 1 and no chart line it is the single step a
-# crossing is cut with.
+# The one compiled function: n steps of length h from chart, u, v, du, dv, with
+# the state in locals.  At each stage's point x, y the surface's and field's
+# step_line set ru, rv and f (a flat chart has no Christoffel terms, the
+# half-plane no ru).  A step is classical RK4, or with macro an order-8
+# Gragg-Bulirsch-Stoer step: the explicit midpoint rule over h in m = 2, 4, 6,
+# 8 substeps g = h / m, whose error is even in g, extrapolated to g = 0 by the
+# weights w of the Aitken-Neville tableau's last entry (prod over the other m'
+# of m^2 / (m^2 - m'^2)); the first stage, at the start, serves both.  The
+# update gives the state x, y, p, q, and the surface's chart_line may then move
+# it to another chart.  ext, when given, receives the states of steps every, 2
+# every, ...  The loop stops early at the floor (the state that fell) or at the
+# directed crossing of the section {coord = sval} in chart schart (the state
+# before it, and the residuals prev, cur on either side): the test of
+# poincare_return, with prev and armed from the start state.  With schart None
+# no chart is the section's, so with n = 1 and no chart line it is the single
+# step a crossing is cut with.
 _LOOP = """\
 def run(chart, u, v, du, dv, h, n, ext, floor, every=1, schart=None,
         coord=0, sval=0.0, sdir=1, wrap=None, guard=0.0, prev=0.0,
@@ -177,7 +176,16 @@ a{n}u = -(ru * p{n} * p{n} + 2.0 * rv * p{n} * q{n}
           - ru * q{n} * q{n}) - f * q{n}
 a{n}v = -(-rv * p{n} * p{n} + 2.0 * ru * p{n} * q{n}
           + rv * q{n} * q{n}) + f * p{n}"""
+# ru = 0: _CURVED without its ru terms, the 0.0 keeping its signed zeros
+_RV = """\
+{metric}
+{field}
+a{n}u = -(0.0 + 2.0 * rv * p{n} * q{n}) - f * q{n}
+a{n}v = -(-rv * p{n} * p{n} + rv * q{n} * q{n}) + f * p{n}"""
 _FLAT = "{field}\na{n}u, a{n}v = -f * q{n}, f * p{n}"
+# the stage for the Christoffel terms the metric line assigns
+_STAGES = {frozenset({"ru", "rv"}): _CURVED, frozenset({"rv"}): _RV,
+           frozenset(): _FLAT}
 # the indent of each stage: the first at the start, three in the RK4
 # body and one in the midpoint substeps
 _INDENTS = (8, 12, 12, 12, 20)
@@ -189,7 +197,9 @@ _LINE_OUTPUTS = {"metric": {"ru", "rv"}, "field": {"f"},
 
 def _write(metric, field, chart):
     """_LOOP with these lines in its five stages and after its update."""
-    stage = _FLAT if metric is None else _CURVED
+    stage = _STAGES.get(frozenset(_names(metric, ast.Store) & {"ru", "rv"}))
+    if stage is None:
+        raise UnsupportedError(f"metric line {metric!r} sets ru but not rv")
     return _LOOP.format(*(textwrap.indent(stage.format(
         metric=metric, field=field, n=n), " " * pad)
         for n, pad in enumerate(_INDENTS, 1)), chart=chart or "")

@@ -69,13 +69,20 @@ def homogeneous_oracle(kind, s, value=1.0):
 
 @dataclasses.dataclass
 class Orbit:
-    trajectory: object
     period: float
     energy: float
     residual: float
     winding: tuple
     section: Section
     seed: TangentState
+    recorded: object = None      # the Trajectory, if the shoot kept one
+
+    @property
+    def trajectory(self):
+        if self.recorded is None:
+            raise UnsupportedError("this orbit was shot with trajectory="
+                                   "False: it has no trajectory")
+        return self.recorded
 
     @property
     def contractible(self):
@@ -116,23 +123,23 @@ def default_section(system, seed):
                    direction=1 if seed.du > 0 else -1, chart=seed.chart)
 
 
-def _newton(ret, x, res, rt, steps, tol, max_time):
-    """Newton's iteration on the return map ret from x, whose residual and
-    return time are res and rt, until |res| <= tol: finite-difference
-    columns, then a line search that halves the step until the residual
-    falls, each candidate's return looked for within twice rt.  Returns
-    the last x, res, rt and, when steps is a StepRecord, the accepted
-    return's (candidates then record into fresh ones).  Raises
-    NoConvergenceError when the line search stalls or |res| is still
-    above tol after SHOOT_MAX_ITER steps."""
+def _newton(ret, x, out, steps, tol, max_time):
+    """Newton's iteration on the return map ret from x, whose return out
+    = ret(x) is its residual, return time and hit, until |residual| <=
+    tol: finite-difference columns, then a line search that halves the
+    step until the residual falls, each candidate's return looked for
+    within twice the return time.  Returns the last x, out and, when
+    steps is a StepRecord, the accepted return's (candidates then record
+    into fresh ones).  Raises NoConvergenceError when the line search
+    stalls or |residual| is still above tol after SHOOT_MAX_ITER steps."""
     it = 0
-    while np.linalg.norm(res) > tol and it < SHOOT_MAX_ITER:
+    while np.linalg.norm(out[0]) > tol and it < SHOOT_MAX_ITER:
+        res = out[0]
         jac = np.empty((2, 2))
         for j in range(2):
             dx = np.zeros(2)
             dx[j] = FD_STEP
-            rp, _ = ret(x + dx)
-            jac[:, j] = (rp - res) / FD_STEP
+            jac[:, j] = (ret(x + dx)[0] - res) / FD_STEP
         try:
             step = np.linalg.solve(jac, -res)
         except np.linalg.LinAlgError:
@@ -142,25 +149,25 @@ def _newton(ret, x, res, rt, steps, tol, max_time):
             cand = x + lam * step
             cand_steps = None if steps is None else StepRecord()
             try:
-                cres, crt = ret(cand, cand_steps, min(max_time, 2.0 * rt))
+                cout = ret(cand, cand_steps, min(max_time, 2.0 * out[1]))
             except NoReturnError:   # none near the current return time
                 lam *= 0.5
                 continue
-            if np.linalg.norm(cres) < np.linalg.norm(res):
-                x, res, rt, steps = cand, cres, crt, cand_steps
+            if np.linalg.norm(cout[0]) < np.linalg.norm(res):
+                x, out, steps = cand, cout, cand_steps
                 break
             lam *= 0.5
         else:
             raise NoConvergenceError("shooting line search stalled")
         it += 1
-    if np.linalg.norm(res) > tol:
+    if np.linalg.norm(out[0]) > tol:
         raise NoConvergenceError(
-            f"shooting residual {np.linalg.norm(res):.3e} after {it} steps")
-    return x, res, rt, steps
+            f"shooting residual {np.linalg.norm(out[0]):.3e} after {it} steps")
+    return x, out, steps
 
 
 def shoot_periodic(system, k, seed, section=None, tol=SHOOT_TOL,
-                   dt=DEFAULT_DT, max_time=200.0):
+                   dt=DEFAULT_DT, max_time=200.0, *, trajectory=True):
     """Newton iteration on the reduced return map at fixed energy k.
 
     The seed is rescaled onto the energy level; the reduced state is the
@@ -173,10 +180,13 @@ def shoot_periodic(system, k, seed, section=None, tol=SHOOT_TOL,
     is made of the dt steps the accepted RK4 return (the first one, the
     one after the order-8 Newton or a line-search candidate) took: it
     equals integrate(system, orbit.seed, orbit.period, dt) and is not
-    computed twice.  Raises NoConvergenceError if either Newton's line
-    search stalls or its residual is still above tol after SHOOT_MAX_ITER
-    steps.  A tol no residual can meet (not finite and > 0) is
-    DegenerateInputError.
+    computed twice.  With trajectory False Newton runs on the order-8
+    map alone, from the seed, and dt is not used: the period and residual
+    are that map's, and the orbit has no trajectory.  The winding is the
+    accepted return's lattice translation, start to hit.  Raises
+    NoConvergenceError if a Newton's line search stalls or its residual
+    is still above tol after SHOOT_MAX_ITER steps.  A tol no residual can
+    meet (not finite and > 0) is DegenerateInputError.
     """
     if not 0.0 < tol < math.inf:
         raise DegenerateInputError(f"tol must be finite and > 0: {tol}")
@@ -191,29 +201,31 @@ def shoot_periodic(system, k, seed, section=None, tol=SHOOT_TOL,
             hit, rt = poincare_return(system, section, st, max_time=t_max,
                                       dt=dt, record=record, macro=macro)
             out = _reduced(section, hit)
-            return np.array([out[0] - xv[0], _wrap_angle(out[1] - xv[1])]), rt
+            return (np.array([out[0] - xv[0], _wrap_angle(out[1] - xv[1])]),
+                    rt, hit)
         return ret
 
-    rk4 = return_map(False)
-    steps = StepRecord()
-    res, rt = rk4(x, steps)
-    if np.linalg.norm(res) > tol:
-        gbs = return_map(True)
-        x = _newton(gbs, x, *gbs(x), None, tol, max_time)[0]
+    rk4, gbs = return_map(False), return_map(True)
+    traj = None
+    if trajectory:
         steps = StepRecord()
-        res, rt = rk4(x, steps)
-        x, res, rt, steps = _newton(rk4, x, res, rt, steps, tol, max_time)
+        out = rk4(x, steps)
+        if np.linalg.norm(out[0]) > tol:
+            x = _newton(gbs, x, gbs(x), None, tol, max_time)[0]
+            steps = StepRecord()
+            x, out, steps = _newton(rk4, x, rk4(x, steps), steps, tol,
+                                    max_time)
+        traj = steps.trajectory(range(_step_count(out[1], dt) + 1), dt)
+    else:
+        x, out, _ = _newton(gbs, x, gbs(x), None, tol, max_time)
+    res, rt, hit = out
     state = _section_state(system, section, k, x[0], x[1])
-    traj = steps.trajectory(range(_step_count(rt, dt) + 1), dt)
-    winding = (0, 0)
-    lattice = system.surface.lattice
-    if lattice is not None:
-        d = traj.q[-1] - traj.q[0]
-        winding = (int(round(d[0] / lattice[0])),
-                   int(round(d[1] / lattice[1])))
-    return Orbit(trajectory=traj, period=rt, energy=k,
-                 residual=float(np.linalg.norm(res)), winding=winding,
-                 section=section, seed=state)
+    lattice = system.surface.lattice or (math.inf, math.inf)  # none: (0, 0)
+    winding = tuple(int(round(d / p)) for d, p in
+                    zip((hit.u - state.u, hit.v - state.v), lattice))
+    return Orbit(period=rt, energy=k, residual=float(np.linalg.norm(res)),
+                 winding=winding, section=section, seed=state,
+                 recorded=traj)
 
 
 def orbit_curvature_residual(system, orbit):

@@ -28,11 +28,11 @@ class Surface:
     constant_curvature = None    # K = 1, 0 or -1 on the homogeneous models
     floor = -math.inf            # lowest admissible v in the chart
     # Each concrete surface sets step_line: conformal()[1:] as one line of
-    # Python setting ru, rv at the float point x, y of chart, written into
-    # the RK4 step's stages (None marks a flat chart), and step_names, the
-    # values it reads; a chart_line, written after the update to chart, x,
-    # y, p, q, may reassign them the same state in another chart.  The
-    # integrator uses nothing else of the surface.
+    # Python setting ru, rv (rv alone where ru = 0) at the float point x, y
+    # of chart, written into the RK4 step's stages (None marks a flat
+    # chart), and step_names, the values it reads; a chart_line, written
+    # after the update to chart, x, y, p, q, may reassign them the same
+    # state in another chart.  The integrator uses nothing else of it.
     step_names = {}
     chart_line = None
 
@@ -199,7 +199,7 @@ class HyperbolicPlane(Surface):
     kind = "hyperbolic"
     constant_curvature = -1
     floor = HYPERBOLIC_FLOOR
-    step_line = "ru, rv = 0.0, -1.0 / y"
+    step_line = "rv = -1.0 / y"
 
     def __init__(self, genus=None):
         if genus is not None and genus < 2:

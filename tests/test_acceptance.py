@@ -6,6 +6,7 @@ contact certificates and integral identities.  Every test prints a single
 pass/fail line (visible with pytest -s or in the captured output).
 """
 
+import dataclasses
 import math
 import time
 
@@ -17,7 +18,7 @@ from magsurf.fields import (ConstantField, MagneticSystem, TorusField,
                             energy_of_s)
 from magsurf.flow import (TangentState, integrate, state_at_energy,
                           trajectory_curvature, trajectory_energies)
-from magsurf.orbits import (DescentParams, DiscreteLoop, Orbit, circle_loop,
+from magsurf.orbits import (DescentParams, DiscreteLoop, circle_loop,
                             descend_to_critical, discrete_action,
                             discrete_action_gradient, fit_circle,
                             homogeneous_oracle, loop_mean_energy,
@@ -54,9 +55,7 @@ def _resampled_orbit(system, orbit, dt=1e-3):
     n = max(int(round(orbit.period / dt)), 1)
     dense = integrate(system, st, orbit.period, dt=orbit.period / n,
                       record_every=1)
-    return Orbit(trajectory=dense, period=orbit.period, energy=orbit.energy,
-                 residual=orbit.residual, winding=orbit.winding,
-                 section=orbit.section, seed=orbit.seed)
+    return dataclasses.replace(orbit, recorded=dense)
 
 
 def _disc_region(orbit, n=512):

@@ -63,3 +63,20 @@ def test_record_gives_quartiles_and_versions():
         "median"] is None
     assert record["failed_runs"] == failed
     json.dumps(record)
+
+
+def test_run_order_interleaves_revisions():
+    """Each workload's turn runs every revision, in the given order at odd
+    seeds and reversed at even ones; every revision gets every seed of
+    every workload once."""
+    order = bench_json.run_order(["a", "b"], ["shoot", "survey"], runs=3)
+    assert order[:4] == [(1, "shoot", "a"), (1, "shoot", "b"),
+                         (1, "survey", "a"), (1, "survey", "b")]
+    assert order[4:8] == [(2, "shoot", "b"), (2, "shoot", "a"),
+                          (2, "survey", "b"), (2, "survey", "a")]
+    assert order[8:10] == [(3, "shoot", "a"), (3, "shoot", "b")]
+    assert sorted(order) == sorted((seed, name, rev) for seed in (1, 2, 3)
+                                   for name in ("shoot", "survey")
+                                   for rev in "ab")
+    assert bench_json.run_order(["a"], ["shoot"], runs=2) == [
+        (1, "shoot", "a"), (2, "shoot", "a")]

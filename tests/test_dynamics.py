@@ -7,7 +7,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from magsurf.cli import _build_field, _build_surface
@@ -589,6 +589,8 @@ def _step_cases():
         "halfplane-constant": (MagneticSystem(HyperbolicPlane(genus=2),
                                               ConstantField(1.7)),
                                (0.3, 3.0)),
+        "halfplane-zero": (MagneticSystem(HyperbolicPlane(genus=2),
+                                          ConstantField(0.0)), (0.3, 3.0)),
         "halfplane-callable": (MagneticSystem(HyperbolicPlane(genus=2),
                                               CallableField(
             lambda c, u, v: 1.2 + 0.4 * np.cos(u) / (1.0 + v * v))),
@@ -615,12 +617,17 @@ def _step_cases():
 @given(chart=st.integers(0, 1), u=st.floats(-2.5, 2.5),
        w=st.floats(0.0, 1.0), du=st.floats(-3.0, 3.0),
        dv=st.floats(-3.0, 3.0), h=st.floats(1e-4, 0.05), cut=st.booleans())
+@example(chart=0, u=0.4, w=0.3, du=0.0, dv=1.1, h=0.01, cut=False)
+@example(chart=0, u=-0.7, w=0.6, du=-0.0, dv=2.0, h=0.02, cut=True)
+@example(chart=1, u=1.3, w=0.1, du=0.9, dv=0.0, h=0.03, cut=False)
+@example(chart=0, u=0.2, w=0.8, du=-1.4, dv=-0.0, h=0.005, cut=True)
 @settings(max_examples=60, deadline=None)
 def test_step_is_rk4_over_make_rhs(system, vrange, chart, u, w, du, dv, h,
                                    cut):
     """The dt loop writes make_rhs into its four stages, with the step
     lines for make_rhs's conformal and eval calls; one pass of it, with no
-    section, gives the classical RK4 step over make_rhs bit for bit, and
+    section, gives the classical RK4 step over make_rhs bit for bit,
+    signed zeros included (a zero velocity component, a zero field), and
     so does one pass of the loop a section crossing is cut with, built
     without the chart rule."""
     lo, hi = vrange
@@ -630,7 +637,9 @@ def test_step_is_rk4_over_make_rhs(system, vrange, chart, u, w, du, dv, h,
     k, got, crossing = _make_loop(system, not cut)(
         chart, u, v, du, dv, h, 1, None, system.surface.floor)
     assert (k, crossing) == (1, None)
-    assert got == _rk4_reference(system, chart, u, v, du, dv, h, cut)
+    want = _rk4_reference(system, chart, u, v, du, dv, h, cut)
+    assert got[0] == want[0]
+    assert [x.hex() for x in got[1:]] == [float(x).hex() for x in want[1:]]
 
 
 @pytest.mark.parametrize("system", [c[0] for c in _step_cases().values()],
@@ -741,6 +750,18 @@ def test_name_the_macro_step_uses_fails_when_step_is_built():
 
     with pytest.raises(UnsupportedError, match="field line .*'ex'"):
         _make_loop(MagneticSystem(FlatTorus(), ClashingField(1.0)))
+
+
+def test_metric_line_without_rv_fails_when_step_is_built():
+    """The stage is picked by the Christoffel names the metric line
+    assigns: ru and rv, rv alone where ru = 0 (the half-plane), none on a
+    flat chart.  A line that sets ru alone fails as the loop is built
+    instead of running with rv unset."""
+    class RuOnlyPlane(HyperbolicPlane):
+        step_line = "ru = 0.0"
+
+    with pytest.raises(UnsupportedError, match="sets ru but not rv"):
+        _make_loop(MagneticSystem(RuOnlyPlane(), ConstantField(1.0)))
 
 
 @pytest.mark.parametrize("field", [CosineField(1.0),

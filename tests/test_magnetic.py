@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from magsurf import fields
 from magsurf.cli import _build_field
+from magsurf.critical import c0_upper_bound
 from magsurf.errors import (DegenerateInputError, NoGlobalPrimitiveError,
                             UnsupportedError)
 from magsurf.fields import (CallableField, ClosedFormPrimitive, ConstantField,
@@ -53,6 +54,18 @@ def test_flux_hyperbolic_nonconstant_unsupported():
                          CallableField(lambda c, u, v: u))
     with pytest.raises(UnsupportedError):
         flux_total(hyp)
+
+
+@pytest.mark.parametrize("entry", [
+    flux_total, local_primitive, lambda system: c0_upper_bound(system, 1)])
+def test_non_finite_field_stops_flux_and_density_grid(entry):
+    """A torus field that is NaN on part of the torus (x > 3/4) stops the
+    total flux, the primitive's build and c0's Poisson solve at their
+    entry, each sampling it on its own grid, instead of handing nan on."""
+    system = MagneticSystem(FlatTorus(), TorusField(
+        lambda x, y: np.where(x > 0.75, np.nan, 1.0)))
+    with pytest.raises(DegenerateInputError, match="not finite"):
+        entry(system)
 
 
 def test_flux_mean_zero_torus_field():

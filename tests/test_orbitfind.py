@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from magsurf import orbits, regions
 from magsurf.cli import main
 from magsurf.errors import (DegenerateInputError, NoConvergenceError,
-                            NoGlobalPrimitiveError, NoReturnError)
+                            NoGlobalPrimitiveError, NoReturnError,
+                            UnsupportedError)
 from magsurf.fields import (ConstantField, CosineField, MagneticSystem,
                             TorusField, energy_of_s, local_primitive)
 from magsurf.flow import (TangentState, integrate, poincare_return,
@@ -316,6 +317,51 @@ def test_cosine_shoot_reports_rk4_residual(s, off, inside, sign):
     res = math.hypot(out[0] - x[0], orbits._wrap_angle(out[1] - x[1]))
     assert t == orbit.period
     assert abs(orbit.residual - res) <= 1e-15
+
+
+@pytest.mark.parametrize("kind,surface,kappa_lo", [
+    ("sphere", RoundSphere(), 0.5),
+    ("flat_torus", FlatTorus(), 0.5),
+    ("hyperbolic", HyperbolicPlane(genus=2), 1.2)])
+@given(s=st.floats(0.6, 4.0), f=st.floats(0.5, 2.0),
+       sign=st.sampled_from([1, -1]), off=st.floats(-0.15, 0.15))
+@settings(max_examples=8, deadline=None)
+def test_untraced_shoot_matches_oracle_and_rk4(kind, surface, kappa_lo, s, f,
+                                               sign, off):
+    """Without a trajectory the shoot is order-8 returns only: at a
+    constant field with a contractible circle (kappa = s |f| raised to
+    kappa_lo where it is below), its period is within 1e-11 of the
+    oracle's and of the recorded RK4 shoot's, and the orbit has no
+    trajectory to read."""
+    f = sign * max(s * f, kappa_lo) / s
+    oracle = homogeneous_oracle(kind, s, f)
+    system = MagneticSystem(surface, ConstantField(f))
+    seed = _off_circle_seed(kind, (1.0 + off) * oracle.radius, f)
+    orbit = shoot_periodic(system, energy_of_s(s), seed, trajectory=False)
+    assert abs(orbit.period - oracle.period) < 1e-11
+    assert abs(orbit.period - _shoot(system, s, seed)[0].period) < 1e-11
+    assert orbit.residual <= SHOOT_TOL
+    with pytest.raises(UnsupportedError, match="trajectory=False"):
+        orbit.trajectory
+
+
+@pytest.mark.parametrize("trajectory", [True, False])
+def test_wrapped_section_winding_on_both_paths(monkeypatch, trajectory):
+    """The cosine field's vertical orbit at x = 1/4, where f = 0, shot
+    through the section v = 1/2 wrapped at the lattice period, closes
+    after one lattice translation in v on either path; without a
+    trajectory only order-8 returns run."""
+    from magsurf.flow import Section
+    system, _ = _cosine_system()
+    macros = _count_returns(monkeypatch)
+    orbit = shoot_periodic(system, energy_of_s(1.0),
+                           TangentState(0, 0.25, 0.5, 0.0, 1.0),
+                           section=Section(coord=1, value=0.5, wrap=1.0),
+                           trajectory=trajectory)
+    assert orbit.winding == (0, 1)
+    assert not orbit.contractible
+    assert abs(orbit.period - 1.0) < 1e-9
+    assert trajectory or set(macros) == {True}
 
 
 @pytest.mark.xfail(strict=True, reason="single shooting lands on another "

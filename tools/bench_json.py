@@ -1,27 +1,28 @@
 """Write BENCH_<short-rev>.json: perfbench's end-to-end metrics for one
-git revision, as medians and quartiles over several runs.
+or more git revisions, as medians and quartiles over several runs.
 
-    python3 tools/bench_json.py [--rev REV]
+    python3 tools/bench_json.py [--rev REV] [--rev REV2 ...]
 
-REV (default HEAD) is exported with ``git archive`` into a temporary
-directory, as tools/bench_pairs.py does, so the file describes committed
-code only.  Run j (seed j, 1 to RUNS) of every workload of BENCHMARK.json
-is
+Each REV (default HEAD) is exported with ``git archive`` into its own
+temporary directory, as tools/bench_pairs.py does, so the file describes
+committed code only.  Run j (seed j, 1 to RUNS) of every workload of
+BENCHMARK.json is
 
     python3 perfbench/run.py --workload W --seed j --seconds S --trace 0
 
 in that tree, S being BENCHMARK.json's run_seconds, so that every BENCH
-file measures the same runs; the workloads take turns, so that a slow
-spell of the machine spreads over all of them.  The file, written to
-the repository root, holds the full and short rev, the digest perfbench
-gives the exported ``src/magsurf``, the Python, numpy and scipy
-versions, nproc, a note on how far the machine's speed can be trusted,
-and per workload and end-to-end metric of BENCHMARK.json the first
-quartile, median and third quartile over the runs, with every run's
-value.  A run that exits
-non-zero or prints no result is listed under ``failed_runs`` and counts
-for no metric.  Only the standard library is used; perfbench/ is run,
-never changed.
+file measures the same runs; the workloads take turns, and so do the
+revisions within each workload's turn, in the given order at odd seeds
+and reversed at even ones, so that a slow spell of the machine spreads
+over all of them and the files of one invocation can be compared.  One
+file per revision, written to the repository root, holds the full and
+short rev, the digest perfbench gives the exported ``src/magsurf``, the
+Python, numpy and scipy versions, nproc, a note on how far the
+machine's speed can be trusted, and per workload and end-to-end metric
+of BENCHMARK.json the first quartile, median and third quartile over
+the runs, with every run's value.  A run that exits non-zero or prints
+no result is listed under ``failed_runs`` and counts for no metric.
+Only the standard library is used; perfbench/ is run, never changed.
 """
 from __future__ import annotations
 
@@ -86,41 +87,56 @@ def _git(*args):
                           capture_output=True, text=True).stdout.strip()
 
 
+def run_order(revs, workloads, runs=RUNS):
+    """The (seed, workload, rev) of every run in the order they run: the
+    seeds in turn, within a seed the workloads, within a workload the
+    revisions, reversed at even seeds."""
+    return [(seed, name, rev) for seed in range(1, runs + 1)
+            for name in workloads
+            for rev in (revs if seed % 2 else revs[::-1])]
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--rev", default="HEAD")
+    ap.add_argument("--rev", action="append",
+                    help="a revision to measure (repeatable; default HEAD)")
     args = ap.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
     workloads = [w["name"] for w in bench["workloads"]]
-    rev = _git("rev-parse", args.rev)
-    short = _git("rev-parse", "--short", rev)
-    results = {name: [] for name in workloads}
-    failed_runs = []
+    revs = list(dict.fromkeys(_git("rev-parse", r)
+                              for r in args.rev or ["HEAD"]))
+    results = {rev: {name: [] for name in workloads} for rev in revs}
+    failed_runs = {rev: [] for rev in revs}
     with tempfile.TemporaryDirectory(prefix="bench-json-") as tmp:
-        _export(rev, tmp)
-        for seed in range(1, RUNS + 1):
-            for name in workloads:
-                try:
-                    res = _run(tmp, name, seed, bench["run_seconds"])
-                except (RuntimeError, ValueError,
-                        subprocess.TimeoutExpired) as exc:
-                    failed_runs.append({"workload": name, "seed": seed,
-                                        "error": str(exc)[-500:]})
-                    print(f"{name} seed {seed}: failed: {exc}", flush=True)
-                    continue
-                results[name].append(res)
-                print(f"{name} seed {seed}: jobs_per_s "
-                      f"{res['metrics']['jobs_per_s']['value']:.4g}, "
-                      f"failed {res['failed']} of {res['attempted']}",
-                      flush=True)
-    record = bench_record(rev, short, results, failed_runs, bench)
-    path = os.path.join(ROOT, f"BENCH_{short}.json")
-    with open(path, "w") as fh:
-        json.dump(record, fh, indent=1)
-        fh.write("\n")
-    print(path)
-    return 1 if failed_runs else 0
+        trees = {rev: os.path.join(tmp, rev) for rev in revs}
+        for rev, tree in trees.items():
+            _export(rev, tree)
+        for seed, name, rev in run_order(revs, workloads):
+            label = f"{rev[:9]} {name} seed {seed}"
+            try:
+                res = _run(trees[rev], name, seed, bench["run_seconds"])
+            except (RuntimeError, ValueError,
+                    subprocess.TimeoutExpired) as exc:
+                failed_runs[rev].append({"workload": name, "seed": seed,
+                                         "error": str(exc)[-500:]})
+                print(f"{label}: failed: {exc}", flush=True)
+                continue
+            results[rev][name].append(res)
+            print(f"{label}: jobs_per_s "
+                  f"{res['metrics']['jobs_per_s']['value']:.4g}, "
+                  f"failed {res['failed']} of {res['attempted']}",
+                  flush=True)
+    for rev in revs:
+        short = _git("rev-parse", "--short", rev)
+        record = bench_record(rev, short, results[rev], failed_runs[rev],
+                              bench)
+        path = os.path.join(ROOT, f"BENCH_{short}.json")
+        with open(path, "w") as fh:
+            json.dump(record, fh, indent=1)
+            fh.write("\n")
+        print(path)
+    return 1 if any(failed_runs.values()) else 0
 
 
 if __name__ == "__main__":
