@@ -71,16 +71,19 @@ class TorusField(MagneticField):
 
 class CosineField(TorusField):
     """f = amp cos(2 pi x / lx); the step line is eval's formula on
-    math.cos."""
+    math.cos, and no callable f(x, y) is kept."""
 
     step_line = "f = amp * cos(2.0 * pi * (x % lx) / lx)"
 
     def __init__(self, amp, lx=1.0, ly=1.0):
-        super().__init__(lambda x, y: amp * np.cos(2.0 * np.pi * x / lx),
-                         lx=lx, ly=ly)
+        super().__init__(None, lx=lx, ly=ly)
         self.amp = float(amp)
         self.step_names = dict(amp=self.amp, lx=self.lx, cos=math.cos,
                                pi=math.pi)
+
+    def eval(self, chart, u, v):
+        return self.amp * np.cos(
+            2.0 * np.pi * (np.asarray(u, float) % self.lx) / self.lx)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -182,14 +185,6 @@ def periodic_poisson(system, n):
 GAUSS_C = 0.5 / math.sqrt(3.0)
 
 
-def gauss_nodes(pts):
-    """Two-point Gauss-Legendre nodes (a, b) of the segments of a polyline
-    pts (M + 1, 2), at the parameters 1/2 -+ GAUSS_C of each segment."""
-    mids = 0.5 * (pts[:-1] + pts[1:])
-    off = np.diff(pts, axis=0) / (2.0 * math.sqrt(3.0))
-    return mids - off, mids + off
-
-
 class LocalPrimitive:
     """A 1-form theta with d theta = sigma on its region of validity, and
     its Gauss line integral; ``periodic`` if theta is lattice-periodic, so
@@ -203,11 +198,13 @@ class LocalPrimitive:
 
     def line_integral(self, chart, pts):
         """Integral of theta along a polyline: two-point Gauss-Legendre per
-        segment, exact where theta is cubic along the segment."""
+        segment, at the parameters 1/2 -+ GAUSS_C of each, exact where
+        theta is cubic along the segment."""
         pts = np.asarray(pts, dtype=float)
-        a, b = gauss_nodes(pts)
         dx = np.diff(pts, axis=0)
-        t1, t2 = self.theta(chart, *np.concatenate([a, b]).T)
+        mids, off = 0.5 * (pts[:-1] + pts[1:]), dx / (2.0 * math.sqrt(3.0))
+        t1, t2 = self.theta(chart, *np.concatenate([mids - off,
+                                                    mids + off]).T)
         m = len(dx)
         t1 = 0.5 * (t1[:m] + t1[m:])
         t2 = 0.5 * (t2[:m] + t2[m:])

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import (DegenerateInputError, MagsurfError, NoConvergenceError,
                      NoReturnError, UnsupportedError)
-from .fields import GAUSS_C, gauss_nodes, local_primitive, s_of_energy
+from .fields import GAUSS_C, local_primitive, s_of_energy
 from .flow import (DEFAULT_DT, Section, StepRecord, TangentState, _step_count,
                    poincare_return, state_at_energy, trajectory_curvature)
 from .surfaces import ClosedPolyline
@@ -300,16 +300,16 @@ def circle_loop(center, radius, n, period):
 
 
 def _midpoint_data(system, loop):
-    """Edge vectors and (rho, rho_u, rho_v) at the edge midpoints."""
+    """Edge vectors, edge midpoints and (rho, rho_u, rho_v) there."""
     x, nxt = loop.edges(system.surface)
     m = 0.5 * (x + nxt)
     rho, ru, rv = system.surface.conformal(loop.chart, m[:, 0], m[:, 1])
-    return nxt - x, np.asarray(rho, float), ru, rv
+    return nxt - x, m, np.asarray(rho, float), ru, rv
 
 
 def loop_l2_energy(system, loop):
     """Discrete Dirichlet energy, integral of |x'|_g^2 in loop parameter."""
-    d, rho, _, _ = _midpoint_data(system, loop)
+    d, _, rho, _, _ = _midpoint_data(system, loop)
     h = 1.0 / loop.n
     return float(np.sum(np.exp(2.0 * rho) * np.sum(d * d, axis=1)) / h)
 
@@ -336,7 +336,7 @@ def discrete_action(system, k, loop, primitive=None):
             + k * loop.period - flux)
 
 
-def discrete_action_gradient(system, k, loop):
+def discrete_action_gradient(system, k, loop, t_star=False):
     """Gradient of discrete_action: (d/d vertices, d/dT).
 
     The flux part is the exact first variation of the polygon's flux:
@@ -347,26 +347,39 @@ def discrete_action_gradient(system, k, loop):
     which it ends.  No primitive is needed.  Where the Gauss rule is exact
     for theta (f = 1 on the flat torus) this is the derivative of
     discrete_action; elsewhere they differ by the rule error's derivative.
+
+    With t_star the loop's period is not read: the gradient is taken at
+    T* = sqrt(E / 2k), E = loop_l2_energy, where d/dT vanishes, and
+    (d/d vertices, T*) is returned; a collapsed loop (E = 0) has no T* and
+    raises DegenerateInputError.
     """
-    h, t = 1.0 / loop.n, loop.period
-    d, rho, ru, rv = _midpoint_data(system, loop)
+    h = 1.0 / loop.n
+    d, m, rho, ru, rv = _midpoint_data(system, loop)
     lam2 = np.exp(2.0 * rho)
     d2 = np.sum(d * d, axis=1)
-    a, b = gauss_nodes(loop.padded(system.surface)[:, 1:].T)
-    sigma = system.form_density(loop.chart, *np.concatenate([a, b]).T)
+    energy = float(np.sum(lam2 * d2))      # E h
+    if t_star and energy == 0.0:
+        raise DegenerateInputError("collapsed loop: no period T*")
+    t = math.sqrt(energy / h / (2.0 * k)) if t_star else loop.period
+    off = d / (2.0 * math.sqrt(3.0))      # Gauss nodes m -+ off
+    sigma = system.form_density(loop.chart,
+                                *np.concatenate([m - off, m + off]).T)
     sa, sb = sigma[:loop.n, None], sigma[loop.n:, None]
     # vertex i starts edge i and ends edge i - 1
-    bend = (d2 * lam2)[:, None] * np.column_stack(
-        [np.asarray(ru, float), np.asarray(rv, float)])
+    bend = np.empty_like(d)
+    bend[:, 0], bend[:, 1] = ru, rv
+    bend *= (d2 * lam2)[:, None]
     pull = 2.0 * lam2[:, None] * d
-    rot = 0.5 * np.column_stack([d[:, 1], -d[:, 0]])
-    start = ((bend - pull) / (2.0 * h * t)
-             - ((0.5 + GAUSS_C) * sa + (0.5 - GAUSS_C) * sb) * rot)
+    rot = d[:, ::-1] * (0.5, -0.5)
+    grad = ((bend - pull) / (2.0 * h * t)
+            - ((0.5 + GAUSS_C) * sa + (0.5 - GAUSS_C) * sb) * rot)
     end = ((bend + pull) / (2.0 * h * t)
            - ((0.5 - GAUSS_C) * sa + (0.5 + GAUSS_C) * sb) * rot)
-    grad = start + np.roll(end, 1, axis=0)
-    dT = k - float(np.sum(lam2 * d2)) / (2.0 * h * t * t)
-    return grad, dT
+    grad[1:] += end[:-1]
+    grad[0] += end[-1]
+    if t_star:
+        return grad, t
+    return grad, k - energy / (2.0 * h * t * t)
 
 
 # ---------------------------------------------------------------------------
@@ -420,30 +433,25 @@ def descend_to_critical(system, k, loop, params=None):
     primitive = local_primitive(system, loop.winding != (0, 0))
 
     def at_t_star(x):
-        """The loop through the vertices x at the period T*."""
+        """The gradient at the vertices x at their period T*, and T*."""
         trial = dataclasses.replace(loop, vertices=x.reshape(-1, 2))
-        energy = loop_l2_energy(system, trial)
-        if energy == 0.0:
-            raise DegenerateInputError("collapsed loop: no period T*")
-        return dataclasses.replace(trial,
-                                   period=math.sqrt(energy / (2.0 * k)))
-
-    def grad(trial):
-        return discrete_action_gradient(system, k, trial)[0]
+        return discrete_action_gradient(system, k, trial, t_star=True)
 
     x0 = loop.vertices.ravel()
-    seed = at_t_star(x0)
     try:
-        res = root(lambda x: grad(at_t_star(x)).ravel(), x0, method="krylov",
+        res = root(lambda x: at_t_star(x)[0].ravel(), x0, method="krylov",
                    options={"fatol": params.tol / math.sqrt(x0.size),
                             "maxiter": params.max_iter})
-        final, it = at_t_star(res.x), res.nit
+        x, it = res.x, res.nit
+        g, t = at_t_star(x)
     except (MagsurfError, ValueError):   # a collapsed or non-finite iterate
-        final, it = seed, 0
-    gn = float(np.linalg.norm(grad(final)))
-    outcome = "converged" if gn < params.tol else "max_iter"
-    if outcome == "max_iter":
-        final, gn = seed, float(np.linalg.norm(grad(seed)))
-    return DescentResult(loop=final, outcome=outcome, grad_norm=gn,
+        x, it = x0, 0
+        g, t = at_t_star(x0)             # a collapsed seed raises here
+    outcome = "converged" if np.linalg.norm(g) < params.tol else "max_iter"
+    if outcome == "max_iter" and it:     # with it = 0, x is the seed
+        x, (g, t) = x0, at_t_star(x0)
+    final = dataclasses.replace(loop, vertices=x.reshape(-1, 2), period=t)
+    return DescentResult(loop=final, outcome=outcome,
+                         grad_norm=float(np.linalg.norm(g)),
                          action=discrete_action(system, k, final, primitive),
                          iterations=it)

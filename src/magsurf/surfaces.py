@@ -117,6 +117,14 @@ class FlatTorus(Torus):
         return self.lx * self.ly
 
 
+@functools.lru_cache(maxsize=8)
+def _leggauss(n):
+    """leggauss(n), read-only: every caller with this n shares it."""
+    t, wt = np.polynomial.legendre.leggauss(n)
+    t.flags.writeable = wt.flags.writeable = False
+    return t, wt
+
+
 class RoundSphere(Surface):
     """Unit round sphere in two stereographic charts, glued by w = 1/z."""
 
@@ -172,7 +180,7 @@ class RoundSphere(Surface):
 
     def quadrature_nodes(self, n):
         # Gauss-Legendre in the colatitude, midpoint in the longitude.
-        t, wt = np.polynomial.legendre.leggauss(n)
+        t, wt = _leggauss(n)
         theta = 0.5 * math.pi * (t + 1.0)
         wtheta = 0.5 * math.pi * wt
         phi = (np.arange(n) + 0.5) * (2.0 * math.pi / n)

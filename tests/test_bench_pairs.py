@@ -77,3 +77,53 @@ def test_verdict_against_each_metric_bound():
     assert lines[2].startswith("job_tail_s")
     assert lines[2].endswith("worse beyond bound")
     assert lines[3].endswith("unresolved")
+
+
+def _report_file(root, name, walls):
+    """A canned report file under root/.perfbench_out with one record per
+    (slot, label, wall seconds), and the result whose report line names
+    it."""
+    records = [{"slot": slot, "label": label, "wall_s": wall, "ok": True}
+               for slot, label, wall in walls]
+    out = root / ".perfbench_out"
+    out.mkdir(exist_ok=True)
+    (out / name).write_text(json.dumps({"meta": {},
+                                        "report": {"records": records}}))
+    return bench_pairs.parse_result(
+        json.dumps({"report": {"metrics_file": f".perfbench_out/{name}"}})
+        + "\n" + _result(jobs_per_s=1.0))
+
+
+def test_slot_medians_from_report_files(tmp_path):
+    """Each run's slot median comes from the records of its report file,
+    keyed by slot and label (two slots may share a label); the summary
+    gives each side's median over its runs, and the ratio."""
+    cycles = {"base": [(0, 0.010, 0.080), (0, 0.012, 0.084),
+                       (0, 0.011, 0.082)],
+              "change": [(0, 0.010, 0.060), (0, 0.009, 0.062),
+                         (0, 0.011, 0.058)]}
+    pairs = []
+    for seed in (1, 2):
+        pair = []
+        for side, rows in cycles.items():
+            walls = []
+            for _, sim, desc in rows:
+                walls += [(0, "simulate.sphere", sim + 0.001 * seed),
+                          (1, "descend.cosine", desc * seed),
+                          (2, "descend.cosine", 0.5 * desc * seed)]
+            result = _report_file(tmp_path, f"{side}-{seed}.json", walls)
+            result["slots"] = bench_pairs.read_slots(tmp_path, result)
+            pair.append(result)
+        pairs.append(tuple(pair))
+    assert pairs[0][0]["slots"] == {"0 simulate.sphere": 0.012,
+                                    "1 descend.cosine": 0.082,
+                                    "2 descend.cosine": 0.041}
+    rows = bench_pairs.summarize_slots(pairs)
+    assert list(rows) == ["0 simulate.sphere", "1 descend.cosine",
+                          "2 descend.cosine"]
+    assert rows["0 simulate.sphere"] == pytest.approx((0.0125, 0.0115))
+    assert rows["1 descend.cosine"] == pytest.approx((0.123, 0.09))
+    lines = bench_pairs.format_slots(rows).splitlines()
+    assert lines[0].startswith("per slot")
+    assert lines[2].startswith("1 descend.cosine")
+    assert lines[2].endswith("(0.732)")

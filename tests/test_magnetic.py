@@ -14,7 +14,8 @@ from magsurf.critical import c0_upper_bound
 from magsurf.errors import (DegenerateInputError, NoGlobalPrimitiveError,
                             UnsupportedError)
 from magsurf.fields import (CallableField, ClosedFormPrimitive, ConstantField,
-                            LineIntegralPrimitive, MagneticSystem, TorusField,
+                            CosineField, LineIntegralPrimitive,
+                            MagneticSystem, TorusField,
                             TorusSpectralPrimitive, energy_of_s, flux_total,
                             local_primitive, s_of_energy, stokes_residual)
 from magsurf.surfaces import (FlatTorus, HyperbolicPlane, PeriodicBicubic,
@@ -305,3 +306,24 @@ def test_scalar_matches_eval(field, chart, u, v):
     got = scope["f"]
     assert type(got) is float
     assert got == float(field.eval(chart, u, v))
+
+
+@given(amp=st.floats(-10.0, 10.0), lx=st.floats(0.3, 3.0),
+       ly=st.floats(0.3, 3.0), chart=st.integers(0, 1),
+       u=st.floats(-50.0, 50.0), v=st.floats(-50.0, 50.0),
+       n=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_cosine_eval_matches_torus_field_path(amp, lx, ly, chart, u, v, n,
+                                              seed):
+    """CosineField's own eval gives every float the TorusField path (the
+    callable amp cos(2 pi x / lx) of the reduced point) gives, at scalar
+    points and at arrays of points well outside the period cell."""
+    fast = CosineField(amp, lx, ly)
+    ref = TorusField(lambda x, y: amp * np.cos(2.0 * np.pi * x / lx),
+                     lx, ly)
+    got, want = fast.eval(chart, u, v), ref.eval(chart, u, v)
+    assert type(got) is type(want) and got.tobytes() == want.tobytes()
+    uu, vv = np.random.default_rng(seed).uniform(-50.0, 50.0, (2, n))
+    got, want = fast.eval(chart, uu, vv), ref.eval(chart, uu, vv)
+    assert got.shape == want.shape == (n,)
+    assert got.tobytes() == want.tobytes()

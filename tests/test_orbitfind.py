@@ -12,8 +12,9 @@ from magsurf.cli import main
 from magsurf.errors import (DegenerateInputError, NoConvergenceError,
                             NoGlobalPrimitiveError, NoReturnError,
                             UnsupportedError)
-from magsurf.fields import (ConstantField, CosineField, MagneticSystem,
-                            TorusField, energy_of_s, local_primitive)
+from magsurf.fields import (CallableField, ConstantField, CosineField,
+                            MagneticSystem, TorusField, energy_of_s,
+                            local_primitive)
 from magsurf.flow import (TangentState, integrate, poincare_return,
                           state_at_energy)
 from magsurf.orbits import (SHOOT_TOL, DescentParams, DiscreteLoop,
@@ -364,6 +365,24 @@ def test_wrapped_section_winding_on_both_paths(monkeypatch, trajectory):
     assert trajectory or set(macros) == {True}
 
 
+@pytest.mark.xfail(strict=True, raises=NoReturnError,
+                   reason="every crossing of the default section lies in "
+                   "the other sphere chart")
+def test_sphere_shoot_whose_crossings_lie_in_the_other_chart():
+    """The seed (0, 1) in chart 0 with heading 0.178 (f = 0.9496,
+    s = 2.0846) lies on a circle of period 5.906.  Its default section
+    {u = 0} is in chart 0, but the orbit passes the switch radius into
+    chart 1 and stays there, so the section is never crossed.  The shoot
+    should still find the circle."""
+    f, s = 0.9496, 2.0846
+    system = MagneticSystem(RoundSphere(), ConstantField(f))
+    seed = TangentState(0, 0.0, 1.0, math.cos(0.178), math.sin(0.178))
+    orbit = shoot_periodic(system, energy_of_s(s), seed)
+    assert orbit.residual <= SHOOT_TOL
+    assert abs(orbit.period - homogeneous_oracle("sphere", s, f).period) \
+        < 1e-9
+
+
 @pytest.mark.xfail(strict=True, reason="single shooting lands on another "
                    "orbit, of period 56.252528 (ROADMAP item 2)")
 def test_shoot_from_evolved_boundary_finds_its_orbit():
@@ -534,6 +553,138 @@ def test_winding_loop_gradient_matches_finite_differences():
     fd = _fd_gradient(system, k, loop)
     g = _gradient(system, k, loop)
     assert np.max(np.abs(g - fd)) < 1e-6 * np.max(np.abs(fd))
+
+
+# Reference copies of the action gradient as it was first written: a
+# midpoint pass, the Gauss nodes from a second padding of the loop, two
+# column_stacks and np.roll, and T* from loop_l2_energy's own pass.
+
+def _midpoint_data_reference(system, loop):
+    x, nxt = loop.edges(system.surface)
+    m = 0.5 * (x + nxt)
+    rho, ru, rv = system.surface.conformal(loop.chart, m[:, 0], m[:, 1])
+    return nxt - x, np.asarray(rho, float), ru, rv
+
+
+def _gauss_nodes_reference(pts):
+    mids = 0.5 * (pts[:-1] + pts[1:])
+    off = np.diff(pts, axis=0) / (2.0 * math.sqrt(3.0))
+    return mids - off, mids + off
+
+
+def _gradient_reference(system, k, loop):
+    c = orbits.GAUSS_C
+    h, t = 1.0 / loop.n, loop.period
+    d, rho, ru, rv = _midpoint_data_reference(system, loop)
+    lam2 = np.exp(2.0 * rho)
+    d2 = np.sum(d * d, axis=1)
+    a, b = _gauss_nodes_reference(loop.padded(system.surface)[:, 1:].T)
+    sigma = system.form_density(loop.chart, *np.concatenate([a, b]).T)
+    sa, sb = sigma[:loop.n, None], sigma[loop.n:, None]
+    bend = (d2 * lam2)[:, None] * np.column_stack(
+        [np.asarray(ru, float), np.asarray(rv, float)])
+    pull = 2.0 * lam2[:, None] * d
+    rot = 0.5 * np.column_stack([d[:, 1], -d[:, 0]])
+    start = ((bend - pull) / (2.0 * h * t)
+             - ((0.5 + c) * sa + (0.5 - c) * sb) * rot)
+    end = ((bend + pull) / (2.0 * h * t)
+           - ((0.5 - c) * sa + (0.5 + c) * sb) * rot)
+    grad = start + np.roll(end, 1, axis=0)
+    dT = k - float(np.sum(lam2 * d2)) / (2.0 * h * t * t)
+    return grad, dT
+
+
+def _l2_energy_reference(system, loop):
+    d, rho, _, _ = _midpoint_data_reference(system, loop)
+    h = 1.0 / loop.n
+    return float(np.sum(np.exp(2.0 * rho) * np.sum(d * d, axis=1)) / h)
+
+
+def _at_t_star_reference(system, k, loop):
+    energy = _l2_energy_reference(system, loop)
+    if energy == 0.0:
+        raise DegenerateInputError("collapsed loop: no period T*")
+    return dataclasses.replace(loop, period=math.sqrt(energy / (2.0 * k)))
+
+
+def _gradient_systems():
+    x = np.arange(32) / 32
+    conformal = ConformalTorus(0.1 * np.cos(2.0 * np.pi * (x[:, None] + 0.3))
+                               * np.sin(2.0 * np.pi * x[None, :]))
+    wavy = CallableField(lambda c, u, v: 1.0 + 0.4 * np.sin(3.0 * u - c)
+                         * np.cos(2.0 * v))
+    # system, centre and largest radius of a contractible chart-0 loop
+    return {
+        "flat_torus": (MagneticSystem(FlatTorus(), CosineField(2.0 * np.pi)),
+                       (0.5, 0.5), 0.3),
+        "conformal_torus": (MagneticSystem(conformal, TorusField(_bump)),
+                            (0.5, 0.5), 0.3),
+        "sphere": (MagneticSystem(RoundSphere(), wavy), (0.1, -0.1), 0.8),
+        "hyperbolic": (MagneticSystem(HyperbolicPlane(genus=2), wavy),
+                       (0.0, 1.2), 0.5)}
+
+
+GRADIENT_SYSTEMS = _gradient_systems()
+
+
+def _star_loop(rng, centre, radius, winds, chart):
+    """A random star-shaped contractible loop about the centre, or on a
+    torus when winds a random graph x(y) winding once in y; either way in
+    random orientation, with a random period."""
+    n = int(rng.integers(3, 300))
+    jitter = (np.arange(n) + rng.uniform(0.05, 0.95, n)) / n
+    if winds:
+        wave = rng.uniform(-0.1, 0.1, 3)
+        xs = (0.5 + wave[0] * np.sin(2.0 * np.pi * (jitter + wave[1]))
+              + wave[2] * rng.uniform(-0.2, 0.2, n))
+        verts, winding = np.column_stack([xs, jitter]), (0, 1)
+    else:
+        ang = 2.0 * np.pi * jitter
+        r = radius * rng.uniform(0.05, 1.0) * rng.uniform(0.6, 1.0, n)
+        verts = np.column_stack([centre[0] + r * np.cos(ang),
+                                 centre[1] + r * np.sin(ang)])
+        winding = (0, 0)
+    if rng.random() < 0.5:
+        verts, winding = verts[::-1].copy(), (-winding[0], -winding[1])
+    return DiscreteLoop(vertices=verts, period=rng.uniform(0.1, 20.0),
+                        chart=chart, winding=winding)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       name=st.sampled_from(sorted(GRADIENT_SYSTEMS)), winds=st.booleans(),
+       chart=st.integers(0, 1), k=st.floats(0.01, 5.0))
+@settings(max_examples=80, deadline=None)
+def test_gradient_matches_first_formulas_bit_for_bit(seed, name, winds,
+                                                     chart, k):
+    """discrete_action_gradient gives every float of the reference copies
+    above, at the loop's period and at T* (where it returns T* itself, as
+    the reference's loop carries it), on random star-shaped loops,
+    contractible and (on the tori) winding, on all four surfaces and both
+    sphere charts; loop_l2_energy too.  Collapsed to a point, a loop has
+    no T*, and asking for it raises."""
+    system, centre, radius = GRADIENT_SYSTEMS[name]
+    rng = np.random.default_rng(seed)
+    loop = _star_loop(rng, centre, radius,
+                      winds and system.surface.lattice is not None,
+                      chart if system.surface.n_charts == 2 else 0)
+    got, want = (discrete_action_gradient(system, k, loop),
+                 _gradient_reference(system, k, loop))
+    assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
+    assert _same_bits(loop_l2_energy(system, loop),
+                      _l2_energy_reference(system, loop))
+    star = _at_t_star_reference(system, k, loop)
+    got = discrete_action_gradient(system, k, loop, t_star=True)
+    assert _same_bits(got[0], _gradient_reference(system, k, star)[0])
+    assert _same_bits(got[1], star.period)
+    point = dataclasses.replace(loop, winding=(0, 0), vertices=np.broadcast_to(
+        loop.vertices[0], loop.vertices.shape))
+    with pytest.raises(DegenerateInputError, match="no period T"):
+        discrete_action_gradient(system, k, point, t_star=True)
 
 
 def test_constant_loop_action():

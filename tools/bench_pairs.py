@@ -16,8 +16,12 @@ verdict against the metric's ``bound``, a fraction of the base median:
 ``unresolved`` when the base's interquartile spread is wider than the
 bound and not every change run beats every base run, else ``worse beyond
 bound`` when the change median is worse than the base median by more
-than the bound, else ``within bound``.  A run that exits non-zero or
-prints no result drops its pair, and is reported.
+than the bound, else ``within bound``.  Last, per slot of the workload's
+cycle, each side's median over its runs of the run's median raw wall
+seconds for that slot, read from the run's report file (``metrics_file``
+under ``.perfbench_out``), and their ratio, so that a change shows which
+jobs moved.  A run that exits non-zero or prints no result drops its
+pair, and is reported.
 Only the standard library is used; perfbench/ is run, never changed.
 """
 from __future__ import annotations
@@ -46,6 +50,37 @@ def parse_result(stdout):
     if len(lines) > 1 and lines[-2].startswith('{"report"'):
         result["report"] = json.loads(lines[-2])["report"]
     return result
+
+
+def read_slots(root, result):
+    """Median raw wall seconds of each slot of the run's cycle, keyed
+    'slot label', from the records of the report file the run's report
+    line names."""
+    with open(os.path.join(root, result["report"]["metrics_file"])) as fh:
+        records = json.load(fh)["report"]["records"]
+    walls = {}
+    for r in records:
+        walls.setdefault(f"{r['slot']} {r['label']}", []).append(r["wall_s"])
+    return {key: statistics.median(v) for key, v in walls.items()}
+
+
+def summarize_slots(pairs):
+    """Per slot every run of both sides has: the base and change medians
+    of the runs' slot medians."""
+    runs = [run for pair in pairs for run in pair]
+    keys = [k for k in runs[0]["slots"] if all(k in r["slots"] for r in runs)]
+    return {k: tuple(statistics.median(side[k] for side in sides)
+                     for sides in ([b["slots"] for b, _ in pairs],
+                                   [c["slots"] for _, c in pairs]))
+            for k in keys}
+
+
+def format_slots(rows):
+    out = ["per slot, median raw wall s: base -> change (change / base)"]
+    for key, (base, change) in rows.items():
+        out.append(f"{key:28s} {base:.6g} -> {change:.6g}  "
+                   f"({change / base:.3f})")
+    return "\n".join(out)
 
 
 def summarize(pairs, better, bounds=None):
@@ -117,7 +152,9 @@ def _run(root, workload, seed, seconds):
                           timeout=4 * seconds + 600)
     if proc.returncode != 0:
         raise RuntimeError(f"exit {proc.returncode}: {proc.stderr[-500:]}")
-    return parse_result(proc.stdout)
+    result = parse_result(proc.stdout)
+    result["slots"] = read_slots(root, result)
+    return result
 
 
 def main(argv=None):
@@ -156,6 +193,7 @@ def main(argv=None):
                 pairs.append((results["base"], results["change"]))
     if pairs:
         print(format_summary(summarize(pairs, better, bounds), len(pairs)))
+        print(format_slots(summarize_slots(pairs)))
     return 0 if len(pairs) == args.pairs else 1
 
 
