@@ -65,13 +65,12 @@ def read_slots(root, result):
 
 
 def summarize_slots(pairs):
-    """Per slot every run of both sides has: the base and change medians
-    of the runs' slot medians."""
+    """Per slot that every run of both sides has: the base and the change
+    median of the runs' slot medians."""
     runs = [run for pair in pairs for run in pair]
     keys = [k for k in runs[0]["slots"] if all(k in r["slots"] for r in runs)]
-    return {k: tuple(statistics.median(side[k] for side in sides)
-                     for sides in ([b["slots"] for b, _ in pairs],
-                                   [c["slots"] for _, c in pairs]))
+    return {k: (statistics.median(b["slots"][k] for b, _ in pairs),
+                statistics.median(c["slots"][k] for _, c in pairs))
             for k in keys}
 
 
