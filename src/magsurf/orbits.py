@@ -185,8 +185,9 @@ def shoot_periodic(system, k, seed, section=None, tol=SHOOT_TOL,
     are that map's, and the orbit has no trajectory.  The winding is the
     accepted return's lattice translation, start to hit.  Raises
     NoConvergenceError if a Newton's line search stalls or its residual
-    is still above tol after SHOOT_MAX_ITER steps.  A tol no residual can
-    meet (not finite and > 0) is DegenerateInputError.
+    is still above tol after SHOOT_MAX_ITER steps; after the order-8 one,
+    the RK4 Newton's error names dt and its starting residual.  A tol no
+    residual can meet (not finite and > 0) is DegenerateInputError.
     """
     if not 0.0 < tol < math.inf:
         raise DegenerateInputError(f"tol must be finite and > 0: {tol}")
@@ -213,8 +214,14 @@ def shoot_periodic(system, k, seed, section=None, tol=SHOOT_TOL,
         if np.linalg.norm(out[0]) > tol:
             x = _newton(gbs, x, gbs(x), None, tol, max_time)[0]
             steps = StepRecord()
-            x, out, steps = _newton(rk4, x, rk4(x, steps), steps, tol,
-                                    max_time)
+            out = rk4(x, steps)
+            try:
+                x, out, steps = _newton(rk4, x, out, steps, tol, max_time)
+            except NoConvergenceError as exc:
+                raise NoConvergenceError(
+                    f"the order-8 map converged, but RK4 at dt = {dt:g} has "
+                    f"residual {np.linalg.norm(out[0]):.3e} there and its "
+                    f"Newton failed: {exc}") from exc
         traj = steps.trajectory(range(_step_count(out[1], dt) + 1), dt)
     else:
         x, out, _ = _newton(gbs, x, gbs(x), None, tol, max_time)

@@ -257,6 +257,20 @@ def test_shoot_reports_residual_after_max_iter(monkeypatch):
         shoot_periodic(*_cosine_seed())
 
 
+def test_shoot_names_dt_when_rk4_newton_fails_after_order8():
+    """On the sphere's constant-field circle from (0.5, 0), heading 0, the
+    order-8 Newton meets tol 1e-10 but RK4 at dt = 0.01 reads 4.0e-9 at
+    its fixed point and its own Newton fails: the error names dt and the
+    RK4 residual, and says the order-8 map converged."""
+    system = MagneticSystem(RoundSphere(), ConstantField(1.0))
+    with pytest.raises(NoConvergenceError, match=(
+            r"^the order-8 map converged, but RK4 at dt = 0\.01 has "
+            r"residual 3\.9\d*e-09 there and its Newton failed: ")):
+        shoot_periodic(system, energy_of_s(1.0),
+                       TangentState(0, 0.5, 0.0, 1.0, 0.0), tol=1e-10,
+                       dt=0.01)
+
+
 def _count_returns(monkeypatch):
     """The macro flag of every Poincare return the shoot asks for, in
     turn: False for RK4 at dt, True for order 8."""
