@@ -20,9 +20,11 @@ class MagneticField:
     Each concrete field sets step_line, its one scalar copy of eval: a
     line of Python setting f at the float point x, y of chart for the RK4
     step's stages, with step_names, the values it reads.  lattice is the
-    periods (lx, ly) a lattice-periodic field repeats with, else None."""
+    periods (lx, ly) a lattice-periodic field repeats with, else None;
+    cell is the cell width of spline data (smooth: inf)."""
 
     lattice = None
+    cell = math.inf
 
     def eval(self, chart, u, v):
         raise NotImplementedError
@@ -62,6 +64,7 @@ class TorusField(MagneticField):
         self.lx = float(lx)
         self.ly = float(ly)
         self.lattice = (self.lx, self.ly)
+        self.cell = getattr(fn, "cell", math.inf)
         self.step_names = {"fn": fn, "lx": self.lx, "ly": self.ly}
 
     def eval(self, chart, u, v):

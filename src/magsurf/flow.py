@@ -5,26 +5,16 @@ The equation of motion in a conformal chart reads
     q'' = -Gamma(q)[q', q'] + f(q) * i q'
 
 where i is the 90 degree rotation; its solutions have constant kinetic
-energy and geodesic curvature f / |q'|_g.  Integration uses a fixed-step
-classical fourth-order Runge-Kutta scheme on plain floats, written once as
-text whose stages hold the surface's and field's step_line (the one scalar
-copy of each class's point formula, with the step_names it reads) and
-make_rhs's formula; the surface's chart_line follows the update (the
-sphere changes chart there).  The dt loop compiled from that text, the
-one compiled function, keeps the state in locals, appends every
-record_every-th state to a StepRecord's list when given one, and stops at
-the floor or at a section's directed crossing.  A crossing lands exactly:
-the hit is one pass of the same loop, built without the chart line, with
-its step cut short to the length that ends on the section.
-integrate and poincare_return share the dt loop and the StepRecord, so a
-return that keeps its steps yields the trajectory integrate would: a shot
-orbit's trajectory is the accepted return's steps.
-The loop's second step body is an order-8 Gragg-Bulirsch-Stoer macro
-step of MACRO_STEP, midpoint substeps of the same stage text
-extrapolated in the substep length squared; poincare_return runs it with
-macro, recording nothing.  Shooting's Newton iterations run on that
-map, and what a user sees stays RK4 at dt: the first return, the
-recorded orbit and its residual, unless it keeps no trajectory (sweep).
+energy and geodesic curvature f / |q'|_g.  One loop on plain floats, text
+whose stages hold the surface's and field's step_line (each class's one
+scalar point formula) and _accel's formula, runs RK4 steps of dt
+(integrate) or order-8 Gragg-Bulirsch-Stoer steps (poincare_return with
+macro), each ended by the surface's chart_line (the sphere's chart
+switch).  It extends a StepRecord by each state when given one and stops
+at the floor or at a section's directed crossing, where one pass of the
+loop without the chart line, cut short, lands on the section.  A shot
+orbit is order 8 throughout; its trajectory is the dense output of its
+return's steps (StepRecord.dense), and dt only spaces the samples.
 """
 from __future__ import annotations
 
@@ -47,6 +37,9 @@ RETURN_ENERGY_RTOL = 1e-6
 # the length of an order-8 return's steps, whatever the dt: the order-8
 # map needs only to meet shooting's tol, not to match RK4 at dt
 MACRO_STEP = 20 * DEFAULT_DT
+# an order-8 step on spline data spans at most this fraction of a cell: the
+# knots cost it its order, and from here down orbit periods stay within 4e-12
+CELL_STEP = 0.04
 
 
 @dataclasses.dataclass(frozen=True)
@@ -75,17 +68,18 @@ class Trajectory:
     truncated: bool = False
 
 
-def make_rhs(system):
-    """Reference right-hand side on plain floats, from the vectorized
-    formulas: the surface's conformal()[1:] and the field's eval."""
-    conformal, feval = system.surface.conformal, system.field.eval
+def _accel(system, chart, u, v, du, dv):
+    """q'' from the surface's conformal()[1:] and the field's eval."""
+    ru, rv = system.surface.conformal(chart, u, v)[1:]
+    f = system.field.eval(chart, u, v)
+    return (-(ru * du * du + 2.0 * rv * du * dv - ru * dv * dv) - f * dv,
+            -(-rv * du * du + 2.0 * ru * du * dv + rv * dv * dv) + f * du)
 
+
+def make_rhs(system):
+    """Reference right-hand side on plain floats: _accel at one point."""
     def rhs(chart, u, v, du, dv):
-        ru, rv = map(float, conformal(chart, u, v)[1:])
-        f = float(feval(chart, u, v))
-        ddu = -(ru * du * du + 2.0 * rv * du * dv - ru * dv * dv) - f * dv
-        ddv = -(-rv * du * du + 2.0 * ru * du * dv + rv * dv * dv) + f * du
-        return ddu, ddv
+        return tuple(map(float, _accel(system, chart, u, v, du, dv)))
 
     return rhs
 
@@ -302,13 +296,13 @@ def integrate(system, state0, t_end, dt=DEFAULT_DT, record_every=1):
     st = (state0.chart, state0.u, state0.v, state0.du, state0.dv)
     system.surface.check_domain(*st[:3])
     record = StepRecord()
-    record.add(*st)
+    record.values.extend(st)
     i, st, _ = run(*st, dt, _step_count(t_end, dt), record.values.extend,
                    floor, record_every)
     truncated = not st[2] >= floor      # below the floor, or NaN
     kept = list(range(0, i + 1, record_every))
     if truncated and i % record_every:
-        record.add(*st)
+        record.values.extend(st)
         kept.append(i)
     _check_blowup(*st[1:], kept[-1] * dt)
     return record.trajectory(kept, dt, truncated)
@@ -384,23 +378,18 @@ class Section:
 
 
 class StepRecord:
-    """The states of one run as one flat list, five numbers per state:
-    chart, u, v, du, dv.  integrate keeps its samples here, and a Poincare
-    return every dt step, which its loop appends with one list extend;
-    trajectory reads the list as floats and gives the charts back as
-    ints."""
+    """The states of one run as one flat list, five numbers per state,
+    chart, u, v, du, dv, which the loop extends by each state: integrate's
+    samples, or a Poincare return's start and every step, step apart."""
 
     def __init__(self):
         self.values = []
-
-    def add(self, chart, u, v, du, dv):
-        self.values.extend((chart, u, v, du, dv))
+        self.step = None
 
     def trajectory(self, steps, dt, truncated=False):
         """The Trajectory of the first len(steps) states, state i taken
-        after steps[i] dt steps.  A return from state0 that kept every step
-        gives, with steps = range(_step_count(t_end, dt) + 1), the samples
-        of integrate(system, state0, t_end, dt): the same RK4 steps."""
+        after steps[i] dt steps, the charts as ints: integrate's, or with
+        steps = range(len(values) // 5) an RK4 return's at dt."""
         n = len(steps)
         vals = np.array(self.values, dtype=float).reshape(-1, 5)[:n]
         return Trajectory(t=np.array(steps) * dt,
@@ -408,47 +397,90 @@ class StepRecord:
                           q=vals[:, 1:3].copy(), dq=vals[:, 3:].copy(),
                           dt=dt, truncated=truncated)
 
+    def dense(self, system, t_end, dt):
+        """The Trajectory at t = j dt, j = 0 ... _step_count(t_end, dt),
+        from these states, step apart: on the step from node i, the Hermite
+        interpolant of q, q' and q'' (one vectorized _accel) at nodes i - 1
+        ... i + 2, the four nearest at the ends or all of fewer (Hairer-
+        Norsett-Wanner I, II.9), relative to node i and in its chart (by
+        switch_chart).  A sample on a step that ends in another chart gets
+        the chart line, as a loop step of length 0, as RK4 at dt would."""
+        h, nodes = self.step, np.array(self.values, float).reshape(-1, 5)
+        n = len(nodes)
+        m, chart, steps = min(4, n), nodes[:, 0].astype(int), np.arange(n - 1)
+        first = np.clip(steps - 1, 0, n - m)
+        st = nodes[first[:, None] + np.arange(m)]      # (n - 1, m, 5)
+        for i, j in zip(*np.nonzero(st[..., 0] != chart[:-1, None])):
+            st[i, j] = system.surface.switch_chart(int(st[i, j, 0]),
+                                                   *st[i, j, 1:])
+        ref = st[steps, steps - first, 1:3]
+        c, *rest = st.reshape(-1, 5).T
+        acc = np.stack(_accel(system, c.astype(int), *rest), -1)
+        data = np.stack([st[..., 1:3] - ref[:, None], h * st[..., 3:],
+                         h * h * acc.reshape(n - 1, m, 2)], 2)
+        # the confluent Vandermonde matrix in sigma = (t - t_mid) / h, about
+        # the nodes' midpoint: condition 1.8e5 at m = 4, 2.4e6 about node 0
+        z, k = np.arange(m) - 0.5 * (m - 1), np.arange(3 * m)
+        vander = np.stack([fall * z[:, None] ** np.maximum(k - d, 0) for d,
+                           fall in enumerate((1, k, k * (k - 1)))], 1)
+        coef = np.linalg.inv(vander.reshape(3 * m, 3 * m)) @ data.reshape(
+            n - 1, 3 * m, 2)
+        coef = np.concatenate([coef, np.append(     # and those of h q'
+            coef[:, 1:] * k[1:, None], coef[:, :1] * 0.0, 1)], 2)
+        t = np.arange(_step_count(t_end, dt) + 1) * dt
+        i = np.minimum((t / h).astype(int), n - 2)
+        pw = np.ones((len(t), 3 * m))
+        pw[:, 1:] = (t / h - first[i] - 0.5 * (m - 1))[:, None]
+        val = np.einsum("nk,nkc->nc", np.cumprod(pw, 1), coef[i])
+        traj = Trajectory(t=t, chart=chart[i], q=ref[i] + val[:, :2],
+                          dq=val[:, 2:] / h, dt=dt)
+        run = _make_loop(system)
+        for j in np.nonzero(chart[i + 1] != chart[i])[0]:
+            c, *x = run(traj.chart[j], *traj.q[j], *traj.dq[j], 0.0, 1, None,
+                        system.surface.floor)[1]
+            traj.chart[j], traj.q[j], traj.dq[j] = c, x[:2], x[2:]
+        return traj
+
 
 def poincare_return(system, section, state0, max_time=200.0, dt=DEFAULT_DT,
                     record=None, *, macro=False):
     """First directed return to the section.
 
-    Returns (state, return_time).  The loop runs RK4 steps of length dt,
-    or with macro order-8 Gragg-Bulirsch-Stoer steps of length MACRO_STEP,
+    Returns (state, return_time).  The loop runs RK4 steps of dt, or with
+    macro order-8 steps of MACRO_STEP, or of CELL_STEP of the time a cell
+    of the surface's or field's spline data takes to cross if shorter,
     until the state falls below the floor or steps over the section.  The
-    hit is one pass of the loop from the state before the crossing, its
-    step cut short to the length h that lands it on the section: h starts
-    at the linear guess and takes two Newton updates, each dividing the
-    section residual by the coordinate's velocity.  That loop is built
-    without the chart line, so the hit stays in the section's chart even
-    just past the sphere's switch circle.
-    NoReturnError says why when there is no return within max_time or the
-    state falls below the floor, and DomainError when the run goes
-    non-finite or the hit's energy is off the start's by more than
-    RETURN_ENERGY_RTOL.  A StepRecord passed as record receives state0 and
-    every full dt step taken, the step over the crossing too; a macro
-    return records nothing, since its steps are not dt apart, and a record
-    with macro is DegenerateInputError.
+    hit is one pass of the loop, without the chart line (so it stays in
+    the section's chart), from the state before the crossing, its step cut
+    to the length h that lands on the section: the linear guess and two
+    Newton updates, each dividing the section residual by the coordinate's
+    velocity.  NoReturnError says why when there is no return within
+    max_time or the state falls below the floor, and DomainError when the
+    run goes non-finite or the hit's energy is off the start's by more
+    than RETURN_ENERGY_RTOL; a state at rest is DegenerateInputError.  A
+    StepRecord passed as record receives state0 and every full step, the
+    one over the crossing too, and their length as its step.
     """
     _require_inputs(state0, max_time=max_time, dt=dt)
-    if macro and record is not None:
-        raise DegenerateInputError("a macro return records no steps: "
-                                   "record must be None")
-    step = MACRO_STEP if macro else dt
+    e0 = energy_of(system, state0)
+    if e0 == 0.0:
+        raise DegenerateInputError("a state at rest has no return")
+    cell = min(system.surface.cell, system.field.cell)
+    step = (min(MACRO_STEP, CELL_STEP * cell / math.sqrt(2.0 * e0))
+            if macro else dt)
     run = _make_loop(system)
     floor = system.surface.floor
     st = (state0.chart, state0.u, state0.v, state0.du, state0.dv)
-    ext = None
     if record is not None:
-        record.add(*st)
-        ext = record.values.extend
+        record.values.extend(st)
+        record.step = step
     prev = section.signed_residual(st)
     wrap = section.wrap
     n_steps = int(math.ceil(max_time / step))
     i, st, crossing = run(
-        *st, step, n_steps, ext, floor, 1, section.chart, section.coord,
-        section.value, section.direction, wrap,
-        0.25 * (wrap if wrap else math.inf), prev, abs(prev) > 1e-9,
+        *st, step, n_steps, record and record.values.extend, floor, 1,
+        section.chart, section.coord, section.value, section.direction,
+        wrap, 0.25 * (wrap if wrap else math.inf), prev, abs(prev) > 1e-9,
         macro=macro)
     if crossing is None:
         _check_blowup(*st[1:], i * step)
@@ -466,7 +498,6 @@ def poincare_return(system, section, state0, max_time=200.0, dt=DEFAULT_DT,
     t = (i - 1) * step + h
     _check_blowup(*hit[1:], t)
     hit = TangentState(*hit)
-    e0 = energy_of(system, state0)
     if abs(energy_of(system, hit) - e0) > RETURN_ENERGY_RTOL * e0:
         raise DomainError(f"return at t = {t:g} is off the energy level "
                           f"{e0:g}: step {step:g} may be too coarse for "

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import (DegenerateInputError, MagsurfError, NoConvergenceError,
                      NoReturnError, UnsupportedError)
 from .fields import GAUSS_C, local_primitive, s_of_energy
-from .flow import (DEFAULT_DT, Section, StepRecord, TangentState, _step_count,
+from .flow import (DEFAULT_DT, Section, StepRecord, TangentState,
                    poincare_return, state_at_energy, trajectory_curvature)
 from .surfaces import ClosedPolyline
 
@@ -123,16 +123,41 @@ def default_section(system, seed):
                    direction=1 if seed.du > 0 else -1, chart=seed.chart)
 
 
-def _newton(ret, x, out, steps, tol, max_time):
-    """Newton's iteration on the return map ret from x, whose return out
-    = ret(x) is its residual, return time and hit, until |residual| <=
-    tol: finite-difference columns, then a line search that halves the
-    step until the residual falls, each candidate's return looked for
-    within twice the return time.  Returns the last x, out and, when
-    steps is a StepRecord, the accepted return's (candidates then record
-    into fresh ones).  Raises NoConvergenceError when the line search
-    stalls or |residual| is still above tol after SHOOT_MAX_ITER steps."""
-    it = 0
+def shoot_periodic(system, k, seed, section=None, tol=SHOOT_TOL,
+                   dt=DEFAULT_DT, max_time=200.0, *, trajectory=True):
+    """Newton iteration on the reduced return map at fixed energy k.
+
+    The seed is rescaled onto the energy level; the reduced state is the
+    free section coordinate together with the velocity angle.  The map is
+    the order-8 return (poincare_return with macro).  Newton runs from the
+    seed until |residual| <= tol: finite-difference columns, then a line
+    search that halves the step until the residual falls, each candidate's
+    return looked for within twice the return time.  The orbit's period
+    and residual are the accepted return's, and its winding the lattice
+    translation from that return's start to its hit.  With trajectory,
+    the orbit's trajectory is the dense output of that return's steps
+    (StepRecord.dense), t = 0 to the period dt apart: dt only spaces the
+    samples.  Raises NoConvergenceError if the line search stalls or the
+    residual is still above tol after SHOOT_MAX_ITER steps; a tol no
+    residual can meet (not finite and > 0) is DegenerateInputError.
+    """
+    if not 0.0 < tol < math.inf:
+        raise DegenerateInputError(f"tol must be finite and > 0: {tol}")
+    seed = state_at_energy(system, seed, k)
+    if section is None:
+        section = default_section(system, seed)
+
+    def ret(xv, t_max=max_time):
+        st = _section_state(system, section, k, xv[0], xv[1])
+        record = StepRecord()
+        hit, rt = poincare_return(system, section, st, max_time=t_max,
+                                  dt=dt, record=record, macro=True)
+        out = _reduced(section, hit)
+        return (np.array([out[0] - xv[0], _wrap_angle(out[1] - xv[1])]),
+                rt, hit, record)
+
+    x = _reduced(section, seed)
+    out, it = ret(x), 0
     while np.linalg.norm(out[0]) > tol and it < SHOOT_MAX_ITER:
         res = out[0]
         jac = np.empty((2, 2))
@@ -147,92 +172,30 @@ def _newton(ret, x, out, steps, tol, max_time):
         lam = 1.0
         for _ in range(20):
             cand = x + lam * step
-            cand_steps = None if steps is None else StepRecord()
             try:
-                cout = ret(cand, cand_steps, min(max_time, 2.0 * out[1]))
+                cout = ret(cand, min(max_time, 2.0 * out[1]))
             except NoReturnError:   # none near the current return time
                 lam *= 0.5
                 continue
             if np.linalg.norm(cout[0]) < np.linalg.norm(res):
-                x, out, steps = cand, cout, cand_steps
+                x, out = cand, cout
                 break
             lam *= 0.5
         else:
             raise NoConvergenceError("shooting line search stalled")
         it += 1
-    if np.linalg.norm(out[0]) > tol:
+    res, rt, hit, record = out
+    if np.linalg.norm(res) > tol:
         raise NoConvergenceError(
-            f"shooting residual {np.linalg.norm(out[0]):.3e} after {it} steps")
-    return x, out, steps
-
-
-def shoot_periodic(system, k, seed, section=None, tol=SHOOT_TOL,
-                   dt=DEFAULT_DT, max_time=200.0, *, trajectory=True):
-    """Newton iteration on the reduced return map at fixed energy k.
-
-    The seed is rescaled onto the energy level; the reduced state is the
-    free section coordinate together with the velocity angle.  The seed's
-    RK4 return at dt comes first; if its residual is above tol, Newton
-    runs on the order-8 return map (poincare_return with macro, far
-    cheaper at equal accuracy), and then on the RK4 map from one RK4
-    return at the point it converged to, which mostly meets tol as it
-    stands.  So the orbit's residual is the RK4 map's, and its trajectory
-    is made of the dt steps the accepted RK4 return (the first one, the
-    one after the order-8 Newton or a line-search candidate) took: it
-    equals integrate(system, orbit.seed, orbit.period, dt) and is not
-    computed twice.  With trajectory False Newton runs on the order-8
-    map alone, from the seed, and dt is not used: the period and residual
-    are that map's, and the orbit has no trajectory.  The winding is the
-    accepted return's lattice translation, start to hit.  Raises
-    NoConvergenceError if a Newton's line search stalls or its residual
-    is still above tol after SHOOT_MAX_ITER steps; after the order-8 one,
-    the RK4 Newton's error names dt and its starting residual.  A tol no
-    residual can meet (not finite and > 0) is DegenerateInputError.
-    """
-    if not 0.0 < tol < math.inf:
-        raise DegenerateInputError(f"tol must be finite and > 0: {tol}")
-    seed = state_at_energy(system, seed, k)
-    if section is None:
-        section = default_section(system, seed)
-    x = _reduced(section, seed)
-
-    def return_map(macro):
-        def ret(xv, record=None, t_max=max_time):
-            st = _section_state(system, section, k, xv[0], xv[1])
-            hit, rt = poincare_return(system, section, st, max_time=t_max,
-                                      dt=dt, record=record, macro=macro)
-            out = _reduced(section, hit)
-            return (np.array([out[0] - xv[0], _wrap_angle(out[1] - xv[1])]),
-                    rt, hit)
-        return ret
-
-    rk4, gbs = return_map(False), return_map(True)
-    traj = None
-    if trajectory:
-        steps = StepRecord()
-        out = rk4(x, steps)
-        if np.linalg.norm(out[0]) > tol:
-            x = _newton(gbs, x, gbs(x), None, tol, max_time)[0]
-            steps = StepRecord()
-            out = rk4(x, steps)
-            try:
-                x, out, steps = _newton(rk4, x, out, steps, tol, max_time)
-            except NoConvergenceError as exc:
-                raise NoConvergenceError(
-                    f"the order-8 map converged, but RK4 at dt = {dt:g} has "
-                    f"residual {np.linalg.norm(out[0]):.3e} there and its "
-                    f"Newton failed: {exc}") from exc
-        traj = steps.trajectory(range(_step_count(out[1], dt) + 1), dt)
-    else:
-        x, out, _ = _newton(gbs, x, gbs(x), None, tol, max_time)
-    res, rt, hit = out
+            f"shooting residual {np.linalg.norm(res):.3e} after {it} steps")
     state = _section_state(system, section, k, x[0], x[1])
     lattice = system.surface.lattice or (math.inf, math.inf)  # none: (0, 0)
     winding = tuple(int(round(d / p)) for d, p in
                     zip((hit.u - state.u, hit.v - state.v), lattice))
     return Orbit(period=rt, energy=k, residual=float(np.linalg.norm(res)),
                  winding=winding, section=section, seed=state,
-                 recorded=traj)
+                 recorded=record.dense(system, rt, dt) if trajectory
+                 else None)
 
 
 def orbit_curvature_residual(system, orbit):

@@ -27,6 +27,7 @@ class Surface:
     lattice = None               # periods (lx, ly) of a torus lift
     constant_curvature = None    # K = 1, 0 or -1 on the homogeneous models
     floor = -math.inf            # lowest admissible v in the chart
+    cell = math.inf              # cell width of spline data; smooth: inf
     # Each concrete surface sets step_line: conformal()[1:] as one line of
     # Python setting ru, rv (rv alone where ru = 0) at the float point x, y
     # of chart, written into the RK4 step's stages (None marks a flat
@@ -264,6 +265,7 @@ class ConformalTorus(Torus):
             raise DegenerateInputError("need a 2-d factor grid, >= 8 per axis")
         self.grid = grid
         self._spline = PeriodicBicubic(grid, self.lx, self.ly)
+        self.cell = self._spline.cell
 
     def conformal(self, chart, u, v):
         c, dx, dy = self._spline.cells(u, v)
@@ -315,6 +317,7 @@ class PeriodicBicubic:
         self.nx, self.ny = grid.shape
         self.lx, self.ly = float(lx), float(ly)
         self.hx, self.hy = self.lx / self.nx, self.ly / self.ny
+        self.cell = min(self.hx, self.hy)
         # along x: [p, j, i]; then along y on the four planes: [q, p, i, j]
         cx = _periodic_cubic(grid.T, self.hx).transpose(0, 2, 1)
         self.coef = np.ascontiguousarray(

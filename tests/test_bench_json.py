@@ -163,7 +163,8 @@ def _report_file(root, name, walls):
 def test_slot_medians_from_report_files(tmp_path):
     """Each run's slot median comes from the records of its report file,
     keyed by slot and label (two slots may share a label); the summary
-    gives each side's median over its runs, and the ratio."""
+    gives each side's median over its runs, the ratio and the base's
+    spread."""
     cycles = {"base": [(0, 0.010, 0.080), (0, 0.012, 0.084),
                        (0, 0.011, 0.082)],
               "change": [(0, 0.010, 0.060), (0, 0.009, 0.062),
@@ -189,8 +190,29 @@ def test_slot_medians_from_report_files(tmp_path):
     assert [line.split()[:2] for line in lines[1:]] == [
         ["0", "simulate.sphere"], ["1", "descend.cosine"],
         ["2", "descend.cosine"]]
-    assert lines[1].endswith("0.0125 -> 0.0115  (0.920)")
-    assert lines[2].endswith("0.123 -> 0.09  (0.732)")
+    assert lines[1].endswith("0.0125 -> 0.0115  (0.920, base spread 0.040)")
+    assert lines[2].endswith("0.123 -> 0.09  (0.732, base spread 0.333)")
+
+
+def test_slot_lines_give_the_base_spread(tmp_path):
+    """Next to each slot's ratio stands the base's interquartile spread of
+    its runs' slot medians over their median, from the report files: over
+    ten pairs of base medians 1.00 ... 1.09 (quartiles 1.0225 and 1.0675)
+    it is 0.045 / 1.045 = 0.043, so the 0.97 ratio of an unchanged slot
+    reads inside it; a slot whose runs agree reads 0.000."""
+    pairs = []
+    for seed in range(10):
+        pairs.append(tuple(
+            dict(result, slots=bench_json.read_slots(tmp_path, result))
+            for result in (
+                _report_file(tmp_path, f"{side}-{seed}.json",
+                             [(0, "shoot.sphere", wall),
+                              (1, "sweep.flat_torus", 0.5)])
+                for side, wall in (("base", 1.0 + 0.01 * seed),
+                                   ("change", 0.97 * (1.0 + 0.01 * seed))))))
+    lines = bench_json.format_slots(pairs).splitlines()
+    assert lines[1].endswith("1.045 -> 1.01365  (0.970, base spread 0.043)")
+    assert lines[2].endswith("0.5 -> 0.5  (1.000, base spread 0.000)")
 
 
 def test_run_order_interleaves_revisions():
@@ -268,7 +290,7 @@ def test_main_runs_only_exported_trees(monkeypatch, tmp_path, capsys):
     assert "shoot: chng against base\n10 pairs;" in out
     assert "survey: chng against base\n10 pairs;" in out
     assert "won base 0 / change 10  gain" in out
-    assert "0 survey" in out and "(1.000)" in out
+    assert "0 survey" in out and "(1.000, base spread 0.000)" in out
 
 
 def test_run_without_report_fails_only_its_run(monkeypatch, tmp_path,

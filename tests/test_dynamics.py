@@ -268,15 +268,85 @@ def test_order8_return_on_oracle_circles(surface, s, point, section, time,
     assert errors[1] * 100.0 <= errors[0]
 
 
-def test_macro_return_records_nothing():
-    """A macro return's steps are MACRO_STEP long, so it cannot record
-    the dt steps a trajectory needs."""
+def test_macro_return_records_its_steps():
+    """A macro return records state0 and every order-8 step, the step over
+    the crossing too, and their length MACRO_STEP as the record's step:
+    the states the loop's macro steps give from state0, bit for bit."""
     system, st0 = _systems()[0][1:]
     record = StepRecord()
-    with pytest.raises(DegenerateInputError, match="^a macro return records"):
-        poincare_return(system, Section(coord=0, value=0.37, wrap=1.0), st0,
-                        record=record, macro=True)
-    assert record.values == []
+    hit, rt = poincare_return(system, Section(coord=0, value=0.37, wrap=1.0),
+                              st0, record=record, macro=True)
+    n = len(record.values) // 5
+    assert record.step == flow.MACRO_STEP
+    assert (n - 2) * record.step < rt <= (n - 1) * record.step
+    steps = []
+    _make_loop(system)(*dataclasses.astuple(st0), flow.MACRO_STEP, n - 1,
+                       steps.extend, -math.inf, macro=True)
+    assert record.values == [*dataclasses.astuple(st0), *steps]
+
+
+def _spline_grid():
+    x = np.arange(16) / 16
+    return 0.1 * np.cos(2 * np.pi * x[:, None]) \
+        * np.sin(2 * np.pi * x[None, :] + 0.3)
+
+
+@pytest.mark.parametrize("system,cell", [
+    (MagneticSystem(ConformalTorus(_spline_grid()), ConstantField(8.0)),
+     1 / 16),
+    (MagneticSystem(FlatTorus(), TorusField(PeriodicBicubic(
+        8.0 + _spline_grid(), 1.0, 1.0))), 1 / 16),
+    (MagneticSystem(FlatTorus(), TorusField(lambda x, y: 8.0 + 0.0 * x)),
+     math.inf),
+    (MagneticSystem(RoundSphere(), ConstantField(8.0)), math.inf)],
+    ids=["conformal", "csv", "callable", "sphere"])
+def test_macro_step_spans_a_fraction_of_a_spline_cell(system, cell):
+    """The spline data's classes declare their cell width (a conformal
+    torus's factor, a field on a PeriodicBicubic), and an order-8 step
+    spans CELL_STEP of the time a cell takes to cross at the state's
+    speed, 2 here; smooth data (a callable field, a constant one on the
+    sphere) declares none and keeps MACRO_STEP."""
+    assert min(system.surface.cell, system.field.cell) == cell
+    st0 = state_at_energy(system, TangentState(0, 0.5, 0.45, 0.0, 1.0),
+                          energy_of_s(0.5))
+    record = StepRecord()
+    poincare_return(system, Section(coord=1, value=0.45), st0,
+                    record=record, macro=True)
+    assert record.step == min(flow.MACRO_STEP, flow.CELL_STEP * cell / 2.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 9])
+def test_dense_output_of_exact_circle_nodes(n):
+    """StepRecord.dense on n nodes MACRO_STEP apart, taken from the flat
+    torus's exact unit-speed circle under f = 1, q' = (cos t, sin t):
+    the samples dt apart, interpolated through the four nearest nodes or
+    all of them where there are fewer, are the circle's to 1e-14 in q and
+    1e-12 in q'."""
+    system = MagneticSystem(FlatTorus(), ConstantField(1.0))
+    h = flow.MACRO_STEP
+    record = StepRecord()
+    record.step = h
+    for t in np.arange(n) * h:
+        record.values.extend((0, 0.3 + math.sin(t), 0.6 - math.cos(t),
+                              math.cos(t), math.sin(t)))
+    traj = record.dense(system, (n - 1) * h, 1e-3)
+    t = np.arange(20 * (n - 1) + 1) * 1e-3
+    assert np.array_equal(traj.t, t) and not traj.chart.any()
+    assert np.abs(traj.q - np.column_stack(
+        [0.3 + np.sin(t), 0.6 - np.cos(t)])).max() <= 1e-14
+    assert np.abs(traj.dq - np.column_stack([np.cos(t), np.sin(t)])).max() \
+        <= 1e-12
+
+
+@pytest.mark.parametrize("macro", [False, True])
+def test_return_from_rest_is_rejected(macro):
+    """A state at rest never returns; its return is DegenerateInputError
+    before any step."""
+    system, st0 = _systems()[0][1:]
+    with pytest.raises(DegenerateInputError, match="^a state at rest"):
+        poincare_return(system, Section(coord=0, value=0.37, wrap=1.0),
+                        dataclasses.replace(st0, du=0.0, dv=0.0),
+                        macro=macro)
 
 
 def test_poincare_return_past_sphere_switch_keeps_chart():

@@ -25,7 +25,7 @@ from magsurf.orbits import (SHOOT_TOL, DescentParams, DiscreteLoop,
                             orbit_radius, shoot_periodic)
 from magsurf.regions import curve_length
 from magsurf.surfaces import (ConformalTorus, FlatTorus, HyperbolicPlane,
-                              RoundSphere)
+                              PeriodicBicubic, RoundSphere)
 
 RNG = np.random.default_rng(11)
 
@@ -230,9 +230,9 @@ def test_shoot_reports_stalled_line_search(monkeypatch):
     """When all 20 halvings of the line search fail (here every candidate
     return, looked for within twice the last return time, finds no
     crossing), the shoot raises NoConvergenceError naming the stall
-    instead of handing back an unrefined orbit.  The seed's RK4 return
-    misses tol, so Newton runs on the order-8 map: its residual at the
-    seed, two finite-difference returns and 20 candidates, all macro."""
+    instead of handing back an unrefined orbit.  Newton runs on the
+    order-8 map: the seed's return, two finite-difference returns and 20
+    candidates, all macro."""
     real, macros = orbits.poincare_return, []
 
     def no_candidate_returns(*args, macro=False, max_time, **kwargs):
@@ -244,7 +244,7 @@ def test_shoot_reports_stalled_line_search(monkeypatch):
     monkeypatch.setattr(orbits, "poincare_return", no_candidate_returns)
     with pytest.raises(NoConvergenceError, match="line search stalled"):
         shoot_periodic(*_cosine_seed())
-    assert macros == [False] + [True] * (1 + 2 + 20)
+    assert macros == [True] * (1 + 2 + 20)
 
 
 def test_shoot_reports_residual_after_max_iter(monkeypatch):
@@ -257,23 +257,26 @@ def test_shoot_reports_residual_after_max_iter(monkeypatch):
         shoot_periodic(*_cosine_seed())
 
 
-def test_shoot_names_dt_when_rk4_newton_fails_after_order8():
-    """On the sphere's constant-field circle from (0.5, 0), heading 0, the
-    order-8 Newton meets tol 1e-10 but RK4 at dt = 0.01 reads 4.0e-9 at
-    its fixed point and its own Newton fails: the error names dt and the
-    RK4 residual, and says the order-8 map converged."""
+def test_sphere_shoot_at_coarse_dt_meets_oracle():
+    """The sphere's constant-field circle from (0.5, 0), heading 0, at
+    tol 1e-10 and dt = 0.01, where a Newton on RK4 at dt stalled at that
+    step's own error (4.0e-9): the shoot is order 8 throughout, so its
+    period is the oracle's to 1e-12, and dt only spaces the samples."""
     system = MagneticSystem(RoundSphere(), ConstantField(1.0))
-    with pytest.raises(NoConvergenceError, match=(
-            r"^the order-8 map converged, but RK4 at dt = 0\.01 has "
-            r"residual 3\.9\d*e-09 there and its Newton failed: ")):
-        shoot_periodic(system, energy_of_s(1.0),
-                       TangentState(0, 0.5, 0.0, 1.0, 0.0), tol=1e-10,
-                       dt=0.01)
+    orbit = shoot_periodic(system, energy_of_s(1.0),
+                           TangentState(0, 0.5, 0.0, 1.0, 0.0), tol=1e-10,
+                           dt=0.01)
+    assert abs(orbit.period - homogeneous_oracle("sphere", 1.0).period) \
+        < 1e-12
+    traj = orbit.trajectory
+    assert traj.dt == 0.01
+    assert np.array_equal(traj.t, np.arange(len(traj.t)) * 0.01)
+    assert abs(traj.t[-1] - orbit.period) <= 0.005
 
 
 def _count_returns(monkeypatch):
     """The macro flag of every Poincare return the shoot asks for, in
-    turn: False for RK4 at dt, True for order 8."""
+    turn: True for order 8, False for RK4 at dt."""
     real, macros = orbits.poincare_return, []
 
     def counted(*args, macro=False, **kwargs):
@@ -294,39 +297,43 @@ def _cosine_template(sign, s, off):
             TangentState(0, x0, 0.5, 0.0, float(sign)))
 
 
-def test_constant_field_shoot_is_one_rk4_return(monkeypatch):
+def test_constant_field_shoot_is_one_order8_return(monkeypatch):
     """A seed on a constant-field circle is periodic as it stands: the
-    shoot is its RK4 return and nothing else."""
+    shoot is its order-8 return and nothing else, and its trajectory
+    comes from that return's steps."""
     macros = _count_returns(monkeypatch)
-    shoot_periodic(_torus_system(), energy_of_s(2.0),
-                   TangentState(0, 0.1, 0.2, 0.0, 1.0))
-    assert macros == [False]
+    orbit = shoot_periodic(_torus_system(), energy_of_s(2.0),
+                           TangentState(0, 0.1, 0.2, 0.0, 1.0))
+    assert macros == [True]
+    assert len(orbit.trajectory.t) == round(orbit.period / 1e-3) + 1
 
 
 @pytest.mark.parametrize("sign,s,off", [(1, 1.8, 0.12), (-1, 2.2, -0.08)])
 def test_cosine_shoot_newton_runs_on_order8_map(monkeypatch, sign, s, off):
-    """perfbench's two cosine templates at their tol 1e-9: the seed's RK4
-    return, Newton on the order-8 map, and one RK4 return at the point it
-    converged to, which meets tol as it stands."""
+    """perfbench's two cosine templates at their tol 1e-9: Newton on the
+    order-8 map from the seed, and no RK4 return at all; the recorded
+    orbit, by dense output from the accepted return's steps, has
+    curvature s f to 1e-7 (perfbench checks 1e-6)."""
     macros = _count_returns(monkeypatch)
-    orbit = shoot_periodic(*_cosine_template(sign, s, off), tol=1e-9)
-    assert macros[0] is macros[-1] is False and macros.count(False) == 2
-    assert macros.count(True) >= 3
+    system, k, seed = _cosine_template(sign, s, off)
+    orbit = shoot_periodic(system, k, seed, tol=1e-9)
+    assert set(macros) == {True} and len(macros) >= 4
     assert orbit.residual <= 1e-9
+    assert orbit_curvature_residual(system, orbit) <= 1e-7
 
 
 @given(s=st.floats(1.7, 2.3), off=st.floats(0.05, 0.15),
        inside=st.booleans(), sign=st.sampled_from([1, -1]))
 @settings(max_examples=10, deadline=None)
-def test_cosine_shoot_reports_rk4_residual(s, off, inside, sign):
+def test_cosine_shoot_reports_order8_residual(s, off, inside, sign):
     """Cosine seeds 5-15 % off the curvature radius converge at SHOOT_TOL,
-    and the orbit's period and residual are those of the RK4 return from
-    its seed (the residual up to the rounding of the seed's velocity
-    angle), though Newton ran on the order-8 map."""
+    and the orbit's period and residual are those of the order-8 return
+    from its seed (the residual up to the rounding of the seed's velocity
+    angle)."""
     system, k, seed = _cosine_template(sign, s, -off if inside else off)
     orbit = shoot_periodic(system, k, seed)
     assert orbit.residual <= SHOOT_TOL
-    hit, t = poincare_return(system, orbit.section, orbit.seed)
+    hit, t = poincare_return(system, orbit.section, orbit.seed, macro=True)
     x, out = (orbits._reduced(orbit.section, state)
               for state in (orbit.seed, hit))
     res = math.hypot(out[0] - x[0], orbits._wrap_angle(out[1] - x[1]))
@@ -343,18 +350,21 @@ def test_cosine_shoot_reports_rk4_residual(s, off, inside, sign):
 @settings(max_examples=8, deadline=None)
 def test_untraced_shoot_matches_oracle_and_rk4(kind, surface, kappa_lo, s, f,
                                                sign, off):
-    """Without a trajectory the shoot is order-8 returns only: at a
+    """Without a trajectory the shoot is the same order-8 Newton: at a
     constant field with a contractible circle (kappa = s |f| raised to
     kappa_lo where it is below), its period is within 1e-11 of the
-    oracle's and of the recorded RK4 shoot's, and the orbit has no
-    trajectory to read."""
+    oracle's and of the RK4 return at dt from its seed, it equals the
+    recorded shoot's bit for bit, and the orbit has no trajectory to
+    read."""
     f = sign * max(s * f, kappa_lo) / s
     oracle = homogeneous_oracle(kind, s, f)
     system = MagneticSystem(surface, ConstantField(f))
     seed = _off_circle_seed(kind, (1.0 + off) * oracle.radius, f)
     orbit = shoot_periodic(system, energy_of_s(s), seed, trajectory=False)
     assert abs(orbit.period - oracle.period) < 1e-11
-    assert abs(orbit.period - _shoot(system, s, seed)[0].period) < 1e-11
+    rk4 = poincare_return(system, orbit.section, orbit.seed)[1]
+    assert abs(orbit.period - rk4) < 1e-11
+    assert orbit.period == _shoot(system, s, seed)[0].period
     assert orbit.residual <= SHOOT_TOL
     with pytest.raises(UnsupportedError, match="trajectory=False"):
         orbit.trajectory
@@ -364,8 +374,8 @@ def test_untraced_shoot_matches_oracle_and_rk4(kind, surface, kappa_lo, s, f,
 def test_wrapped_section_winding_on_both_paths(monkeypatch, trajectory):
     """The cosine field's vertical orbit at x = 1/4, where f = 0, shot
     through the section v = 1/2 wrapped at the lattice period, closes
-    after one lattice translation in v on either path; without a
-    trajectory only order-8 returns run."""
+    after one lattice translation in v on either path, and either runs
+    order-8 returns only."""
     from magsurf.flow import Section
     system, _ = _cosine_system()
     macros = _count_returns(monkeypatch)
@@ -376,7 +386,7 @@ def test_wrapped_section_winding_on_both_paths(monkeypatch, trajectory):
     assert orbit.winding == (0, 1)
     assert not orbit.contractible
     assert abs(orbit.period - 1.0) < 1e-9
-    assert trajectory or set(macros) == {True}
+    assert set(macros) == {True}
 
 
 @pytest.mark.xfail(strict=True, raises=NoReturnError,
@@ -456,20 +466,69 @@ def _shot_trajectory_cases():
 @pytest.mark.parametrize("system,s,seed,tol", _shot_trajectory_cases(),
                          ids=["sphere", "hyperbolic", "cosine", "conformal"])
 def test_shot_trajectory_is_integrated_orbit(system, s, seed, tol):
-    """The orbit's trajectory, kept from the accepted return's steps, is
-    exactly what integrating the orbit's seed over its period gives."""
+    """The orbit's trajectory, the dense output of the accepted order-8
+    return's steps, is what integrating the orbit's seed over its period
+    at dt gives: the same times and charts (both sphere charts on the wide
+    circle), q to 1e-10 and q' to 1e-9; on the cosine field its curvature
+    is s f to 1e-7."""
     k = energy_of_s(s)
     orbit = shoot_periodic(system, k, seed, tol=tol)
     traj = orbit.trajectory
     ref = integrate(system, orbit.seed, orbit.period, traj.dt)
-    for name in ("t", "chart", "q", "dq"):
-        assert np.array_equal(getattr(traj, name), getattr(ref, name)), name
+    assert np.array_equal(traj.t, ref.t)
+    assert np.array_equal(traj.chart, ref.chart)
+    assert np.abs(traj.q - ref.q).max() <= 1e-10
+    assert np.abs(traj.dq - ref.dq).max() <= 1e-9
     assert traj.dt == ref.dt and not traj.truncated
     if system.surface.n_charts == 2:
         assert set(traj.chart.tolist()) == {0, 1}
     if isinstance(system.field, TorusField):
         # the accepted return is a line-search candidate, not the seed's
         assert orbit.seed != state_at_energy(system, seed, k)
+        assert orbit_curvature_residual(system, orbit) <= 1e-7
+
+
+@pytest.mark.parametrize("dt", [1.3e-3, 0.007])
+def test_dense_trajectory_at_a_dt_not_dividing_the_step(dt):
+    """dt only spaces the samples: where it does not divide MACRO_STEP
+    (each step holds them at other offsets), and at 7 dt (where RK4 at dt
+    is off by 1e-8), the samples are integrate's at dt / 10 to the bounds
+    of test_shot_trajectory_is_integrated_orbit."""
+    system, k, seed = _cosine_template(1, 1.8, 0.12)
+    orbit = shoot_periodic(system, k, seed, tol=1e-9, dt=dt)
+    traj = orbit.trajectory
+    fine = integrate(system, orbit.seed, traj.t[-1], dt / 10,
+                     record_every=10)
+    assert len(traj.t) == len(fine.t)
+    assert np.allclose(traj.t, fine.t, rtol=0.0, atol=1e-12)
+    assert np.abs(traj.q - fine.q).max() <= 1e-10
+    assert np.abs(traj.dq - fine.dq).max() <= 1e-9
+
+
+# FOUND 87's spline orbits at s = 1 from (0.5, 0.5), heading 0, and their
+# periods from RK4 at dt = 1e-4 (dt = 2.5e-4 agrees to 1e-13)
+def _spline_orbit_cases():
+    x = np.arange(16) / 16
+    rho = 0.1 * np.cos(2 * np.pi * (x[:, None] + 0.3)) \
+        * np.sin(2 * np.pi * x[None, :])
+    field = 8.0 + np.cos(2 * np.pi * x[:, None]) \
+        + 0.5 * np.sin(2 * np.pi * (x[:, None] + x[None, :]))
+    return [(MagneticSystem(ConformalTorus(rho), ConstantField(8.0)),
+             0.78549659961005),
+            (MagneticSystem(FlatTorus(), TorusField(
+                PeriodicBicubic(field, 1.0, 1.0))), 0.836592546581067)]
+
+
+@pytest.mark.parametrize("system,period", _spline_orbit_cases(),
+                         ids=["conformal", "csv"])
+def test_spline_orbit_periods_meet_fine_reference(system, period):
+    """On C^2 bicubic data the order-8 step falls to order about 4, so it
+    spans at most CELL_STEP of a cell: the numbers golden's conformal-torus
+    orbit and a csv field's orbit come within 1e-11 of their fine
+    periods (RK4 at the default dt is off by 2.7e-11 and 2.2e-11)."""
+    orbit = shoot_periodic(system, energy_of_s(1.0),
+                           TangentState(0, 0.5, 0.5, 1.0, 0.0))
+    assert abs(orbit.period - period) < 1e-11
 
 
 def test_fit_circle_exact():

@@ -25,7 +25,9 @@ spread, else ``unresolved`` when that spread is wider than the metric's
 every base run, else ``worse beyond bound`` when the change median is
 worse by more than the bound, else ``within bound``.  Then, per slot of
 the workload's cycle, each side's median over its runs of the slot's
-median raw wall seconds, from the run's report file, and their ratio.
+median raw wall seconds, from the run's report file, their ratio, and
+the base's interquartile spread of those slot medians over its median: a
+ratio nearer 1 than that spread shows nothing.
 A run that exits non-zero, prints no result or report line, or whose
 report file cannot be read is listed under ``failed_runs`` and drops its
 pair.  Only the standard library is used; perfbench/ is run, never changed.
@@ -72,14 +74,21 @@ def read_slots(root, result):
     return {key: statistics.median(v) for key, v in walls.items()}
 
 
+def quartiles(values):
+    """First quartile, median and third quartile of values (inclusive
+    method; one value is all three, none gives None)."""
+    if len(values) > 1:
+        return statistics.quantiles(values, n=4, method="inclusive")
+    return (values or [None]) * 3
+
+
 def summarize(results, end_to_end):
     """Per end-to-end metric: its unit, better direction, first quartile,
     median, third quartile and the value of every run, over results."""
     metrics = {}
     for m in end_to_end:
         values = [r["metrics"][m["name"]]["value"] for r in results]
-        q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
-                          if len(values) > 1 else (values or [None]) * 3)
+        q1, median, q3 = quartiles(values)
         metrics[m["name"]] = {"unit": m["unit"], "better": m["better"],
                               "q1": q1, "median": median, "q3": q3,
                               "values": values}
@@ -136,15 +145,18 @@ def format_summary(rows, n_pairs):
 
 def format_slots(pairs):
     """Per slot that every run of both sides has: the base's and the
-    change's median of the runs' slot medians, and their ratio."""
+    change's median of the runs' slot medians, their ratio, and the base's
+    interquartile spread of its slot medians over its median."""
     runs = [run for pair in pairs for run in pair]
-    out = ["per slot, median raw wall s: base -> change (change / base)"]
+    out = ["per slot, median raw wall s: base -> change (change / base, "
+           "base (q3 - q1) / median)"]
     for key in runs[0]["slots"]:
         if all(key in r["slots"] for r in runs):
-            base, change = (statistics.median(p[i]["slots"][key]
-                                              for p in pairs) for i in (0, 1))
+            q1, base, q3 = quartiles([p[0]["slots"][key] for p in pairs])
+            change = statistics.median(p[1]["slots"][key] for p in pairs)
             out.append(f"{key:28s} {base:.6g} -> {change:.6g}  "
-                       f"({change / base:.3f})")
+                       f"({change / base:.3f}, base spread "
+                       f"{(q3 - q1) / base:.3f})")
     return "\n".join(out)
 
 
