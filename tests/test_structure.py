@@ -98,8 +98,8 @@ def test_no_surface_type_probes_outside_surfaces():
 # the conformal torus's step line calls (the cell lookup and Horner
 # gradient of PeriodicBicubic), use no numpy.  make_rhs, the reference
 # right-hand side, reads the surface's conformal and the field's eval
-# through _accel and makes floats of the result.  The classes' step_line texts are checked
-# in test_dynamics.
+# through _accel and makes floats of the result.  The classes' step_line
+# texts are checked in test_dynamics.
 CORE_FUNCTIONS = {"make_rhs", "_make_loop", "_code", "_write"}
 CORE_METHODS = {"cell_of", "patch_grad"}
 
