@@ -210,6 +210,7 @@ def _emit(summary, outdir, name):
 
 
 def _write_trajectory_csv(system, traj, path):
+    """Write the samples to path; returns their energies."""
     energies = trajectory_energies(system, traj)
     kappa = trajectory_curvature(system, traj) if len(traj.t) >= 5 \
         else np.full(len(traj.t), np.nan)
@@ -221,6 +222,7 @@ def _write_trajectory_csv(system, traj, path):
             rows = list(zip(*(c[a:a + 256].tolist() for c in cols)))
             fh.write("%.12g,%d,%.12g,%.12g,%.12g,%.12g,%.12g,%.12g\n"
                      * len(rows) % tuple(chain.from_iterable(rows)))
+    return energies
 
 
 def _write_gnuplot(outdir, csv_name, using, title):
@@ -257,10 +259,9 @@ def cmd_simulate(cfg, system, outdir):
     traj = integrate(system, st, sec.getfloat("t_end", 10.0),
                      dt=sec.getfloat("dt", 1e-3),
                      record_every=sec.getint("record_every", 10))
-    _write_trajectory_csv(system, traj, os.path.join(outdir,
-                                                     "trajectory.csv"))
+    energies = _write_trajectory_csv(system, traj, os.path.join(
+        outdir, "trajectory.csv"))
     _write_gnuplot(outdir, "trajectory.csv", "3:4", "trajectory")
-    energies = trajectory_energies(system, traj)
     _emit({"samples": len(traj.t), "truncated": bool(traj.truncated),
            "energy_drift": float(np.max(np.abs(energies - energies[0])))},
           outdir, "result.json")
@@ -391,8 +392,7 @@ def cmd_sweep(cfg, system, outdir):
         data = homogeneous_oracle(system.surface.kind, s, f)
         if not data.exists_contractible:
             return {"s": s, "exists_contractible": False}
-        orbit = shoot_periodic(system, energy_of_s(s), seed,
-                               trajectory=False)
+        orbit = shoot_periodic(system, energy_of_s(s), seed)
         return {"s": s, "exists_contractible": True, "period": orbit.period,
                 "oracle_period": data.period, "residual": orbit.residual}
 

@@ -21,10 +21,11 @@ class MagneticField:
     line of Python setting f at the float point x, y of chart for the RK4
     step's stages, with step_names, the values it reads.  lattice is the
     periods (lx, ly) a lattice-periodic field repeats with, else None;
-    cell is the cell width of spline data (smooth: inf)."""
+    scale, the length over which its data change, is a spline's cell
+    (smooth: inf) and bounds a return's step (flow.CELL_STEP)."""
 
     lattice = None
-    cell = math.inf
+    scale = math.inf
 
     def eval(self, chart, u, v):
         raise NotImplementedError
@@ -64,7 +65,7 @@ class TorusField(MagneticField):
         self.lx = float(lx)
         self.ly = float(ly)
         self.lattice = (self.lx, self.ly)
-        self.cell = getattr(fn, "cell", math.inf)
+        self.scale = getattr(fn, "cell", math.inf)
         self.step_names = {"fn": fn, "lx": self.lx, "ly": self.ly}
 
     def eval(self, chart, u, v):

@@ -8,13 +8,14 @@ where i is the 90 degree rotation; its solutions have constant kinetic
 energy and geodesic curvature f / |q'|_g.  One loop on plain floats, text
 whose stages hold the surface's and field's step_line (each class's one
 scalar point formula) and _accel's formula, runs RK4 steps of dt
-(integrate) or order-8 Gragg-Bulirsch-Stoer steps (poincare_return with
-macro), each ended by the surface's chart_line (the sphere's chart
-switch).  It extends a StepRecord by each state when given one and stops
-at the floor or at a section's directed crossing, where one pass of the
-loop without the chart line, cut short, lands on the section.  A shot
-orbit is order 8 throughout; its trajectory is the dense output of its
-return's steps (StepRecord.dense), and dt only spaces the samples.
+(integrate) or order-8 Gragg-Bulirsch-Stoer steps (poincare_return), each
+ended by the surface's chart_line (the sphere's chart switch).  A return's
+step is MACRO_STEP, or CELL_STEP of the time the state takes to cross the
+surface's or field's scale if that is shorter.  The loop hands each state
+to a list's extend when given one and stops at the floor or at a section's
+directed crossing, where one pass of the loop without the chart line, cut
+short, lands on the section.  A shot orbit's trajectory is the dense output
+of its return's steps (StepRecord.dense), and dt only spaces the samples.
 """
 from __future__ import annotations
 
@@ -34,11 +35,12 @@ DEFAULT_DT = 1e-3
 # a return whose energy left the start's by more than this, relative, came
 # from a step too coarse for the field or a run that blew up while finite
 RETURN_ENERGY_RTOL = 1e-6
-# the length of an order-8 return's steps, whatever the dt: the order-8
-# map needs only to meet shooting's tol, not to match RK4 at dt
-MACRO_STEP = 20 * DEFAULT_DT
-# an order-8 step on spline data spans at most this fraction of a cell: the
-# knots cost it its order, and from here down orbit periods stay within 4e-12
+# the longest order-8 step a return takes
+MACRO_STEP = 0.02
+# an order-8 step spans at most this fraction of the surface's or field's
+# scale: on spline data the knots cost it its order, and from here down
+# orbit periods stay within 4e-12; on the sphere or the half-plane it keeps
+# the arc per step, so the energy, at any speed
 CELL_STEP = 0.04
 
 
@@ -295,17 +297,19 @@ def integrate(system, state0, t_end, dt=DEFAULT_DT, record_every=1):
     floor = system.surface.floor
     st = (state0.chart, state0.u, state0.v, state0.du, state0.dv)
     system.surface.check_domain(*st[:3])
-    record = StepRecord()
-    record.values.extend(st)
-    i, st, _ = run(*st, dt, _step_count(t_end, dt), record.values.extend,
-                   floor, record_every)
+    values = list(st)
+    i, st, _ = run(*st, dt, _step_count(t_end, dt), values.extend, floor,
+                   record_every)
     truncated = not st[2] >= floor      # below the floor, or NaN
     kept = list(range(0, i + 1, record_every))
     if truncated and i % record_every:
-        record.values.extend(st)
+        values.extend(st)
         kept.append(i)
     _check_blowup(*st[1:], kept[-1] * dt)
-    return record.trajectory(kept, dt, truncated)
+    vals = np.array(values, dtype=float).reshape(-1, 5)[:len(kept)]
+    return Trajectory(t=np.array(kept) * dt, chart=vals[:, 0].astype(int),
+                      q=vals[:, 1:3].copy(), dq=vals[:, 3:].copy(), dt=dt,
+                      truncated=truncated)
 
 
 def trajectory_energies(system, traj):
@@ -378,24 +382,13 @@ class Section:
 
 
 class StepRecord:
-    """The states of one run as one flat list, five numbers per state,
-    chart, u, v, du, dv, which the loop extends by each state: integrate's
-    samples, or a Poincare return's start and every step, step apart."""
+    """A Poincare return's start and every step, as one flat list, five
+    numbers per state, chart, u, v, du, dv, which the loop extends by each
+    state, and their length, step."""
 
     def __init__(self):
         self.values = []
         self.step = None
-
-    def trajectory(self, steps, dt, truncated=False):
-        """The Trajectory of the first len(steps) states, state i taken
-        after steps[i] dt steps, the charts as ints: integrate's, or with
-        steps = range(len(values) // 5) an RK4 return's at dt."""
-        n = len(steps)
-        vals = np.array(self.values, dtype=float).reshape(-1, 5)[:n]
-        return Trajectory(t=np.array(steps) * dt,
-                          chart=vals[:, 0].astype(int),
-                          q=vals[:, 1:3].copy(), dq=vals[:, 3:].copy(),
-                          dt=dt, truncated=truncated)
 
     def dense(self, system, t_end, dt):
         """The Trajectory at t = j dt, j = 0 ... _step_count(t_end, dt),
@@ -442,32 +435,30 @@ class StepRecord:
         return traj
 
 
-def poincare_return(system, section, state0, max_time=200.0, dt=DEFAULT_DT,
-                    record=None, *, macro=False):
+def poincare_return(system, section, state0, max_time=200.0, record=None):
     """First directed return to the section.
 
-    Returns (state, return_time).  The loop runs RK4 steps of dt, or with
-    macro order-8 steps of MACRO_STEP, or of CELL_STEP of the time a cell
-    of the surface's or field's spline data takes to cross if shorter,
-    until the state falls below the floor or steps over the section.  The
-    hit is one pass of the loop, without the chart line (so it stays in
-    the section's chart), from the state before the crossing, its step cut
-    to the length h that lands on the section: the linear guess and two
-    Newton updates, each dividing the section residual by the coordinate's
-    velocity.  NoReturnError says why when there is no return within
-    max_time or the state falls below the floor, and DomainError when the
-    run goes non-finite or the hit's energy is off the start's by more
-    than RETURN_ENERGY_RTOL; a state at rest is DegenerateInputError.  A
-    StepRecord passed as record receives state0 and every full step, the
-    one over the crossing too, and their length as its step.
+    Returns (state, return_time).  The loop runs order-8 steps of MACRO_STEP,
+    or of CELL_STEP of the time the state takes to cross the surface's or
+    field's scale if that is shorter, until the state falls below the floor
+    or steps over the section.  The hit is one pass of the loop, without the
+    chart line (so it stays in the section's chart), from the state before
+    the crossing, its step cut to the length h that lands on the section:
+    the linear guess and two Newton updates, each dividing the section
+    residual by the coordinate's velocity.  NoReturnError says why when
+    there is no return within max_time or the state falls below the floor,
+    and DomainError when the run goes non-finite or the hit's energy is off
+    the start's by more than RETURN_ENERGY_RTOL; a state at rest is
+    DegenerateInputError.  A StepRecord passed as record receives state0
+    and every full step, the one over the crossing too, and their length as
+    its step.
     """
-    _require_inputs(state0, max_time=max_time, dt=dt)
+    _require_inputs(state0, max_time=max_time)
     e0 = energy_of(system, state0)
     if e0 == 0.0:
         raise DegenerateInputError("a state at rest has no return")
-    cell = min(system.surface.cell, system.field.cell)
-    step = (min(MACRO_STEP, CELL_STEP * cell / math.sqrt(2.0 * e0))
-            if macro else dt)
+    scale = min(system.surface.scale, system.field.scale)
+    step = min(MACRO_STEP, CELL_STEP * scale / math.sqrt(2.0 * e0))
     run = _make_loop(system)
     floor = system.surface.floor
     st = (state0.chart, state0.u, state0.v, state0.du, state0.dv)
@@ -481,7 +472,7 @@ def poincare_return(system, section, state0, max_time=200.0, dt=DEFAULT_DT,
         *st, step, n_steps, record and record.values.extend, floor, 1,
         section.chart, section.coord, section.value, section.direction,
         wrap, 0.25 * (wrap if wrap else math.inf), prev, abs(prev) > 1e-9,
-        macro=macro)
+        macro=True)
     if crossing is None:
         _check_blowup(*st[1:], i * step)
         if not st[2] >= floor:
@@ -492,9 +483,9 @@ def poincare_return(system, section, state0, max_time=200.0, dt=DEFAULT_DT,
     prev, cur = crossing
     h = step * prev / (prev - cur)
     for _ in range(2):
-        hit = cut(*st, h, 1, None, floor, macro=macro)[1]
+        hit = cut(*st, h, 1, None, floor, macro=True)[1]
         h -= section.signed_residual(hit) / (sdir * hit[ci + 2])
-    hit = cut(*st, h, 1, None, floor, macro=macro)[1]
+    hit = cut(*st, h, 1, None, floor, macro=True)[1]
     t = (i - 1) * step + h
     _check_blowup(*hit[1:], t)
     hit = TangentState(*hit)

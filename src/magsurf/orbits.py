@@ -9,6 +9,7 @@ uses, and its gradient is sigma times the area each vertex sweeps.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -75,13 +76,13 @@ class Orbit:
     winding: tuple
     section: Section
     seed: TangentState
-    recorded: object = None      # the Trajectory, if the shoot kept one
+    recorded: object = None      # the Trajectory, or the call that makes it
 
     @property
     def trajectory(self):
-        if self.recorded is None:
-            raise UnsupportedError("this orbit was shot with trajectory="
-                                   "False: it has no trajectory")
+        """The recorded Trajectory, made on first read and then kept."""
+        if callable(self.recorded):
+            self.recorded = self.recorded()
         return self.recorded
 
     @property
@@ -124,18 +125,18 @@ def default_section(system, seed):
 
 
 def shoot_periodic(system, k, seed, section=None, tol=SHOOT_TOL,
-                   dt=DEFAULT_DT, max_time=200.0, *, trajectory=True):
+                   dt=DEFAULT_DT, max_time=200.0):
     """Newton iteration on the reduced return map at fixed energy k.
 
     The seed is rescaled onto the energy level; the reduced state is the
     free section coordinate together with the velocity angle.  The map is
-    the order-8 return (poincare_return with macro).  Newton runs from the
-    seed until |residual| <= tol: finite-difference columns, then a line
-    search that halves the step until the residual falls, each candidate's
-    return looked for within twice the return time.  The orbit's period
-    and residual are the accepted return's, and its winding the lattice
-    translation from that return's start to its hit.  With trajectory,
-    the orbit's trajectory is the dense output of that return's steps
+    the order-8 return, poincare_return.  Newton runs from the seed until
+    |residual| <= tol: finite-difference columns, then a line search that
+    halves the step until the residual falls, each candidate's return
+    looked for within twice the return time.  The orbit's period and
+    residual are the accepted return's, and its winding the lattice
+    translation from that return's start to its hit.  Its trajectory, made
+    when first read, is the dense output of that return's steps
     (StepRecord.dense), t = 0 to the period dt apart: dt only spaces the
     samples.  Raises NoConvergenceError if the line search stalls or the
     residual is still above tol after SHOOT_MAX_ITER steps; a tol no
@@ -151,7 +152,7 @@ def shoot_periodic(system, k, seed, section=None, tol=SHOOT_TOL,
         st = _section_state(system, section, k, xv[0], xv[1])
         record = StepRecord()
         hit, rt = poincare_return(system, section, st, max_time=t_max,
-                                  dt=dt, record=record, macro=True)
+                                  record=record)
         out = _reduced(section, hit)
         return (np.array([out[0] - xv[0], _wrap_angle(out[1] - xv[1])]),
                 rt, hit, record)
@@ -194,8 +195,7 @@ def shoot_periodic(system, k, seed, section=None, tol=SHOOT_TOL,
                     zip((hit.u - state.u, hit.v - state.v), lattice))
     return Orbit(period=rt, energy=k, residual=float(np.linalg.norm(res)),
                  winding=winding, section=section, seed=state,
-                 recorded=record.dense(system, rt, dt) if trajectory
-                 else None)
+                 recorded=functools.partial(record.dense, system, rt, dt))
 
 
 def orbit_curvature_residual(system, orbit):

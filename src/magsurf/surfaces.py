@@ -27,13 +27,15 @@ class Surface:
     lattice = None               # periods (lx, ly) of a torus lift
     constant_curvature = None    # K = 1, 0 or -1 on the homogeneous models
     floor = -math.inf            # lowest admissible v in the chart
-    cell = math.inf              # cell width of spline data; smooth: inf
     # Each concrete surface sets step_line: conformal()[1:] as one line of
     # Python setting ru, rv (rv alone where ru = 0) at the float point x, y
     # of chart, written into the RK4 step's stages (None marks a flat
     # chart), and step_names, the values it reads; a chart_line, written
     # after the update to chart, x, y, p, q, may reassign them the same
-    # state in another chart.  The integrator uses nothing else of it.
+    # state in another chart; scale, the length over which its data change,
+    # bounds a return's step (flow.CELL_STEP).  The integrator uses nothing
+    # else of it.
+    scale = math.inf
     step_names = {}
     chart_line = None
 
@@ -86,6 +88,7 @@ class Torus(Surface):
         self.lx = float(lx)
         self.ly = float(ly)
         self.lattice = (self.lx, self.ly)
+        self.scale = min(self.lx, self.ly)
 
     def euler_characteristic(self):
         return 0
@@ -132,6 +135,7 @@ class RoundSphere(Surface):
     kind = "sphere"
     n_charts = 2
     constant_curvature = 1
+    scale = 1.0                  # the curvature radius
     step_line = "d = 1.0 + x * x + y * y; ru, rv = -2.0 * x / d, -2.0 * y / d"
     chart_line = ("if x * x + y * y > r2: "
                   "chart, x, y, p, q = switch_chart(chart, x, y, p, q)")
@@ -207,6 +211,7 @@ class HyperbolicPlane(Surface):
 
     kind = "hyperbolic"
     constant_curvature = -1
+    scale = 1.0                  # the curvature radius
     floor = HYPERBOLIC_FLOOR
     step_line = "rv = -1.0 / y"
 
@@ -265,7 +270,7 @@ class ConformalTorus(Torus):
             raise DegenerateInputError("need a 2-d factor grid, >= 8 per axis")
         self.grid = grid
         self._spline = PeriodicBicubic(grid, self.lx, self.ly)
-        self.cell = self._spline.cell
+        self.scale = self._spline.cell
 
     def conformal(self, chart, u, v):
         c, dx, dy = self._spline.cells(u, v)

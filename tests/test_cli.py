@@ -15,7 +15,7 @@ import pytest
 
 from magsurf.cli import _load_grid_csv, _write_trajectory_csv, main
 from magsurf.fields import ConstantField, MagneticSystem
-from magsurf.flow import (TangentState, Trajectory, integrate,
+from magsurf.flow import (StepRecord, TangentState, Trajectory, integrate,
                           state_at_energy, trajectory_curvature,
                           trajectory_energies)
 from magsurf.surfaces import RoundSphere
@@ -659,6 +659,42 @@ workers = 3
     for r in runs:
         assert r["exists_contractible"]
         assert abs(r["period"] - 2.0 * math.pi) < PERIOD_TOL
+
+
+def test_sweep_on_the_sphere_at_high_speed(capsys, tmp_path):
+    """sweep on the sphere at s = 0.5, 0.2 and 0.1, speeds 2 to 10: each
+    return's steps span CELL_STEP of the sphere's radius, so every energy
+    gets its circle, at the oracle's period to 1e-11."""
+    text = SPHERE_ORACLE.replace("s = 1.0", "s_values = 0.5,0.2,0.1")
+    code, out_text, _ = _run(capsys, tmp_path, text, "sweep")
+    assert code == 0
+    runs = json.loads(out_text)["runs"]
+    assert [r["s"] for r in runs] == [0.5, 0.2, 0.1]
+    for r in runs:
+        assert abs(r["period"] - r["oracle_period"]) < 1e-11
+
+
+@pytest.mark.parametrize("command,run,made", [
+    ("sweep", "s_values = 0.5, 1.0", 0), ("orbit-shoot", "s = 1.0", 1)])
+def test_trajectory_is_made_lazily_at_most_once(capsys, tmp_path,
+                                                monkeypatch, command, run,
+                                                made):
+    """An orbit's trajectory is made when first read and then kept: sweep
+    reads none and makes none; orbit-shoot reads it in the CSV writer and
+    in orbit_radius, and makes it once."""
+    real, calls = StepRecord.dense, []
+
+    def counted(self, *args):
+        calls.append(args)
+        return real(self, *args)
+
+    monkeypatch.setattr(StepRecord, "dense", counted)
+    code, _, out = _run(capsys, tmp_path,
+                        SPHERE_ORACLE.replace("s = 1.0", run), command)
+    assert code == 0
+    assert len(calls) == made
+    if made:
+        assert "radius" in json.loads((out / "result.json").read_text())
 
 
 def test_missing_config_file(capsys, tmp_path):

@@ -234,48 +234,35 @@ def _circle_cases():
 @pytest.mark.parametrize("surface,s,point,section,time", _circle_cases(),
                          ids=["flat_torus", "sphere", "genus2",
                               "flat_torus_wrapped"])
-def test_poincare_return_lands_on_section(surface, s, point, section, time):
-    """The cut-short step puts the hit on the section itself, and the
-    return time is the closed-form one to the integrator's accuracy."""
+def test_poincare_return_lands_on_section(surface, s, point, section, time,
+                                          monkeypatch):
+    """The cut-short step puts the hit on the section itself, to 1e-14,
+    and the return time of the order-8 steps is the closed-form one to
+    1e-12; with MACRO_STEP alone setting the step, the time's error falls
+    at least 100-fold (2^8 = 256 for order 8) as it halves from 0.2 to
+    0.1."""
     system = MagneticSystem(surface, ConstantField(1.0))
     st = state_at_energy(system, TangentState(0, *point, 0.0, 1.0),
                          energy_of_s(s))
     hit, rt = poincare_return(system, section, st)
     assert abs(section.signed_residual(dataclasses.astuple(hit))) <= 1e-14
-    assert abs(rt - time) < 1e-12
-
-
-@pytest.mark.parametrize("surface,s,point,section,time", _circle_cases(),
-                         ids=["flat_torus", "sphere", "genus2",
-                              "flat_torus_wrapped"])
-def test_order8_return_on_oracle_circles(surface, s, point, section, time,
-                                         monkeypatch):
-    """The order-8 return, Gragg-Bulirsch-Stoer steps of MACRO_STEP: its
-    return time is the closed-form one to 1e-12 and its hit lies on the
-    section to 1e-13; the time's error falls at least 100-fold (2^8 = 256
-    for order 8) as the macro step halves from 0.2 to 0.1."""
-    system = MagneticSystem(surface, ConstantField(1.0))
-    st = state_at_energy(system, TangentState(0, *point, 0.0, 1.0),
-                         energy_of_s(s))
-    hit, rt = poincare_return(system, section, st, macro=True)
-    assert abs(section.signed_residual(dataclasses.astuple(hit))) <= 1e-13
     assert abs(rt - time) <= 1e-12
     errors = []
+    monkeypatch.setattr(flow, "CELL_STEP", math.inf)
     for step in (0.2, 0.1):
         monkeypatch.setattr(flow, "MACRO_STEP", step)
-        errors.append(abs(poincare_return(system, section, st,
-                                          macro=True)[1] - time))
+        errors.append(abs(poincare_return(system, section, st)[1] - time))
     assert errors[1] * 100.0 <= errors[0]
 
 
 def test_macro_return_records_its_steps():
-    """A macro return records state0 and every order-8 step, the step over
-    the crossing too, and their length MACRO_STEP as the record's step:
-    the states the loop's macro steps give from state0, bit for bit."""
+    """A return records state0 and every order-8 step, the step over the
+    crossing too, and their length MACRO_STEP as the record's step: the
+    states the loop's macro steps give from state0, bit for bit."""
     system, st0 = _systems()[0][1:]
     record = StepRecord()
     hit, rt = poincare_return(system, Section(coord=0, value=0.37, wrap=1.0),
-                              st0, record=record, macro=True)
+                              st0, record=record)
     n = len(record.values) // 5
     assert record.step == flow.MACRO_STEP
     assert (n - 2) * record.step < rt <= (n - 1) * record.step
@@ -291,28 +278,29 @@ def _spline_grid():
         * np.sin(2 * np.pi * x[None, :] + 0.3)
 
 
-@pytest.mark.parametrize("system,cell", [
+@pytest.mark.parametrize("system,scale", [
     (MagneticSystem(ConformalTorus(_spline_grid()), ConstantField(8.0)),
      1 / 16),
     (MagneticSystem(FlatTorus(), TorusField(PeriodicBicubic(
         8.0 + _spline_grid(), 1.0, 1.0))), 1 / 16),
     (MagneticSystem(FlatTorus(), TorusField(lambda x, y: 8.0 + 0.0 * x)),
-     math.inf),
-    (MagneticSystem(RoundSphere(), ConstantField(8.0)), math.inf)],
+     1.0),
+    (MagneticSystem(RoundSphere(), ConstantField(8.0)), 1.0)],
     ids=["conformal", "csv", "callable", "sphere"])
-def test_macro_step_spans_a_fraction_of_a_spline_cell(system, cell):
-    """The spline data's classes declare their cell width (a conformal
-    torus's factor, a field on a PeriodicBicubic), and an order-8 step
-    spans CELL_STEP of the time a cell takes to cross at the state's
-    speed, 2 here; smooth data (a callable field, a constant one on the
-    sphere) declares none and keeps MACRO_STEP."""
-    assert min(system.surface.cell, system.field.cell) == cell
+def test_macro_step_spans_a_fraction_of_a_spline_cell(system, scale):
+    """Spline data's scale is its cell width (a conformal torus's factor, a
+    field on a PeriodicBicubic), and an order-8 step spans CELL_STEP of
+    the time the scale takes to cross at the state's speed, 2 here; with
+    smooth data the scale is the surface's (the unit torus's period, the
+    sphere's radius), and at speed 2 the step is MACRO_STEP."""
+    assert min(system.surface.scale, system.field.scale) == scale
     st0 = state_at_energy(system, TangentState(0, 0.5, 0.45, 0.0, 1.0),
                           energy_of_s(0.5))
     record = StepRecord()
     poincare_return(system, Section(coord=1, value=0.45), st0,
-                    record=record, macro=True)
-    assert record.step == min(flow.MACRO_STEP, flow.CELL_STEP * cell / 2.0)
+                    record=record)
+    assert record.step == min(flow.MACRO_STEP,
+                              flow.CELL_STEP * scale / 2.0)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 9])
@@ -338,22 +326,23 @@ def test_dense_output_of_exact_circle_nodes(n):
         <= 1e-12
 
 
-@pytest.mark.parametrize("macro", [False, True])
-def test_return_from_rest_is_rejected(macro):
+def test_return_from_rest_is_rejected():
     """A state at rest never returns; its return is DegenerateInputError
     before any step."""
     system, st0 = _systems()[0][1:]
     with pytest.raises(DegenerateInputError, match="^a state at rest"):
         poincare_return(system, Section(coord=0, value=0.37, wrap=1.0),
-                        dataclasses.replace(st0, du=0.0, dv=0.0),
-                        macro=macro)
+                        dataclasses.replace(st0, du=0.0, dv=0.0))
 
 
 def test_poincare_return_past_sphere_switch_keeps_chart():
     """A circle through the chart-0 origin (f = 1, s = 0.5, seed
     u = -1e-7) meets v = 0 heading -v just outside the switch circle
-    |z| = 2, after 4.5 periods: the hit is the cut-short step without the
-    chart rule, so it stays in chart 0 at u = -2.0000005."""
+    |z| = 2, after half a period: the order-8 steps of 0.02 step over
+    the short arc outside |z| = 2 (RK4 steps of dt = 1e-3 landed on it,
+    switched to chart 1 and crossed there, four times before a crossing
+    in chart 0 after 4.5 periods), and the hit is the cut-short step
+    without the chart rule, so it stays in chart 0 at u = -2.0000005."""
     system = MagneticSystem(RoundSphere(), ConstantField(1.0))
     st = state_at_energy(system, TangentState(0, -1e-7, 0.0, 0.0, 1.0),
                          energy_of_s(0.5))
@@ -362,7 +351,7 @@ def test_poincare_return_past_sphere_switch_keeps_chart():
     assert hit.chart == 0
     assert abs(hit.v) <= 1e-14
     assert abs(hit.u + 2.0000005) < 1e-9
-    assert abs(rt - 4.5 * homogeneous_oracle("sphere", 0.5).period) < 1e-9
+    assert abs(rt - 0.5 * homogeneous_oracle("sphere", 0.5).period) < 1e-9
 
 
 def _points(surface, traj):
@@ -541,10 +530,10 @@ def test_non_finite_state_rejected(entry):
 
 
 @pytest.mark.parametrize("entry", ["integrate", "poincare_return"])
-def test_blown_up_run_is_a_domain_error(entry):
-    """RK4 at dt = 0.5 blows up on a strong cosine field over the flat
-    torus; the run raises instead of handing back q = (nan, nan) with
-    ``truncated`` False."""
+def test_blown_up_run_is_a_domain_error(entry, monkeypatch):
+    """RK4 at dt = 0.5, and order-8 steps of MACRO_STEP = 0.5, blow up on
+    a strong cosine field over the flat torus; the run raises instead of
+    handing back q = (nan, nan) with ``truncated`` False."""
     system = MagneticSystem(FlatTorus(), TorusField(
         lambda x, y: 50.0 * np.cos(2 * np.pi * x)))
     st = TangentState(0, 0.1, 0.2, 30.0, 40.0)
@@ -553,7 +542,9 @@ def test_blown_up_run_is_a_domain_error(entry):
         if entry == "integrate":
             integrate(system, st, 200.0, dt=0.5)
         else:
-            poincare_return(system, section, st, dt=0.5)
+            monkeypatch.setattr(flow, "CELL_STEP", math.inf)
+            monkeypatch.setattr(flow, "MACRO_STEP", 0.5)
+            poincare_return(system, section, st)
 
 
 def test_blown_up_plunge_is_a_domain_error():
@@ -565,34 +556,38 @@ def test_blown_up_plunge_is_a_domain_error():
                   dt=1e-2)
 
 
-def test_blown_up_but_finite_return_is_a_domain_error():
-    """RK4 at dt = 0.5 on the strong cosine field reaches the section at
-    t = 1.973 from a state that is still finite but carries an energy near
-    1e30, against 1250 at the start: the return raises."""
+def test_blown_up_but_finite_return_is_a_domain_error(monkeypatch):
+    """Order-8 steps of MACRO_STEP = 0.3 on the strong cosine field stay
+    finite but leave the energy level 1250: the third, at an energy near
+    1.8e23, steps over the section, and the return raises."""
     system = MagneticSystem(FlatTorus(), TorusField(
         lambda x, y: 50.0 * np.cos(2 * np.pi * x)))
     section = Section(coord=1, value=0.77, direction=1, chart=0)
+    monkeypatch.setattr(flow, "CELL_STEP", math.inf)
+    monkeypatch.setattr(flow, "MACRO_STEP", 0.3)
     with pytest.raises(DomainError, match="energy"):
         poincare_return(system, section,
-                        TangentState(0, 0.1, 0.2, 30.0, 40.0), dt=0.5)
+                        TangentState(0, 0.1, 0.2, 30.0, 40.0))
 
 
-def test_coarse_step_return_names_the_step():
+def test_coarse_step_return_names_the_step(monkeypatch):
     """On the cosine field (amplitude 2 pi, s = 1.8, seeded 12 % outside
-    the curvature radius) RK4 at dt = 0.02 stays bounded and reaches the
-    section v = 0.5 where dt = 0.01 does, but off the energy level by more
-    than RETURN_ENERGY_RTOL: the error names the step as maybe too coarse
-    for that tolerance, not only a blow-up."""
+    the curvature radius) order-8 steps of MACRO_STEP = 0.2 stay bounded
+    and reach the section v = 0.5 where the default steps do, but off the
+    energy level by more than RETURN_ENERGY_RTOL: the error names the step
+    as maybe too coarse for that tolerance, not only a blow-up."""
     amp, s = 2.0 * math.pi, 1.8
     system = MagneticSystem(FlatTorus(), CosineField(amp))
     seed = state_at_energy(
         system, TangentState(0, 1.12 / (s * amp), 0.5, 0.0, 1.0),
         energy_of_s(s))
     section = Section(coord=1, value=0.5, wrap=1.0)
-    _, t_fine = poincare_return(system, section, seed, dt=0.01)
-    with pytest.raises(DomainError, match=r"step 0\.02 may be too coarse "
+    _, t_fine = poincare_return(system, section, seed)
+    monkeypatch.setattr(flow, "CELL_STEP", math.inf)
+    monkeypatch.setattr(flow, "MACRO_STEP", 0.2)
+    with pytest.raises(DomainError, match=r"step 0\.2 may be too coarse "
                        "for RETURN_ENERGY_RTOL") as err:
-        poincare_return(system, section, seed, dt=0.02)
+        poincare_return(system, section, seed)
     t_coarse = float(re.search(r"t = (\S+) ", str(err.value)).group(1))
     assert abs(t_coarse - t_fine) < 1e-3
 
@@ -851,7 +846,7 @@ def test_lattice_field_needs_a_surface_lattice(field):
 def test_return_on_wrapped_section_records_integrate_steps():
     """A return to a section of a torus coordinate, taken across the
     period seam (v from 0.7 up to 1.5, i.e. 0.5 mod 1), records state0
-    and every dt step: exactly integrate's samples at record_every 1."""
+    and every step: exactly the states of the loop's order-8 steps."""
     system = MagneticSystem(FlatTorus(), CosineField(2.0 * math.pi))
     st0 = state_at_energy(system, TangentState(0, 0.1, 0.7, 0.3, 1.0), 0.5)
     record = StepRecord()
@@ -859,11 +854,10 @@ def test_return_on_wrapped_section_records_integrate_steps():
                               st0, record=record)
     assert 1.4 < hit.v < 1.6 and abs(hit.v - 1.5) < 1e-12
     n = len(record.values) // 5
-    got = record.trajectory(range(n), 1e-3)
-    ref = integrate(system, st0, (n - 1) * 1e-3, record_every=1)
-    assert len(ref.t) == n and n > 500
-    for name in ("t", "chart", "q", "dq"):
-        assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+    ref = list(dataclasses.astuple(st0))
+    _make_loop(system)(*ref, record.step, n - 1, ref.extend, -math.inf,
+                       macro=True)
+    assert n > 50 and record.values == ref
 
 
 @pytest.mark.parametrize("case", ["plunge", "cosine"])
@@ -901,24 +895,24 @@ def test_sampling_keeps_every_record_every_th_step(case):
 
 
 def test_return_stops_at_the_floor_where_integrate_truncates():
-    """The plunging geodesic of test_hyperbolic_truncation_flag has no
-    return: the loop stops at the step that falls below the floor, which
-    is the step integrate flags truncated, and that step ends the
-    record."""
+    """The plunging geodesic of test_hyperbolic_truncation_flag, which
+    integrate flags truncated, has no return: the loop stops at the
+    order-8 step that falls below the floor, and that step ends the
+    record, as it ends the loop's own run of those steps."""
     system = MagneticSystem(HyperbolicPlane(genus=2), ConstantField(0.0))
     k = energy_of_s(0.05)
     st = state_at_energy(system, TangentState(0, 0.0, 1e-9, 0.0, -1.0), k)
-    traj = integrate(system, st, 10.0, dt=1e-3)
-    assert traj.truncated
+    assert integrate(system, st, 10.0, dt=1e-3).truncated
     record = StepRecord()
     with pytest.raises(NoReturnError, match="below the chart floor"):
         poincare_return(system, Section(coord=0, value=1.0), st,
                         max_time=10.0, record=record)
-    got = record.trajectory(range(len(record.values) // 5), 1e-3)
-    assert len(got.t) == len(traj.t)
-    for name in ("t", "chart", "q", "dq"):
-        assert np.array_equal(getattr(got, name), getattr(traj, name),
-                              equal_nan=True), name
+    ref = list(dataclasses.astuple(st))
+    floor = system.surface.floor
+    n, last, _ = _make_loop(system)(*ref, record.step, 10 ** 6, ref.extend,
+                                    floor, macro=True)
+    assert not last[2] >= floor and 1 < n < 10 ** 6
+    assert np.array_equal(record.values, ref, equal_nan=True)
 
 
 @pytest.mark.parametrize("entry,args,name", [
@@ -927,7 +921,7 @@ def test_return_stops_at_the_floor_where_integrate_truncates():
     ("integrate", {"t_end": -5.0}, "t_end"),
     ("integrate", {"t_end": math.nan}, "t_end"),
     ("integrate", {"record_every": 0}, "record_every"),
-    ("return", {"dt": -1e-3}, "dt"),
+    ("return", {"max_time": 0.0}, "max_time"),
     ("return", {"max_time": math.inf}, "max_time"),
 ])
 def test_step_arguments_are_checked_at_entry(entry, args, name):

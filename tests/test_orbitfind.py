@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from magsurf import orbits, regions
 from magsurf.cli import main
 from magsurf.errors import (DegenerateInputError, NoConvergenceError,
-                            NoGlobalPrimitiveError, NoReturnError,
-                            UnsupportedError)
+                            NoGlobalPrimitiveError, NoReturnError)
 from magsurf.fields import (CallableField, ConstantField, CosineField,
                             MagneticSystem, TorusField, energy_of_s,
                             local_primitive)
@@ -230,21 +229,20 @@ def test_shoot_reports_stalled_line_search(monkeypatch):
     """When all 20 halvings of the line search fail (here every candidate
     return, looked for within twice the last return time, finds no
     crossing), the shoot raises NoConvergenceError naming the stall
-    instead of handing back an unrefined orbit.  Newton runs on the
-    order-8 map: the seed's return, two finite-difference returns and 20
-    candidates, all macro."""
-    real, macros = orbits.poincare_return, []
+    instead of handing back an unrefined orbit: after the seed's return,
+    two finite-difference returns and 20 candidates."""
+    real, asked = orbits.poincare_return, []
 
-    def no_candidate_returns(*args, macro=False, max_time, **kwargs):
-        macros.append(macro)
+    def no_candidate_returns(*args, max_time, **kwargs):
+        asked.append(max_time)
         if max_time < 200.0:
             raise NoReturnError("no return")
-        return real(*args, macro=macro, max_time=max_time, **kwargs)
+        return real(*args, max_time=max_time, **kwargs)
 
     monkeypatch.setattr(orbits, "poincare_return", no_candidate_returns)
     with pytest.raises(NoConvergenceError, match="line search stalled"):
         shoot_periodic(*_cosine_seed())
-    assert macros == [True] * (1 + 2 + 20)
+    assert len(asked) == 1 + 2 + 20
 
 
 def test_shoot_reports_residual_after_max_iter(monkeypatch):
@@ -275,16 +273,16 @@ def test_sphere_shoot_at_coarse_dt_meets_oracle():
 
 
 def _count_returns(monkeypatch):
-    """The macro flag of every Poincare return the shoot asks for, in
-    turn: True for order 8, False for RK4 at dt."""
-    real, macros = orbits.poincare_return, []
+    """A list that the shoot's Poincare returns extend by their start
+    states, one per return, in turn."""
+    real, starts = orbits.poincare_return, []
 
-    def counted(*args, macro=False, **kwargs):
-        macros.append(macro)
-        return real(*args, macro=macro, **kwargs)
+    def counted(system, section, state0, **kwargs):
+        starts.append(state0)
+        return real(system, section, state0, **kwargs)
 
     monkeypatch.setattr(orbits, "poincare_return", counted)
-    return macros
+    return starts
 
 
 def _cosine_template(sign, s, off):
@@ -301,23 +299,24 @@ def test_constant_field_shoot_is_one_order8_return(monkeypatch):
     """A seed on a constant-field circle is periodic as it stands: the
     shoot is its order-8 return and nothing else, and its trajectory
     comes from that return's steps."""
-    macros = _count_returns(monkeypatch)
+    starts = _count_returns(monkeypatch)
     orbit = shoot_periodic(_torus_system(), energy_of_s(2.0),
                            TangentState(0, 0.1, 0.2, 0.0, 1.0))
-    assert macros == [True]
+    assert starts == [orbit.seed]
     assert len(orbit.trajectory.t) == round(orbit.period / 1e-3) + 1
 
 
 @pytest.mark.parametrize("sign,s,off", [(1, 1.8, 0.12), (-1, 2.2, -0.08)])
 def test_cosine_shoot_newton_runs_on_order8_map(monkeypatch, sign, s, off):
     """perfbench's two cosine templates at their tol 1e-9: Newton on the
-    order-8 map from the seed, and no RK4 return at all; the recorded
-    orbit, by dense output from the accepted return's steps, has
-    curvature s f to 1e-7 (perfbench checks 1e-6)."""
-    macros = _count_returns(monkeypatch)
+    order-8 map from the seed, at least one step of it (the seed's return,
+    two finite-difference returns, a candidate), ending at the accepted
+    return's start; the recorded orbit, by dense output from that
+    return's steps, has curvature s f to 1e-7 (perfbench checks 1e-6)."""
+    starts = _count_returns(monkeypatch)
     system, k, seed = _cosine_template(sign, s, off)
     orbit = shoot_periodic(system, k, seed, tol=1e-9)
-    assert set(macros) == {True} and len(macros) >= 4
+    assert len(starts) >= 4 and orbit.seed in starts[3:]
     assert orbit.residual <= 1e-9
     assert orbit_curvature_residual(system, orbit) <= 1e-7
 
@@ -333,7 +332,7 @@ def test_cosine_shoot_reports_order8_residual(s, off, inside, sign):
     system, k, seed = _cosine_template(sign, s, -off if inside else off)
     orbit = shoot_periodic(system, k, seed)
     assert orbit.residual <= SHOOT_TOL
-    hit, t = poincare_return(system, orbit.section, orbit.seed, macro=True)
+    hit, t = poincare_return(system, orbit.section, orbit.seed)
     x, out = (orbits._reduced(orbit.section, state)
               for state in (orbit.seed, hit))
     res = math.hypot(out[0] - x[0], orbits._wrap_angle(out[1] - x[1]))
@@ -350,43 +349,60 @@ def test_cosine_shoot_reports_order8_residual(s, off, inside, sign):
 @settings(max_examples=8, deadline=None)
 def test_untraced_shoot_matches_oracle_and_rk4(kind, surface, kappa_lo, s, f,
                                                sign, off):
-    """Without a trajectory the shoot is the same order-8 Newton: at a
-    constant field with a contractible circle (kappa = s |f| raised to
-    kappa_lo where it is below), its period is within 1e-11 of the
-    oracle's and of the RK4 return at dt from its seed, it equals the
-    recorded shoot's bit for bit, and the orbit has no trajectory to
-    read."""
+    """The shoot makes no trajectory until one is read: at a constant field
+    with a contractible circle (kappa = s |f| raised to kappa_lo where it
+    is below), its period is within 1e-11 of the oracle's, and the
+    trajectory, made on the first read, is RK4's from the orbit's seed at
+    dt: the same times and charts, q to 1e-10 and q' to 1e-9."""
     f = sign * max(s * f, kappa_lo) / s
     oracle = homogeneous_oracle(kind, s, f)
     system = MagneticSystem(surface, ConstantField(f))
     seed = _off_circle_seed(kind, (1.0 + off) * oracle.radius, f)
-    orbit = shoot_periodic(system, energy_of_s(s), seed, trajectory=False)
+    orbit = shoot_periodic(system, energy_of_s(s), seed)
     assert abs(orbit.period - oracle.period) < 1e-11
-    rk4 = poincare_return(system, orbit.section, orbit.seed)[1]
-    assert abs(orbit.period - rk4) < 1e-11
-    assert orbit.period == _shoot(system, s, seed)[0].period
     assert orbit.residual <= SHOOT_TOL
-    with pytest.raises(UnsupportedError, match="trajectory=False"):
-        orbit.trajectory
+    assert callable(orbit.recorded)
+    traj = orbit.trajectory
+    ref = integrate(system, orbit.seed, orbit.period, traj.dt)
+    assert np.array_equal(traj.t, ref.t)
+    assert np.array_equal(traj.chart, ref.chart)
+    assert np.abs(traj.q - ref.q).max() <= 1e-10
+    assert np.abs(traj.dq - ref.dq).max() <= 1e-9
 
 
-@pytest.mark.parametrize("trajectory", [True, False])
-def test_wrapped_section_winding_on_both_paths(monkeypatch, trajectory):
+@pytest.mark.parametrize("kind,surface", [
+    ("sphere", RoundSphere()), ("flat_torus", FlatTorus()),
+    ("hyperbolic", HyperbolicPlane(genus=2))])
+@given(s=st.floats(0.02, 0.3), f=st.floats(0.5, 2.0),
+       kappa=st.floats(1.2, 4.0), sign=st.sampled_from([1, -1]),
+       heading=st.floats(0.0, 2.0 * math.pi))
+@settings(max_examples=8, deadline=None)
+def test_fast_shoot_meets_oracle(kind, surface, s, f, kappa, sign, heading):
+    """At speeds 1 / s from 3.3 to 50, where steps of MACRO_STEP would
+    cross too much of the sphere or the half-plane for the energy gate,
+    a return's steps span CELL_STEP of the surface's scale: a constant-
+    field shoot from the chart origin (i on the half-plane, where
+    f = kappa / s gives a circle) at any heading finds the oracle's
+    period to 1e-11."""
+    f = sign * (kappa / s if kind == "hyperbolic" else f)
+    seed = TangentState(0, 0.0, 1.0 if kind == "hyperbolic" else 0.0,
+                        math.cos(heading), math.sin(heading))
+    orbit, _ = _shoot(MagneticSystem(surface, ConstantField(f)), s, seed)
+    assert abs(orbit.period - homogeneous_oracle(kind, s, f).period) < 1e-11
+
+
+def test_wrapped_section_winding():
     """The cosine field's vertical orbit at x = 1/4, where f = 0, shot
     through the section v = 1/2 wrapped at the lattice period, closes
-    after one lattice translation in v on either path, and either runs
-    order-8 returns only."""
+    after one lattice translation in v."""
     from magsurf.flow import Section
     system, _ = _cosine_system()
-    macros = _count_returns(monkeypatch)
     orbit = shoot_periodic(system, energy_of_s(1.0),
                            TangentState(0, 0.25, 0.5, 0.0, 1.0),
-                           section=Section(coord=1, value=0.5, wrap=1.0),
-                           trajectory=trajectory)
+                           section=Section(coord=1, value=0.5, wrap=1.0))
     assert orbit.winding == (0, 1)
     assert not orbit.contractible
     assert abs(orbit.period - 1.0) < 1e-9
-    assert set(macros) == {True}
 
 
 @pytest.mark.xfail(strict=True, raises=NoReturnError,
