@@ -234,18 +234,32 @@ def _circle_cases():
 @pytest.mark.parametrize("surface,s,point,section,time", _circle_cases(),
                          ids=["flat_torus", "sphere", "genus2",
                               "flat_torus_wrapped"])
-def test_poincare_return_lands_on_section(surface, s, point, section, time,
-                                          monkeypatch):
-    """The cut-short step puts the hit on the section itself, to 1e-14,
-    and the return time of the order-8 steps is the closed-form one to
-    1e-12; with MACRO_STEP alone setting the step, the time's error falls
-    at least 100-fold (2^8 = 256 for order 8) as it halves from 0.2 to
-    0.1."""
+def test_poincare_return_lands_on_section(surface, s, point, section, time):
+    """The cut-short step puts the hit on the section itself, and the
+    return time is the closed-form one to the integrator's accuracy."""
     system = MagneticSystem(surface, ConstantField(1.0))
     st = state_at_energy(system, TangentState(0, *point, 0.0, 1.0),
                          energy_of_s(s))
     hit, rt = poincare_return(system, section, st)
     assert abs(section.signed_residual(dataclasses.astuple(hit))) <= 1e-14
+    assert abs(rt - time) <= 1e-12
+
+
+@pytest.mark.parametrize("surface,s,point,section,time", _circle_cases(),
+                         ids=["flat_torus", "sphere", "genus2",
+                              "flat_torus_wrapped"])
+def test_order8_return_on_oracle_circles(surface, s, point, section, time,
+                                         monkeypatch):
+    """The return's Gragg-Bulirsch-Stoer steps are of order 8: its return
+    time is the closed-form one to 1e-12 and its hit lies on the section
+    to 1e-13; with MACRO_STEP alone setting the step, the time's error
+    falls at least 100-fold (2^8 = 256 for order 8) as the step halves
+    from 0.2 to 0.1."""
+    system = MagneticSystem(surface, ConstantField(1.0))
+    st = state_at_energy(system, TangentState(0, *point, 0.0, 1.0),
+                         energy_of_s(s))
+    hit, rt = poincare_return(system, section, st)
+    assert abs(section.signed_residual(dataclasses.astuple(hit))) <= 1e-13
     assert abs(rt - time) <= 1e-12
     errors = []
     monkeypatch.setattr(flow, "CELL_STEP", math.inf)
@@ -326,13 +340,17 @@ def test_dense_output_of_exact_circle_nodes(n):
         <= 1e-12
 
 
-def test_return_from_rest_is_rejected():
+@pytest.mark.parametrize("recorded", [False, True])
+def test_return_from_rest_is_rejected(recorded):
     """A state at rest never returns; its return is DegenerateInputError
-    before any step."""
+    before any step, and a record passed along stays empty."""
     system, st0 = _systems()[0][1:]
+    record = StepRecord() if recorded else None
     with pytest.raises(DegenerateInputError, match="^a state at rest"):
         poincare_return(system, Section(coord=0, value=0.37, wrap=1.0),
-                        dataclasses.replace(st0, du=0.0, dv=0.0))
+                        dataclasses.replace(st0, du=0.0, dv=0.0),
+                        record=record)
+    assert not recorded or record.values == []
 
 
 def test_poincare_return_past_sphere_switch_keeps_chart():

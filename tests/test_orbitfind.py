@@ -391,10 +391,12 @@ def test_fast_shoot_meets_oracle(kind, surface, s, f, kappa, sign, heading):
     assert abs(orbit.period - homogeneous_oracle(kind, s, f).period) < 1e-11
 
 
-def test_wrapped_section_winding():
+@pytest.mark.parametrize("trajectory", [False, True])
+def test_wrapped_section_winding_on_both_paths(trajectory):
     """The cosine field's vertical orbit at x = 1/4, where f = 0, shot
     through the section v = 1/2 wrapped at the lattice period, closes
-    after one lattice translation in v."""
+    after one lattice translation in v, whether or not its trajectory is
+    read; read, the trajectory runs from the seed up that translation."""
     from magsurf.flow import Section
     system, _ = _cosine_system()
     orbit = shoot_periodic(system, energy_of_s(1.0),
@@ -403,6 +405,10 @@ def test_wrapped_section_winding():
     assert orbit.winding == (0, 1)
     assert not orbit.contractible
     assert abs(orbit.period - 1.0) < 1e-9
+    assert callable(orbit.recorded)
+    if trajectory:
+        q = orbit.trajectory.q
+        assert np.abs(q[-1] - q[0] - (0.0, 1.0)).max() < 1e-9
 
 
 @pytest.mark.xfail(strict=True, raises=NoReturnError,
