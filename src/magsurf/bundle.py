@@ -237,7 +237,7 @@ def homogeneous_candidate(system):
     fiber form on the flat torus.
     """
     curvature = system.surface.constant_curvature
-    if not isinstance(system.field, ConstantField):
+    if system.field.value is None:
         raise UnsupportedError("homogeneous candidates need a constant field")
     if curvature is None:
         raise UnsupportedError("no closed-form candidate for this surface")

@@ -309,7 +309,7 @@ def cmd_orbit_descend(cfg, system, outdir):
 
 
 def _constant_value(system):
-    if not isinstance(system.field, ConstantField):
+    if system.field.value is None:
         raise ConfigError("closed-form orbits need a constant field")
     return system.field.value
 

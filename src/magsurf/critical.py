@@ -10,8 +10,7 @@ import math
 import numpy as np
 
 from .errors import UnsupportedError
-from .fields import (ConstantField, FourierOneForm, flux_total,
-                     periodic_poisson)
+from .fields import FourierOneForm, flux_total, periodic_poisson
 
 
 def c_h_value(system):
@@ -28,7 +27,7 @@ def homogeneous_mane_value(system):
     """Closed-form critical value f^2 / 2 of a constant field f on K = -1;
     on a genus-g quotient it equals c_h_value."""
     if not (system.surface.constant_curvature == -1
-            and isinstance(system.field, ConstantField)):
+            and system.field.value is not None):
         raise UnsupportedError("closed-form value available for constant "
                                "fields on the hyperbolic surface only")
     return 0.5 * system.field.value ** 2

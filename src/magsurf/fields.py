@@ -19,11 +19,13 @@ class MagneticField:
 
     Each concrete field sets step_line, its one scalar copy of eval: a
     line of Python setting f at the float point x, y of chart for the RK4
-    step's stages, with step_names, the values it reads.  lattice is the
-    periods (lx, ly) a lattice-periodic field repeats with, else None;
-    scale, the length over which its data change, is a spline's cell
-    (smooth: inf) and bounds a return's step (flow.CELL_STEP)."""
+    step's stages, with step_names, the values it reads.  value is the
+    density where it is one number, else None; lattice is the periods
+    (lx, ly) a lattice-periodic field repeats with, else None; scale, the
+    length over which its data change, is a spline's cell (smooth: inf)
+    and bounds a return's step (flow.CELL_STEP)."""
 
+    value = None
     lattice = None
     scale = math.inf
 
@@ -135,7 +137,7 @@ def flux_total(system):
     """
     surf = system.surface
     if surf.constant_curvature == -1:
-        if isinstance(system.field, ConstantField):
+        if system.field.value is not None:
             return system.field.value * surf.area()
         raise UnsupportedError(
             "hyperbolic quotient flux is available for constant fields only")
@@ -355,7 +357,7 @@ def _build_primitive(system):
     surf = system.surface
     fld = system.field
     prim = None
-    if isinstance(fld, ConstantField):
+    if fld.value is not None:
         c = fld.value
         if c == 0.0:       # the zero form, periodic on any lattice
             return FourierOneForm(*np.zeros((4, 0)))

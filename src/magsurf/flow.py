@@ -11,15 +11,17 @@ scalar point formula) and _accel's formula, runs RK4 steps of dt
 (integrate) or order-8 Gragg-Bulirsch-Stoer steps (poincare_return), each
 ended by the surface's chart_line (the sphere's chart switch).  A return's
 step is MACRO_STEP, or CELL_STEP of the time the state takes to cross the
-surface's or field's scale if that is shorter.  The loop hands each state
-to a list's extend when given one and stops at the floor or at a section's
-directed crossing, where one pass of the loop without the chart line, cut
-short, lands on the section.  A shot orbit's trajectory is the dense output
-of its return's steps (StepRecord.dense), and dt only spaces the samples.
+surface's or field's scale if that is shorter.  The loop runs on a
+TangentState, the plain tuple (chart, u, v, du, dv), hands each state to a
+list's extend when given one, and reads the surface's floor and a
+Section's crossing itself, where one pass of it without the chart line,
+cut short, lands on the section.  A shot orbit's trajectory is the dense
+output of its return's steps (StepRecord.dense); dt only spaces samples.
 """
 from __future__ import annotations
 
 import ast
+import collections
 import dataclasses
 import functools
 import math
@@ -44,20 +46,18 @@ MACRO_STEP = 0.02
 CELL_STEP = 0.04
 
 
-@dataclasses.dataclass(frozen=True)
-class TangentState:
-    chart: int
-    u: float
-    v: float
-    du: float
-    dv: float
+class TangentState(collections.namedtuple("TangentState",
+                                          "chart u v du dv")):
+    """A chart and a point and velocity in it: the tuple (chart, u, v, du,
+    dv) the compiled loop runs on, taken by it and by Section as it is."""
 
-    def __post_init__(self):
-        # plain Python numbers: with a numpy scalar here every RK4 step
-        # started from this state would run on numpy scalar arithmetic
-        object.__setattr__(self, "chart", int(self.chart))
-        for name in ("u", "v", "du", "dv"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+    __slots__ = ()
+
+    def __new__(cls, chart, u, v, du, dv):
+        # plain Python numbers: with a numpy scalar here every step the
+        # loop takes from this state would run on numpy scalar arithmetic
+        return super().__new__(cls, int(chart), float(u), float(v),
+                               float(du), float(dv))
 
 
 @dataclasses.dataclass
@@ -96,16 +96,21 @@ def make_rhs(system):
 # of m^2 / (m^2 - m'^2)); the first stage, at the start, serves both.  The
 # update gives the state x, y, p, q, and the surface's chart_line may then move
 # it to another chart.  ext, when given, receives the states of steps every, 2
-# every, ...  The loop stops early at the floor (the state that fell) or at the
-# directed crossing of the section {coord = sval} in chart schart (the state
-# before it, and the residuals prev, cur on either side): the test of
-# poincare_return, with prev and armed from the start state.  With schart None
-# no chart is the section's, so with n = 1 and no chart line it is the single
-# step a crossing is cut with.
+# every, ...  The loop stops early at the surface's floor, bound by name (the
+# state that fell), or at the section's directed crossing in its chart (the
+# state before it, and the residuals prev, cur on either side), armed once a
+# state, the start or a later one, is more than 1e-9 off the section; on a
+# wrapped coordinate a jump of a quarter period is the seam, not a crossing.
+# With no section, n = 1 and no chart line it is the step a crossing is cut
+# with.
 _LOOP = """\
-def run(chart, u, v, du, dv, h, n, ext, floor, every=1, schart=None,
-        coord=0, sval=0.0, sdir=1, wrap=None, guard=0.0, prev=0.0,
-        armed=False, macro=False):
+def run(chart, u, v, du, dv, h, n, ext, every=1, section=None, macro=False):
+    schart = None
+    if section is not None:
+        schart, coord, sval = section.chart, section.coord, section.value
+        sdir, wrap = section.direction, section.wrap
+        prev = section.signed_residual((chart, u, v, du, dv))
+        armed = abs(prev) > 1e-9
     hh, s, rec = 0.5 * h, h / 6.0, every
     for k in range(1, n + 1):
         c0 = chart
@@ -158,7 +163,7 @@ def run(chart, u, v, du, dv, h, n, ext, floor, every=1, schart=None,
             if not armed:
                 armed = abs(cur) > 1e-9
             elif (c0 == schart and prev < 0.0 <= cur
-                  and abs(cur - prev) < guard
+                  and (not wrap or abs(cur - prev) < 0.25 * wrap)
                   and (q if coord else p) * sdir > 0.0):
                 return k, (c0, u, v, du, dv), (prev, cur)
             prev = cur
@@ -226,26 +231,28 @@ def _code(metric, field, chart, bound):
 
 
 def _make_loop(system, chart_rule=True):
-    """_LOOP on plain floats, run(chart, u, v, du, dv, h, n, ext, floor,
-    every, *section) -> (steps taken, state, (prev, cur) at a crossing or
-    None), written from the system's lines with their values bound by
-    name, never written into the text; its steps end in the surface's
-    chart_line unless chart_rule is False.  A surface or field without a
-    step_line, or a name both of them bind, fails here."""
+    """_LOOP on plain floats, run(chart, u, v, du, dv, h, n, ext, every,
+    section, macro) -> (steps taken, state, (prev, cur) at a crossing or
+    None), written from the system's lines with their values, and the
+    surface's floor, bound by name, never written into the text; its steps
+    end in the surface's chart_line unless chart_rule is False.  A surface
+    or field without a step_line, or a name both of them bind, fails here."""
     surface, field = system.surface, system.field
     lines = (surface.step_line, field.step_line,
              chart_rule and surface.chart_line or None)
     if shared := surface.step_names.keys() & field.step_names.keys():
         raise UnsupportedError(f"surface and field both bind {sorted(shared)}")
     namespace = {**surface.step_names, **field.step_names}
-    exec(_code(*lines, tuple(namespace)), namespace)
+    code = _code(*lines, tuple(namespace))
+    namespace["floor"] = surface.floor
+    exec(code, namespace)
     return namespace["run"]
 
 
 def _require_inputs(state, every=1, **args):
     """A finite state, dt, t_end and max_time finite and positive and every
     (record_every) an integer >= 1, or a DegenerateInputError naming it."""
-    if not all(map(math.isfinite, (state.u, state.v, state.du, state.dv))):
+    if not all(map(math.isfinite, state[1:])):
         raise DegenerateInputError(f"non-finite state {state}")
     for name, x in args.items():
         if not 0.0 < x < math.inf:
@@ -262,20 +269,19 @@ def _check_blowup(u, v, du, dv, t):
 
 def energy_of(system, state):
     """Kinetic energy (1/2) |q'|_g^2."""
-    rho = system.surface.conformal(state.chart, state.u, state.v)[0]
+    rho = system.surface.conformal(*state[:3])[0]
     return 0.5 * math.exp(2.0 * float(rho)) * (state.du ** 2 + state.dv ** 2)
 
 
 def state_at_energy(system, state, k):
     """Rescale the velocity so the state sits on the energy level k."""
     _require_inputs(state)
-    system.surface.check_domain(state.chart, state.u, state.v)
+    system.surface.check_domain(*state[:3])
     e = energy_of(system, state)
     if e <= 0.0:
         raise DegenerateInputError("cannot rescale a zero velocity")
     fac = math.sqrt(k / e)
-    return TangentState(state.chart, state.u, state.v,
-                        state.du * fac, state.dv * fac)
+    return TangentState(*state[:3], state.du * fac, state.dv * fac)
 
 
 def _step_count(t_end, dt):
@@ -293,14 +299,11 @@ def integrate(system, state0, t_end, dt=DEFAULT_DT, record_every=1):
     that fell below the floor is the last sample.
     """
     _require_inputs(state0, record_every, t_end=t_end, dt=dt)
-    run = _make_loop(system)
-    floor = system.surface.floor
-    st = (state0.chart, state0.u, state0.v, state0.du, state0.dv)
-    system.surface.check_domain(*st[:3])
-    values = list(st)
-    i, st, _ = run(*st, dt, _step_count(t_end, dt), values.extend, floor,
-                   record_every)
-    truncated = not st[2] >= floor      # below the floor, or NaN
+    system.surface.check_domain(*state0[:3])
+    values = list(state0)
+    i, st, _ = _make_loop(system)(*state0, dt, _step_count(t_end, dt),
+                                  values.extend, record_every)
+    truncated = not st[2] >= system.surface.floor   # below it, or NaN
     kept = list(range(0, i + 1, record_every))
     if truncated and i % record_every:
         values.extend(st)
@@ -362,9 +365,9 @@ def trajectory_curvature(system, traj):
 
 @dataclasses.dataclass(frozen=True)
 class Section:
-    """Directed coordinate hyperplane {coord = value, sign(d coord) = dir}.
-
-    Its methods take a state as the plain tuple (chart, u, v, du, dv).
+    """Directed coordinate hyperplane {coord = value, sign(d coord) = dir}
+    in one chart, which the loop reads by field name.  Its methods take a
+    state, a TangentState or any tuple (chart, u, v, du, dv), as it is.
     """
 
     coord: int            # 0 for u, 1 for v
@@ -429,8 +432,8 @@ class StepRecord:
                           dq=val[:, 2:] / h, dt=dt)
         run = _make_loop(system)
         for j in np.nonzero(chart[i + 1] != chart[i])[0]:
-            c, *x = run(traj.chart[j], *traj.q[j], *traj.dq[j], 0.0, 1, None,
-                        system.surface.floor)[1]
+            c, *x = run(traj.chart[j], *traj.q[j], *traj.dq[j], 0.0, 1,
+                        None)[1]
             traj.chart[j], traj.q[j], traj.dq[j] = c, x[:2], x[2:]
         return traj
 
@@ -438,20 +441,21 @@ class StepRecord:
 def poincare_return(system, section, state0, max_time=200.0, record=None):
     """First directed return to the section.
 
-    Returns (state, return_time).  The loop runs order-8 steps of MACRO_STEP,
-    or of CELL_STEP of the time the state takes to cross the surface's or
-    field's scale if that is shorter, until the state falls below the floor
-    or steps over the section.  The hit is one pass of the loop, without the
+    Returns (state, return_time).  The loop runs order-8 steps of
+    MACRO_STEP, or of CELL_STEP of the time the state takes to cross the
+    surface's or field's scale if that is shorter, until the state falls
+    below the floor or steps over the section (the loop's own tests, from
+    the start state on).  The hit is one pass of the loop, without the
     chart line (so it stays in the section's chart), from the state before
     the crossing, its step cut to the length h that lands on the section:
     the linear guess and two Newton updates, each dividing the section
     residual by the coordinate's velocity.  NoReturnError says why when
     there is no return within max_time or the state falls below the floor,
     and DomainError when the run goes non-finite or the hit's energy is off
-    the start's by more than RETURN_ENERGY_RTOL; a state at rest is
-    DegenerateInputError.  A StepRecord passed as record receives state0
-    and every full step, the one over the crossing too, and their length as
-    its step.
+    the start's by more than RETURN_ENERGY_RTOL, naming a time in the step
+    that crossed; a state at rest is DegenerateInputError.  A StepRecord
+    passed as record receives state0 and every full step, the one over the
+    crossing too, and their length as its step.
     """
     _require_inputs(state0, max_time=max_time)
     e0 = energy_of(system, state0)
@@ -459,23 +463,15 @@ def poincare_return(system, section, state0, max_time=200.0, record=None):
         raise DegenerateInputError("a state at rest has no return")
     scale = min(system.surface.scale, system.field.scale)
     step = min(MACRO_STEP, CELL_STEP * scale / math.sqrt(2.0 * e0))
-    run = _make_loop(system)
-    floor = system.surface.floor
-    st = (state0.chart, state0.u, state0.v, state0.du, state0.dv)
     if record is not None:
-        record.values.extend(st)
+        record.values.extend(state0)
         record.step = step
-    prev = section.signed_residual(st)
-    wrap = section.wrap
-    n_steps = int(math.ceil(max_time / step))
-    i, st, crossing = run(
-        *st, step, n_steps, record and record.values.extend, floor, 1,
-        section.chart, section.coord, section.value, section.direction,
-        wrap, 0.25 * (wrap if wrap else math.inf), prev, abs(prev) > 1e-9,
-        macro=True)
+    i, st, crossing = _make_loop(system)(
+        *state0, step, int(math.ceil(max_time / step)),
+        record and record.values.extend, 1, section, macro=True)
     if crossing is None:
         _check_blowup(*st[1:], i * step)
-        if not st[2] >= floor:
+        if not st[2] >= system.surface.floor:
             raise NoReturnError("trajectory fell below the chart floor")
         raise NoReturnError(f"no directed return within time {max_time}")
     cut = _make_loop(system, chart_rule=False)
@@ -483,13 +479,14 @@ def poincare_return(system, section, state0, max_time=200.0, record=None):
     prev, cur = crossing
     h = step * prev / (prev - cur)
     for _ in range(2):
-        hit = cut(*st, h, 1, None, floor, macro=True)[1]
+        hit = cut(*st, h, 1, None, macro=True)[1]
         h -= section.signed_residual(hit) / (sdir * hit[ci + 2])
-    hit = cut(*st, h, 1, None, floor, macro=True)[1]
+    hit = cut(*st, h, 1, None, macro=True)[1]
     t = (i - 1) * step + h
     _check_blowup(*hit[1:], t)
     hit = TangentState(*hit)
     if abs(energy_of(system, hit) - e0) > RETURN_ENERGY_RTOL * e0:
+        t = min(max(t, (i - 1) * step), i * step)   # in the step that crossed
         raise DomainError(f"return at t = {t:g} is off the energy level "
                           f"{e0:g}: step {step:g} may be too coarse for "
                           "RETURN_ENERGY_RTOL, or the run blew up")

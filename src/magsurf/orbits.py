@@ -288,7 +288,7 @@ def loop_mean_energy(system, loop):
     return loop_l2_energy(system, loop) / (2.0 * loop.period ** 2)
 
 
-def discrete_action(system, k, loop, primitive=None):
+def discrete_action(system, k, loop):
     """Discrete free-period action
 
         S = sum_i |dx_i|_g^2 / (2 h T) + k T - flux
@@ -298,8 +298,7 @@ def discrete_action(system, k, loop, primitive=None):
     a loop winding around the torus over a field with no periodic primitive
     raises NoGlobalPrimitiveError.
     """
-    if primitive is None:
-        primitive = local_primitive(system, loop.winding != (0, 0))
+    primitive = local_primitive(system, loop.winding != (0, 0))
     flux = primitive.line_integral(loop.chart,
                                    loop.padded(system.surface)[:, 1:].T)
     return (loop_l2_energy(system, loop) / (2.0 * loop.period)
@@ -400,7 +399,7 @@ def descend_to_critical(system, k, loop, params=None):
 
     if params is None:
         params = DescentParams()
-    primitive = local_primitive(system, loop.winding != (0, 0))
+    local_primitive(system, loop.winding != (0, 0))  # raises before the solve
 
     def at_t_star(x):
         """The gradient at the vertices x at their period T*, and T*."""
@@ -423,5 +422,5 @@ def descend_to_critical(system, k, loop, params=None):
     final = dataclasses.replace(loop, vertices=x.reshape(-1, 2), period=t)
     return DescentResult(loop=final, outcome=outcome,
                          grad_norm=float(np.linalg.norm(g)),
-                         action=discrete_action(system, k, final, primitive),
+                         action=discrete_action(system, k, final),
                          iterations=it)

@@ -1,7 +1,6 @@
 """Time integration, energy conservation and return maps."""
 import ast
 import configparser
-import dataclasses
 import math
 import re
 
@@ -241,7 +240,7 @@ def test_poincare_return_lands_on_section(surface, s, point, section, time):
     st = state_at_energy(system, TangentState(0, *point, 0.0, 1.0),
                          energy_of_s(s))
     hit, rt = poincare_return(system, section, st)
-    assert abs(section.signed_residual(dataclasses.astuple(hit))) <= 1e-14
+    assert abs(section.signed_residual(hit)) <= 1e-14
     assert abs(rt - time) <= 1e-12
 
 
@@ -259,7 +258,7 @@ def test_order8_return_on_oracle_circles(surface, s, point, section, time,
     st = state_at_energy(system, TangentState(0, *point, 0.0, 1.0),
                          energy_of_s(s))
     hit, rt = poincare_return(system, section, st)
-    assert abs(section.signed_residual(dataclasses.astuple(hit))) <= 1e-13
+    assert abs(section.signed_residual(hit)) <= 1e-13
     assert abs(rt - time) <= 1e-12
     errors = []
     monkeypatch.setattr(flow, "CELL_STEP", math.inf)
@@ -267,6 +266,46 @@ def test_order8_return_on_oracle_circles(surface, s, point, section, time,
         monkeypatch.setattr(flow, "MACRO_STEP", step)
         errors.append(abs(poincare_return(system, section, st)[1] - time))
     assert errors[1] * 100.0 <= errors[0]
+
+
+def test_return_from_just_off_the_section_is_a_full_period():
+    """A start 1e-12 before the section is within the loop's 1e-9 of it, so
+    the crossing test arms only once the state has left the section: the
+    return is the f = 2 circle's full period pi, not the step over the
+    section 1e-12 ahead."""
+    system = MagneticSystem(FlatTorus(), ConstantField(2.0))
+    st0 = TangentState(0, 0.3 - 1e-12, 0.5, 1.0, 0.0)
+    rt = poincare_return(system, Section(coord=0, value=0.3), st0)[1]
+    assert abs(rt - math.pi) < 1e-11
+
+
+def test_jump_over_the_wrapped_seam_is_no_crossing(monkeypatch):
+    """Order-8 steps of pi on the f = 1 circle of radius 0.03 about (0.2,
+    0.5) each take half a turn: from the start at angle pi - asin(2/3)
+    the residual to the wrapped section v = 0 jumps between -0.48 and
+    +0.48 across the antipode, once with the velocity at +v.  A jump of a
+    quarter period or more is the seam, not a crossing, so there is no
+    return."""
+    system = MagneticSystem(FlatTorus(), ConstantField(1.0))
+    monkeypatch.setattr(flow, "MACRO_STEP", math.pi)
+    monkeypatch.setattr(flow, "CELL_STEP", math.inf)
+    a, r = math.pi - math.asin(2.0 / 3.0), 0.03
+    st0 = TangentState(0, 0.2 + r * math.cos(a), 0.5 + r * math.sin(a),
+                       -r * math.sin(a), r * math.cos(a))
+    with pytest.raises(NoReturnError, match="no directed return"):
+        poincare_return(system, Section(coord=1, value=0.0, wrap=1.0), st0,
+                        max_time=20.0)
+
+
+def test_tangent_state_is_a_tuple_of_plain_numbers():
+    """TangentState makes an int and floats of numpy scalars: it is the
+    plain tuple, it hashes, and the loop run from it steps on floats."""
+    state = TangentState(np.int64(0), *np.array([0.1, 0.2, 1.0, 0.3]))
+    assert [type(x) for x in state] == [int, float, float, float, float]
+    assert state == (0, 0.1, 0.2, 1.0, 0.3)
+    assert hash(state) == hash((0, 0.1, 0.2, 1.0, 0.3))
+    got = _make_loop(_systems()[0][1])(*state, 1e-3, 1, None)[1]
+    assert [type(x) for x in got] == [int, float, float, float, float]
 
 
 def test_macro_return_records_its_steps():
@@ -281,9 +320,9 @@ def test_macro_return_records_its_steps():
     assert record.step == flow.MACRO_STEP
     assert (n - 2) * record.step < rt <= (n - 1) * record.step
     steps = []
-    _make_loop(system)(*dataclasses.astuple(st0), flow.MACRO_STEP, n - 1,
-                       steps.extend, -math.inf, macro=True)
-    assert record.values == [*dataclasses.astuple(st0), *steps]
+    _make_loop(system)(*st0, flow.MACRO_STEP, n - 1, steps.extend,
+                       macro=True)
+    assert record.values == [*st0, *steps]
 
 
 def _spline_grid():
@@ -348,7 +387,7 @@ def test_return_from_rest_is_rejected(recorded):
     record = StepRecord() if recorded else None
     with pytest.raises(DegenerateInputError, match="^a state at rest"):
         poincare_return(system, Section(coord=0, value=0.37, wrap=1.0),
-                        dataclasses.replace(st0, du=0.0, dv=0.0),
+                        TangentState(*st0[:3], 0.0, 0.0),
                         record=record)
     assert not recorded or record.values == []
 
@@ -416,7 +455,7 @@ def test_sphere_orbit_independent_of_start_chart(f, r, pos, ang):
     st0 = state_at_energy(system, TangentState(
         0, r * math.cos(pos), r * math.sin(pos), math.cos(ang),
         math.sin(ang)), 0.5)
-    st1 = TangentState(*sphere.switch_chart(*dataclasses.astuple(st0)))
+    st1 = TangentState(*sphere.switch_chart(*st0))
     assert st1.chart == 1
     a = integrate(system, st0, 3.0, record_every=100)
     b = integrate(system, st1, 3.0, record_every=100)
@@ -577,15 +616,20 @@ def test_blown_up_plunge_is_a_domain_error():
 def test_blown_up_but_finite_return_is_a_domain_error(monkeypatch):
     """Order-8 steps of MACRO_STEP = 0.3 on the strong cosine field stay
     finite but leave the energy level 1250: the third, at an energy near
-    1.8e23, steps over the section, and the return raises."""
+    1.8e23, steps over the section, v = 0.77 or, by the same step, 5.77,
+    and the return raises, naming a time inside that step, 0.6 to 0.9,
+    wherever the cut's Newton on the blown-up step went."""
     system = MagneticSystem(FlatTorus(), TorusField(
         lambda x, y: 50.0 * np.cos(2 * np.pi * x)))
-    section = Section(coord=1, value=0.77, direction=1, chart=0)
     monkeypatch.setattr(flow, "CELL_STEP", math.inf)
     monkeypatch.setattr(flow, "MACRO_STEP", 0.3)
-    with pytest.raises(DomainError, match="energy"):
-        poincare_return(system, section,
-                        TangentState(0, 0.1, 0.2, 30.0, 40.0))
+    for value in (0.77, 5.77):
+        section = Section(coord=1, value=value, direction=1, chart=0)
+        with pytest.raises(DomainError, match="energy") as err:
+            poincare_return(system, section,
+                            TangentState(0, 0.1, 0.2, 30.0, 40.0))
+        t = float(re.search(r"t = (\S+) ", str(err.value)).group(1))
+        assert 0.6 <= t <= 0.9, value
 
 
 def test_coarse_step_return_names_the_step(monkeypatch):
@@ -717,8 +761,8 @@ def test_step_is_rk4_over_make_rhs(system, vrange, chart, u, w, du, dv, h,
     if system.surface.n_charts == 1:
         chart = 0
     v = lo + w * (hi - lo)
-    k, got, crossing = _make_loop(system, not cut)(
-        chart, u, v, du, dv, h, 1, None, system.surface.floor)
+    k, got, crossing = _make_loop(system, not cut)(chart, u, v, du, dv, h,
+                                                   1, None)
     assert (k, crossing) == (1, None)
     want = _rk4_reference(system, chart, u, v, du, dv, h, cut)
     assert got[0] == want[0]
@@ -872,9 +916,8 @@ def test_return_on_wrapped_section_records_integrate_steps():
                               st0, record=record)
     assert 1.4 < hit.v < 1.6 and abs(hit.v - 1.5) < 1e-12
     n = len(record.values) // 5
-    ref = list(dataclasses.astuple(st0))
-    _make_loop(system)(*ref, record.step, n - 1, ref.extend, -math.inf,
-                       macro=True)
+    ref = list(st0)
+    _make_loop(system)(*ref, record.step, n - 1, ref.extend, macro=True)
     assert n > 50 and record.values == ref
 
 
@@ -925,11 +968,10 @@ def test_return_stops_at_the_floor_where_integrate_truncates():
     with pytest.raises(NoReturnError, match="below the chart floor"):
         poincare_return(system, Section(coord=0, value=1.0), st,
                         max_time=10.0, record=record)
-    ref = list(dataclasses.astuple(st))
-    floor = system.surface.floor
+    ref = list(st)
     n, last, _ = _make_loop(system)(*ref, record.step, 10 ** 6, ref.extend,
-                                    floor, macro=True)
-    assert not last[2] >= floor and 1 < n < 10 ** 6
+                                    macro=True)
+    assert not last[2] >= system.surface.floor and 1 < n < 10 ** 6
     assert np.array_equal(record.values, ref, equal_nan=True)
 
 
@@ -961,7 +1003,6 @@ def test_step_past_sphere_switch_is_rk4_over_make_rhs(chart):
     system = MagneticSystem(RoundSphere(), ConstantField(0.6))
     r = SPHERE_SWITCH_RADIUS - 1e-4
     state = (chart, 0.6 * r, 0.8 * r, 0.9, 1.1)
-    got = _make_loop(system)(*state, 1e-3, 1, None,
-                             system.surface.floor)[1]
+    got = _make_loop(system)(*state, 1e-3, 1, None)[1]
     assert got[0] == 1 - chart
     assert got == _rk4_reference(system, *state, 1e-3)

@@ -12,8 +12,7 @@ from magsurf.cli import main
 from magsurf.errors import (DegenerateInputError, NoConvergenceError,
                             NoGlobalPrimitiveError, NoReturnError)
 from magsurf.fields import (CallableField, ConstantField, CosineField,
-                            MagneticSystem, TorusField, energy_of_s,
-                            local_primitive)
+                            MagneticSystem, TorusField, energy_of_s)
 from magsurf.flow import (TangentState, integrate, poincare_return,
                           state_at_energy)
 from magsurf.orbits import (SHOOT_TOL, DescentParams, DiscreteLoop,
@@ -566,12 +565,11 @@ def test_fit_circle_exact():
 
 def _fd_gradient(system, k, loop, h=1e-6):
     """Central differences of discrete_action in every vertex coordinate
-    and in the period, with the primitive built once."""
-    prim = local_primitive(system, loop.winding != (0, 0))
+    and in the period, on the system's one primitive."""
 
     def action(verts, period):
         return discrete_action(system, k, dataclasses.replace(
-            loop, vertices=verts, period=period), prim)
+            loop, vertices=verts, period=period))
 
     flat = loop.vertices.ravel()
     fd = np.empty(flat.size + 1)

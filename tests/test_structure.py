@@ -1,12 +1,13 @@
 """Structure guards.
 
-Callers ask surfaces what they are instead of testing their class, and the
-stepping core runs on plain floats.
+Callers ask surfaces and fields what they are instead of testing their
+class, and the stepping core runs on plain floats.
 
 Outside ``surfaces.py`` and ``cli._build_surface`` no code may call
-``isinstance`` against a surface class or probe a surface for ``lx`` /
-``ly`` with ``hasattr`` / ``getattr``; surfaces expose ``lattice``,
-``constant_curvature``, ``floor`` and ``chart_line`` instead.  The c0
+``isinstance`` against a surface or field class or probe a surface for
+``lx`` / ``ly`` with ``hasattr`` / ``getattr``; surfaces expose
+``lattice``, ``constant_curvature``, ``floor`` and ``chart_line`` instead,
+and fields ``value``, ``lattice`` and ``scale``.  The c0
 bracket in ``critical.py`` and the splines in ``surfaces.py`` import
 nothing from scipy, and region flux in ``regions.py`` goes only through a
 primitive, never ``form_density``.  Primitives are chosen by
@@ -21,6 +22,8 @@ import re
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "magsurf"
 SURFACE_CLASSES = {"Surface", "FlatTorus", "RoundSphere", "HyperbolicPlane",
                    "ConformalTorus"}
+FIELD_CLASSES = {"MagneticField", "ConstantField", "CallableField",
+                 "TorusField", "CosineField"}
 ALLOWED = {
     ("cli.py", "_build_surface"): None,     # any number
 }
@@ -41,7 +44,8 @@ def _is_probe(call):
     if not isinstance(func, ast.Name) or len(call.args) < 2:
         return False
     if func.id == "isinstance":
-        return bool(SURFACE_CLASSES.intersection(_names(call.args[1])))
+        return bool((SURFACE_CLASSES | FIELD_CLASSES).intersection(
+            _names(call.args[1])))
     if func.id in ("hasattr", "getattr"):
         arg = call.args[1]
         return isinstance(arg, ast.Constant) and arg.value in ("lx", "ly")
@@ -70,8 +74,10 @@ def test_guard_detects_probes(tmp_path):
         "def f(surf, x):\n"
         "    if isinstance(surf, (int, FlatTorus)):\n"
         "        return getattr(surf, 'lx', 1.0)\n"
-        "    return hasattr(surf, 'ly') or isinstance(x, float)\n")
-    assert [line for _, line in _probe_sites(bad)] == [2, 3, 4]
+        "    return hasattr(surf, 'ly') or isinstance(x, float)\n"
+        "def g(system):\n"
+        "    return isinstance(system.field, fields.ConstantField)\n")
+    assert [line for _, line in _probe_sites(bad)] == [2, 3, 4, 6]
 
 
 def test_no_surface_type_probes_outside_surfaces():
@@ -85,7 +91,7 @@ def test_no_surface_type_probes_outside_surfaces():
             if key not in ALLOWED:
                 stray.append(f"{path.name}:{line} in {func}")
             counts[key] += 1
-    assert not stray, "surface-type probes outside the allow-list: " \
+    assert not stray, "class probes outside the allow-list: " \
         + ", ".join(stray)
     for key, limit in ALLOWED.items():
         if limit is not None:
