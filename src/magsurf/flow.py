@@ -13,10 +13,10 @@ ended by the surface's chart_line (the sphere's chart switch).  A return's
 step is MACRO_STEP, or CELL_STEP of the time the state takes to cross the
 surface's or field's scale if that is shorter.  The loop runs on a
 TangentState, the plain tuple (chart, u, v, du, dv), hands each state to a
-list's extend when given one, and reads the surface's floor and a
-Section's crossing itself, where one pass of it without the chart line,
-cut short, lands on the section.  A shot orbit's trajectory is the dense
-output of its return's steps (StepRecord.dense); dt only spaces samples.
+list's extend when given one, and stops at the floor or a Section's
+crossing, both of which it reads itself; there one pass of it without the
+chart line, cut short, lands on the section.  A shot orbit's trajectory is
+the dense output of its return's steps (StepRecord.dense); dt spaces them.
 """
 from __future__ import annotations
 
