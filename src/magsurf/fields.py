@@ -32,6 +32,9 @@ class MagneticField:
     def eval(self, chart, u, v):
         raise NotImplementedError
 
+    def closed_primitive(self, surface):
+        """A LocalPrimitive of sigma on surface in closed form, or None."""
+
 
 class ConstantField(MagneticField):
     step_line = "f = fval"
@@ -42,6 +45,17 @@ class ConstantField(MagneticField):
 
     def eval(self, chart, u, v):
         return np.full(np.shape(u), self.value)
+
+    def closed_primitive(self, surface):
+        """The zero form, periodic on any lattice, or by the curvature
+        -c v du (flat), c du / v (the half-plane) or, in either sphere
+        chart, 2c (u dv - v du) / (1 + u^2 + v^2)."""
+        c, curvature = self.value, surface.constant_curvature
+        if c == 0.0:
+            return FourierOneForm(*np.zeros((4, 0)))
+        a = {-1: lambda v: c / v, 0: lambda v: -c * v,
+             1: lambda q: 2.0 * c / (1.0 + q)}.get(curvature)
+        return a and ClosedFormPrimitive(a, radial=curvature == 1)
 
 
 class CallableField(MagneticField):
@@ -90,6 +104,15 @@ class CosineField(TorusField):
     def eval(self, chart, u, v):
         return self.amp * np.cos(
             2.0 * np.pi * (np.asarray(u, float) % self.lx) / self.lx)
+
+    def closed_primitive(self, surface):
+        """*dG, G = -amp cos(k x) / k^2, k = 2 pi / lx: the spectral
+        primitive's two modes (kx = k, -k), on a flat torus of this lattice."""
+        if surface.constant_curvature != 0 or surface.lattice != self.lattice:
+            return None
+        k = 2.0 * math.pi / self.lx
+        return FourierOneForm(np.array([k, -k]), np.zeros(2), np.full(
+            2, -self.amp / (2.0 * k * k)), np.zeros(2))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -333,10 +356,9 @@ class TorusSpectralPrimitive(FourierOneForm):
 def local_primitive(system, winds=False):
     """A primitive of sigma in every chart, built once per system.
 
-    Constant fields on the homogeneous surfaces get closed forms: -c v du
-    on the flat torus, c du / v on the half-plane and the rotation-symmetric
-    2c (u dv - v du) / (1 + u^2 + v^2) in either sphere chart.  On a torus
-    with (numerically) zero total flux a global spectral primitive is
+    The field's closed_primitive comes first: constant fields on the
+    homogeneous surfaces, the cosine field on its flat torus.  Else on a
+    torus with (numerically) zero total flux a global spectral primitive is
     returned, otherwise the fiber-integral primitive.  A torus density whose
     mean on a 32 x 32 grid is at least a tenth of its largest sample skips
     the 256 x 256 spectral attempt: the two grid means differ only by the
@@ -355,20 +377,8 @@ def local_primitive(system, winds=False):
 
 def _build_primitive(system):
     surf = system.surface
-    fld = system.field
-    prim = None
-    if fld.value is not None:
-        c = fld.value
-        if c == 0.0:       # the zero form, periodic on any lattice
-            return FourierOneForm(*np.zeros((4, 0)))
-        if surf.constant_curvature == -1:
-            prim = ClosedFormPrimitive(lambda v: c / v)
-        elif surf.constant_curvature == 0:
-            prim = ClosedFormPrimitive(lambda v: -c * v)
-        elif surf.constant_curvature == 1:
-            prim = ClosedFormPrimitive(lambda q: 2.0 * c / (1.0 + q),
-                                       radial=True)
-    elif surf.lattice is not None:
+    prim = system.field.closed_primitive(surf)
+    if prim is None and surf.lattice is not None:
         dens = _density_grid(system, 32)
         if abs(dens.mean()) < 0.1 * np.abs(dens).max():
             try:

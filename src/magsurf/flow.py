@@ -59,6 +59,10 @@ class TangentState(collections.namedtuple("TangentState",
         return super().__new__(cls, int(chart), float(u), float(v),
                                float(du), float(dv))
 
+    @classmethod
+    def _make(cls, iterable):       # and so _replace: through __new__
+        return cls(*iterable)
+
 
 @dataclasses.dataclass
 class Trajectory:
@@ -102,19 +106,22 @@ def make_rhs(system):
 # state, the start or a later one, is more than 1e-9 off the section; on a
 # wrapped coordinate a jump of a quarter period is the seam, not a crossing.
 # With no section, n = 1 and no chart line it is the step a crossing is cut
-# with.
+# with.  Assignments name at most two targets (plain stores, no tuple) and
+# literal factors are floats (CPython specializes float * float).
 _LOOP = """\
 def run(chart, u, v, du, dv, h, n, ext, every=1, section=None, macro=False):
     schart = None
     if section is not None:
-        schart, coord, sval = section.chart, section.coord, section.value
+        schart, coord = section.chart, section.coord
+        sval = section.value
         sdir, wrap = section.direction, section.wrap
         prev = section.signed_residual((chart, u, v, du, dv))
         armed = abs(prev) > 1e-9
-    hh, s, rec = 0.5 * h, h / 6.0, every
+    hh, s = 0.5 * h, h / 6.0
     for k in range(1, n + 1):
         c0 = chart
-        x, y, p1, q1 = u, v, du, dv
+        x, y = u, v
+        p1, q1 = du, dv
 {0}
         if macro:
             ex = ey = ep = eq = 0.0
@@ -122,19 +129,22 @@ def run(chart, u, v, du, dv, h, n, ext, every=1, section=None, macro=False):
                          (8, 1024 / 315)):
                 g = h / m
                 g2 = 2.0 * g
-                xa, ya, pa, qa = u, v, du, dv
+                xa, ya = u, v
+                pa, qa = du, dv
                 x, y = u + g * du, v + g * dv
                 p5, q5 = du + g * a1u, dv + g * a1v
                 for _ in range(m - 1):
 {4}
-                    xa, ya, pa, qa, x, y, p5, q5 = (
-                        x, y, p5, q5, xa + g2 * p5, ya + g2 * q5,
-                        pa + g2 * a5u, qa + g2 * a5v)
+                    xa, x = x, xa + g2 * p5
+                    ya, y = y, ya + g2 * q5
+                    pa, p5 = p5, pa + g2 * a5u
+                    qa, q5 = q5, qa + g2 * a5v
                 ex += w * (x - u)
                 ey += w * (y - v)
                 ep += w * (p5 - du)
                 eq += w * (q5 - dv)
-            x, y, p, q = u + ex, v + ey, du + ep, dv + eq
+            x, y = u + ex, v + ey
+            p, q = du + ep, dv + eq
         else:
             p2, q2 = du + hh * a1u, dv + hh * a1v
             x, y = u + hh * p1, v + hh * q1
@@ -145,14 +155,13 @@ def run(chart, u, v, du, dv, h, n, ext, every=1, section=None, macro=False):
             p4, q4 = du + h * a3u, dv + h * a3v
             x, y = u + h * p3, v + h * q3
 {3}
-            x = u + s * (p1 + 2 * p2 + 2 * p3 + p4)
-            y = v + s * (q1 + 2 * q2 + 2 * q3 + q4)
-            p = du + s * (a1u + 2 * a2u + 2 * a3u + a4u)
-            q = dv + s * (a1v + 2 * a2v + 2 * a3v + a4v)
+            x = u + s * (p1 + 2.0 * p2 + 2.0 * p3 + p4)
+            y = v + s * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
+            p = du + s * (a1u + 2.0 * a2u + 2.0 * a3u + a4u)
+            q = dv + s * (a1v + 2.0 * a2v + 2.0 * a3v + a4v)
         {chart}
-        if ext is not None and k == rec:
+        if ext is not None and not k % every:
             ext((chart, x, y, p, q))
-            rec += every
         if not y >= floor:              # below the floor, or NaN
             return k, (chart, x, y, p, q), None
         if chart == schart:
@@ -167,7 +176,8 @@ def run(chart, u, v, du, dv, h, n, ext, every=1, section=None, macro=False):
                   and (q if coord else p) * sdir > 0.0):
                 return k, (c0, u, v, du, dv), (prev, cur)
             prev = cur
-        u, v, du, dv = x, y, p, q
+        u, v = x, y
+        du, dv = p, q
     return n, (chart, u, v, du, dv), None
 """
 _CURVED = """\
@@ -432,8 +442,8 @@ class StepRecord:
                           dq=val[:, 2:] / h, dt=dt)
         run = _make_loop(system)
         for j in np.nonzero(chart[i + 1] != chart[i])[0]:
-            c, *x = run(traj.chart[j], *traj.q[j], *traj.dq[j], 0.0, 1,
-                        None)[1]
+            c, *x = run(*TangentState(traj.chart[j], *traj.q[j],
+                                      *traj.dq[j]), 0.0, 1, None)[1]
             traj.chart[j], traj.q[j], traj.dq[j] = c, x[:2], x[2:]
         return traj
 

@@ -308,6 +308,18 @@ def test_tangent_state_is_a_tuple_of_plain_numbers():
     assert [type(x) for x in got] == [int, float, float, float, float]
 
 
+def test_tangent_state_make_and_replace_coerce():
+    """namedtuple's _make, and _replace through it, make plain numbers as
+    the constructor does, and _make still wants five values."""
+    state = TangentState(0, 0, 0, 1, 0)._replace(u=np.float64(0.5))
+    assert type(state.u) is float and state == (0, 0.5, 0.0, 1.0, 0.0)
+    made = TangentState._make([np.int64(0), 1, 2, 3, 4])
+    assert type(made.chart) is int
+    assert [type(x) for x in made] == [int, float, float, float, float]
+    with pytest.raises(TypeError):
+        TangentState._make([0, 1.0, 2.0])
+
+
 def test_macro_return_records_its_steps():
     """A return records state0 and every order-8 step, the step over the
     crossing too, and their length MACRO_STEP as the record's step: the

@@ -14,12 +14,13 @@ from magsurf.critical import c0_upper_bound
 from magsurf.errors import (DegenerateInputError, NoGlobalPrimitiveError,
                             UnsupportedError)
 from magsurf.fields import (CallableField, ClosedFormPrimitive, ConstantField,
-                            CosineField, LineIntegralPrimitive,
-                            MagneticSystem, TorusField,
-                            TorusSpectralPrimitive, energy_of_s, flux_total,
-                            local_primitive, s_of_energy, stokes_residual)
-from magsurf.surfaces import (FlatTorus, HyperbolicPlane, PeriodicBicubic,
-                              RoundSphere)
+                            CosineField, FourierOneForm,
+                            LineIntegralPrimitive, MagneticSystem,
+                            TorusField, TorusSpectralPrimitive, energy_of_s,
+                            flux_total, local_primitive, s_of_energy,
+                            stokes_residual)
+from magsurf.surfaces import (ConformalTorus, FlatTorus, HyperbolicPlane,
+                              PeriodicBicubic, RoundSphere)
 
 
 @given(st.floats(min_value=1e-6, max_value=1e6))
@@ -178,6 +179,54 @@ def test_local_primitive_skips_spectral_solve_of_inexact_field(monkeypatch):
         prim = local_primitive(MagneticSystem(FlatTorus(), TorusField(f)))
         assert isinstance(prim, TorusSpectralPrimitive)
     assert sizes == [256, 256]
+
+
+@pytest.mark.parametrize("amp,lx,ly", [(2.0 * np.pi, 1.0, 1.0),
+                                       (-1.3, 2.5, 0.7)],
+                         ids=["unit", "oblong"])
+def test_cosine_closed_primitive_is_the_spectral_one(monkeypatch, amp, lx,
+                                                     ly):
+    """On its flat torus the cosine field's own primitive, two Fourier
+    modes in closed form, is the 256 x 256 spectral primitive: theta at
+    random points and the circulation around a closed loop agree to
+    1e-13, and local_primitive samples no density grid for it."""
+    system = MagneticSystem(FlatTorus(lx, ly), CosineField(amp, lx, ly))
+    ref = TorusSpectralPrimitive(system)
+
+    def no_grid(system, n):
+        raise AssertionError(f"sampled a {n} x {n} density grid")
+
+    monkeypatch.setattr(fields, "_density_grid", no_grid)
+    prim = local_primitive(system, winds=True)
+    assert isinstance(prim, FourierOneForm)
+    u, v = np.random.default_rng(5).uniform(-3.0, 3.0, (2, 200))
+    assert np.abs(np.subtract(prim.theta(0, u, v),
+                              ref.theta(0, u, v))).max() <= 1e-13
+    ang = 2.0 * np.pi * np.arange(65) / 64
+    loop = np.column_stack([0.3 * lx + 0.2 * np.cos(ang),
+                            0.4 * ly + 0.2 * np.sin(ang)])
+    assert abs(prim.line_integral(0, loop)
+               - ref.line_integral(0, loop)) <= 1e-13
+
+
+def test_cosine_field_elsewhere_falls_back_to_the_spectral_solve():
+    """On a conformal torus, or a flat torus of another lattice than the
+    field's, the cosine field has no closed primitive (sigma is not its
+    f du ^ dv there), and local_primitive solves on the density grid as
+    for any zero-mean torus field."""
+    x = np.arange(16) / 16
+    rho = 0.1 * np.cos(2 * np.pi * (x[:, None] + 0.3)) \
+        * np.sin(2 * np.pi * x[None, :])
+    field = CosineField(2.0 * np.pi)
+    for surface in (ConformalTorus(rho), FlatTorus(2.0, 1.0)):
+        assert field.closed_primitive(surface) is None
+        system = MagneticSystem(surface, field)
+        prim = local_primitive(system)
+        assert isinstance(prim, TorusSpectralPrimitive)
+        u, v = np.random.default_rng(6).uniform(-1.0, 1.0, (2, 50))
+        got = np.asarray(prim.theta(0, u, v))
+        assert got.tobytes() == np.asarray(
+            TorusSpectralPrimitive(system).theta(0, u, v)).tobytes()
 
 
 def test_local_primitive_is_built_once_per_system(monkeypatch):

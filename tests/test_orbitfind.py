@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magsurf import orbits, regions
+from magsurf import flow, orbits, regions
 from magsurf.cli import main
 from magsurf.errors import (DegenerateInputError, NoConvergenceError,
                             NoGlobalPrimitiveError, NoReturnError)
@@ -507,6 +507,30 @@ def test_shot_trajectory_is_integrated_orbit(system, s, seed, tol):
         # the accepted return is a line-search candidate, not the seed's
         assert orbit.seed != state_at_energy(system, seed, k)
         assert orbit_curvature_residual(system, orbit) <= 1e-7
+
+
+def test_dense_chart_line_runs_the_loop_on_plain_numbers(monkeypatch):
+    """On the wide sphere circle through both charts every run of the
+    compiled loop, the dense output's chart-line passes too, starts from
+    an int chart and float coordinates, never numpy scalars."""
+    starts = []
+    make = flow._make_loop
+
+    def recording(system, chart_rule=True):
+        run = make(system, chart_rule)
+
+        def wrapped(*args, **kwargs):
+            starts.append(tuple(map(type, args[:5])))
+            return run(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(flow, "_make_loop", recording)
+    system, s, seed, tol = _shot_trajectory_cases()[0]
+    orbit = shoot_periodic(system, energy_of_s(s), seed, tol=tol)
+    shooting = len(starts)
+    assert set(orbit.trajectory.chart.tolist()) == {0, 1}
+    assert len(starts) > shooting + 1      # dense's chart-line passes
+    assert set(starts) == {(int, float, float, float, float)}
 
 
 @pytest.mark.parametrize("dt", [1.3e-3, 0.007])

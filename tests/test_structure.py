@@ -184,6 +184,56 @@ def test_one_compiled_stepping_core():
     assert calls == {"compile": 1, "exec": 1}
 
 
+# The loop allocates nothing per step on CPython 3.11: an assignment of a
+# tuple display to more than two names builds and unpacks a tuple (two are
+# plain stores), and an int literal factor blocks the float * float
+# specialization (PEP 659).  The guard reads the text written for the
+# sphere, with its chart line.
+def _is_int(node):
+    if isinstance(node, ast.UnaryOp):
+        node = node.operand
+    return isinstance(node, ast.Constant) and type(node.value) is int
+
+
+def _loop_churn(source):
+    """Sorted lines of every assignment of a tuple display to more than
+    two names and of every product with an int literal factor."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Tuple) \
+                and any(isinstance(t, ast.Tuple) and len(t.elts) > 2
+                        for t in node.targets):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult) \
+                and (_is_int(node.left) or _is_int(node.right)):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_loop_guard_detects_churn():
+    bad = ("x, y, p1, q1 = u, v, du, dv\n"
+           "x, y = u, v\n"
+           "chart, x, y, p, q = switch_chart(chart, x, y, p, q)\n"
+           "x = u + s * (p1 + 2 * p2 + 2.0 * p3 + p4)\n"
+           "xa, ya, pa, qa, x, y, p5, q5 = (\n"
+           "    x, y, p5, q5, xa + g2 * p5, ya + g2 * q5,\n"
+           "    pa + g2 * a5u, qa + g2 * a5v)\n"
+           "g, w = h / 2, -1 / 360\n"
+           "a = b * -3\n")
+    assert _loop_churn(bad) == [1, 4, 5, 9]
+
+
+def test_stepping_loop_allocates_no_tuples():
+    from magsurf.fields import ConstantField
+    from magsurf.flow import _write
+    from magsurf.surfaces import RoundSphere
+
+    text = _write(RoundSphere.step_line, ConstantField.step_line,
+                  RoundSphere.chart_line)
+    assert "switch_chart" in text and "macro" in text
+    assert not _loop_churn(text), "tuple or int-product lines of the loop"
+
+
 # The curve evolution reads edges, chords and normals off padded coordinate
 # rows with plain slices: regions.py and ClosedPolyline make no rolled,
 # stacked or np.linalg.norm temporaries.
